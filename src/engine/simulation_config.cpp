@@ -196,12 +196,6 @@ void apply_pair(SimulationConfig& config, const std::string& key,
       EXASTP_CHECK_MSG(config.lts_clusters >= 1,
                        "lts_clusters=" + value + " must be auto or >= 1");
     }
-  } else if (key == "lts_rate") {
-    config.lts_rate = parse_int(key, value);
-    EXASTP_CHECK_MSG(config.lts_rate == 2,
-                     "lts_rate=" + value +
-                         " (only the power-of-two schedule, rate 2, is "
-                         "supported)");
   } else if (key == "balance") {
     EXASTP_CHECK_MSG(!value.empty(), "balance= needs a table path");
     config.balance = value;
@@ -305,8 +299,7 @@ std::string canonical_config_string(const SimulationConfig& config) {
      << "|backend=" << config.backend
      << "|precision=" << precision_name(config.precision)
      << "|lts=" << (config.lts ? "on" : "off")
-     << "|lts_clusters=" << config.lts_clusters
-     << "|lts_rate=" << config.lts_rate;
+     << "|lts_clusters=" << config.lts_clusters;
   // threads is intentionally absent: results are bitwise-identical for
   // every thread count, so it must not split the memoization key. The
   // autotune table path is absent for the same reason: fused block sizes
@@ -438,7 +431,6 @@ std::vector<std::string> accepted_config_keys() {
           "autotune",
           "lts",
           "lts_clusters",
-          "lts_rate",
           "balance",
           "cells",
           "extent",
@@ -510,8 +502,6 @@ std::string simulation_usage() {
       "                  stepper=ader (see docs/lts.md)\n"
       "  lts_clusters=N  cluster cap: auto (default, wave-speed spread"
       " decides) or N >= 1\n"
-      "  lts_rate=2      rate ratio between adjacent clusters (only 2 is"
-      " supported)\n"
       "  balance=PATH    measured-cost balance table: weight shard splits by"
       " measured\n"
       "                  per-cluster cost, update with this run, save back"

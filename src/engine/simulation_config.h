@@ -122,9 +122,6 @@ struct SimulationConfig {
   /// Cap on the number of rate clusters: "auto" (0) lets the wave-speed
   /// spread decide, an integer N >= 1 caps the binning at N clusters.
   int lts_clusters = 0;
-  /// Rate ratio between adjacent clusters; only 2 is supported (the
-  /// power-of-two schedule the cluster algebra assumes).
-  int lts_rate = 2;
   /// Path of a measured-cost balance table (mesh/balance_table.h): loaded
   /// before partitioning so shard splits weight cells by measured per-
   /// cluster cost, updated with this run's measurements and saved back.

@@ -20,7 +20,10 @@
 // masking of the flux derivative GEMMs and NCP-stage skipping, and Real
 // templating — Real=float stores every working tensor in fp32, converting
 // exactly once at the kernel boundary; the templated PDE line functions
-// keep the hot sweeps conversion-free in both precisions.
+// keep the hot sweeps conversion-free in both precisions. The optional
+// half-window average (StpOutputs::qavg_half) must accumulate in the
+// kernel's own layout and precision; it borrows the first favg tensor,
+// which is written only after the time loop, so the workspace stays put.
 #pragma once
 
 #include <algorithm>
@@ -105,10 +108,15 @@ class AosoaStpT {
                const std::array<double, 3>& inv_dx, const SourceTerm* source,
                const StpOutputs& out) {
     // Engine AoS -> kernel AoSoA at the boundary, AoSoA -> AoS on the way
-    // out (Sec. V-B: the rest of the engine still expects AoS).
+    // out (Sec. V-B: the rest of the engine still expects AoS). The
+    // half-window average borrows favg0_, which the favg stage overwrites
+    // only after the half window has been transposed out.
     aos_to_aosoa(q, aos_, q_a_.data(), aosoa_);
-    compute_native(q_a_.data(), dt, inv_dx, source, qavg_a_.data(),
-                   {favg0_.data(), favg1_.data(), favg2_.data()});
+    double* half_a = out.qavg_half != nullptr ? favg0_.data() : nullptr;
+    taylor_stage(q_a_.data(), dt, inv_dx, source, qavg_a_.data(), half_a);
+    if (half_a != nullptr) aosoa_to_aos(half_a, aosoa_, out.qavg_half, aos_);
+    favg_stage(inv_dx, qavg_a_.data(),
+               {favg0_.data(), favg1_.data(), favg2_.data()});
     aosoa_to_aos(qavg_a_.data(), aosoa_, out.qavg, aos_);
     aosoa_to_aos(favg0_.data(), aosoa_, out.favg[0], aos_);
     aosoa_to_aos(favg1_.data(), aosoa_, out.favg[1], aos_);
@@ -125,31 +133,62 @@ class AosoaStpT {
                       const std::array<double, 3>& inv_dx,
                       const SourceTerm* source, double* qavg_aosoa,
                       const std::array<double*, 3>& favg_aosoa) {
+    taylor_stage(q_aosoa, dt, inv_dx, source, qavg_aosoa, nullptr);
+    favg_stage(inv_dx, qavg_aosoa, favg_aosoa);
+  }
+
+ private:
+  /// The CK time loop on double AoSoA boundary buffers: qavg (and
+  /// qavg_half when non-null). For Real=float the float half-window
+  /// accumulator borrows favg_r_[0], written only in the favg stage.
+  void taylor_stage(const double* q_aosoa, double dt,
+                    const std::array<double, 3>& inv_dx,
+                    const SourceTerm* source, double* qavg_aosoa,
+                    double* qavg_half_aosoa) {
     if constexpr (kF32) {
       vec_narrow(static_cast<long>(cell_), q_aosoa, qr_.data());
-      native_impl(qr_.data(), dt, inv_dx, source, qavg_r_.data(),
-                  {favg_r_[0].data(), favg_r_[1].data(), favg_r_[2].data()});
+      Real* half_r = qavg_half_aosoa != nullptr ? favg_r_[0].data() : nullptr;
+      taylor_impl(qr_.data(), dt, inv_dx, source, qavg_r_.data(), half_r);
       vec_widen(static_cast<long>(cell_), qavg_r_.data(), qavg_aosoa);
+      if (half_r != nullptr)
+        vec_widen(static_cast<long>(cell_), half_r, qavg_half_aosoa);
+    } else {
+      taylor_impl(q_aosoa, dt, inv_dx, source, qavg_aosoa, qavg_half_aosoa);
+    }
+  }
+
+  /// favg[d] recomputed from the averaged state of the preceding Taylor
+  /// stage (for Real=float its float original, of which qavg_aosoa is the
+  /// exact widening).
+  void favg_stage(const std::array<double, 3>& inv_dx,
+                  const double* qavg_aosoa,
+                  const std::array<double*, 3>& favg_aosoa) {
+    if constexpr (kF32) {
+      favg_impl(inv_dx, qavg_r_.data(),
+                {favg_r_[0].data(), favg_r_[1].data(), favg_r_[2].data()});
       for (int d = 0; d < 3; ++d)
         vec_widen(static_cast<long>(cell_), favg_r_[d].data(),
                   favg_aosoa[d]);
     } else {
-      native_impl(q_aosoa, dt, inv_dx, source, qavg_aosoa, favg_aosoa);
+      favg_impl(inv_dx, qavg_aosoa, favg_aosoa);
     }
   }
 
- private:
-  void native_impl(const Real* q_aosoa, double dt,
+  void taylor_impl(const Real* q_aosoa, double dt,
                    const std::array<double, 3>& inv_dx,
                    const SourceTerm* source, Real* qavg_aosoa,
-                   const std::array<Real*, 3>& favg_aosoa) {
+                   Real* qavg_half_aosoa) {
     const int n = n_;
     const auto coeff = time_average_coefficients(dt, n);
+    const auto half = time_average_coefficients(0.5 * dt, n);
     FlopCounter& fc = FlopCounter::instance();
 
     vec_copy(static_cast<long>(cell_), q_aosoa, p_.data());
     vec_scale(isa_, static_cast<long>(cell_), Real(coeff[0]), q_aosoa,
               qavg_aosoa);
+    if (qavg_half_aosoa != nullptr)
+      vec_scale(isa_, static_cast<long>(cell_), Real(half[0]), q_aosoa,
+                qavg_half_aosoa);
 
     for (int o = 0; o + 1 < n; ++o) {
       vec_zero(static_cast<long>(cell_), ptemp_.data());
@@ -158,13 +197,20 @@ class AosoaStpT {
       if (source != nullptr) apply_source(ptemp_.data(), source, o, fc);
       vec_axpy(isa_, static_cast<long>(cell_), Real(coeff[o + 1]),
                ptemp_.data(), qavg_aosoa);
+      if (qavg_half_aosoa != nullptr)
+        vec_axpy(isa_, static_cast<long>(cell_), Real(half[o + 1]),
+                 ptemp_.data(), qavg_half_aosoa);
       p_.swap(ptemp_);
       refresh_aosoa_param_rows(aosoa_, Pde::kVars, q_aosoa, p_.data());
     }
 
     refresh_aosoa_param_rows(aosoa_, Pde::kVars, q_aosoa, qavg_aosoa);
+    if (qavg_half_aosoa != nullptr)
+      refresh_aosoa_param_rows(aosoa_, Pde::kVars, q_aosoa, qavg_half_aosoa);
+  }
 
-    // favg[d] recomputed from the averaged state.
+  void favg_impl(const std::array<double, 3>& inv_dx, const Real* qavg_aosoa,
+                 const std::array<Real*, 3>& favg_aosoa) {
     for (int d = 0; d < 3; ++d) {
       vec_zero(static_cast<long>(cell_), favg_aosoa[d]);
       apply_volume_dimension(d, Real(inv_dx[d]), qavg_aosoa, favg_aosoa[d]);

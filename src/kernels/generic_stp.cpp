@@ -145,6 +145,20 @@ void GenericStp::compute(const double* q, double dt,
   // The Taylor sum scaled the constant parameter rows; restore them so that
   // flux(qavg)/wave speeds of the averaged state stay well defined.
   refresh_aos_param_rows(aos_, pde_.info().vars, q, out.qavg);
+
+  // Half-window average: the same p[o] with the dt/2 weights, summed in
+  // the same order as qavg above.
+  if (out.qavg_half != nullptr) {
+    const auto half = time_average_coefficients(0.5 * dt, n);
+    std::memset(out.qavg_half, 0, cell_ * sizeof(double));
+    for (int o = 0; o < n; ++o) {
+      const double c = half[o];
+      const double* po = p_.data() + p_index(o);
+      for (std::size_t i = 0; i < cell_; ++i) out.qavg_half[i] += c * po[i];
+    }
+    fc.add(WidthClass::k128, 2ull * n * cell_);
+    refresh_aos_param_rows(aos_, pde_.info().vars, q, out.qavg_half);
+  }
 }
 
 StpKernel make_generic_stp(std::shared_ptr<const PdeRuntime> pde, int order,

@@ -121,6 +121,16 @@ class LogStp {
                  df_.data() + od_index(o, d), out.favg[d]);
     }
     refresh_aos_param_rows(aos_, Pde::kVars, q, out.qavg);
+
+    // Half-window average: the same p[o] with the dt/2 weights.
+    if (out.qavg_half != nullptr) {
+      const auto half = time_average_coefficients(0.5 * dt, n);
+      vec_zero(static_cast<long>(cell_), out.qavg_half);
+      for (int o = 0; o < n; ++o)
+        vec_axpy(isa_, static_cast<long>(cell_), half[o],
+                 p_.data() + p_index(o), out.qavg_half);
+      refresh_aos_param_rows(aos_, Pde::kVars, q, out.qavg_half);
+    }
   }
 
  private:

@@ -67,10 +67,13 @@ class SoaUfStp {
                const StpOutputs& out) {
     const int n = n_;
     const auto coeff = time_average_coefficients(dt, n);
+    const auto half = time_average_coefficients(0.5 * dt, n);
     FlopCounter& fc = FlopCounter::instance();
 
     vec_copy(static_cast<long>(cell_), q, p_.data());
     vec_scale(isa_, static_cast<long>(cell_), coeff[0], q, out.qavg);
+    if (out.qavg_half != nullptr)
+      vec_scale(isa_, static_cast<long>(cell_), half[0], q, out.qavg_half);
 
     for (int o = 0; o + 1 < n; ++o) {
       vec_zero(static_cast<long>(cell_), ptemp_.data());
@@ -79,11 +82,16 @@ class SoaUfStp {
       if (source != nullptr) apply_source(ptemp_.data(), source, o, fc);
       vec_axpy(isa_, static_cast<long>(cell_), coeff[o + 1], ptemp_.data(),
                out.qavg);
+      if (out.qavg_half != nullptr)
+        vec_axpy(isa_, static_cast<long>(cell_), half[o + 1], ptemp_.data(),
+                 out.qavg_half);
       p_.swap(ptemp_);
       refresh_aos_param_rows(aos_, Pde::kVars, q, p_.data());
     }
 
     refresh_aos_param_rows(aos_, Pde::kVars, q, out.qavg);
+    if (out.qavg_half != nullptr)
+      refresh_aos_param_rows(aos_, Pde::kVars, q, out.qavg_half);
     for (int d = 0; d < 3; ++d) {
       vec_zero(static_cast<long>(cell_), out.favg[d]);
       apply_volume_dimension(d, inv_dx[d], out.qavg, out.favg[d]);

@@ -8,7 +8,10 @@
 // soon as it is produced), every dimension reuses the same scratch tensors,
 // and the time-averaged fluctuations favg[d] are recomputed at the end from
 // the time-averaged state (legal because the scheme is linear and the
-// parameter rows of the averaged state are exact).
+// parameter rows of the averaged state are exact). A clustered-LTS caller
+// can ask for the half-window average as well (StpOutputs::qavg_half): it
+// is a second accumulator over the same derivative tensors, so the coarse
+// side of a cluster boundary needs no second predictor run.
 //
 // Costs one extra flux+derivative sweep after the time loop (the paper's
 // "almost one iteration"), which vanishes relative to the N-order loop at
@@ -98,30 +101,41 @@ class SplitCkStpT {
                const StpOutputs& out) {
     if constexpr (kF32) {
       // fp32 boundary: narrow the state once, run the whole scheme on
-      // float tensors, widen the averaged outputs once.
+      // float tensors, widen the averaged outputs once. The float
+      // half-window accumulator borrows favg_r_[0], which the favg stage
+      // overwrites only after the half window has been widened out.
       vec_narrow(static_cast<long>(cell_), q, qr_.data());
-      compute_impl(qr_.data(), dt, inv_dx, source, qavg_r_.data(),
-                   {favg_r_[0].data(), favg_r_[1].data(), favg_r_[2].data()});
+      Real* half_r = out.qavg_half != nullptr ? favg_r_[0].data() : nullptr;
+      taylor_stage(qr_.data(), dt, inv_dx, source, qavg_r_.data(), half_r);
+      if (half_r != nullptr)
+        vec_widen(static_cast<long>(cell_), half_r, out.qavg_half);
+      favg_stage(inv_dx, qavg_r_.data(),
+                 {favg_r_[0].data(), favg_r_[1].data(), favg_r_[2].data()});
       vec_widen(static_cast<long>(cell_), qavg_r_.data(), out.qavg);
       for (int d = 0; d < 3; ++d)
         vec_widen(static_cast<long>(cell_), favg_r_[d].data(), out.favg[d]);
     } else {
-      compute_impl(q, dt, inv_dx, source, out.qavg, out.favg);
+      taylor_stage(q, dt, inv_dx, source, out.qavg, out.qavg_half);
+      favg_stage(inv_dx, out.qavg, out.favg);
     }
   }
 
  private:
-  void compute_impl(const Real* q, double dt,
+  /// The CK time loop: qavg (and qavg_half when non-null) accumulate each
+  /// time derivative as soon as it is produced.
+  void taylor_stage(const Real* q, double dt,
                     const std::array<double, 3>& inv_dx,
-                    const SourceTerm* source, Real* qavg,
-                    const std::array<Real*, 3>& favg) {
+                    const SourceTerm* source, Real* qavg, Real* qavg_half) {
     const int n = n_;
     const auto coeff = time_average_coefficients(dt, n);
+    const auto half = time_average_coefficients(0.5 * dt, n);
     FlopCounter& fc = FlopCounter::instance();
 
     // qavg starts with the o = 0 term: coeff[0] * q = q.
     vec_copy(static_cast<long>(cell_), q, p_.data());
     vec_scale(isa_, static_cast<long>(cell_), Real(coeff[0]), q, qavg);
+    if (qavg_half != nullptr)
+      vec_scale(isa_, static_cast<long>(cell_), Real(half[0]), q, qavg_half);
 
     // Time loop: each iteration turns p = d^o q/dt^o into d^{o+1} q/dt^{o+1}
     // and folds it into qavg immediately.
@@ -134,16 +148,26 @@ class SplitCkStpT {
       if (source != nullptr) apply_source(ptemp_.data(), source, o, fc);
       vec_axpy(isa_, static_cast<long>(cell_), Real(coeff[o + 1]),
                ptemp_.data(), qavg);
+      if (qavg_half != nullptr)
+        vec_axpy(isa_, static_cast<long>(cell_), Real(half[o + 1]),
+                 ptemp_.data(), qavg_half);
       p_.swap(ptemp_);
       // The new derivative tensor has zero parameter rows; user functions
       // in the next iteration need the real parameters.
       refresh_aos_param_rows(aos_, Pde::kVars, q, p_.data());
     }
 
-    // Restore the constant parameter rows of the averaged state, then
-    // recompute favg[d] from it (exploiting linearity):
-    // favg[d] = D_d F_d(qavg) + B_d(qavg) D_d qavg.
+    // Restore the constant parameter rows of the averaged states.
     refresh_aos_param_rows(aos_, Pde::kVars, q, qavg);
+    if (qavg_half != nullptr)
+      refresh_aos_param_rows(aos_, Pde::kVars, q, qavg_half);
+  }
+
+  /// Recomputes favg[d] from the averaged state (exploiting linearity):
+  /// favg[d] = D_d F_d(qavg) + B_d(qavg) D_d qavg.
+  void favg_stage(const std::array<double, 3>& inv_dx, const Real* qavg,
+                  const std::array<Real*, 3>& favg) {
+    FlopCounter& fc = FlopCounter::instance();
     for (int d = 0; d < 3; ++d) {
       vec_zero(static_cast<long>(cell_), favg[d]);
       apply_volume_dimension(d, Real(inv_dx[d]), qavg, favg[d], fc);

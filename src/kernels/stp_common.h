@@ -11,6 +11,21 @@
 //                       unchanged so flux/ncp of qavg stay well defined
 //            favg[d]  — time-averaged volume fluctuation per dimension:
 //                       (1/dt) * integral of (d/dx_d F_d(q) + B_d dq/dx_d)
+//            qavg_half — optional (nullptr = not requested): the time
+//                       average over the first half window [t_n,
+//                       t_n + dt/2]. The Cauchy-Kowalewsky time derivatives
+//                       do not depend on dt, so the kernel folds the same
+//                       derivative tensors into a second accumulator with
+//                       the weights time_average_coefficients(dt/2, n),
+//                       in the same pass. The result is bit-identical to
+//                       the qavg of a separate run at dt/2 (same vecop
+//                       sequence, storage precision, parameter-row refresh
+//                       and exit widen/transpose), requesting it leaves
+//                       qavg and favg bit-identical, and it needs no
+//                       workspace beyond workspace_bytes(): kernels whose
+//                       accumulator must live in their own layout or
+//                       precision borrow a favg tensor, which is written
+//                       only after the time loop.
 //
 // The corrector then computes q^{n+1} = q + dt * sum_d favg[d] + surface
 // terms built from qavg (see face.h and solver/ader_dg_solver.cpp). All
@@ -96,10 +111,12 @@ inline void refresh_aosoa_param_rows(const AosoaLayout& aosoa, int vars,
       }
 }
 
-/// Per-dimension time-averaged fluctuation outputs.
+/// The kernel outputs (see the contract at the top of this file).
 struct StpOutputs {
   double* qavg = nullptr;
   std::array<double*, 3> favg{};
+  /// Optional half-window average [t_n, t_n + dt/2]; nullptr skips it.
+  double* qavg_half = nullptr;
 };
 
 /// Type-erased handle to a configured kernel instance. Create through

@@ -231,7 +231,7 @@ void trace_corrector_cell(CacheSim& sim, int n, int mp, const TwinPde& pde,
 // Generic twin (mirrors generic_stp.cpp).
 
 TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
-                         int warmup, int reps, bool corrector) {
+                         int warmup, int reps, bool corrector, bool half) {
   const int n = order, m = pde.quants;
   const std::size_t cell = static_cast<std::size_t>(n) * n * n * m;
   const std::size_t cell_bytes = cell * kWord;
@@ -246,6 +246,7 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
   std::uint64_t qavg = arena.alloc(cell);
   std::vector<std::uint64_t> favg = {arena.alloc(cell), arena.alloc(cell),
                                      arena.alloc(cell)};
+  const std::uint64_t qavg_half = half ? arena.alloc(cell) : 0;
 
   auto p_at = [&](int o) { return p + static_cast<std::uint64_t>(o) * cell_bytes; };
   auto od_at = [&](std::uint64_t base, int o, int d) {
@@ -312,6 +313,14 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
       }
     }
     FlopCounter::instance().add(WidthClass::k128, 8ull * n * cell);
+    if (half) {
+      sim.access(qavg_half, cell_bytes);
+      for (int o = 0; o < n; ++o) {
+        sim.access(p_at(o), cell_bytes);
+        sim.access(qavg_half, cell_bytes);
+      }
+      FlopCounter::instance().add(WidthClass::k128, 2ull * n * cell);
+    }
     if (corrector)
       trace_corrector_cell(sim, n, m, pde, q, qavg, favg, arena);
   }
@@ -325,7 +334,7 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
 // LoG twin (mirrors log_stp.h).
 
 TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
-                     int warmup, int reps, bool corrector) {
+                     int warmup, int reps, bool corrector, bool half) {
   const int n = order;
   const int mp = pad_to(pde.quants, vector_width(isa));
   const std::size_t cell = static_cast<std::size_t>(n) * n * n * mp;
@@ -342,6 +351,7 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
   std::uint64_t qavg = arena.alloc(cell);
   std::vector<std::uint64_t> favg = {arena.alloc(cell), arena.alloc(cell),
                                      arena.alloc(cell)};
+  const std::uint64_t qavg_half = half ? arena.alloc(cell) : 0;
 
   auto p_at = [&](int o) { return p + static_cast<std::uint64_t>(o) * cell_bytes; };
   auto od_at = [&](std::uint64_t base, int o, int d) {
@@ -386,6 +396,12 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
         trace_vecop(sim, isa, od_at(df, o, d), favg[d], cell, 2);
     }
     sim.access(q, cell_bytes);
+    if (half) {
+      sim.access(qavg_half, cell_bytes);
+      for (int o = 0; o < n; ++o)
+        trace_vecop(sim, isa, p_at(o), qavg_half, cell, 2);
+      sim.access(q, cell_bytes);
+    }
     if (corrector)
       trace_corrector_cell(sim, n, mp, pde, q, qavg, favg, arena);
   }
@@ -399,7 +415,8 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
 // SplitCK twin (mirrors splitck_stp.h).
 
 TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
-                         CacheSim& sim, int warmup, int reps, bool corrector) {
+                         CacheSim& sim, int warmup, int reps, bool corrector,
+                         bool half) {
   const int n = order;
   const int mp = pad_to(pde.quants, vector_width(isa));
   const std::size_t cell = static_cast<std::size_t>(n) * n * n * mp;
@@ -416,6 +433,7 @@ TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
   std::uint64_t qavg = arena.alloc(cell);
   std::vector<std::uint64_t> favg = {arena.alloc(cell), arena.alloc(cell),
                                      arena.alloc(cell)};
+  const std::uint64_t qavg_half = half ? arena.alloc(cell) : 0;
 
   // Mirrors SplitCkStpT::apply_volume_dimension: the flux stage runs only
   // over declared-nonzero flux rows (skipped entirely at cover 0) and the
@@ -444,16 +462,22 @@ TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
     std::uint64_t q = arena.alloc(cell);
     trace_vecop(sim, isa, q, p, cell, 0);         // copy
     trace_vecop(sim, isa, q, qavg, cell, 1);      // scale
+    if (half) trace_vecop(sim, isa, q, qavg_half, cell, 1);
     for (int o = 0; o + 1 < n; ++o) {
       sim.access(ptemp, cell_bytes);              // zero
       for (int d = 0; d < 3; ++d) volume_dim(d, p, ptemp);
       trace_vecop(sim, isa, ptemp, qavg, cell, 2);
+      if (half) trace_vecop(sim, isa, ptemp, qavg_half, cell, 2);
       std::swap(p, ptemp);
       sim.access(q, cell_bytes);                  // param refresh
       sim.access(p, cell_bytes);
     }
     sim.access(q, cell_bytes);
     sim.access(qavg, cell_bytes);
+    if (half) {
+      sim.access(q, cell_bytes);
+      sim.access(qavg_half, cell_bytes);
+    }
     for (int d = 0; d < 3; ++d) {
       sim.access(favg[d], cell_bytes);            // zero
       volume_dim(d, qavg, favg[d]);
@@ -471,7 +495,7 @@ TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
 // AoSoA twin (mirrors aosoa_stp.h).
 
 TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
-                       int warmup, int reps, bool corrector) {
+                       int warmup, int reps, bool corrector, bool half) {
   const int n = order;
   const int m = pde.quants;
   const int np = pad_to(n, vector_width(isa));
@@ -498,6 +522,10 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
   std::uint64_t qavg_out = arena.alloc(aos_cell);
   std::vector<std::uint64_t> favg_out = {
       arena.alloc(aos_cell), arena.alloc(aos_cell), arena.alloc(aos_cell)};
+  const std::uint64_t qavg_half_out = half ? arena.alloc(aos_cell) : 0;
+  // The half-window accumulator borrows favg_a[0] (written only after the
+  // time loop), exactly like the kernel.
+  const std::uint64_t half_a = favg_a[0];
 
   // Mirrors AosoaStpT::apply_volume_dimension (same gating as the SplitCK
   // twin: flux stage under cover > 0, gradient/NCP stage under !ncp_zero).
@@ -538,16 +566,23 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
     trace_vecop(sim, Isa::kScalar, q, q_a, aos_cell, 0);  // AoS -> AoSoA
     trace_vecop(sim, isa, q_a, p, cell, 0);
     trace_vecop(sim, isa, q_a, qavg_a, cell, 1);
+    if (half) trace_vecop(sim, isa, q_a, half_a, cell, 1);
     for (int o = 0; o + 1 < n; ++o) {
       sim.access(ptemp, cell_bytes);
       for (int d = 0; d < 3; ++d) volume_dim(d, p, ptemp);
       trace_vecop(sim, isa, ptemp, qavg_a, cell, 2);
+      if (half) trace_vecop(sim, isa, ptemp, half_a, cell, 2);
       std::swap(p, ptemp);
       sim.access(q_a, cell_bytes);
       sim.access(p, cell_bytes);
     }
     sim.access(q_a, cell_bytes);
     sim.access(qavg_a, cell_bytes);
+    if (half) {
+      sim.access(q_a, cell_bytes);
+      sim.access(half_a, cell_bytes);
+      trace_vecop(sim, Isa::kScalar, half_a, qavg_half_out, cell, 0);
+    }
     trace_vecop(sim, Isa::kScalar, qavg_a, qavg_out, cell, 0);  // transpose
     for (int d = 0; d < 3; ++d) {
       sim.access(favg_a[d], cell_bytes);
@@ -568,7 +603,7 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
 
 TwinResult trace_stp(StpVariant variant, int order, const TwinPde& pde,
                      Isa isa, CacheSim& sim, int warmup, int reps,
-                     bool include_corrector) {
+                     bool include_corrector, bool half_window) {
   EXASTP_CHECK(order >= 2 && pde.quants > 0 && reps >= 1);
   // Validate before touching global state: the exceptional path must not
   // clobber the caller's FLOP counter.
@@ -581,16 +616,20 @@ TwinResult trace_stp(StpVariant variant, int order, const TwinPde& pde,
   TwinResult result;
   switch (variant) {
     case StpVariant::kGeneric:
-      result = trace_generic(order, pde, sim, warmup, reps, include_corrector);
+      result = trace_generic(order, pde, sim, warmup, reps, include_corrector,
+                             half_window);
       break;
     case StpVariant::kLog:
-      result = trace_log(order, pde, isa, sim, warmup, reps, include_corrector);
+      result = trace_log(order, pde, isa, sim, warmup, reps, include_corrector,
+                         half_window);
       break;
     case StpVariant::kSplitCk:
-      result = trace_splitck(order, pde, isa, sim, warmup, reps, include_corrector);
+      result = trace_splitck(order, pde, isa, sim, warmup, reps,
+                             include_corrector, half_window);
       break;
     case StpVariant::kAosoaSplitCk:
-      result = trace_aosoa(order, pde, isa, sim, warmup, reps, include_corrector);
+      result = trace_aosoa(order, pde, isa, sim, warmup, reps,
+                           include_corrector, half_window);
       break;
     case StpVariant::kSoaUfSplitCk:
       EXASTP_CHECK_MSG(false,

@@ -67,8 +67,15 @@ struct TwinResult {
 /// benchmarks measure the end-to-end application (Sec. VI), where the
 /// corrector's memory-heavy O(N^2..N^3) share shrinks relative to the
 /// O(N^4) predictor as the order grows.
+///
+/// With `half_window` each predictor also emits the half-window average
+/// (StpOutputs::qavg_half, the clustered-LTS coarse-cell request): the
+/// twin replays the second accumulator's vecops, its parameter-row
+/// refresh and, for AoSoA, the transpose out of the borrowed favg tensor.
+/// The workspace is the same either way.
 TwinResult trace_stp(StpVariant variant, int order, const TwinPde& pde,
                      Isa isa, CacheSim& sim, int warmup = 1, int reps = 1,
-                     bool include_corrector = false);
+                     bool include_corrector = false,
+                     bool half_window = false);
 
 }  // namespace exastp

@@ -169,7 +169,14 @@ void AderDgSolver::predict_cell(
     break;  // one source per cell supported; add_point_source validates
   }
 
-  StpOutputs out{qavg_c, {ts.favg0.data(), ts.favg1.data(), ts.favg2.data()}};
+  // A cell with a finer face neighbour also publishes the average over
+  // [t, t + dt/2], which the kernel folds out of the same Taylor expansion.
+  double* half_c = nullptr;
+  if (lts_enabled_ && needs_half_[static_cast<std::size_t>(c)] != 0)
+    half_c = qavg_half_.data() + static_cast<std::size_t>(c) * cell_size_;
+  StpOutputs out{qavg_c,
+                 {ts.favg0.data(), ts.favg1.data(), ts.favg2.data()},
+                 half_c};
   ts.kernel.run(qc, dt, inv_dx, src_ptr, out);
 
   for (const double* f : {ts.favg0.data(), ts.favg1.data(), ts.favg2.data()})
@@ -190,9 +197,7 @@ void AderDgSolver::predict_cell(
               integral;
   }
 
-  if (!lts_enabled_) return;
-
-  if (needs_sum_[static_cast<std::size_t>(c)] != 0) {
+  if (lts_enabled_ && needs_sum_[static_cast<std::size_t>(c)] != 0) {
     // A coarser face neighbour averages this cell's two sub-averages over
     // its full interval; fold qavg into the running window sum.
     double* sum_c =
@@ -201,18 +206,6 @@ void AderDgSolver::predict_cell(
       std::memcpy(sum_c, qavg_c, cell_size_ * sizeof(double));
     else
       for (std::size_t i = 0; i < cell_size_; ++i) sum_c[i] += qavg_c[i];
-  }
-
-  if (needs_half_[static_cast<std::size_t>(c)] != 0) {
-    // A finer face neighbour substeps inside this cell's interval: rerun
-    // the predictor over [t, t + dt/2] into qavg_half (the kernel
-    // overwrites its outputs, so the favg scratch is simply discarded;
-    // the same Taylor expansion point means the same source derivatives).
-    double* half_c =
-        qavg_half_.data() + static_cast<std::size_t>(c) * cell_size_;
-    StpOutputs half_out{
-        half_c, {ts.favg0.data(), ts.favg1.data(), ts.favg2.data()}};
-    ts.kernel.run(qc, 0.5 * dt, inv_dx, src_ptr, half_out);
   }
 }
 

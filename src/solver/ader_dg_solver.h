@@ -83,13 +83,15 @@ class AderDgSolver final : public SolverBase {
   // steps with dt_k = dt_fine * 2^k, one macro step = 2^(K-1) fine
   // substeps. Cross-cluster faces use the CK/Taylor identity
   //   avg[dt/2, dt] = 2 avg[0, dt] - avg[0, dt/2]
-  // so a coarse cell runs its predictor twice (dt -> qavg, dt/2 ->
-  // qavg_half) when it has a finer face neighbour, and a fine cell
+  // so a coarse cell with a finer face neighbour asks its one predictor
+  // run for both averages (qavg over dt, and qavg_half over dt/2 from a
+  // second Taylor accumulator, StpOutputs::qavg_half), and a fine cell
   // accumulates qavg_sum over its two substeps when it has a coarser one
-  // (the coarse corrector reads 0.5 * qavg_sum). The Rusanov flux is
-  // linear in its inputs, so both sides of a cluster boundary see the
-  // same time-integrated flux up to FP reassociation. K == 1 reproduces
-  // global stepping bitwise (docs/lts.md).
+  // (the coarse corrector reads 0.5 * qavg_sum). Every cell-substep is
+  // exactly one StpKernel::run. The Rusanov flux is linear in its inputs,
+  // so both sides of a cluster boundary see the same time-integrated flux
+  // up to FP reassociation. K == 1 reproduces global stepping bitwise
+  // (docs/lts.md).
   void enable_lts(const std::vector<int>& cluster_of_cell,
                   int num_clusters) override;
   int lts_num_clusters() const override { return num_clusters_; }
@@ -149,9 +151,9 @@ class AderDgSolver final : public SolverBase {
 
   void rebuild_scratch();
   /// One predictor + volume update at expansion time t. Under LTS the
-  /// cell may additionally run the kernel with dt/2 into qavg_half (finer
-  /// face neighbour) and fold qavg into qavg_sum (coarser face
-  /// neighbour); `sum_reset` starts a fresh sum window.
+  /// same kernel run also emits qavg_half (finer face neighbour), and the
+  /// cell folds qavg into qavg_sum (coarser face neighbour); `sum_reset`
+  /// starts a fresh sum window.
   void predict_cell(ThreadScratch& ts, int c, double dt, double t,
                     const std::array<double, 3>& inv_dx,
                     const std::array<double, kMaxOrder>& integral_coeff,
@@ -191,8 +193,8 @@ class AderDgSolver final : public SolverBase {
   int macro_substeps_ = 1;  ///< 2^(K-1) fine substeps per macro step
   std::vector<int> cluster_;  ///< rate cluster per owned + halo cell
   /// Production flags per owned cell: needs_half = has a finer face
-  /// neighbour (run the dt/2 predictor), needs_sum = has a coarser one
-  /// (accumulate qavg over the sum window).
+  /// neighbour (request the dt/2 average from the predictor), needs_sum =
+  /// has a coarser one (accumulate qavg over the sum window).
   std::vector<char> needs_half_, needs_sum_;
   /// Per-cluster owned-cell lists (all / interior / boundary), in the
   /// same relative order as the global sweeps so K == 1 reproduces them.

@@ -6,6 +6,8 @@
 //   * four-way equivalence of qavg/favg for every PDE x order x ISA sweep,
 //   * Taylor exactness of the predictor on polynomial advection solutions,
 //   * exact point-source integration for polynomial wavelets,
+//   * the optional half-window output: bit-identical to a separate dt/2
+//     run, with qavg/favg untouched by requesting it,
 //   * cross-PDE equivalences (flux-form vs NCP-form advection; elastic vs
 //     identity-metric curvilinear elastic),
 //   * the footprint claims of Sec. IV-A (O(N^4 m) vs O(N^3 m), 1 MiB L2
@@ -14,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "exastp/common/taylor.h"
@@ -304,11 +308,101 @@ TEST_P(PredictorExactness, PolynomialPointSourceIsIntegratedExactly) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The half-window output (StpOutputs::qavg_half), on raw padded buffers.
+
+constexpr double kUnwritten = -7.25e300;
+
+/// Padded outputs of one kernel run, pre-filled with kUnwritten so that
+/// any lane the kernel leaves alone shows up.
+struct PaddedOutputs {
+  AlignedVector qavg, half;
+  std::array<AlignedVector, 3> favg;
+};
+
+PaddedOutputs run_padded(const StpKernel& kernel, const AlignedVector& q,
+                         double dt, const std::array<double, 3>& inv_dx,
+                         const SourceTerm* source, bool with_half) {
+  const std::size_t size = kernel.layout().size();
+  PaddedOutputs r;
+  r.qavg.assign(size, kUnwritten);
+  r.half.assign(size, kUnwritten);
+  for (auto& f : r.favg) f.assign(size, kUnwritten);
+  StpOutputs out{r.qavg.data(),
+                 {r.favg[0].data(), r.favg[1].data(), r.favg[2].data()},
+                 with_half ? r.half.data() : nullptr};
+  kernel.run(q.data(), dt, inv_dx, source, out);
+  return r;
+}
+
+/// Bitwise equality (memcmp: -0.0 vs 0.0 and NaN payloads count).
+void expect_same_bits(const AlignedVector& got, const AlignedVector& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << what << " differs at index " << i << ": " << got[i] << " vs "
+        << want[i];
+}
+
+TEST_P(PredictorExactness, HalfWindowIsADtOverTwoRunFromTheSamePass) {
+  // Curvilinear elastic: material and metric parameter rows, padding at
+  // every optimized ISA width. Anisotropic inv_dx and a cubic wavelet keep
+  // every Taylor order and the source path live.
+  using Pde = CurvilinearElasticPde;
+  const int n = 5;
+  const double dt = 2e-3;
+  const std::array<double, 3> inv_dx{4.0, 5.0, 6.0};
+  StpKernel kernel = make_stp_kernel(Pde{}, GetParam(), n, host_best_isa());
+  const AosLayout& aos = kernel.layout();
+  const auto state = smooth_cell_state<Pde>(n);
+  AlignedVector q(aos.size(), 0.0);
+  pad_aos(state.data(), n, Pde::kQuants, q.data(), aos);
+
+  PolynomialWavelet wavelet({1.5, -0.5, 0.25, 2.0});
+  AlignedVector psi =
+      project_point_source(basis_tables(n), {0.3, 0.6, 0.4}, 1.0);
+  SourceTerm src;
+  src.psi = psi.data();
+  src.quantity = 1;
+  for (int o = 0; o <= n; ++o)
+    src.dt_derivatives[o] = wavelet.derivative(0.1, o);
+
+  for (const SourceTerm* source : {static_cast<const SourceTerm*>(nullptr),
+                                   static_cast<const SourceTerm*>(&src)}) {
+    const std::string tag = source != nullptr ? "point source" : "no source";
+    const PaddedOutputs plain =
+        run_padded(kernel, q, dt, inv_dx, source, /*with_half=*/false);
+    const PaddedOutputs both =
+        run_padded(kernel, q, dt, inv_dx, source, /*with_half=*/true);
+    const PaddedOutputs half_run =
+        run_padded(kernel, q, 0.5 * dt, inv_dx, source, /*with_half=*/false);
+
+    // Asking for the half window changes none of the other outputs.
+    expect_same_bits(both.qavg, plain.qavg, tag + ": qavg");
+    for (int d = 0; d < 3; ++d)
+      expect_same_bits(both.favg[d], plain.favg[d],
+                       tag + ": favg[" + std::to_string(d) + "]");
+    // It is the qavg of a separate dt/2 run, bit for bit.
+    expect_same_bits(both.half, half_run.qavg, tag + ": qavg_half");
+    EXPECT_NE(std::memcmp(both.half.data(), both.qavg.data(),
+                          aos.size() * sizeof(double)),
+              0)
+        << tag << ": qavg_half must differ from the full-window qavg";
+
+    // Padding lanes are zero; parameter rows pass through from q.
+    const std::size_t nodes = static_cast<std::size_t>(n) * n * n;
+    for (std::size_t k = 0; k < nodes; ++k)
+      for (int s = Pde::kVars; s < aos.m_pad; ++s) {
+        const std::size_t i = k * aos.m_pad + s;
+        ASSERT_EQ(both.half[i], s < aos.m ? q[i] : 0.0)
+            << tag << ": node " << k << " row " << s;
+      }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVariants, PredictorExactness,
-                         ::testing::Values(StpVariant::kGeneric,
-                                           StpVariant::kLog,
-                                           StpVariant::kSplitCk,
-                                           StpVariant::kAosoaSplitCk),
+                         ::testing::ValuesIn(kAllVariants),
                          [](const auto& info) {
                            return variant_name(info.param);
                          });

@@ -1,7 +1,7 @@
 // Clustered local time stepping (docs/lts.md).
 //
 // Under test:
-//   * the lts= / lts_clusters= / lts_rate= / balance= config keys: parsing,
+//   * the lts= / lts_clusters= / balance= config keys: parsing,
 //     validation, canonical-string membership (the schedule keys split the
 //     memoization key, the balance table path does not),
 //   * rate-cluster binning from local wave speeds: the floor(log2) rule,
@@ -18,6 +18,9 @@
 //   * multi-cluster decomposition invariance: the heterogeneous LOH1
 //     stiff-layer clustering produces bitwise-identical results for every
 //     tested threads x shards combination,
+//   * the predictor-call ledger: on that clustering the solver calls its
+//     kernel exactly once per cell-substep (the half-window average comes
+//     out of the same call),
 //   * weighted partitioning: Partition::weighted_split_sizes reproduces the
 //     unweighted split for uniform weights and shifts cuts toward heavy
 //     planes otherwise,
@@ -26,7 +29,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -34,6 +39,7 @@
 
 #include "exastp/engine/lts_clusters.h"
 #include "exastp/engine/pde_registry.h"
+#include "exastp/engine/scenario_registry.h"
 #include "exastp/engine/simulation.h"
 #include "exastp/mesh/balance_table.h"
 #include "exastp/mesh/partition.h"
@@ -48,11 +54,9 @@ namespace {
 
 TEST(LtsConfig, KeysParseAndValidate) {
   SimulationConfig config = parse_simulation_args(
-      {"scenario=planewave", "lts=on", "lts_clusters=3", "lts_rate=2",
-       "balance=bal.txt"});
+      {"scenario=planewave", "lts=on", "lts_clusters=3", "balance=bal.txt"});
   EXPECT_TRUE(config.lts);
   EXPECT_EQ(config.lts_clusters, 3);
-  EXPECT_EQ(config.lts_rate, 2);
   EXPECT_EQ(config.balance, "bal.txt");
 
   config = parse_simulation_args({"scenario=planewave", "lts=off",
@@ -63,7 +67,8 @@ TEST(LtsConfig, KeysParseAndValidate) {
   EXPECT_THROW(parse_simulation_args({"lts=yes"}), std::invalid_argument);
   EXPECT_THROW(parse_simulation_args({"lts_clusters=0"}),
                std::invalid_argument);
-  EXPECT_THROW(parse_simulation_args({"lts_rate=3"}), std::invalid_argument);
+  // The rate is fixed at 2 by the power-of-two schedule; there is no knob.
+  EXPECT_THROW(parse_simulation_args({"lts_rate=2"}), std::invalid_argument);
   EXPECT_THROW(parse_simulation_args({"balance="}), std::invalid_argument);
 }
 
@@ -319,6 +324,73 @@ TEST(LtsSolver, MultiClusterShardThreadBitwiseInvariance) {
         << "shards=" << shards << " threads=" << threads
         << " diverged from the monolithic multi-cluster run";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Predictor-call ledger: one StpKernel::run per cell-substep.
+
+/// Test-only kernel: forwards to `inner` and counts calls. Its forks share
+/// the counter, so the solver's per-thread clones all add to it.
+StpKernel counting_kernel(StpKernel inner,
+                          std::shared_ptr<std::atomic<long long>> calls) {
+  auto impl = std::make_shared<StpKernel>(std::move(inner));
+  StpKernel counted(
+      impl->variant(), impl->layout(), impl->workspace_bytes(),
+      [impl, calls](const double* q, double dt,
+                    const std::array<double, 3>& inv_dx,
+                    const SourceTerm* source, const StpOutputs& out) {
+        ++*calls;
+        impl->run(q, dt, inv_dx, source, out);
+      },
+      impl->precision());
+  counted.set_fork(
+      [impl, calls] { return counting_kernel(impl->fork(), calls); });
+  return counted;
+}
+
+TEST(LtsSolver, OnePredictorCallPerCellSubstep) {
+  // The stiff-layer LOH1 schedule of the invariance test above, assembled
+  // by hand so the solver runs the counting kernel.
+  SimulationConfig config = parse_simulation_args(
+      {"scenario=loh1", "order=3", "cells=6x6x6", "lts=on",
+       "scenario.layer_cp=1.5", "scenario.layer_cs=0.75"});
+  const auto scenario = find_scenario(config.scenario);
+  const auto pde = find_pde("elastic");
+  const InitialCondition init = scenario->initial_condition(pde, config);
+  const LtsClustering clustering =
+      compute_lts_clusters(config.grid, *pde->runtime(), init, config.order,
+                           config.family, config.lts_clusters);
+  const int num_clusters = clustering.num_clusters;
+  ASSERT_GT(num_clusters, 1);
+
+  auto calls = std::make_shared<std::atomic<long long>>(0);
+  AderDgSolver solver(
+      pde->runtime(),
+      counting_kernel(pde->make_kernel(config.variant, config.order,
+                                       host_best_isa(), config.family),
+                      calls),
+      config.grid, config.family);
+  solver.set_num_threads(2);
+  solver.set_initial_condition(init);
+  for (const MeshPointSource& source : scenario->sources(config))
+    solver.add_point_source(source);
+  solver.enable_lts(clustering.cluster, num_clusters);
+
+  // A cluster-k cell runs 2^(K-1-k) substeps per macro step.
+  long long substeps_per_step = 0;
+  for (const int k : clustering.cluster)
+    substeps_per_step += 1LL << (num_clusters - 1 - k);
+  const double dt = solver.plan_step(solver.stable_dt(config.cfl));
+  const int steps = 3;
+  for (int step = 1; step <= steps; ++step) {
+    solver.step(dt);
+    EXPECT_EQ(calls->load(), step * substeps_per_step) << "step " << step;
+  }
+  long long reported = 0;
+  for (const auto& stats : solver.lts_cluster_stats())
+    reported += stats.cell_substeps;
+  EXPECT_EQ(reported, steps * substeps_per_step);
+  EXPECT_EQ(calls->load(), reported);
 }
 
 // ---------------------------------------------------------------------------

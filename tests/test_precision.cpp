@@ -8,6 +8,8 @@
 //     precision=fp32 with a clear error,
 //   * fp32 kernel outputs stay within fp32 rounding of the fp64 outputs on
 //     a smooth state,
+//   * the fp32 half-window output (StpOutputs::qavg_half) is bit-identical
+//     to a separate dt/2 run and leaves qavg/favg bit-identical,
 //   * end-to-end per-order convergence of precision=fp32 runs against the
 //     thresholds documented in docs/precision.md (acoustic plane wave and
 //     the Maxwell TE101 cavity eigenmode),
@@ -22,6 +24,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -187,6 +190,87 @@ TEST(Precision, F32TracksF64OnSmoothState) {
   expect_f32_matches_f64<AcousticPde>(StpVariant::kAosoaSplitCk, 5);
   expect_f32_matches_f64<CurvilinearElasticPde>(StpVariant::kSplitCk, 4);
   expect_f32_matches_f64<CurvilinearElasticPde>(StpVariant::kAosoaSplitCk, 4);
+}
+
+// ---------------------------------------------------------------------------
+// fp32 half window: the float accumulator borrows a favg tensor, so check
+// that the borrow leaves no trace in the other outputs.
+
+constexpr double kUnwritten = -7.25e300;
+
+struct PaddedOutputs {
+  AlignedVector qavg, half;
+  std::array<AlignedVector, 3> favg;
+};
+
+PaddedOutputs run_padded(const StpKernel& kernel, const AlignedVector& q,
+                         double dt, const SourceTerm* source, bool with_half) {
+  const std::size_t size = kernel.layout().size();
+  PaddedOutputs r;
+  r.qavg.assign(size, kUnwritten);
+  r.half.assign(size, kUnwritten);
+  for (auto& f : r.favg) f.assign(size, kUnwritten);
+  StpOutputs out{r.qavg.data(),
+                 {r.favg[0].data(), r.favg[1].data(), r.favg[2].data()},
+                 with_half ? r.half.data() : nullptr};
+  kernel.run(q.data(), dt, {4.0, 5.0, 6.0}, source, out);
+  return r;
+}
+
+bool same_bits(const AlignedVector& a, const AlignedVector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Precision, F32HalfWindowIsADtOverTwoRunFromTheSamePass) {
+  using Pde = CurvilinearElasticPde;
+  const int n = 5;
+  const double dt = 2e-3;
+  const auto state = smooth_cell_state<Pde>(n);
+  PolynomialWavelet wavelet({1.5, -0.5, 0.25, 2.0});
+  AlignedVector psi =
+      project_point_source(basis_tables(n), {0.3, 0.6, 0.4}, 1.0);
+  SourceTerm src;
+  src.psi = psi.data();
+  src.quantity = 1;
+  for (int o = 0; o <= n; ++o)
+    src.dt_derivatives[o] = wavelet.derivative(0.1, o);
+
+  for (StpVariant v : {StpVariant::kSplitCk, StpVariant::kAosoaSplitCk}) {
+    StpKernel kernel = make_stp_kernel(Pde{}, v, n, host_best_isa(),
+                                       NodeFamily::kGaussLegendre,
+                                       Precision::kF32);
+    const AosLayout& aos = kernel.layout();
+    AlignedVector q(aos.size(), 0.0);
+    pad_aos(state.data(), n, Pde::kQuants, q.data(), aos);
+    for (const SourceTerm* source :
+         {static_cast<const SourceTerm*>(nullptr),
+          static_cast<const SourceTerm*>(&src)}) {
+      const std::string tag = variant_name(v) +
+                              (source != nullptr ? " point source" : "");
+      const PaddedOutputs plain = run_padded(kernel, q, dt, source, false);
+      const PaddedOutputs both = run_padded(kernel, q, dt, source, true);
+      const PaddedOutputs half_run =
+          run_padded(kernel, q, 0.5 * dt, source, false);
+      EXPECT_TRUE(same_bits(both.qavg, plain.qavg)) << tag << " qavg";
+      for (int d = 0; d < 3; ++d)
+        EXPECT_TRUE(same_bits(both.favg[d], plain.favg[d]))
+            << tag << " favg[" << d << "]";
+      EXPECT_TRUE(same_bits(both.half, half_run.qavg)) << tag << " qavg_half";
+      EXPECT_FALSE(same_bits(both.half, both.qavg)) << tag;
+      // Padding lanes are zero; parameter rows pass through from q, as
+      // stored in fp32.
+      const std::size_t nodes = static_cast<std::size_t>(n) * n * n;
+      for (std::size_t k = 0; k < nodes; ++k)
+        for (int s = Pde::kVars; s < aos.m_pad; ++s) {
+          const std::size_t i = k * aos.m_pad + s;
+          const double want =
+              s < aos.m ? static_cast<double>(static_cast<float>(q[i])) : 0.0;
+          ASSERT_EQ(both.half[i], want)
+              << tag << " node " << k << " row " << s;
+        }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

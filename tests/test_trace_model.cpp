@@ -12,12 +12,15 @@
 namespace exastp {
 namespace {
 
-// Runs the real kernel once and returns its FlopCounter delta.
+// Runs the real kernel once and returns its FlopCounter delta; `half`
+// also requests the half-window average.
 template <class Pde>
-FlopCounter real_kernel_flops(StpVariant variant, int order, Isa isa) {
+FlopCounter real_kernel_flops(StpVariant variant, int order, Isa isa,
+                              bool half = false) {
   StpKernel kernel = make_stp_kernel(Pde{}, variant, order, isa);
   const AosLayout& aos = kernel.layout();
-  AlignedVector q(aos.size(), 0.0), qavg(aos.size(), 0.0);
+  AlignedVector q(aos.size(), 0.0), qavg(aos.size(), 0.0),
+      qavg_half(aos.size(), 0.0);
   std::array<AlignedVector, 3> favg;
   for (auto& f : favg) f.assign(aos.size(), 0.0);
   // Physically sane constant state (avoid division hazards).
@@ -38,7 +41,8 @@ FlopCounter real_kernel_flops(StpVariant variant, int order, Isa isa) {
         }
       }
   StpOutputs out{qavg.data(),
-                 {favg[0].data(), favg[1].data(), favg[2].data()}};
+                 {favg[0].data(), favg[1].data(), favg[2].data()},
+                 half ? qavg_half.data() : nullptr};
   FlopSection section;
   kernel.run(q.data(), 1e-3, {4.0, 4.0, 4.0}, nullptr, out);
   return section.delta();
@@ -47,23 +51,25 @@ FlopCounter real_kernel_flops(StpVariant variant, int order, Isa isa) {
 struct TwinCase {
   StpVariant variant;
   int order;
+  bool half = false;  ///< also emit the half-window average
 };
 
 void PrintTo(const TwinCase& c, std::ostream* os) {
-  *os << variant_name(c.variant) << "_n" << c.order;
+  *os << variant_name(c.variant) << "_n" << c.order << (c.half ? "_half" : "");
 }
 
 class TwinFlopP : public ::testing::TestWithParam<TwinCase> {};
 
 TEST_P(TwinFlopP, TwinFlopsMatchRealCurvilinearKernel) {
-  const auto [variant, order] = GetParam();
+  const auto [variant, order, half] = GetParam();
   const Isa isa = host_best_isa();
   FlopCounter real = real_kernel_flops<CurvilinearElasticPde>(variant, order,
-                                                              isa);
+                                                              isa, half);
   CacheSim sim = CacheSim::skylake_sp();
   TwinResult twin = trace_stp(variant, order,
                               twin_pde<CurvilinearElasticPde>(), isa, sim,
-                              /*warmup=*/0, /*reps=*/1);
+                              /*warmup=*/0, /*reps=*/1,
+                              /*include_corrector=*/false, half);
   EXPECT_EQ(twin.flops.total(), real.total()) << "total FLOPs diverge";
   for (int c = 0; c < kNumWidthClasses; ++c)
     EXPECT_EQ(twin.flops.flops[c], real.flops[c])
@@ -71,14 +77,16 @@ TEST_P(TwinFlopP, TwinFlopsMatchRealCurvilinearKernel) {
 }
 
 TEST_P(TwinFlopP, TwinFootprintMatchesKernelWorkspace) {
-  const auto [variant, order] = GetParam();
+  // The half-window case shares the expectation: emitting qavg_half adds
+  // no kernel workspace.
+  const auto [variant, order, half] = GetParam();
   const Isa isa = host_best_isa();
   StpKernel kernel =
       make_stp_kernel(CurvilinearElasticPde{}, variant, order, isa);
   CacheSim sim = CacheSim::skylake_sp();
   TwinResult twin = trace_stp(variant, order,
                               twin_pde<CurvilinearElasticPde>(), isa, sim, 0,
-                              1);
+                              1, /*include_corrector=*/false, half);
   EXPECT_EQ(twin.workspace_bytes, kernel.workspace_bytes());
 }
 
@@ -94,7 +102,13 @@ INSTANTIATE_TEST_SUITE_P(
                       TwinCase{StpVariant::kSplitCk, 9},
                       TwinCase{StpVariant::kAosoaSplitCk, 3},
                       TwinCase{StpVariant::kAosoaSplitCk, 6},
-                      TwinCase{StpVariant::kAosoaSplitCk, 9}));
+                      TwinCase{StpVariant::kAosoaSplitCk, 9},
+                      TwinCase{StpVariant::kGeneric, 3, true},
+                      TwinCase{StpVariant::kLog, 6, true},
+                      TwinCase{StpVariant::kSplitCk, 3, true},
+                      TwinCase{StpVariant::kSplitCk, 6, true},
+                      TwinCase{StpVariant::kAosoaSplitCk, 6, true},
+                      TwinCase{StpVariant::kAosoaSplitCk, 9, true}));
 
 TEST(TraceModel, AcousticTwinTotalsMatchToo) {
   // Second PDE to pin the parameterization (quants/flux/ncp flops).
