@@ -1,34 +1,18 @@
-// Overlap bench: how much of the halo-exchange cost the split-phase
-// protocol hides behind interior compute.
+// Over-decomposition bench: how much simulated cross-rank wire latency
+// the dependency scheduler hides.
 //
-// Drives the per-shard solvers by hand through both schedules on the
-// planewave ADER workload —
-//
-//   serialized   exchange (post+wait), then each phase whole (the PR-4
-//                schedule: the halo cost sits in front of the sweep);
-//   overlapped   post, interior sweeps, wait, boundary sweeps (the
-//                schedule ShardedSolver and every MPI rank run).
-//
-// and reports, per shard count: both wall clocks, the measured exchange
-// time, the interior/boundary cell split, and the hidden fraction
-// (serialized - overlapped) / exchange. In-process the "transfer" is a
-// synchronous memcpy, so post() cannot truly run in the background and the
-// hidden fraction hovers near zero — the column to watch on one machine is
-// the exchange share of the step, which bounds what an MPI rank hides
-// behind its interior sweep (the interior time cap). CI's bench-smoke job
-// archives this output per commit.
-//
-//   bench/bench_overlap [max_shards] [order] [cells_per_dim] [steps]
-//
-// --oversub measures the over-decomposition win instead: the skewed
-// stiff-layer LOH1 LTS workload split 1x1x8, rank-mapped onto 2 virtual
-// ranks (4 shards per rank), with the rank-cut faces given a simulated
-// wire latency calibrated from a latency-free probe. It times schedule=
-// lockstep against the dependency scheduler over identical solvers and
-// backends, asserts the final fields are bitwise-identical, and writes a
-// JSON record (committed as BENCH_oversub.json; CI archives it).
+// The skewed stiff-layer LOH1 LTS workload is split 1x1x8 and rank-mapped
+// onto 2 virtual ranks (4 shards per rank). The same solver runs twice
+// over the in-process exchange: first with zero latency, then with the
+// rank-cut faces given a simulated wire latency calibrated from the
+// zero-latency run (one mean exchanging-phase compute time, so a wire of
+// this scale would double the step if nothing hid it). The bench requires
+// the two final field states to be bitwise-identical and writes a JSON
+// record (committed as BENCH_oversub.json; CI archives it).
 //
 //   bench/bench_overlap --oversub [out.json] [order] [steps] [threads]
+//
+// --oversub names the bench's one measurement and may be omitted.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -60,33 +44,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::vector<std::unique_ptr<SolverBase>> make_shards(
-    const Partition& partition, const SimulationConfig& config,
-    const std::shared_ptr<const KernelFactory>& pde) {
-  const InitialCondition init =
-      find_scenario(config.scenario)->initial_condition(pde, config);
-  std::vector<std::unique_ptr<SolverBase>> shards;
-  for (int s = 0; s < partition.num_shards(); ++s) {
-    shards.push_back(std::make_unique<AderDgSolver>(
-        pde->runtime(),
-        pde->make_kernel(StpVariant::kAosoaSplitCk, config.order,
-                         host_best_isa()),
-        partition.subdomain(s).grid));
-    shards.back()->set_initial_condition(init);
-  }
-  return shards;
-}
-
-std::vector<double*> halo_fields(
-    std::vector<std::unique_ptr<SolverBase>>& shards, int phase) {
-  std::vector<double*> fields(shards.size(), nullptr);
-  for (std::size_t s = 0; s < shards.size(); ++s)
-    fields[s] = shards[s]->step_phase_halo(phase);
-  return fields;
-}
-
-// ---- --oversub: lockstep vs the dependency scheduler ---------------------
-
 std::uint64_t fnv1a(std::uint64_t h, const unsigned char* p, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
@@ -99,13 +56,13 @@ std::uint64_t fnv1a(std::uint64_t h, const unsigned char* p, std::size_t n) {
 /// shards weighted by the LTS substep costs, rank-mapped onto 2 virtual
 /// ranks (4 shards per rank, cost-weighted grouping). `latency_seconds`
 /// swaps in an InProcessExchange that delays the rank-cut link deliveries
-/// — the same backend for both schedules, so the comparison is fair.
+/// — the same backend with and without latency, so the comparison is fair.
 std::unique_ptr<ShardedSolver> make_oversub_solver(
     const SimulationConfig& config,
     const std::shared_ptr<const KernelFactory>& pde,
     const InitialCondition& init, const LtsClustering& clustering,
-    const std::vector<double>& weights, const std::string& schedule,
-    double latency_seconds, int threads) {
+    const std::vector<double>& weights, double latency_seconds,
+    int threads) {
   Partition partition(config.grid, {1, 1, 8}, weights);
   std::vector<double> shard_cost(
       static_cast<std::size_t>(partition.num_shards()), 0.0);
@@ -130,8 +87,8 @@ std::unique_ptr<ShardedSolver> make_oversub_solver(
                           config.family),
         grid, config.family);
   };
-  auto solver = std::make_unique<ShardedSolver>(
-      std::move(partition), make_shard, "inprocess", schedule);
+  auto solver = std::make_unique<ShardedSolver>(std::move(partition),
+                                                make_shard, "inprocess");
   solver->set_num_threads(threads);
   solver->set_initial_condition(init);
   solver->enable_lts(clustering.cluster, clustering.num_clusters);
@@ -164,11 +121,17 @@ OversubRun run_oversub(ShardedSolver& solver, int steps) {
   return out;
 }
 
-int oversub_main(int argc, char** argv) {
-  const std::string out_path = argc > 2 ? argv[2] : "BENCH_oversub.json";
-  const int order = argc > 3 ? std::atoi(argv[3]) : 4;
-  const int steps = argc > 4 ? std::atoi(argv[4]) : 6;
-  const int threads = argc > 5 ? std::atoi(argv[5]) : 1;
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "--oversub") {
+    ++argv;
+    --argc;
+  }
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_oversub.json";
+  const int order = argc > 2 ? std::atoi(argv[2]) : 4;
+  const int steps = argc > 3 ? std::atoi(argv[3]) : 6;
+  const int threads = argc > 4 ? std::atoi(argv[4]) : 1;
 
   const auto scenario = find_scenario("loh1");
   SimulationConfig config = parse_simulation_args(
@@ -188,46 +151,37 @@ int oversub_main(int argc, char** argv) {
       "(shards_per_rank=4), %d clusters, steps=%d threads=%d\n",
       order, clustering.num_clusters, steps, threads);
 
-  // Calibrate the simulated rank-cut wire latency from a latency-free
-  // lockstep probe: one mean exchanging-phase compute time. Lockstep can
-  // hide at most one phase's interior sweeps per exchange, so a wire of
-  // this scale exposes the barrier; the dependency scheduler fills the
-  // stall with other shards' (and later phases') work.
-  auto probe = make_oversub_solver(config, pde, init, clustering, weights,
-                                   "lockstep", 0.0, threads);
-  const int phases = probe->num_step_phases();
+  // The zero-latency run also calibrates the simulated rank-cut wire
+  // latency: one mean exchanging-phase compute time (see the file
+  // comment).
+  auto zero = make_oversub_solver(config, pde, init, clustering, weights,
+                                  0.0, threads);
+  const int phases = zero->num_step_phases();
   const int exchanging_phases = phases / 2;  // odd LTS phases correct+exchange
-  const int probe_steps = std::max(2, steps / 2);
-  const double probe_step_s =
-      run_oversub(*probe, probe_steps).seconds / probe_steps;
-  const double latency_s = probe_step_s / exchanging_phases;
-  std::printf("# probe: %.4f s/step over %d phases -> simulated cross-rank "
-              "latency %.1f us\n",
-              probe_step_s, phases, latency_s * 1e6);
+  const OversubRun a = run_oversub(*zero, steps);
+  const double latency_s = a.seconds / steps / exchanging_phases;
+  std::printf("# zero latency: %.4f s/step over %d phases -> simulated "
+              "cross-rank latency %.1f us\n",
+              a.seconds / steps, phases, latency_s * 1e6);
 
-  auto lockstep = make_oversub_solver(config, pde, init, clustering, weights,
-                                      "lockstep", latency_s, threads);
-  auto deps = make_oversub_solver(config, pde, init, clustering, weights,
-                                  "deps", latency_s, threads);
-  const OversubRun a = run_oversub(*lockstep, steps);
-  const OversubRun b = run_oversub(*deps, steps);
+  auto delayed = make_oversub_solver(config, pde, init, clustering, weights,
+                                     latency_s, threads);
+  const OversubRun b = run_oversub(*delayed, steps);
 
   // Bitwise equivalence of the full final field state, cell by cell.
   bool bitwise = a.checksum == b.checksum;
-  const std::size_t bytes = lockstep->layout().size() * sizeof(double);
-  for (int c = 0; bitwise && c < lockstep->grid().num_cells(); ++c)
+  const std::size_t bytes = zero->layout().size() * sizeof(double);
+  for (int c = 0; bitwise && c < zero->grid().num_cells(); ++c)
     bitwise =
-        std::memcmp(lockstep->cell_dofs(c), deps->cell_dofs(c), bytes) == 0;
-  const double speedup = a.seconds / b.seconds;
+        std::memcmp(zero->cell_dofs(c), delayed->cell_dofs(c), bytes) == 0;
 
-  std::printf("%12s %12s %10s %10s\n", "lockstep s", "deps s", "speedup",
-              "bitwise");
-  std::printf("%12.4f %12.4f %9.2fx %10s\n", a.seconds, b.seconds, speedup,
+  std::printf("%14s %12s %10s\n", "zero-latency s", "deps s", "bitwise");
+  std::printf("%14.4f %12.4f %10s\n", a.seconds, b.seconds,
               bitwise ? "yes" : "NO");
   if (!bitwise) {
     std::fprintf(stderr,
-                 "oversub: schedules disagree bitwise (lockstep 0x%016llx vs "
-                 "deps 0x%016llx)\n",
+                 "oversub: latency changed the bits (zero latency "
+                 "0x%016llx vs delayed 0x%016llx)\n",
                  static_cast<unsigned long long>(a.checksum),
                  static_cast<unsigned long long>(b.checksum));
     return 1;
@@ -254,115 +208,15 @@ int oversub_main(int argc, char** argv) {
       "  \"steps\": %d,\n"
       "  \"threads\": %d,\n"
       "  \"simulated_cross_rank_latency_us\": %.1f,\n"
-      "  \"lockstep_seconds\": %.4f,\n"
+      "  \"zero_latency_seconds\": %.4f,\n"
       "  \"deps_seconds\": %.4f,\n"
-      "  \"speedup\": %.3f,\n"
       "  \"bitwise_identical\": true,\n"
       "  \"state_checksum\": \"0x%016llx\"\n"
       "}\n",
       order, clustering.num_clusters, phases, steps, threads,
-      latency_s * 1e6, a.seconds, b.seconds, speedup,
+      latency_s * 1e6, a.seconds, b.seconds,
       static_cast<unsigned long long>(a.checksum));
   std::fclose(f);
   std::printf("# wrote %s\n", out_path.c_str());
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "--oversub")
-    return oversub_main(argc, argv);
-  const int max_shards = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int order = argc > 2 ? std::atoi(argv[2]) : 5;
-  const int cells = argc > 3 ? std::atoi(argv[3]) : 6;
-  const int steps = argc > 4 ? std::atoi(argv[4]) : 20;
-
-  SimulationConfig config;
-  config.scenario = "planewave";
-  apply_scenario_defaults(config);
-  config.order = order;
-  config.grid.cells = {cells, cells, cells};
-  const std::shared_ptr<const KernelFactory> pde = find_pde("acoustic");
-
-  std::printf("# overlap bench — planewave/acoustic ader order=%d cells=%d^3"
-              " steps=%d\n",
-              order, cells, steps);
-  std::printf("%8s %10s %10s %12s %12s %12s %10s %10s\n", "shards",
-              "interior", "boundary", "serial s", "overlap s", "exchange s",
-              "xchg/step", "hidden");
-
-  std::vector<int> counts;
-  for (int s = 2; s <= max_shards; s *= 2) counts.push_back(s);
-  if (counts.empty() || counts.back() != max_shards)
-    counts.push_back(max_shards);
-
-  for (int shards_total : counts) {
-    if (shards_total < 2) continue;
-    const std::array<int, 3> grid =
-        Partition::factor(shards_total, config.grid.cells);
-    Partition partition(config.grid, grid);
-    if (partition.num_shards() < 2) continue;
-
-    auto serialized = make_shards(partition, config, pde);
-    auto overlapped = make_shards(partition, config, pde);
-    InProcessExchange exchange_a(partition, serialized[0]->layout().size());
-    InProcessExchange exchange_b(partition, serialized[0]->layout().size());
-
-    double dt = serialized[0]->stable_dt();
-    for (const auto& shard : serialized)
-      dt = std::min(dt, shard->stable_dt());
-    const int phases = serialized[0]->num_step_phases();
-
-    long interior_cells = 0, boundary_cells = 0;
-    for (int s = 0; s < partition.num_shards(); ++s) {
-      interior_cells +=
-          static_cast<long>(partition.subdomain(s).cells.interior.size());
-      boundary_cells +=
-          static_cast<long>(partition.subdomain(s).cells.boundary.size());
-    }
-
-    // Serialized: the exchange completes before any phase compute starts.
-    double exchange_seconds = 0.0;
-    auto start = std::chrono::steady_clock::now();
-    for (int step = 0; step < steps; ++step) {
-      for (int phase = 0; phase < phases; ++phase) {
-        auto fields = halo_fields(serialized, phase);
-        if (fields[0] != nullptr) {
-          const auto xchg_start = std::chrono::steady_clock::now();
-          exchange_a.exchange(fields);
-          exchange_seconds += seconds_since(xchg_start);
-        }
-        for (auto& shard : serialized) shard->step_phase(phase, dt);
-      }
-    }
-    const double serial_seconds = seconds_since(start);
-
-    // Overlapped: interior sweeps sit between post and wait.
-    start = std::chrono::steady_clock::now();
-    for (int step = 0; step < steps; ++step) {
-      for (int phase = 0; phase < phases; ++phase) {
-        auto fields = halo_fields(overlapped, phase);
-        if (fields[0] != nullptr) exchange_b.post(fields);
-        for (auto& shard : overlapped)
-          shard->step_phase_interior(phase, dt);
-        if (fields[0] != nullptr) exchange_b.wait();
-        for (auto& shard : overlapped)
-          shard->step_phase_boundary(phase, dt);
-      }
-    }
-    const double overlap_seconds = seconds_since(start);
-
-    const double hidden =
-        exchange_seconds > 0.0
-            ? (serial_seconds - overlap_seconds) / exchange_seconds
-            : 0.0;
-    std::printf("%8d %10ld %10ld %12.4f %12.4f %12.4f %9.1f%% %9.1f%%\n",
-                partition.num_shards(), interior_cells, boundary_cells,
-                serial_seconds, overlap_seconds, exchange_seconds,
-                100.0 * exchange_seconds / serial_seconds, 100.0 * hidden);
-  }
-  std::printf("# xchg/step bounds what an MPI rank hides behind its interior"
-              " sweep; fields stay bitwise-identical on both schedules\n");
   return 0;
 }

@@ -176,9 +176,13 @@ void apply_pair(SimulationConfig& config, const std::string& key,
                      "backend=" + value + " (inprocess|mpi)");
     config.backend = value;
   } else if (key == "schedule") {
-    EXASTP_CHECK_MSG(value == "deps" || value == "lockstep",
-                     "schedule=" + value + " (deps|lockstep)");
-    config.schedule = value;
+    // The dependency scheduler is the only step driver; the key is
+    // validated and discarded so configs that name it keep parsing.
+    EXASTP_CHECK_MSG(value != "lockstep",
+                     "schedule=lockstep: the lockstep schedule was removed; "
+                     "the dependency scheduler (schedule=deps) is the only "
+                     "step driver");
+    EXASTP_CHECK_MSG(value == "deps", "schedule=" + value + " (deps)");
   } else if (key == "precision") {
     config.precision = parse_precision(value);
   } else if (key == "autotune") {
@@ -308,9 +312,8 @@ std::string canonical_config_string(const SimulationConfig& config) {
   // autotune reason too: cost-weighted shard splits are bitwise-identical
   // to unweighted ones, so balanced and unbalanced runs of one config
   // must share an entry. The lts keys ARE present: a multi-cluster
-  // schedule changes the computed bytes. schedule= is absent for the
-  // threads reason: the dependency-driven and lockstep step schedules are
-  // bitwise-identical, so they must share a memoization entry.
+  // schedule changes the computed bytes. schedule= carries no choice (deps
+  // is its only value), so it has no field to serialize.
   // shards_per_rank IS present: under shards=auto it changes the resolved
   // decomposition, which (like shards=) names the run's topology.
   os << "|cells=" << config.grid.cells[0] << "x" << config.grid.cells[1]
@@ -488,10 +491,9 @@ std::string simulation_usage() {
       "  backend=KIND    halo exchange: inprocess (default) | mpi"
       " (multi-shard ranks,\n"
       "                  -DEXASTP_WITH_MPI=ON builds under mpirun)\n"
-      "  schedule=KIND   sharded step schedule: deps (default,"
-      " dependency-driven,\n"
-      "                  pipelined halos) | lockstep (per-phase barrier);"
-      " bitwise-identical\n"
+      "  schedule=deps   sharded step schedule; deps (dependency-driven,"
+      " pipelined\n"
+      "                  halos) is the only value\n"
       "  autotune=PATH   fused-block autotune table: load, measure missing"
       " entries,\n"
       "                  save back (bitwise-neutral; see docs/precision.md)\n"

@@ -7,8 +7,10 @@
 // point the engine and the benchmarks use to obtain a configured kernel.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "exastp/common/check.h"
 #include "exastp/kernels/aosoa_stp.h"
@@ -34,6 +36,20 @@ inline constexpr StpVariant kAllVariants[] = {
 
 namespace detail {
 
+/// Type-erases one kernel implementation: builds `Impl` from `args` and
+/// wraps its compute() in an StpKernel that shares ownership of it.
+template <class Impl, class... Args>
+StpKernel wrap_stp(StpVariant variant, Precision precision, Args&&... args) {
+  auto impl = std::make_shared<Impl>(std::forward<Args>(args)...);
+  return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
+                   [impl](const double* q, double dt,
+                          const std::array<double, 3>& inv_dx,
+                          const SourceTerm* source, const StpOutputs& out) {
+                     impl->compute(q, dt, inv_dx, source, out);
+                   },
+                   precision);
+}
+
 /// fp32 instantiations of the two SplitCK-family kernels. Only these two
 /// variants carry an fp32 path: they are the memory-bound production
 /// kernels where halved DOF bytes pay off; the generic/LoG/SoA-UF variants
@@ -43,31 +59,14 @@ template <class Pde>
 StpKernel make_f32_kernel(Pde pde, StpVariant variant, int order, Isa isa,
                           NodeFamily family) {
   switch (variant) {
-    case StpVariant::kSplitCk: {
-      auto impl = std::make_shared<SplitCkStpT<Pde, float>>(std::move(pde),
-                                                            order, isa,
-                                                            family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       },
-                       Precision::kF32);
-    }
-    case StpVariant::kAosoaSplitCk: {
-      auto impl = std::make_shared<AosoaStpT<Pde, float>>(std::move(pde),
-                                                          order, isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       },
-                       Precision::kF32);
-    }
+    case StpVariant::kSplitCk:
+      return wrap_stp<SplitCkStpT<Pde, float>>(variant, Precision::kF32,
+                                               std::move(pde), order, isa,
+                                               family);
+    case StpVariant::kAosoaSplitCk:
+      return wrap_stp<AosoaStpT<Pde, float>>(variant, Precision::kF32,
+                                             std::move(pde), order, isa,
+                                             family);
     default:
       EXASTP_FAIL("precision=fp32 supports variants splitck and "
                   "aosoa_splitck; variant " +
@@ -90,50 +89,18 @@ StpKernel make_stp_kernel_impl(Pde pde, StpVariant variant, int order,
       auto adapter = std::make_shared<PdeAdapter<Pde>>(std::move(pde));
       return make_generic_stp(adapter, order, family);
     }
-    case StpVariant::kLog: {
-      auto impl =
-          std::make_shared<LogStp<Pde>>(std::move(pde), order, isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       });
-    }
-    case StpVariant::kSplitCk: {
-      auto impl = std::make_shared<SplitCkStp<Pde>>(std::move(pde), order,
-                                                    isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       });
-    }
-    case StpVariant::kAosoaSplitCk: {
-      auto impl =
-          std::make_shared<AosoaStp<Pde>>(std::move(pde), order, isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       });
-    }
-    case StpVariant::kSoaUfSplitCk: {
-      auto impl =
-          std::make_shared<SoaUfStp<Pde>>(std::move(pde), order, isa, family);
-      return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
-                       [impl](const double* q, double dt,
-                              const std::array<double, 3>& inv_dx,
-                              const SourceTerm* source,
-                              const StpOutputs& out) {
-                         impl->compute(q, dt, inv_dx, source, out);
-                       });
-    }
+    case StpVariant::kLog:
+      return wrap_stp<LogStp<Pde>>(variant, Precision::kF64, std::move(pde),
+                                   order, isa, family);
+    case StpVariant::kSplitCk:
+      return wrap_stp<SplitCkStp<Pde>>(variant, Precision::kF64,
+                                       std::move(pde), order, isa, family);
+    case StpVariant::kAosoaSplitCk:
+      return wrap_stp<AosoaStp<Pde>>(variant, Precision::kF64,
+                                     std::move(pde), order, isa, family);
+    case StpVariant::kSoaUfSplitCk:
+      return wrap_stp<SoaUfStp<Pde>>(variant, Precision::kF64,
+                                     std::move(pde), order, isa, family);
   }
   EXASTP_FAIL("unknown STP variant");
 }

@@ -1,24 +1,30 @@
-// Pluggable halo-exchange backends with a split-phase protocol.
+// Pluggable halo-exchange backends behind one dependency-scheduled
+// protocol.
 //
-// PR 4 left the in-process swap memcpy as "the MPI seam". This interface
-// cashes that in: an ExchangeBackend moves every HaloPlan's plan-ordered
-// plane of cell_size-double DOF tensors from source shards into destination
-// halo blocks, in two phases —
+// An ExchangeBackend moves every HaloPlan's plan-ordered plane of
+// cell_size-double DOF tensors from source shards into destination halo
+// blocks, shard by shard and phase by phase, as ShardedSolver::step's
+// scheduler drives it. One step is bracketed by sched_begin_step /
+// sched_end_step; in between the scheduler tells the backend when a
+// shard's outgoing bytes become final (sched_capture: the shard completed
+// the previous phase) and when a shard is ready to receive (sched_open: it
+// finished reading the previous phase's halos), and asks which shards'
+// halos have fully arrived (sched_delivered). A shard's *interior* sweep
+// (cells that read no halo data — see CellClassification in
+// mesh/partition.h) runs while its halos are in flight and its boundary
+// sweep once they are delivered, so on a distributed run the halo latency
+// hides behind compute instead of serializing in front of it.
 //
-//   post(fields)   start moving the halo data (in-process: deliver it
-//                  synchronously; MPI: MPI_Irecv into the halo blocks +
-//                  pack and MPI_Isend the outgoing planes);
-//   wait()         block until every halo slot of the posted fields is
-//                  valid.
-//
-// Between post() and wait() the driving solver runs the phase's *interior*
-// sweep (cells that read no halo data — see CellClassification in
-// mesh/partition.h), so on a distributed run the halo latency hides behind
-// compute instead of serializing in front of it. The boundary sweep runs
-// after wait(). Contract for the in-flight window: the exchanged field's
-// owned cells must not be written (the backend may still be reading them)
-// and its halo slots must not be read (the backend is writing them); both
-// steppers' interior sweeps satisfy this by construction.
+// The backend moves bytes as early as the protocol allows: a capture whose
+// receiver has already opened delivers immediately (zero-copy in-process;
+// an eager MPI_Isend across ranks), otherwise the face plane is packed
+// into a staging buffer at capture time — the source keeps computing into
+// the same field, so the bytes of "phase start" must be taken right then.
+// Delivery into a halo block happens only after the receiver opened the
+// phase (it may still be reading the previous phase's halos), which makes
+// the reordering WAR-free; per (link, channel) transfers are produced and
+// consumed in phase order, so matching is unambiguous (MPI's
+// non-overtaking rule pairs same-tag messages in order).
 //
 // Whatever the backend, the bytes delivered into a halo slot are exactly
 // the source cell's tensor, so sharded stepping stays bitwise-identical to
@@ -30,20 +36,19 @@
 #include <string>
 #include <vector>
 
-#include "exastp/common/check.h"
 #include "exastp/mesh/partition.h"
 #include "exastp/telemetry/telemetry.h"
 
 namespace exastp {
 
-/// One logical field of a (possibly multi-field) exchange.
+/// One logical field of a phase's (possibly multi-field) exchange.
 /// `shard_fields[s]` is the base of shard s's DOF array (owned cells
 /// first, halo blocks appended) for every shard materialized in this
 /// process, nullptr for the others. `channel` is a small non-negative id
 /// namespacing the transfer (the MPI tag space), so several fields — the
-/// LTS corrector reads qavg, qavg_half and qavg_sum halos — move inside
-/// one posted exchange without mixing bytes. Channels within one post
-/// must be distinct.
+/// LTS corrector reads qavg, qavg_half and qavg_sum halos — move in the
+/// same phase without mixing bytes. Channels within one phase must be
+/// distinct.
 struct ExchangeField {
   std::vector<double*> shard_fields;
   int channel = 0;
@@ -59,71 +64,9 @@ class ExchangeBackend {
   /// Registry-style key: "inprocess" or "mpi".
   virtual std::string name() const = 0;
 
-  /// Starts refreshing the halo rings of one logical field on channel 0.
-  /// The in-process backend needs all shard entries, the MPI backend
-  /// exactly this rank's. No exchange may already be in flight.
-  ///
-  /// Non-virtual wrappers time every backend uniformly (the exchange_post /
-  /// exchange_wait telemetry spans); backends implement do_post/do_wait.
-  void post(const std::vector<double*>& shard_fields) {
-    post_fields({ExchangeField{shard_fields, 0}});
-  }
-
-  /// Multi-field form: every field's halo rings refresh inside the same
-  /// posted exchange (the backends allow only one in flight at a time, so
-  /// phases that read several fields must post them together).
-  void post_fields(const std::vector<ExchangeField>& fields) {
-    ScopedSpan span(SpanId::kExchangePost);
-    do_post(fields);
-  }
-
-  /// Completes the posted exchange; afterwards every halo slot of the
-  /// posted fields holds its neighbour's tensor. The span it records is
-  /// the *unhidden* halo latency — whatever the interior sweep did not
-  /// cover.
-  void wait() {
-    ScopedSpan span(SpanId::kExchangeWait);
-    do_wait();
-  }
-
-  /// post() + wait(): the serialized exchange for drivers that do not
-  /// overlap (benches measuring the unhidden halo cost).
-  void exchange(const std::vector<double*>& shard_fields) {
-    post(shard_fields);
-    wait();
-  }
-
-  // --- Dependency-scheduled protocol (ShardedSolver schedule=deps) ------
-  //
-  // Alternative to the lockstep post/wait pair for over-decomposed ranks:
-  // per-shard, per-phase pipelining. One step is bracketed by
-  // sched_begin_step / sched_end_step; in between the driving scheduler
-  // tells the backend, shard by shard, when outgoing bytes become final
-  // (sched_capture: the shard completed the previous phase) and when a
-  // shard is ready to receive (sched_open: it finished reading the
-  // previous phase's halos), and asks which shards' halos have fully
-  // arrived (sched_delivered). The backend moves bytes as early as the
-  // protocol allows: a capture whose receiver has already opened delivers
-  // immediately (zero-copy in-process; an eager MPI_Isend across ranks),
-  // otherwise the face plane is packed into a staging buffer at capture
-  // time — the source keeps computing into the same field, so the bytes
-  // of "phase start" must be taken right then. Delivery into a halo block
-  // happens only after the receiver opened the phase (it may still be
-  // reading the previous phase's halos), which makes the reordering
-  // WAR-free; per (link, channel) transfers are produced and consumed in
-  // phase order, so matching is unambiguous (MPI's non-overtaking rule
-  // pairs same-tag messages in order).
-  //
-  // The bytes every halo slot receives are exactly the lockstep bytes, so
-  // scheduled stepping stays bitwise-identical to lockstep (and to the
-  // monolithic solver) for every decomposition.
-
-  /// Whether this backend implements the scheduled protocol.
-  virtual bool supports_scheduled() const { return false; }
-
-  /// Starts a scheduled step. `fields_by_phase[phase]` is that phase's
-  /// field list in the post_fields form (empty = the phase exchanges
-  /// nothing); the vector must outlive the step. Resets per-link state.
+  /// Starts a step. `fields_by_phase[phase]` is that phase's field list
+  /// (empty = the phase exchanges nothing); the vector must outlive the
+  /// step. Resets per-link state.
   void sched_begin_step(
       const std::vector<std::vector<ExchangeField>>& fields_by_phase) {
     do_sched_begin_step(fields_by_phase);
@@ -162,43 +105,25 @@ class ExchangeBackend {
   /// exchanging (shard, phase) was opened and delivered.
   void sched_end_step() { do_sched_end_step(); }
 
-  /// Halo bytes delivered into this process's shards per exchange (the
-  /// logical traffic; identical for every backend on a local run).
+  /// Halo bytes delivered into this process's shards per exchanged field
+  /// (the logical traffic; identical for every backend on a local run).
   std::size_t payload_bytes_per_exchange() const { return payload_bytes_; }
-  /// Bytes actually memcpy'd per exchange. The zero-copy in-process swap
-  /// gathers each source plane straight into the peer's halo block, so
-  /// this equals the payload (it used to be 3x: pack + swap + unpack);
-  /// the MPI backend only copies on the send side (receives land directly
-  /// in the halo block).
+  /// Bytes memcpy'd per exchanged field when every intra-process capture
+  /// delivers directly (a staged capture adds one pack copy). The
+  /// in-process gather copies each source plane straight into the peer's
+  /// halo block, so this equals the payload; the MPI backend also packs
+  /// every cross-rank send (receives land directly in the halo block).
   std::size_t copied_bytes_per_exchange() const { return copied_bytes_; }
 
  protected:
-  virtual void do_post(const std::vector<ExchangeField>& fields) = 0;
-  virtual void do_wait() = 0;
-
-  // Scheduled-protocol hooks; the defaults fail loudly so a backend that
-  // answers supports_scheduled() == false is never driven half-way.
   virtual void do_sched_begin_step(
-      const std::vector<std::vector<ExchangeField>>& /*fields_by_phase*/) {
-    fail_unscheduled();
-  }
-  virtual void do_sched_capture(int /*shard*/, int /*phase*/) {
-    fail_unscheduled();
-  }
-  virtual void do_sched_open(int /*shard*/, int /*phase*/) {
-    fail_unscheduled();
-  }
-  virtual bool do_sched_delivered(int /*shard*/, int /*phase*/) const {
-    fail_unscheduled();
-  }
-  virtual bool do_sched_any_pending() const { fail_unscheduled(); }
-  virtual void do_sched_poll(bool /*block*/) { fail_unscheduled(); }
-  virtual void do_sched_end_step() { fail_unscheduled(); }
-
-  [[noreturn]] static void fail_unscheduled() {
-    EXASTP_FAIL("this exchange backend does not implement the scheduled "
-                "protocol (supports_scheduled() is false)");
-  }
+      const std::vector<std::vector<ExchangeField>>& fields_by_phase) = 0;
+  virtual void do_sched_capture(int shard, int phase) = 0;
+  virtual void do_sched_open(int shard, int phase) = 0;
+  virtual bool do_sched_delivered(int shard, int phase) const = 0;
+  virtual bool do_sched_any_pending() const = 0;
+  virtual void do_sched_poll(bool block) = 0;
+  virtual void do_sched_end_step() = 0;
 
   std::size_t payload_bytes_ = 0;
   std::size_t copied_bytes_ = 0;

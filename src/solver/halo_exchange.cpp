@@ -5,6 +5,8 @@
 #include <limits>
 #include <thread>
 
+#include "exastp/common/check.h"
+
 namespace exastp {
 namespace {
 
@@ -34,29 +36,6 @@ LocalLinkSet::LocalLinkSet(const Partition& partition, std::size_t cell_size,
           partition.rank_of(s) != partition.rank_of(plan.src_shard);
       payload_bytes_ += plan.src_cells.size() * cell_size_ * sizeof(double);
       links_.push_back(std::move(link));
-    }
-  }
-}
-
-void LocalLinkSet::gather_all(const ExchangeField& field) const {
-  const std::vector<double*>& shard_fields = field.shard_fields;
-  for (const Link& link : links_) {
-    EXASTP_CHECK(link.src_shard >= 0 &&
-                 link.src_shard < static_cast<int>(shard_fields.size()) &&
-                 link.dst_shard < static_cast<int>(shard_fields.size()));
-    const double* src = shard_fields[static_cast<std::size_t>(link.src_shard)];
-    double* dst = shard_fields[static_cast<std::size_t>(link.dst_shard)];
-    EXASTP_CHECK_MSG(src != nullptr && dst != nullptr,
-                     "the in-process gather needs both endpoints' fields");
-
-    // Zero-copy gather: the halo block is contiguous in the destination
-    // array and ordered like the plan's plane, so each source tensor lands
-    // directly in its slot — no intermediate send/recv buffers.
-    double* out = dst + link.dst_offset;
-    for (const int cell : link.src_cells) {
-      std::memcpy(out, src + static_cast<std::size_t>(cell) * cell_size_,
-                  cell_size_ * sizeof(double));
-      out += cell_size_;
     }
   }
 }
@@ -251,27 +230,6 @@ InProcessExchange::InProcessExchange(
           simulated_cross_rank_latency_seconds * 1e9)) {
   payload_bytes_ = links_.payload_bytes();
   copied_bytes_ = links_.payload_bytes();
-}
-
-void InProcessExchange::do_post(const std::vector<ExchangeField>& fields) {
-  EXASTP_CHECK_MSG(!in_flight_, "an exchange is already in flight");
-  in_flight_ = true;
-  // Gather immediately — with simulated latency the bytes are already
-  // final (the in-flight contract forbids writing the owned cells until
-  // wait()), so only the completion time shifts, never the data.
-  for (const ExchangeField& field : fields) links_.gather_all(field);
-  if (latency_ns_ > 0) lockstep_deadline_ns_ = steady_now_ns() + latency_ns_;
-}
-
-void InProcessExchange::do_wait() {
-  EXASTP_CHECK_MSG(in_flight_, "wait() without a posted exchange");
-  in_flight_ = false;
-  if (lockstep_deadline_ns_ > 0) {
-    const std::int64_t remaining = lockstep_deadline_ns_ - steady_now_ns();
-    if (remaining > 0)
-      std::this_thread::sleep_for(std::chrono::nanoseconds(remaining));
-    lockstep_deadline_ns_ = 0;
-  }
 }
 
 void InProcessExchange::do_sched_begin_step(

@@ -2,23 +2,22 @@
 // rings by a zero-copy gather.
 //
 // The destination halo block is contiguous and ordered exactly like the
-// HaloPlan's packed plane (mesh/grid.h halo order), so the PR-4
-// pack -> swap -> unpack chain of three memcpys collapses to a single
-// strided gather per link: each source cell's tensor is copied straight
-// into its halo slot in the receiving shard's array. copied bytes ==
-// payload bytes (it used to be 3x the payload).
+// HaloPlan's packed plane (mesh/grid.h halo order), so a link whose
+// receiver is ready delivers with a single strided gather: each source
+// cell's tensor is copied straight into its halo slot in the receiving
+// shard's array, with no intermediate send/recv buffers.
 //
 // Two backends share the machinery through LocalLinkSet: InProcessExchange
 // (every shard local — the backend=inprocess path) and the hybrid MPI
 // backend's intra-rank legs (solver/mpi_exchange.cpp keeps only the links
 // whose both endpoints live on this rank and moves the rest over MPI).
 //
-// Besides the lockstep post/wait pair, LocalLinkSet implements the
-// dependency-scheduled protocol (exchange_backend.h): at capture time a
-// link delivers zero-copy when its receiver has already opened the phase,
-// and otherwise packs the plane into a per-(link, phase) staging buffer —
-// the source keeps computing into the same field, so the bytes must be
-// taken at capture. Staged planes land when the receiver opens.
+// LocalLinkSet implements the dependency-scheduled protocol
+// (exchange_backend.h): at capture time a link delivers zero-copy when its
+// receiver has already opened the phase, and otherwise packs the plane
+// into a per-(link, phase) staging buffer — the source keeps computing
+// into the same field, so the bytes must be taken at capture. Staged
+// planes land when the receiver opens.
 //
 // InProcessExchange can additionally simulate cross-rank latency: links
 // whose endpoints map to different ranks of the Partition's rank map
@@ -57,12 +56,7 @@ class LocalLinkSet {
   LocalLinkSet(const Partition& partition, std::size_t cell_size,
                int only_rank);
 
-  /// Lockstep delivery of one field over every link — the zero-copy
-  /// gather. Shard entries both endpoints of some link name must be
-  /// non-null.
-  void gather_all(const ExchangeField& field) const;
-
-  // Scheduled protocol; mirrors the ExchangeBackend sched_* contract.
+  // Mirrors the ExchangeBackend sched_* contract.
   // `latency_ns > 0` delays cross-rank link deliveries by that much on
   // the steady clock (begin of a step's capture -> earliest delivery).
   void begin_step(const std::vector<std::vector<ExchangeField>>& fields,
@@ -137,21 +131,8 @@ class InProcessExchange final : public ExchangeBackend {
                     double simulated_cross_rank_latency_seconds = 0.0);
 
   std::string name() const override { return "inprocess"; }
-  bool supports_scheduled() const override { return true; }
 
  protected:
-  /// Delivers every shard's halo ring synchronously, one field after
-  /// another. All shard entries of every field must be non-null. Reads
-  /// owned cells, writes only halo slots. The post/wait pairing is
-  /// enforced even though delivery is synchronous, so a driver that would
-  /// deadlock or corrupt halos under the MPI backend fails the local test
-  /// suite too. With simulated latency, wait() sleeps out the remainder
-  /// of the cross-rank delay — the gathered bytes are unaffected (the
-  /// in-flight contract forbids writing the owned cells meanwhile), so
-  /// lockstep latency runs pay the stall without changing results.
-  void do_post(const std::vector<ExchangeField>& fields) override;
-  void do_wait() override;
-
   void do_sched_begin_step(
       const std::vector<std::vector<ExchangeField>>& fields) override;
   void do_sched_capture(int shard, int phase) override;
@@ -164,8 +145,6 @@ class InProcessExchange final : public ExchangeBackend {
  private:
   LocalLinkSet links_;
   std::int64_t latency_ns_ = 0;
-  std::int64_t lockstep_deadline_ns_ = 0;  ///< steady clock; 0 = none
-  bool in_flight_ = false;
 };
 
 }  // namespace exastp

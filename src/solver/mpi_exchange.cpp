@@ -26,9 +26,9 @@ namespace {
 /// A given (dst_shard, dir, side) face has exactly one source shard, so a
 /// tag uniquely names a link per channel even when one rank pair carries
 /// several shard pairs; the ctor checks the widened space against
-/// MPI_TAG_UB. In the scheduled protocol one (link, channel) tag carries
-/// one message per exchanging phase — MPI's non-overtaking rule pairs the
-/// same-tag sequence in phase order on both sides.
+/// MPI_TAG_UB. One (link, channel) tag carries one message per exchanging
+/// phase — MPI's non-overtaking rule pairs the same-tag sequence in phase
+/// order on both sides.
 class HybridExchangeBackend final : public ExchangeBackend {
  public:
   HybridExchangeBackend(const Partition& partition, std::size_t cell_size)
@@ -104,55 +104,11 @@ class HybridExchangeBackend final : public ExchangeBackend {
     for (const RecvOp& op : recvs_)
       payload_bytes_ += op.count * sizeof(double);
     copied_bytes_ += local_.payload_bytes();
-    requests_.reserve(recvs_.size() + sends_.size());
   }
 
   std::string name() const override { return "mpi"; }
-  bool supports_scheduled() const override { return true; }
 
  protected:
-  void do_post(const std::vector<ExchangeField>& fields) override {
-    EXASTP_CHECK_MSG(!in_flight_, "an exchange is already in flight");
-    requests_.clear();
-    // Every field of the post flies concurrently. Each send op keeps one
-    // pack buffer per field slot so all packed planes stay live until
-    // do_wait; the intra-rank legs deliver synchronously via the
-    // zero-copy gather.
-    for (std::size_t f = 0; f < fields.size(); ++f) {
-      const ExchangeField& field = fields[f];
-      EXASTP_CHECK_MSG(
-          field.channel >= 0 && field.channel < kMaxExchangeChannels,
-          "exchange channel out of range");
-      for (const RecvOp& op : recvs_) {
-        double* dst = shard_field(field, op.dst_shard);
-        MPI_Request request;
-        MPI_Irecv(dst + op.offset, static_cast<int>(op.count), MPI_DOUBLE,
-                  op.peer, tag_of(field.channel, op.dst_shard, op.face),
-                  MPI_COMM_WORLD, &request);
-        requests_.push_back(request);
-      }
-      for (SendOp& op : sends_) {
-        if (op.buffers.size() <= f) op.buffers.resize(f + 1);
-        AlignedVector& buffer = op.buffers[f];
-        pack(op, field, buffer);
-        MPI_Request request;
-        MPI_Isend(buffer.data(), static_cast<int>(buffer.size()), MPI_DOUBLE,
-                  op.peer, tag_of(field.channel, op.dst_shard, op.face),
-                  MPI_COMM_WORLD, &request);
-        requests_.push_back(request);
-      }
-      local_.gather_all(field);
-    }
-    in_flight_ = true;
-  }
-
-  void do_wait() override {
-    EXASTP_CHECK_MSG(in_flight_, "wait() without a posted exchange");
-    MPI_Waitall(static_cast<int>(requests_.size()), requests_.data(),
-                MPI_STATUSES_IGNORE);
-    in_flight_ = false;
-  }
-
   void do_sched_begin_step(
       const std::vector<std::vector<ExchangeField>>& fields) override {
     EXASTP_CHECK_MSG(fields_ == nullptr,
@@ -270,7 +226,6 @@ class HybridExchangeBackend final : public ExchangeBackend {
     int dst_shard = -1;
     int face = 0;
     std::vector<int> cells;  ///< pack order = the receiver's halo order
-    std::vector<AlignedVector> buffers;  ///< lockstep: one buffer per field
   };
 
   int tag_of(int channel, int dst_shard, int face) const {
@@ -334,10 +289,8 @@ class HybridExchangeBackend final : public ExchangeBackend {
   LocalLinkSet local_;
   std::vector<RecvOp> recvs_;
   std::vector<SendOp> sends_;
-  std::vector<MPI_Request> requests_;  ///< lockstep in-flight requests
-  bool in_flight_ = false;
 
-  // Scheduled-step state.
+  // Per-step state.
   const std::vector<std::vector<ExchangeField>>* fields_ = nullptr;
   int phases_ = 0;
   std::vector<int> remote_pending_;  ///< (shard, phase) -> recvs outstanding

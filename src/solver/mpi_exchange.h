@@ -7,19 +7,16 @@
 // over-decomposed runs (shards_per_rank > 1) pay the wire for the few true
 // rank-cut faces, not for every shard face.
 //
-// Lockstep post() first posts one MPI_Irecv per cross-rank plan of this
-// rank's shards — straight into the destination halo block, which is
-// contiguous and plan-ordered, so the receive side needs no unpack copy —
-// then packs and MPI_Isends the outgoing planes, then gathers the local
-// legs. The message tag is (channel * num_shards + dst_shard) * 6 +
-// (dir, side): a (dst_shard, dir, side) face has exactly one source shard,
-// so the tag uniquely names a link per channel even when one rank pair
-// carries several shard pairs. wait() is MPI_Waitall.
-//
-// The backend also implements the dependency-scheduled protocol
-// (exchange_backend.h): receives post at sched_open, sends pack and fly
-// eagerly at sched_capture, and sched_poll progresses with
-// MPI_Testsome / MPI_Waitsome. Per (link, channel) the same tag carries one
+// The backend implements the dependency-scheduled protocol
+// (exchange_backend.h): sched_open posts one MPI_Irecv per cross-rank plan
+// of the opening shard — straight into the destination halo block, which
+// is contiguous and plan-ordered, so the receive side needs no unpack
+// copy — sched_capture packs the outgoing planes and MPI_Isends them
+// eagerly, and sched_poll progresses with MPI_Testsome / MPI_Waitsome.
+// The message tag is (channel * num_shards + dst_shard) * 6 + (dir, side):
+// a (dst_shard, dir, side) face has exactly one source shard, so the tag
+// uniquely names a link per channel even when one rank pair carries
+// several shard pairs. Per (link, channel) the same tag carries one
 // message per exchanging phase; MPI's non-overtaking rule pairs the
 // sequence in phase order on both sides.
 //

@@ -10,33 +10,22 @@
 // legs stay zero-copy in-process and only true rank-cut faces pay the wire
 // (solver/mpi_exchange.h).
 //
-// Two step schedules share the phase protocol, selected by `schedule`:
+// step() is dependency-driven: each local shard advances through its own
+// phases as its inputs arrive. A shard's boundary sweep for a phase runs as
+// soon as that shard's halos for the phase are delivered
+// (sched_delivered); when a shard finishes a phase, its next-phase halo
+// planes are captured immediately (pipelined multi-field sends — the next
+// phase's traffic leaves while other shards still compute), and the
+// scheduler fills stalls with whichever shard has runnable work. Blocked
+// time polls the backend MPI_Testsome-style and is recorded as the
+// sched_wait span; ready-queue depth and task counts land in the
+// sched_tasks / sched_ready_depth_sum / sched_blocked_polls counters.
 //
-//   lockstep   for every phase: post the halo fields the phase reads, run
-//              every local shard's interior sweep while they are in
-//              flight, wait, then the boundary sweeps. One global barrier
-//              per phase — every shard stalls on the slowest exchange.
-//
-//   deps       dependency-driven (the default): each local shard advances
-//              through its own phases as its inputs arrive. A shard's
-//              boundary sweep for a phase runs as soon as that shard's
-//              halos for the phase are delivered (sched_delivered); when a
-//              shard finishes a phase, its next-phase halo planes are
-//              captured immediately (pipelined multi-field sends — the
-//              next phase's traffic leaves while other shards still
-//              compute), and the scheduler fills stalls with whichever
-//              shard has runnable work. Blocked time polls the backend
-//              MPI_Testsome-style and is recorded as the sched_wait span;
-//              ready-queue depth and task counts land in the
-//              sched_tasks / sched_ready_depth_sum / sched_blocked_polls
-//              counters.
-//
-// Both schedules deliver exactly the neighbour tensor's bytes into every
-// halo slot and run each sweep over identical inputs, so the composite's
-// field state is bitwise-identical to the monolithic solver for any
-// backend x shard grid x rank map x schedule x thread count
-// (tests/test_sharding.cpp, test_overlap.cpp, test_oversub.cpp and
-// test_mpi.cpp guard the matrix).
+// Every halo slot receives exactly the neighbour tensor's bytes and each
+// sweep runs over identical inputs, so the composite's field state is
+// bitwise-identical to the monolithic solver for any backend x shard grid
+// x rank map x thread count (tests/test_sharding.cpp, test_oversub.cpp,
+// test_lts.cpp and test_mpi.cpp guard the matrix).
 //
 // Engine-facing addressing stays global: grid() is the whole-domain grid,
 // and cell_dofs / node_position / sample / add_point_source route by the
@@ -66,14 +55,12 @@ class ShardedSolver final : public SolverBase {
   /// shard in this process) or "mpi" (this rank materializes the shards
   /// the partition's rank map assigns to it; a partition without a rank
   /// map is auto-grouped one-shard-per-rank, and a map that does not
-  /// match the launch fails with a clear message). `schedule` picks the
-  /// step schedule: "deps" (default) or "lockstep".
+  /// match the launch fails with a clear message).
   ShardedSolver(
       Partition partition,
       const std::function<std::unique_ptr<SolverBase>(const Grid&)>&
           make_shard,
-      const std::string& backend = "inprocess",
-      const std::string& schedule = "deps");
+      const std::string& backend = "inprocess");
 
   const Grid& grid() const override { return global_grid_; }
   const AosLayout& layout() const override { return primary().layout(); }
@@ -105,8 +92,8 @@ class ShardedSolver final : public SolverBase {
   /// since max-wave-speed reduction commutes exactly.
   double stable_dt(double cfl = 0.4) const override;
 
-  /// One time step under the configured schedule (see the file comment);
-  /// bitwise-identical results either way.
+  /// One time step, driven by the dependency scheduler (see the file
+  /// comment).
   void step(double dt) override;
 
   /// Phase count of the sub-solvers — queried live, because enable_lts
@@ -146,8 +133,6 @@ class ShardedSolver final : public SolverBase {
   }
 
   const Partition& partition() const { return partition_; }
-  /// The configured step schedule ("deps" or "lockstep").
-  const std::string& schedule() const { return schedule_; }
   /// The exchange backend (name, payload/copied bytes) for benches.
   const ExchangeBackend& exchange_backend() const { return *exchange_; }
   /// Swaps the exchange backend — a bench/test hook (e.g. an
@@ -163,18 +148,15 @@ class ShardedSolver final : public SolverBase {
     return *shards_[static_cast<std::size_t>(primary_)];
   }
 
-  /// The phase's halo fields assembled across local shards, post_fields
-  /// form (one ExchangeField per channel; remote shard slots nullptr).
+  /// The phase's halo fields assembled across local shards (one
+  /// ExchangeField per channel; remote shard slots nullptr).
   std::vector<ExchangeField> phase_exchange_fields(int phase) const;
-  void step_lockstep(double dt);
-  void step_scheduled(double dt);
 
   Partition partition_;
   Grid global_grid_;
   bool distributed_ = false;
   int rank_ = 0;
   int primary_ = 0;  ///< lowest locally-materialized shard id
-  std::string schedule_;
   /// One slot per shard; only locally-materialized shards are non-null
   /// (all of them for backend=inprocess, this rank's group for
   /// backend=mpi).

@@ -119,26 +119,24 @@ class SolverBase {
   }
 
   // ---- Domain-decomposition stepping protocol -------------------------
-  // A step decomposes into num_step_phases() ordered phases. Before phase
-  // p, step_phase_halo(p) names the DOF array whose one-cell halo ring
-  // must hold the face-adjacent neighbours' tensors (nullptr = the phase
-  // reads no neighbour data). Each phase further splits into begin/end
-  // exchange hooks so the halo transfer can overlap compute
-  // (exchange_backend.h):
+  // A step decomposes into num_step_phases() ordered phases. Phase p reads
+  // the face-adjacent neighbours' tensors of the arrays
+  // step_phase_halo_fields(p) names (empty = no neighbour data), and
+  // splits into two sweeps so the halo transfer can overlap compute
+  // (ShardedSolver::step drives them, exchange_backend.h moves the bytes):
   //
-  //   backend.post(halo field)      start moving the halo bytes
-  //   step_phase_interior(p, dt)    cells that read no halo data
-  //   backend.wait()                halo slots valid from here
-  //   step_phase_boundary(p, dt)    halo-adjacent cells + phase tail
+  //   step_phase_interior(p, dt)    cells that read no halo data; runs
+  //                                 while the phase's halos are in flight
+  //   step_phase_boundary(p, dt)    halo-adjacent cells + phase tail; runs
+  //                                 once every halo slot is delivered
   //
   // step_phase(p, dt) must equal interior + boundary run back to back,
   // and calling phases 0..P-1 in order must equal one step(dt) — the
   // monolithic path (a whole-domain Grid has no halo slots, so its
-  // boundary set is empty and interior covers every cell). While an
-  // exchange is in flight, step_phase_interior must neither write the
-  // exchanged field's owned cells nor read its halo slots. Solvers that
-  // want to run sharded allocate their exchanged arrays over
-  // grid().num_cells() + grid().num_halo_cells() cells.
+  // boundary set is empty and interior covers every cell). While a
+  // phase's halos are in flight, step_phase_interior must not read their
+  // halo slots. Solvers that want to run sharded allocate their exchanged
+  // arrays over grid().num_cells() + grid().num_halo_cells() cells.
 
   /// Phases per step: 2 for ADER (predict | correct+advance), 4 for RK4
   /// (one per stage), 1 for steppers without a sharded decomposition.
@@ -149,14 +147,11 @@ class SolverBase {
   /// Begin-exchange hook: the part of a phase that reads no halo data and
   /// can therefore run while the exchange is in flight. Default: no-op —
   /// a stepper that does not override the split runs its whole phase
-  /// after wait() (no overlap, but never a halo read mid-flight).
+  /// after delivery (no overlap, but never a halo read mid-flight).
   virtual void step_phase_interior(int phase, double dt);
   /// End-exchange hook: the halo-adjacent remainder, run after the
-  /// exchange completed. Default: the whole phase.
+  /// phase's halos are delivered. Default: the whole phase.
   virtual void step_phase_boundary(int phase, double dt);
-  /// Base of the array whose halo must be refreshed before `phase`, or
-  /// nullptr when that phase reads no neighbour tensors.
-  virtual double* step_phase_halo(int phase);
 
   /// One halo field a phase reads, with the exchange channel that
   /// namespaces its transfer (solver/exchange_backend.h). Channels: 0 =
@@ -166,12 +161,10 @@ class SolverBase {
     double* data = nullptr;
     int channel = 0;
   };
-  /// All halo fields `phase` reads (empty = no neighbour data). The
-  /// multi-field generalization of step_phase_halo for phases that read
-  /// several arrays — the LTS corrector needs qavg, qavg_half and
-  /// qavg_sum refreshed together. Default: wraps step_phase_halo as a
-  /// single channel-0 field, so existing steppers keep their protocol
-  /// (and their MPI tags) unchanged.
+  /// All halo fields `phase` reads, refreshed together before its
+  /// boundary sweep (empty = no neighbour data) — one for the RK stages
+  /// and the global ADER corrector, three for the LTS corrector (qavg,
+  /// qavg_half and qavg_sum). Default: none.
   virtual std::vector<PhaseHaloField> step_phase_halo_fields(int phase);
 
   /// Mesh shards behind this solver: 1 for monolithic solvers, the

@@ -63,11 +63,8 @@ StepMetricsObserver::Snapshot StepMetricsObserver::snapshot(
       registry_->aggregate(SpanId::kRkStageInterior).total_ns +
       registry_->aggregate(SpanId::kRkStageBoundary).total_ns;
   snap.post_ns = registry_->aggregate(SpanId::kExchangePost).total_ns;
-  // The unhidden halo latency of either step schedule: lockstep stalls in
-  // ExchangeBackend::wait, the dependency scheduler in blocked sched_wait
-  // polls. At most one of the two is nonzero per run.
-  snap.wait_ns = registry_->aggregate(SpanId::kExchangeWait).total_ns +
-                 registry_->aggregate(SpanId::kSchedWait).total_ns;
+  // The unhidden halo latency: the scheduler's blocked sched_wait polls.
+  snap.wait_ns = registry_->aggregate(SpanId::kSchedWait).total_ns;
   snap.overlap_ns = registry_->aggregate(SpanId::kOverlapCompute).total_ns;
   snap.flops = registry_->flops().total();
   return snap;

@@ -162,8 +162,7 @@ std::string telemetry_summary_table(const TelemetryRegistry& registry,
   const SpanId phases[] = {SpanId::kPredict,         SpanId::kCorrectInterior,
                            SpanId::kCorrectBoundary, SpanId::kRkStageInterior,
                            SpanId::kRkStageBoundary, SpanId::kExchangePost,
-                           SpanId::kExchangeWait,    SpanId::kStableDt,
-                           SpanId::kObservers};
+                           SpanId::kStableDt,        SpanId::kObservers};
   for (SpanId id : phases) {
     const SpanAggregate agg = registry.aggregate(id);
     if (agg.count == 0) continue;
@@ -178,15 +177,12 @@ std::string telemetry_summary_table(const TelemetryRegistry& registry,
 
   // Overlap efficiency: how much of the halo exchange hid behind compute.
   // hidden = sweep time while an exchange was in flight; the unhidden
-  // remainder showed up as exchange_wait (lockstep) or as blocked
-  // sched_wait polls (the dependency scheduler).
+  // remainder is the scheduler's blocked sched_wait polls.
   const SpanAggregate overlap = registry.aggregate(SpanId::kOverlapCompute);
-  const SpanAggregate wait = registry.aggregate(SpanId::kExchangeWait);
   const SpanAggregate sched = registry.aggregate(SpanId::kSchedWait);
   if (overlap.count > 0) {
     const double hidden = static_cast<double>(overlap.total_ns) * 1e-9;
-    const double unhidden =
-        static_cast<double>(wait.total_ns + sched.total_ns) * 1e-9;
+    const double unhidden = static_cast<double>(sched.total_ns) * 1e-9;
     const double total = hidden + unhidden;
     os << "  overlap efficiency " << percent_text(total > 0.0 ? hidden / total
                                                               : 0.0)

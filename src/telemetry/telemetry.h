@@ -62,11 +62,11 @@ enum class SpanId : std::int32_t {
   kCorrectBoundary,   ///< ADER corrector over the boundary set + advance
   kRkStageInterior,   ///< RK4 stage operator, interior set (arg = stage)
   kRkStageBoundary,   ///< RK4 stage operator, boundary set + axpy sweeps
-  kExchangePost,      ///< ExchangeBackend::post (pack + send / gather)
-  kExchangeWait,      ///< ExchangeBackend::wait (unhidden halo latency)
+  kExchangePost,      ///< ExchangeBackend sched_capture / sched_open
+  kExchangeWait,      ///< never recorded; kept so span dumps keep the name
   kShardInterior,     ///< one shard's interior sweep (track = shard)
   kShardBoundary,     ///< one shard's boundary sweep (track = shard)
-  kOverlapCompute,    ///< interior compute while an exchange was in flight
+  kOverlapCompute,    ///< sweep compute while an exchange was in flight
   kParallelRegion,    ///< one thread's share of a ParallelFor::run
   kSetupTune,         ///< from_config: fused-block autotune measurement
   kSetupSolver,       ///< from_config: kernel + solver construction

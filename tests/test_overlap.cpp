@@ -1,28 +1,13 @@
-// The split-phase exchange protocol: interior/boundary cell
-// classification and bitwise equivalence of the overlapped schedule
-// (post -> interior -> wait -> boundary) against the unsplit
-// exchange-then-full-phase sweep.
+// Interior/boundary cell classification — the split that lets a shard's
+// interior sweep run while its halos are in flight (mesh/partition.h).
 //
-// The contract under test (solver/exchange_backend.h): splitting each
-// phase's cell loop into an interior sweep that runs while halos are in
-// flight and a boundary sweep after wait() never changes any cell's bits,
-// for either stepper, any PDE and any thread count. These tests carry the
-// `threaded` ctest label the TSan CI job runs.
+// The contract under test: whole-domain grids are all interior, and on a
+// shard exactly the cells that read an exchanged neighbour are boundary.
+// The bitwise equivalence of the split sweeps to the monolithic run is
+// covered by ShardDeterminism in tests/test_sharding.cpp.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "exastp/common/simd.h"
-#include "exastp/engine/pde_registry.h"
-#include "exastp/engine/scenario_registry.h"
-#include "exastp/engine/simulation_config.h"
 #include "exastp/mesh/partition.h"
-#include "exastp/solver/ader_dg_solver.h"
-#include "exastp/solver/halo_exchange.h"
-#include "exastp/solver/rk_dg_solver.h"
 
 namespace exastp {
 namespace {
@@ -75,159 +60,6 @@ TEST(CellClassification, OutflowEdgesNeedNoHaloAndStayInterior) {
     for (int c : sub.cells.boundary)
       EXPECT_EQ(sub.grid.coords(c)[0], plane);
   }
-}
-
-// ---- Overlapped vs unsplit schedule: bitwise equivalence ---------------
-
-// Per-shard solvers plus the exchange connecting them — the raw material
-// ShardedSolver composes, driven by hand here so the two schedules can be
-// compared directly.
-
-std::unique_ptr<SolverBase> make_solver(const std::string& stepper,
-                                        const std::shared_ptr<const KernelFactory>& pde,
-                                        const Grid& grid, int order,
-                                        int threads) {
-  std::unique_ptr<SolverBase> solver;
-  if (stepper == "ader") {
-    solver = std::make_unique<AderDgSolver>(
-        pde->runtime(),
-        pde->make_kernel(StpVariant::kAosoaSplitCk, order, host_best_isa()),
-        grid);
-  } else {
-    solver = std::make_unique<RkDgSolver>(pde->runtime(), order,
-                                          host_best_isa(), grid);
-  }
-  solver->set_num_threads(threads);
-  return solver;
-}
-
-std::vector<std::unique_ptr<SolverBase>> make_shard_set(
-    const Partition& partition, const std::string& stepper,
-    const std::shared_ptr<const KernelFactory>& pde,
-    const InitialCondition& init, int order, int threads) {
-  std::vector<std::unique_ptr<SolverBase>> shards;
-  for (int s = 0; s < partition.num_shards(); ++s) {
-    shards.push_back(make_solver(stepper, pde, partition.subdomain(s).grid,
-                                 order, threads));
-    shards.back()->set_initial_condition(init);
-  }
-  return shards;
-}
-
-std::vector<double*> collect_halo_fields(
-    std::vector<std::unique_ptr<SolverBase>>& shards, int phase,
-    bool* exchanging) {
-  std::vector<double*> fields(shards.size(), nullptr);
-  std::size_t wanting = 0;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    fields[s] = shards[s]->step_phase_halo(phase);
-    if (fields[s] != nullptr) ++wanting;
-  }
-  EXPECT_TRUE(wanting == 0 || wanting == shards.size());
-  *exchanging = wanting > 0;
-  return fields;
-}
-
-/// The PR-4 schedule: complete the exchange, then run each phase whole.
-void step_unsplit(std::vector<std::unique_ptr<SolverBase>>& shards,
-                  InProcessExchange& exchange, double dt) {
-  for (int phase = 0; phase < shards[0]->num_step_phases(); ++phase) {
-    bool exchanging = false;
-    auto fields = collect_halo_fields(shards, phase, &exchanging);
-    if (exchanging) exchange.exchange(fields);
-    for (auto& shard : shards) shard->step_phase(phase, dt);
-  }
-}
-
-/// The split-phase schedule: interior sweeps run between post and wait.
-void step_overlapped(std::vector<std::unique_ptr<SolverBase>>& shards,
-                     InProcessExchange& exchange, double dt) {
-  for (int phase = 0; phase < shards[0]->num_step_phases(); ++phase) {
-    bool exchanging = false;
-    auto fields = collect_halo_fields(shards, phase, &exchanging);
-    if (exchanging) exchange.post(fields);
-    for (auto& shard : shards) shard->step_phase_interior(phase, dt);
-    if (exchanging) exchange.wait();
-    for (auto& shard : shards) shard->step_phase_boundary(phase, dt);
-  }
-}
-
-void expect_bitwise_equal(const std::vector<std::unique_ptr<SolverBase>>& a,
-                          const std::vector<std::unique_ptr<SolverBase>>& b,
-                          const std::string& label) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    ASSERT_EQ(a[s]->grid().num_cells(), b[s]->grid().num_cells());
-    EXPECT_EQ(a[s]->time(), b[s]->time());
-    for (int c = 0; c < a[s]->grid().num_cells(); ++c) {
-      const double* qa = a[s]->cell_dofs(c);
-      const double* qb = b[s]->cell_dofs(c);
-      for (std::size_t i = 0; i < a[s]->layout().size(); ++i)
-        ASSERT_EQ(qa[i], qb[i])
-            << label << ": shard " << s << " cell " << c << " slot " << i;
-    }
-  }
-}
-
-/// Drives both schedules over identical shard sets and requires bitwise
-/// equality — the "split loop equals unsplit sweep" acceptance matrix.
-void expect_split_invariant(const std::string& stepper,
-                            const std::string& pde_name,
-                            const std::string& scenario_name) {
-  SimulationConfig config;
-  config.scenario = scenario_name;
-  config.pde = pde_name;
-  apply_scenario_defaults(config);
-  config.pde = pde_name;
-  config.grid.cells = {6, 5, 4};
-  const int order = 3;
-
-  const std::shared_ptr<const KernelFactory> pde = find_pde(config.pde);
-  const InitialCondition init =
-      find_scenario(scenario_name)->initial_condition(pde, config);
-  // 2x2x1: both x and y faces are remote on every shard (ragged in y), so
-  // each shard has interior and boundary cells.
-  Partition partition(config.grid, {2, 2, 1});
-  const std::size_t cell_size =
-      make_solver(stepper, pde, partition.subdomain(0).grid, order, 1)
-          ->layout()
-          .size();
-
-  for (int threads : {1, 4}) {
-    auto unsplit =
-        make_shard_set(partition, stepper, pde, init, order, threads);
-    auto overlapped =
-        make_shard_set(partition, stepper, pde, init, order, threads);
-    InProcessExchange exchange_a(partition, cell_size);
-    InProcessExchange exchange_b(partition, cell_size);
-
-    double dt = unsplit[0]->stable_dt();
-    for (const auto& shard : unsplit)
-      dt = std::min(dt, shard->stable_dt());
-    for (int step = 0; step < 3; ++step) {
-      step_unsplit(unsplit, exchange_a, dt);
-      step_overlapped(overlapped, exchange_b, dt);
-    }
-    expect_bitwise_equal(unsplit, overlapped,
-                         stepper + "/" + pde_name + " threads=" +
-                             std::to_string(threads));
-  }
-}
-
-TEST(SplitPhase, AderAcousticMatchesUnsplitSweep) {
-  expect_split_invariant("ader", "acoustic", "planewave");
-}
-
-TEST(SplitPhase, AderMaxwellMatchesUnsplitSweep) {
-  expect_split_invariant("ader", "maxwell", "gaussian");
-}
-
-TEST(SplitPhase, RkAcousticMatchesUnsplitSweep) {
-  expect_split_invariant("rk4", "acoustic", "planewave");
-}
-
-TEST(SplitPhase, RkMaxwellMatchesUnsplitSweep) {
-  expect_split_invariant("rk4", "maxwell", "gaussian");
 }
 
 }  // namespace

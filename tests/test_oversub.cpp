@@ -1,14 +1,14 @@
 // Over-decomposed execution: the Partition rank map, the shards_per_rank=
 // and schedule= config keys, and the dependency-driven scheduler's bitwise
-// equivalence to lockstep across the over-decomposition matrix.
+// equivalence to the monolithic run across the over-decomposition matrix.
 //
-// The contract under test (solver/sharded_solver.h): schedule=deps
+// The contract under test (solver/sharded_solver.h): the scheduler
 // reorders WHEN sweeps run and when halo bytes move — per-shard phase
 // pipelining, eager captures, latency-delayed deliveries — but never WHAT
-// they compute, so for every {threads} x {shards_per_rank} x {lts} x
-// {schedule} combination the field state is bitwise-identical to the
-// monolithic run. These tests carry the `threaded` and `sharded` ctest
-// labels the TSan CI job runs.
+// they compute, so for every {threads} x {shards_per_rank} x {lts}
+// combination the field state is bitwise-identical to the monolithic run.
+// These tests carry the `threaded` and `sharded` ctest labels the TSan CI
+// job runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,29 +126,35 @@ TEST(OversubConfig, ShardsPerRankParsesAndResolvesLocally) {
 
   EXPECT_EQ(parse_simulation_args({"shards_per_rank=auto"}).shards_per_rank,
             0);
-  EXPECT_EQ(parse_simulation_args({"schedule=lockstep"}).schedule,
-            "lockstep");
-  EXPECT_EQ(parse_simulation_args({}).schedule, "deps");
+  EXPECT_NO_THROW(parse_simulation_args({"schedule=deps"}));
 
   EXPECT_THROW(parse_simulation_args({"shards_per_rank=0"}),
                std::invalid_argument);
   EXPECT_THROW(parse_simulation_args({"schedule=bogus"}),
                std::invalid_argument);
+  try {
+    parse_simulation_args({"schedule=lockstep"});
+    FAIL() << "schedule=lockstep should be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("lockstep schedule was removed"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(OversubConfig, CanonicalStringKeysTopologyButNotSchedule) {
-  const SimulationConfig deps =
-      parse_simulation_args({"scenario=planewave", "shards_per_rank=2"});
-  SimulationConfig lockstep = deps;
-  lockstep.schedule = "lockstep";
+  const SimulationConfig deps = parse_simulation_args(
+      {"scenario=planewave", "shards_per_rank=2", "schedule=deps"});
   // shards_per_rank changes the resolved decomposition under shards=auto,
-  // so it keys the memo cache; the schedule is bitwise-neutral and must
-  // not split it.
+  // so it keys the memo cache; schedule= carries no choice and must not
+  // split it.
   EXPECT_NE(canonical_config_string(deps).find("shards_per_rank=2"),
             std::string::npos);
   EXPECT_EQ(canonical_config_string(deps).find("schedule"),
             std::string::npos);
-  EXPECT_EQ(canonical_config_string(deps), canonical_config_string(lockstep));
+  EXPECT_EQ(canonical_config_string(deps),
+            canonical_config_string(parse_simulation_args(
+                {"scenario=planewave", "shards_per_rank=2"})));
 
   SimulationConfig other = deps;
   other.shards_per_rank = 4;
@@ -157,34 +163,31 @@ TEST(OversubConfig, CanonicalStringKeysTopologyButNotSchedule) {
 
 // ---- The scheduler equivalence matrix ----------------------------------
 
-/// shards_per_rank x threads x schedule, all bitwise-equal to the
-/// monolithic serial run.
+/// shards_per_rank x threads, all bitwise-equal to the monolithic serial
+/// run.
 void expect_oversub_invariant(const std::vector<std::string>& args,
                               const std::vector<int>& shards_per_rank) {
   Simulation mono = run_with(args, {"shards=1", "threads=1"});
   EXPECT_EQ(mono.solver().num_shards(), 1);
   for (int spr : shards_per_rank) {
     for (int threads : {1, 4}) {
-      for (const std::string schedule : {"deps", "lockstep"}) {
-        Simulation sharded = run_with(
-            args, {"shards=auto", "shards_per_rank=" + std::to_string(spr),
-                   "threads=" + std::to_string(threads),
-                   "schedule=" + schedule});
-        EXPECT_EQ(sharded.solver().num_shards(), spr);
-        EXPECT_EQ(mono.solver().time(), sharded.solver().time());
-        EXPECT_EQ(max_dof_difference(mono.solver(), sharded.solver()), 0.0)
-            << "shards_per_rank=" << spr << " threads=" << threads
-            << " schedule=" << schedule
-            << " diverged from the monolithic run";
-        if (mono.has_exact_solution())
-          EXPECT_EQ(mono.l2_error(), sharded.l2_error())
-              << "shards_per_rank=" << spr << " schedule=" << schedule;
+      Simulation sharded = run_with(
+          args, {"shards=auto", "shards_per_rank=" + std::to_string(spr),
+                 "threads=" + std::to_string(threads)});
+      EXPECT_EQ(sharded.solver().num_shards(), spr);
+      EXPECT_EQ(mono.solver().time(), sharded.solver().time());
+      EXPECT_EQ(max_dof_difference(mono.solver(), sharded.solver()), 0.0)
+          << "shards_per_rank=" << spr << " threads=" << threads
+          << " diverged from the monolithic run";
+      if (mono.has_exact_solution()) {
+        EXPECT_EQ(mono.l2_error(), sharded.l2_error())
+            << "shards_per_rank=" << spr;
       }
     }
   }
 }
 
-TEST(OversubSchedule, DepsMatchesLockstepAndMonolithic) {
+TEST(OversubSchedule, DepsMatchesMonolithic) {
   expect_oversub_invariant({"scenario=planewave", "order=3", "cells=5x4x3",
                             "t_end=0.08"},
                            {2, 4});
@@ -203,28 +206,24 @@ TEST(OversubSchedule, DepsMatchesUnderMultiClusterLts) {
   EXPECT_GT(mono.solver().lts_num_clusters(), 1);
   const std::vector<std::pair<int, int>> cases{{2, 1}, {2, 4}, {4, 1}};
   for (const auto& [spr, threads] : cases) {
-    for (const std::string schedule : {"deps", "lockstep"}) {
-      Simulation sharded = run_with(
-          base, {"shards=auto", "shards_per_rank=" + std::to_string(spr),
-                 "threads=" + std::to_string(threads),
-                 "schedule=" + schedule});
-      EXPECT_EQ(sharded.solver().lts_num_clusters(),
-                mono.solver().lts_num_clusters());
-      EXPECT_EQ(mono.solver().time(), sharded.solver().time());
-      EXPECT_EQ(max_dof_difference(mono.solver(), sharded.solver()), 0.0)
-          << "shards_per_rank=" << spr << " threads=" << threads
-          << " schedule=" << schedule
-          << " diverged from the monolithic multi-cluster run";
-    }
+    Simulation sharded = run_with(
+        base, {"shards=auto", "shards_per_rank=" + std::to_string(spr),
+               "threads=" + std::to_string(threads)});
+    EXPECT_EQ(sharded.solver().lts_num_clusters(),
+              mono.solver().lts_num_clusters());
+    EXPECT_EQ(mono.solver().time(), sharded.solver().time());
+    EXPECT_EQ(max_dof_difference(mono.solver(), sharded.solver()), 0.0)
+        << "shards_per_rank=" << spr << " threads=" << threads
+        << " diverged from the monolithic multi-cluster run";
   }
 }
 
 // ---- Latency-injected reordering ---------------------------------------
 
-/// A simulated cross-rank wire delay genuinely reorders the deps
-/// schedule — captures stage eagerly, deliveries mature on deadlines,
-/// blocked polls sleep — and the result must still match the
-/// zero-latency lockstep run bit for bit.
+/// A simulated cross-rank wire delay genuinely reorders the schedule —
+/// captures stage eagerly, deliveries mature on deadlines, blocked polls
+/// sleep — and the result must still match the zero-latency run of the
+/// same solver bit for bit.
 TEST(OversubSchedule, SimulatedLatencyReorderingStaysBitwise) {
   SimulationConfig config = parse_simulation_args(
       {"scenario=planewave", "order=3", "cells=4x4x8"});
@@ -240,27 +239,27 @@ TEST(OversubSchedule, SimulatedLatencyReorderingStaysBitwise) {
                          host_best_isa()),
         grid);
   };
-  const auto make_solver = [&](const std::string& schedule) {
+  const auto make_solver = [&] {
     Partition partition(config.grid, {1, 1, 4});
     partition.assign_ranks(2);  // shards 1|2 sit on the virtual rank cut
-    auto solver = std::make_unique<ShardedSolver>(
-        std::move(partition), make_shard, "inprocess", schedule);
+    auto solver = std::make_unique<ShardedSolver>(std::move(partition),
+                                                  make_shard, "inprocess");
     solver->set_initial_condition(init);
     return solver;
   };
 
-  auto lockstep = make_solver("lockstep");
-  auto deps = make_solver("deps");
-  deps->set_exchange_backend(std::make_unique<InProcessExchange>(
-      deps->partition(), deps->layout().size(),
+  auto prompt = make_solver();
+  auto delayed = make_solver();
+  delayed->set_exchange_backend(std::make_unique<InProcessExchange>(
+      delayed->partition(), delayed->layout().size(),
       /*simulated_cross_rank_latency_seconds=*/2e-3));
 
-  const double dt = lockstep->stable_dt();
+  const double dt = prompt->stable_dt();
   for (int step = 0; step < 3; ++step) {
-    lockstep->step(dt);
-    deps->step(dt);
+    prompt->step(dt);
+    delayed->step(dt);
   }
-  EXPECT_EQ(max_dof_difference(*lockstep, *deps), 0.0)
+  EXPECT_EQ(max_dof_difference(*prompt, *delayed), 0.0)
       << "latency-delayed deliveries changed the bits";
 }
 
@@ -270,8 +269,7 @@ TEST(OversubTelemetry, SchedulerReportsTaskAndPollCounters) {
   TelemetryRegistry registry(/*spans_enabled=*/true);
   Simulation sim = Simulation::from_args(
       {"scenario=planewave", "order=3", "cells=4x4x4", "shards=auto",
-       "shards_per_rank=4", "schedule=deps"});
-  EXPECT_NE(sim.summary().find("schedule=deps"), std::string::npos);
+       "shards_per_rank=4"});
   // Drive the solver directly under our own scope (Simulation::run
   // installs the run's own registry).
   const double dt = sim.solver().plan_step(sim.solver().stable_dt());

@@ -218,12 +218,8 @@ Simulation run_with(std::vector<std::string> args,
 
 TEST(Telemetry, TraceExportIsParseableWithPhaseNamesAndShardTracks) {
   const std::string path = "test_telemetry_trace.json";
-  // schedule=lockstep pins the split-phase span set this test asserts
-  // (exchange_wait + the overlap aggregate); the default deps schedule has
-  // its own spans, covered by tests/test_oversub.cpp.
-  Simulation sim = run_with(
-      base_args(),
-      {"shards=2x1x1", "threads=2", "schedule=lockstep", "trace=" + path});
+  Simulation sim =
+      run_with(base_args(), {"shards=2x1x1", "threads=2", "trace=" + path});
 
   const std::string json = read_file(path);
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
@@ -232,10 +228,9 @@ TEST(Telemetry, TraceExportIsParseableWithPhaseNamesAndShardTracks) {
   const std::set<std::string> names = trace_names(json);
   for (const char* expected :
        {"step", "stable_dt", "predict", "correct_interior",
-        "correct_boundary", "exchange_post", "exchange_wait",
-        "shard_interior", "shard_boundary", "parallel_region",
-        "setup_solver", "setup_init", "process_name", "thread_name",
-        "shard 0", "shard 1", "worker 1"})
+        "correct_boundary", "exchange_post", "shard_interior",
+        "shard_boundary", "parallel_region", "setup_solver", "setup_init",
+        "process_name", "thread_name", "shard 0", "shard 1", "worker 1"})
     EXPECT_TRUE(names.count(expected)) << "trace lacks \"" << expected << '"';
 
   // One pid (local run), real thread tids plus the two synthetic shard
