@@ -4,6 +4,8 @@
 // clear speedups over the reference loop on every shape class.
 #include <benchmark/benchmark.h>
 
+#include <iterator>
+
 #include "exastp/common/aligned.h"
 #include "exastp/gemm/gemm.h"
 
@@ -16,7 +18,10 @@ struct Shape {
 };
 
 // Slice shapes for the m=21 elastic benchmark (mPad = 24) at orders 6/8/11:
-// AoS x-derivative (D x slice), fused y-slab, AoSoA x-line (slice x D^T).
+// AoS x-derivative (D x slice), fused y-slab, AoSoA x-line (slice x D^T);
+// then the AoSoA shapes the perfbench workloads issue at isa=avx512
+// (x-lines carry only the flux rows that can be nonzero: 9 for elastic,
+// 2 + dir for acoustic).
 const Shape kShapes[] = {
     {6, 24, 6},    // AoS x, order 6
     {8, 24, 8},    // AoS x, order 8
@@ -25,7 +30,12 @@ const Shape kShapes[] = {
     {11, 264, 11}, // AoS y fused, order 11
     {21, 8, 8},    // AoSoA x, order 8
     {21, 16, 11},  // AoSoA x, order 11
+    {9, 8, 8},     // elastic AoSoA x-line, order 8 (loh1_o8_serial)
+    {8, 72, 8},    // elastic AoSoA y/z slab, order 8
+    {9, 8, 6},     // elastic AoSoA x-line, order 6 (loh1_stiff_lts)
+    {2, 8, 4},     // acoustic AoSoA x-line, order 4 (planewave)
 };
+constexpr int kLastShape = static_cast<int>(std::size(kShapes)) - 1;
 
 void run_gemm(benchmark::State& state, Isa isa, bool reference) {
   const Shape shape = kShapes[state.range(0)];
@@ -94,11 +104,11 @@ void BM_Avx512F32(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_Naive)->DenseRange(0, 6);
-BENCHMARK(BM_Baseline)->DenseRange(0, 6);
-BENCHMARK(BM_Avx2)->DenseRange(0, 6);
-BENCHMARK(BM_Avx512)->DenseRange(0, 6);
-BENCHMARK(BM_Avx2F32)->DenseRange(0, 6);
-BENCHMARK(BM_Avx512F32)->DenseRange(0, 6);
+BENCHMARK(BM_Naive)->DenseRange(0, kLastShape);
+BENCHMARK(BM_Baseline)->DenseRange(0, kLastShape);
+BENCHMARK(BM_Avx2)->DenseRange(0, kLastShape);
+BENCHMARK(BM_Avx512)->DenseRange(0, kLastShape);
+BENCHMARK(BM_Avx2F32)->DenseRange(0, kLastShape);
+BENCHMARK(BM_Avx512F32)->DenseRange(0, kLastShape);
 
 BENCHMARK_MAIN();

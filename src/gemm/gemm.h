@@ -11,11 +11,21 @@
 // vectorized axis; callers arrange their layouts so that N is the padded
 // quantity dimension (AoS) or the padded x-line / fused dimensions (AoSoA).
 //
-// Three ISA paths are compiled into the library from one shared inner-loop
-// template (see gemm_impl.h): a baseline path (no -m flags: GCC emits SSE2,
+// Three ISA paths are compiled into the library from one shared schedule
+// (see gemm_impl.h): a baseline path (no -m flags: GCC emits SSE2,
 // mirroring "compiler heuristics" 128-bit packing), an AVX2 path and an
 // AVX-512 path. Dispatch is explicit via the Isa argument so benchmarks can
 // compare code paths on one machine (Fig. 4: LoG AVX-512 vs LoG AVX2).
+//
+// The schedule is LIBXSMM-style register blocking: MB x JB tiles of C
+// whose accumulators stay in vector registers across the k-loop, each B
+// row segment loaded once per tile and shared by its MB rows. The tile
+// shape follows each path's register file (16 vector registers on baseline
+// and AVX2, 32 on AVX-512). Every C element is computed by the same
+// operation sequence whatever tile, row count or column window it falls
+// in, so results are bit-identical across tile shapes: splitting a GEMM
+// into row or column pieces (AoSoA row masking, autotuned slab sizes,
+// thread and shard splits) never changes a bit.
 //
 // Every call reports its FLOPs (2*M*N*K, padding included) to FlopCounter,
 // classified by the packing width of the selected path.

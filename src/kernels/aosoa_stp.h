@@ -38,6 +38,7 @@
 #include "exastp/kernels/fusion_autotune.h"
 #include "exastp/kernels/stp_common.h"
 #include "exastp/pde/pde_base.h"
+#include "exastp/pde/pde_lines.h"
 #include "exastp/perf/flop_count.h"
 #include "exastp/tensor/transpose.h"
 
@@ -246,19 +247,18 @@ class AosoaStpT {
     }
   }
 
-  // The PDE line functions are templated on the scalar type (the fp32
-  // overloads dispatch to the _f32 ISA entry points), so both precisions
-  // run conversion-free on the working tensors.
+  // The PDE line functions run at the kernel's ISA in the kernel's scalar
+  // type, so both precisions sweep conversion-free at full SIMD width.
   void eval_flux_line(int d, const Real* src, std::size_t off) {
     const int np = aosoa_.n_pad;
-    pde_.flux_line(isa_, src + off, d, flux_.data() + off, np, np);
+    flux_line(isa_, pde_, src + off, d, flux_.data() + off, np, np);
   }
 
   void eval_ncp_line(int d, const Real* src, Real* dst, std::size_t off) {
     const int np = aosoa_.n_pad;
     const long line = static_cast<long>(kQuants) * np;
-    pde_.ncp_line(isa_, src + off, gradq_.data() + off, d, line_buf_.data(),
-                  np, np);
+    ncp_line(isa_, pde_, src + off, gradq_.data() + off, d, line_buf_.data(),
+             np, np);
     vec_add(isa_, line, line_buf_.data(), dst + off);
   }
 

@@ -25,6 +25,7 @@
 #include "exastp/gemm/vecops.h"
 #include "exastp/kernels/derivative_ops.h"
 #include "exastp/kernels/stp_common.h"
+#include "exastp/pde/pde_lines.h"
 #include "exastp/perf/flop_count.h"
 #include "exastp/tensor/transpose.h"
 
@@ -107,8 +108,8 @@ class SoaUfStp {
     // flux = F_d(src), via the rejected scheme: AoS -> SoA, one vectorized
     // sweep over all n^3 nodes, SoA -> AoS.
     aos_to_soa(src, aos_, soa_in_.data(), soa_);
-    pde_.flux_line(isa_, soa_in_.data(), d, soa_out_.data(), soa_.n_pad,
-                   soa_.n_pad);
+    flux_line(isa_, pde_, soa_in_.data(), d, soa_out_.data(), soa_.n_pad,
+              soa_.n_pad);
     soa_to_aos(soa_out_.data(), soa_, flux_.data(), aos_);
     (void)nodes;
     aos_derivative(isa_, aos_, diff, inv_h, d, flux_.data(), dst,
@@ -118,8 +119,8 @@ class SoaUfStp {
     aos_derivative(isa_, aos_, diff, inv_h, d, src, gradq_.data(),
                    /*accumulate=*/false);
     aos_to_soa(gradq_.data(), aos_, soa_aux_.data(), soa_);
-    pde_.ncp_line(isa_, soa_in_.data(), soa_aux_.data(), d, soa_out_.data(),
-                  soa_.n_pad, soa_.n_pad);
+    ncp_line(isa_, pde_, soa_in_.data(), soa_aux_.data(), d, soa_out_.data(),
+             soa_.n_pad, soa_.n_pad);
     soa_to_aos(soa_out_.data(), soa_, gradq_.data(), aos_);
     vec_add(isa_, static_cast<long>(cell_), gradq_.data(), dst);
   }

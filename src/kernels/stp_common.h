@@ -26,6 +26,8 @@
 //                       accumulator must live in their own layout or
 //                       precision borrow a favg tensor, which is written
 //                       only after the time loop.
+//   Every output the caller passes is overwritten in full, padding
+//   included, so callers need not clear the buffers between calls.
 //
 // The corrector then computes q^{n+1} = q + dt * sum_d favg[d] + surface
 // terms built from qavg (see face.h and solver/ader_dg_solver.cpp). All

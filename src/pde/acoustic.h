@@ -14,9 +14,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "exastp/common/simd.h"
-#include "exastp/perf/flop_count.h"
-
 namespace exastp {
 
 struct AcousticPde {
@@ -65,40 +62,6 @@ struct AcousticPde {
   void wall_reflect(const double* q, int dir, double* out) const {
     for (int s = 0; s < kQuants; ++s) out[s] = q[s];
     out[kVx + dir] = -q[kVx + dir];
-  }
-
-  template <class Real>
-  void flux_line(Isa /*isa*/, const Real* q, int dir, Real* f, int len,
-                 int stride) const {
-    const Real* p = q + kP * stride;
-    const Real* vd = q + (kVx + dir) * stride;
-    const Real* rho = q + kRho * stride;
-    const Real* c = q + kC * stride;
-    Real* fp = f + kP * stride;
-    for (int s = kVx; s < kQuants; ++s) {
-      Real* fs = f + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) fs[i] = Real(0);
-    }
-    Real* fvd = f + (kVx + dir) * stride;
-#pragma omp simd
-    for (int i = 0; i < len; ++i) {
-      fp[i] = -rho[i] * c[i] * c[i] * vd[i];
-      // Padded lanes carry rho = 0; guard the division so zero-padding stays
-      // a valid input (the numerical hazard Sec. V-C warns about).
-      fvd[i] = rho[i] != Real(0) ? -p[i] / rho[i] : Real(0);
-    }
-    count_packed_flops(Isa::kScalar, len, kFluxFlops);
-  }
-
-  template <class Real>
-  void ncp_line(Isa /*isa*/, const Real* /*q*/, const Real* /*grad*/,
-                int /*dir*/, Real* out, int len, int stride) const {
-    for (int s = 0; s < kQuants; ++s) {
-      Real* os = out + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) os[i] = Real(0);
-    }
   }
 };
 

@@ -8,9 +8,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "exastp/common/simd.h"
-#include "exastp/perf/flop_count.h"
-
 namespace exastp {
 
 /// m decoupled advected quantities, all moving with one velocity vector:
@@ -45,32 +42,6 @@ struct AdvectionPde {
   double max_wave_speed(const double* /*q*/, int dir) const {
     return std::abs(velocity[dir]);
   }
-
-  /// Vectorized user function on an SoA chunk: quantity s occupies
-  /// q[s*stride + i] for lanes i in [0, len). Mirrors Fig. 8 of the paper.
-  /// Header implementation compiles at baseline ISA; counted as such.
-  template <class Real>
-  void flux_line(Isa /*isa*/, const Real* q, int dir, Real* f, int len,
-                 int stride) const {
-    const Real a = static_cast<Real>(-velocity[dir]);
-    for (int s = 0; s < kQuants; ++s) {
-      const Real* qs = q + s * stride;
-      Real* fs = f + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) fs[i] = a * qs[i];
-    }
-    count_packed_flops(Isa::kScalar, len, kFluxFlops);
-  }
-
-  template <class Real>
-  void ncp_line(Isa /*isa*/, const Real* /*q*/, const Real* /*grad*/,
-                int /*dir*/, Real* out, int len, int stride) const {
-    for (int s = 0; s < kQuants; ++s) {
-      Real* os = out + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) os[i] = Real(0);
-    }
-  }
 };
 
 /// The same physics expressed purely through the non-conservative product:
@@ -104,29 +75,6 @@ struct AdvectionNcpPde {
 
   double max_wave_speed(const double* /*q*/, int dir) const {
     return std::abs(velocity[dir]);
-  }
-
-  template <class Real>
-  void flux_line(Isa /*isa*/, const Real* /*q*/, int /*dir*/, Real* f,
-                 int len, int stride) const {
-    for (int s = 0; s < kQuants; ++s) {
-      Real* fs = f + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) fs[i] = Real(0);
-    }
-  }
-
-  template <class Real>
-  void ncp_line(Isa /*isa*/, const Real* /*q*/, const Real* grad,
-                int dir, Real* out, int len, int stride) const {
-    const Real a = static_cast<Real>(-velocity[dir]);
-    for (int s = 0; s < kQuants; ++s) {
-      const Real* gs = grad + s * stride;
-      Real* os = out + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) os[i] = a * gs[i];
-    }
-    count_packed_flops(Isa::kScalar, len, kNcpFlops);
   }
 };
 

@@ -26,10 +26,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "exastp/common/simd.h"
-#include "exastp/pde/curvilinear_vect_impl.h"
-#include "exastp/perf/flop_count.h"
-
 namespace exastp {
 
 struct CurvilinearElasticPde {
@@ -88,76 +84,6 @@ struct CurvilinearElasticPde {
     const double g1 = q[kMetric + 3 * dir + 1];
     const double g2 = q[kMetric + 3 * dir + 2];
     return q[kCp] * std::sqrt(g0 * g0 + g1 * g1 + g2 * g2);
-  }
-
-  /// Vectorized user functions: dispatched to the ISA-specific translation
-  /// units, so an AVX-512 run genuinely executes 512-bit packed user
-  /// functions (paper Sec. V-C / Fig. 9 "AoSoA SplitCK"). The float
-  /// overloads hit the _f32 entry points of the same TUs (same schedule,
-  /// twice the lanes); the FLOP accounting is identical by convention —
-  /// fp32 lanes are counted at the double packing width (see gemm.h).
-  void flux_line(Isa isa, const double* q, int dir, double* f, int len,
-                 int stride) const {
-    switch (isa) {
-      case Isa::kScalar:
-        detail::curvi_flux_line_baseline(q, dir, f, len, stride);
-        break;
-      case Isa::kAvx2:
-        detail::curvi_flux_line_avx2(q, dir, f, len, stride);
-        break;
-      case Isa::kAvx512:
-        detail::curvi_flux_line_avx512(q, dir, f, len, stride);
-        break;
-    }
-    count_packed_flops(isa, len, kFluxFlops);
-  }
-
-  void flux_line(Isa isa, const float* q, int dir, float* f, int len,
-                 int stride) const {
-    switch (isa) {
-      case Isa::kScalar:
-        detail::curvi_flux_line_baseline_f32(q, dir, f, len, stride);
-        break;
-      case Isa::kAvx2:
-        detail::curvi_flux_line_avx2_f32(q, dir, f, len, stride);
-        break;
-      case Isa::kAvx512:
-        detail::curvi_flux_line_avx512_f32(q, dir, f, len, stride);
-        break;
-    }
-    count_packed_flops(isa, len, kFluxFlops);
-  }
-
-  void ncp_line(Isa isa, const double* q, const double* grad, int dir,
-                double* out, int len, int stride) const {
-    switch (isa) {
-      case Isa::kScalar:
-        detail::curvi_ncp_line_baseline(q, grad, dir, out, len, stride);
-        break;
-      case Isa::kAvx2:
-        detail::curvi_ncp_line_avx2(q, grad, dir, out, len, stride);
-        break;
-      case Isa::kAvx512:
-        detail::curvi_ncp_line_avx512(q, grad, dir, out, len, stride);
-        break;
-    }
-    count_packed_flops(isa, len, kNcpFlops);
-  }
-
-  void ncp_line(Isa isa, const float* q, const float* grad, int dir,
-                float* out, int len, int stride) const {
-    switch (isa) {
-      case Isa::kScalar:
-        detail::curvi_ncp_line_baseline_f32(q, grad, dir, out, len, stride);
-        break;
-      case Isa::kAvx2:
-        detail::curvi_ncp_line_avx2_f32(q, grad, dir, out, len, stride);
-        break;
-      case Isa::kAvx512:
-        detail::curvi_ncp_line_avx512_f32(q, grad, dir, out, len, stride);
-        break;
-    }
-    count_packed_flops(isa, len, kNcpFlops);
   }
 };
 

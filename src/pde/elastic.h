@@ -13,9 +13,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "exastp/common/simd.h"
-#include "exastp/perf/flop_count.h"
-
 namespace exastp {
 
 struct ElasticPde {
@@ -99,71 +96,6 @@ struct ElasticPde {
   void wall_reflect(const double* q, int dir, double* out) const {
     for (int s = 0; s < kQuants; ++s) out[s] = q[s];
     out[kVx + dir] = -q[kVx + dir];
-  }
-
-  template <class Real>
-  void flux_line(Isa /*isa*/, const Real* q, int dir, Real* f, int len,
-                 int stride) const {
-    auto row = [&](int s) { return q + s * stride; };
-    auto out = [&](int s) { return f + s * stride; };
-    for (int s = 0; s < kQuants; ++s) {
-      Real* fs = out(s);
-#pragma omp simd
-      for (int i = 0; i < len; ++i) fs[i] = Real(0);
-    }
-    const Real* rho = row(kRho);
-    const Real* cp = row(kCp);
-    const Real* cs = row(kCs);
-    const Real* vd = row(kVx + dir);
-    const int c0 = kStressCol[dir][0], c1 = kStressCol[dir][1],
-              c2 = kStressCol[dir][2];
-    Real* fvx = out(kVx);
-    Real* fvy = out(kVy);
-    Real* fvz = out(kVz);
-    Real* fsxx = out(kSxx);
-    Real* fsyy = out(kSyy);
-    Real* fszz = out(kSzz);
-#pragma omp simd
-    for (int i = 0; i < len; ++i) {
-      // Guard against zero-padded lanes (rho = 0): Sec. V-C.
-      const Real inv_rho = rho[i] != Real(0) ? Real(1) / rho[i] : Real(0);
-      const Real mu = rho[i] * cs[i] * cs[i];
-      const Real lam = rho[i] * cp[i] * cp[i] - Real(2) * mu;
-      fvx[i] = row(c0)[i] * inv_rho;
-      fvy[i] = row(c1)[i] * inv_rho;
-      fvz[i] = row(c2)[i] * inv_rho;
-      fsxx[i] = (dir == 0 ? lam + Real(2) * mu : lam) * vd[i];
-      fsyy[i] = (dir == 1 ? lam + Real(2) * mu : lam) * vd[i];
-      fszz[i] = (dir == 2 ? lam + Real(2) * mu : lam) * vd[i];
-    }
-    Real* fa = nullptr;
-    Real* fb = nullptr;
-    const Real* va = nullptr;
-    const Real* vb = nullptr;
-    switch (dir) {
-      case 0: fa = out(kSxz); va = row(kVz); fb = out(kSxy); vb = row(kVy); break;
-      case 1: fa = out(kSyz); va = row(kVz); fb = out(kSxy); vb = row(kVx); break;
-      case 2: fa = out(kSyz); va = row(kVy); fb = out(kSxz); vb = row(kVx); break;
-    }
-    const Real* rho2 = row(kRho);
-    const Real* cs2 = row(kCs);
-#pragma omp simd
-    for (int i = 0; i < len; ++i) {
-      const Real mu = rho2[i] * cs2[i] * cs2[i];
-      fa[i] = mu * va[i];
-      fb[i] = mu * vb[i];
-    }
-    count_packed_flops(Isa::kScalar, len, kFluxFlops);
-  }
-
-  template <class Real>
-  void ncp_line(Isa /*isa*/, const Real* /*q*/, const Real* /*grad*/,
-                int /*dir*/, Real* out, int len, int stride) const {
-    for (int s = 0; s < kQuants; ++s) {
-      Real* os = out + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) os[i] = Real(0);
-    }
   }
 };
 

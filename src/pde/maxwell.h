@@ -14,9 +14,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "exastp/common/simd.h"
-#include "exastp/perf/flop_count.h"
-
 namespace exastp {
 
 struct MaxwellPde {
@@ -73,44 +70,6 @@ struct MaxwellPde {
     for (int i = 0; i < 3; ++i)
       if (i != dir) out[kEx + i] = -q[kEx + i];
     out[kHx + dir] = -q[kHx + dir];
-  }
-
-  template <class Real>
-  void flux_line(Isa /*isa*/, const Real* q, int dir, Real* f, int len,
-                 int stride) const {
-    for (int s = 0; s < kQuants; ++s) {
-      Real* fs = f + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) fs[i] = Real(0);
-    }
-    const Real* eps = q + kEps * stride;
-    const Real* mu = q + kMu * stride;
-    for (int i = 0; i < 3; ++i)
-      for (int k = 0; k < 3; ++k) {
-        const Real e = static_cast<Real>(levi(i, dir, k));
-        if (e == Real(0)) continue;
-        Real* fe = f + (kEx + i) * stride;
-        Real* fh = f + (kHx + i) * stride;
-        const Real* hk = q + (kHx + k) * stride;
-        const Real* ek = q + (kEx + k) * stride;
-#pragma omp simd
-        for (int l = 0; l < len; ++l) {
-          // Zero-padded lanes carry eps = mu = 0; guard the divisions.
-          fe[l] += eps[l] != Real(0) ? e * hk[l] / eps[l] : Real(0);
-          fh[l] -= mu[l] != Real(0) ? e * ek[l] / mu[l] : Real(0);
-        }
-      }
-    count_packed_flops(Isa::kScalar, len, kFluxFlops);
-  }
-
-  template <class Real>
-  void ncp_line(Isa /*isa*/, const Real* /*q*/, const Real* /*grad*/,
-                int /*dir*/, Real* out, int len, int stride) const {
-    for (int s = 0; s < kQuants; ++s) {
-      Real* os = out + s * stride;
-#pragma omp simd
-      for (int i = 0; i < len; ++i) os[i] = Real(0);
-    }
   }
 };
 

@@ -11,9 +11,10 @@
 //  * CRTP PDE structs (advection.h, acoustic.h, ...) — compile-time quantity
 //    counts and inlineable pointwise calls; the optimized kernels are
 //    templated on the concrete PDE exactly as the paper's generated kernels
-//    hard-code the user functions (Sec. III-C). Every PDE also provides
-//    *_line functions operating on an SoA chunk (one padded x-line), the
-//    vectorizable user-function flavour of Sec. V-C.
+//    hard-code the user functions (Sec. III-C). Every PDE also has line
+//    functions operating on an SoA chunk (one padded x-line), the
+//    vectorizable user-function flavour of Sec. V-C: flux_line/ncp_line in
+//    pde_lines.h, with the bodies of all PDEs in pde_lines_impl.h.
 //
 // Conventions shared by all PDEs:
 //  * A node stores kQuants = kVars + kParams doubles: evolved quantities
@@ -30,11 +31,12 @@
 //
 // FLOP accounting convention: pointwise flux()/ncp() do NOT touch the
 // counter (kernels batch-account them per sweep using kFluxFlops/kNcpFlops,
-// classified scalar); the *_line functions DO count internally, classified by
-// the packing width their code actually compiles to — the generic header
-// implementations are baseline-compiled (128-bit class) while PDEs with
-// dedicated ISA translation units (curvilinear elastic) count at the
-// dispatched width.
+// classified scalar); the line functions DO count, kFluxFlops/kNcpFlops per
+// lane, classified by the packing width their code compiles to. Every
+// PDE's line bodies are compiled once per ISA translation unit and
+// dispatched on the kernel's Isa, so they count at the dispatched width
+// (128 bits for Isa::kScalar's baseline TU, 256 for AVX2, 512 for
+// AVX-512), the width the trace-model twins book them at.
 #pragma once
 
 #include <cstdint>

@@ -100,14 +100,18 @@ constexpr WidthClass packed_width_class(Isa isa) {
 
 /// Accounts for a vectorized sweep of `lanes` elements at `flops_per_lane`;
 /// the remainder that does not fill a vector register counts as scalar.
+/// Runs once per GEMM and line-function call, so it looks the counter up
+/// once and issues only the nonzero adds.
 inline void count_packed_flops(Isa isa, long lanes,
                                std::uint64_t flops_per_lane) {
+  if (flops_per_lane == 0) return;
   const int w = vector_width(isa);
   const long packed = lanes / w * w;
-  FlopCounter::instance().add(packed_width_class(isa),
-                              flops_per_lane * packed);
-  FlopCounter::instance().add(WidthClass::kScalar,
-                              flops_per_lane * (lanes - packed));
+  FlopCounter& counter = FlopCounter::instance();
+  if (packed > 0)
+    counter.add(packed_width_class(isa), flops_per_lane * packed);
+  if (lanes > packed)
+    counter.add(WidthClass::kScalar, flops_per_lane * (lanes - packed));
 }
 
 /// RAII helper: snapshots the global counter and returns the delta.

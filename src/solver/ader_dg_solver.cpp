@@ -150,14 +150,6 @@ void AderDgSolver::predict_cell(
   double* qavg_c = qavg_.data() + static_cast<std::size_t>(c) * cell_size_;
   double* qnew_c = qnew_.data() + static_cast<std::size_t>(c) * cell_size_;
 
-  std::memcpy(qnew_c, qc, cell_size_ * sizeof(double));
-
-  // favg goes straight into the volume update, so three temporaries per
-  // thread suffice.
-  ts.favg0.assign(cell_size_, 0.0);
-  ts.favg1.assign(cell_size_, 0.0);
-  ts.favg2.assign(cell_size_, 0.0);
-
   SourceTerm src;
   const SourceTerm* src_ptr = nullptr;
   for (const auto& prepared : sources_) {
@@ -175,13 +167,25 @@ void AderDgSolver::predict_cell(
   double* half_c = nullptr;
   if (lts_enabled_ && needs_half_[static_cast<std::size_t>(c)] != 0)
     half_c = qavg_half_.data() + static_cast<std::size_t>(c) * cell_size_;
+  // favg goes straight into the volume update, so three temporaries per
+  // thread suffice; the kernel overwrites them in full (stp_common.h).
   StpOutputs out{qavg_c,
                  {ts.favg0.data(), ts.favg1.data(), ts.favg2.data()},
                  half_c};
   ts.kernel.run(qc, dt, inv_dx, src_ptr, out);
 
-  for (const double* f : {ts.favg0.data(), ts.favg1.data(), ts.favg2.data()})
-    for (std::size_t i = 0; i < cell_size_; ++i) qnew_c[i] += dt * f[i];
+  // qnew = q + dt * favg0 + dt * favg1 + dt * favg2 in one sweep, each
+  // element summed left to right in that order.
+  const double* f0 = ts.favg0.data();
+  const double* f1 = ts.favg1.data();
+  const double* f2 = ts.favg2.data();
+  for (std::size_t i = 0; i < cell_size_; ++i) {
+    double v = qc[i];
+    v += dt * f0[i];
+    v += dt * f1[i];
+    v += dt * f2[i];
+    qnew_c[i] = v;
+  }
   FlopCounter::instance().add(WidthClass::k128, 6ull * cell_size_);
 
   if (src_ptr != nullptr) {

@@ -1,9 +1,13 @@
 // Tests for src/gemm: every ISA path against the reference triple loop over
 // a shape sweep covering the slice shapes used by the STP kernels, leading
-// dimension handling, accumulate/overwrite semantics, and FLOP accounting.
+// dimension handling, accumulate/overwrite semantics, FLOP accounting, and
+// bit stability of the register-tiled schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <random>
+#include <vector>
 
 #include "exastp/common/aligned.h"
 #include "exastp/gemm/gemm.h"
@@ -179,6 +183,91 @@ TEST(GemmProperty, LinearityInA) {
                   rhs.data(), n);
   gemm_acc(Isa::kAvx512, m, n, k, a2.data(), k, b.data(), n, rhs.data(), n);
   for (int i = 0; i < m * n; ++i) EXPECT_NEAR(lhs[i], rhs[i], 1e-12);
+}
+
+// Bit stability of the register tiles: every C element keeps one operation
+// sequence whatever tile, row count or column window computes it. So any
+// split of a GEMM into row pieces (AoSoA row masking, thread and shard
+// splits) or column pieces (autotuned slab sizes) reproduces the unsplit
+// call bit for bit. A tile holds at most kMaxTileRows rows on every ISA
+// path, so M = 1 .. 2 * kMaxTileRows + 1 straddles every tile edge (full
+// tiles and every remainder size); N crosses the 32/16/8/4 column tiers
+// and the scalar tail.
+constexpr int kMaxTileRows = 8;
+
+enum class GemmMode { kSet, kAcc, kSetScaled, kAccScaled };
+
+template <class Real>
+void call_gemm(GemmMode mode, Isa isa, int m, int n, int k, const Real* a,
+               int lda, const Real* b, int ldb, Real* c, int ldc) {
+  const Real alpha = Real(-0.37);
+  switch (mode) {
+    case GemmMode::kSet:
+      gemm_set(isa, m, n, k, a, lda, b, ldb, c, ldc);
+      break;
+    case GemmMode::kAcc:
+      gemm_acc(isa, m, n, k, a, lda, b, ldb, c, ldc);
+      break;
+    case GemmMode::kSetScaled:
+      gemm_set_scaled(isa, alpha, m, n, k, a, lda, b, ldb, c, ldc);
+      break;
+    case GemmMode::kAccScaled:
+      gemm_acc_scaled(isa, alpha, m, n, k, a, lda, b, ldb, c, ldc);
+      break;
+  }
+}
+
+template <class Real>
+void expect_bit_stable(Isa isa) {
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  const int windows[] = {5, 1, 12, 3, 9, 33};
+  for (int k : {1, 5, 8})
+    for (int m = 1; m <= 2 * kMaxTileRows + 1; ++m)
+      for (int n : {1, 3, 4, 7, 8, 12, 15, 16, 20, 24, 31, 32, 36, 45, 48,
+                    63, 64, 72, 100})
+        for (GemmMode mode : {GemmMode::kSet, GemmMode::kAcc,
+                              GemmMode::kSetScaled, GemmMode::kAccScaled}) {
+          const int lda = k + 1, ldb = n + 2, ldc = n + 3;
+          std::vector<Real> a(static_cast<std::size_t>(m) * lda);
+          std::vector<Real> b(static_cast<std::size_t>(k) * ldb);
+          std::vector<Real> c(static_cast<std::size_t>(m) * ldc);
+          for (auto* v : {&a, &b, &c})
+            for (auto& x : *v) x = static_cast<Real>(dist(rng));
+          std::vector<Real> full = c;
+          call_gemm(mode, isa, m, n, k, a.data(), lda, b.data(), ldb,
+                    full.data(), ldc);
+          // Each row on its own (M = 1).
+          std::vector<Real> rows = c;
+          for (int i = 0; i < m; ++i)
+            call_gemm(mode, isa, 1, n, k, a.data() + i * lda, lda, b.data(),
+                      ldb, rows.data() + i * ldc, ldc);
+          // Consecutive narrower column windows.
+          std::vector<Real> cols = c;
+          for (int j0 = 0, t = 0; j0 < n; ++t) {
+            const int w = std::min(windows[t % 6], n - j0);
+            call_gemm(mode, isa, m, w, k, a.data(), lda, b.data() + j0, ldb,
+                      cols.data() + j0, ldc);
+            j0 += w;
+          }
+          const std::size_t bytes = c.size() * sizeof(Real);
+          if (std::memcmp(full.data(), rows.data(), bytes) != 0 ||
+              std::memcmp(full.data(), cols.data(), bytes) != 0) {
+            ADD_FAILURE() << "split changed bits: m=" << m << " n=" << n
+                          << " k=" << k
+                          << " mode=" << static_cast<int>(mode);
+            return;
+          }
+        }
+}
+
+TEST(GemmBits, RowAndColumnSplitsAreBitIdentical) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    SCOPED_TRACE(isa_name(isa));
+    expect_bit_stable<double>(isa);
+    expect_bit_stable<float>(isa);
+  }
 }
 
 }  // namespace

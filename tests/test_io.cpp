@@ -41,7 +41,7 @@ Simulation planewave_sim(const std::vector<std::string>& extra = {}) {
   // A base default survives only when `extra` does not set the same key —
   // duplicate config keys are a hard parse error.
   std::vector<std::string> args;
-  for (const std::string& def :
+  for (const std::string def :
        {"scenario=planewave", "order=4", "cells=3x3x3", "t_end=0.1"}) {
     const std::string key = def.substr(0, def.find('=') + 1);
     bool overridden = false;

@@ -228,7 +228,7 @@ TEST(LtsSolver, OneClusterBitwiseMatchesGlobalStepping) {
                                       "cells=4x4x2", "t_end=0.1"};
   Simulation global = run_with(base, {"shards=1", "threads=1"});
   EXPECT_EQ(global.solver().lts_num_clusters(), 1);
-  for (const std::string& shards : {"1", "2x2x1"}) {
+  for (const std::string shards : {"1", "2x2x1"}) {
     for (const int threads : {1, 4}) {
       Simulation lts = run_with(
           base, {"lts=on", "lts_clusters=1", "shards=" + shards,

@@ -327,7 +327,7 @@ TEST(OversubVtk, SeriesPartIdsAreDistinctAndStablePerShard) {
   // Each indexed piece file exists and is named by its shard id.
   for (std::size_t i = 0; i < snapshots; ++i)
     for (int p = 0; p < 4; ++p) {
-      char suffix[24];
+      char suffix[48];
       std::snprintf(suffix, sizeof(suffix), "_%04zu_p%02d.vtk", i, p);
       EXPECT_NE(pvd.find(suffix), std::string::npos) << suffix;
       EXPECT_TRUE(std::ifstream(base + suffix).good()) << base + suffix;

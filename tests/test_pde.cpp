@@ -12,6 +12,7 @@
 #include "exastp/pde/curvilinear_elastic.h"
 #include "exastp/pde/elastic.h"
 #include "exastp/pde/pde_base.h"
+#include "exastp/pde/pde_lines.h"
 #include "exastp/pde/point_source.h"
 
 namespace exastp {
@@ -137,9 +138,10 @@ TYPED_TEST(PdeTypedTest, LineFunctionsMatchPointwise) {
   std::vector<double> b_line(TypeParam::kQuants * kStride, -1.0);
   std::vector<double> f_pt(TypeParam::kQuants), b_pt(TypeParam::kQuants);
   for (int dir = 0; dir < 3; ++dir) {
-    pde.flux_line(Isa::kScalar, qs.data(), dir, f_line.data(), kLen, kStride);
-    pde.ncp_line(Isa::kScalar, qs.data(), gs.data(), dir, b_line.data(),
-                 kLen, kStride);
+    flux_line(Isa::kScalar, pde, qs.data(), dir, f_line.data(), kLen,
+              kStride);
+    ncp_line(Isa::kScalar, pde, qs.data(), gs.data(), dir, b_line.data(),
+             kLen, kStride);
     for (int i = 0; i < kLen; ++i) {
       pde.flux(q_nodes[i].data(), dir, f_pt.data());
       pde.ncp(q_nodes[i].data(), g_nodes[i].data(), dir, b_pt.data());
@@ -166,9 +168,9 @@ TYPED_TEST(PdeTypedTest, LineFunctionsTolerateZeroPaddedLanes) {
   std::vector<double> f(TypeParam::kQuants * kStride, 0.0);
   std::vector<double> b(TypeParam::kQuants * kStride, 0.0);
   for (int dir = 0; dir < 3; ++dir) {
-    pde.flux_line(Isa::kScalar, qs.data(), dir, f.data(), kLen, kStride);
-    pde.ncp_line(Isa::kScalar, qs.data(), gs.data(), dir, b.data(), kLen,
-                 kStride);
+    flux_line(Isa::kScalar, pde, qs.data(), dir, f.data(), kLen, kStride);
+    ncp_line(Isa::kScalar, pde, qs.data(), gs.data(), dir, b.data(), kLen,
+             kStride);
     for (double v : f) EXPECT_TRUE(std::isfinite(v));
     for (double v : b) EXPECT_TRUE(std::isfinite(v));
   }
@@ -190,15 +192,15 @@ TYPED_TEST(PdeTypedTest, IsaLineVariantsAgree) {
   }
   std::vector<double> ref_f(TypeParam::kQuants * kStride);
   std::vector<double> ref_b(TypeParam::kQuants * kStride);
-  pde.flux_line(Isa::kScalar, qs.data(), 1, ref_f.data(), kLen, kStride);
-  pde.ncp_line(Isa::kScalar, qs.data(), gs.data(), 1, ref_b.data(), kLen,
-               kStride);
+  flux_line(Isa::kScalar, pde, qs.data(), 1, ref_f.data(), kLen, kStride);
+  ncp_line(Isa::kScalar, pde, qs.data(), gs.data(), 1, ref_b.data(), kLen,
+           kStride);
   for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
     if (!host_supports(isa)) continue;
     std::vector<double> f(TypeParam::kQuants * kStride);
     std::vector<double> b(TypeParam::kQuants * kStride);
-    pde.flux_line(isa, qs.data(), 1, f.data(), kLen, kStride);
-    pde.ncp_line(isa, qs.data(), gs.data(), 1, b.data(), kLen, kStride);
+    flux_line(isa, pde, qs.data(), 1, f.data(), kLen, kStride);
+    ncp_line(isa, pde, qs.data(), gs.data(), 1, b.data(), kLen, kStride);
     for (std::size_t i = 0; i < f.size(); ++i) {
       EXPECT_NEAR(f[i], ref_f[i], 1e-13);
       EXPECT_NEAR(b[i], ref_b[i], 1e-13);

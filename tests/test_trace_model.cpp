@@ -6,6 +6,7 @@
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
 #include "exastp/pde/curvilinear_elastic.h"
+#include "exastp/pde/elastic.h"
 #include "exastp/perf/trace_model.h"
 #include "exastp/tensor/transpose.h"
 
@@ -35,6 +36,10 @@ FlopCounter real_kernel_flops(StpVariant variant, int order, Isa isa,
           node[Pde::kCp] = 6.0;
           node[Pde::kCs] = 3.4;
           for (int r = 0; r < 3; ++r) node[Pde::kMetric + 3 * r + r] = 1.0;
+        } else if constexpr (std::is_same_v<Pde, ElasticPde>) {
+          node[Pde::kRho] = 2.7;
+          node[Pde::kCp] = 6.0;
+          node[Pde::kCs] = 3.4;
         } else if constexpr (std::is_same_v<Pde, AcousticPde>) {
           node[Pde::kRho] = 1.0;
           node[Pde::kC] = 2.0;
@@ -110,17 +115,27 @@ INSTANTIATE_TEST_SUITE_P(
                       TwinCase{StpVariant::kAosoaSplitCk, 6, true},
                       TwinCase{StpVariant::kAosoaSplitCk, 9, true}));
 
-TEST(TraceModel, AcousticTwinTotalsMatchToo) {
-  // Second PDE to pin the parameterization (quants/flux/ncp flops).
+template <class Pde>
+void expect_twins_match_per_width_class(int order) {
   for (StpVariant v : kAllVariants) {
     // The rejected SoA-UF ablation variant has no trace twin.
     if (v == StpVariant::kSoaUfSplitCk) continue;
-    FlopCounter real = real_kernel_flops<AcousticPde>(v, 4, host_best_isa());
+    const Isa isa = host_best_isa();
+    FlopCounter real = real_kernel_flops<Pde>(v, order, isa);
     CacheSim sim = CacheSim::skylake_sp();
-    TwinResult twin =
-        trace_stp(v, 4, twin_pde<AcousticPde>(), host_best_isa(), sim, 0, 1);
-    EXPECT_EQ(twin.flops.total(), real.total()) << variant_name(v);
+    TwinResult twin = trace_stp(v, order, twin_pde<Pde>(), isa, sim, 0, 1);
+    for (int c = 0; c < kNumWidthClasses; ++c)
+      EXPECT_EQ(twin.flops.flops[c], real.flops[c])
+          << Pde::kName << " " << variant_name(v) << " width class " << c;
   }
+}
+
+TEST(TraceModel, AcousticAndElasticTwinsMatchPerWidthClass) {
+  // Two more PDEs pin the parameterization (quants, flux/ncp flops, flux
+  // row masks), and the per-class ledger pins where the line functions
+  // run: at the kernel's ISA, which the AoSoA twin assumes.
+  expect_twins_match_per_width_class<AcousticPde>(4);
+  expect_twins_match_per_width_class<ElasticPde>(8);
 }
 
 TEST(TraceModel, LogStallsExceedSplitCkAtHighOrder) {
