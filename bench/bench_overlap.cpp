@@ -94,7 +94,8 @@ std::unique_ptr<ShardedSolver> make_oversub_solver(
   solver->enable_lts(clustering.cluster, clustering.num_clusters);
   if (latency_seconds > 0.0)
     solver->set_exchange_backend(std::make_unique<InProcessExchange>(
-        solver->partition(), solver->layout().size(), latency_seconds));
+        solver->partition(), FaceLayout(solver->layout()).size(),
+        latency_seconds));
   return solver;
 }
 

@@ -1,32 +1,57 @@
-// Face-level operations of the corrector step (paper eq. (5)).
+// Face traces and the surface half of the corrector (paper eq. (5)).
 //
-// The STP emits the time-averaged state qavg; the corrector projects it to
-// the six element faces ("performed by a single matrix-matrix
-// multiplication, leaving no room for optimization" — Sec. II-B), solves a
-// Rusanov Riemann problem per face from both sides' projections, and applies
-// the strong-form DGSEM surface lift. For a linear PDE the numerical flux is
-// linear in its inputs (the assumption of Sec. II-A), so operating on
-// time-averaged quantities is exact.
+// A face trace is a cell's time-averaged state projected onto one of its
+// six faces: n^2 nodes x m_pad quantities, AoS with the same quantity
+// padding as the cell tensor. Node (a, b) are the two in-face coordinates
+// in ascending dimension order (x-face: (y, z), y-face: (x, z), z-face:
+// (x, y)). The paper calls the projection "a single matrix-matrix
+// multiplication, leaving no room for optimization" (Sec. II-B) and
+// re-projects both cells at every face. Here each cell publishes its
+// traces once, like ExaHyPE's engine (Reinarz et al., "ExaHyPE: An engine
+// for parallel dynamically adaptive simulations of wave problems", Comput.
+// Phys. Commun. 254, 2020):
 //
-// Face patch layout: AoS with the same quantity padding as the cell tensor;
-// node (a, b) are the two in-face coordinates in ascending dimension order
-// (x-face: (y,z), y-face: (x,z), z-face: (x,y)).
+//   project_faces   one pass over a cell tensor fills its six traces (the
+//                   ADER predictor's tail; every RK stage state);
+//   surface_update  solves one cell's six Rusanov problems from its own
+//                   traces and one trace per neighbour (a ghost trace on
+//                   wall/outflow faces), then applies the strong-form
+//                   DGSEM lift of all six faces in one pass over the cell.
+//                   Each element adds its six terms in the order x0, x1,
+//                   y0, y1, z0, z1.
+//
+// Both bodies live in face_impl.h and are compiled once per ISA
+// translation unit (pde_lines_<isa>.cpp); the functions below dispatch on
+// the Isa, and each call books its FLOPs once, at the dispatched packing
+// width. surface_update is templated on the concrete PDE; the solvers
+// reach it through one virtual PdeRuntime::surface_update call per cell.
+//
+// Storage: a view's trace buffer keeps six traces per owned cell (face
+// f = 2 dir + side of cell c at slot 6c + f) followed by one trace per
+// halo slot — the face that halo cell shares with the view. That one
+// trace per halo cell is the unit the halo exchange moves
+// (solver/exchange_backend.h).
+//
+// Faces stay cell-centric: each interior face is solved once from each
+// side, always assembled as (left = lower cell, right = upper cell), so
+// both cells compute the same F* bits from the same two traces. The sweeps
+// need no face ownership, are race-free, and their bits do not depend on
+// the decomposition. For a linear PDE the numerical flux is linear in its
+// inputs (Sec. II-A), so solving on time-averaged traces is exact, and the
+// LTS cross-cluster combinations can be formed on traces (docs/lts.md).
 #pragma once
 
 #include <array>
-#include <cstring>
-#include <vector>
+#include <cstddef>
 
 #include "exastp/basis/basis_tables.h"
-#include "exastp/common/check.h"
-#include "exastp/kernels/stp_common.h"
+#include "exastp/common/simd.h"
 #include "exastp/mesh/grid.h"
-#include "exastp/pde/pde_base.h"
-#include "exastp/perf/flop_count.h"
+#include "exastp/tensor/layout.h"
 
 namespace exastp {
 
-/// Layout of one face patch: n^2 nodes, padded quantities.
+/// Layout of one face trace: n^2 nodes, padded quantities.
 struct FaceLayout {
   int n = 0;
   int m = 0;
@@ -41,208 +66,102 @@ struct FaceLayout {
   }
 };
 
-/// Projects a cell tensor onto the face normal to `dir` on `side`
-/// (0 = lower/left, 1 = upper/right): face[(a,b),s] = sum_l phi_side[l] *
-/// q[node with dim-dir index l].
-inline void project_to_face(const AosLayout& aos, const BasisTables& basis,
-                            const double* q, int dir, int side,
-                            double* face) {
-  EXASTP_CHECK(dir >= 0 && dir < 3);
-  const int n = aos.n;
-  const int mp = aos.m_pad;
-  const FaceLayout fl(aos);
-  const double* phi =
-      side == 0 ? basis.phi_left.data() : basis.phi_right.data();
-  std::memset(face, 0, fl.size() * sizeof(double));
-  for (int b = 0; b < n; ++b)
-    for (int a = 0; a < n; ++a) {
-      double* dst = face + fl.idx(b, a, 0);
-      for (int l = 0; l < n; ++l) {
-        // Cell node with the dir coordinate = l and in-face coords (a, b).
-        int k1 = 0, k2 = 0, k3 = 0;
-        switch (dir) {
-          case 0: k1 = l; k2 = a; k3 = b; break;
-          case 1: k1 = a; k2 = l; k3 = b; break;
-          default: k1 = a; k2 = b; k3 = l; break;
-        }
-        const double* src = q + aos.idx(k3, k2, k1, 0);
-        const double p = phi[l];
-#pragma omp simd
-        for (int s = 0; s < mp; ++s) dst[s] += p * src[s];
-      }
-    }
-  FlopCounter::instance().add(WidthClass::k128,
-                              2ull * n * n * n * mp);
+/// Traces in a view's trace buffer: six per owned cell, one per halo slot.
+inline std::size_t trace_count(const Grid& grid) {
+  return 6 * static_cast<std::size_t>(grid.num_cells()) +
+         static_cast<std::size_t>(grid.num_halo_cells());
 }
 
-/// Face scratch of one worker thread: both sides' projected states, their
-/// normal fluxes, and the Rusanov flux. Resize once per face layout.
-struct FaceWorkspace {
-  AlignedVector face_l, face_r, flux_l, flux_r, fstar;
-  std::vector<double> ghost_node;
+/// Slot of the trace of `cell` on face (dir, side) in a view's trace
+/// buffer (multiply by FaceLayout::size() for the offset). A halo slot
+/// (cell >= num_cells()) holds only the face it shares with the view, so
+/// (dir, side) must name that face.
+inline std::size_t trace_slot(const Grid& grid, int cell, int dir, int side) {
+  const std::size_t owned = static_cast<std::size_t>(grid.num_cells());
+  if (cell < grid.num_cells())
+    return 6 * static_cast<std::size_t>(cell) + 2 * dir + side;
+  return 5 * owned + static_cast<std::size_t>(cell);
+}
 
-  void resize(const FaceLayout& fl) {
-    face_l.assign(fl.size(), 0.0);
-    face_r.assign(fl.size(), 0.0);
-    flux_l.assign(fl.size(), 0.0);
-    flux_r.assign(fl.size(), 0.0);
-    fstar.assign(fl.size(), 0.0);
-    ghost_node.resize(static_cast<std::size_t>(fl.m));
-  }
+/// Everything one cell's surface update reads and writes.
+struct FaceUpdate {
+  FaceLayout layout;
+  const BasisTables* basis = nullptr;
+  /// The cell's six traces, face f = 2 dir + side at f * layout.size().
+  const double* own = nullptr;
+  /// The trace across face f, or nullptr on a domain-boundary face.
+  std::array<const double*, 6> neighbour{};
+  /// Boundary condition of the faces whose neighbour is nullptr.
+  std::array<BoundaryKind, 6> boundary{};
+  /// Lift scale per direction: dt / h (ADER) or 1 / h (RK).
+  std::array<double, 3> scale{};
+  /// Caller scratch of 6 * layout.size() doubles (the six jumps).
+  double* jump = nullptr;
+  /// The cell tensor the lift adds into (qnew or rhs).
+  double* out = nullptr;
 };
 
-/// Ghost face state from a boundary condition, node by node: kWall mirrors
-/// the inner state through the PDE, every other kind is absorbing outflow —
-/// zero wave state with copied parameter rows, so the Rusanov flux swallows
-/// the outgoing characteristics (a plain copy-ghost would be the unstable
-/// extrapolation BC). `vars` counts the evolved quantities; `node_tmp` is
-/// caller scratch of fl.m doubles.
-inline void ghost_face_state(const PdeRuntime& pde, const FaceLayout& fl,
-                             int vars, BoundaryKind kind, int dir,
-                             const double* inner_face, double* ghost_face,
-                             double* node_tmp) {
-  const int nn = fl.n * fl.n;
-  for (int k = 0; k < nn; ++k) {
-    const double* inner = inner_face + static_cast<std::size_t>(k) * fl.m_pad;
-    double* ghost = ghost_face + static_cast<std::size_t>(k) * fl.m_pad;
-    if (kind == BoundaryKind::kWall) {
-      pde.wall_reflect(inner, dir, node_tmp);
-      std::memcpy(ghost, node_tmp, fl.m * sizeof(double));
-    } else {
-      for (int s = 0; s < vars; ++s) ghost[s] = 0.0;
-      for (int s = vars; s < fl.m; ++s) ghost[s] = inner[s];
-    }
-    for (int s = fl.m; s < fl.m_pad; ++s) ghost[s] = 0.0;
+namespace detail {
+
+// Per-ISA entry points, defined in pde_lines_<isa>.cpp (bodies in
+// face_impl.h; surface_update_* instantiated for every line PDE).
+void project_faces_baseline(const AosLayout& aos, const BasisTables& basis,
+                            const double* q, double* traces);
+void project_faces_avx2(const AosLayout& aos, const BasisTables& basis,
+                        const double* q, double* traces);
+void project_faces_avx512(const AosLayout& aos, const BasisTables& basis,
+                          const double* q, double* traces);
+template <class Pde>
+bool surface_update_baseline(const Pde& pde, const FaceUpdate& u);
+template <class Pde>
+bool surface_update_avx2(const Pde& pde, const FaceUpdate& u);
+template <class Pde>
+bool surface_update_avx512(const Pde& pde, const FaceUpdate& u);
+
+}  // namespace detail
+
+/// Projects the cell tensor q onto its six faces in one pass:
+/// traces[f][(a, b), s] = sum_l phi_side[l] * q[node with dim-dir index l],
+/// each element summed in ascending l. `traces` holds 6 * FaceLayout(aos)
+/// .size() doubles, face f = 2 dir + side at f * size().
+inline void project_faces(Isa isa, const AosLayout& aos,
+                          const BasisTables& basis, const double* q,
+                          double* traces) {
+  switch (isa) {
+    case Isa::kScalar:
+      detail::project_faces_baseline(aos, basis, q, traces);
+      break;
+    case Isa::kAvx2:
+      detail::project_faces_avx2(aos, basis, q, traces);
+      break;
+    case Isa::kAvx512:
+      detail::project_faces_avx512(aos, basis, q, traces);
+      break;
   }
 }
 
-/// Normal "flux" of the linear PDE at a face state: F_dir(q) + B_dir(q) q.
-/// For linear systems this is the full normal Jacobian applied to q, which
-/// makes flux-form and NCP-form PDEs interchangeable at faces.
-inline void face_normal_flux(const PdeRuntime& pde, const FaceLayout& fl,
-                             const double* face, int dir, double* out) {
-  const int nn = fl.n * fl.n;
-  std::vector<double> tmp(fl.m);
-  for (int k = 0; k < nn; ++k) {
-    const double* qk = face + static_cast<std::size_t>(k) * fl.m_pad;
-    double* ok = out + static_cast<std::size_t>(k) * fl.m_pad;
-    pde.flux(qk, dir, ok);
-    pde.ncp(qk, qk, dir, tmp.data());
-    for (int s = 0; s < fl.m; ++s) ok[s] += tmp[s];
-    for (int s = fl.m; s < fl.m_pad; ++s) ok[s] = 0.0;
+/// One cell's surface update: for each face, the Rusanov flux of (left =
+/// lower-side state, right = upper-side state),
+///   F* = 1/2 (F_L + F_R) + 1/2 smax (q_R - q_L),
+/// for the convention dq/dt = dF/dx, with F the full normal Jacobian
+/// applied to the trace (flux + ncp, so flux- and NCP-form PDEs agree) and
+/// zero parameter rows; then
+///   out_k += sign * scale[dir] * lift_side[k_dir] * (F* - F_own)(a, b)
+/// with sign -1 on the lower and +1 on the upper face. Ghost traces:
+/// kWall mirrors the inner state through the PDE, every other kind is
+/// absorbing outflow (zero wave state, copied parameter rows). Allocates
+/// nothing. Returns false when a value the lift wrote is not finite.
+template <class Pde>
+bool surface_update(Isa isa, const Pde& pde, const FaceUpdate& u) {
+  switch (isa) {
+    case Isa::kScalar:
+      return detail::surface_update_baseline(pde, u);
+    case Isa::kAvx2:
+      return detail::surface_update_avx2(pde, u);
+    case Isa::kAvx512:
+      return detail::surface_update_avx512(pde, u);
   }
-  FlopCounter::instance().add(
-      WidthClass::kScalar,
-      static_cast<std::uint64_t>(nn) *
-          (pde.flux_flops() + pde.ncp_flops() + fl.m));
-}
-
-/// Rusanov (local Lax-Friedrichs) numerical flux for the convention
-/// dq/dt = d(F)/dx: F* = 1/2 (F_L + F_R) + 1/2 smax (q_R - q_L).
-/// Parameter rows of F* are forced to zero — material/geometry parameters do
-/// not evolve, even across material interfaces where q_R != q_L.
-inline void rusanov_flux(const PdeRuntime& pde, const FaceLayout& fl,
-                         const double* ql, const double* qr,
-                         const double* fleft, const double* fright, int dir,
-                         double* fstar) {
-  const int nn = fl.n * fl.n;
-  const int vars = pde.info().vars;
-  for (int k = 0; k < nn; ++k) {
-    const std::size_t off = static_cast<std::size_t>(k) * fl.m_pad;
-    const double s = std::max(pde.max_wave_speed(ql + off, dir),
-                              pde.max_wave_speed(qr + off, dir));
-    for (int v = 0; v < vars; ++v) {
-      const std::size_t i = off + v;
-      fstar[i] = 0.5 * (fleft[i] + fright[i]) + 0.5 * s * (qr[i] - ql[i]);
-    }
-    for (int s2 = vars; s2 < fl.m_pad; ++s2) fstar[off + s2] = 0.0;
-  }
-  FlopCounter::instance().add(WidthClass::kScalar,
-                              static_cast<std::uint64_t>(nn) * (5 * vars + 1));
-}
-
-/// Strong-form DGSEM surface lift. For the cell whose face (normal `dir`,
-/// `side` 0 = lower, 1 = upper) carries numerical flux fstar and own
-/// extrapolated flux fown, adds
-///   qnew_k += sign * scale * lift_side[k_dir] * (fstar - fown)(a, b)
-/// with sign +1 on the upper face and -1 on the lower face and
-/// scale = dt / h_dir. Derived from integrating dq/dt = dF/dx by parts
-/// twice; validated by the solver convergence tests.
-inline void apply_face_correction(const AosLayout& aos,
-                                  const BasisTables& basis, int dir, int side,
-                                  double scale, const double* fstar,
-                                  const double* fown, double* qnew) {
-  const int n = aos.n;
-  const int mp = aos.m_pad;
-  const FaceLayout fl(aos);
-  const double* lift =
-      side == 0 ? basis.lift_left.data() : basis.lift_right.data();
-  const double sign = side == 0 ? -1.0 : 1.0;
-  for (int b = 0; b < n; ++b)
-    for (int a = 0; a < n; ++a) {
-      const double* df = fstar + fl.idx(b, a, 0);
-      const double* fo = fown + fl.idx(b, a, 0);
-      for (int l = 0; l < n; ++l) {
-        int k1 = 0, k2 = 0, k3 = 0;
-        switch (dir) {
-          case 0: k1 = l; k2 = a; k3 = b; break;
-          case 1: k1 = a; k2 = l; k3 = b; break;
-          default: k1 = a; k2 = b; k3 = l; break;
-        }
-        double* dst = qnew + aos.idx(k3, k2, k1, 0);
-        const double c = sign * scale * lift[l];
-#pragma omp simd
-        for (int s = 0; s < mp; ++s) dst[s] += c * (df[s] - fo[s]);
-      }
-    }
-  FlopCounter::instance().add(WidthClass::k128, 3ull * n * n * n * mp);
-}
-
-/// The per-cell-side surface update shared by both steppers: assembles the
-/// Riemann problem of the face on `side` of cell `c` and applies the lift
-/// to `out` (the cell's own qnew/rhs slice). `cell_state(cell)` returns a
-/// cell's state tensor; `vars` counts the evolved quantities.
-///
-/// The problem is always assembled as (left = lower-side cell, right =
-/// upper-side cell), so both adjacent cells compute bitwise-identical
-/// fstar from identical inputs — the invariant that makes the cell-parallel
-/// sweeps race-free and thread-count-independent with no face ownership or
-/// coloring. Boundary faces build a ghost state instead of the neighbour.
-template <class CellState>
-inline void apply_own_face(const PdeRuntime& pde, const Grid& grid,
-                           const AosLayout& aos, const BasisTables& basis,
-                           int vars, int c, int dir, int side, double scale,
-                           const CellState& cell_state, FaceWorkspace& ws,
-                           double* out) {
-  const FaceLayout fl(aos);
-  const NeighborRef nb = grid.neighbor(c, dir, side);
-  const double* qc = cell_state(c);
-  if (side == 1) {
-    project_to_face(aos, basis, qc, dir, 1, ws.face_l.data());
-    if (!nb.boundary) {
-      project_to_face(aos, basis, cell_state(nb.cell), dir, 0,
-                      ws.face_r.data());
-    } else {
-      ghost_face_state(pde, fl, vars, nb.kind, dir, ws.face_l.data(),
-                       ws.face_r.data(), ws.ghost_node.data());
-    }
-  } else {
-    project_to_face(aos, basis, qc, dir, 0, ws.face_r.data());
-    if (!nb.boundary) {
-      project_to_face(aos, basis, cell_state(nb.cell), dir, 1,
-                      ws.face_l.data());
-    } else {
-      ghost_face_state(pde, fl, vars, nb.kind, dir, ws.face_r.data(),
-                       ws.face_l.data(), ws.ghost_node.data());
-    }
-  }
-  face_normal_flux(pde, fl, ws.face_l.data(), dir, ws.flux_l.data());
-  face_normal_flux(pde, fl, ws.face_r.data(), dir, ws.flux_r.data());
-  rusanov_flux(pde, fl, ws.face_l.data(), ws.face_r.data(),
-               ws.flux_l.data(), ws.flux_r.data(), dir, ws.fstar.data());
-  apply_face_correction(aos, basis, dir, side, scale, ws.fstar.data(),
-                        side == 1 ? ws.flux_l.data() : ws.flux_r.data(),
-                        out);
+  return false;
 }
 
 }  // namespace exastp

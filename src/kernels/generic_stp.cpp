@@ -167,7 +167,7 @@ StpKernel make_generic_stp(std::shared_ptr<const PdeRuntime> pde, int order,
   AosLayout layout = impl->layout();
   std::size_t bytes = impl->workspace_bytes();
   return StpKernel(
-      StpVariant::kGeneric, layout, bytes,
+      StpVariant::kGeneric, layout, Isa::kScalar, bytes,
       [impl, pde](const double* q, double dt,
                   const std::array<double, 3>& inv_dx,
                   const SourceTerm* source, const StpOutputs& out) {

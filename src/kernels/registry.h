@@ -36,12 +36,13 @@ inline constexpr StpVariant kAllVariants[] = {
 
 namespace detail {
 
-/// Type-erases one kernel implementation: builds `Impl` from `args` and
-/// wraps its compute() in an StpKernel that shares ownership of it.
-template <class Impl, class... Args>
-StpKernel wrap_stp(StpVariant variant, Precision precision, Args&&... args) {
-  auto impl = std::make_shared<Impl>(std::forward<Args>(args)...);
-  return StpKernel(variant, impl->layout(), impl->workspace_bytes(),
+/// Type-erases one kernel implementation: builds `Impl` and wraps its
+/// compute() in an StpKernel that shares ownership of it.
+template <class Impl, class Pde>
+StpKernel wrap_stp(StpVariant variant, Precision precision, Pde pde,
+                   int order, Isa isa, NodeFamily family) {
+  auto impl = std::make_shared<Impl>(std::move(pde), order, isa, family);
+  return StpKernel(variant, impl->layout(), isa, impl->workspace_bytes(),
                    [impl](const double* q, double dt,
                           const std::array<double, 3>& inv_dx,
                           const SourceTerm* source, const StpOutputs& out) {

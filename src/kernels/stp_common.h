@@ -30,9 +30,9 @@
 //   included, so callers need not clear the buffers between calls.
 //
 // The corrector then computes q^{n+1} = q + dt * sum_d favg[d] + surface
-// terms built from qavg (see face.h and solver/ader_dg_solver.cpp). All
-// buffers use the layout
-// returned by StpKernel::layout; padding lanes are kept at exactly zero.
+// terms built from qavg's face traces (see face.h and
+// solver/ader_dg_solver.cpp). All buffers use the layout returned by
+// StpKernel::layout; padding lanes are kept at exactly zero.
 #pragma once
 
 #include <array>
@@ -135,9 +135,10 @@ class StpKernel {
   using ForkFn = std::function<StpKernel()>;
 
   StpKernel() = default;
-  StpKernel(StpVariant variant, AosLayout layout, std::size_t footprint,
-            RunFn run, Precision precision = Precision::kF64)
-      : variant_(variant), precision_(precision), layout_(layout),
+  StpKernel(StpVariant variant, AosLayout layout, Isa isa,
+            std::size_t footprint, RunFn run,
+            Precision precision = Precision::kF64)
+      : variant_(variant), precision_(precision), isa_(isa), layout_(layout),
         workspace_bytes_(footprint), run_(std::move(run)) {}
 
   StpVariant variant() const { return variant_; }
@@ -148,6 +149,9 @@ class StpKernel {
   /// uses the unpadded layout (m_pad == m), the optimized ones pad to the
   /// ISA width.
   const AosLayout& layout() const { return layout_; }
+  /// ISA the kernel's code paths dispatch to; the solver runs its face
+  /// traces at the same width. The generic variant is scalar (kScalar).
+  Isa isa() const { return isa_; }
   /// Bytes of kernel-internal scratch (the memory-footprint metric of
   /// Sec. IV-A; excludes the engine-owned in/out buffers).
   std::size_t workspace_bytes() const { return workspace_bytes_; }
@@ -170,6 +174,7 @@ class StpKernel {
  private:
   StpVariant variant_ = StpVariant::kGeneric;
   Precision precision_ = Precision::kF64;
+  Isa isa_ = Isa::kScalar;
   AosLayout layout_;
   std::size_t workspace_bytes_ = 0;
   RunFn run_;

@@ -16,7 +16,8 @@
 // physical cell yields the same node positions and reference coordinates no
 // matter which view addresses it. Faces whose neighbour lies outside the
 // view map to appended halo cell slots (indices >= num_cells()), which the
-// solvers back with exchanged DOF storage (solver/exchange_backend.h).
+// solvers back with one exchanged face trace each (kernels/face.h,
+// solver/exchange_backend.h).
 #pragma once
 
 #include <array>

@@ -7,7 +7,9 @@
 //  * PdeRuntime — type-erased, pointwise AoS functions. Used by the Generic
 //    STP kernel (runtime order/quantity count, virtual calls per node —
 //    faithfully reproducing why the generic kernels cannot vectorize) and by
-//    engine glue that does not need to be fast.
+//    engine glue that does not need to be fast. Its one hot entry point is
+//    surface_update: one virtual call per cell into the concrete PDE's
+//    per-ISA face-trace corrector (kernels/face.h).
 //  * CRTP PDE structs (advection.h, acoustic.h, ...) — compile-time quantity
 //    counts and inlineable pointwise calls; the optimized kernels are
 //    templated on the concrete PDE exactly as the paper's generated kernels
@@ -41,6 +43,9 @@
 
 #include <cstdint>
 #include <string>
+
+#include "exastp/common/simd.h"
+#include "exastp/kernels/face.h"
 
 namespace exastp {
 
@@ -105,6 +110,11 @@ class PdeRuntime {
   virtual void wall_reflect(const double* q, int /*dir*/, double* out) const {
     for (int s = 0; s < info().quants; ++s) out[s] = q[s];
   }
+
+  /// One cell's surface update at the dispatched ISA (kernels/face.h
+  /// surface_update for the concrete PDE). Returns false when a value the
+  /// lift wrote is not finite.
+  virtual bool surface_update(Isa isa, const FaceUpdate& u) const = 0;
 };
 
 /// Wraps a CRTP PDE struct into the runtime interface.
@@ -135,6 +145,10 @@ class PdeAdapter final : public PdeRuntime {
     } else {
       PdeRuntime::wall_reflect(q, dir, out);
     }
+  }
+
+  bool surface_update(Isa isa, const FaceUpdate& u) const override {
+    return exastp::surface_update(isa, pde_, u);
   }
 
   const Pde& pde() const { return pde_; }

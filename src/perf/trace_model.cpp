@@ -168,11 +168,13 @@ void trace_vecop(CacheSim& sim, Isa isa, std::uint64_t src, std::uint64_t dst,
 }
 
 /// Per-cell corrector pattern (mirrors solver/ader_dg_solver.cpp and
-/// kernels/face.h): volume update, then per direction one owned face with
-/// two projections, two normal-flux evaluations, one Riemann solve and two
-/// surface lifts.
-void trace_corrector_cell(CacheSim& sim, int n, int mp, const TwinPde& pde,
-                          std::uint64_t q, std::uint64_t qavg,
+/// kernels/face_impl.h): the volume update, one pass over qavg that fills
+/// the cell's six face traces, six Rusanov solves from the own and the
+/// neighbour traces (two normal fluxes each), and one lift pass adding the
+/// six jumps into qnew. The face work books at the dispatched width.
+void trace_corrector_cell(CacheSim& sim, int n, int mp, Isa isa,
+                          const TwinPde& pde, std::uint64_t q,
+                          std::uint64_t qavg,
                           const std::vector<std::uint64_t>& favg,
                           VirtualArena& arena) {
   const std::size_t cell = static_cast<std::size_t>(n) * n * n * mp;
@@ -181,14 +183,12 @@ void trace_corrector_cell(CacheSim& sim, int n, int mp, const TwinPde& pde,
   const std::size_t face_bytes = face * kWord;
   const std::uint64_t nn = static_cast<std::uint64_t>(n) * n;
   FlopCounter& fc = FlopCounter::instance();
+  const WidthClass packed = packed_width_class(isa);
 
   const std::uint64_t qnew = arena.alloc(cell);
-  const std::uint64_t qavg_nb = arena.alloc(cell);
-  const std::uint64_t face_own = arena.alloc(face);
-  const std::uint64_t face_nb = arena.alloc(face);
-  const std::uint64_t fl = arena.alloc(face);
-  const std::uint64_t fr = arena.alloc(face);
-  const std::uint64_t fstar = arena.alloc(face);
+  const std::uint64_t traces = arena.alloc(6 * face);
+  const std::uint64_t nb_traces = arena.alloc(6 * face);
+  const std::uint64_t jump = arena.alloc(6 * face);
 
   // Volume update qnew = q + dt * sum_d favg[d].
   sim.access(q, cell_bytes);
@@ -196,35 +196,27 @@ void trace_corrector_cell(CacheSim& sim, int n, int mp, const TwinPde& pde,
   for (std::uint64_t f : favg) sim.access(f, cell_bytes);
   fc.add(WidthClass::k128, 6ull * cell);
 
-  for (int d = 0; d < 3; ++d) {
-    // Projections of both sides' averaged states onto the shared face.
-    sim.access(qavg, cell_bytes);
-    sim.access(face_own, face_bytes);
-    fc.add(WidthClass::k128, 2ull * n * nn * mp);
-    sim.access(qavg_nb, cell_bytes);
-    sim.access(face_nb, face_bytes);
-    fc.add(WidthClass::k128, 2ull * n * nn * mp);
-    // Normal fluxes of both traces.
-    sim.access(face_own, face_bytes);
-    sim.access(fl, face_bytes);
-    fc.add(WidthClass::kScalar,
-           nn * (pde.flux_flops + pde.ncp_flops + pde.quants));
-    sim.access(face_nb, face_bytes);
-    sim.access(fr, face_bytes);
-    fc.add(WidthClass::kScalar,
-           nn * (pde.flux_flops + pde.ncp_flops + pde.quants));
-    // Rusanov solve.
-    for (std::uint64_t a : {face_own, face_nb, fl, fr, fstar})
-      sim.access(a, face_bytes);
-    fc.add(WidthClass::kScalar, nn * (5ull * pde.vars + 1));
-    // Surface lifts into both adjacent cells' updates.
-    for (std::uint64_t own : {fl, fr}) {
-      sim.access(fstar, face_bytes);
-      sim.access(own, face_bytes);
-      sim.access(qnew, cell_bytes);
-      fc.add(WidthClass::k128, 3ull * n * nn * mp);
-    }
+  // Projection: every element of qavg feeds all six traces.
+  sim.access(qavg, cell_bytes);
+  sim.access(traces, 6 * face_bytes);
+  fc.add(packed, 6ull * 2 * n * nn * mp);
+
+  // Six face solves: own trace + the neighbour's trace -> jump.
+  const std::uint64_t normal_flux =
+      pde.ncp_zero ? pde.flux_flops
+                   : pde.flux_flops + pde.ncp_flops + pde.quants;
+  for (int f = 0; f < 6; ++f) {
+    const std::uint64_t off = static_cast<std::uint64_t>(f) * face_bytes;
+    sim.access(traces + off, face_bytes);
+    sim.access(nb_traces + off, face_bytes);
+    sim.access(jump + off, face_bytes);
+    fc.add(packed, nn * (2 * normal_flux + (5ull * pde.vars + 1) + pde.vars));
   }
+
+  // One lift pass: six jumps into qnew.
+  sim.access(jump, 6 * face_bytes);
+  sim.access(qnew, cell_bytes);
+  fc.add(packed, 6ull * 2 * n * nn * mp);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,7 +314,8 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
       FlopCounter::instance().add(WidthClass::k128, 2ull * n * cell);
     }
     if (corrector)
-      trace_corrector_cell(sim, n, m, pde, q, qavg, favg, arena);
+      trace_corrector_cell(sim, n, m, Isa::kScalar, pde, q, qavg, favg,
+                           arena);
   }
   result.cache = sim.stats();
   result.flops = FlopCounter::instance();
@@ -403,7 +396,7 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
       sim.access(q, cell_bytes);
     }
     if (corrector)
-      trace_corrector_cell(sim, n, mp, pde, q, qavg, favg, arena);
+      trace_corrector_cell(sim, n, mp, isa, pde, q, qavg, favg, arena);
   }
   result.cache = sim.stats();
   result.flops = FlopCounter::instance();
@@ -483,7 +476,7 @@ TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
       volume_dim(d, qavg, favg[d]);
     }
     if (corrector)
-      trace_corrector_cell(sim, n, mp, pde, q, qavg, favg, arena);
+      trace_corrector_cell(sim, n, mp, isa, pde, q, qavg, favg, arena);
   }
   result.cache = sim.stats();
   result.flops = FlopCounter::instance();
@@ -590,7 +583,7 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
       trace_vecop(sim, Isa::kScalar, favg_a[d], favg_out[d], cell, 0);
     }
     if (corrector)
-      trace_corrector_cell(sim, n, pad_to(m, vector_width(isa)), pde, q,
+      trace_corrector_cell(sim, n, pad_to(m, vector_width(isa)), isa, pde, q,
                            qavg_out, favg_out, arena);
   }
   result.cache = sim.stats();

@@ -62,8 +62,10 @@ struct TwinResult {
 /// cache statistics and FLOP counts of the measured repetitions.
 ///
 /// With `include_corrector` each repetition is a full ADER-DG step: after
-/// the predictor, the per-cell corrector pattern (face projections, Riemann
-/// solve, surface lift, volume update) is replayed too. The paper's
+/// the predictor, the per-cell corrector pattern (volume update, the
+/// one-pass projection onto six face traces, six Riemann solves from
+/// traces, the one-pass surface lift) is replayed too, booking the face
+/// work at the kernel's dispatched width like the solver does. The paper's
 /// benchmarks measure the end-to-end application (Sec. VI), where the
 /// corrector's memory-heavy O(N^2..N^3) share shrinks relative to the
 /// O(N^4) predictor as the order grows.

@@ -1,9 +1,11 @@
 #include "exastp/solver/ader_dg_solver.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <stdexcept>
 
 #include "exastp/basis/lagrange.h"
@@ -28,22 +30,18 @@ AderDgSolver::AderDgSolver(std::shared_ptr<const PdeRuntime> pde,
       grid_(grid),
       basis_(basis_tables(kernel_.layout().n, family)),
       layout_(kernel_.layout()),
-      face_layout_(layout_),
+      isa_(kernel_.isa()),
+      trace_layout_(layout_),
       cell_size_(layout_.size()),
       vars_(pde_ ? pde_->info().vars : 0) {
   EXASTP_CHECK_MSG(pde_ != nullptr && kernel_, "solver needs pde and kernel");
   EXASTP_CHECK_MSG(pde_->info().quants == layout_.m,
                    "kernel layout does not match the PDE");
-  // Halo slots extend every buffer so the corrector's neighbour accessor
-  // is one base pointer for owned and exchanged cells alike; only the
-  // step_phase_halo_fields arrays' halos are ever filled, the others stay
-  // zero.
-  const std::size_t total =
-      static_cast<std::size_t>(grid_.num_cells() + grid_.num_halo_cells()) *
-      cell_size_;
-  q_.assign(total, 0.0);
-  qnew_.assign(total, 0.0);
-  qavg_.assign(total, 0.0);
+  const std::size_t owned =
+      static_cast<std::size_t>(grid_.num_cells()) * cell_size_;
+  q_.assign(owned, 0.0);
+  qnew_.assign(owned, 0.0);
+  traces_.assign(trace_count(grid_) * trace_layout_.size(), 0.0);
   CellClassification cells = classify_cells(grid_);
   interior_cells_ = std::move(cells.interior);
   boundary_cells_ = std::move(cells.boundary);
@@ -68,11 +66,11 @@ void AderDgSolver::rebuild_scratch() {
     // Thread 0 is the caller and may share the primary kernel's workspace;
     // every other thread gets an independent clone.
     ts.kernel = tid == 0 ? kernel_ : kernel_.fork();
-    ts.favg0.assign(cell_size_, 0.0);
-    ts.favg1.assign(cell_size_, 0.0);
-    ts.favg2.assign(cell_size_, 0.0);
-    ts.nb_state.assign(cell_size_, 0.0);
-    ts.faces.resize(face_layout_);
+    ts.qavg.assign(cell_size_, 0.0);
+    if (num_clusters_ > 1) ts.qavg_half.assign(cell_size_, 0.0);
+    ts.work.assign(std::max(favg_offset(3), nb_traces_offset() +
+                                                6 * trace_layout_.size()),
+                   0.0);
     scratch_.push_back(std::move(ts));
   }
 }
@@ -147,7 +145,6 @@ void AderDgSolver::predict_cell(
     const std::array<double, 3>& inv_dx,
     const std::array<double, kMaxOrder>& integral_coeff, bool sum_reset) {
   const double* qc = cell_dofs(c);
-  double* qavg_c = qavg_.data() + static_cast<std::size_t>(c) * cell_size_;
   double* qnew_c = qnew_.data() + static_cast<std::size_t>(c) * cell_size_;
 
   SourceTerm src;
@@ -164,21 +161,24 @@ void AderDgSolver::predict_cell(
 
   // A cell with a finer face neighbour also publishes the average over
   // [t, t + dt/2], which the kernel folds out of the same Taylor expansion.
-  double* half_c = nullptr;
-  if (lts_enabled_ && needs_half_[static_cast<std::size_t>(c)] != 0)
-    half_c = qavg_half_.data() + static_cast<std::size_t>(c) * cell_size_;
-  // favg goes straight into the volume update, so three temporaries per
-  // thread suffice; the kernel overwrites them in full (stp_common.h).
-  StpOutputs out{qavg_c,
-                 {ts.favg0.data(), ts.favg1.data(), ts.favg2.data()},
-                 half_c};
+  const bool half =
+      lts_enabled_ && needs_half_[static_cast<std::size_t>(c)] != 0;
+  // Every kernel output is consumed inside this call — favg by the volume
+  // update, the averages by the face projection — so one set of per-thread
+  // temporaries suffices; the kernel overwrites them in full
+  // (stp_common.h).
+  double* work = ts.work.data();
+  StpOutputs out{ts.qavg.data(),
+                 {work + favg_offset(0), work + favg_offset(1),
+                  work + favg_offset(2)},
+                 half ? ts.qavg_half.data() : nullptr};
   ts.kernel.run(qc, dt, inv_dx, src_ptr, out);
 
   // qnew = q + dt * favg0 + dt * favg1 + dt * favg2 in one sweep, each
   // element summed left to right in that order.
-  const double* f0 = ts.favg0.data();
-  const double* f1 = ts.favg1.data();
-  const double* f2 = ts.favg2.data();
+  const double* f0 = out.favg[0];
+  const double* f1 = out.favg[1];
+  const double* f2 = out.favg[2];
   for (std::size_t i = 0; i < cell_size_; ++i) {
     double v = qc[i];
     v += dt * f0[i];
@@ -202,15 +202,23 @@ void AderDgSolver::predict_cell(
               integral;
   }
 
+  // The averages leave the predictor only as face traces, projected while
+  // they are still in cache.
+  double* traces_c = traces_of(traces_, c);
+  project_faces(isa_, layout_, basis_, ts.qavg.data(), traces_c);
+  if (half)
+    project_faces(isa_, layout_, basis_, ts.qavg_half.data(),
+                  traces_of(half_traces_, c));
+
   if (lts_enabled_ && needs_sum_[static_cast<std::size_t>(c)] != 0) {
     // A coarser face neighbour averages this cell's two sub-averages over
-    // its full interval; fold qavg into the running window sum.
-    double* sum_c =
-        qavg_sum_.data() + static_cast<std::size_t>(c) * cell_size_;
+    // its full interval; fold the traces into the running window sum.
+    double* sum_c = traces_of(sum_traces_, c);
+    const std::size_t count = 6 * trace_layout_.size();
     if (sum_reset)
-      std::memcpy(sum_c, qavg_c, cell_size_ * sizeof(double));
+      std::memcpy(sum_c, traces_c, count * sizeof(double));
     else
-      for (std::size_t i = 0; i < cell_size_; ++i) sum_c[i] += qavg_c[i];
+      for (std::size_t i = 0; i < count; ++i) sum_c[i] += traces_c[i];
   }
 }
 
@@ -243,7 +251,7 @@ void AderDgSolver::step_phase_interior(int phase, double dt) {
       return;
     }
     // Correct fine substep s, interior sweep: the clusters completing
-    // their step here read only owned qavg-family tensors.
+    // their step here read only owned traces.
     ScopedSpan span(SpanId::kCorrectInterior);
     for (int k = 0; k < num_clusters_; ++k) {
       if ((s + 1) % (1 << k) != 0) continue;
@@ -257,10 +265,10 @@ void AderDgSolver::step_phase_interior(int phase, double dt) {
     ScopedSpan span(SpanId::kPredict);
     const auto inv_dx = grid_.inv_dx();
     const auto integral_coeff = taylor_coefficients(dt, layout_.n);
-    // Predictor + volume update: embarrassingly cell-parallel — qavg_c and
-    // qnew_c belong to the traversed cell, each thread runs its own kernel
-    // clone and favg scratch. No neighbour reads, so the phase is all
-    // interior.
+    // Predictor + volume update + projection: embarrassingly cell-parallel
+    // — qnew_c and the cell's traces belong to the traversed cell, each
+    // thread runs its own kernel clone and output scratch. No neighbour
+    // reads, so the phase is all interior.
     par_.run(grid_.num_cells(), 1, [&](int tid, long begin, long end) {
       ThreadScratch& ts = scratch_[static_cast<std::size_t>(tid)];
       for (long c = begin; c < end; ++c)
@@ -270,8 +278,8 @@ void AderDgSolver::step_phase_interior(int phase, double dt) {
     return;
   }
 
-  // Corrector over the interior set: these cells read only owned qavg
-  // tensors, so the sweep runs while the halo exchange is in flight.
+  // Corrector over the interior set: these cells read only owned traces,
+  // so the sweep runs while the halo exchange is in flight.
   ScopedSpan span(SpanId::kCorrectInterior);
   apply_corrector(dt, interior_cells_);
 }
@@ -291,9 +299,7 @@ void AderDgSolver::step_phase_boundary(int phase, double dt) {
       // Every cluster completes at the last fine substep, so every owned
       // cell's qnew is fresh — the whole-buffer swap and finite check of
       // the global path apply verbatim (K == 1 IS the global path).
-      q_.swap(qnew_);
-      time_ += dt;
-      check_finite();
+      finish_step(dt);
       return;
     }
     // Intermediate advance: only the completing clusters' cells move to
@@ -319,67 +325,77 @@ void AderDgSolver::step_phase_boundary(int phase, double dt) {
   EXASTP_CHECK(phase == 0 || phase == 1);
   if (phase == 0) return;
 
-  // Runs after qavg halos are valid (the monolithic grid has none, and its
-  // boundary set is empty): boundary corrector, buffer swap, time advance.
+  // Runs after the trace halos are valid (the monolithic grid has none, and
+  // its boundary set is empty): boundary corrector, buffer swap, time
+  // advance.
   ScopedSpan span(SpanId::kCorrectBoundary);
   apply_corrector(dt, boundary_cells_);
-  q_.swap(qnew_);
-  time_ += dt;
-  check_finite();
+  finish_step(dt);
 }
 
 void AderDgSolver::correct_cell(ThreadScratch& ts, int c, double dt, int s) {
   const auto inv_dx = grid_.inv_dx();
-  double* qnew_c = qnew_.data() + static_cast<std::size_t>(c) * cell_size_;
-  if (!lts_enabled_ || num_clusters_ == 1) {
-    const auto qavg_of = [this](int cell) -> const double* {
-      return qavg_.data() + static_cast<std::size_t>(cell) * cell_size_;
-    };
-    for (int dir = 0; dir < 3; ++dir)
-      for (int side = 0; side < 2; ++side)
-        apply_own_face(*pde_, grid_, layout_, basis_, vars_, c, dir, side,
-                       dt * inv_dx[dir], qavg_of, ts.faces, qnew_c);
-    return;
-  }
-
-  // Cross-cluster neighbour states, derived on the fly from the CK/Taylor
-  // identity avg[dt/2, dt] = 2 avg[0, dt] - avg[0, dt/2]. The own cell is
-  // always same-cluster (direct pointer), so one scratch tensor per
-  // thread suffices — each face consumes it before the next face derives
-  // a new one. Parameter rows survive every derivation (2p - p = p,
-  // 0.5 (p + p) = p), so face solves see valid materials.
-  const int k = cluster_[static_cast<std::size_t>(c)];
-  double* tmp = ts.nb_state.data();
-  const auto state_of = [this, k, s, tmp](int cell) -> const double* {
-    const std::size_t off = static_cast<std::size_t>(cell) * cell_size_;
-    const double* avg = qavg_.data() + off;
-    const int nk = cluster_[static_cast<std::size_t>(cell)];
-    if (nk == k) return avg;
+  const std::size_t t = trace_layout_.size();
+  FaceUpdate u;
+  u.layout = trace_layout_;
+  u.basis = &basis_;
+  u.own = traces_of(traces_, c);
+  u.jump = ts.work.data();
+  u.out = qnew_.data() + static_cast<std::size_t>(c) * cell_size_;
+  for (int dir = 0; dir < 3; ++dir) u.scale[dir] = dt * inv_dx[dir];
+  const bool clustered = lts_enabled_ && num_clusters_ > 1;
+  const int k = clustered ? cluster_[static_cast<std::size_t>(c)] : 0;
+  for (int f = 0; f < 6; ++f) {
+    const int dir = f / 2;
+    const int side = f % 2;
+    const NeighborRef nb = grid_.neighbor(c, dir, side);
+    if (nb.boundary) {
+      u.neighbour[static_cast<std::size_t>(f)] = nullptr;
+      u.boundary[static_cast<std::size_t>(f)] = nb.kind;
+      continue;
+    }
+    // The neighbour's trace of the shared face: its face on the far side.
+    const std::size_t off = trace_slot(grid_, nb.cell, dir, 1 - side) * t;
+    const double* avg = traces_.data() + off;
+    const int nk = clustered ? cluster_[static_cast<std::size_t>(nb.cell)] : k;
+    if (nk == k) {
+      u.neighbour[static_cast<std::size_t>(f)] = avg;
+      continue;
+    }
+    // Cross-cluster traces, derived from the CK/Taylor identity
+    // avg[dt/2, dt] = 2 avg[0, dt] - avg[0, dt/2] on the neighbour's trace.
+    // Parameter rows survive every derivation (2p - p = p,
+    // 0.5 (p + p) = p), so face solves see valid materials.
+    double* tmp = ts.work.data() + nb_traces_offset() +
+                  static_cast<std::size_t>(f) * t;
     if (nk > k) {
       // Coarser neighbour: its interval spans two of my steps; my local
       // substep parity says which half I am in.
-      const double* half = qavg_half_.data() + off;
-      if (((s >> k) & 1) == 0) return half;
-      for (std::size_t i = 0; i < cell_size_; ++i)
-        tmp[i] = 2.0 * avg[i] - half[i];
-      return tmp;
+      const double* half = half_traces_.data() + off;
+      if (((s >> k) & 1) == 0) {
+        u.neighbour[static_cast<std::size_t>(f)] = half;
+        continue;
+      }
+      for (std::size_t i = 0; i < t; ++i) tmp[i] = 2.0 * avg[i] - half[i];
+    } else {
+      // Finer neighbour: mean of its two sub-averages over my interval.
+      const double* sum = sum_traces_.data() + off;
+      for (std::size_t i = 0; i < t; ++i) tmp[i] = 0.5 * sum[i];
     }
-    // Finer neighbour: mean of its two sub-averages over my interval.
-    const double* sum = qavg_sum_.data() + off;
-    for (std::size_t i = 0; i < cell_size_; ++i) tmp[i] = 0.5 * sum[i];
-    return tmp;
-  };
-  for (int dir = 0; dir < 3; ++dir)
-    for (int side = 0; side < 2; ++side)
-      apply_own_face(*pde_, grid_, layout_, basis_, vars_, c, dir, side,
-                     dt * inv_dx[dir], state_of, ts.faces, qnew_c);
+    u.neighbour[static_cast<std::size_t>(f)] = tmp;
+  }
+  // The lift of the final (sub)step writes every owned DOF of the step's
+  // result, so its finite flag is the blow-up check.
+  const bool finite = pde_->surface_update(isa_, u);
+  if (!finite && (!lts_enabled_ || s == macro_substeps_ - 1))
+    ts.nonfinite = 1;
 }
 
 void AderDgSolver::apply_corrector(double dt, const std::vector<int>& cells) {
   // Cell-parallel surface sweep over one classification set: each cell
   // applies the lift from its own six faces to itself only (interior
-  // Riemann solves are recomputed once per side — identical bits, no write
-  // races), so the interior/boundary split never changes any cell's bits.
+  // Riemann solves run once per side — identical bits, no write races), so
+  // the interior/boundary split never changes any cell's bits.
   par_.run(static_cast<long>(cells.size()), 1,
            [&](int tid, long begin, long end) {
              ThreadScratch& ts = scratch_[static_cast<std::size_t>(tid)];
@@ -473,7 +489,7 @@ void AderDgSolver::enable_lts(const std::vector<int>& cluster_of_cell,
     cluster_boundary_[static_cast<std::size_t>(cluster_[c])].push_back(c);
 
   // Production flags: which owned cells must publish the extra
-  // time-averages. Halo neighbours count — the reader may live on
+  // time-average traces. Halo neighbours count — the reader may live on
   // another shard, and the exchange moves whatever this shard produced.
   needs_half_.assign(static_cast<std::size_t>(total), 0);
   needs_sum_.assign(static_cast<std::size_t>(total), 0);
@@ -491,9 +507,10 @@ void AderDgSolver::enable_lts(const std::vector<int>& cluster_of_cell,
   }
 
   if (num_clusters_ > 1) {
-    const std::size_t size = static_cast<std::size_t>(total) * cell_size_;
-    qavg_half_.assign(size, 0.0);
-    qavg_sum_.assign(size, 0.0);
+    const std::size_t size = trace_count(grid_) * trace_layout_.size();
+    half_traces_.assign(size, 0.0);
+    sum_traces_.assign(size, 0.0);
+    for (ThreadScratch& ts : scratch_) ts.qavg_half.assign(cell_size_, 0.0);
   }
   cluster_ns_.assign(static_cast<std::size_t>(num_clusters), 0);
   cluster_cell_substeps_.assign(static_cast<std::size_t>(num_clusters), 0);
@@ -518,38 +535,38 @@ std::vector<SolverBase::PhaseHaloField> AderDgSolver::step_phase_halo_fields(
     int phase) {
   const bool correct = lts_enabled_ ? phase % 2 == 1 : phase == 1;
   if (!correct) return {};
-  std::vector<PhaseHaloField> fields{PhaseHaloField{qavg_.data(), 0}};
+  std::vector<PhaseHaloField> fields{PhaseHaloField{traces_.data(), 0}};
   if (num_clusters_ > 1) {
     // Over-exchange by design: not every correct phase reads every
     // buffer, but a fixed field set keeps all shards' field lists
     // structurally agreed without any cross-shard negotiation.
-    fields.push_back(PhaseHaloField{qavg_half_.data(), 1});
-    fields.push_back(PhaseHaloField{qavg_sum_.data(), 2});
+    fields.push_back(PhaseHaloField{half_traces_.data(), 1});
+    fields.push_back(PhaseHaloField{sum_traces_.data(), 2});
   }
   return fields;
 }
 
-void AderDgSolver::check_finite() const {
-  // Per-chunk verdicts with early exit; "any non-finite" commutes, so the
-  // outcome is thread-count-independent.
-  std::vector<char> bad(static_cast<std::size_t>(par_.num_threads()), 0);
-  par_.run(grid_.num_cells(), 1, [&](int tid, long begin, long end) {
-    for (long c = begin; c < end; ++c) {
-      const double* cell = cell_dofs(static_cast<int>(c));
-      for (std::size_t i = 0; i < cell_size_; ++i) {
-        if (!std::isfinite(cell[i])) {
-          bad[static_cast<std::size_t>(tid)] = 1;
-          return;
-        }
-      }
-    }
-  });
-  for (char b : bad) {
-    if (b != 0)
-      throw std::runtime_error(
-          "AderDgSolver: solution became non-finite (CFL violation or "
-          "unstable setup)");
+void AderDgSolver::finish_step(double dt) {
+  q_.swap(qnew_);
+  time_ += dt;
+  bool bad = false;
+  for (ThreadScratch& ts : scratch_) {
+    bad = bad || ts.nonfinite != 0;
+    ts.nonfinite = 0;
   }
+  if (!bad) return;
+  // Cold path: name the lowest-index non-finite value of the new state.
+  const std::size_t total = q_.size();
+  std::size_t i = 0;
+  while (i < total && std::isfinite(q_[i])) ++i;
+  EXASTP_CHECK(i < total);
+  const int cell = static_cast<int>(i / cell_size_);
+  const int quantity = static_cast<int>(i % cell_size_ % layout_.m_pad);
+  std::ostringstream msg;
+  msg << "AderDgSolver: solution became non-finite at t = " << time_
+      << " in cell " << grid_.global_cell(cell) << ", quantity " << quantity
+      << " (CFL violation or unstable setup)";
+  throw std::runtime_error(msg.str());
 }
 
 }  // namespace exastp

@@ -2,24 +2,29 @@
 //
 // One time step = one amortized mesh traversal:
 //   1. per cell: STP kernel -> time-averaged state qavg and volume
-//      fluctuations favg[d]; volume update qnew = q + dt sum_d favg[d]
-//      (+ the direct time-integral of any point source);
-//   2. per cell: for each of its six faces, project both sides' qavg,
-//      solve the Rusanov Riemann problem (linear in its inputs) and apply
-//      the strong-form surface lift to this cell only; boundary faces
-//      build a ghost state from the boundary condition;
-//   3. swap buffers, advance time, verify the solution stayed finite.
+//      fluctuations favg[d] (per-thread scratch); volume update qnew = q +
+//      dt sum_d favg[d] (+ the direct time-integral of any point source);
+//      then qavg is projected onto the cell's six faces while it is still
+//      in cache (kernels/face.h). The face traces are all that outlives
+//      the predictor;
+//   2. per cell: one surface update solves the cell's six Rusanov problems
+//      from its own traces and one trace per neighbour (a ghost trace on
+//      wall/outflow faces) and lifts them into qnew in one pass, at the
+//      kernel's ISA width; the same pass flags non-finite values;
+//   3. swap buffers, advance time, report a blow-up.
 //
 // Both mesh traversals are cell-parallel (ParallelFor): every write
 // belongs to the traversed cell, each thread runs a forked kernel clone
-// and its own aligned face scratch. An interior face is visited from both
-// adjacent cells, which recomputes its Riemann solve once per side — the
-// same fstar bits from identical inputs — so the update needs no face
-// ownership, no coloring, and is bitwise-identical for any thread count.
+// and its own aligned scratch. An interior face is solved from both
+// adjacent cells — the same F* bits from the same two traces — so the
+// update needs no face ownership, no coloring, and is bitwise-identical
+// for any thread count and decomposition.
 //
 // DOF storage is one contiguous aligned block in the *kernel's* AoS layout
 // (padded for the optimized variants), so the engine exercises exactly the
-// data layout the paper optimizes.
+// data layout the paper optimizes. q and qnew cover the owned cells only;
+// the trace buffers add one trace per halo slot, the unit the sharded
+// exchange moves.
 #pragma once
 
 #include <functional>
@@ -43,8 +48,9 @@ class AderDgSolver final : public SolverBase {
   AderDgSolver(std::shared_ptr<const PdeRuntime> pde, StpKernel kernel,
                const GridSpec& grid_spec,
                NodeFamily family = NodeFamily::kGaussLegendre);
-  /// Same, over an arbitrary (possibly partitioned) grid view: qavg grows
-  /// a halo ring the corrector reads for off-shard neighbours.
+  /// Same, over an arbitrary (possibly partitioned) grid view: the trace
+  /// buffers grow one trace per halo slot, which the corrector reads for
+  /// off-shard neighbours.
   AderDgSolver(std::shared_ptr<const PdeRuntime> pde, StpKernel kernel,
                const Grid& grid, NodeFamily family = NodeFamily::kGaussLegendre);
 
@@ -61,8 +67,8 @@ class AderDgSolver final : public SolverBase {
   void add_point_source(const MeshPointSource& source) override;
   bool supports_point_sources() const override { return true; }
 
-  /// Rebuilds the per-thread kernel clones and face scratch; teams > 1
-  /// thread require a kernel built through make_stp_kernel (forkable).
+  /// Rebuilds the per-thread kernel clones and scratch; teams > 1 thread
+  /// require a kernel built through make_stp_kernel (forkable).
   void set_thread_team(const ParallelFor& team) override;
 
   /// CFL-limited stable time step from the current solution. The per-cell
@@ -73,9 +79,11 @@ class AderDgSolver final : public SolverBase {
   double stable_dt(double cfl = 0.4) const override;
 
   /// Advances by one step of size dt. Throws std::runtime_error if the
-  /// solution leaves the finite range (blow-up detection). Under clustered
-  /// LTS, dt is the MACRO step (the coarsest cluster's dt); the finest
-  /// cluster substeps at dt / 2^(K-1).
+  /// solution leaves the finite range (blow-up detection, fused into the
+  /// lift pass of the final (sub)step); the message names t, the global
+  /// cell and the quantity of the lowest-index non-finite value. Under
+  /// clustered LTS, dt is the MACRO step (the coarsest cluster's dt); the
+  /// finest cluster substeps at dt / 2^(K-1).
   void step(double dt) override;
 
   // ---- Clustered local time stepping ----------------------------------
@@ -85,13 +93,14 @@ class AderDgSolver final : public SolverBase {
   //   avg[dt/2, dt] = 2 avg[0, dt] - avg[0, dt/2]
   // so a coarse cell with a finer face neighbour asks its one predictor
   // run for both averages (qavg over dt, and qavg_half over dt/2 from a
-  // second Taylor accumulator, StpOutputs::qavg_half), and a fine cell
-  // accumulates qavg_sum over its two substeps when it has a coarser one
-  // (the coarse corrector reads 0.5 * qavg_sum). Every cell-substep is
-  // exactly one StpKernel::run. The Rusanov flux is linear in its inputs,
-  // so both sides of a cluster boundary see the same time-integrated flux
-  // up to FP reassociation. K == 1 reproduces global stepping bitwise
-  // (docs/lts.md).
+  // second Taylor accumulator, StpOutputs::qavg_half) and publishes the
+  // traces of both, and a fine cell accumulates its traces over its two
+  // substeps when it has a coarser one (the coarse corrector reads half
+  // the sum). The combinations are formed on the neighbour's trace. Every
+  // cell-substep is exactly one StpKernel::run. The Rusanov flux is linear
+  // in its inputs, so both sides of a cluster boundary see the same
+  // time-integrated flux up to FP reassociation. K == 1 reproduces global
+  // stepping bitwise (docs/lts.md).
   void enable_lts(const std::vector<int>& cluster_of_cell,
                   int num_clusters) override;
   int lts_num_clusters() const override { return num_clusters_; }
@@ -101,18 +110,18 @@ class AderDgSolver final : public SolverBase {
     return lts_enabled_ ? stable * macro_substeps_ : stable;
   }
 
-  /// Sharded stepping: phase 0 = element-local predictor + volume update,
-  /// phase 1 = surface corrector + buffer swap + time advance. The
-  /// corrector reads neighbour qavg tensors, so its halo field is qavg —
-  /// and its sweep splits into an interior sweep (cells with no halo
-  /// neighbour, runnable while the qavg exchange is in flight) and the
-  /// boundary remainder after delivery. The predictor reads no neighbour
-  /// data, so phase 0 is all interior.
+  /// Sharded stepping: phase 0 = element-local predictor + volume update +
+  /// face projection, phase 1 = surface corrector + buffer swap + time
+  /// advance. The corrector reads one trace per neighbour, so its halo
+  /// field is the trace buffer — and its sweep splits into an interior
+  /// sweep (cells with no halo neighbour, runnable while the exchange is
+  /// in flight) and the boundary remainder after delivery. The predictor
+  /// reads no neighbour data, so phase 0 is all interior.
   ///
   /// Under clustered LTS the protocol generalizes to 2 * 2^(K-1) phases:
   /// phase 2s = predict fine substep s (clusters aligned at s, interior-
   /// only), phase 2s+1 = correct the clusters completing at s. Correct
-  /// phases read up to three halo fields (qavg / qavg_half / qavg_sum on
+  /// phases read up to three halo fields (the avg / half / sum traces on
   /// channels 0/1/2); the final substep swaps buffers and advances time
   /// exactly like the global path.
   int num_step_phases() const override {
@@ -136,26 +145,37 @@ class AderDgSolver final : public SolverBase {
                                       int k3) const override;
 
  private:
-  /// Everything one worker thread mutates outside its q/qnew/qavg slices:
-  /// a kernel clone with its own workspace plus aligned face scratch.
+  /// Everything one worker thread mutates outside its q/qnew/trace slices:
+  /// a kernel clone with its own workspace plus aligned scratch.
   struct ThreadScratch {
     StpKernel kernel;
-    AlignedVector favg0, favg1, favg2;  // volume-update temporaries
-    AlignedVector nb_state;  // derived cross-cluster neighbour state (LTS)
-    FaceWorkspace faces;
+    AlignedVector qavg;       // kernel output, projected onto the faces
+    AlignedVector qavg_half;  // half-window average (LTS, K > 1)
+    /// Phase-shared arena: the kernel's three favg outputs in the
+    /// predictor, the six face jumps and the derived cross-cluster
+    /// neighbour traces in the corrector (a thread never runs both at once).
+    AlignedVector work;
+    char nonfinite = 0;  // the final (sub)step wrote a non-finite value
   };
+  /// Offsets into ThreadScratch::work, in doubles rounded up to 64 bytes.
+  std::size_t favg_offset(int d) const {
+    return static_cast<std::size_t>(d) * ((cell_size_ + 7) / 8 * 8);
+  }
+  std::size_t nb_traces_offset() const {
+    return (6 * trace_layout_.size() + 7) / 8 * 8;
+  }
 
   void rebuild_scratch();
-  /// One predictor + volume update at expansion time t. Under LTS the
-  /// same kernel run also emits qavg_half (finer face neighbour), and the
-  /// cell folds qavg into qavg_sum (coarser face neighbour); `sum_reset`
-  /// starts a fresh sum window.
+  /// One predictor + volume update + face projection at expansion time t.
+  /// Under LTS the same kernel run also emits qavg_half (finer face
+  /// neighbour), and the cell folds its traces into the sum traces
+  /// (coarser face neighbour); `sum_reset` starts a fresh sum window.
   void predict_cell(ThreadScratch& ts, int c, double dt, double t,
                     const std::array<double, 3>& inv_dx,
                     const std::array<double, kMaxOrder>& integral_coeff,
                     bool sum_reset);
-  /// Surface lift for one cell; `s` is the fine substep index (for the
-  /// cross-cluster neighbour-state selection; ignored off LTS).
+  /// Surface update for one cell; `s` is the fine substep index (for the
+  /// cross-cluster trace selection; 0 off LTS).
   void correct_cell(ThreadScratch& ts, int c, double dt, int s);
   /// Surface sweep over one cell list (the interior or boundary set).
   void apply_corrector(double dt, const std::vector<int>& cells);
@@ -165,18 +185,27 @@ class AderDgSolver final : public SolverBase {
   /// Timed corrector sweep over one of cluster k's cell lists.
   void correct_cluster(int k, int s, double dt_k,
                        const std::vector<int>& cells);
-  void check_finite() const;
+  /// Ends a step: swaps buffers, advances time and throws if the final
+  /// lift pass flagged a non-finite value.
+  void finish_step(double dt);
+  double* traces_of(AlignedVector& buffer, int cell) {
+    return buffer.data() +
+           trace_slot(grid_, cell, 0, 0) * trace_layout_.size();
+  }
 
   std::shared_ptr<const PdeRuntime> pde_;
   StpKernel kernel_;
   Grid grid_;
   const BasisTables& basis_;
   AosLayout layout_;
-  FaceLayout face_layout_;
+  Isa isa_;  ///< the kernel's ISA, also the face traces' width
+  FaceLayout trace_layout_;
   std::size_t cell_size_;
   int vars_ = 0;  ///< evolved quantities (parameters excluded)
 
-  AlignedVector q_, qnew_, qavg_;
+  /// q and qnew cover the owned cells; traces_ holds six face traces per
+  /// owned cell plus one per halo slot (kernels/face.h trace_slot).
+  AlignedVector q_, qnew_, traces_;
   /// Interior/boundary split of the corrector sweep (mesh/partition.h);
   /// boundary is empty for whole-domain grids, so the monolithic path is
   /// one full interior sweep.
@@ -190,15 +219,15 @@ class AderDgSolver final : public SolverBase {
   std::vector<int> cluster_;  ///< rate cluster per owned + halo cell
   /// Production flags per owned cell: needs_half = has a finer face
   /// neighbour (request the dt/2 average from the predictor), needs_sum =
-  /// has a coarser one (accumulate qavg over the sum window).
+  /// has a coarser one (accumulate the traces over the sum window).
   std::vector<char> needs_half_, needs_sum_;
   /// Per-cluster owned-cell lists (all / interior / boundary), in the
   /// same relative order as the global sweeps so K == 1 reproduces them.
   std::vector<std::vector<int>> cluster_cells_, cluster_interior_,
       cluster_boundary_;
-  /// Extra time-average buffers, halo-extended like qavg_ (exchange
+  /// Half-window and window-sum traces, laid out like traces_ (exchange
   /// channels 1 and 2); allocated only for K > 1.
-  AlignedVector qavg_half_, qavg_sum_;
+  AlignedVector half_traces_, sum_traces_;
   /// Measured per-cluster cost: wall ns inside the cluster's sweeps and
   /// cell-substeps executed (the balance table's denominator).
   std::vector<long long> cluster_ns_, cluster_cell_substeps_;

@@ -1,10 +1,13 @@
 // Pluggable halo-exchange backends behind one dependency-scheduled
 // protocol.
 //
-// An ExchangeBackend moves every HaloPlan's plan-ordered plane of
-// cell_size-double DOF tensors from source shards into destination halo
-// blocks, shard by shard and phase by phase, as ShardedSolver::step's
-// scheduler drives it. One step is bracketed by sched_begin_step /
+// An ExchangeBackend moves every HaloPlan's plan-ordered plane of face
+// traces (kernels/face.h: n^2 nodes x m_pad doubles) from source shards
+// into destination halo blocks, shard by shard and phase by phase, as
+// ShardedSolver::step's scheduler drives it. For plan (dir, side) each
+// source cell contributes its trace on face (dir, 1 - side) — the face it
+// shares with the receiving shard — and each halo slot holds exactly that
+// one trace. One step is bracketed by sched_begin_step /
 // sched_end_step; in between the scheduler tells the backend when a
 // shard's outgoing bytes become final (sched_capture: the shard completed
 // the previous phase) and when a shard is ready to receive (sched_open: it
@@ -27,7 +30,7 @@
 // non-overtaking rule pairs same-tag messages in order).
 //
 // Whatever the backend, the bytes delivered into a halo slot are exactly
-// the source cell's tensor, so sharded stepping stays bitwise-identical to
+// the source cell's trace, so sharded stepping stays bitwise-identical to
 // the monolithic path for every backend, decomposition and thread count.
 #pragma once
 
@@ -42,13 +45,13 @@
 namespace exastp {
 
 /// One logical field of a phase's (possibly multi-field) exchange.
-/// `shard_fields[s]` is the base of shard s's DOF array (owned cells
-/// first, halo blocks appended) for every shard materialized in this
-/// process, nullptr for the others. `channel` is a small non-negative id
-/// namespacing the transfer (the MPI tag space), so several fields — the
-/// LTS corrector reads qavg, qavg_half and qavg_sum halos — move in the
-/// same phase without mixing bytes. Channels within one phase must be
-/// distinct.
+/// `shard_fields[s]` is the base of shard s's trace buffer (six traces per
+/// owned cell, then one per halo slot; kernels/face.h trace_slot) for every
+/// shard materialized in this process, nullptr for the others. `channel`
+/// is a small non-negative id namespacing the transfer (the MPI tag
+/// space), so several fields — the LTS corrector reads the avg, half and
+/// sum traces — move in the same phase without mixing bytes. Channels
+/// within one phase must be distinct.
 struct ExchangeField {
   std::vector<double*> shard_fields;
   int channel = 0;
@@ -106,11 +109,12 @@ class ExchangeBackend {
   void sched_end_step() { do_sched_end_step(); }
 
   /// Halo bytes delivered into this process's shards per exchanged field
-  /// (the logical traffic; identical for every backend on a local run).
+  /// (the logical traffic, one trace per halo slot; identical for every
+  /// backend on a local run).
   std::size_t payload_bytes_per_exchange() const { return payload_bytes_; }
   /// Bytes memcpy'd per exchanged field when every intra-process capture
   /// delivers directly (a staged capture adds one pack copy). The
-  /// in-process gather copies each source plane straight into the peer's
+  /// in-process gather copies each source trace straight into the peer's
   /// halo block, so this equals the payload; the MPI backend also packs
   /// every cross-rank send (receives land directly in the halo block).
   std::size_t copied_bytes_per_exchange() const { return copied_bytes_; }
@@ -130,11 +134,22 @@ class ExchangeBackend {
 };
 
 /// Builds the backend named by the `backend=` config key ("inprocess" |
-/// "mpi") over `partition` with `cell_size` doubles per cell DOF tensor.
+/// "mpi") over `partition` with `trace_size` doubles per face trace.
 /// "mpi" requires a -DEXASTP_WITH_MPI=ON build and an initialized MPI
 /// launch with one rank per shard; violations fail with a clear message.
 std::unique_ptr<ExchangeBackend> make_exchange_backend(
     const std::string& backend, const Partition& partition,
-    std::size_t cell_size);
+    std::size_t trace_size);
+
+/// Offsets (doubles) of the traces `plan` gathers from its source shard's
+/// trace buffer, in halo slot order: each source cell's trace on face
+/// (plan.dir, 1 - plan.side).
+std::vector<std::size_t> source_trace_offsets(const Partition& partition,
+                                              const HaloPlan& plan,
+                                              std::size_t trace_size);
+/// Offset (doubles) of `plan`'s first halo trace in the receiving view
+/// `dst`'s trace buffer; the plan's traces follow contiguously.
+std::size_t halo_trace_offset(const Grid& dst, const HaloPlan& plan,
+                              std::size_t trace_size);
 
 }  // namespace exastp

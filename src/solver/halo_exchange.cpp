@@ -18,10 +18,10 @@ std::int64_t steady_now_ns() {
 
 }  // namespace
 
-LocalLinkSet::LocalLinkSet(const Partition& partition, std::size_t cell_size,
-                           int only_rank)
-    : cell_size_(cell_size), num_shards_(partition.num_shards()) {
-  EXASTP_CHECK_MSG(cell_size_ > 0, "halo exchange needs a cell size");
+LocalLinkSet::LocalLinkSet(const Partition& partition,
+                           std::size_t trace_size, int only_rank)
+    : trace_size_(trace_size), num_shards_(partition.num_shards()) {
+  EXASTP_CHECK_MSG(trace_size_ > 0, "halo exchange needs a trace size");
   for (int s = 0; s < partition.num_shards(); ++s) {
     if (only_rank >= 0 && partition.rank_of(s) != only_rank) continue;
     for (const HaloPlan& plan : partition.subdomain(s).halos) {
@@ -30,11 +30,12 @@ LocalLinkSet::LocalLinkSet(const Partition& partition, std::size_t cell_size,
       Link link;
       link.dst_shard = s;
       link.src_shard = plan.src_shard;
-      link.src_cells = plan.src_cells;
-      link.dst_offset = static_cast<std::size_t>(plan.dst_begin) * cell_size_;
+      link.src_offsets = source_trace_offsets(partition, plan, trace_size_);
+      link.dst_offset = halo_trace_offset(partition.subdomain(s).grid, plan,
+                                          trace_size_);
       link.cross_rank =
           partition.rank_of(s) != partition.rank_of(plan.src_shard);
-      payload_bytes_ += plan.src_cells.size() * cell_size_ * sizeof(double);
+      payload_bytes_ += plan.src_cells.size() * trace_size_ * sizeof(double);
       links_.push_back(std::move(link));
     }
   }
@@ -69,7 +70,7 @@ void LocalLinkSet::stage(int link, int phase) {
   const Link& l = links_[static_cast<std::size_t>(link)];
   const std::vector<ExchangeField>& fields =
       (*fields_)[static_cast<std::size_t>(phase)];
-  const std::size_t block = l.src_cells.size() * cell_size_;
+  const std::size_t block = l.src_offsets.size() * trace_size_;
   AlignedVector& buffer = staged_[link_state_index(link, phase)];
   buffer.resize(block * fields.size());
   double* out = buffer.data();
@@ -77,10 +78,9 @@ void LocalLinkSet::stage(int link, int phase) {
     const double* src =
         field.shard_fields[static_cast<std::size_t>(l.src_shard)];
     EXASTP_CHECK_MSG(src != nullptr, "halo field without storage");
-    for (const int cell : l.src_cells) {
-      std::memcpy(out, src + static_cast<std::size_t>(cell) * cell_size_,
-                  cell_size_ * sizeof(double));
-      out += cell_size_;
+    for (const std::size_t offset : l.src_offsets) {
+      std::memcpy(out, src + offset, trace_size_ * sizeof(double));
+      out += trace_size_;
     }
   }
 }
@@ -95,10 +95,9 @@ void LocalLinkSet::deliver_direct(int link, int phase) {
     EXASTP_CHECK_MSG(src != nullptr && dst != nullptr,
                      "halo field without storage");
     double* out = dst + l.dst_offset;
-    for (const int cell : l.src_cells) {
-      std::memcpy(out, src + static_cast<std::size_t>(cell) * cell_size_,
-                  cell_size_ * sizeof(double));
-      out += cell_size_;
+    for (const std::size_t offset : l.src_offsets) {
+      std::memcpy(out, src + offset, trace_size_ * sizeof(double));
+      out += trace_size_;
     }
   }
   done_[link_state_index(link, phase)] = 1;
@@ -110,7 +109,7 @@ void LocalLinkSet::deliver_staged(int link, int phase) {
   const std::vector<ExchangeField>& fields =
       (*fields_)[static_cast<std::size_t>(phase)];
   const AlignedVector& buffer = staged_[link_state_index(link, phase)];
-  const std::size_t block = l.src_cells.size() * cell_size_;
+  const std::size_t block = l.src_offsets.size() * trace_size_;
   EXASTP_CHECK(buffer.size() == block * fields.size());
   for (std::size_t f = 0; f < fields.size(); ++f) {
     double* dst = fields[f].shard_fields[static_cast<std::size_t>(l.dst_shard)];
@@ -223,9 +222,9 @@ void LocalLinkSet::end_step() {
 }
 
 InProcessExchange::InProcessExchange(
-    const Partition& partition, std::size_t cell_size,
+    const Partition& partition, std::size_t trace_size,
     double simulated_cross_rank_latency_seconds)
-    : links_(partition, cell_size, /*only_rank=*/-1),
+    : links_(partition, trace_size, /*only_rank=*/-1),
       latency_ns_(static_cast<std::int64_t>(
           simulated_cross_rank_latency_seconds * 1e9)) {
   payload_bytes_ = links_.payload_bytes();

@@ -1,11 +1,12 @@
 // In-process exchange: shards living in this process refresh their halo
-// rings by a zero-copy gather.
+// traces by a zero-copy gather.
 //
 // The destination halo block is contiguous and ordered exactly like the
 // HaloPlan's packed plane (mesh/grid.h halo order), so a link whose
 // receiver is ready delivers with a single strided gather: each source
-// cell's tensor is copied straight into its halo slot in the receiving
-// shard's array, with no intermediate send/recv buffers.
+// cell's trace of the shared face is copied straight into its halo slot in
+// the receiving shard's trace buffer, with no intermediate send/recv
+// buffers.
 //
 // Two backends share the machinery through LocalLinkSet: InProcessExchange
 // (every shard local — the backend=inprocess path) and the hybrid MPI
@@ -48,12 +49,12 @@ namespace exastp {
 /// MPI backend's intra-rank legs.
 class LocalLinkSet {
  public:
-  /// Builds the links of `partition` with `cell_size` doubles per cell.
-  /// `only_rank >= 0` keeps only links whose BOTH endpoints live on that
-  /// rank of the partition's rank map; -1 keeps every link. Each link
+  /// Builds the links of `partition` with `trace_size` doubles per face
+  /// trace. `only_rank >= 0` keeps only links whose BOTH endpoints live on
+  /// that rank of the partition's rank map; -1 keeps every link. Each link
   /// remembers whether its endpoints sit on different ranks (the
   /// simulated-latency predicate; always false under only_rank >= 0).
-  LocalLinkSet(const Partition& partition, std::size_t cell_size,
+  LocalLinkSet(const Partition& partition, std::size_t trace_size,
                int only_rank);
 
   // Mirrors the ExchangeBackend sched_* contract.
@@ -80,7 +81,8 @@ class LocalLinkSet {
   struct Link {
     int dst_shard = -1;
     int src_shard = -1;
-    std::vector<int> src_cells;  ///< gather order = halo slot order
+    /// Source trace offsets (doubles) in gather order = halo slot order.
+    std::vector<std::size_t> src_offsets;
     std::size_t dst_offset = 0;  ///< doubles into the destination array
     bool cross_rank = false;     ///< endpoints on different partition ranks
   };
@@ -101,7 +103,7 @@ class LocalLinkSet {
   void deliver_direct(int link, int phase);
   void deliver_staged(int link, int phase);
 
-  std::size_t cell_size_ = 0;
+  std::size_t trace_size_ = 0;
   int num_shards_ = 0;
   std::vector<Link> links_;
   std::size_t payload_bytes_ = 0;
@@ -121,13 +123,13 @@ class LocalLinkSet {
 
 class InProcessExchange final : public ExchangeBackend {
  public:
-  /// Builds the link set for `partition` with `cell_size` doubles per cell
-  /// DOF tensor (the solver layout's padded size).
+  /// Builds the link set for `partition` with `trace_size` doubles per
+  /// face trace (kernels/face.h FaceLayout::size()).
   /// `simulated_cross_rank_latency_seconds > 0` delays every link whose
   /// endpoints the partition's rank map places on different ranks — a
   /// bench/test knob modelling inter-rank wire time inside one process
   /// (bitwise-neutral; see the file comment).
-  InProcessExchange(const Partition& partition, std::size_t cell_size,
+  InProcessExchange(const Partition& partition, std::size_t trace_size,
                     double simulated_cross_rank_latency_seconds = 0.0);
 
   std::string name() const override { return "inprocess"; }

@@ -31,12 +31,12 @@ namespace {
 /// order on both sides.
 class HybridExchangeBackend final : public ExchangeBackend {
  public:
-  HybridExchangeBackend(const Partition& partition, std::size_t cell_size)
-      : cell_size_(cell_size),
+  HybridExchangeBackend(const Partition& partition, std::size_t trace_size)
+      : trace_size_(trace_size),
         rank_(MpiRuntime::rank()),
         num_shards_(partition.num_shards()),
-        local_(partition, cell_size, /*only_rank=*/MpiRuntime::rank()) {
-    EXASTP_CHECK_MSG(cell_size_ > 0, "halo exchange needs a cell size");
+        local_(partition, trace_size, /*only_rank=*/MpiRuntime::rank()) {
+    EXASTP_CHECK_MSG(trace_size_ > 0, "halo exchange needs a trace size");
     EXASTP_CHECK_MSG(MpiRuntime::initialized(),
                      "the mpi exchange backend needs an initialized MPI "
                      "launch (mpirun)");
@@ -67,8 +67,9 @@ class HybridExchangeBackend final : public ExchangeBackend {
         op.peer = partition.rank_of(plan.src_shard);
         op.dst_shard = s;
         op.face = plan.dir * 2 + plan.side;
-        op.offset = static_cast<std::size_t>(plan.dst_begin) * cell_size_;
-        op.count = plan.src_cells.size() * cell_size_;
+        op.offset = halo_trace_offset(partition.subdomain(s).grid, plan,
+                                      trace_size_);
+        op.count = plan.src_cells.size() * trace_size_;
         // MPI-3 counts are int; a face plane that overflows one must fail
         // loudly, not wrap into a truncated transfer.
         EXASTP_CHECK_MSG(op.count <= static_cast<std::size_t>(
@@ -90,8 +91,8 @@ class HybridExchangeBackend final : public ExchangeBackend {
         op.src_shard = plan.src_shard;
         op.dst_shard = s;
         op.face = plan.dir * 2 + plan.side;
-        op.cells = plan.src_cells;
-        const std::size_t doubles = plan.src_cells.size() * cell_size_;
+        op.src_offsets = source_trace_offsets(partition, plan, trace_size_);
+        const std::size_t doubles = plan.src_cells.size() * trace_size_;
         EXASTP_CHECK_MSG(doubles <= static_cast<std::size_t>(
                                         std::numeric_limits<int>::max()),
                          "halo face exceeds the MPI int count limit");
@@ -225,7 +226,9 @@ class HybridExchangeBackend final : public ExchangeBackend {
     int src_shard = -1;
     int dst_shard = -1;
     int face = 0;
-    std::vector<int> cells;  ///< pack order = the receiver's halo order
+    /// Source trace offsets (doubles); pack order = the receiver's halo
+    /// order.
+    std::vector<std::size_t> src_offsets;
   };
 
   int tag_of(int channel, int dst_shard, int face) const {
@@ -250,12 +253,11 @@ class HybridExchangeBackend final : public ExchangeBackend {
   void pack(const SendOp& op, const ExchangeField& field,
             AlignedVector& buffer) const {
     const double* src = shard_field(field, op.src_shard);
-    buffer.resize(op.cells.size() * cell_size_);
+    buffer.resize(op.src_offsets.size() * trace_size_);
     double* out = buffer.data();
-    for (const int cell : op.cells) {
-      std::memcpy(out, src + static_cast<std::size_t>(cell) * cell_size_,
-                  cell_size_ * sizeof(double));
-      out += cell_size_;
+    for (const std::size_t offset : op.src_offsets) {
+      std::memcpy(out, src + offset, trace_size_ * sizeof(double));
+      out += trace_size_;
     }
   }
 
@@ -283,7 +285,7 @@ class HybridExchangeBackend final : public ExchangeBackend {
     return true;
   }
 
-  std::size_t cell_size_ = 0;
+  std::size_t trace_size_ = 0;
   int rank_ = 0;
   int num_shards_ = 0;
   LocalLinkSet local_;
@@ -305,8 +307,8 @@ class HybridExchangeBackend final : public ExchangeBackend {
 }  // namespace
 
 std::unique_ptr<ExchangeBackend> make_mpi_exchange(const Partition& partition,
-                                                   std::size_t cell_size) {
-  return std::make_unique<HybridExchangeBackend>(partition, cell_size);
+                                                   std::size_t trace_size) {
+  return std::make_unique<HybridExchangeBackend>(partition, trace_size);
 }
 
 }  // namespace exastp
@@ -316,7 +318,7 @@ std::unique_ptr<ExchangeBackend> make_mpi_exchange(const Partition& partition,
 namespace exastp {
 
 std::unique_ptr<ExchangeBackend> make_mpi_exchange(
-    const Partition& /*partition*/, std::size_t /*cell_size*/) {
+    const Partition& /*partition*/, std::size_t /*trace_size*/) {
   EXASTP_FAIL(
       "this build has no MPI support — reconfigure with "
       "-DEXASTP_WITH_MPI=ON to use backend=mpi");

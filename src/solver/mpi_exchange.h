@@ -11,8 +11,8 @@
 // (exchange_backend.h): sched_open posts one MPI_Irecv per cross-rank plan
 // of the opening shard — straight into the destination halo block, which
 // is contiguous and plan-ordered, so the receive side needs no unpack
-// copy — sched_capture packs the outgoing planes and MPI_Isends them
-// eagerly, and sched_poll progresses with MPI_Testsome / MPI_Waitsome.
+// copy — sched_capture packs the outgoing planes of face traces and
+// MPI_Isends them eagerly, and sched_poll progresses with MPI_Testsome / MPI_Waitsome.
 // The message tag is (channel * num_shards + dst_shard) * 6 + (dir, side):
 // a (dst_shard, dir, side) face has exactly one source shard, so the tag
 // uniquely names a link per channel even when one rank pair carries
@@ -38,7 +38,8 @@
 
 namespace exastp {
 
+/// `trace_size` doubles per face trace, the unit of every halo slot.
 std::unique_ptr<ExchangeBackend> make_mpi_exchange(const Partition& partition,
-                                                   std::size_t cell_size);
+                                                   std::size_t trace_size);
 
 }  // namespace exastp

@@ -32,19 +32,16 @@ RkDgSolver::RkDgSolver(std::shared_ptr<const PdeRuntime> pde, int order,
       basis_(basis_tables(order, family)),
       isa_(isa),
       layout_(order, pde_->info().quants, isa),
-      face_layout_(layout_),
+      trace_layout_(layout_),
       cell_size_(layout_.size()),
       vars_(pde_->info().vars) {
-  // Halo slots extend every buffer uniformly; only q/stage halos are ever
-  // filled (step_phase_halo_fields), and the element-wise RK sweeps stay on
-  // the owned range.
-  const std::size_t total =
-      static_cast<std::size_t>(grid_.num_cells() + grid_.num_halo_cells()) *
-      cell_size_;
-  q_.assign(total, 0.0);
-  stage_.assign(total, 0.0);
-  rhs_.assign(total, 0.0);
-  accum_.assign(total, 0.0);
+  const std::size_t owned =
+      static_cast<std::size_t>(grid_.num_cells()) * cell_size_;
+  q_.assign(owned, 0.0);
+  stage_.assign(owned, 0.0);
+  rhs_.assign(owned, 0.0);
+  accum_.assign(owned, 0.0);
+  traces_.assign(trace_count(grid_) * trace_layout_.size(), 0.0);
   CellClassification cells = classify_cells(grid_);
   interior_cells_ = std::move(cells.interior);
   boundary_cells_ = std::move(cells.boundary);
@@ -63,7 +60,7 @@ void RkDgSolver::rebuild_scratch() {
     ThreadScratch ts;
     ts.flux.assign(cell_size_, 0.0);
     ts.gradq.assign(cell_size_, 0.0);
-    ts.faces.resize(face_layout_);
+    ts.jump.assign(6 * trace_layout_.size(), 0.0);
     ts.ncp_tmp.resize(static_cast<std::size_t>(layout_.m));
     scratch_.push_back(std::move(ts));
   }
@@ -85,6 +82,18 @@ void RkDgSolver::set_initial_condition(
         }
   }
   time_ = 0.0;
+  project_state(q_);
+}
+
+void RkDgSolver::project_state(const AlignedVector& state) {
+  const std::size_t t = trace_layout_.size();
+  par_.run(grid_.num_cells(), 1, [&](int /*tid*/, long begin, long end) {
+    for (long c = begin; c < end; ++c)
+      project_faces(isa_, layout_, basis_,
+                    state.data() + static_cast<std::size_t>(c) * cell_size_,
+                    traces_.data() +
+                        trace_slot(grid_, static_cast<int>(c), 0, 0) * t);
+  });
 }
 
 void RkDgSolver::add_point_source(const MeshPointSource& source) {
@@ -151,16 +160,27 @@ void RkDgSolver::operator_cell(ThreadScratch& ts, const AlignedVector& state,
     fc.add(WidthClass::kScalar, nodes * (pde_->ncp_flops() + layout_.m));
   }
 
-  // Surface terms: the lift from this cell's own six faces (apply_own_face
-  // recomputes interior Riemann solves per side — identical bits, so the
-  // cell-parallel traversal needs no face ownership).
-  const auto state_of = [&state, this](int cell) -> const double* {
-    return state.data() + static_cast<std::size_t>(cell) * cell_size_;
-  };
-  for (int dir = 0; dir < 3; ++dir)
-    for (int side = 0; side < 2; ++side)
-      apply_own_face(*pde_, grid_, layout_, basis_, vars_, c, dir, side,
-                     inv_dx[dir], state_of, ts.faces, rc);
+  // Surface terms: the lift from this cell's own six faces, solved from
+  // the stage state's traces (interior Riemann solves run once per side —
+  // identical bits, so the cell-parallel traversal needs no face
+  // ownership).
+  const std::size_t trace = trace_layout_.size();
+  FaceUpdate u;
+  u.layout = trace_layout_;
+  u.basis = &basis_;
+  u.own = traces_.data() + trace_slot(grid_, c, 0, 0) * trace;
+  u.jump = ts.jump.data();
+  u.out = rc;
+  u.scale = inv_dx;
+  for (int f = 0; f < 6; ++f) {
+    const NeighborRef nb = grid_.neighbor(c, f / 2, f % 2);
+    u.neighbour[static_cast<std::size_t>(f)] =
+        nb.boundary ? nullptr
+                    : traces_.data() +
+                          trace_slot(grid_, nb.cell, f / 2, 1 - f % 2) * trace;
+    u.boundary[static_cast<std::size_t>(f)] = nb.kind;
+  }
+  pde_->surface_update(isa_, u);
 
   // Point-source injection at the stage time.
   for (const auto& prepared : sources_) {
@@ -219,7 +239,6 @@ void RkDgSolver::step_phase_boundary(int phase, double dt) {
   evaluate_operator(stage_state(phase), stage_time(phase, dt), rhs_,
                     boundary_cells_);
 
-  // Owned cells only: halo slots are refreshed by exchange, never swept.
   const long total =
       static_cast<long>(grid_.num_cells()) * static_cast<long>(cell_size_);
 
@@ -243,27 +262,32 @@ void RkDgSolver::step_phase_boundary(int phase, double dt) {
 
   // Classical RK4: q += dt/6 (k1 + 2 k2 + 2 k3 + k4), with the stage
   // operator evaluated at t_n, t_n + dt/2 (twice) and t_n + dt. Each phase
-  // starts after its input state's halo is valid (q for k1, the stage
-  // buffer afterwards; the monolithic grid has no halo to wait for).
+  // starts after its input state's trace halos are valid (q's for k1, the
+  // stage buffer's afterwards; the monolithic grid has no halo to wait
+  // for), and ends by projecting the next stage's input onto the faces.
   switch (phase) {
     case 0:
       par_copy(rhs_, accum_);                             // k1
       par_copy(q_, stage_);
       par_axpy(0.5 * dt, rhs_, stage_);
+      project_state(stage_);
       break;
     case 1:
       par_axpy(2.0, rhs_, accum_);                        // k2
       par_copy(q_, stage_);
       par_axpy(0.5 * dt, rhs_, stage_);
+      project_state(stage_);
       break;
     case 2:
       par_axpy(2.0, rhs_, accum_);                        // k3
       par_copy(q_, stage_);
       par_axpy(dt, rhs_, stage_);
+      project_state(stage_);
       break;
     default:
       par_add(rhs_, accum_);                              // k4
       par_axpy(dt / 6.0, accum_, q_);
+      project_state(q_);
       time_ += dt;
       check_finite();
       break;

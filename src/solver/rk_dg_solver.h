@@ -9,11 +9,15 @@
 // PDE interface, classical fourth-order Runge-Kutta in time.
 //
 // The stage operator is evaluated cell-parallel (ParallelFor): one fused
-// traversal computes a cell's volume terms, the lift from its own six faces
-// (interior Riemann solves recomputed once per side — identical bits) and
-// any point-source injection, writing only that cell's rhs slice. The RK
-// axpy sweeps are chunked at vector-width granularity. Results are
-// bitwise-identical for any thread count.
+// traversal computes a cell's volume terms, the surface update from its own
+// six face traces and one trace per neighbour (kernels/face.h; interior
+// Riemann solves run once per side — identical bits) and any point-source
+// injection, writing only that cell's rhs slice. Every stage state is
+// projected onto its cells' faces at the tail of the phase that produces
+// it (and q at set_initial_condition), so both steppers share one face
+// path and one halo format: the traces. The RK axpy sweeps are chunked at
+// vector-width granularity. Results are bitwise-identical for any thread
+// count.
 #pragma once
 
 #include <functional>
@@ -32,9 +36,9 @@ class RkDgSolver final : public SolverBase {
   RkDgSolver(std::shared_ptr<const PdeRuntime> pde, int order, Isa isa,
              const GridSpec& grid_spec,
              NodeFamily family = NodeFamily::kGaussLegendre);
-  /// Same, over an arbitrary (possibly partitioned) grid view: the state
-  /// buffers grow a halo ring the stage operator reads for off-shard
-  /// neighbours.
+  /// Same, over an arbitrary (possibly partitioned) grid view: the trace
+  /// buffer grows one trace per halo slot, which the stage operator reads
+  /// for off-shard neighbours.
   RkDgSolver(std::shared_ptr<const PdeRuntime> pde, int order, Isa isa,
              const Grid& grid, NodeFamily family = NodeFamily::kGaussLegendre);
 
@@ -66,17 +70,19 @@ class RkDgSolver final : public SolverBase {
   void step(double dt) override;
 
   /// Sharded stepping: one phase per RK stage. Every stage operator reads
-  /// neighbour tensors of its input state — q for the first stage, the
-  /// stage buffer afterwards — so each phase names that array as its halo
-  /// field. The operator traversal splits into an interior sweep (no halo
-  /// neighbours, runs while the exchange is in flight) and the boundary
-  /// remainder plus the element-wise stage sweeps after delivery.
+  /// one neighbour trace per face of its input state — q for the first
+  /// stage, the stage buffer afterwards — and the trace buffer always
+  /// holds the traces of the next stage's input, so it is every phase's
+  /// halo field. The operator traversal splits into an interior sweep (no
+  /// halo neighbours, runs while the exchange is in flight) and the
+  /// boundary remainder plus the element-wise stage sweeps and the
+  /// projection of the new stage state after delivery.
   int num_step_phases() const override { return 4; }
   void step_phase(int phase, double dt) override;
   void step_phase_interior(int phase, double dt) override;
   void step_phase_boundary(int phase, double dt) override;
-  std::vector<PhaseHaloField> step_phase_halo_fields(int phase) override {
-    return {PhaseHaloField{phase == 0 ? q_.data() : stage_.data(), 0}};
+  std::vector<PhaseHaloField> step_phase_halo_fields(int /*phase*/) override {
+    return {PhaseHaloField{traces_.data(), 0}};
   }
 
   const double* cell_dofs(int cell) const override {
@@ -92,7 +98,7 @@ class RkDgSolver final : public SolverBase {
   /// Per-thread scratch of the fused volume + surface cell traversal.
   struct ThreadScratch {
     AlignedVector flux, gradq;  // per-cell volume scratch
-    FaceWorkspace faces;
+    AlignedVector jump;         // the six face jumps of one surface update
     std::vector<double> ncp_tmp;
   };
 
@@ -105,6 +111,8 @@ class RkDgSolver final : public SolverBase {
                          AlignedVector& rhs, const std::vector<int>& cells);
   void operator_cell(ThreadScratch& ts, const AlignedVector& state, double t,
                      int c, AlignedVector& rhs);
+  /// Projects every owned cell of `state` onto its six faces (traces_).
+  void project_state(const AlignedVector& state);
   /// Input state and evaluation time of one RK stage.
   const AlignedVector& stage_state(int phase) const {
     return phase == 0 ? q_ : stage_;
@@ -119,11 +127,13 @@ class RkDgSolver final : public SolverBase {
   const BasisTables& basis_;
   Isa isa_;
   AosLayout layout_;
-  FaceLayout face_layout_;
+  FaceLayout trace_layout_;
   std::size_t cell_size_;
   int vars_ = 0;
 
-  AlignedVector q_, stage_, rhs_, accum_;
+  /// The state buffers cover the owned cells; traces_ holds six face
+  /// traces per owned cell plus one per halo slot (kernels/face.h).
+  AlignedVector q_, stage_, rhs_, accum_, traces_;
   /// Interior/boundary split of the operator traversal (mesh/partition.h);
   /// boundary is empty for whole-domain grids.
   std::vector<int> interior_cells_, boundary_cells_;

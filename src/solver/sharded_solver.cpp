@@ -5,6 +5,7 @@
 
 #include "exastp/common/check.h"
 #include "exastp/common/mpi_runtime.h"
+#include "exastp/kernels/face.h"
 #include "exastp/telemetry/telemetry.h"
 
 namespace exastp {
@@ -58,8 +59,9 @@ ShardedSolver::ShardedSolver(
                          shard->num_step_phases() == phases,
                      "all shards must share layout and stepper");
   }
-  exchange_ =
-      make_exchange_backend(backend, partition_, primary().layout().size());
+  // The exchange unit is one face trace per halo slot (kernels/face.h).
+  exchange_ = make_exchange_backend(backend, partition_,
+                                    FaceLayout(primary().layout()).size());
 }
 
 int ShardedSolver::num_ranks() const {

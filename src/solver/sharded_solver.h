@@ -21,8 +21,8 @@
 // sched_wait span; ready-queue depth and task counts land in the
 // sched_tasks / sched_ready_depth_sum / sched_blocked_polls counters.
 //
-// Every halo slot receives exactly the neighbour tensor's bytes and each
-// sweep runs over identical inputs, so the composite's field state is
+// Every halo slot receives exactly the bytes of the neighbour's face trace
+// and each sweep runs over identical inputs, so the composite's field state is
 // bitwise-identical to the monolithic solver for any backend x shard grid
 // x rank map x thread count (tests/test_sharding.cpp, test_oversub.cpp,
 // test_lts.cpp and test_mpi.cpp guard the matrix).
@@ -137,7 +137,8 @@ class ShardedSolver final : public SolverBase {
   const ExchangeBackend& exchange_backend() const { return *exchange_; }
   /// Swaps the exchange backend — a bench/test hook (e.g. an
   /// InProcessExchange with simulated cross-rank latency). The replacement
-  /// must cover the same partition and cell size.
+  /// must cover the same partition and trace size
+  /// (FaceLayout(layout()).size()).
   void set_exchange_backend(std::unique_ptr<ExchangeBackend> backend);
 
  private:

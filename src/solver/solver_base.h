@@ -120,8 +120,8 @@ class SolverBase {
 
   // ---- Domain-decomposition stepping protocol -------------------------
   // A step decomposes into num_step_phases() ordered phases. Phase p reads
-  // the face-adjacent neighbours' tensors of the arrays
-  // step_phase_halo_fields(p) names (empty = no neighbour data), and
+  // the face-adjacent neighbours' face traces (kernels/face.h) in the
+  // arrays step_phase_halo_fields(p) names (empty = no neighbour data), and
   // splits into two sweeps so the halo transfer can overlap compute
   // (ShardedSolver::step drives them, exchange_backend.h moves the bytes):
   //
@@ -135,8 +135,10 @@ class SolverBase {
   // monolithic path (a whole-domain Grid has no halo slots, so its
   // boundary set is empty and interior covers every cell). While a
   // phase's halos are in flight, step_phase_interior must not read their
-  // halo slots. Solvers that want to run sharded allocate their exchanged
-  // arrays over grid().num_cells() + grid().num_halo_cells() cells.
+  // halo slots. The exchanged arrays are trace buffers: six traces per
+  // owned cell followed by one per halo slot (trace_count(grid()) traces
+  // of FaceLayout(layout()).size() doubles, addressed by trace_slot). Only
+  // they carry halo slots; the state buffers cover the owned cells.
 
   /// Phases per step: 2 for ADER (predict | correct+advance), 4 for RK4
   /// (one per stage), 1 for steppers without a sharded decomposition.
@@ -155,16 +157,16 @@ class SolverBase {
 
   /// One halo field a phase reads, with the exchange channel that
   /// namespaces its transfer (solver/exchange_backend.h). Channels: 0 =
-  /// the primary field (qavg / stage state), 1 = qavg_half, 2 = qavg_sum
-  /// (the LTS corrector's extra buffers).
+  /// the primary traces (of qavg / of the stage state), 1 = the half-window
+  /// traces, 2 = the window-sum traces (the LTS corrector's extra fields).
   struct PhaseHaloField {
     double* data = nullptr;
     int channel = 0;
   };
   /// All halo fields `phase` reads, refreshed together before its
   /// boundary sweep (empty = no neighbour data) — one for the RK stages
-  /// and the global ADER corrector, three for the LTS corrector (qavg,
-  /// qavg_half and qavg_sum). Default: none.
+  /// and the global ADER corrector, three for the LTS corrector (average,
+  /// half and sum traces). Default: none.
   virtual std::vector<PhaseHaloField> step_phase_halo_fields(int phase);
 
   /// Mesh shards behind this solver: 1 for monolithic solvers, the

@@ -12,11 +12,14 @@
 //     identity-metric curvilinear elastic),
 //   * the footprint claims of Sec. IV-A (O(N^4 m) vs O(N^3 m), 1 MiB L2
 //     crossover),
-//   * face projection / Rusanov / lift building blocks.
+//   * the face-trace projection and surface update on every host ISA,
+//     against a plain per-face reference loop for every line PDE.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "exastp/pde/advection.h"
 #include "exastp/pde/curvilinear_elastic.h"
 #include "exastp/pde/elastic.h"
+#include "exastp/pde/maxwell.h"
 #include "exastp/tensor/transpose.h"
 
 namespace exastp {
@@ -508,122 +512,305 @@ TEST(Footprint, GenericReportsItsSpaceTimeArrays) {
 }
 
 // ---------------------------------------------------------------------------
-// Face building blocks.
+// Face traces: the one-pass projection and the per-cell surface update, on
+// every ISA the host runs.
 
-TEST(FaceOps, ProjectionReproducesBoundaryValues) {
+std::vector<Isa> host_isas() {
+  std::vector<Isa> isas;
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512})
+    if (host_supports(isa)) isas.push_back(isa);
+  return isas;
+}
+
+/// Six face traces (and their neighbour traces) of one cell, plus the lift
+/// target and scratch the surface update needs.
+struct TraceCell {
+  FaceLayout fl;
+  AlignedVector own, nb, jump, out;
+  explicit TraceCell(const AosLayout& aos)
+      : fl(aos),
+        own(6 * fl.size(), 0.0),
+        nb(6 * fl.size(), 0.0),
+        jump(6 * fl.size(), 0.0),
+        out(aos.size(), 0.0) {}
+  double* own_face(int f) { return own.data() + f * fl.size(); }
+  double* nb_face(int f) { return nb.data() + f * fl.size(); }
+  /// Every face interior (neighbour traces from `nb`), scale 0.5 per dir.
+  FaceUpdate update(const BasisTables& basis) {
+    FaceUpdate u;
+    u.layout = fl;
+    u.basis = &basis;
+    u.own = own.data();
+    for (int f = 0; f < 6; ++f)
+      u.neighbour[static_cast<std::size_t>(f)] = nb_face(f);
+    u.scale = {0.5, 0.25, 0.75};
+    u.jump = jump.data();
+    u.out = out.data();
+    return u;
+  }
+};
+
+TEST(FaceTraces, ProjectionReproducesBoundaryValuesOnAllSixFaces) {
   const int n = 5;
   const auto& basis = basis_tables(n);
-  AosLayout aos(n, 3, Isa::kAvx512);
-  AlignedVector q(aos.size(), 0.0);
   auto f = [](double x, double y, double z, int s) {
     return std::pow(x, s) + y * z + 2.0 * s;
   };
-  for (int k3 = 0; k3 < n; ++k3)
-    for (int k2 = 0; k2 < n; ++k2)
-      for (int k1 = 0; k1 < n; ++k1)
-        for (int s = 0; s < 3; ++s)
-          q[aos.idx(k3, k2, k1, s)] =
-              f(basis.nodes[k1], basis.nodes[k2], basis.nodes[k3], s);
-  FaceLayout flayout(aos);
-  AlignedVector face(flayout.size());
-  // Right x-face: x = 1, in-face coords (a, b) = (y, z).
-  project_to_face(aos, basis, q.data(), 0, 1, face.data());
-  for (int b = 0; b < n; ++b)
-    for (int a = 0; a < n; ++a)
-      for (int s = 0; s < 3; ++s)
-        EXPECT_NEAR(face[flayout.idx(b, a, s)],
-                    f(1.0, basis.nodes[a], basis.nodes[b], s), 1e-11);
-  // Lower z-face: z = 0, in-face coords (a, b) = (x, y).
-  project_to_face(aos, basis, q.data(), 2, 0, face.data());
-  for (int b = 0; b < n; ++b)
-    for (int a = 0; a < n; ++a)
-      for (int s = 0; s < 3; ++s)
-        EXPECT_NEAR(face[flayout.idx(b, a, s)],
-                    f(basis.nodes[a], basis.nodes[b], 0.0, s), 1e-11);
-}
-
-TEST(FaceOps, RusanovIsConsistent) {
-  // Equal states from both sides must return exactly the physical normal
-  // flux (the jump term vanishes).
-  const int n = 3;
-  PdeAdapter<AcousticPde> pde;
-  AosLayout aos(n, AcousticPde::kQuants, Isa::kAvx512);
-  FaceLayout fl(aos);
-  AlignedVector qf(fl.size(), 0.0);
-  for (int k = 0; k < n * n; ++k) {
-    double* node = qf.data() + static_cast<std::size_t>(k) * fl.m_pad;
-    node[0] = 1.0 + k;
-    node[1] = 0.3;
-    node[2] = -0.2;
-    node[3] = 0.1;
-    node[AcousticPde::kRho] = 1.0;
-    node[AcousticPde::kC] = 2.0;
+  for (const Isa isa : host_isas()) {
+    AosLayout aos(n, 3, isa);
+    AlignedVector q(aos.size(), 0.0);
+    for (int k3 = 0; k3 < n; ++k3)
+      for (int k2 = 0; k2 < n; ++k2)
+        for (int k1 = 0; k1 < n; ++k1)
+          for (int s = 0; s < 3; ++s)
+            q[aos.idx(k3, k2, k1, s)] =
+                f(basis.nodes[k1], basis.nodes[k2], basis.nodes[k3], s);
+    const FaceLayout fl(aos);
+    AlignedVector traces(6 * fl.size(), -1.0);
+    project_faces(isa, aos, basis, q.data(), traces.data());
+    for (int face = 0; face < 6; ++face) {
+      const int dir = face / 2;
+      const double side = face % 2;
+      const double* tr = traces.data() + face * fl.size();
+      for (int b = 0; b < n; ++b)
+        for (int a = 0; a < n; ++a) {
+          // In-face coordinates (a, b) in ascending dimension order.
+          const double u = basis.nodes[a], v = basis.nodes[b];
+          const double x = dir == 0 ? side : u;
+          const double y = dir == 1 ? side : (dir == 0 ? u : v);
+          const double z = dir == 2 ? side : v;
+          for (int s = 0; s < 3; ++s)
+            EXPECT_NEAR(tr[fl.idx(b, a, s)], f(x, y, z, s), 1e-11)
+                << isa_name(isa) << " face " << face;
+          for (int s = 3; s < fl.m_pad; ++s)
+            EXPECT_EQ(tr[fl.idx(b, a, s)], 0.0) << "padding stays zero";
+        }
+    }
   }
-  AlignedVector fn(fl.size(), 0.0), fstar(fl.size(), 0.0);
-  face_normal_flux(pde, fl, qf.data(), 0, fn.data());
-  rusanov_flux(pde, fl, qf.data(), qf.data(), fn.data(), fn.data(), 0,
-               fstar.data());
-  for (int k = 0; k < n * n; ++k)
-    for (int v = 0; v < AcousticPde::kVars; ++v)
-      EXPECT_NEAR(fstar[k * fl.m_pad + v], fn[k * fl.m_pad + v], 1e-13);
 }
 
-TEST(FaceOps, RusanovUpwindsScalarAdvection) {
-  // For rightward advection the numerical flux must equal the left (upwind)
-  // state's flux.
+TEST(FaceTraces, RusanovIsConsistent) {
+  // Equal states from both sides must return exactly the physical normal
+  // flux: every jump vanishes and the lift leaves the cell untouched.
+  const int n = 3;
+  const auto& basis = basis_tables(n);
+  PdeAdapter<AcousticPde> pde;
+  for (const Isa isa : host_isas()) {
+    AosLayout aos(n, AcousticPde::kQuants, isa);
+    TraceCell cell(aos);
+    for (int f = 0; f < 6; ++f)
+      for (int k = 0; k < n * n; ++k) {
+        double* node = cell.own_face(f) + k * cell.fl.m_pad;
+        node[0] = 1.0 + k;
+        node[1] = 0.3;
+        node[2] = -0.2 * f;
+        node[3] = 0.1;
+        node[AcousticPde::kRho] = 1.0;
+        node[AcousticPde::kC] = 2.0;
+      }
+    cell.nb = cell.own;
+    for (std::size_t i = 0; i < cell.out.size(); ++i) cell.out[i] = 0.01 * i;
+    const AlignedVector before = cell.out;
+    EXPECT_TRUE(pde.surface_update(isa, cell.update(basis)));
+    for (std::size_t i = 0; i < cell.jump.size(); ++i)
+      EXPECT_EQ(cell.jump[i], 0.0) << isa_name(isa);
+    for (std::size_t i = 0; i < cell.out.size(); ++i)
+      EXPECT_EQ(cell.out[i], before[i]) << isa_name(isa);
+  }
+}
+
+TEST(FaceTraces, RusanovUpwindsScalarAdvection) {
+  // For rightward advection F* is the left (upwind) state's flux: on the
+  // upper x-face the cell itself is upwind (zero jump), on the lower x-face
+  // the jump is F(neighbour) - F(own).
   const int n = 2;
+  const auto& basis = basis_tables(n);
   AdvectionPde adv;
   adv.velocity = {1.0, 0.0, 0.0};
   PdeAdapter<AdvectionPde> pde(adv);
-  AosLayout aos(n, AdvectionPde::kQuants, Isa::kScalar);
-  FaceLayout fl(aos);
-  AlignedVector ql(fl.size(), 2.0), qr(fl.size(), 5.0);
-  AlignedVector fn_l(fl.size()), fn_r(fl.size()), fstar(fl.size());
-  face_normal_flux(pde, fl, ql.data(), 0, fn_l.data());
-  face_normal_flux(pde, fl, qr.data(), 0, fn_r.data());
-  rusanov_flux(pde, fl, ql.data(), qr.data(), fn_l.data(), fn_r.data(), 0,
-               fstar.data());
-  for (int k = 0; k < n * n; ++k)
-    for (int v = 0; v < AdvectionPde::kVars; ++v)
-      EXPECT_NEAR(fstar[k * fl.m_pad + v], fn_l[k * fl.m_pad + v], 1e-13)
-          << "upwind flux must come from the left";
-}
-
-TEST(FaceOps, NormalFluxCombinesFluxAndNcpForms) {
-  // Flux-form and NCP-form advection must produce the same face flux — the
-  // property that makes them interchangeable in the corrector.
-  const int n = 2;
-  PdeAdapter<AdvectionPde> flux_form;
-  PdeAdapter<AdvectionNcpPde> ncp_form;
-  AosLayout aos(n, AdvectionPde::kQuants, Isa::kScalar);
-  FaceLayout fl(aos);
-  AlignedVector qf(fl.size());
-  for (std::size_t i = 0; i < qf.size(); ++i) qf[i] = 0.1 * i - 1.0;
-  AlignedVector fa(fl.size()), fb(fl.size());
-  for (int dir = 0; dir < 3; ++dir) {
-    face_normal_flux(flux_form, fl, qf.data(), dir, fa.data());
-    face_normal_flux(ncp_form, fl, qf.data(), dir, fb.data());
-    for (std::size_t i = 0; i < fa.size(); ++i)
-      EXPECT_NEAR(fa[i], fb[i], 1e-13);
+  for (const Isa isa : host_isas()) {
+    AosLayout aos(n, AdvectionPde::kQuants, isa);
+    TraceCell cell(aos);
+    std::fill(cell.own.begin(), cell.own.end(), 5.0);
+    std::fill(cell.nb.begin(), cell.nb.end(), 2.0);
+    EXPECT_TRUE(pde.surface_update(isa, cell.update(basis)));
+    const std::size_t t = cell.fl.size();
+    for (int k = 0; k < n * n; ++k)
+      for (int v = 0; v < AdvectionPde::kVars; ++v) {
+        const std::size_t i = static_cast<std::size_t>(k) * cell.fl.m_pad + v;
+        EXPECT_NEAR(cell.jump[t + i], 0.0, 1e-13)
+            << isa_name(isa) << ": upwind flux must come from the left";
+        EXPECT_NEAR(cell.jump[i], -2.0 - -5.0, 1e-13) << isa_name(isa);
+      }
   }
 }
 
-TEST(FaceOps, LiftCorrectionIsLinearInJump) {
+TEST(FaceTraces, NormalFluxCombinesFluxAndNcpForms) {
+  // Flux-form and NCP-form advection must produce the same surface update
+  // — the property that makes them interchangeable in the corrector.
+  const int n = 3;
+  const auto& basis = basis_tables(n);
+  PdeAdapter<AdvectionPde> flux_form;
+  PdeAdapter<AdvectionNcpPde> ncp_form;
+  for (const Isa isa : host_isas()) {
+    AosLayout aos(n, AdvectionPde::kQuants, isa);
+    TraceCell a(aos), b(aos);
+    for (std::size_t i = 0; i < a.own.size(); ++i) {
+      a.own[i] = 0.1 * static_cast<double>(i % 17) - 1.0;
+      a.nb[i] = 0.05 * static_cast<double>(i % 13);
+    }
+    b.own = a.own;
+    b.nb = a.nb;
+    FaceUpdate ua = a.update(basis), ub = b.update(basis);
+    ua.neighbour[2] = ub.neighbour[2] = nullptr;  // an outflow face too
+    ua.boundary[2] = ub.boundary[2] = BoundaryKind::kOutflow;
+    EXPECT_TRUE(flux_form.surface_update(isa, ua));
+    EXPECT_TRUE(ncp_form.surface_update(isa, ub));
+    for (std::size_t i = 0; i < a.out.size(); ++i)
+      EXPECT_NEAR(a.out[i], b.out[i], 1e-13) << isa_name(isa);
+  }
+}
+
+TEST(FaceTraces, LiftIsLinearInTheTraces) {
+  // The update is linear for a linear PDE: doubling both sides' traces
+  // doubles every jump and therefore every lifted value.
   const int n = 4;
   const auto& basis = basis_tables(n);
-  AosLayout aos(n, 2, Isa::kAvx2);
-  FaceLayout fl(aos);
-  AlignedVector fstar(fl.size()), fown(fl.size(), 0.0);
-  for (std::size_t i = 0; i < fstar.size(); ++i) fstar[i] = 0.01 * i;
-  AlignedVector q1(aos.size(), 0.0), q2(aos.size(), 0.0);
-  apply_face_correction(aos, basis, 1, 1, 0.5, fstar.data(), fown.data(),
-                        q1.data());
-  // Doubling the jump doubles the correction.
-  for (auto& v : fstar) v *= 2.0;
-  apply_face_correction(aos, basis, 1, 1, 0.5, fstar.data(), fown.data(),
-                        q2.data());
-  for (std::size_t i = 0; i < q1.size(); ++i)
-    EXPECT_NEAR(q2[i], 2.0 * q1[i], 1e-12);
+  AdvectionPde adv;
+  adv.velocity = {0.7, -0.4, 0.2};
+  PdeAdapter<AdvectionPde> pde(adv);
+  for (const Isa isa : host_isas()) {
+    AosLayout aos(n, AdvectionPde::kQuants, isa);
+    TraceCell c1(aos), c2(aos);
+    for (std::size_t i = 0; i < c1.own.size(); ++i) {
+      c1.own[i] = 0.01 * static_cast<double>(i % 29);
+      c1.nb[i] = -0.02 * static_cast<double>(i % 23);
+      c2.own[i] = 2.0 * c1.own[i];
+      c2.nb[i] = 2.0 * c1.nb[i];
+    }
+    EXPECT_TRUE(pde.surface_update(isa, c1.update(basis)));
+    EXPECT_TRUE(pde.surface_update(isa, c2.update(basis)));
+    for (std::size_t i = 0; i < c1.out.size(); ++i)
+      EXPECT_NEAR(c2.out[i], 2.0 * c1.out[i], 1e-12) << isa_name(isa);
+  }
+}
+
+TEST(FaceTraces, FlagsNonFiniteLiftOutput) {
+  const int n = 2;
+  const auto& basis = basis_tables(n);
+  PdeAdapter<AdvectionPde> pde;
+  for (const Isa isa : host_isas()) {
+    AosLayout aos(n, AdvectionPde::kQuants, isa);
+    TraceCell cell(aos);
+    EXPECT_TRUE(pde.surface_update(isa, cell.update(basis)));
+    cell.out[aos.idx(1, 0, 1, 2)] = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(pde.surface_update(isa, cell.update(basis)));
+  }
+}
+
+/// The surface update written the plain way: per face, per node, through
+/// the runtime interface, then one lift pass per face in x0..z1 order.
+void reference_surface_update(const PdeRuntime& pde, const FaceUpdate& u) {
+  const FaceLayout& fl = u.layout;
+  const int n = fl.n, m = fl.m, mp = fl.m_pad;
+  const int vars = pde.info().vars;
+  const std::size_t t = fl.size();
+  std::vector<double> ghost(m), fl_node(m), fr_node(m), tmp(m);
+  std::vector<double> jump(t);
+  for (int f = 0; f < 6; ++f) {
+    const int dir = f / 2, side = f % 2;
+    for (int k = 0; k < n * n; ++k) {
+      const double* qo = u.own + f * t + static_cast<std::size_t>(k) * mp;
+      const double* qn = nullptr;
+      if (u.neighbour[f] != nullptr) {
+        qn = u.neighbour[f] + static_cast<std::size_t>(k) * mp;
+      } else if (u.boundary[f] == BoundaryKind::kWall) {
+        pde.wall_reflect(qo, dir, ghost.data());
+        qn = ghost.data();
+      } else {
+        for (int s = 0; s < m; ++s) ghost[s] = s < vars ? 0.0 : qo[s];
+        qn = ghost.data();
+      }
+      const double* ql = side == 1 ? qo : qn;
+      const double* qr = side == 1 ? qn : qo;
+      pde.flux(ql, dir, fl_node.data());
+      pde.ncp(ql, ql, dir, tmp.data());
+      for (int s = 0; s < m; ++s) fl_node[s] += tmp[s];
+      pde.flux(qr, dir, fr_node.data());
+      pde.ncp(qr, qr, dir, tmp.data());
+      for (int s = 0; s < m; ++s) fr_node[s] += tmp[s];
+      const double smax = std::max(pde.max_wave_speed(ql, dir),
+                                   pde.max_wave_speed(qr, dir));
+      const std::vector<double>& fo = side == 1 ? fl_node : fr_node;
+      for (int s = 0; s < mp; ++s) {
+        double j = 0.0;
+        if (s < vars)
+          j = 0.5 * (fl_node[s] + fr_node[s]) +
+              0.5 * smax * (qr[s] - ql[s]) - fo[s];
+        jump[static_cast<std::size_t>(k) * mp + s] = j;
+      }
+    }
+    const double* lift = side == 0 ? u.basis->lift_left.data()
+                                   : u.basis->lift_right.data();
+    const double sign = side == 0 ? -1.0 : 1.0;
+    for (int k3 = 0; k3 < n; ++k3)
+      for (int k2 = 0; k2 < n; ++k2)
+        for (int k1 = 0; k1 < n; ++k1) {
+          const int l = dir == 0 ? k1 : dir == 1 ? k2 : k3;
+          const int a = dir == 0 ? k2 : k1;
+          const int b = dir == 2 ? k2 : k3;
+          for (int s = 0; s < mp; ++s)
+            u.out[((static_cast<std::size_t>(k3) * n + k2) * n + k1) * mp +
+                  s] += sign * u.scale[dir] * lift[l] *
+                        jump[static_cast<std::size_t>(b * n + a) * mp + s];
+        }
+  }
+}
+
+template <class Pde>
+class SurfaceReferenceP : public ::testing::Test {};
+using LinePdes = ::testing::Types<AdvectionPde, AdvectionNcpPde, AcousticPde,
+                                  ElasticPde, MaxwellPde,
+                                  CurvilinearElasticPde>;
+TYPED_TEST_SUITE(SurfaceReferenceP, LinePdes);
+
+TYPED_TEST(SurfaceReferenceP, MatchesPlainPerFaceLoop) {
+  // Random states, with wall (x0, z1), outflow (y1) and interior faces.
+  using Pde = TypeParam;
+  const int n = 4;
+  const auto& basis = basis_tables(n);
+  PdeAdapter<Pde> pde;
+  std::mt19937 rng(1234);
+  std::uniform_real_distribution<double> wave(-1.0, 1.0), param(1.0, 2.0);
+  for (const Isa isa : host_isas()) {
+    AosLayout aos(n, Pde::kQuants, isa);
+    TraceCell cell(aos);
+    for (std::size_t i = 0; i < cell.own.size(); ++i) {
+      const int s = static_cast<int>(i % static_cast<std::size_t>(aos.m_pad));
+      if (s >= Pde::kQuants) continue;
+      cell.own[i] = s < Pde::kVars ? wave(rng) : param(rng);
+      cell.nb[i] = s < Pde::kVars ? wave(rng) : param(rng);
+    }
+    for (std::size_t i = 0; i < cell.out.size(); ++i) {
+      const int s = static_cast<int>(i % static_cast<std::size_t>(aos.m_pad));
+      cell.out[i] = s < Pde::kQuants ? wave(rng) : 0.0;
+    }
+    FaceUpdate u = cell.update(basis);
+    u.neighbour[0] = u.neighbour[5] = u.neighbour[3] = nullptr;
+    u.boundary[0] = u.boundary[5] = BoundaryKind::kWall;
+    u.boundary[3] = BoundaryKind::kOutflow;
+    AlignedVector expect = cell.out;
+    FaceUpdate ref = u;
+    ref.out = expect.data();
+    reference_surface_update(pde, ref);
+    EXPECT_TRUE(pde.surface_update(isa, u));
+    double scale = 0.0, worst = 0.0;
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      scale = std::max(scale, std::abs(expect[i]));
+      worst = std::max(worst, std::abs(expect[i] - cell.out[i]));
+    }
+    EXPECT_LE(worst, 1e-13 * scale) << isa_name(isa);
+  }
 }
 
 TEST(Registry, ParsesVariantNames) {

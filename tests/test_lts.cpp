@@ -335,7 +335,7 @@ StpKernel counting_kernel(StpKernel inner,
                           std::shared_ptr<std::atomic<long long>> calls) {
   auto impl = std::make_shared<StpKernel>(std::move(inner));
   StpKernel counted(
-      impl->variant(), impl->layout(), impl->workspace_bytes(),
+      impl->variant(), impl->layout(), impl->isa(), impl->workspace_bytes(),
       [impl, calls](const double* q, double dt,
                     const std::array<double, 3>& inv_dx,
                     const SourceTerm* source, const StpOutputs& out) {

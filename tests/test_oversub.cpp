@@ -251,7 +251,7 @@ TEST(OversubSchedule, SimulatedLatencyReorderingStaysBitwise) {
   auto prompt = make_solver();
   auto delayed = make_solver();
   delayed->set_exchange_backend(std::make_unique<InProcessExchange>(
-      delayed->partition(), delayed->layout().size(),
+      delayed->partition(), FaceLayout(delayed->layout()).size(),
       /*simulated_cross_rank_latency_seconds=*/2e-3));
 
   const double dt = prompt->stable_dt();

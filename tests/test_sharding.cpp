@@ -418,5 +418,22 @@ TEST(Sharding, SummaryReportsTheEffectiveTopology) {
   EXPECT_NE(factored.summary().find("shards=2x2x1"), std::string::npos);
 }
 
+TEST(Sharding, PlanewaveHaloCarriesOneTracePerHaloCell) {
+  // The perfbench planewave partition: 64 shards of 4^3 cells, each with
+  // six 16-cell halo faces. One order-4 acoustic trace is 16 nodes x 8
+  // padded doubles, so a field moves 6144 x 1024 B (a whole cell tensor
+  // per halo cell moved 4x as much).
+  if (!host_supports(Isa::kAvx2)) GTEST_SKIP() << "needs the padded layout";
+  Simulation sim = Simulation::from_args(
+      {"scenario=planewave", "pde=acoustic", "order=4", "precision=fp32",
+       "variant=aosoa_splitck", "isa=avx2", "cells=16x16x16",
+       "shards=4x4x4", "threads=1"});
+  const auto& sharded = dynamic_cast<const ShardedSolver&>(sim.solver());
+  EXPECT_EQ(sharded.exchange_backend().payload_bytes_per_exchange(),
+            6291456u);
+  EXPECT_EQ(sharded.exchange_backend().copied_bytes_per_exchange(),
+            6291456u);
+}
+
 }  // namespace
 }  // namespace exastp

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
@@ -282,6 +285,26 @@ TEST(SolverRobustness, BlowUpIsDetected) {
         for (int i = 0; i < 50; ++i) solver.step(dt);
       },
       std::runtime_error);
+}
+
+TEST(SolverRobustness, BlowUpNamesTheLowestNonFiniteCell) {
+  // The finite check runs inside the lift pass; a NaN planted in cell 0
+  // reaches its neighbours through the face traces too, and the message
+  // names the lowest-index bad value's cell.
+  AdvectionPde pde;
+  auto solver = make_solver(pde, StpVariant::kSplitCk, 3, unit_cube(3));
+  solver.set_initial_condition(advection_ic);
+  solver.mutable_cell_dofs(0)[solver.layout().idx(1, 2, 0, 1)] =
+      std::numeric_limits<double>::quiet_NaN();
+  try {
+    solver.step(solver.stable_dt());
+    FAIL() << "a NaN in the state must be reported";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("in cell 0,"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("t = "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("quantity "), std::string::npos) << msg;
+  }
 }
 
 TEST(SolverRobustness, RejectsNonPositiveDt) {

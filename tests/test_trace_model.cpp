@@ -8,6 +8,7 @@
 #include "exastp/pde/curvilinear_elastic.h"
 #include "exastp/pde/elastic.h"
 #include "exastp/perf/trace_model.h"
+#include "exastp/solver/ader_dg_solver.h"
 #include "exastp/tensor/transpose.h"
 
 namespace exastp {
@@ -136,6 +137,63 @@ TEST(TraceModel, AcousticAndElasticTwinsMatchPerWidthClass) {
   // run: at the kernel's ISA, which the AoSoA twin assumes.
   expect_twins_match_per_width_class<AcousticPde>(4);
   expect_twins_match_per_width_class<ElasticPde>(8);
+}
+
+/// Corrector FLOPs per cell of one global ADER step on a periodic mesh:
+/// the solver's step ledger minus its predictor kernel calls.
+template <class Pde>
+FlopCounter solver_corrector_flops_per_cell(int order, Isa isa) {
+  Pde pde;
+  GridSpec spec;
+  spec.cells = {2, 2, 2};
+  auto runtime = std::make_shared<PdeAdapter<Pde>>(pde);
+  StpKernel kernel = make_stp_kernel(pde, StpVariant::kSplitCk, order, isa);
+  StpKernel probe = kernel.fork();
+  AderDgSolver solver(runtime, std::move(kernel), spec);
+  solver.set_initial_condition([](const std::array<double, 3>& x, double* q) {
+    for (int s = 0; s < Pde::kQuants; ++s) q[s] = 1.0 + 0.1 * s + 0.01 * x[0];
+  });
+  FlopSection step;
+  solver.step(solver.stable_dt());
+  FlopCounter per_cell = step.delta();
+
+  const std::size_t size = probe.layout().size();
+  AlignedVector qavg(size), f0(size), f1(size), f2(size);
+  StpOutputs out{qavg.data(), {f0.data(), f1.data(), f2.data()}, nullptr};
+  FlopSection call;
+  probe.run(solver.cell_dofs(0), 1e-3, solver.grid().inv_dx(), nullptr, out);
+  const FlopCounter kernel_flops = call.delta();
+  const int cells = solver.grid().num_cells();
+  for (int c = 0; c < kNumWidthClasses; ++c)
+    per_cell.flops[c] = (per_cell.flops[c] - cells * kernel_flops.flops[c]) /
+                        static_cast<std::uint64_t>(cells);
+  return per_cell;
+}
+
+template <class Pde>
+void expect_corrector_matches_twin(int order) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    const FlopCounter solver = solver_corrector_flops_per_cell<Pde>(order, isa);
+    CacheSim sim = CacheSim::skylake_sp();
+    const TwinResult with = trace_stp(StpVariant::kSplitCk, order,
+                                      twin_pde<Pde>(), isa, sim, 0, 1,
+                                      /*include_corrector=*/true);
+    const TwinResult without = trace_stp(StpVariant::kSplitCk, order,
+                                         twin_pde<Pde>(), isa, sim, 0, 1,
+                                         /*include_corrector=*/false);
+    for (int c = 0; c < kNumWidthClasses; ++c)
+      EXPECT_EQ(solver.flops[c], with.flops.flops[c] - without.flops.flops[c])
+          << Pde::kName << " order " << order << " " << isa_name(isa)
+          << " width class " << c;
+    EXPECT_GT(solver.flops[static_cast<int>(packed_width_class(isa))], 0u)
+        << "face work books at the dispatched width";
+  }
+}
+
+TEST(TraceModel, CorrectorFlopsMatchTheSolverPerWidthClass) {
+  expect_corrector_matches_twin<ElasticPde>(8);
+  expect_corrector_matches_twin<AcousticPde>(4);
 }
 
 TEST(TraceModel, LogStallsExceedSplitCkAtHighOrder) {
