@@ -22,7 +22,6 @@
 // Run without arguments (or with "help") for the key reference and the
 // registered PDE/scenario/observer/gallery names.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -73,7 +72,7 @@ std::vector<std::string> extract_batch(const std::vector<std::string>& args,
       batch->found = true;
       batch->file = arg.substr(6);
     } else if (arg.rfind("jobs=", 0) == 0) {
-      batch->jobs = std::atoi(arg.c_str() + 5);
+      batch->jobs = parse_config_int("jobs", arg.substr(5));
       if (batch->jobs < 1) {
         throw std::invalid_argument("jobs=" + arg.substr(5) +
                                     " needs a positive count");

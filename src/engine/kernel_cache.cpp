@@ -4,6 +4,8 @@
 #include <mutex>
 #include <string>
 
+#include "exastp/kernels/fusion_autotune.h"
+
 namespace exastp {
 namespace {
 
@@ -27,11 +29,13 @@ KernelCacheStats& stats() {
 StpKernel cached_stp_kernel(const KernelFactory& pde, StpVariant variant,
                             int order, Isa isa, NodeFamily family,
                             Precision precision) {
-  const std::string key = pde.name() + "/" + variant_name(variant) + "/" +
-                          std::to_string(order) + "/" + isa_name(isa) + "/" +
-                          (family == NodeFamily::kGaussLegendre ? "gl"
-                                                                : "lobatto") +
-                          "/" + precision_name(precision);
+  const std::string key =
+      pde.name() + "/" + variant_name(variant) + "/" + std::to_string(order) +
+      "/" + isa_name(isa) + "/" +
+      (family == NodeFamily::kGaussLegendre ? "gl" : "lobatto") + "/" +
+      precision_name(precision) + "/" +
+      std::to_string(FusionTuneTable::instance().block_planes(
+          pde.name(), order, pde.info().quants, isa, precision));
   StpKernel prototype;
   {
     std::lock_guard<std::mutex> lock(cache_mutex());

@@ -96,9 +96,9 @@ Simulation Simulation::from_config(SimulationConfig config) {
   // Fused-block autotune table: load whatever the file already knows, then
   // measure this run's (pde, order, isa, precision) entry if it is missing
   // and persist the grown table. Block sizes are bitwise-neutral, so this
-  // only changes speed — but note the prototype kernel cache bakes the
-  // block size in at construction, so a prototype built before the tune
-  // keeps its old block until the process restarts.
+  // only changes speed; the kernel prototype cache keys on the block size,
+  // so a tuned entry takes effect even when the configuration was built
+  // before.
   if (!config.autotune.empty() && config.stepper == "ader" &&
       (config.variant == StpVariant::kSplitCk ||
        config.variant == StpVariant::kAosoaSplitCk)) {
@@ -132,7 +132,7 @@ Simulation Simulation::from_config(SimulationConfig config) {
                             config.family, config.precision),
           grid, config.family);
     }
-    if (config.stepper == "rk4" || config.stepper == "rk") {
+    if (config.stepper == "rk4") {
       return std::make_unique<RkDgSolver>(pde->runtime(), config.order, isa,
                                           grid, config.family);
     }

@@ -1,12 +1,11 @@
 #include "exastp/engine/simulation_config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <set>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "exastp/common/check.h"
 #include "exastp/common/mpi_runtime.h"
@@ -26,12 +25,11 @@ std::pair<std::string, std::string> split_pair(const std::string& arg) {
   return {arg.substr(0, eq), arg.substr(eq + 1)};
 }
 
-/// Splits on any character in `delims`. The ",x" default serves the
-/// dimension triples, where both "4x4x4" and "4,4,4" are accepted; keys
-/// with their own separators (quantity lists, receiver triples) pass an
-/// explicit delimiter so stray 'x's fail loudly.
+/// Splits on any character in `delims`. Dimension triples split on ",x",
+/// so both "4x4x4" and "4,4,4" are accepted; quantity lists and receiver
+/// lists use their own separators so stray 'x's fail loudly.
 std::vector<std::string> split_list(const std::string& value,
-                                    const char* delims = ",x") {
+                                    const char* delims) {
   std::vector<std::string> parts;
   std::string current;
   for (char c : value) {
@@ -46,231 +44,100 @@ std::vector<std::string> split_list(const std::string& value,
   return parts;
 }
 
-int parse_int(const std::string& key, const std::string& value) {
+/// Runs `apply`, prefixing any std::invalid_argument it throws with the
+/// offending "key=value", so every config error names its key.
+template <class F>
+auto naming(const std::string& key, const std::string& value, F&& apply) {
+  try {
+    return apply();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(key + "=" + value + ": " + e.what());
+  }
+}
+
+int parse_int(const std::string& value) {
   try {
     std::size_t used = 0;
     const int v = std::stoi(value, &used);
-    EXASTP_CHECK_MSG(used == value.size(), key + "=" + value);
-    return v;
+    if (used == value.size()) return v;
   } catch (const std::logic_error&) {
-    EXASTP_FAIL("expected an integer for " + key + ", got \"" + value + "\"");
   }
+  EXASTP_FAIL("expected an integer, got \"" + value + "\"");
 }
 
-double parse_double(const std::string& key, const std::string& value) {
+/// Finite values only: nan and inf get through std::stod, and as a t_end
+/// or cfl they would run zero steps, never end, or fail mid-run.
+double parse_double(const std::string& value) {
   try {
     std::size_t used = 0;
     const double v = std::stod(value, &used);
-    EXASTP_CHECK_MSG(used == value.size(), key + "=" + value);
-    return v;
+    if (used == value.size() && std::isfinite(v)) return v;
   } catch (const std::logic_error&) {
-    EXASTP_FAIL("expected a number for " + key + ", got \"" + value + "\"");
   }
+  EXASTP_FAIL("expected a finite number, got \"" + value + "\"");
 }
 
-std::array<int, 3> parse_cells(const std::string& value) {
-  const auto parts = split_list(value);
-  if (parts.size() == 1) {
-    const int n = parse_int("cells", parts[0]);
-    return {n, n, n};
+int parse_positive(const std::string& value) {
+  const int v = parse_int(value);
+  EXASTP_CHECK_MSG(v >= 1, "must be >= 1");
+  return v;
+}
+
+/// "auto" -> 0, otherwise an integer >= 1.
+int parse_auto_count(const std::string& value) {
+  return value == "auto" ? 0 : parse_positive(value);
+}
+
+std::string format_auto_count(int v) {
+  return v == 0 ? "auto" : std::to_string(v);
+}
+
+/// `value` when it is one of the '|'-separated `choices`.
+const std::string& one_of(const std::string& value, const char* choices) {
+  for (const std::string& option : split_list(choices, "|"))
+    if (value == option) return value;
+  EXASTP_FAIL(std::string("expected ") + choices);
+}
+
+const std::string& nonempty_path(const std::string& value) {
+  EXASTP_CHECK_MSG(!value.empty(), "needs a path");
+  return value;
+}
+
+/// `value` split on any of `delims`, each part parsed by `parse_one`.
+template <class Parse>
+auto parse_list(const std::string& value, const char* delims,
+                Parse parse_one) {
+  std::vector<decltype(parse_one(value))> out;
+  for (const std::string& part : split_list(value, delims))
+    out.push_back(parse_one(part));
+  return out;
+}
+
+/// One value for all three dimensions, or three separated by ',' or 'x'.
+template <class Parse>
+auto parse_triple(const std::string& value, Parse parse_one) {
+  const auto v = parse_list(value, ",x", parse_one);
+  EXASTP_CHECK_MSG(v.size() == 1 || v.size() == 3,
+                   "expected one value or three");
+  return std::array{v[0], v[v.size() / 2], v.back()};
+}
+
+std::array<double, 3> parse_xyz(const std::string& value) {
+  return parse_triple(value, parse_double);
+}
+
+template <class Items, class Format>
+std::string join(const Items& items, const char* sep, Format format) {
+  std::string out;
+  bool first = true;
+  for (const auto& item : items) {
+    if (!first) out += sep;
+    out += format(item);
+    first = false;
   }
-  EXASTP_CHECK_MSG(parts.size() == 3, "cells=" + value);
-  return {parse_int("cells", parts[0]), parse_int("cells", parts[1]),
-          parse_int("cells", parts[2])};
+  return out;
 }
-
-std::array<double, 3> parse_triple(const std::string& key,
-                                   const std::string& value) {
-  const auto parts = split_list(value);
-  if (parts.size() == 1) {
-    const double v = parse_double(key, parts[0]);
-    return {v, v, v};
-  }
-  EXASTP_CHECK_MSG(parts.size() == 3, key + "=" + value);
-  return {parse_double(key, parts[0]), parse_double(key, parts[1]),
-          parse_double(key, parts[2])};
-}
-
-BoundaryKind parse_boundary(const std::string& name) {
-  if (name == "periodic") return BoundaryKind::kPeriodic;
-  if (name == "outflow") return BoundaryKind::kOutflow;
-  if (name == "wall") return BoundaryKind::kWall;
-  EXASTP_FAIL("unknown boundary kind \"" + name +
-              "\" (periodic|outflow|wall)");
-}
-
-std::array<BoundaryKind, 3> parse_boundaries(const std::string& value) {
-  const auto parts = split_list(value);
-  if (parts.size() == 1) {
-    const BoundaryKind k = parse_boundary(parts[0]);
-    return {k, k, k};
-  }
-  EXASTP_CHECK_MSG(parts.size() == 3, "bc=" + value);
-  return {parse_boundary(parts[0]), parse_boundary(parts[1]),
-          parse_boundary(parts[2])};
-}
-
-NodeFamily parse_family(const std::string& name) {
-  if (name == "gl" || name == "legendre") return NodeFamily::kGaussLegendre;
-  if (name == "lobatto") return NodeFamily::kGaussLobatto;
-  EXASTP_FAIL("unknown node family \"" + name + "\" (gl|lobatto)");
-}
-
-/// "x,y,z;x,y,z;..." -> receiver positions.
-std::vector<std::array<double, 3>> parse_receivers(const std::string& value) {
-  std::vector<std::array<double, 3>> receivers;
-  for (const std::string& triple : split_list(value, ";"))
-    receivers.push_back(parse_triple("receivers", triple));
-  return receivers;
-}
-
-std::vector<int> parse_quantities(const std::string& value) {
-  std::vector<int> quantities;
-  for (const std::string& part : split_list(value, ","))
-    quantities.push_back(parse_int("output.quantities", part));
-  return quantities;
-}
-
-void apply_pair(SimulationConfig& config, const std::string& key,
-                const std::string& value) {
-  if (key == "pde") {
-    config.pde = value;
-  } else if (key == "scenario") {
-    config.scenario = value;  // already applied, kept for idempotence
-  } else if (key == "stepper") {
-    config.stepper = value;
-  } else if (key == "variant") {
-    config.variant = parse_variant(value);
-  } else if (key == "isa") {
-    config.isa = value;
-  } else if (key == "order") {
-    config.order = parse_int(key, value);
-  } else if (key == "family") {
-    config.family = parse_family(value);
-  } else if (key == "threads") {
-    config.threads = value == "auto" ? 0 : parse_int(key, value);
-  } else if (key == "shards") {
-    // Validated against the grid later (resolve_shard_grid); here only the
-    // shape is checked so typos fail at parse time.
-    if (value != "auto") {
-      const auto parts = split_list(value);
-      EXASTP_CHECK_MSG(parts.size() == 1 || parts.size() == 3,
-                       "shards=" + value + " (AxBxC, a total count, or auto)");
-      for (const std::string& part : parts) {
-        const int v = parse_int(key, part);
-        EXASTP_CHECK_MSG(v >= 1, "shards=" + value +
-                                     " needs positive counts");
-      }
-    }
-    config.shards = value;
-  } else if (key == "shards_per_rank") {
-    if (value == "auto") {
-      config.shards_per_rank = 0;
-    } else {
-      config.shards_per_rank = parse_int(key, value);
-      EXASTP_CHECK_MSG(config.shards_per_rank >= 1,
-                       "shards_per_rank=" + value + " must be auto or >= 1");
-    }
-  } else if (key == "backend") {
-    EXASTP_CHECK_MSG(value == "inprocess" || value == "mpi",
-                     "backend=" + value + " (inprocess|mpi)");
-    config.backend = value;
-  } else if (key == "schedule") {
-    // The dependency scheduler is the only step driver; the key is
-    // validated and discarded so configs that name it keep parsing.
-    EXASTP_CHECK_MSG(value != "lockstep",
-                     "schedule=lockstep: the lockstep schedule was removed; "
-                     "the dependency scheduler (schedule=deps) is the only "
-                     "step driver");
-    EXASTP_CHECK_MSG(value == "deps", "schedule=" + value + " (deps)");
-  } else if (key == "precision") {
-    config.precision = parse_precision(value);
-  } else if (key == "autotune") {
-    EXASTP_CHECK_MSG(!value.empty(), "autotune= needs a table path");
-    config.autotune = value;
-  } else if (key == "lts") {
-    EXASTP_CHECK_MSG(value == "on" || value == "off",
-                     "lts=" + value + " (on|off)");
-    config.lts = value == "on";
-  } else if (key == "lts_clusters") {
-    if (value == "auto") {
-      config.lts_clusters = 0;
-    } else {
-      config.lts_clusters = parse_int(key, value);
-      EXASTP_CHECK_MSG(config.lts_clusters >= 1,
-                       "lts_clusters=" + value + " must be auto or >= 1");
-    }
-  } else if (key == "balance") {
-    EXASTP_CHECK_MSG(!value.empty(), "balance= needs a table path");
-    config.balance = value;
-  } else if (key == "cells") {
-    config.grid.cells = parse_cells(value);
-  } else if (key == "extent") {
-    config.grid.extent = parse_triple(key, value);
-  } else if (key == "origin") {
-    config.grid.origin = parse_triple(key, value);
-  } else if (key == "bc") {
-    config.grid.boundary = parse_boundaries(value);
-  } else if (key == "t_end") {
-    config.t_end = parse_double(key, value);
-  } else if (key == "cfl") {
-    config.cfl = parse_double(key, value);
-  } else if (key == "csv" || key == "output.csv") {
-    config.output.csv = value;
-  } else if (key == "vtk" || key == "output.vtk") {
-    config.output.vtk = value;
-  } else if (key == "output.series") {
-    config.output.series = value;
-  } else if (key == "output.interval") {
-    config.output.interval = parse_double(key, value);
-  } else if (key == "output.receivers_csv") {
-    config.output.receivers_csv = value;
-  } else if (key == "output.receivers_bin") {
-    config.output.receivers_bin = value;
-  } else if (key == "output.quantities") {
-    config.output.quantities = parse_quantities(value);
-  } else if (key == "receivers") {
-    config.receivers = parse_receivers(value);
-  } else if (key == "trace") {
-    EXASTP_CHECK_MSG(!value.empty(), "trace= needs a path");
-    config.telemetry.trace = value;
-  } else if (key == "metrics") {
-    EXASTP_CHECK_MSG(!value.empty(), "metrics= needs a path");
-    config.telemetry.metrics = value;
-  } else if (key == "metrics_interval") {
-    config.telemetry.metrics_interval = parse_int(key, value);
-    EXASTP_CHECK_MSG(config.telemetry.metrics_interval >= 1,
-                     "metrics_interval=" + value + " must be >= 1");
-  } else if (key == "progress") {
-    EXASTP_CHECK_MSG(value == "stderr",
-                     "progress=" + value + " (only stderr is supported)");
-    config.telemetry.progress = value;
-  } else if (key.rfind("scenario.", 0) == 0) {
-    const std::string param = key.substr(std::string("scenario.").size());
-    EXASTP_CHECK_MSG(!param.empty(), "empty scenario parameter key");
-    config.scenario_params[param] = value;
-  } else {
-    EXASTP_FAIL("unknown config key \"" + key + "\"\n" + simulation_usage());
-  }
-}
-
-}  // namespace
-
-double scenario_param(const SimulationConfig& config, const std::string& key,
-                      double fallback) {
-  const auto it = config.scenario_params.find(key);
-  if (it == config.scenario_params.end()) return fallback;
-  return parse_double("scenario." + key, it->second);
-}
-
-int scenario_param_int(const SimulationConfig& config, const std::string& key,
-                       int fallback) {
-  const auto it = config.scenario_params.find(key);
-  if (it == config.scenario_params.end()) return fallback;
-  return parse_int("scenario." + key, it->second);
-}
-
-namespace {
 
 /// Round-trip-exact double text (%.17g re-reads to the same bits), so the
 /// canonical string distinguishes exactly the configs that differ.
@@ -280,7 +147,21 @@ std::string exact(double v) {
   return buf;
 }
 
-const char* boundary_token(BoundaryKind kind) {
+std::string exact3(const std::array<double, 3>& v) {
+  return join(v, ",", exact);
+}
+
+std::string integer(int v) { return std::to_string(v); }
+
+BoundaryKind parse_boundary(const std::string& name) {
+  if (name == "periodic") return BoundaryKind::kPeriodic;
+  if (name == "outflow") return BoundaryKind::kOutflow;
+  if (name == "wall") return BoundaryKind::kWall;
+  EXASTP_FAIL("unknown boundary kind \"" + name +
+              "\" (periodic|outflow|wall)");
+}
+
+std::string boundary_token(BoundaryKind kind) {
   switch (kind) {
     case BoundaryKind::kPeriodic: return "periodic";
     case BoundaryKind::kOutflow: return "outflow";
@@ -289,66 +170,249 @@ const char* boundary_token(BoundaryKind kind) {
   EXASTP_FAIL("unknown boundary kind");
 }
 
+NodeFamily parse_family(const std::string& name) {
+  if (name == "gl" || name == "legendre") return NodeFamily::kGaussLegendre;
+  if (name == "lobatto") return NodeFamily::kGaussLobatto;
+  EXASTP_FAIL("unknown node family \"" + name + "\" (gl|lobatto)");
+}
+
+/// The counts of a shard spec other than "auto": "AxBxC" or one total,
+/// each >= 1. The grid-dependent checks wait for resolve_shard_grid.
+std::vector<int> shard_counts(const std::string& value) {
+  const auto counts = parse_list(value, ",x", parse_positive);
+  EXASTP_CHECK_MSG(counts.size() == 1 || counts.size() == 3,
+                   "expected AxBxC, a total count, or auto");
+  return counts;
+}
+
+using Config = SimulationConfig;
+using Value = const std::string&;
+using enum MemoPolicy;
+
+/// The driver-only keys exastp_run peels off before parse_simulation_args.
+struct DriverKey {
+  const char* name;
+  const char* value;
+  const char* help;
+};
+
+constexpr DriverKey kDriverKeys[] = {
+    {"sweep", "KEY:V1,V2,...", "one run per value, summary CSV"},
+    {"batch", "FILE", "run each line of FILE as a pool job"},
+    {"jobs", "N", "concurrent batch jobs (default 1)"},
+    {"gallery", "KIND[:PATH]", "batch sink: csv|jsonl|bin|dir"},
+};
+
+bool is_family(const ConfigKey& key) {
+  return std::string_view(key.name).ends_with(".*");
+}
+
+/// The schema entry `key` spells (its name, its alias, or a member of a
+/// "prefix.*" family), or nullptr.
+const ConfigKey* find_key(const std::string& key) {
+  for (const ConfigKey& entry : config_schema()) {
+    const std::string_view name = entry.name;
+    if (key == name || (entry.alias != nullptr && key == entry.alias) ||
+        (is_family(entry) && key.starts_with(name.substr(0, name.size() - 1))))
+      return &entry;
+  }
+  return nullptr;
+}
+
+/// "  name=VALUE" padded to a common column, then `help`.
+std::string usage_line(std::string head, const std::string& help) {
+  head.resize(std::max<std::size_t>(head.size() + 1, 28), ' ');
+  return "  " + head + help + "\n";
+}
+
 }  // namespace
 
+const std::vector<ConfigKey>& config_schema() {
+  static const std::vector<ConfigKey> schema = {
+      {"scenario", "NAME", "initial condition + defaults (default gaussian)",
+       kResult,
+       [](Config& c, Value v) {
+         ScenarioRegistry::instance().find(v);  // throws on unknown names
+         c.scenario = v;
+       },
+       [](const Config& c) { return c.scenario; }},
+      {"pde", "NAME", "PDE registry key (default: the scenario's PDE)",
+       kResult, [](Config& c, Value v) { c.pde = v; },
+       [](const Config& c) { return c.pde; }},
+      {"stepper", "KIND", "ader | rk4 (default ader)", kResult,
+       [](Config& c, Value v) { c.stepper = one_of(v, "ader|rk4"); },
+       [](const Config& c) { return c.stepper; }},
+      {"variant", "NAME", "generic|log|splitck|aosoa_splitck|soa_uf_splitck",
+       kResult, [](Config& c, Value v) { c.variant = parse_variant(v); },
+       [](const Config& c) { return variant_name(c.variant); }},
+      {"isa", "NAME", "auto | scalar | avx2 | avx512 (default auto)", kResult,
+       [](Config& c, Value v) { c.isa = v; },
+       [](const Config& c) { return c.isa; }},
+      {"order", "N", "nodes per dimension (default 4)", kResult,
+       [](Config& c, Value v) { c.order = parse_int(v); },
+       [](const Config& c) { return integer(c.order); }},
+      {"family", "NAME", "gl | lobatto quadrature nodes (default gl)", kResult,
+       [](Config& c, Value v) { c.family = parse_family(v); },
+       [](const Config& c) {
+         return std::string(c.family == NodeFamily::kGaussLobatto ? "lobatto"
+                                                                  : "gl");
+       }},
+      {"precision", "NAME", "fp64 (default) | fp32 (see docs/precision.md)",
+       kResult, [](Config& c, Value v) { c.precision = parse_precision(v); },
+       [](const Config& c) { return precision_name(c.precision); }},
+      {"threads", "N", "stepper threads; auto (default) = all cores", kNeutral,
+       [](Config& c, Value v) { c.threads = v == "auto" ? 0 : parse_int(v); },
+       [](const Config& c) { return integer(c.threads); }},
+      {"shards", "AxBxC", "shard grid, a total count, or auto (default 1)",
+       kResult,
+       [](Config& c, Value v) {
+         if (v != "auto") shard_counts(v);  // the grid checks come later
+         c.shards = v;
+       },
+       [](const Config& c) { return c.shards; }},
+      {"shards_per_rank", "N", "shards per rank: auto (default) or N >= 1",
+       kResult,
+       [](Config& c, Value v) { c.shards_per_rank = parse_auto_count(v); },
+       [](const Config& c) { return format_auto_count(c.shards_per_rank); }},
+      {"backend", "KIND", "halo exchange: inprocess (default) | mpi", kResult,
+       [](Config& c, Value v) { c.backend = one_of(v, "inprocess|mpi"); },
+       [](const Config& c) { return c.backend; }},
+      // No field: the dependency scheduler is the only step driver. The key
+      // stays only because perfbench/run.py passes schedule=deps.
+      {"schedule", "deps", "sharded step schedule; deps is the only value",
+       kNeutral,
+       [](Config&, Value v) {
+         EXASTP_CHECK_MSG(v != "lockstep",
+                          "the lockstep schedule was removed; the dependency "
+                          "scheduler (deps) is the only step driver");
+         one_of(v, "deps");
+       },
+       [](const Config&) { return std::string("deps"); }},
+      {"autotune", "PATH", "fused-block autotune table (load, tune, save)",
+       kNeutral, [](Config& c, Value v) { c.autotune = nonempty_path(v); },
+       [](const Config& c) { return c.autotune; }},
+      {"lts", "on|off", "clustered local time stepping (default off)", kResult,
+       [](Config& c, Value v) { c.lts = one_of(v, "on|off") == "on"; },
+       [](const Config& c) { return std::string(c.lts ? "on" : "off"); }},
+      {"lts_clusters", "N", "LTS cluster cap: auto (default) or N >= 1",
+       kResult,
+       [](Config& c, Value v) { c.lts_clusters = parse_auto_count(v); },
+       [](const Config& c) { return format_auto_count(c.lts_clusters); }},
+      {"balance", "PATH", "measured-cost shard balance table (load, save)",
+       kNeutral, [](Config& c, Value v) { c.balance = nonempty_path(v); },
+       [](const Config& c) { return c.balance; }},
+      {"cells", "AxBxC", "mesh cells per dimension (or one int: a cube)",
+       kResult,
+       [](Config& c, Value v) { c.grid.cells = parse_triple(v, parse_int); },
+       [](const Config& c) { return join(c.grid.cells, "x", integer); }},
+      {"extent", "X,Y,Z", "domain size (or one number for a cube)", kResult,
+       [](Config& c, Value v) { c.grid.extent = parse_xyz(v); },
+       [](const Config& c) { return exact3(c.grid.extent); }},
+      {"origin", "X,Y,Z", "domain lower corner", kResult,
+       [](Config& c, Value v) { c.grid.origin = parse_xyz(v); },
+       [](const Config& c) { return exact3(c.grid.origin); }},
+      {"bc", "KIND[,KIND,KIND]", "periodic | outflow | wall per dimension",
+       kResult,
+       [](Config& c, Value v) {
+         c.grid.boundary = parse_triple(v, parse_boundary);
+       },
+       [](const Config& c) {
+         return join(c.grid.boundary, ",", boundary_token);
+       }},
+      {"t_end", "T", "end time", kResult,
+       [](Config& c, Value v) { c.t_end = parse_double(v); },
+       [](const Config& c) { return exact(c.t_end); }},
+      {"cfl", "C", "CFL factor > 0 (default 0.4)", kResult,
+       [](Config& c, Value v) {
+         c.cfl = parse_double(v);
+         EXASTP_CHECK_MSG(c.cfl > 0.0, "must be > 0");
+       },
+       [](const Config& c) { return exact(c.cfl); }},
+      {"csv", "PATH", "nodal-values CSV after the run", kArtifact,
+       [](Config& c, Value v) { c.output.csv = v; },
+       [](const Config& c) { return c.output.csv; }, "output.csv"},
+      {"vtk", "PATH", "cell-average VTK after the run", kArtifact,
+       [](Config& c, Value v) { c.output.vtk = v; },
+       [](const Config& c) { return c.output.vtk; }, "output.vtk"},
+      {"receivers", "X,Y,Z[;X,Y,Z...]", "probe points sampled every step",
+       kResult,
+       [](Config& c, Value v) { c.receivers = parse_list(v, ";", parse_xyz); },
+       [](const Config& c) { return join(c.receivers, ";", exact3); }},
+      {"output.receivers_csv", "PATH", "stream receiver samples as CSV",
+       kArtifact, [](Config& c, Value v) { c.output.receivers_csv = v; },
+       [](const Config& c) { return c.output.receivers_csv; }},
+      {"output.receivers_bin", "PATH",
+       "stream receiver samples as binary records", kArtifact,
+       [](Config& c, Value v) { c.output.receivers_bin = v; },
+       [](const Config& c) { return c.output.receivers_bin; }},
+      {"output.quantities", "A,B,...",
+       "quantities receivers sample (default: all)", kResult,
+       [](Config& c, Value v) {
+         c.output.quantities = parse_list(v, ",", parse_int);
+       },
+       [](const Config& c) { return join(c.output.quantities, ",", integer); }},
+      {"output.series", "BASE", "VTK snapshot series BASE_NNNN.vtk + BASE.pvd",
+       kArtifact, [](Config& c, Value v) { c.output.series = v; },
+       [](const Config& c) { return c.output.series; }},
+      {"output.interval", "T", "series snapshot spacing (default: every step)",
+       kResult, [](Config& c, Value v) { c.output.interval = parse_double(v); },
+       [](const Config& c) { return exact(c.output.interval); }},
+      {"trace", "PATH", "span timeline JSON (see docs/observability.md)",
+       kArtifact,
+       [](Config& c, Value v) { c.telemetry.trace = nonempty_path(v); },
+       [](const Config& c) { return c.telemetry.trace; }},
+      {"metrics", "PATH", "per-step metrics stream (CSV, or JSONL: .jsonl)",
+       kArtifact,
+       [](Config& c, Value v) { c.telemetry.metrics = nonempty_path(v); },
+       [](const Config& c) { return c.telemetry.metrics; }},
+      {"metrics_interval", "N", "steps between metrics rows (default 1)",
+       kResult,
+       [](Config& c, Value v) {
+         c.telemetry.metrics_interval = parse_positive(v);
+       },
+       [](const Config& c) { return integer(c.telemetry.metrics_interval); }},
+      {"progress", "stderr", "rank-0 progress heartbeat (~1 Hz) on stderr",
+       kNeutral,
+       [](Config& c, Value v) { c.telemetry.progress = one_of(v, "stderr"); },
+       [](const Config& c) { return c.telemetry.progress; }},
+      {"scenario.*", "KEY=VALUE", "scenario parameter, e.g. scenario.kx=2",
+       kResult,
+       [](Config& c, Value v) { c.scenario_params.insert(split_pair(v)); },
+       [](const Config& c) {
+         return join(c.scenario_params, ";", [](const auto& p) {
+           return p.first + "=" + p.second;
+         });
+       }},
+  };
+  return schema;
+}
+
+int parse_config_int(const std::string& key, const std::string& value) {
+  return naming(key, value, [&] { return parse_int(value); });
+}
+
+double scenario_param(const SimulationConfig& config, const std::string& key,
+                      double fallback) {
+  const auto it = config.scenario_params.find(key);
+  if (it == config.scenario_params.end()) return fallback;
+  return naming("scenario." + key, it->second,
+                [&] { return parse_double(it->second); });
+}
+
+int scenario_param_int(const SimulationConfig& config, const std::string& key,
+                       int fallback) {
+  const auto it = config.scenario_params.find(key);
+  if (it == config.scenario_params.end()) return fallback;
+  return parse_config_int("scenario." + key, it->second);
+}
+
 std::string canonical_config_string(const SimulationConfig& config) {
-  std::ostringstream os;
-  os << "scenario=" << config.scenario << "|pde=" << config.pde
-     << "|stepper=" << config.stepper
-     << "|variant=" << variant_name(config.variant) << "|isa=" << config.isa
-     << "|order=" << config.order << "|family="
-     << (config.family == NodeFamily::kGaussLegendre ? "gl" : "lobatto")
-     << "|shards=" << config.shards
-     << "|shards_per_rank=" << config.shards_per_rank
-     << "|backend=" << config.backend
-     << "|precision=" << precision_name(config.precision)
-     << "|lts=" << (config.lts ? "on" : "off")
-     << "|lts_clusters=" << config.lts_clusters;
-  // threads is intentionally absent: results are bitwise-identical for
-  // every thread count, so it must not split the memoization key. The
-  // autotune table path is absent for the same reason: fused block sizes
-  // are bitwise-neutral, so tuned and untuned runs of one config must
-  // share a memoization entry. The balance table path is absent for the
-  // autotune reason too: cost-weighted shard splits are bitwise-identical
-  // to unweighted ones, so balanced and unbalanced runs of one config
-  // must share an entry. The lts keys ARE present: a multi-cluster
-  // schedule changes the computed bytes. schedule= carries no choice (deps
-  // is its only value), so it has no field to serialize.
-  // shards_per_rank IS present: under shards=auto it changes the resolved
-  // decomposition, which (like shards=) names the run's topology.
-  os << "|cells=" << config.grid.cells[0] << "x" << config.grid.cells[1]
-     << "x" << config.grid.cells[2];
-  os << "|extent=" << exact(config.grid.extent[0]) << ","
-     << exact(config.grid.extent[1]) << "," << exact(config.grid.extent[2]);
-  os << "|origin=" << exact(config.grid.origin[0]) << ","
-     << exact(config.grid.origin[1]) << "," << exact(config.grid.origin[2]);
-  os << "|bc=" << boundary_token(config.grid.boundary[0]) << ","
-     << boundary_token(config.grid.boundary[1]) << ","
-     << boundary_token(config.grid.boundary[2]);
-  os << "|t_end=" << exact(config.t_end) << "|cfl=" << exact(config.cfl);
-  os << "|csv=" << config.output.csv << "|vtk=" << config.output.vtk
-     << "|series=" << config.output.series
-     << "|interval=" << exact(config.output.interval)
-     << "|receivers_csv=" << config.output.receivers_csv
-     << "|receivers_bin=" << config.output.receivers_bin;
-  os << "|quantities=";
-  for (std::size_t i = 0; i < config.output.quantities.size(); ++i)
-    os << (i ? "," : "") << config.output.quantities[i];
-  os << "|receivers=";
-  for (std::size_t i = 0; i < config.receivers.size(); ++i)
-    os << (i ? ";" : "") << exact(config.receivers[i][0]) << ","
-       << exact(config.receivers[i][1]) << "," << exact(config.receivers[i][2]);
-  // Telemetry file outputs are artifacts like csv=/vtk=, so they split the
-  // memoization key (a cached replay writes no files). progress= is absent
-  // for the threads/autotune reason: a heartbeat leaves no artifact and
-  // must not split the key.
-  os << "|trace=" << config.telemetry.trace
-     << "|metrics=" << config.telemetry.metrics
-     << "|metrics_interval=" << config.telemetry.metrics_interval;
-  // std::map iterates in key order, so the passthrough block is canonical.
-  for (const auto& [key, value] : config.scenario_params)
-    os << "|scenario." << key << "=" << value;
-  return os.str();
+  std::string out;
+  for (const ConfigKey& key : config_schema())
+    if (key.policy != kNeutral)
+      out += (out.empty() ? "" : "|") + std::string(key.name) + "=" +
+             key.format(config);
+  return out;
 }
 
 std::array<int, 3> resolve_shard_grid(const SimulationConfig& config) {
@@ -365,19 +429,14 @@ std::array<int, 3> resolve_shard_grid(const SimulationConfig& config) {
                                           : resolve_threads(config.threads));
     return Partition::factor(total, config.grid.cells);
   }
-  const auto parts = split_list(config.shards);
-  if (parts.size() == 1)
-    return Partition::factor(parse_int("shards", parts[0]),
-                             config.grid.cells);
-  EXASTP_CHECK_MSG(parts.size() == 3, "shards=" + config.shards);
-  const std::array<int, 3> shards{parse_int("shards", parts[0]),
-                                  parse_int("shards", parts[1]),
-                                  parse_int("shards", parts[2])};
+  const std::vector<int> counts = shard_counts(config.shards);
+  if (counts.size() == 1)
+    return Partition::factor(counts[0], config.grid.cells);
   for (int d = 0; d < 3; ++d)
-    EXASTP_CHECK_MSG(shards[d] >= 1 && shards[d] <= config.grid.cells[d],
-                     "shards=" + config.shards +
+    EXASTP_CHECK_MSG(counts[d] <= config.grid.cells[d],
+                     "shard grid " + config.shards +
                          " needs at least one cell per shard per dimension");
-  return shards;
+  return {counts[0], counts[1], counts[2]};
 }
 
 void apply_scenario_defaults(SimulationConfig& config) {
@@ -386,174 +445,74 @@ void apply_scenario_defaults(SimulationConfig& config) {
 
 SimulationConfig parse_simulation_args(const std::vector<std::string>& args) {
   SimulationConfig config;
-  // The scenario decides the default grid/boundaries/t_end, so resolve it
-  // before the remaining pairs override those defaults. The same pass
-  // rejects duplicate keys: silently letting the later pair win would run
-  // a config the user did not ask for (batch files are hand-written).
-  // Membership is checked against accepted_config_keys() — the same list
-  // the config reference documents — so a key accepted by apply_pair but
-  // absent from the list cannot slip through undocumented.
-  const std::vector<std::string> known = accepted_config_keys();
-  std::set<std::string> seen;
+  const auto apply = [&](const ConfigKey& key, const std::string& name,
+                         const std::string& value) {
+    // A family member's parser sees "param=value".
+    const std::string arg =
+        is_family(key) ? name.substr(std::strlen(key.name) - 1) + "=" + value
+                       : value;
+    naming(name, value, [&] { key.parse(config, arg); });
+  };
+  // The scenario (the schema's first key) decides the default grid,
+  // boundaries and t_end, so it is applied before the other pairs override
+  // those defaults.
   for (const std::string& arg : args) {
-    const auto [key, value] = split_pair(arg);
-    EXASTP_CHECK_MSG(seen.insert(key).second,
-                     "duplicate config key \"" + key + "\"");
-    const bool listed =
-        key.rfind("scenario.", 0) == 0 ||
-        std::find(known.begin(), known.end(), key) != known.end();
-    EXASTP_CHECK_MSG(listed, "unknown config key \"" + key + "\"\n" +
-                                 simulation_usage());
-    if (key == "scenario") config.scenario = value;
+    const auto [name, value] = split_pair(arg);
+    if (find_key(name) == &config_schema().front())
+      apply(config_schema().front(), name, value);
   }
   apply_scenario_defaults(config);
+  // Duplicates count per key: a name and its alias are one key, each
+  // member of the scenario.* family is its own.
+  std::map<std::string, std::string> seen;  // key -> spelling given first
   for (const std::string& arg : args) {
-    const auto [key, value] = split_pair(arg);
-    apply_pair(config, key, value);
+    const auto [name, value] = split_pair(arg);
+    const ConfigKey* key = find_key(name);
+    EXASTP_CHECK_MSG(key != nullptr, "unknown config key \"" + name + "\"\n" +
+                                         simulation_usage());
+    const auto [it, fresh] =
+        seen.emplace(is_family(*key) ? name : key->name, name);
+    EXASTP_CHECK_MSG(fresh, "duplicate config key \"" + name + "\"" +
+                                (it->second == name
+                                     ? ""
+                                     : " (also given as \"" + it->second +
+                                           "\")"));
+    apply(*key, name, value);
   }
   return config;
 }
 
 std::vector<std::string> accepted_config_keys() {
-  // Keep in usage/reference order. "csv"/"vtk" are the unprefixed aliases
-  // of output.csv/output.vtk; "scenario.*" stands for the passthrough
-  // family (any key the selected scenario declares).
-  return {"scenario",
-          "pde",
-          "stepper",
-          "variant",
-          "isa",
-          "order",
-          "family",
-          "precision",
-          "threads",
-          "shards",
-          "shards_per_rank",
-          "backend",
-          "schedule",
-          "autotune",
-          "lts",
-          "lts_clusters",
-          "balance",
-          "cells",
-          "extent",
-          "origin",
-          "bc",
-          "t_end",
-          "cfl",
-          "csv",
-          "vtk",
-          "output.csv",
-          "output.vtk",
-          "output.series",
-          "output.interval",
-          "output.receivers_csv",
-          "output.receivers_bin",
-          "output.quantities",
-          "receivers",
-          "trace",
-          "metrics",
-          "metrics_interval",
-          "progress",
-          "scenario.*"};
+  std::vector<std::string> keys;
+  for (const ConfigKey& key : config_schema()) {
+    keys.push_back(key.name);
+    if (key.alias != nullptr) keys.push_back(key.alias);
+  }
+  return keys;
 }
 
 std::vector<std::string> driver_only_keys() {
-  return {"sweep", "batch", "jobs", "gallery"};
+  std::vector<std::string> keys;
+  for (const DriverKey& key : kDriverKeys) keys.push_back(key.name);
+  return keys;
 }
 
 std::string simulation_usage() {
-  return
-      "usage: key=value ...\n"
-      "  scenario=NAME   initial condition + defaults (see registry; default"
-      " gaussian)\n"
-      "  pde=NAME        PDE registry key (default: the scenario's PDE)\n"
-      "  stepper=KIND    ader | rk4 (default ader)\n"
-      "  variant=NAME    generic | log | splitck | aosoa_splitck |"
-      " soa_uf_splitck\n"
-      "  isa=NAME        auto | scalar | avx2 | avx512 (default auto)\n"
-      "  order=N         nodes per dimension (default 4)\n"
-      "  family=NAME     gl | lobatto quadrature nodes (default gl)\n"
-      "  precision=NAME  fp64 (default) | fp32 kernel storage precision;"
-      " fp32 needs\n"
-      "                  stepper=ader and variant=splitck|aosoa_splitck"
-      " (see docs/precision.md)\n"
-      "  threads=N       stepper threads; auto (default) = hardware"
-      " concurrency\n"
-      "  shards=AxBxC    mesh shard block grid (or a total count to factor,"
-      " or auto);\n"
-      "                  results are bitwise-identical for every"
-      " decomposition\n"
-      "  shards_per_rank=N  over-decomposition: auto (default, one shard per"
-      " rank under\n"
-      "                  backend=mpi) or N >= 1 shards per rank"
-      " (bitwise-identical)\n"
-      "  backend=KIND    halo exchange: inprocess (default) | mpi"
-      " (multi-shard ranks,\n"
-      "                  -DEXASTP_WITH_MPI=ON builds under mpirun)\n"
-      "  schedule=deps   sharded step schedule; deps (dependency-driven,"
-      " pipelined\n"
-      "                  halos) is the only value\n"
-      "  autotune=PATH   fused-block autotune table: load, measure missing"
-      " entries,\n"
-      "                  save back (bitwise-neutral; see docs/precision.md)\n"
-      "  lts=on|off      clustered local time stepping (default off); bins"
-      " cells into\n"
-      "                  powers-of-two rate clusters by local wave speed;"
-      " needs\n"
-      "                  stepper=ader (see docs/lts.md)\n"
-      "  lts_clusters=N  cluster cap: auto (default, wave-speed spread"
-      " decides) or N >= 1\n"
-      "  balance=PATH    measured-cost balance table: weight shard splits by"
-      " measured\n"
-      "                  per-cluster cost, update with this run, save back"
-      " (bitwise-neutral)\n"
-      "  cells=AxBxC     mesh cells per dimension (or one int for a cube)\n"
-      "  extent=X,Y,Z    domain size (or one number for a cube)\n"
-      "  origin=X,Y,Z    domain lower corner\n"
-      "  bc=KIND[,KIND,KIND]  periodic | outflow | wall per dimension\n"
-      "  t_end=T         end time\n"
-      "  cfl=C           CFL factor (default 0.4)\n"
-      "  csv=PATH        write nodal values CSV after the run (alias of"
-      " output.csv=)\n"
-      "  vtk=PATH        write cell-average VTK after the run (alias of"
-      " output.vtk=)\n"
-      "  receivers=X,Y,Z[;X,Y,Z...]  probe points sampled every step\n"
-      "  output.receivers_csv=PATH   stream receiver samples as CSV\n"
-      "  output.receivers_bin=PATH   stream receiver samples as a binary"
-      " record stream\n"
-      "  output.quantities=A,B,...   quantity indices receivers sample"
-      " (default: all evolved)\n"
-      "  output.series=BASE          incremental VTK snapshot series"
-      " (BASE_NNNN.vtk + BASE.pvd)\n"
-      "  output.interval=T           series snapshot spacing (default:"
-      " every step)\n"
-      "  trace=PATH      write a Chrome trace-event JSON span timeline after"
-      " the run\n"
-      "                  (Perfetto-loadable; see docs/observability.md)\n"
-      "  metrics=PATH    stream per-step metrics (CSV, or JSONL for .jsonl"
-      " paths)\n"
-      "  metrics_interval=N          steps between metrics rows (default 1)\n"
-      "  progress=stderr rank-0 progress heartbeat (~1 Hz) on stderr\n"
-      "  scenario.KEY=VALUE          scenario parameter passthrough (e.g."
-      " scenario.layer_rho for loh1,\n"
-      "                              scenario.kx for planewave; see the"
-      " scenario's declared keys)\n"
-      "  sweep=KEY:V1,V2,...         (exastp_run) run once per value,"
-      " streaming a summary CSV\n"
-      "                              (any key above sweeps, e.g."
-      " sweep=shards:1,2,4)\n"
-      "  batch=FILE                  (exastp_run) ensemble mode: run every"
-      " line of FILE (one\n"
-      "                              key=value config per line, # comments)"
-      " as a pool job;\n"
-      "                              remaining args are batch-wide defaults\n"
-      "  jobs=N                      (exastp_run) concurrent simulations for"
-      " batch= (default 1)\n"
-      "  gallery=KIND[:PATH]         (exastp_run) batch result sink: csv |"
-      " jsonl | bin | dir\n"
-      "                              (repeatable; csv/jsonl stream to stdout"
-      " without a PATH)\n";
+  std::string out = "usage: key=value ...\n";
+  for (const ConfigKey& key : config_schema()) {
+    const std::string name = key.name;
+    const std::string head = is_family(key)
+                                 ? name.substr(0, name.size() - 1) + key.value
+                                 : name + "=" + key.value;
+    out += usage_line(head, key.alias == nullptr
+                                ? key.help
+                                : key.help + std::string(" (alias ") +
+                                      key.alias + "=)");
+  }
+  for (const DriverKey& key : kDriverKeys)
+    out += usage_line(std::string(key.name) + "=" + key.value,
+                      std::string("(exastp_run) ") + key.help);
+  return out;
 }
 
 }  // namespace exastp

@@ -102,16 +102,14 @@ struct SimulationConfig {
   /// loaded before kernels are built, the entry for this run's
   /// (pde, order, isa, precision) is measured if missing, and the table is
   /// saved back. Empty = use the built-in footprint heuristic. Block sizes
-  /// are bitwise- and FLOP-neutral, so this key is pure performance state
-  /// and excluded from the canonical config string.
+  /// are bitwise- and FLOP-neutral: pure performance state.
   std::string autotune;
 
   /// Clustered local time stepping (docs/lts.md): "on" bins cells into
   /// powers-of-two rate clusters from their local wave speeds and steps
   /// each cluster at its own dt; "off" (default) is global stepping.
   /// Requires stepper=ader. lts=on with one resulting cluster is
-  /// bitwise-identical to lts=off, so these keys join the canonical
-  /// string only through the schedule they actually select.
+  /// bitwise-identical to lts=off.
   bool lts = false;
   /// Cap on the number of rate clusters: "auto" (0) lets the wave-speed
   /// spread decide, an integer N >= 1 caps the binning at N clusters.
@@ -120,8 +118,7 @@ struct SimulationConfig {
   /// before partitioning so shard splits weight cells by measured per-
   /// cluster cost, updated with this run's measurements and saved back.
   /// Empty = substep-count weighting only. Like autotune, pure
-  /// performance state — every decomposition is bitwise-identical — so
-  /// it is excluded from the canonical config string.
+  /// performance state: every decomposition is bitwise-identical.
   std::string balance;
 
   GridSpec grid;
@@ -149,14 +146,44 @@ double scenario_param(const SimulationConfig& config, const std::string& key,
 int scenario_param_int(const SimulationConfig& config, const std::string& key,
                        int fallback);
 
-/// Deterministic one-line serialization of every config field (maps in key
-/// order, doubles printed round-trip exactly) — the memoization key of the
-/// ensemble service (src/service/simulation_pool.h): two configs with equal
-/// canonical strings produce bitwise-identical results. `threads` is
-/// deliberately excluded: results are bitwise-identical for every thread
-/// count (README "Threading"), so a batch that re-runs a config with a
-/// different thread budget still hits the cache.
+/// What a config key does to the ensemble pool's memoization key.
+enum class MemoPolicy {
+  kResult,    ///< changes the result: joins the canonical config string
+  kArtifact,  ///< names an output file: joins it, suffixed per pool job
+  kNeutral,   ///< bitwise-neutral: absent, so it never splits the key
+};
+
+/// One accepted config key. config_schema() is the one declaration the
+/// parser, accepted_config_keys, simulation_usage, canonical_config_string
+/// and the pool's per-job output suffixes iterate.
+struct ConfigKey {
+  const char* name;   ///< "scenario.*" names the passthrough family
+  const char* value;  ///< usage placeholder, e.g. "N"
+  const char* help;   ///< usage text
+  MemoPolicy policy;
+  /// Validates `value` and writes the key's field; throws
+  /// std::invalid_argument (the parser prefixes the key). A family
+  /// member's parser sees "param=value", its key minus the prefix.
+  void (*parse)(SimulationConfig& config, const std::string& value);
+  /// Reads the field back as text `parse` accepts.
+  std::string (*format)(const SimulationConfig& config);
+  const char* alias = nullptr;  ///< a second spelling of the same key
+};
+
+/// The config keys in usage order; the scenario comes first because it is
+/// applied before the scenario defaults the other keys override.
+const std::vector<ConfigKey>& config_schema();
+
+/// Deterministic one-line serialization of the result and artifact keys
+/// (maps in key order, doubles round-trip exact): the memoization key of
+/// the ensemble service (src/service/simulation_pool.h). Two configs with
+/// equal canonical strings produce bitwise-identical results.
 std::string canonical_config_string(const SimulationConfig& config);
+
+/// The whole-value integer rule of the integer config keys ("2x" and "1e3"
+/// are errors); throws std::invalid_argument naming `key`. Exported for the
+/// driver-only keys exastp_run parses itself.
+int parse_config_int(const std::string& key, const std::string& value);
 
 /// Resolves config.shards against the grid, thread count and rank count
 /// into the effective shard block grid: "AxBxC" is taken literally (each
@@ -174,32 +201,20 @@ std::array<int, 3> resolve_shard_grid(const SimulationConfig& config);
 /// SimulationConfig by hand and you want the scenario defaults.
 void apply_scenario_defaults(SimulationConfig& config);
 
-/// Parses "key=value" arguments into a config. The scenario is resolved
-/// first and its defaults applied, then the remaining pairs override them,
-/// so e.g. {"scenario=loh1", "cells=8x8x8"} refines the stock LOH1 box.
-/// A key given twice is a hard error naming the key — a duplicate in a
-/// hand-written batch line is almost always a typo, and silently letting
-/// the later pair win would run a config the user did not ask for.
-///
-/// Keys: pde, scenario, stepper, variant, isa, order, family (gl|lobatto),
-/// cells (NxMxK or one int for a cube), extent, origin (comma- or
-/// x-separated triples), bc (periodic|outflow|wall, one or three
-/// comma-separated), t_end, cfl, csv, vtk, the streaming output.* keys
-/// (series, interval, receivers_csv, receivers_bin, quantities; csv/vtk
-/// also accepted with the prefix), receivers (semicolon-separated x,y,z
-/// triples) and scenario.<key> passthrough pairs. Unknown keys throw.
+/// Parses "key=value" arguments (the keys of config_schema()) into a
+/// config. The scenario is resolved first and its defaults applied, then
+/// the remaining pairs override them, so {"scenario=loh1", "cells=8x8x8"}
+/// refines the stock LOH1 box. Unknown keys, bad values and duplicates (a
+/// name and its alias are one key; a duplicate in a batch line is almost
+/// always a typo) throw std::invalid_argument naming the key.
 SimulationConfig parse_simulation_args(const std::vector<std::string>& args);
 
 /// One-line-per-key usage text for CLI drivers.
 std::string simulation_usage();
 
-/// Every key parse_simulation_args accepts, in usage order, with the
-/// scenario passthrough family spelled "scenario.*". parse_simulation_args
-/// itself validates incoming keys against this list (before the typed
-/// apply step), so a parser branch whose key is missing here fails loudly
-/// in any test that uses the key — and the docs-sync test
-/// (tests/test_docs.cpp) cross-checks this list against
-/// docs/config_reference.md, keeping parser and reference in lockstep.
+/// Every config_schema() name and alias, in usage order. The docs-sync
+/// test (tests/test_docs.cpp) cross-checks it against
+/// docs/config_reference.md.
 std::vector<std::string> accepted_config_keys();
 
 /// The driver-only keys exastp_run peels off before config parsing

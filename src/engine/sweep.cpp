@@ -13,8 +13,7 @@ namespace {
 
 /// The sweep's historical summary format, as a gallery: one
 /// "<value>,steps,t,l2_error,seconds,flops" row per completed run, header
-/// first,
-/// flushed per row (long sweeps can be tailed). Failed/skipped jobs stream
+/// first, flushed per row (long sweeps can be tailed). Failed/skipped jobs stream
 /// no row — run_sweep turns the failure into the throw it has always been.
 class SweepSummaryGallery final : public ResultGallery {
  public:

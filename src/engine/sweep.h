@@ -3,7 +3,7 @@
 //
 // `exastp_run sweep=order:2,3,4 scenario=planewave ...` runs the config
 // once per value and streams
-//   <key>,steps,t,l2_error,seconds
+//   <key>,steps,t,l2_error,seconds,flops
 // rows as each run finishes, so a long sweep can be tailed or consumed
 // downstream while later runs are still executing. Per-run file outputs
 // (csv/vtk/series/receiver streams) get a "_<value>" suffix so runs do not

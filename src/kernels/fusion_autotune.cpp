@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "exastp/common/aligned.h"
+#include "exastp/common/atomic_file.h"
 #include "exastp/common/check.h"
 
 namespace exastp {
@@ -174,12 +175,7 @@ bool FusionTuneTable::load_file(const std::string& path) {
 }
 
 void FusionTuneTable::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  EXASTP_CHECK_MSG(static_cast<bool>(out),
-                   "cannot write autotune table: " + path);
-  out << serialize();
-  EXASTP_CHECK_MSG(static_cast<bool>(out),
-                   "failed writing autotune table: " + path);
+  write_file_atomically(path, serialize(), "autotune table");
 }
 
 }  // namespace exastp

@@ -7,8 +7,8 @@
 // genuinely machine-dependent knob: too small wastes GEMM call overhead,
 // too large spills the slab out of L2. Block size NEVER changes results
 // (slab boundaries are bitwise-neutral) nor FLOP counts (columns split at
-// vector-width multiples), so the table is pure performance state and is
-// deliberately excluded from the canonical config string.
+// vector-width multiples), so the table is pure performance state and
+// autotune= is a neutral config key.
 //
 // The table is process-wide and keyed (pde, order, isa, precision). A
 // missing entry falls back to a footprint heuristic; `tune` measures the
@@ -67,7 +67,8 @@ class FusionTuneTable {
   void merge_text(const std::string& text);
 
   /// Best-effort persistence helpers. load_file returns false when the
-  /// file does not exist; save_file throws when the path is unwritable.
+  /// file does not exist; save_file replaces it atomically (a concurrent
+  /// load sees a whole table) and throws when the path is unwritable.
   bool load_file(const std::string& path);
   void save_file(const std::string& path) const;
 

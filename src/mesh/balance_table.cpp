@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exastp/common/atomic_file.h"
 #include "exastp/common/check.h"
 
 namespace exastp {
@@ -102,12 +103,7 @@ bool BalanceTable::load_file(const std::string& path) {
 }
 
 void BalanceTable::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  EXASTP_CHECK_MSG(static_cast<bool>(out),
-                   "cannot write balance table: " + path);
-  out << serialize();
-  EXASTP_CHECK_MSG(static_cast<bool>(out),
-                   "failed writing balance table: " + path);
+  write_file_atomically(path, serialize(), "balance table");
 }
 
 }  // namespace exastp

@@ -20,8 +20,7 @@
 // from telemetry after the run, save back — first run measures, later
 // runs just load). Like autotune=, the table is pure performance state:
 // any weighting produces a valid decomposition and every decomposition is
-// bitwise-identical, so balance= is excluded from the canonical config
-// string.
+// bitwise-identical, so balance= is a neutral config key.
 #pragma once
 
 #include <map>
@@ -56,7 +55,8 @@ class BalanceTable {
   void merge_text(const std::string& text);
 
   /// Best-effort persistence helpers. load_file returns false when the
-  /// file does not exist; save_file throws when the path is unwritable.
+  /// file does not exist; save_file replaces it atomically (a concurrent
+  /// load sees a whole table) and throws when the path is unwritable.
   bool load_file(const std::string& path);
   void save_file(const std::string& path) const;
 

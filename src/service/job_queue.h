@@ -24,7 +24,7 @@ struct JobSpec {
   std::string label;     ///< display label: the batch line or sweep value
   std::vector<std::string> args;  ///< key=value config arguments
   /// Appended to the filename part of every output path the job writes
-  /// (csv/vtk/series/receiver streams), so jobs in one batch never collide.
+  /// (the MemoPolicy::kArtifact keys), so jobs in one batch never collide.
   /// The pool defaults it to "_j<id>"; run_sweep passes "_<value>" to keep
   /// the artifact names sweeps have always produced.
   std::string suffix;

@@ -28,26 +28,16 @@ bool has_explicit_threads(const std::vector<std::string>& args) {
 }
 
 /// Executes one parsed config; never throws — failures become the result's
-/// status. The suffix keeps this job's file outputs apart from its batch
-/// siblings (mirroring what run_sweep has always done for swept values).
+/// status. The suffix on every artifact key keeps this job's file outputs
+/// apart from its batch siblings (as run_sweep does for swept values).
 JobResult execute_job(SimulationConfig config, const JobSpec& spec) {
   JobResult r;
   r.id = spec.id;
   r.label = spec.label;
   try {
-    config.output.csv = with_path_suffix(config.output.csv, spec.suffix);
-    config.output.vtk = with_path_suffix(config.output.vtk, spec.suffix);
-    config.output.series =
-        with_path_suffix(config.output.series, spec.suffix);
-    config.output.receivers_csv =
-        with_path_suffix(config.output.receivers_csv, spec.suffix);
-    config.output.receivers_bin =
-        with_path_suffix(config.output.receivers_bin, spec.suffix);
-
-    config.telemetry.trace = with_path_suffix(config.telemetry.trace,
-                                              spec.suffix);
-    config.telemetry.metrics = with_path_suffix(config.telemetry.metrics,
-                                                spec.suffix);
+    for (const ConfigKey& key : config_schema())
+      if (key.policy == MemoPolicy::kArtifact && !key.format(config).empty())
+        key.parse(config, with_path_suffix(key.format(config), spec.suffix));
 
     const auto start = std::chrono::steady_clock::now();
     Simulation sim = Simulation::from_config(std::move(config));

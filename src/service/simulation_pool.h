@@ -11,14 +11,14 @@
 //
 // Shared caches. All jobs share the process-wide basis-table cache
 // (basis/basis_tables.h) and the kernel prototype cache
-// (engine/kernel_cache.h, keyed by pde/variant/order/isa/family) — a batch
+// (engine/kernel_cache.h, keyed by the kernel configuration) — a batch
 // of a thousand jobs over a handful of configurations builds each kernel
 // configuration once. Completed results are memoized by the canonical
 // config string (canonical_config_string): duplicate configs in a batch
 // run once, the duplicates return the cached summary (marked from_cache;
 // a duplicate scheduled while the original is still running waits for it
-// instead of re-running). `threads=` is excluded from the key — results
-// are bitwise-identical for every thread count.
+// instead of re-running). Neutral config keys (threads= among them) are
+// not part of it.
 //
 // Failure isolation. A job that throws (parse error, blow-up, bad output
 // path) is marked failed with the captured message; the batch continues.

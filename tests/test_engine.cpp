@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exastp/engine/simulation.h"
@@ -98,6 +100,24 @@ TEST(ConfigParse, RejectsMalformedInput) {
   EXPECT_THROW(parse_simulation_args({"bc=open"}), std::invalid_argument);
   EXPECT_THROW(parse_simulation_args({"scenario=nope"}),
                std::invalid_argument);
+  // Values that std::stod accepts but no run can use fail at parse time,
+  // naming their key: nan/inf would run zero steps, never end, or fail in
+  // the first step.
+  for (const char* arg :
+       {"t_end=nan", "t_end=inf", "t_end=-inf", "output.interval=nan",
+        "cfl=nan", "cfl=inf", "cfl=-1", "cfl=0", "extent=1,nan,1",
+        "origin=inf", "receivers=0.5,nan,0.5", "stepper=rk",
+        "stepper=euler"}) {
+    const std::string key = std::string(arg).substr(
+        0, std::string(arg).find('='));
+    try {
+      parse_simulation_args({"scenario=planewave", arg});
+      ADD_FAILURE() << arg << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key + "="), std::string::npos)
+          << arg << ": " << e.what();
+    }
+  }
 }
 
 TEST(ConfigParse, DuplicateKeyIsAHardErrorNamingTheKey) {
@@ -113,6 +133,26 @@ TEST(ConfigParse, DuplicateKeyIsAHardErrorNamingTheKey) {
   EXPECT_THROW(parse_simulation_args({"scenario=loh1", "scenario.half_cs=4",
                                       "scenario.half_cs=5"}),
                std::invalid_argument);
+  // A key and its alias are one key; accepting both would silently write
+  // only the second path.
+  for (const auto& [first, second] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"csv=a.csv", "output.csv=b.csv"},
+           {"output.vtk=a.vtk", "vtk=b.vtk"}}) {
+    try {
+      parse_simulation_args({"scenario=planewave", first, second});
+      ADD_FAILURE() << first << " " << second << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("duplicate config key \"" +
+                          second.substr(0, second.find('=')) + "\""),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("\"" + first.substr(0, first.find('=')) + "\""),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(ConfigParse, StreamingOutputAndReceiverKeys) {
