@@ -1,4 +1,4 @@
-// Reproduces the Sec. IV-A footprint analysis (E5 in DESIGN.md): kernel
+// Reproduces the Sec. IV-A footprint analysis: kernel
 // workspace per variant and order for the m = 21 benchmark, against the
 // 1 MiB Skylake-SP L2 budget. The paper's claim: the generic/LoG space-time
 // storage is O(N^{d+1} m d) and exceeds L2 from order ~6, SplitCK's

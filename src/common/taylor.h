@@ -30,7 +30,8 @@ inline std::array<double, kMaxOrder> taylor_coefficients(double dt, int n) {
 /// the *time-averaged* state (1/dt) * integral q dt. The kernels emit the
 /// averaged (not integrated) state so the constant parameter rows of q pass
 /// through unscaled, which keeps flux/ncp evaluations of the averaged state
-/// well defined (see DESIGN.md, SplitCK favg recomputation).
+/// well defined (the SplitCK family recomputes favg from flux(qavg), see
+/// kernels/splitck_driver.h).
 inline std::array<double, kMaxOrder> time_average_coefficients(double dt,
                                                                int n) {
   std::array<double, kMaxOrder> c{};

@@ -37,6 +37,15 @@ ParsedLine parse_line(const std::string& line) {
   return p;
 }
 
+/// The candidate the calling thread's tune() is measuring: only that
+/// thread's kernel builds see it; every other thread keeps reading the
+/// published table.
+struct Trial {
+  std::string key;
+  int planes = 0;
+};
+thread_local const Trial* t_trial = nullptr;
+
 }  // namespace
 
 FusionTuneTable& FusionTuneTable::instance() {
@@ -53,9 +62,11 @@ std::string FusionTuneTable::key(const std::string& pde, int order, Isa isa,
 int FusionTuneTable::block_planes(const std::string& pde, int order,
                                   int quants, Isa isa,
                                   Precision precision) const {
+  const std::string k = key(pde, order, isa, precision);
+  if (t_trial != nullptr && t_trial->key == k) return t_trial->planes;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = table_.find(key(pde, order, isa, precision));
+    auto it = table_.find(k);
     if (it != table_.end()) {
       return it->second < order ? it->second : order;
     }
@@ -113,10 +124,17 @@ int FusionTuneTable::tune(const std::string& pde, int order, int quants,
   for (int c : candidates) have_h = have_h || c == h;
   if (!have_h) candidates.push_back(h);
 
+  // Each candidate is visible to this thread's builds only; the winner is
+  // published once, and a build that throws publishes nothing.
+  Trial trial{key(pde, order, isa, precision)};
+  struct TrialScope {
+    explicit TrialScope(const Trial* t) { t_trial = t; }
+    ~TrialScope() { t_trial = nullptr; }
+  } scope(&trial);
   double best_time = std::numeric_limits<double>::max();
   int best = h;
   for (int planes : candidates) {
-    set(pde, order, isa, precision, planes);
+    trial.planes = planes;
     StpKernel kernel = build();
     const AosLayout& aos = kernel.layout();
     // Constant unit state: every quantity (material parameters included)

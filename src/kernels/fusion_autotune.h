@@ -53,9 +53,13 @@ class FusionTuneTable {
   static int heuristic_block_planes(int order, int quants, Isa isa,
                                     Precision precision);
 
-  /// Measures every candidate block size by installing it, building a
-  /// fresh kernel through `build`, and timing `reps` runs on a constant
-  /// unit state; pins the fastest. Returns the winning plane count.
+  /// Measures every candidate block size by building a fresh kernel
+  /// through `build` and timing `reps` runs on a constant unit state; pins
+  /// the fastest. Returns the winning plane count. The candidates are
+  /// visible only to block_planes() calls on the calling thread (so
+  /// `build` must construct its kernel there); other threads see the table
+  /// as before until the winner is published. A throwing `build` leaves
+  /// the table unchanged.
   int tune(const std::string& pde, int order, int quants, Isa isa,
            Precision precision, const std::function<StpKernel()>& build,
            int reps = 3);

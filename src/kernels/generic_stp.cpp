@@ -111,15 +111,10 @@ void GenericStp::compute(const double* q, double dt,
       for (std::size_t i = 0; i < cell_; ++i) pn[i] += dfo[i];
     }
     fc.add(WidthClass::k128, 3 * cell_);
-    if (source != nullptr) {
-      const double sdo = source->dt_derivatives[o];
-      for (std::size_t k = 0; k < nodes; ++k)
-        pn[k * m + source->quantity] += source->psi[k] * sdo;
-      fc.add(WidthClass::kScalar, 2 * nodes);
-    }
+    if (source != nullptr) add_source_derivative(aos_, *source, o, pn);
     // User functions read parameters from the node they receive, so every
     // derivative tensor must carry the original parameter values.
-    refresh_aos_param_rows(aos_, pde_.info().vars, q, pn);
+    refresh_param_rows(aos_, pde_.info().vars, q, pn);
   }
 
   // Time-averaged outputs: qavg = sum_o c[o] p[o], favg[d] = sum_o c[o]
@@ -144,7 +139,7 @@ void GenericStp::compute(const double* q, double dt,
 
   // The Taylor sum scaled the constant parameter rows; restore them so that
   // flux(qavg)/wave speeds of the averaged state stay well defined.
-  refresh_aos_param_rows(aos_, pde_.info().vars, q, out.qavg);
+  refresh_param_rows(aos_, pde_.info().vars, q, out.qavg);
 
   // Half-window average: the same p[o] with the dt/2 weights, summed in
   // the same order as qavg above.
@@ -157,7 +152,7 @@ void GenericStp::compute(const double* q, double dt,
       for (std::size_t i = 0; i < cell_; ++i) out.qavg_half[i] += c * po[i];
     }
     fc.add(WidthClass::k128, 2ull * n * cell_);
-    refresh_aos_param_rows(aos_, pde_.info().vars, q, out.qavg_half);
+    refresh_param_rows(aos_, pde_.info().vars, q, out.qavg_half);
   }
 }
 

@@ -1,6 +1,7 @@
 // Generic STP kernel — the paper's scalar reference implementation
-// (Sec. II-B, Fig. 1 pseudocode, with the p-recursion corrected as noted in
-// DESIGN.md).
+// (Sec. II-B, Fig. 1 pseudocode). Each Taylor order computes
+// p[o+1] = sum_d (D_d F_d(p[o]) + B_d(p[o]) D_d p[o]) plus the point
+// source's o-th time derivative.
 //
 // Faithful to ExaHyPE's generic kernels, this variant is dimensioned at
 // runtime (order and quantity count are plain ints), calls the PDE terms

@@ -105,8 +105,8 @@ class LogStp {
       for (int d = 0; d < 3; ++d)
         vec_add(isa_, static_cast<long>(cell_),
                 df_.data() + od_index(o, d), pn);
-      if (source != nullptr) apply_source(pn, source, o, fc);
-      refresh_aos_param_rows(aos_, Pde::kVars, q, pn);
+      if (source != nullptr) add_source_derivative(aos_, *source, o, pn);
+      refresh_param_rows(aos_, Pde::kVars, q, pn);
     }
 
     // Taylor accumulation of the time-averaged outputs.
@@ -120,7 +120,7 @@ class LogStp {
         vec_axpy(isa_, static_cast<long>(cell_), coeff[o],
                  df_.data() + od_index(o, d), out.favg[d]);
     }
-    refresh_aos_param_rows(aos_, Pde::kVars, q, out.qavg);
+    refresh_param_rows(aos_, Pde::kVars, q, out.qavg);
 
     // Half-window average: the same p[o] with the dt/2 weights.
     if (out.qavg_half != nullptr) {
@@ -129,7 +129,7 @@ class LogStp {
       for (int o = 0; o < n; ++o)
         vec_axpy(isa_, static_cast<long>(cell_), half[o],
                  p_.data() + p_index(o), out.qavg_half);
-      refresh_aos_param_rows(aos_, Pde::kVars, q, out.qavg_half);
+      refresh_param_rows(aos_, Pde::kVars, q, out.qavg_half);
     }
   }
 
@@ -139,17 +139,6 @@ class LogStp {
   }
   std::size_t od_index(int o, int d) const {
     return (static_cast<std::size_t>(o) * 3 + d) * cell_;
-  }
-
-  void apply_source(double* pn, const SourceTerm* source, int o,
-                    FlopCounter& fc) {
-    const int n = n_;
-    const int mp = aos_.m_pad;
-    const double sdo = source->dt_derivatives[o];
-    const std::size_t nodes = static_cast<std::size_t>(n) * n * n;
-    for (std::size_t k = 0; k < nodes; ++k)
-      pn[k * mp + source->quantity] += source->psi[k] * sdo;
-    fc.add(WidthClass::kScalar, 2 * nodes);
   }
 
   Pde pde_;

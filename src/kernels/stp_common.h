@@ -40,10 +40,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "exastp/common/aligned.h"
 #include "exastp/common/simd.h"
 #include "exastp/pde/point_source.h"
+#include "exastp/perf/flop_count.h"
 #include "exastp/tensor/layout.h"
 
 namespace exastp {
@@ -80,17 +82,24 @@ std::string precision_name(Precision p);
 /// throws on unknown names.
 Precision parse_precision(const std::string& name);
 
+/// The precision of a kernel whose internal tensors store Real.
+template <class Real>
+constexpr Precision precision_of() {
+  return std::is_same_v<Real, float> ? Precision::kF32 : Precision::kF64;
+}
+
 /// Copies the parameter rows (s in [vars, m)) of the original state into a
 /// derivative tensor. The time derivatives of the constant material/geometry
 /// parameters are zero, but the PDE user functions read parameters from the
 /// node they are called on (e.g. 1/rho), so every tensor handed to
 /// flux()/ncp() must carry the *original* parameter values. All kernel
 /// variants maintain this invariant; qavg's parameter rows are restored the
-/// same way after the Taylor accumulation so that flux(qavg) is well defined
-/// (see DESIGN.md on the SplitCK favg recomputation).
+/// same way after the Taylor accumulation, because the Taylor sum scales
+/// them and the corrector and the SplitCK favg recomputation evaluate
+/// flux(qavg) (see splitck_driver.h).
 template <class Real>
-inline void refresh_aos_param_rows(const AosLayout& aos, int vars,
-                                   const Real* q, Real* dst) {
+inline void refresh_param_rows(const AosLayout& aos, int vars, const Real* q,
+                               Real* dst) {
   if (vars == aos.m) return;
   const std::size_t nodes =
       static_cast<std::size_t>(aos.n) * aos.n * aos.n;
@@ -99,10 +108,10 @@ inline void refresh_aos_param_rows(const AosLayout& aos, int vars,
       dst[k * aos.m_pad + s] = q[k * aos.m_pad + s];
 }
 
-/// Same invariant for AoSoA tensors.
+/// Same invariant for AoSoA tensors (padding lanes included).
 template <class Real>
-inline void refresh_aosoa_param_rows(const AosoaLayout& aosoa, int vars,
-                                     const Real* q, Real* dst) {
+inline void refresh_param_rows(const AosoaLayout& aosoa, int vars,
+                               const Real* q, Real* dst) {
   if (vars == aosoa.m) return;
   for (int k3 = 0; k3 < aosoa.n; ++k3)
     for (int k2 = 0; k2 < aosoa.n; ++k2)
@@ -111,6 +120,33 @@ inline void refresh_aosoa_param_rows(const AosoaLayout& aosoa, int vars,
         for (int k1 = 0; k1 < aosoa.n_pad; ++k1)
           dst[off + k1] = q[off + k1];
       }
+}
+
+/// Flat index of quantity s at node (k3, k2, k1) in either working layout.
+inline std::size_t node_quantity_index(const AosLayout& aos, int k3, int k2,
+                                       int k1, int s) {
+  return aos.idx(k3, k2, k1, s);
+}
+inline std::size_t node_quantity_index(const AosoaLayout& aosoa, int k3,
+                                       int k2, int k1, int s) {
+  return aosoa.idx(k3, k2, s, k1);
+}
+
+/// Adds the o-th time derivative of a point source, psi_k * d^o s/dt^o, to
+/// the source quantity of every node of `dst` and books its 2 n^3 scalar
+/// FLOPs. Every kernel variant calls this once per Taylor order.
+template <class Layout, class Real>
+inline void add_source_derivative(const Layout& layout,
+                                  const SourceTerm& source, int o, Real* dst) {
+  const int n = layout.n;
+  const double sdo = source.dt_derivatives[o];
+  const double* psi = source.psi;
+  for (int k3 = 0; k3 < n; ++k3)
+    for (int k2 = 0; k2 < n; ++k2)
+      for (int k1 = 0; k1 < n; ++k1)
+        dst[node_quantity_index(layout, k3, k2, k1, source.quantity)] +=
+            static_cast<Real>(*psi++ * sdo);
+  FlopCounter::instance().add(WidthClass::kScalar, 2ull * n * n * n);
 }
 
 /// The kernel outputs (see the contract at the top of this file).

@@ -1,12 +1,12 @@
 // Uniform Cartesian hexahedral mesh, optionally a partitioned view.
 //
-// Peano substitute (see DESIGN.md): the paper's results are single-socket
-// and entirely dominated by element-local kernels, so a uniform structured
-// grid with periodic / outflow / reflecting-wall boundaries carries every
-// experiment. Cells are unit-aspect boxes; the curvilinear geometry of the
-// benchmark enters through per-node metric quantities (mesh/geometry.h),
-// not through the grid itself — exactly like the boundary-fitted meshes of
-// [8] store the transformation at each vertex.
+// Substitute for ExaHyPE's Peano spacetree: the paper's results are
+// single-socket and dominated by element-local kernels, so a uniform
+// structured grid with periodic / outflow / reflecting-wall boundaries
+// carries every experiment. Cells are unit-aspect boxes; the curvilinear
+// geometry of the benchmark enters through per-node metric quantities
+// (mesh/geometry.h), not through the grid itself — exactly like the
+// boundary-fitted meshes of [8] store the transformation at each vertex.
 //
 // Domain decomposition (mesh/partition.h) turns the global grid into a set
 // of views: a Grid is always a contiguous cell box [lo, lo + size) of a

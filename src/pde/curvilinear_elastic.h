@@ -18,9 +18,9 @@
 // flux part and an NCP part — the cross-PDE equivalence test in
 // test_kernels.cpp relies on that. For genuinely curved meshes the metric
 // varies per node; the scheme treats it as a frozen coefficient field, which
-// preserves the computational pattern of [8] (this reproduction does not
-// claim pointwise agreement with the physical curvilinear equations, see
-// DESIGN.md).
+// preserves the computational pattern of [8]. This reproduction therefore
+// does not claim pointwise agreement with the physical curvilinear
+// equations.
 #pragma once
 
 #include <cmath>

@@ -1,6 +1,7 @@
 #include "exastp/perf/trace_model.h"
 
-#include <vector>
+#include <array>
+#include <utility>
 
 #include "exastp/common/aligned.h"
 #include "exastp/common/check.h"
@@ -175,7 +176,7 @@ void trace_vecop(CacheSim& sim, Isa isa, std::uint64_t src, std::uint64_t dst,
 void trace_corrector_cell(CacheSim& sim, int n, int mp, Isa isa,
                           const TwinPde& pde, std::uint64_t q,
                           std::uint64_t qavg,
-                          const std::vector<std::uint64_t>& favg,
+                          const std::array<std::uint64_t, 3>& favg,
                           VirtualArena& arena) {
   const std::size_t cell = static_cast<std::size_t>(n) * n * n * mp;
   const std::size_t cell_bytes = cell * kWord;
@@ -219,6 +220,27 @@ void trace_corrector_cell(CacheSim& sim, int n, int mp, Isa isa,
   fc.add(packed, 6ull * 2 * n * nn * mp);
 }
 
+/// Replays `rep` warmup + reps times — each on a fresh input cell, reusing
+/// the workspace (the mesh-traversal pattern) — and returns the cache
+/// statistics and FLOPs of the measured repetitions.
+template <class Rep>
+TwinResult replay_reps(CacheSim& sim, std::size_t workspace, int warmup,
+                       int reps, Rep&& rep) {
+  for (int r = 0; r < warmup + reps; ++r) {
+    if (r == warmup) {
+      sim.reset_stats();
+      FlopCounter::instance().reset();
+    }
+    rep();
+  }
+  TwinResult result;
+  result.cache = sim.stats();
+  result.flops = FlopCounter::instance();
+  result.workspace_bytes = workspace;
+  result.measured_reps = reps;
+  return result;
+}
+
 // ---------------------------------------------------------------------------
 // Generic twin (mirrors generic_stp.cpp).
 
@@ -236,8 +258,8 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
   std::uint64_t gradq = arena.alloc(3ull * n * cell);
   const std::size_t workspace = arena.bytes();
   std::uint64_t qavg = arena.alloc(cell);
-  std::vector<std::uint64_t> favg = {arena.alloc(cell), arena.alloc(cell),
-                                     arena.alloc(cell)};
+  const std::array<std::uint64_t, 3> favg = {
+      arena.alloc(cell), arena.alloc(cell), arena.alloc(cell)};
   const std::uint64_t qavg_half = half ? arena.alloc(cell) : 0;
 
   auto p_at = [&](int o) { return p + static_cast<std::uint64_t>(o) * cell_bytes; };
@@ -245,14 +267,7 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
     return base + (static_cast<std::uint64_t>(o) * 3 + d) * cell_bytes;
   };
 
-  TwinResult result;
-  result.workspace_bytes = workspace;
-  for (int rep = 0; rep < warmup + reps; ++rep) {
-    if (rep == warmup) {
-      sim.reset_stats();
-      FlopCounter::instance().reset();
-    }
-    // Fresh input cell per repetition (mesh traversal).
+  return replay_reps(sim, workspace, warmup, reps, [&] {
     std::uint64_t q = arena.alloc(cell);
     trace_vecop(sim, Isa::kScalar, q, p_at(0), cell, 0);  // memcpy
 
@@ -316,11 +331,7 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
     if (corrector)
       trace_corrector_cell(sim, n, m, Isa::kScalar, pde, q, qavg, favg,
                            arena);
-  }
-  result.cache = sim.stats();
-  result.flops = FlopCounter::instance();
-  result.measured_reps = reps;
-  return result;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -342,8 +353,8 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
   const std::size_t workspace = arena.bytes();
   std::uint64_t diff = arena.alloc(static_cast<std::size_t>(n) * n);
   std::uint64_t qavg = arena.alloc(cell);
-  std::vector<std::uint64_t> favg = {arena.alloc(cell), arena.alloc(cell),
-                                     arena.alloc(cell)};
+  const std::array<std::uint64_t, 3> favg = {
+      arena.alloc(cell), arena.alloc(cell), arena.alloc(cell)};
   const std::uint64_t qavg_half = half ? arena.alloc(cell) : 0;
 
   auto p_at = [&](int o) { return p + static_cast<std::uint64_t>(o) * cell_bytes; };
@@ -351,13 +362,7 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
     return base + (static_cast<std::uint64_t>(o) * 3 + d) * cell_bytes;
   };
 
-  TwinResult result;
-  result.workspace_bytes = workspace;
-  for (int rep = 0; rep < warmup + reps; ++rep) {
-    if (rep == warmup) {
-      sim.reset_stats();
-      FlopCounter::instance().reset();
-    }
+  return replay_reps(sim, workspace, warmup, reps, [&] {
     std::uint64_t q = arena.alloc(cell);
     trace_vecop(sim, isa, q, p_at(0), cell, 0);
 
@@ -397,15 +402,59 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
     }
     if (corrector)
       trace_corrector_cell(sim, n, mp, isa, pde, q, qavg, favg, arena);
-  }
-  result.cache = sim.stats();
-  result.flops = FlopCounter::instance();
-  result.measured_reps = reps;
-  return result;
+  });
 }
 
 // ---------------------------------------------------------------------------
-// SplitCK twin (mirrors splitck_stp.h).
+// SplitCK-family twins (mirror kernels/splitck_driver.h and the sweeps of
+// splitck_stp.h and aosoa_stp.h).
+
+/// A SplitCK-family twin's tensors: the working-layout ones the driver
+/// computes in, and the caller-layout outputs they leave through (the same
+/// addresses when the kernel works in place).
+struct SplitTwinTensors {
+  std::size_t cell = 0;  ///< elements of one working-layout tensor
+  std::uint64_t p = 0, ptemp = 0, qavg = 0, qavg_half = 0;
+  std::array<std::uint64_t, 3> favg{};
+  std::uint64_t qavg_out = 0, qavg_half_out = 0;
+  std::array<std::uint64_t, 3> favg_out{};
+};
+
+/// Replays one SplitCkDriver::run from the working-layout state `q`: the
+/// Taylor loop with its parameter-row refreshes, the averaged states'
+/// refreshes, and the favg recomputation. `volume(d, src, dst)` replays the
+/// variant's sweep, `leave(staged, out)` its exit transpose of one output.
+template <class Volume, class Leave>
+void replay_split_ck(CacheSim& sim, Isa isa, int n, std::uint64_t q,
+                     SplitTwinTensors& t, bool half, Volume&& volume,
+                     Leave&& leave) {
+  const std::size_t cell_bytes = t.cell * kWord;
+  trace_vecop(sim, isa, q, t.p, t.cell, 0);     // copy
+  trace_vecop(sim, isa, q, t.qavg, t.cell, 1);  // scale
+  if (half) trace_vecop(sim, isa, q, t.qavg_half, t.cell, 1);
+  for (int o = 0; o + 1 < n; ++o) {
+    sim.access(t.ptemp, cell_bytes);  // zero
+    for (int d = 0; d < 3; ++d) volume(d, t.p, t.ptemp);
+    trace_vecop(sim, isa, t.ptemp, t.qavg, t.cell, 2);
+    if (half) trace_vecop(sim, isa, t.ptemp, t.qavg_half, t.cell, 2);
+    std::swap(t.p, t.ptemp);
+    sim.access(q, cell_bytes);  // param refresh
+    sim.access(t.p, cell_bytes);
+  }
+  sim.access(q, cell_bytes);
+  sim.access(t.qavg, cell_bytes);
+  if (half) {
+    sim.access(q, cell_bytes);
+    sim.access(t.qavg_half, cell_bytes);
+    leave(t.qavg_half, t.qavg_half_out);
+  }
+  leave(t.qavg, t.qavg_out);
+  for (int d = 0; d < 3; ++d) {
+    sim.access(t.favg[d], cell_bytes);  // zero
+    volume(d, t.qavg, t.favg[d]);
+    leave(t.favg[d], t.favg_out[d]);
+  }
+}
 
 TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
                          CacheSim& sim, int warmup, int reps, bool corrector,
@@ -417,21 +466,23 @@ TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
   const std::uint64_t nodes = static_cast<std::uint64_t>(n) * n * n;
 
   VirtualArena arena;
-  std::uint64_t p = arena.alloc(cell);
-  std::uint64_t ptemp = arena.alloc(cell);
-  std::uint64_t flux = arena.alloc(cell);
-  std::uint64_t gradq = arena.alloc(cell);
+  SplitTwinTensors t;
+  t.cell = cell;
+  t.p = arena.alloc(cell);
+  t.ptemp = arena.alloc(cell);
+  const std::uint64_t flux = arena.alloc(cell);
+  const std::uint64_t gradq = arena.alloc(cell);
   const std::size_t workspace = arena.bytes();
-  std::uint64_t diff = arena.alloc(static_cast<std::size_t>(n) * n);
-  std::uint64_t qavg = arena.alloc(cell);
-  std::vector<std::uint64_t> favg = {arena.alloc(cell), arena.alloc(cell),
-                                     arena.alloc(cell)};
-  const std::uint64_t qavg_half = half ? arena.alloc(cell) : 0;
+  const std::uint64_t diff = arena.alloc(static_cast<std::size_t>(n) * n);
+  t.qavg = t.qavg_out = arena.alloc(cell);
+  for (std::uint64_t& f : t.favg) f = arena.alloc(cell);
+  t.favg_out = t.favg;
+  t.qavg_half = t.qavg_half_out = half ? arena.alloc(cell) : 0;
 
-  // Mirrors SplitCkStpT::apply_volume_dimension: the flux stage runs only
-  // over declared-nonzero flux rows (skipped entirely at cover 0) and the
+  // Mirrors SplitCkStpT::volume: the flux stage runs only over
+  // declared-nonzero flux rows (skipped entirely at cover 0) and the
   // gradient/NCP stage vanishes for conservative PDEs.
-  auto volume_dim = [&](int d, std::uint64_t src, std::uint64_t dst) {
+  auto volume = [&](int d, std::uint64_t src, std::uint64_t dst) {
     const int cover = pde.flux_cover[d];
     if (cover > 0) {
       trace_pointwise(sim, src, flux, cell_bytes, nodes, pde.flux_flops);
@@ -445,47 +496,14 @@ TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
     }
   };
 
-  TwinResult result;
-  result.workspace_bytes = workspace;
-  for (int rep = 0; rep < warmup + reps; ++rep) {
-    if (rep == warmup) {
-      sim.reset_stats();
-      FlopCounter::instance().reset();
-    }
-    std::uint64_t q = arena.alloc(cell);
-    trace_vecop(sim, isa, q, p, cell, 0);         // copy
-    trace_vecop(sim, isa, q, qavg, cell, 1);      // scale
-    if (half) trace_vecop(sim, isa, q, qavg_half, cell, 1);
-    for (int o = 0; o + 1 < n; ++o) {
-      sim.access(ptemp, cell_bytes);              // zero
-      for (int d = 0; d < 3; ++d) volume_dim(d, p, ptemp);
-      trace_vecop(sim, isa, ptemp, qavg, cell, 2);
-      if (half) trace_vecop(sim, isa, ptemp, qavg_half, cell, 2);
-      std::swap(p, ptemp);
-      sim.access(q, cell_bytes);                  // param refresh
-      sim.access(p, cell_bytes);
-    }
-    sim.access(q, cell_bytes);
-    sim.access(qavg, cell_bytes);
-    if (half) {
-      sim.access(q, cell_bytes);
-      sim.access(qavg_half, cell_bytes);
-    }
-    for (int d = 0; d < 3; ++d) {
-      sim.access(favg[d], cell_bytes);            // zero
-      volume_dim(d, qavg, favg[d]);
-    }
+  return replay_reps(sim, workspace, warmup, reps, [&] {
+    const std::uint64_t q = arena.alloc(cell);
+    replay_split_ck(sim, isa, n, q, t, half, volume,
+                    [](std::uint64_t, std::uint64_t) {});
     if (corrector)
-      trace_corrector_cell(sim, n, mp, isa, pde, q, qavg, favg, arena);
-  }
-  result.cache = sim.stats();
-  result.flops = FlopCounter::instance();
-  result.measured_reps = reps;
-  return result;
+      trace_corrector_cell(sim, n, mp, isa, pde, q, t.qavg, t.favg, arena);
+  });
 }
-
-// ---------------------------------------------------------------------------
-// AoSoA twin (mirrors aosoa_stp.h).
 
 TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
                        int warmup, int reps, bool corrector, bool half) {
@@ -493,36 +511,36 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
   const int m = pde.quants;
   const int np = pad_to(n, vector_width(isa));
   const std::size_t cell = static_cast<std::size_t>(n) * n * m * np;
-  const std::size_t cell_bytes = cell * kWord;
   const std::size_t line = static_cast<std::size_t>(m) * np;
   const std::size_t line_bytes = line * kWord;
+  const int mp = pad_to(m, vector_width(isa));
+  const std::size_t aos_cell = static_cast<std::size_t>(n) * n * n * mp;
 
   VirtualArena arena;
-  std::uint64_t q_a = arena.alloc(cell);
-  std::uint64_t p = arena.alloc(cell);
-  std::uint64_t ptemp = arena.alloc(cell);
-  std::uint64_t flux = arena.alloc(cell);
-  std::uint64_t gradq = arena.alloc(cell);
-  std::uint64_t qavg_a = arena.alloc(cell);
-  std::vector<std::uint64_t> favg_a = {arena.alloc(cell), arena.alloc(cell),
-                                       arena.alloc(cell)};
-  std::uint64_t line_buf = arena.alloc(line);
+  SplitTwinTensors t;
+  t.cell = cell;
+  const std::uint64_t q_a = arena.alloc(cell);
+  t.p = arena.alloc(cell);
+  t.ptemp = arena.alloc(cell);
+  const std::uint64_t flux = arena.alloc(cell);
+  const std::uint64_t gradq = arena.alloc(cell);
+  t.qavg = arena.alloc(cell);
+  for (std::uint64_t& f : t.favg) f = arena.alloc(cell);
+  const std::uint64_t line_buf = arena.alloc(line);
   const std::size_t workspace = arena.bytes();
-  std::uint64_t diff = arena.alloc(static_cast<std::size_t>(n) * n);
-  std::uint64_t diff_t = arena.alloc(static_cast<std::size_t>(n) * np);
-  const std::size_t aos_cell =
-      static_cast<std::size_t>(n) * n * n * pad_to(m, vector_width(isa));
-  std::uint64_t qavg_out = arena.alloc(aos_cell);
-  std::vector<std::uint64_t> favg_out = {
-      arena.alloc(aos_cell), arena.alloc(aos_cell), arena.alloc(aos_cell)};
-  const std::uint64_t qavg_half_out = half ? arena.alloc(aos_cell) : 0;
-  // The half-window accumulator borrows favg_a[0] (written only after the
-  // time loop), exactly like the kernel.
-  const std::uint64_t half_a = favg_a[0];
+  const std::uint64_t diff = arena.alloc(static_cast<std::size_t>(n) * n);
+  const std::uint64_t diff_t =
+      arena.alloc(static_cast<std::size_t>(n) * np);
+  t.qavg_out = arena.alloc(aos_cell);
+  for (std::uint64_t& f : t.favg_out) f = arena.alloc(aos_cell);
+  t.qavg_half_out = half ? arena.alloc(aos_cell) : 0;
+  // The half-window accumulator borrows favg[0] (written only after the
+  // time loop), exactly like AosoaBoundary.
+  t.qavg_half = t.favg[0];
 
-  // Mirrors AosoaStpT::apply_volume_dimension (same gating as the SplitCK
-  // twin: flux stage under cover > 0, gradient/NCP stage under !ncp_zero).
-  auto volume_dim = [&](int d, std::uint64_t src, std::uint64_t dst) {
+  // Mirrors AosoaStpT::volume (same gating as the SplitCK twin: flux stage
+  // under cover > 0, gradient/NCP stage under !ncp_zero).
+  auto volume = [&](int d, std::uint64_t src, std::uint64_t dst) {
     const int cover = pde.flux_cover[d];
     if (cover > 0) {
       for (int l = 0; l < n * n; ++l) {
@@ -547,49 +565,19 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
       }
     }
   };
+  // AosoaBoundary's transposes: AoS -> AoSoA on entry, back on exit.
+  auto transpose = [&](std::uint64_t src, std::uint64_t dst) {
+    trace_vecop(sim, Isa::kScalar, src, dst, cell, 0);
+  };
 
-  TwinResult result;
-  result.workspace_bytes = workspace;
-  for (int rep = 0; rep < warmup + reps; ++rep) {
-    if (rep == warmup) {
-      sim.reset_stats();
-      FlopCounter::instance().reset();
-    }
-    std::uint64_t q = arena.alloc(aos_cell);
-    trace_vecop(sim, Isa::kScalar, q, q_a, aos_cell, 0);  // AoS -> AoSoA
-    trace_vecop(sim, isa, q_a, p, cell, 0);
-    trace_vecop(sim, isa, q_a, qavg_a, cell, 1);
-    if (half) trace_vecop(sim, isa, q_a, half_a, cell, 1);
-    for (int o = 0; o + 1 < n; ++o) {
-      sim.access(ptemp, cell_bytes);
-      for (int d = 0; d < 3; ++d) volume_dim(d, p, ptemp);
-      trace_vecop(sim, isa, ptemp, qavg_a, cell, 2);
-      if (half) trace_vecop(sim, isa, ptemp, half_a, cell, 2);
-      std::swap(p, ptemp);
-      sim.access(q_a, cell_bytes);
-      sim.access(p, cell_bytes);
-    }
-    sim.access(q_a, cell_bytes);
-    sim.access(qavg_a, cell_bytes);
-    if (half) {
-      sim.access(q_a, cell_bytes);
-      sim.access(half_a, cell_bytes);
-      trace_vecop(sim, Isa::kScalar, half_a, qavg_half_out, cell, 0);
-    }
-    trace_vecop(sim, Isa::kScalar, qavg_a, qavg_out, cell, 0);  // transpose
-    for (int d = 0; d < 3; ++d) {
-      sim.access(favg_a[d], cell_bytes);
-      volume_dim(d, qavg_a, favg_a[d]);
-      trace_vecop(sim, Isa::kScalar, favg_a[d], favg_out[d], cell, 0);
-    }
+  return replay_reps(sim, workspace, warmup, reps, [&] {
+    const std::uint64_t q = arena.alloc(aos_cell);
+    trace_vecop(sim, Isa::kScalar, q, q_a, aos_cell, 0);
+    replay_split_ck(sim, isa, n, q_a, t, half, volume, transpose);
     if (corrector)
-      trace_corrector_cell(sim, n, pad_to(m, vector_width(isa)), isa, pde, q,
-                           qavg_out, favg_out, arena);
-  }
-  result.cache = sim.stats();
-  result.flops = FlopCounter::instance();
-  result.measured_reps = reps;
-  return result;
+      trace_corrector_cell(sim, n, mp, isa, pde, q, t.qavg_out, t.favg_out,
+                           arena);
+  });
 }
 
 }  // namespace

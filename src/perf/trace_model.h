@@ -1,10 +1,10 @@
 // Trace twins: memory-access replicas of the four STP kernel variants.
 //
-// VTune substitute, part 2 (see DESIGN.md): each twin walks the exact loop
-// nest of its kernel variant and issues the corresponding memory accesses
-// (at cache-line granularity) into a CacheSim, while reporting FLOPs through
-// the *same* accounting helpers the real kernels use. Two validation hooks
-// keep the twins honest:
+// VTune substitute, part 2 (part 1 is the FLOP ledger, flop_count.h and
+// instr_mix.h): each twin walks the exact loop nest of its kernel variant
+// and issues the corresponding memory accesses (at cache-line granularity)
+// into a CacheSim, while reporting FLOPs through the *same* accounting
+// helpers the real kernels use. Two validation hooks keep the twins honest:
 //   * their FLOP totals must equal a real kernel run's FlopCounter delta
 //     (tests/test_trace_model.cpp),
 //   * their workspace footprint must equal StpKernel::workspace_bytes().

@@ -13,8 +13,9 @@
 // This reproduction runs the scenario on a small periodic-free box with
 // absorbing sides and a free-ish (wall) top; it exercises heterogeneous
 // material, point sources and receivers — the full code path of the paper's
-// benchmark application — without claiming waveform-level agreement with
-// the published LOH1 reference solutions (see DESIGN.md).
+// benchmark application. The box and its boundaries differ from the
+// reference setup's half-space, so it claims no waveform-level agreement
+// with the published LOH1 reference solutions.
 #pragma once
 
 #include <memory>

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
-#include <stdexcept>
 
 #include "exastp/basis/lagrange.h"
 #include "exastp/common/taylor.h"
@@ -554,19 +551,7 @@ void AderDgSolver::finish_step(double dt) {
     bad = bad || ts.nonfinite != 0;
     ts.nonfinite = 0;
   }
-  if (!bad) return;
-  // Cold path: name the lowest-index non-finite value of the new state.
-  const std::size_t total = q_.size();
-  std::size_t i = 0;
-  while (i < total && std::isfinite(q_[i])) ++i;
-  EXASTP_CHECK(i < total);
-  const int cell = static_cast<int>(i / cell_size_);
-  const int quantity = static_cast<int>(i % cell_size_ % layout_.m_pad);
-  std::ostringstream msg;
-  msg << "AderDgSolver: solution became non-finite at t = " << time_
-      << " in cell " << grid_.global_cell(cell) << ", quantity " << quantity
-      << " (CFL violation or unstable setup)";
-  throw std::runtime_error(msg.str());
+  if (bad) throw_nonfinite("AderDgSolver");
 }
 
 }  // namespace exastp

@@ -310,8 +310,7 @@ void RkDgSolver::check_finite() const {
     }
   });
   for (char b : bad) {
-    if (b != 0)
-      throw std::runtime_error("RkDgSolver: solution became non-finite");
+    if (b != 0) throw_nonfinite("RkDgSolver");
   }
 }
 

@@ -1,5 +1,9 @@
 #include "exastp/solver/solver_base.h"
 
+#include <cmath>
+#include <sstream>
+#include <stdexcept>
+
 #include "exastp/basis/lagrange.h"
 #include "exastp/common/check.h"
 #include "exastp/telemetry/telemetry.h"
@@ -12,6 +16,22 @@ void SolverBase::add_point_source(const MeshPointSource& /*source*/) {
 }
 
 void SolverBase::set_thread_team(const ParallelFor& team) { par_ = team; }
+
+void SolverBase::throw_nonfinite(const std::string& who) const {
+  const std::size_t cell_size = layout().size();
+  for (int c = 0; c < grid().num_cells(); ++c) {
+    const double* q = cell_dofs(c);
+    for (std::size_t i = 0; i < cell_size; ++i) {
+      if (std::isfinite(q[i])) continue;
+      std::ostringstream msg;
+      msg << who << ": solution became non-finite at t = " << time()
+          << " in cell " << grid().global_cell(c) << ", quantity "
+          << i % layout().m_pad << " (CFL violation or unstable setup)";
+      throw std::runtime_error(msg.str());
+    }
+  }
+  EXASTP_FAIL(who + ": the finite check fired on a finite state");
+}
 
 void SolverBase::step_phase(int phase, double dt) {
   EXASTP_CHECK_MSG(phase == 0, "this stepper has a single step phase");

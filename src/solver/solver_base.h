@@ -11,6 +11,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "exastp/basis/basis_tables.h"
@@ -226,6 +227,11 @@ class SolverBase {
   /// validates the wavelet and quantity (`vars` = evolved-quantity count),
   /// locates the cell and projects the delta onto its basis.
   void prepare_point_source(const MeshPointSource& source, int vars);
+
+  /// Cold path of the steppers' finite checks: throws std::runtime_error
+  /// naming `who`, t, the global cell and the quantity of the lowest-index
+  /// non-finite value of the owned state.
+  [[noreturn]] void throw_nonfinite(const std::string& who) const;
 
   std::vector<PreparedSource> sources_;
   /// The thread team the subclass hot loops run on (1 thread by default).

@@ -1,6 +1,7 @@
 // Tests for the AoSoA-native kernel entry point (the paper's "switch the
 // whole engine to AoSoA" future-work extension): running directly on AoSoA
-// buffers must give exactly the same results as the transposing wrapper.
+// buffers must give exactly the same results as the transposing wrapper,
+// in both storage precisions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -36,10 +37,11 @@ void fill_state(const AosLayout& aos, AlignedVector& q) {
       }
 }
 
-template <class Pde>
+template <class Pde, class Real>
 void check_native_matches_wrapper(int order) {
+  SCOPED_TRACE(sizeof(Real) == sizeof(float) ? "fp32" : "fp64");
   const Isa isa = host_best_isa();
-  AosoaStp<Pde> kernel(Pde{}, order, isa);
+  AosoaStpT<Pde, Real> kernel(Pde{}, order, isa);
   const AosLayout& aos = kernel.layout();
   const AosoaLayout& aosoa = kernel.internal_layout();
 
@@ -74,20 +76,26 @@ void check_native_matches_wrapper(int order) {
   }
 }
 
+// The fp32 kernel narrows and widens at its double AoSoA boundary on both
+// entry points, so its native and wrapper outputs agree bitwise too.
 TEST(AosoaNative, MatchesWrapperAcousticOrder4) {
-  check_native_matches_wrapper<AcousticPde>(4);
+  check_native_matches_wrapper<AcousticPde, double>(4);
+  check_native_matches_wrapper<AcousticPde, float>(4);
 }
 
 TEST(AosoaNative, MatchesWrapperAcousticOrder7) {
-  check_native_matches_wrapper<AcousticPde>(7);
+  check_native_matches_wrapper<AcousticPde, double>(7);
+  check_native_matches_wrapper<AcousticPde, float>(7);
 }
 
 TEST(AosoaNative, MatchesWrapperCurvilinearOrder5) {
-  check_native_matches_wrapper<CurvilinearElasticPde>(5);
+  check_native_matches_wrapper<CurvilinearElasticPde, double>(5);
+  check_native_matches_wrapper<CurvilinearElasticPde, float>(5);
 }
 
 TEST(AosoaNative, MatchesWrapperCurvilinearOrder9) {
-  check_native_matches_wrapper<CurvilinearElasticPde>(9);
+  check_native_matches_wrapper<CurvilinearElasticPde, double>(9);
+  check_native_matches_wrapper<CurvilinearElasticPde, float>(9);
 }
 
 TEST(AosoaNative, NativeSkipsTransposesButCountsSameFlops) {

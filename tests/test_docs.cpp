@@ -8,10 +8,15 @@
 // heading fails here ("undocumented key"); a heading without a parser key
 // fails too ("stale documentation"). CI runs this test in every build-and-
 // test job, so the reference cannot drift from the parser.
+//
+// Every markdown file a source, test, bench, example or doc file names must
+// exist, so comments cannot point at documents that are gone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -47,10 +52,11 @@ std::set<std::string> documented_keys() {
   return keys;
 }
 
-std::string join(const std::vector<std::string>& v) {
+std::string join(const std::vector<std::string>& v,
+                 const char* sep = ", ") {
   std::ostringstream os;
   for (std::size_t i = 0; i < v.size(); ++i)
-    os << (i ? ", " : "") << v[i];
+    os << (i ? sep : "") << v[i];
   return os.str();
 }
 
@@ -89,6 +95,37 @@ TEST(Docs, UsageTextCoversEveryKey) {
     EXPECT_NE(usage.find(needle), std::string::npos)
         << "simulation_usage() does not mention " << key;
   }
+}
+
+TEST(Docs, ReferencedMarkdownFilesExist) {
+  // A reference resolves from the repository root or from the directory of
+  // the file that names it.
+  namespace fs = std::filesystem;
+  const fs::path root(EXASTP_SOURCE_DIR);
+  std::vector<fs::path> files = {root / "README.md"};
+  for (const char* dir : {"src", "tests", "bench", "examples", "docs"})
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir))
+      if (entry.is_regular_file()) files.push_back(entry.path());
+  // A path token ending in ".md" that does not run on into an identifier
+  // (`run.mdof_per_s` is a member access, not a file).
+  const std::regex md_ref(
+      R"([A-Za-z0-9_.][A-Za-z0-9_./-]*\.md(?![A-Za-z0-9_]))");
+  std::vector<std::string> dangling;
+  for (const fs::path& file : files) {
+    std::ifstream in(file);
+    std::string line;
+    for (int lineno = 1; std::getline(in, line); ++lineno) {
+      for (std::sregex_iterator it(line.begin(), line.end(), md_ref), end;
+           it != end; ++it) {
+        const std::string ref = it->str();
+        if (!fs::exists(root / ref) && !fs::exists(file.parent_path() / ref))
+          dangling.push_back(fs::relative(file, root).string() + ":" +
+                             std::to_string(lineno) + ": " + ref);
+      }
+    }
+  }
+  EXPECT_TRUE(dangling.empty())
+      << "references to missing markdown files:\n" << join(dangling, "\n");
 }
 
 }  // namespace

@@ -18,7 +18,8 @@
 //   * the kernel cache keys prototypes by precision,
 //   * fused-block bitwise neutrality: any FusionTuneTable block size gives
 //     bit-identical outputs in both precisions,
-//   * FusionTuneTable text/file round trips (the autotune=PATH format).
+//   * FusionTuneTable text/file round trips (the autotune=PATH format),
+//   * tune() shows its trial block sizes to its own thread only.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -28,6 +29,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exastp/engine/kernel_cache.h"
@@ -452,6 +454,45 @@ TEST(FusionTune, HeuristicAndLookupBounds) {
                                               Precision::kF32),
       FusionTuneTable::heuristic_block_planes(8, 21, Isa::kAvx512,
                                               Precision::kF64));
+}
+
+TEST(FusionTune, TrialBlockSizesStayOnTheTuningThread) {
+  // A pool job building the same configuration while tune() measures must
+  // read the published table, never a trial size; the tuning thread's own
+  // builds see every candidate, and a throwing build publishes nothing.
+  TuneTableGuard guard;
+  FusionTuneTable& table = FusionTuneTable::instance();
+  const int order = 4;
+  const int quants = AcousticPde::kQuants;
+  const Precision p = Precision::kF64;
+  const int heuristic = FusionTuneTable::heuristic_block_planes(
+      order, quants, Isa::kScalar, p);
+  const auto read = [&] {
+    return table.block_planes(AcousticPde::kName, order, quants,
+                              Isa::kScalar, p);
+  };
+  std::vector<int> own, other;
+  const int best = table.tune(
+      AcousticPde::kName, order, quants, Isa::kScalar, p,
+      [&] {
+        own.push_back(read());
+        std::thread([&] { other.push_back(read()); }).join();
+        return make_stp_kernel(AcousticPde{}, StpVariant::kSplitCk, order,
+                               Isa::kScalar, NodeFamily::kGaussLegendre, p);
+      },
+      /*reps=*/1);
+  EXPECT_EQ(own, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(other, std::vector<int>(own.size(), heuristic));
+  EXPECT_EQ(read(), best);
+
+  table.clear();
+  EXPECT_THROW(table.tune(AcousticPde::kName, order, quants, Isa::kScalar, p,
+                          []() -> StpKernel {
+                            throw std::runtime_error("build failed");
+                          }),
+               std::runtime_error);
+  EXPECT_FALSE(table.has(AcousticPde::kName, order, Isa::kScalar, p));
+  EXPECT_EQ(read(), heuristic);
 }
 
 TEST(FusionTune, TextAndFileRoundTrip) {

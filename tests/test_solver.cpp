@@ -1,6 +1,7 @@
 // Integration tests for the full ADER-DG solver: exact transport, plane
 // waves, convergence orders, conservation, boundary conditions, point
-// sources, blow-up detection and cross-variant trajectory equality.
+// sources, blow-up detection (both steppers) and cross-variant trajectory
+// equality.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "exastp/solver/ader_dg_solver.h"
 #include "exastp/solver/norms.h"
 #include "exastp/solver/output.h"
+#include "exastp/solver/rk_dg_solver.h"
 
 namespace exastp {
 namespace {
@@ -304,6 +306,30 @@ TEST(SolverRobustness, BlowUpNamesTheLowestNonFiniteCell) {
     EXPECT_NE(msg.find("in cell 0,"), std::string::npos) << msg;
     EXPECT_NE(msg.find("t = "), std::string::npos) << msg;
     EXPECT_NE(msg.find("quantity "), std::string::npos) << msg;
+  }
+}
+
+TEST(SolverRobustness, RkBlowUpNamesTheLowestNonFiniteCell) {
+  // The RK4 baseline reports a blow-up in the ADER solver's wording: a NaN
+  // in cell 0's initial state spreads to its neighbours during the step,
+  // and the message names the lowest-index bad value's cell.
+  AdvectionPde pde;
+  RkDgSolver solver(std::make_shared<PdeAdapter<AdvectionPde>>(pde), 3,
+                    host_best_isa(), unit_cube(3));
+  solver.set_initial_condition([](const std::array<double, 3>& x, double* q) {
+    advection_ic(x, q);
+    if (x[0] < 1.0 / 3 && x[1] < 1.0 / 3 && x[2] < 1.0 / 3)
+      q[1] = std::numeric_limits<double>::quiet_NaN();
+  });
+  try {
+    solver.step(solver.stable_dt());
+    FAIL() << "a NaN in the state must be reported";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("RkDgSolver: "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("in cell 0,"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("t = "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("quantity 1"), std::string::npos) << msg;
   }
 }
 

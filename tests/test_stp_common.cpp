@@ -19,7 +19,7 @@ TEST(ParamRefresh, AosCopiesOnlyParameterRows) {
   for (std::size_t i = 0; i < q.size(); ++i) q[i] = 1.0 + i;
   for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = -double(i);
   const int vars = 3;  // rows 3,4 are parameters
-  refresh_aos_param_rows(aos, vars, q.data(), dst.data());
+  refresh_param_rows(aos, vars, q.data(), dst.data());
   for (int k3 = 0; k3 < 3; ++k3)
     for (int k2 = 0; k2 < 3; ++k2)
       for (int k1 = 0; k1 < 3; ++k1)
@@ -36,7 +36,7 @@ TEST(ParamRefresh, AosCopiesOnlyParameterRows) {
 TEST(ParamRefresh, AosNoParamsIsANoop) {
   AosLayout aos(2, 4, Isa::kScalar);
   AlignedVector q(aos.size(), 7.0), dst(aos.size(), 3.0);
-  refresh_aos_param_rows(aos, 4, q.data(), dst.data());
+  refresh_param_rows(aos, 4, q.data(), dst.data());
   for (double v : dst) EXPECT_EQ(v, 3.0);
 }
 
@@ -44,7 +44,7 @@ TEST(ParamRefresh, AosoaCopiesWholePaddedLines) {
   AosoaLayout aosoa(3, 4, Isa::kAvx512);
   AlignedVector q(aosoa.size(), 0.0), dst(aosoa.size(), -1.0);
   for (std::size_t i = 0; i < q.size(); ++i) q[i] = 0.5 * i;
-  refresh_aosoa_param_rows(aosoa, 2, q.data(), dst.data());
+  refresh_param_rows(aosoa, 2, q.data(), dst.data());
   for (int k3 = 0; k3 < 3; ++k3)
     for (int k2 = 0; k2 < 3; ++k2)
       for (int s = 0; s < 4; ++s)
