@@ -26,19 +26,25 @@
 
 namespace exastp::bench {
 
-/// Seconds for `steps` fixed-dt solver steps (one untimed warm-up step
-/// first) — the timing loop shared by the end-to-end scaling benches
-/// (bench_threads, bench_shards). Template over the façade type so the
-/// kernel-level benches including this header do not pull in the engine;
-/// the callers pass a Simulation and include engine/simulation.h.
+/// Seconds for `steps` solver steps of size `dt` — the timing loop shared
+/// by the end-to-end scaling benches (bench_threads, bench_shards).
+/// Template over the façade type so the kernel-level benches including
+/// this header do not pull in the engine; the callers pass a Simulation and
+/// include engine/simulation.h.
 template <class Sim>
-double time_fixed_steps(Sim& sim, int steps) {
-  const double dt = sim.solver().stable_dt();
-  sim.solver().step(dt);
+double time_steps(Sim& sim, double dt, int steps) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int s = 0; s < steps; ++s) sim.solver().step(dt);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// time_steps at the stable dt, after one untimed warm-up step.
+template <class Sim>
+double time_fixed_steps(Sim& sim, int steps) {
+  const double dt = sim.solver().stable_dt();
+  sim.solver().step(dt);
+  return time_steps(sim, dt, steps);
 }
 
 inline constexpr int kBenchMinOrder = 4;

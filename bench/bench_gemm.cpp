@@ -51,8 +51,8 @@ void run_gemm(benchmark::State& state, Isa isa, bool reference) {
       gemm_reference(true, 1.0, shape.m, shape.n, shape.k, a.data(), shape.k,
                      b.data(), shape.n, c.data(), shape.n);
     } else {
-      gemm_acc(isa, shape.m, shape.n, shape.k, a.data(), shape.k, b.data(),
-               shape.n, c.data(), shape.n);
+      gemm_batch(isa, true, 1.0, shape.m, shape.n, shape.k, a.data(),
+                 shape.k, 0, b.data(), shape.n, 0, c.data(), shape.n, 0, 1);
     }
     benchmark::DoNotOptimize(c.data());
   }
@@ -74,12 +74,57 @@ void run_gemm_f32(benchmark::State& state, Isa isa) {
   AlignedVectorF b(static_cast<std::size_t>(shape.k) * shape.n, -0.5f);
   AlignedVectorF c(static_cast<std::size_t>(shape.m) * shape.n, 0.0f);
   for (auto _ : state) {
-    gemm_acc(isa, shape.m, shape.n, shape.k, a.data(), shape.k, b.data(),
-             shape.n, c.data(), shape.n);
+    gemm_batch(isa, true, 1.0f, shape.m, shape.n, shape.k, a.data(), shape.k,
+               0, b.data(), shape.n, 0, c.data(), shape.n, 0, 1);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFlops"] = benchmark::Counter(
       2.0 * shape.m * shape.n * shape.k * state.iterations(),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+
+// The dispatch gap: the AoSoA x sweep of one slab, as the perfbench
+// workloads issue it at isa=avx512 — `lines` x-line GEMMs Q'_l * D^T, the
+// lines m * n_pad apart and D^T shared — once as a loop of single calls
+// (one dispatch, argument check and FLOP booking each) and once as one
+// strided batch. Same arithmetic, same bits.
+struct LineBatch {
+  Shape shape;
+  int lines;
+};
+const LineBatch kLineBatches[] = {
+    {{9, 8, 8}, 64},  // elastic order 8 (loh1_o8_serial)
+    {{9, 8, 6}, 36},  // elastic order 6 (loh1_stiff_lts)
+    {{2, 8, 4}, 16},  // acoustic order 4 (planewave, fp64 here)
+};
+constexpr int kLastLineBatch = static_cast<int>(std::size(kLineBatches)) - 1;
+
+void run_line_batch(benchmark::State& state, bool batched) {
+  const LineBatch lb = kLineBatches[state.range(0)];
+  const Shape& s = lb.shape;
+  if (!host_supports(Isa::kAvx512)) {
+    state.SkipWithError("host lacks ISA");
+    return;
+  }
+  const long line = static_cast<long>(s.m) * s.n;
+  AlignedVector q(static_cast<std::size_t>(lb.lines) * line, 1.5);
+  AlignedVector dt(static_cast<std::size_t>(s.k) * s.n, -0.5);
+  AlignedVector out(q.size(), 0.0);
+  for (auto _ : state) {
+    if (batched) {
+      gemm_batch(Isa::kAvx512, true, 0.5, s.m, s.n, s.k, q.data(), s.n, line,
+                 dt.data(), s.n, 0, out.data(), s.n, line, lb.lines);
+    } else {
+      for (int l = 0; l < lb.lines; ++l)
+        gemm_batch(Isa::kAvx512, true, 0.5, s.m, s.n, s.k, q.data() + l * line,
+                   s.n, 0, dt.data(), s.n, 0, out.data() + l * line, s.n, 0,
+                   1);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFlops"] = benchmark::Counter(
+      2.0 * s.m * s.n * s.k * lb.lines * state.iterations(),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
@@ -101,6 +146,12 @@ void BM_Avx2F32(benchmark::State& state) {
 void BM_Avx512F32(benchmark::State& state) {
   run_gemm_f32(state, Isa::kAvx512);
 }
+void BM_Avx512LinesPerCall(benchmark::State& state) {
+  run_line_batch(state, /*batched=*/false);
+}
+void BM_Avx512LinesBatched(benchmark::State& state) {
+  run_line_batch(state, /*batched=*/true);
+}
 
 }  // namespace
 
@@ -110,5 +161,7 @@ BENCHMARK(BM_Avx2)->DenseRange(0, kLastShape);
 BENCHMARK(BM_Avx512)->DenseRange(0, kLastShape);
 BENCHMARK(BM_Avx2F32)->DenseRange(0, kLastShape);
 BENCHMARK(BM_Avx512F32)->DenseRange(0, kLastShape);
+BENCHMARK(BM_Avx512LinesPerCall)->DenseRange(0, kLastLineBatch);
+BENCHMARK(BM_Avx512LinesBatched)->DenseRange(0, kLastLineBatch);
 
 BENCHMARK_MAIN();

@@ -346,14 +346,13 @@ int Simulation::run() {
                             static_cast<double>(stats[k].cell_substeps));
     }
     if (!config_.balance.empty() && solver_->rank() == 0) {
-      BalanceTable balance;
-      balance.load_file(config_.balance);
+      BalanceTable measured;
       for (std::size_t k = 0; k < stats.size(); ++k)
         if (stats[k].cell_substeps > 0 && stats[k].ns > 0)
-          balance.set(pde_->name(), config_.order, static_cast<int>(k),
-                      static_cast<double>(stats[k].ns) /
-                          static_cast<double>(stats[k].cell_substeps));
-      balance.save_file(config_.balance);
+          measured.set(pde_->name(), config_.order, static_cast<int>(k),
+                       static_cast<double>(stats[k].ns) /
+                           static_cast<double>(stats[k].cell_substeps));
+      measured.merge_into_file(config_.balance);
     }
   }
   if (distributed_) {

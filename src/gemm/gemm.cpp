@@ -7,114 +7,56 @@
 namespace exastp {
 namespace {
 
-void count_gemm_flops(Isa isa, int m, int n, int k, bool accumulate) {
-  // 2*M*N*K multiply-adds plus the zeroing pass when overwriting; zeroing
-  // stores are not FLOPs and are not counted. Padded columns of N execute
-  // real arithmetic and are included — same as a hardware counter.
-  (void)accumulate;
-  // Each of the n columns is a SIMD lane carrying 2*m*k multiply-adds;
-  // columns beyond the last full vector run in the compiler's remainder
-  // loop and count as scalar.
-  count_packed_flops(isa, n, 2ull * m * k);
-}
-
-void dispatch(Isa isa, bool accumulate, double alpha, int m, int n, int k,
-              const double* a, int lda, const double* b, int ldb, double* c,
-              int ldc) {
-  EXASTP_CHECK(m >= 0 && n >= 0 && k >= 0);
+template <class T>
+void dispatch(Isa isa, bool accumulate, T alpha, int m, int n, int k,
+              const T* a, int lda, long stride_a, const T* b, int ldb,
+              long stride_b, T* c, int ldc, long stride_c, int batch) {
+  EXASTP_CHECK(m >= 0 && n >= 0 && k >= 0 && batch >= 0);
   EXASTP_CHECK(lda >= k && ldb >= n && ldc >= n);
   switch (isa) {
     case Isa::kScalar:
-      detail::gemm_kernel_baseline(accumulate, alpha, m, n, k, a, lda, b, ldb,
-                                   c, ldc);
+      detail::gemm_batch_baseline(accumulate, alpha, m, n, k, a, lda,
+                                  stride_a, b, ldb, stride_b, c, ldc,
+                                  stride_c, batch);
       break;
     case Isa::kAvx2:
       EXASTP_CHECK_MSG(host_supports(Isa::kAvx2), "host lacks AVX2");
-      detail::gemm_kernel_avx2(accumulate, alpha, m, n, k, a, lda, b, ldb, c,
-                               ldc);
+      detail::gemm_batch_avx2(accumulate, alpha, m, n, k, a, lda, stride_a,
+                              b, ldb, stride_b, c, ldc, stride_c, batch);
       break;
     case Isa::kAvx512:
       EXASTP_CHECK_MSG(host_supports(Isa::kAvx512), "host lacks AVX-512");
-      detail::gemm_kernel_avx512(accumulate, alpha, m, n, k, a, lda, b, ldb,
-                                 c, ldc);
+      detail::gemm_batch_avx512(accumulate, alpha, m, n, k, a, lda, stride_a,
+                                b, ldb, stride_b, c, ldc, stride_c, batch);
       break;
   }
-  count_gemm_flops(isa, m, n, k, accumulate);
-}
-
-void dispatch(Isa isa, bool accumulate, float alpha, int m, int n, int k,
-              const float* a, int lda, const float* b, int ldb, float* c,
-              int ldc) {
-  EXASTP_CHECK(m >= 0 && n >= 0 && k >= 0);
-  EXASTP_CHECK(lda >= k && ldb >= n && ldc >= n);
-  switch (isa) {
-    case Isa::kScalar:
-      detail::gemm_kernel_baseline_f32(accumulate, alpha, m, n, k, a, lda, b,
-                                       ldb, c, ldc);
-      break;
-    case Isa::kAvx2:
-      EXASTP_CHECK_MSG(host_supports(Isa::kAvx2), "host lacks AVX2");
-      detail::gemm_kernel_avx2_f32(accumulate, alpha, m, n, k, a, lda, b, ldb,
-                                   c, ldc);
-      break;
-    case Isa::kAvx512:
-      EXASTP_CHECK_MSG(host_supports(Isa::kAvx512), "host lacks AVX-512");
-      detail::gemm_kernel_avx512_f32(accumulate, alpha, m, n, k, a, lda, b,
-                                     ldb, c, ldc);
-      break;
-  }
-  // Same counting as the double path: FLOPs are precision-independent and
-  // the width classification deliberately stays at the double lane count so
-  // fp32/fp64 twins of one kernel report identical instruction mixes.
-  count_gemm_flops(isa, m, n, k, accumulate);
+  // Each of the n columns is a SIMD lane carrying 2*m*k multiply-adds per
+  // GEMM; columns beyond the last full vector run in the remainder tiles
+  // and count as scalar. Zeroing stores are not FLOPs. Padded columns
+  // execute real arithmetic and are included, as a hardware counter would.
+  // FLOPs are precision-independent: the fp32 path books at the double
+  // lane count so fp32/fp64 twins of one kernel report one instruction mix.
+  count_packed_flops(isa, n, 2ull * m * k * static_cast<unsigned>(batch));
 }
 
 }  // namespace
 
 WidthClass gemm_width_class(Isa isa) { return packed_width_class(isa); }
 
-void gemm_set(Isa isa, int m, int n, int k, const double* a, int lda,
-              const double* b, int ldb, double* c, int ldc) {
-  dispatch(isa, /*accumulate=*/false, 1.0, m, n, k, a, lda, b, ldb, c, ldc);
+void gemm_batch(Isa isa, bool accumulate, double alpha, int m, int n, int k,
+                const double* a, int lda, long stride_a, const double* b,
+                int ldb, long stride_b, double* c, int ldc, long stride_c,
+                int batch) {
+  dispatch(isa, accumulate, alpha, m, n, k, a, lda, stride_a, b, ldb,
+           stride_b, c, ldc, stride_c, batch);
 }
 
-void gemm_acc(Isa isa, int m, int n, int k, const double* a, int lda,
-              const double* b, int ldb, double* c, int ldc) {
-  dispatch(isa, /*accumulate=*/true, 1.0, m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void gemm_acc_scaled(Isa isa, double alpha, int m, int n, int k,
-                     const double* a, int lda, const double* b, int ldb,
-                     double* c, int ldc) {
-  dispatch(isa, /*accumulate=*/true, alpha, m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void gemm_set_scaled(Isa isa, double alpha, int m, int n, int k,
-                     const double* a, int lda, const double* b, int ldb,
-                     double* c, int ldc) {
-  dispatch(isa, /*accumulate=*/false, alpha, m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void gemm_set(Isa isa, int m, int n, int k, const float* a, int lda,
-              const float* b, int ldb, float* c, int ldc) {
-  dispatch(isa, /*accumulate=*/false, 1.0f, m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void gemm_acc(Isa isa, int m, int n, int k, const float* a, int lda,
-              const float* b, int ldb, float* c, int ldc) {
-  dispatch(isa, /*accumulate=*/true, 1.0f, m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void gemm_acc_scaled(Isa isa, float alpha, int m, int n, int k,
-                     const float* a, int lda, const float* b, int ldb,
-                     float* c, int ldc) {
-  dispatch(isa, /*accumulate=*/true, alpha, m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void gemm_set_scaled(Isa isa, float alpha, int m, int n, int k,
-                     const float* a, int lda, const float* b, int ldb,
-                     float* c, int ldc) {
-  dispatch(isa, /*accumulate=*/false, alpha, m, n, k, a, lda, b, ldb, c, ldc);
+void gemm_batch(Isa isa, bool accumulate, float alpha, int m, int n, int k,
+                const float* a, int lda, long stride_a, const float* b,
+                int ldb, long stride_b, float* c, int ldc, long stride_c,
+                int batch) {
+  dispatch(isa, accumulate, alpha, m, n, k, a, lda, stride_a, b, ldb,
+           stride_b, c, ldc, stride_c, batch);
 }
 
 void gemm_reference(bool accumulate, double alpha, int m, int n, int k,

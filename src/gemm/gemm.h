@@ -27,8 +27,24 @@
 // into row or column pieces (AoSoA row masking, autotuned slab sizes,
 // thread and shard splits) never changes a bit.
 //
-// Every call reports its FLOPs (2*M*N*K, padding included) to FlopCounter,
-// classified by the packing width of the selected path.
+// The one entry per precision is a strided batch, modelled on LIBXSMM's
+// strided-batch GEMM: `batch` independent GEMMs whose operands sit at
+// fixed strides, run in order,
+//
+//     for b in [0, batch):
+//       C_b  =/+=  alpha * A_b * B_b,   X_b = x + b * stride_x,
+//
+// so a derivative sweep is one call per slab instead of one per x-line,
+// slice or pencil. A stride of 0 shares the operand (the derivative matrix
+// of every slice). C blocks may interleave, each row of one block falling
+// between rows of the others, as long as no two blocks share an element:
+// the masked z sweeps batch their pencils that way. A batch is the loop of
+// single calls bit for bit (each C element keeps its one operation
+// sequence), so batching changes no result.
+//
+// Dispatch, argument checks and the FLOP booking happen once per batch:
+// batch * 2*M*N*K FLOPs (padding included), classified by the packing
+// width of the selected path exactly as `batch` single calls would be.
 #pragma once
 
 #include "exastp/common/simd.h"
@@ -36,40 +52,23 @@
 
 namespace exastp {
 
-/// C = A*B (overwrite). N columns of C/B must be unit-stride.
-void gemm_set(Isa isa, int m, int n, int k, const double* a, int lda,
-              const double* b, int ldb, double* c, int ldc);
+/// C_b (+)= alpha * A_b * B_b for b in [0, batch), X_b = x + b * stride_x
+/// (see the header comment). `accumulate` false overwrites C. The N
+/// columns of B and C must be unit-stride; batch >= 0.
+void gemm_batch(Isa isa, bool accumulate, double alpha, int m, int n, int k,
+                const double* a, int lda, long stride_a, const double* b,
+                int ldb, long stride_b, double* c, int ldc, long stride_c,
+                int batch);
 
-/// C += A*B (accumulate).
-void gemm_acc(Isa isa, int m, int n, int k, const double* a, int lda,
-              const double* b, int ldb, double* c, int ldc);
-
-/// C += alpha * A*B. Used for derivative operators carrying the 1/h mesh
-/// scaling so no separate scaling pass over C is needed.
-void gemm_acc_scaled(Isa isa, double alpha, int m, int n, int k,
-                     const double* a, int lda, const double* b, int ldb,
-                     double* c, int ldc);
-
-/// C = alpha * A*B (overwrite).
-void gemm_set_scaled(Isa isa, double alpha, int m, int n, int k,
-                     const double* a, int lda, const double* b, int ldb,
-                     double* c, int ldc);
-
-/// Float overloads of the four entry points: same schedule, same per-call
-/// FLOP reporting. FLOPs are classified at the double packing width of the
-/// ISA (conservative: an AVX-512 register holds 16 floats, reported as 8
-/// lanes), so fp32/fp64 runs of one kernel report identical counts and the
-/// trace-model twins stay precision-agnostic.
-void gemm_set(Isa isa, int m, int n, int k, const float* a, int lda,
-              const float* b, int ldb, float* c, int ldc);
-void gemm_acc(Isa isa, int m, int n, int k, const float* a, int lda,
-              const float* b, int ldb, float* c, int ldc);
-void gemm_acc_scaled(Isa isa, float alpha, int m, int n, int k,
-                     const float* a, int lda, const float* b, int ldb,
-                     float* c, int ldc);
-void gemm_set_scaled(Isa isa, float alpha, int m, int n, int k,
-                     const float* a, int lda, const float* b, int ldb,
-                     float* c, int ldc);
+/// The fp32 entry: same schedule, same FLOP booking. FLOPs are classified
+/// at the double packing width of the ISA (conservative: an AVX-512
+/// register holds 16 floats, reported as 8 lanes), so fp32/fp64 runs of one
+/// kernel report identical counts and the trace-model twins stay
+/// precision-agnostic.
+void gemm_batch(Isa isa, bool accumulate, float alpha, int m, int n, int k,
+                const float* a, int lda, long stride_a, const float* b,
+                int ldb, long stride_b, float* c, int ldc, long stride_c,
+                int batch);
 
 /// Reference triple loop without any vectorization pragmas; ground truth for
 /// the unit tests and the "naive" side of the bench_gemm comparison. Does

@@ -4,6 +4,6 @@
 
 namespace exastp::detail {
 
-EXASTP_DEFINE_GEMM_KERNEL(gemm_kernel_avx2)
+EXASTP_DEFINE_GEMM_KERNEL(gemm_batch_avx2)
 
 }  // namespace exastp::detail

@@ -4,6 +4,6 @@
 
 namespace exastp::detail {
 
-EXASTP_DEFINE_GEMM_KERNEL(gemm_kernel_avx512)
+EXASTP_DEFINE_GEMM_KERNEL(gemm_batch_avx512)
 
 }  // namespace exastp::detail

@@ -4,6 +4,6 @@
 
 namespace exastp::detail {
 
-EXASTP_DEFINE_GEMM_KERNEL(gemm_kernel_baseline)
+EXASTP_DEFINE_GEMM_KERNEL(gemm_batch_baseline)
 
 }  // namespace exastp::detail

@@ -37,6 +37,10 @@
 // targets tail columns rounded differently from the same columns in a
 // vector block; the tail tiles here fuse like every other tile.)
 //
+// Each TU also runs the strided-batch loop (gemm_batch_body) around this
+// schedule, so one call crosses the dispatch once for a whole slab and
+// every GEMM of the batch still runs the one tile schedule of its ISA.
+//
 // The schedule is templated on the scalar type: the fp32 kernel path runs
 // the same tiles over float tensors (twice the lanes per register, so the
 // register budget admits wider column blocks).
@@ -183,41 +187,52 @@ inline void gemm_kernel_body(bool accumulate, T alpha, int m, int n, int k,
   gemm_columns<32>(accumulate, alpha, m, n, k, a, lda, b, ldb, c, ldc);
 }
 
+/// The strided batch (gemm.h): each GEMM of the batch through the one
+/// schedule above, in order.
+template <class T>
+inline void gemm_batch_body(bool accumulate, T alpha, int m, int n, int k,
+                            const T* a, int lda, long stride_a, const T* b,
+                            int ldb, long stride_b, T* c, int ldc,
+                            long stride_c, int batch) {
+  for (int i = 0; i < batch; ++i)
+    gemm_kernel_body(accumulate, alpha, m, n, k, a + i * stride_a, lda,
+                     b + i * stride_b, ldb, c + i * stride_c, ldc);
+}
+
 }  // namespace
 }  // namespace exastp::detail
 
 #define EXASTP_DEFINE_GEMM_KERNEL(NAME)                                      \
   void NAME(bool accumulate, double alpha, int m, int n, int k,              \
-            const double* a, int lda, const double* b, int ldb, double* c,   \
-            int ldc) {                                                       \
-    gemm_kernel_body(accumulate, alpha, m, n, k, a, lda, b, ldb, c, ldc);    \
+            const double* a, int lda, long stride_a, const double* b,        \
+            int ldb, long stride_b, double* c, int ldc, long stride_c,       \
+            int batch) {                                                     \
+    gemm_batch_body(accumulate, alpha, m, n, k, a, lda, stride_a, b, ldb,    \
+                    stride_b, c, ldc, stride_c, batch);                      \
   }                                                                          \
-  void NAME##_f32(bool accumulate, float alpha, int m, int n, int k,         \
-                  const float* a, int lda, const float* b, int ldb,          \
-                  float* c, int ldc) {                                       \
-    gemm_kernel_body(accumulate, alpha, m, n, k, a, lda, b, ldb, c, ldc);    \
+  void NAME(bool accumulate, float alpha, int m, int n, int k,               \
+            const float* a, int lda, long stride_a, const float* b, int ldb, \
+            long stride_b, float* c, int ldc, long stride_c, int batch) {    \
+    gemm_batch_body(accumulate, alpha, m, n, k, a, lda, stride_a, b, ldb,    \
+                    stride_b, c, ldc, stride_c, batch);                      \
   }
 
 namespace exastp::detail {
 
-void gemm_kernel_baseline(bool accumulate, double alpha, int m, int n, int k,
-                          const double* a, int lda, const double* b, int ldb,
-                          double* c, int ldc);
-void gemm_kernel_avx2(bool accumulate, double alpha, int m, int n, int k,
-                      const double* a, int lda, const double* b, int ldb,
-                      double* c, int ldc);
-void gemm_kernel_avx512(bool accumulate, double alpha, int m, int n, int k,
-                        const double* a, int lda, const double* b, int ldb,
-                        double* c, int ldc);
+// Each ISA TU's batch entry, in both precisions.
+#define EXASTP_DECLARE_GEMM_KERNEL(NAME)                                     \
+  void NAME(bool accumulate, double alpha, int m, int n, int k,              \
+            const double* a, int lda, long stride_a, const double* b,        \
+            int ldb, long stride_b, double* c, int ldc, long stride_c,       \
+            int batch);                                                      \
+  void NAME(bool accumulate, float alpha, int m, int n, int k,               \
+            const float* a, int lda, long stride_a, const float* b, int ldb, \
+            long stride_b, float* c, int ldc, long stride_c, int batch);
 
-void gemm_kernel_baseline_f32(bool accumulate, float alpha, int m, int n,
-                              int k, const float* a, int lda, const float* b,
-                              int ldb, float* c, int ldc);
-void gemm_kernel_avx2_f32(bool accumulate, float alpha, int m, int n, int k,
-                          const float* a, int lda, const float* b, int ldb,
-                          float* c, int ldc);
-void gemm_kernel_avx512_f32(bool accumulate, float alpha, int m, int n, int k,
-                            const float* a, int lda, const float* b, int ldb,
-                            float* c, int ldc);
+EXASTP_DECLARE_GEMM_KERNEL(gemm_batch_baseline)
+EXASTP_DECLARE_GEMM_KERNEL(gemm_batch_avx2)
+EXASTP_DECLARE_GEMM_KERNEL(gemm_batch_avx512)
+
+#undef EXASTP_DECLARE_GEMM_KERNEL
 
 }  // namespace exastp::detail

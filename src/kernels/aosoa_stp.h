@@ -8,9 +8,18 @@
 //    x-derivatives become transposed products C^T = B^T A^T, y/z-derivatives
 //    fuse the quantity and x dimensions — Sec. V-B),
 //  * every (k3,k2) line is a ready-made SoA chunk, so the PDE user functions
-//    are called once per line on VECTLENGTH = n_pad lanes and vectorize at
-//    the full SIMD width (Sec. V-C / Fig. 8) — this removes the ~10% scalar
-//    tail the AoS variants keep.
+//    run line by line on VECTLENGTH = n_pad lanes and vectorize at the full
+//    SIMD width (Sec. V-C / Fig. 8) — this removes the ~10% scalar tail the
+//    AoS variants keep. The lines of a slab are equally spaced, so one
+//    flux-line call covers a slab (one per k3 plane in the z sweep), as
+//    one strided-batch GEMM call covers each derivative.
+//
+// The NCP stage stays line by line: B_d(q) * grad q goes into a one-line
+// buffer that stays in L1 and is added to the sweep's output at once.
+// Writing a whole run into the consumed flux slab instead costs a
+// write-allocate and a re-read from L2 per line: on curvilinear elastic
+// (AVX-512 Xeon) it took 1-18% longer in fp64 at orders 6-11, though up to
+// 8% less in fp32. PDEs whose NCP is zero skip the stage and get no buffer.
 //
 // The rest of the engine speaks AoS, so inputs are transposed to AoSoA on
 // entry and outputs back on exit, as the paper does ("the performance impact
@@ -95,8 +104,9 @@ class AosoaStpT {
     diff_t_.assign(diff_t.begin(), diff_t.end());
     flux_.assign(aosoa_.size(), Real(0));
     gradq_.assign(aosoa_.size(), Real(0));
-    line_buf_.assign(static_cast<std::size_t>(kQuants) * aosoa_.n_pad,
-                     Real(0));
+    if constexpr (!pde_ncp_is_zero<Pde>())
+      line_buf_.assign(static_cast<std::size_t>(kQuants) * aosoa_.n_pad,
+                       Real(0));
   }
 
   const AosLayout& layout() const { return aos_; }
@@ -130,16 +140,15 @@ class AosoaStpT {
  private:
   friend class SplitCkDriver<Real, AosoaLayout>;
 
-  /// Iterates `fn(line_offset)` over the slab's (k3,k2) lines: k3 planes
-  /// for the x/y sweeps, k2 pencils (all k3) for the z sweep.
+  /// Iterates `fn(line_offset, lines)` over the slab's runs of equally
+  /// spaced (k3,k2) lines: the x/y sweeps' k3 planes are one run; the z
+  /// sweep's k2 pencils are one run per k3 plane.
   template <class Fn>
-  void for_slab_lines(int d, int lo, int hi, Fn&& fn) const {
+  void for_slab_runs(int d, int lo, int hi, Fn&& fn) const {
     if (d < 2) {
-      for (int k3 = lo; k3 < hi; ++k3)
-        for (int k2 = 0; k2 < n_; ++k2) fn(aosoa_.line_offset(k3, k2));
+      fn(aosoa_.line_offset(lo, 0), (hi - lo) * n_);
     } else {
-      for (int k3 = 0; k3 < n_; ++k3)
-        for (int k2 = lo; k2 < hi; ++k2) fn(aosoa_.line_offset(k3, k2));
+      for (int k3 = 0; k3 < n_; ++k3) fn(aosoa_.line_offset(k3, lo), hi - lo);
     }
   }
 
@@ -148,15 +157,17 @@ class AosoaStpT {
   /// line functions run at the kernel's ISA in the kernel's scalar type.
   void volume(int d, Real inv_h, const Real* src, Real* dst) {
     const int np = aosoa_.n_pad;
+    const long line = static_cast<long>(kQuants) * np;
     const int cover = pde_flux_rows_end<Pde>(d);
     for (int lo = 0; lo < n_; lo += block_) {
       const int hi = std::min(n_, lo + block_);
       if (cover > 0) {
-        // Vectorized user function: one call per (k3,k2) line, operating
-        // on the full padded x-line (zero lanes are valid inputs by PDE
-        // contract).
-        for_slab_lines(d, lo, hi, [&](std::size_t off) {
-          flux_line(isa_, pde_, src + off, d, flux_.data() + off, np, np);
+        // Vectorized user function: one call per run of the slab's lines,
+        // each on the full padded x-line (zero lanes are valid inputs by
+        // PDE contract).
+        for_slab_runs(d, lo, hi, [&](std::size_t off, int lines) {
+          flux_line(isa_, pde_, src + off, d, flux_.data() + off, np, np,
+                    lines, line);
         });
         aosoa_derivative_slab(isa_, aosoa_, diff_.data(), diff_t_.data(),
                               inv_h, d, lo, hi, cover, flux_.data(), dst,
@@ -166,11 +177,14 @@ class AosoaStpT {
         aosoa_derivative_slab(isa_, aosoa_, diff_.data(), diff_t_.data(),
                               inv_h, d, lo, hi, aosoa_.m, src, gradq_.data(),
                               /*accumulate=*/false);
-        for_slab_lines(d, lo, hi, [&](std::size_t off) {
-          ncp_line(isa_, pde_, src + off, gradq_.data() + off, d,
-                   line_buf_.data(), np, np);
-          vec_add(isa_, static_cast<long>(line_buf_.size()),
-                  line_buf_.data(), dst + off);
+        // Line by line through the L1-resident buffer (see the header).
+        for_slab_runs(d, lo, hi, [&](std::size_t first, int lines) {
+          for (int l = 0; l < lines; ++l) {
+            const std::size_t off = first + static_cast<std::size_t>(l) * line;
+            ncp_line(isa_, pde_, src + off, gradq_.data() + off, d,
+                     line_buf_.data(), np, np, 1, 0);
+            vec_add(isa_, line, line_buf_.data(), dst + off);
+          }
         });
       }
     }

@@ -1,15 +1,20 @@
 // Discrete derivative operators as Loop-over-GEMM (paper Sec. III-B).
 //
-// Every tensor contraction of the STP reduces to batched mini-GEMM calls on
-// matrix slices of the cell tensor (Fig. 3): the slice stride becomes the
-// leading dimension. Three batching shapes appear:
+// Every tensor contraction of the STP reduces to mini-GEMMs on matrix
+// slices of the cell tensor (Fig. 3): the slice stride becomes the leading
+// dimension. Three shapes appear per layout, and each is ONE strided-batch
+// call (gemm.h) per slab, the derivative operator shared at stride 0:
 //
-//   AoS,   x:  per (k3,k2) slice   out' = D * Q'      (n x n)(n x mPad)
-//   AoS,   y:  per k3 slab, fuse (k1,s):  D * (n x n*mPad)
+//   AoS,   x:  (k3,k2) slices  out' = D * Q'  (n x n)(n x mPad), batched
+//              over the slab's consecutive slices
+//   AoS,   y:  per k3 plane, fuse (k1,s):  D * (n x n*mPad), batched over
+//              the slab's planes
 //   AoS,   z:  one GEMM, fuse (k2,k1,s):  D * (n x n^2*mPad)
-//   AoSoA, x:  per (k3,k2) line, transposed product  Q' * D^T  (Sec. V-B
-//              case 1: C^T = B^T A^T), vectorizing over the padded x-line
-//   AoSoA, y:  per k3 slab, fuse (s,k1):  D * (n x m*nPad)   (Fig. 7)
+//   AoSoA, x:  (k3,k2) lines, transposed product  Q' * D^T  (Sec. V-B
+//              case 1: C^T = B^T A^T), vectorizing over the padded x-line,
+//              batched over the slab's consecutive lines
+//   AoSoA, y:  per k3 plane, fuse (s,k1):  D * (n x m*nPad)  (Fig. 7),
+//              batched over the slab's planes
 //   AoSoA, z:  one GEMM, fuse (k2,s,k1):  D * (n x n*m*nPad)
 //
 // The 1/h mesh scaling rides along as the GEMM alpha so no separate scaling
@@ -41,11 +46,14 @@
 // absorbs bitwise-exactly:
 //
 //   ncols = min(pad_to(cover, vector_width(isa)), mPad)
-//   AoS  dir 0: skip when cover == 0; per-slice GEMM of N = ncols.
-//   AoS  dir 1: skip when cover == 0; when ncols < mPad: per (k3,k1) GEMM
-//               of N = ncols; else the full fused call per k3.
-//   AoS  dir 2: skip when cover == 0; when ncols < mPad: per (k2,k1) GEMM
-//               of N = ncols; else one call over the slab's fused columns.
+//   AoS  dir 0: skip when cover == 0; each slice's GEMM has N = ncols.
+//   AoS  dir 1: skip when cover == 0; when ncols < mPad: (k3,k1) GEMMs of
+//               N = ncols, one batch per k3 plane (the blocks are mPad
+//               apart within a plane, a plane apart across planes); else
+//               the fused GEMM of each plane.
+//   AoS  dir 2: skip when cover == 0; when ncols < mPad: (k2,k1) GEMMs of
+//               N = ncols, one batch whose blocks interleave mPad apart;
+//               else one GEMM over the slab's fused columns.
 //
 // AoSoA columns fuse (s, k1) with s outer, so a row mask keeps whole
 // padded x-lines — already vector-width multiples, no rounding needed:
@@ -53,8 +61,9 @@
 //   AoSoA dir 0: nrows = min(cover, m); skip when 0 (M shrinks, N stays
 //               the padded line — classification unchanged, total shrinks).
 //   AoSoA dir 1: when cover < m: N = cover*nPad (contiguous prefix).
-//   AoSoA dir 2: when cover < m: per-k2 GEMM of N = cover*nPad; else one
-//               call over the slab's fused columns.
+//   AoSoA dir 2: when cover < m: per-k2 GEMMs of N = cover*nPad, one batch
+//               whose blocks interleave m*nPad apart; else one GEMM over
+//               the slab's fused columns.
 #pragma once
 
 #include "exastp/common/aligned.h"
@@ -85,45 +94,30 @@ inline void aos_derivative_slab(Isa isa, const AosLayout& aos,
   if (cover <= 0) return;
   const int ncols = aos_masked_cols(aos, isa, cover);
   const bool masked = ncols < ld;
-  const auto run = [&](int M, int N, int K, const Real* b, Real* c, int ldx) {
-    if (accumulate)
-      gemm_acc_scaled(isa, inv_h, M, N, K, diff, n, b, ldx, c, ldx);
-    else
-      gemm_set_scaled(isa, inv_h, M, N, K, diff, n, b, ldx, c, ldx);
+  // `batch` GEMMs D * B_b of N columns, the B/C blocks `stride` apart.
+  const auto run = [&](int N, std::size_t off, int ldx, long stride,
+                       int batch) {
+    gemm_batch(isa, accumulate, inv_h, n, N, n, diff, n, 0, src + off, ldx,
+               stride, dst + off, ldx, stride, batch);
   };
+  const long slice = static_cast<long>(n) * ld;
   switch (dir) {
     case 0:
-      for (int k3 = lo; k3 < hi; ++k3)
-        for (int k2 = 0; k2 < n; ++k2) {
-          const std::size_t off = aos.node_offset(k3, k2, 0);
-          run(n, ncols, n, src + off, dst + off, ld);
-        }
+      run(ncols, aos.node_offset(lo, 0, 0), ld, slice, (hi - lo) * n);
       break;
     case 1:
       if (masked) {
         for (int k3 = lo; k3 < hi; ++k3)
-          for (int k1 = 0; k1 < n; ++k1) {
-            const std::size_t off = aos.node_offset(k3, 0, k1);
-            run(n, ncols, n, src + off, dst + off, n * ld);
-          }
+          run(ncols, aos.node_offset(k3, 0, 0), n * ld, ld, n);
       } else {
-        for (int k3 = lo; k3 < hi; ++k3) {
-          const std::size_t off = aos.node_offset(k3, 0, 0);
-          run(n, n * ld, n, src + off, dst + off, n * ld);
-        }
+        run(n * ld, aos.node_offset(lo, 0, 0), n * ld, n * slice, hi - lo);
       }
       break;
     case 2:
-      if (masked) {
-        for (int k2 = lo; k2 < hi; ++k2)
-          for (int k1 = 0; k1 < n; ++k1) {
-            const std::size_t off = aos.node_offset(0, k2, k1);
-            run(n, ncols, n, src + off, dst + off, n * n * ld);
-          }
-      } else {
-        const std::size_t off = aos.node_offset(0, lo, 0);
-        run(n, (hi - lo) * n * ld, n, src + off, dst + off, n * n * ld);
-      }
+      if (masked)
+        run(ncols, aos.node_offset(0, lo, 0), n * n * ld, ld, (hi - lo) * n);
+      else
+        run((hi - lo) * n * ld, aos.node_offset(0, lo, 0), n * n * ld, 0, 1);
       break;
     default:
       EXASTP_CHECK_MSG(false, "dir must be 0, 1 or 2");
@@ -153,51 +147,40 @@ inline void aosoa_derivative_slab(Isa isa, const AosoaLayout& aosoa,
   const int m = aosoa.m;
   const int np = aosoa.n_pad;
   if (cover <= 0) return;
-  const auto run = [&](int M, int N, int K, const Real* a, int lda,
-                       const Real* b, int ldb, Real* c, int ldc) {
-    if (accumulate)
-      gemm_acc_scaled(isa, inv_h, M, N, K, a, lda, b, ldb, c, ldc);
-    else
-      gemm_set_scaled(isa, inv_h, M, N, K, a, lda, b, ldb, c, ldc);
-  };
   const bool masked = cover < m;
+  const long line = static_cast<long>(m) * np;
+  const int ld = n * m * np;  // k3 stride, the y/z GEMMs' leading dimension
+  // `batch` GEMMs D * B_b of N columns, the B/C blocks `stride` apart.
+  const auto run = [&](int N, std::size_t off, int ldx, long stride,
+                       int batch) {
+    gemm_batch(isa, accumulate, inv_h, n, N, n, diff, n, 0, src + off, ldx,
+               stride, dst + off, ldx, stride, batch);
+  };
   switch (dir) {
     case 0: {
       // out[s][i] = sum_l src[s][l] * Dt[l][i]; unit stride over the padded
-      // x-line in both B and C. Masking shrinks the row count.
-      const int nrows = masked ? cover : m;
-      for (int k3 = lo; k3 < hi; ++k3)
-        for (int k2 = 0; k2 < n; ++k2) {
-          const std::size_t off = aosoa.line_offset(k3, k2);
-          run(nrows, np, n, src + off, np, diff_t_padded, np, dst + off, np);
-        }
+      // x-line in both B and C, Dt shared. Masking shrinks the row count.
+      const std::size_t off = aosoa.line_offset(lo, 0);
+      gemm_batch(isa, accumulate, inv_h, masked ? cover : m, np, n,
+                 src + off, np, line, diff_t_padded, np, 0, dst + off, np,
+                 line, (hi - lo) * n);
       break;
     }
     case 1:
       // Fuse (s, i): out[j][si] = sum_l D[j][l] src[l][si] (Fig. 7). The s
       // index is outermost in the fused columns, so masking keeps the
       // contiguous prefix of cover*np columns.
-      for (int k3 = lo; k3 < hi; ++k3) {
-        const std::size_t off = aosoa.idx(k3, 0, 0, 0);
-        run(n, (masked ? cover : m) * np, n, diff, n, src + off, m * np,
-            dst + off, m * np);
-      }
+      run((masked ? cover : m) * np, aosoa.idx(lo, 0, 0, 0), m * np, ld,
+          hi - lo);
       break;
     case 2:
-      // Fuse (k2, s, i). Unmasked: one call over the slab's k2 range.
+      // Fuse (k2, s, i). Unmasked: one GEMM over the slab's k2 range.
       // Masked: k2 is outermost in the fused columns, so each k2 keeps its
-      // own cover*np prefix — one call per k2.
-      if (masked) {
-        for (int k2 = lo; k2 < hi; ++k2) {
-          const std::size_t off = aosoa.idx(0, k2, 0, 0);
-          run(n, cover * np, n, diff, n, src + off, n * m * np, dst + off,
-              n * m * np);
-        }
-      } else {
-        const std::size_t off = aosoa.idx(0, lo, 0, 0);
-        run(n, (hi - lo) * m * np, n, diff, n, src + off, n * m * np,
-            dst + off, n * m * np);
-      }
+      // own cover*np prefix — one GEMM per k2, batched.
+      if (masked)
+        run(cover * np, aosoa.idx(0, lo, 0, 0), ld, line, hi - lo);
+      else
+        run((hi - lo) * m * np, aosoa.idx(0, lo, 0, 0), ld, 0, 1);
       break;
     default:
       EXASTP_CHECK_MSG(false, "dir must be 0, 1 or 2");

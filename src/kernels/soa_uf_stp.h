@@ -74,7 +74,8 @@ class SoaUfStp {
     // flux = F_d(src): AoS -> SoA, one vectorized sweep over all n^3
     // nodes, SoA -> AoS.
     aos_to_soa(src, aos_, soa_in_.data(), soa_);
-    flux_line(isa_, pde_, soa_in_.data(), d, soa_out_.data(), np, np);
+    flux_line(isa_, pde_, soa_in_.data(), d, soa_out_.data(), np, np,
+              /*lines=*/1, 0);
     soa_to_aos(soa_out_.data(), soa_, flux_.data(), aos_);
     aos_derivative(isa_, aos_, diff, inv_h, d, flux_.data(), dst,
                    /*accumulate=*/true);
@@ -84,7 +85,7 @@ class SoaUfStp {
                    /*accumulate=*/false);
     aos_to_soa(gradq_.data(), aos_, soa_aux_.data(), soa_);
     ncp_line(isa_, pde_, soa_in_.data(), soa_aux_.data(), d, soa_out_.data(),
-             np, np);
+             np, np, /*lines=*/1, 0);
     soa_to_aos(soa_out_.data(), soa_, gradq_.data(), aos_);
     vec_add(isa_, static_cast<long>(aos_.size()), gradq_.data(), dst);
   }

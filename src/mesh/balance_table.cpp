@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -104,6 +105,14 @@ bool BalanceTable::load_file(const std::string& path) {
 
 void BalanceTable::save_file(const std::string& path) const {
   write_file_atomically(path, serialize(), "balance table");
+}
+
+void BalanceTable::merge_into_file(const std::string& path) const {
+  const std::lock_guard<std::mutex> lock(file_lock(path));
+  BalanceTable merged;
+  merged.load_file(path);
+  for (const auto& [key, cost] : table_) merged.table_[key] = cost;
+  merged.save_file(path);
 }
 
 }  // namespace exastp

@@ -15,12 +15,13 @@
 //     pde order cluster cost
 //
 // with '#' comments, merged by `merge_text`, persisted by
-// `load_file`/`save_file`, wired to the `balance=PATH` config key
-// (simulation.cpp: load before partitioning, measure per-cluster costs
-// from telemetry after the run, save back — first run measures, later
-// runs just load). Like autotune=, the table is pure performance state:
-// any weighting produces a valid decomposition and every decomposition is
-// bitwise-identical, so balance= is a neutral config key.
+// `load_file`/`save_file`/`merge_into_file`, wired to the `balance=PATH`
+// config key (simulation.cpp: load before partitioning, measure
+// per-cluster costs from telemetry after the run, merge them into the file
+// — first run measures, later runs just load). Like autotune=, the table
+// is pure performance state: any weighting produces a valid decomposition
+// and every decomposition is bitwise-identical, so balance= is a neutral
+// config key.
 #pragma once
 
 #include <map>
@@ -59,6 +60,11 @@ class BalanceTable {
   /// load sees a whole table) and throws when the path is unwritable.
   bool load_file(const std::string& path);
   void save_file(const std::string& path) const;
+  /// Adds this table's entries to the table stored at `path` (this
+  /// table's value wins on a shared key) and saves the result, as one
+  /// critical section per path within the process: concurrent pool jobs
+  /// that name one balance= file keep each other's entries.
+  void merge_into_file(const std::string& path) const;
 
  private:
   static std::string key(const std::string& pde, int order, int cluster);

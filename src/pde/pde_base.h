@@ -14,9 +14,9 @@
 //    counts and inlineable pointwise calls; the optimized kernels are
 //    templated on the concrete PDE exactly as the paper's generated kernels
 //    hard-code the user functions (Sec. III-C). Every PDE also has line
-//    functions operating on an SoA chunk (one padded x-line), the
-//    vectorizable user-function flavour of Sec. V-C: flux_line/ncp_line in
-//    pde_lines.h, with the bodies of all PDEs in pde_lines_impl.h.
+//    functions operating on SoA chunks (equally spaced padded x-lines),
+//    the vectorizable user-function flavour of Sec. V-C: flux_line/ncp_line
+//    in pde_lines.h, with the bodies of all PDEs in pde_lines_impl.h.
 //
 // Conventions shared by all PDEs:
 //  * A node stores kQuants = kVars + kParams doubles: evolved quantities

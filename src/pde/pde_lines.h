@@ -1,11 +1,18 @@
 // Vectorized PDE user functions ("line functions", paper Sec. V-C /
-// Fig. 8): flux and non-conservative product on one SoA chunk, where
-// quantity s of lane i lives at q[s * stride + i] for i in [0, len).
+// Fig. 8): flux and non-conservative product on SoA chunks, where quantity
+// s of lane i of line l lives at q[l * line_stride + s * stride + i] for i
+// in [0, len) and l in [0, lines).
 //
-//   flux_line(isa, pde, q, dir, f, len, stride)
-//       f = F_dir(q) lane by lane, all kQuants rows written;
-//   ncp_line(isa, pde, q, grad, dir, out, len, stride)
-//       out = B_dir(q) * grad lane by lane, all kQuants rows written.
+//   flux_line(isa, pde, q, dir, f, len, stride, lines, line_stride)
+//       f = F_dir(q) lane by lane, all kQuants rows of every line written;
+//   ncp_line(isa, pde, q, grad, dir, out, len, stride, lines, line_stride)
+//       out = B_dir(q) * grad lane by lane, likewise.
+//
+// q, grad and the output share the one line stride. A kernel hands over a
+// whole slab of equally spaced lines (AoSoA: consecutive (k3,k2) x-lines,
+// line_stride = m * n_pad) in one call; SoA-UF passes its one line of all
+// n^3 nodes (lines = 1). The lines are independent, so a call is the loop
+// of single-line calls bit for bit.
 //
 // Zero-padded lanes (rho = 0, eps = 0, ...) are valid inputs and produce
 // finite output. Both precisions share one body per PDE (templated on the
@@ -15,15 +22,19 @@
 // One mechanism serves every PDE: the bodies live in pde_lines_impl.h and
 // are compiled once per ISA translation unit (pde_lines_baseline.cpp,
 // pde_lines_avx2.cpp, pde_lines_avx512.cpp), each with its own -m flags,
-// the same pattern as gemm_impl.h. The functions below dispatch on `isa`
-// to that TU's entry point, so an AVX-512 run executes 512-bit packed user
-// functions, and count the FLOPs (kFluxFlops / kNcpFlops per lane) at the
-// dispatched packing width; fp32 lanes count at the double packing width,
-// as in gemm.h, so both precisions report one instruction mix. A PDE gains
-// line functions by adding its two bodies to pde_lines_impl.h and its name
-// to EXASTP_FOR_EACH_LINE_PDE.
+// the same pattern as gemm_impl.h, and the loop over lines runs inside
+// that TU. The functions below dispatch on `isa` once per call and book
+// the call's FLOPs once: kFluxFlops / kNcpFlops per lane of every line, at
+// the dispatched packing width (each line's remainder lanes as scalar, as
+// `lines` single-line calls would). fp32 lanes count at the double packing
+// width, as in gemm.h, so both precisions report one instruction mix. A
+// PDE gains line functions by adding its two bodies to pde_lines_impl.h
+// and its name to EXASTP_FOR_EACH_LINE_PDE.
 #pragma once
 
+#include <cstdint>
+
+#include "exastp/common/check.h"
 #include "exastp/common/simd.h"
 #include "exastp/perf/flop_count.h"
 
@@ -31,59 +42,65 @@ namespace exastp {
 namespace detail {
 
 // Per-ISA entry points, defined and instantiated in pde_lines_<isa>.cpp.
-template <class Pde, class Real>
-void flux_line_baseline(const Pde& pde, const Real* q, int dir, Real* f,
-                        int len, int stride);
-template <class Pde, class Real>
-void flux_line_avx2(const Pde& pde, const Real* q, int dir, Real* f,
-                    int len, int stride);
-template <class Pde, class Real>
-void flux_line_avx512(const Pde& pde, const Real* q, int dir, Real* f,
-                      int len, int stride);
-template <class Pde, class Real>
-void ncp_line_baseline(const Pde& pde, const Real* q, const Real* grad,
-                       int dir, Real* out, int len, int stride);
-template <class Pde, class Real>
-void ncp_line_avx2(const Pde& pde, const Real* q, const Real* grad, int dir,
-                   Real* out, int len, int stride);
-template <class Pde, class Real>
-void ncp_line_avx512(const Pde& pde, const Real* q, const Real* grad,
-                     int dir, Real* out, int len, int stride);
+#define EXASTP_DECLARE_PDE_LINES(SUFFIX)                                     \
+  template <class Pde, class Real>                                           \
+  void flux_line_##SUFFIX(const Pde& pde, const Real* q, int dir, Real* f,   \
+                          int len, int stride, int lines, long line_stride); \
+  template <class Pde, class Real>                                           \
+  void ncp_line_##SUFFIX(const Pde& pde, const Real* q, const Real* grad,    \
+                         int dir, Real* out, int len, int stride, int lines, \
+                         long line_stride);
+
+EXASTP_DECLARE_PDE_LINES(baseline)
+EXASTP_DECLARE_PDE_LINES(avx2)
+EXASTP_DECLARE_PDE_LINES(avx512)
+
+#undef EXASTP_DECLARE_PDE_LINES
 
 }  // namespace detail
 
 template <class Pde, class Real>
 void flux_line(Isa isa, const Pde& pde, const Real* q, int dir, Real* f,
-               int len, int stride) {
+               int len, int stride, int lines, long line_stride) {
+  EXASTP_CHECK(lines >= 0);
   switch (isa) {
     case Isa::kScalar:
-      detail::flux_line_baseline(pde, q, dir, f, len, stride);
+      detail::flux_line_baseline(pde, q, dir, f, len, stride, lines,
+                                 line_stride);
       break;
     case Isa::kAvx2:
-      detail::flux_line_avx2(pde, q, dir, f, len, stride);
+      detail::flux_line_avx2(pde, q, dir, f, len, stride, lines, line_stride);
       break;
     case Isa::kAvx512:
-      detail::flux_line_avx512(pde, q, dir, f, len, stride);
+      detail::flux_line_avx512(pde, q, dir, f, len, stride, lines,
+                               line_stride);
       break;
   }
-  count_packed_flops(isa, len, Pde::kFluxFlops);
+  count_packed_flops(isa, len,
+                     static_cast<std::uint64_t>(lines) * Pde::kFluxFlops);
 }
 
 template <class Pde, class Real>
 void ncp_line(Isa isa, const Pde& pde, const Real* q, const Real* grad,
-              int dir, Real* out, int len, int stride) {
+              int dir, Real* out, int len, int stride, int lines,
+              long line_stride) {
+  EXASTP_CHECK(lines >= 0);
   switch (isa) {
     case Isa::kScalar:
-      detail::ncp_line_baseline(pde, q, grad, dir, out, len, stride);
+      detail::ncp_line_baseline(pde, q, grad, dir, out, len, stride, lines,
+                                line_stride);
       break;
     case Isa::kAvx2:
-      detail::ncp_line_avx2(pde, q, grad, dir, out, len, stride);
+      detail::ncp_line_avx2(pde, q, grad, dir, out, len, stride, lines,
+                            line_stride);
       break;
     case Isa::kAvx512:
-      detail::ncp_line_avx512(pde, q, grad, dir, out, len, stride);
+      detail::ncp_line_avx512(pde, q, grad, dir, out, len, stride, lines,
+                              line_stride);
       break;
   }
-  count_packed_flops(isa, len, Pde::kNcpFlops);
+  count_packed_flops(isa, len,
+                     static_cast<std::uint64_t>(lines) * Pde::kNcpFlops);
 }
 
 }  // namespace exastp

@@ -3,7 +3,8 @@
 // pde_lines_avx512.cpp); pde_lines.h declares the entry points and
 // dispatches to them.
 //
-// Each loop body runs over one padded x-line in SoA layout and the TU's -m
+// Each loop body runs over one SoA line (a padded x-line, or SoA-UF's n^3
+// nodes); the entry points loop it over a call's lines and the TU's -m
 // flags decide the packing width (the paper's Fig. 8 discipline). Zero-
 // padded lanes carry zero material parameters and are guarded so padding
 // stays a valid input (Sec. V-C). The bodies are templated on the scalar
@@ -292,25 +293,32 @@ inline void ncp_line_body(const CurvilinearElasticPde&, const Real* q,
 /// Explicit instantiations of one ISA's entry points for one PDE.
 #define EXASTP_INSTANTIATE_PDE_LINES(SUFFIX, PDE)                            \
   template void flux_line_##SUFFIX(const PDE&, const double*, int, double*,  \
-                                   int, int);                                \
+                                   int, int, int, long);                     \
   template void flux_line_##SUFFIX(const PDE&, const float*, int, float*,    \
-                                   int, int);                                \
+                                   int, int, int, long);                     \
   template void ncp_line_##SUFFIX(const PDE&, const double*, const double*,  \
-                                  int, double*, int, int);                   \
+                                  int, double*, int, int, int, long);        \
   template void ncp_line_##SUFFIX(const PDE&, const float*, const float*,    \
-                                  int, float*, int, int);
+                                  int, float*, int, int, int, long);
 
 /// One ISA TU's entry points (declared in pde_lines.h) over the bodies
-/// above, instantiated for every PDE of EXASTP_FOR_EACH_LINE_PDE.
+/// above, instantiated for every PDE of EXASTP_FOR_EACH_LINE_PDE: the loop
+/// over a call's lines runs here, at the TU's width.
 #define EXASTP_DEFINE_PDE_LINES(SUFFIX)                                      \
   template <class Pde, class Real>                                           \
   void flux_line_##SUFFIX(const Pde& pde, const Real* q, int dir, Real* f,   \
-                          int len, int stride) {                             \
-    flux_line_body(pde, q, dir, f, len, stride);                             \
+                          int len, int stride, int lines,                    \
+                          long line_stride) {                                \
+    for (int l = 0; l < lines; ++l)                                          \
+      flux_line_body(pde, q + l * line_stride, dir, f + l * line_stride,     \
+                     len, stride);                                           \
   }                                                                          \
   template <class Pde, class Real>                                           \
   void ncp_line_##SUFFIX(const Pde& pde, const Real* q, const Real* grad,    \
-                         int dir, Real* out, int len, int stride) {          \
-    ncp_line_body(pde, q, grad, dir, out, len, stride);                      \
+                         int dir, Real* out, int len, int stride, int lines, \
+                         long line_stride) {                                 \
+    for (int l = 0; l < lines; ++l)                                          \
+      ncp_line_body(pde, q + l * line_stride, grad + l * line_stride, dir,   \
+                    out + l * line_stride, len, stride);                     \
   }                                                                          \
   EXASTP_FOR_EACH_LINE_PDE(EXASTP_INSTANTIATE_PDE_LINES, SUFFIX)

@@ -45,7 +45,8 @@ void trace_gemm(CacheSim& sim, Isa isa, int m, int n, int k, std::uint64_t a,
   count_packed_flops(isa, n, 2ull * m * k);
 }
 
-/// Mirrors aos_derivative_slab's batching and masking (derivative_ops.h):
+/// Mirrors aos_derivative_slab's batching and masking (derivative_ops.h),
+/// one trace_gemm per GEMM of a batch, in the batch's order:
 /// `cover` is the past-the-end possibly-nonzero source row; the masked GEMM
 /// width is the cover padded up to the vector width (so lanes stay packed),
 /// clamped to the full padded row. cover == mp reproduces the unmasked
@@ -104,7 +105,8 @@ void trace_aos_derivative(CacheSim& sim, Isa isa, int n, int mp, int cover,
   }
 }
 
-/// Mirrors aosoa_derivative_slab's batching and masking. In the AoSoA
+/// Mirrors aosoa_derivative_slab's batching and masking, GEMM by GEMM as
+/// above. In the AoSoA
 /// layout the quantity index is the slow (row) dimension, so the cover maps
 /// to a row prefix (dir 0) or a contiguous column prefix of whole lanes
 /// (dirs 1/2) — no padding needed. cover == m is the unmasked wrapper.
@@ -526,7 +528,7 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
   const std::uint64_t gradq = arena.alloc(cell);
   t.qavg = arena.alloc(cell);
   for (std::uint64_t& f : t.favg) f = arena.alloc(cell);
-  const std::uint64_t line_buf = arena.alloc(line);
+  const std::uint64_t line_buf = pde.ncp_zero ? 0 : arena.alloc(line);
   const std::size_t workspace = arena.bytes();
   const std::uint64_t diff = arena.alloc(static_cast<std::size_t>(n) * n);
   const std::uint64_t diff_t =
@@ -539,24 +541,27 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
   t.qavg_half = t.favg[0];
 
   // Mirrors AosoaStpT::volume (same gating as the SplitCK twin: flux stage
-  // under cover > 0, gradient/NCP stage under !ncp_zero).
+  // under cover > 0, gradient/NCP stage under !ncp_zero). The flux stage's
+  // line-function calls book their lines' FLOPs once; the NCP stage runs
+  // line by line through the one-line buffer.
   auto volume = [&](int d, std::uint64_t src, std::uint64_t dst) {
     const int cover = pde.flux_cover[d];
+    const std::uint64_t lines = static_cast<std::uint64_t>(n) * n;
     if (cover > 0) {
-      for (int l = 0; l < n * n; ++l) {
-        const std::uint64_t off = static_cast<std::uint64_t>(l) * line_bytes;
+      for (std::uint64_t l = 0; l < lines; ++l) {
+        const std::uint64_t off = l * line_bytes;
         sim.access(src + off, line_bytes);
         sim.access(flux + off, line_bytes);
-        count_packed_flops(isa, np, pde.flux_flops);
       }
+      count_packed_flops(isa, np, lines * pde.flux_flops);
       trace_aosoa_derivative(sim, isa, n, m, np, cover, diff, diff_t, flux,
                              dst, d);
     }
     if (!pde.ncp_zero) {
       trace_aosoa_derivative(sim, isa, n, m, np, m, diff, diff_t, src, gradq,
                              d);
-      for (int l = 0; l < n * n; ++l) {
-        const std::uint64_t off = static_cast<std::uint64_t>(l) * line_bytes;
+      for (std::uint64_t l = 0; l < lines; ++l) {
+        const std::uint64_t off = l * line_bytes;
         sim.access(src + off, line_bytes);
         sim.access(gradq + off, line_bytes);
         sim.access(line_buf, line_bytes);

@@ -12,7 +12,8 @@
 //     examples/batches configs: every vector parses and canonicalizes, or
 //     throws std::invalid_argument naming one of its keys;
 //   * the autotune and balance tables those neutral keys name are replaced
-//     atomically: a reader racing a writer only loads complete tables.
+//     atomically: a reader racing a writer only loads complete tables, and
+//     concurrent balance= saves keep every job's entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -455,6 +456,38 @@ TEST(TableFiles, ConcurrentLoadsSeeOnlyCompleteBalanceTables) {
     b.set("acoustic", order, 1, 2.0 * order);
   }
   expect_loads_see_whole_tables(a, b, "test_config_balance_race.txt");
+}
+
+// Two pool jobs that name one balance= file, each merging its measured
+// entries into it (Simulation::run's post-run save) over and over: the
+// read-merge-write is one critical section per path, so the final file
+// holds every entry either job wrote. Without it, two jobs finishing
+// together keep only the last writer's table.
+TEST(TableFiles, ConcurrentBalanceSavesKeepEveryJobsEntries) {
+  const std::string path = "test_config_balance_merge.txt";
+  std::remove(path.c_str());
+  constexpr int kRounds = 20;
+  const std::string pdes[] = {"elastic", "acoustic"};
+  std::atomic<int> ready{0};
+  const auto job = [&](const std::string& pde) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int round = 0; round < kRounds; ++round) {
+      BalanceTable measured;
+      measured.set(pde, 2 + round, 0, 1.0 + round);
+      measured.merge_into_file(path);
+    }
+  };
+  std::thread first(job, pdes[0]), second(job, pdes[1]);
+  first.join();
+  second.join();
+  BalanceTable saved;
+  ASSERT_TRUE(saved.load_file(path));
+  std::remove(path.c_str());
+  for (const std::string& pde : pdes)
+    for (int round = 0; round < kRounds; ++round)
+      EXPECT_TRUE(saved.has(pde, 2 + round, 0))
+          << pde << " order " << 2 + round << " lost";
 }
 
 }  // namespace

@@ -55,8 +55,8 @@ TEST_P(GemmP, SetMatchesReference) {
   gemm_reference(false, 1.0, p.m, p.n, p.k, a_.data(), lda_, b_.data(), ldb_,
                  expect.data(), ldc_);
   AlignedVector got = c_;
-  gemm_set(p.isa, p.m, p.n, p.k, a_.data(), lda_, b_.data(), ldb_, got.data(),
-           ldc_);
+  gemm_batch(p.isa, false, 1.0, p.m, p.n, p.k, a_.data(), lda_, 0, b_.data(),
+             ldb_, 0, got.data(), ldc_, 0, 1);
   for (int i = 0; i < p.m; ++i)
     for (int j = 0; j < p.n; ++j)
       EXPECT_NEAR(got[i * ldc_ + j], expect[i * ldc_ + j], 1e-13)
@@ -69,8 +69,8 @@ TEST_P(GemmP, AccMatchesReference) {
   gemm_reference(true, 1.0, p.m, p.n, p.k, a_.data(), lda_, b_.data(), ldb_,
                  expect.data(), ldc_);
   AlignedVector got = c_;
-  gemm_acc(p.isa, p.m, p.n, p.k, a_.data(), lda_, b_.data(), ldb_, got.data(),
-           ldc_);
+  gemm_batch(p.isa, true, 1.0, p.m, p.n, p.k, a_.data(), lda_, 0, b_.data(),
+             ldb_, 0, got.data(), ldc_, 0, 1);
   for (int i = 0; i < p.m; ++i)
     for (int j = 0; j < p.n; ++j)
       EXPECT_NEAR(got[i * ldc_ + j], expect[i * ldc_ + j], 1e-13);
@@ -83,8 +83,8 @@ TEST_P(GemmP, ScaledVariants) {
   gemm_reference(true, alpha, p.m, p.n, p.k, a_.data(), lda_, b_.data(), ldb_,
                  expect.data(), ldc_);
   AlignedVector got = c_;
-  gemm_acc_scaled(p.isa, alpha, p.m, p.n, p.k, a_.data(), lda_, b_.data(),
-                  ldb_, got.data(), ldc_);
+  gemm_batch(p.isa, true, alpha, p.m, p.n, p.k, a_.data(), lda_, 0,
+             b_.data(), ldb_, 0, got.data(), ldc_, 0, 1);
   for (int i = 0; i < p.m; ++i)
     for (int j = 0; j < p.n; ++j)
       EXPECT_NEAR(got[i * ldc_ + j], expect[i * ldc_ + j], 1e-12);
@@ -94,8 +94,8 @@ TEST_P(GemmP, LeavesBeyondLdUntouched) {
   const auto& p = GetParam();
   if (p.ldc_extra == 0) GTEST_SKIP();
   AlignedVector got = c_;
-  gemm_set(p.isa, p.m, p.n, p.k, a_.data(), lda_, b_.data(), ldb_, got.data(),
-           ldc_);
+  gemm_batch(p.isa, false, 1.0, p.m, p.n, p.k, a_.data(), lda_, 0, b_.data(),
+             ldb_, 0, got.data(), ldc_, 0, 1);
   for (int i = 0; i < p.m; ++i)
     for (int j = p.n; j < ldc_; ++j)
       EXPECT_EQ(got[i * ldc_ + j], c_[i * ldc_ + j])
@@ -106,8 +106,8 @@ TEST_P(GemmP, CountsTwoMNKFlops) {
   const auto& p = GetParam();
   FlopSection section;
   AlignedVector got = c_;
-  gemm_acc(p.isa, p.m, p.n, p.k, a_.data(), lda_, b_.data(), ldb_, got.data(),
-           ldc_);
+  gemm_batch(p.isa, true, 1.0, p.m, p.n, p.k, a_.data(), lda_, 0, b_.data(),
+             ldb_, 0, got.data(), ldc_, 0, 1);
   EXPECT_EQ(section.delta().total(),
             2ull * p.m * p.n * p.k);
 }
@@ -146,7 +146,8 @@ TEST(GemmCounters, RemainderColumnsCountAsScalar) {
   if (!host_supports(Isa::kAvx512)) GTEST_SKIP();
   AlignedVector a(8 * 8, 1.0), b(8 * 13, 1.0), c(8 * 13, 0.0);
   FlopSection section;
-  gemm_set(Isa::kAvx512, 8, 13, 8, a.data(), 8, b.data(), 13, c.data(), 13);
+  gemm_batch(Isa::kAvx512, false, 1.0, 8, 13, 8, a.data(), 8, 0, b.data(),
+             13, 0, c.data(), 13, 0, 1);
   FlopCounter d = section.delta();
   EXPECT_EQ(d.flops[static_cast<int>(WidthClass::k512)], 2ull * 8 * 8 * 8);
   EXPECT_EQ(d.flops[static_cast<int>(WidthClass::kScalar)], 2ull * 8 * 5 * 8);
@@ -154,17 +155,30 @@ TEST(GemmCounters, RemainderColumnsCountAsScalar) {
 
 TEST(GemmErrors, RejectsBadLeadingDimensions) {
   AlignedVector a(16, 0.0), b(16, 0.0), c(16, 0.0);
-  EXPECT_THROW(
-      gemm_set(Isa::kScalar, 2, 4, 2, a.data(), 1, b.data(), 4, c.data(), 4),
-      std::invalid_argument);
-  EXPECT_THROW(
-      gemm_set(Isa::kScalar, 2, 4, 2, a.data(), 2, b.data(), 3, c.data(), 4),
-      std::invalid_argument);
+  EXPECT_THROW(gemm_batch(Isa::kScalar, false, 1.0, 2, 4, 2, a.data(), 1, 0,
+                          b.data(), 4, 0, c.data(), 4, 0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(gemm_batch(Isa::kScalar, false, 1.0, 2, 4, 2, a.data(), 2, 0,
+                          b.data(), 3, 0, c.data(), 4, 0, 1),
+               std::invalid_argument);
+}
+
+TEST(GemmErrors, RejectsANegativeBatchCount) {
+  AlignedVector a(16, 0.0), b(16, 0.0), c(16, 0.0);
+  FlopSection section;
+  EXPECT_THROW(gemm_batch(Isa::kScalar, true, 1.0, 2, 4, 2, a.data(), 2, 4,
+                          b.data(), 4, 8, c.data(), 4, 8, -1),
+               std::invalid_argument);
+  AlignedVectorF af(16, 0.0f), bf(16, 0.0f), cf(16, 0.0f);
+  EXPECT_THROW(gemm_batch(Isa::kScalar, true, 1.0f, 2, 4, 2, af.data(), 2, 4,
+                          bf.data(), 4, 8, cf.data(), 4, 8, -1),
+               std::invalid_argument);
+  EXPECT_EQ(section.delta().total(), 0u) << "a rejected batch booked FLOPs";
 }
 
 TEST(GemmProperty, LinearityInA) {
   // gemm(alpha*A1 + A2) == alpha*gemm(A1) + gemm(A2) — exercised via the
-  // scaled-accumulate entry points.
+  // scaled and accumulating modes.
   if (!host_supports(Isa::kAvx512)) GTEST_SKIP();
   const int m = 6, n = 16, k = 6;
   std::mt19937 rng(7);
@@ -177,11 +191,13 @@ TEST(GemmProperty, LinearityInA) {
   // lhs = (alpha*A1 + A2) * B
   AlignedVector asum(m * k);
   for (int i = 0; i < m * k; ++i) asum[i] = alpha * a1[i] + a2[i];
-  gemm_set(Isa::kAvx512, m, n, k, asum.data(), k, b.data(), n, lhs.data(), n);
+  gemm_batch(Isa::kAvx512, false, 1.0, m, n, k, asum.data(), k, 0, b.data(),
+             n, 0, lhs.data(), n, 0, 1);
   // rhs = alpha*(A1*B) + A2*B
-  gemm_set_scaled(Isa::kAvx512, alpha, m, n, k, a1.data(), k, b.data(), n,
-                  rhs.data(), n);
-  gemm_acc(Isa::kAvx512, m, n, k, a2.data(), k, b.data(), n, rhs.data(), n);
+  gemm_batch(Isa::kAvx512, false, alpha, m, n, k, a1.data(), k, 0, b.data(),
+             n, 0, rhs.data(), n, 0, 1);
+  gemm_batch(Isa::kAvx512, true, 1.0, m, n, k, a2.data(), k, 0, b.data(), n,
+             0, rhs.data(), n, 0, 1);
   for (int i = 0; i < m * n; ++i) EXPECT_NEAR(lhs[i], rhs[i], 1e-12);
 }
 
@@ -201,20 +217,12 @@ template <class Real>
 void call_gemm(GemmMode mode, Isa isa, int m, int n, int k, const Real* a,
                int lda, const Real* b, int ldb, Real* c, int ldc) {
   const Real alpha = Real(-0.37);
-  switch (mode) {
-    case GemmMode::kSet:
-      gemm_set(isa, m, n, k, a, lda, b, ldb, c, ldc);
-      break;
-    case GemmMode::kAcc:
-      gemm_acc(isa, m, n, k, a, lda, b, ldb, c, ldc);
-      break;
-    case GemmMode::kSetScaled:
-      gemm_set_scaled(isa, alpha, m, n, k, a, lda, b, ldb, c, ldc);
-      break;
-    case GemmMode::kAccScaled:
-      gemm_acc_scaled(isa, alpha, m, n, k, a, lda, b, ldb, c, ldc);
-      break;
-  }
+  const bool accumulate =
+      mode == GemmMode::kAcc || mode == GemmMode::kAccScaled;
+  const bool scaled =
+      mode == GemmMode::kSetScaled || mode == GemmMode::kAccScaled;
+  gemm_batch(isa, accumulate, scaled ? alpha : Real(1), m, n, k, a, lda, 0, b,
+             ldb, 0, c, ldc, 0, 1);
 }
 
 template <class Real>
@@ -267,6 +275,83 @@ TEST(GemmBits, RowAndColumnSplitsAreBitIdentical) {
     SCOPED_TRACE(isa_name(isa));
     expect_bit_stable<double>(isa);
     expect_bit_stable<float>(isa);
+  }
+}
+
+// The strided batch is the loop of single calls, bit for bit: random
+// shapes and batch counts 0-9 over four operand arrangements — separate
+// blocks, a shared A, a shared B (stride 0, the derivative matrix of every
+// slice) and interleaved B/C blocks whose rows are batch * width apart (the
+// masked z sweeps) — in set and accumulate mode, alpha 1 and not. C must be
+// byte-identical and the FLOPs equal in every width class.
+template <class Real>
+void expect_batch_is_call_loop(Isa isa) {
+  std::mt19937 rng(19);
+  std::uniform_int_distribution<int> m_dist(1, 24), n_dist(1, 40),
+      k_dist(1, 11), batch_dist(0, 9), gap(0, 3), coin(0, 1),
+      arrangement(0, 3);
+  std::uniform_real_distribution<double> val(-1.0, 1.0);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int m = m_dist(rng), n = n_dist(rng), k = k_dist(rng);
+    const int batch = batch_dist(rng);
+    const bool accumulate = coin(rng) == 1;
+    const Real alpha = coin(rng) == 1 ? Real(1) : Real(-0.37);
+    const int lda = k + gap(rng);
+    int ldb = n + gap(rng), ldc = n + gap(rng);
+    long stride_a = static_cast<long>(m) * lda + gap(rng);
+    long stride_b = static_cast<long>(k) * ldb + gap(rng);
+    long stride_c = static_cast<long>(m) * ldc + gap(rng);
+    const int kind = arrangement(rng);
+    if (kind == 1) stride_a = 0;
+    if (kind == 2) stride_b = 0;
+    if (kind == 3) {  // block b at column b * width, rows batch * width apart
+      stride_b = n + gap(rng);
+      stride_c = n + gap(rng);
+      ldb = static_cast<int>(std::max(batch, 1) * stride_b);
+      ldc = static_cast<int>(std::max(batch, 1) * stride_c);
+    }
+    const auto extent = [&](long stride, long block) {
+      return static_cast<std::size_t>(std::max(batch - 1, 0) * stride +
+                                      block);
+    };
+    std::vector<Real> a(extent(stride_a, static_cast<long>(m) * lda));
+    std::vector<Real> b(extent(stride_b, static_cast<long>(k) * ldb));
+    std::vector<Real> c(extent(stride_c, static_cast<long>(m) * ldc));
+    for (auto* v : {&a, &b, &c})
+      for (auto& x : *v) x = static_cast<Real>(val(rng));
+
+    std::vector<Real> looped = c;
+    FlopSection loop_section;
+    for (int i = 0; i < batch; ++i)
+      gemm_batch(isa, accumulate, alpha, m, n, k, a.data() + i * stride_a,
+                 lda, 0, b.data() + i * stride_b, ldb, 0,
+                 looped.data() + i * stride_c, ldc, 0, 1);
+    const FlopCounter loop_flops = loop_section.delta();
+
+    std::vector<Real> batched = c;
+    FlopSection batch_section;
+    gemm_batch(isa, accumulate, alpha, m, n, k, a.data(), lda, stride_a,
+               b.data(), ldb, stride_b, batched.data(), ldc, stride_c, batch);
+    const FlopCounter batch_flops = batch_section.delta();
+
+    if (std::memcmp(looped.data(), batched.data(),
+                    c.size() * sizeof(Real)) != 0 ||
+        loop_flops.flops != batch_flops.flops) {
+      ADD_FAILURE() << "batch differs from its call loop: m=" << m
+                    << " n=" << n << " k=" << k << " batch=" << batch
+                    << " arrangement=" << kind << " acc=" << accumulate
+                    << " alpha=" << alpha;
+      return;
+    }
+  }
+}
+
+TEST(GemmBits, StridedBatchIsTheLoopOfSingleCalls) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    SCOPED_TRACE(isa_name(isa));
+    expect_batch_is_call_loop<double>(isa);
+    expect_batch_is_call_loop<float>(isa);
   }
 }
 

@@ -47,22 +47,8 @@ TEST_P(GemmFuzz, RandomShapeMatchesReference) {
   gemm_reference(accumulate, alpha, m, n, k, a.data(), lda, b.data(), ldb,
                  expect.data(), ldc);
   AlignedVector got = c;
-  switch (which) {
-    case 0:
-      gemm_set(isa, m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc);
-      break;
-    case 1:
-      gemm_acc(isa, m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc);
-      break;
-    case 2:
-      gemm_set_scaled(isa, alpha, m, n, k, a.data(), lda, b.data(), ldb,
-                      got.data(), ldc);
-      break;
-    default:
-      gemm_acc_scaled(isa, alpha, m, n, k, a.data(), lda, b.data(), ldb,
-                      got.data(), ldc);
-      break;
-  }
+  gemm_batch(isa, accumulate, alpha, m, n, k, a.data(), lda, 0, b.data(), ldb,
+             0, got.data(), ldc, 0, 1);
   // Tolerance scaled by the contraction length and operand magnitudes.
   const double tol = 1e-13 * k * 4.0 * std::abs(alpha) + 1e-14;
   for (int i = 0; i < m; ++i) {

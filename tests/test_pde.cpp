@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "exastp/pde/advection.h"
 #include "exastp/pde/curvilinear_elastic.h"
 #include "exastp/pde/elastic.h"
+#include "exastp/pde/maxwell.h"
 #include "exastp/pde/pde_base.h"
 #include "exastp/pde/pde_lines.h"
 #include "exastp/pde/point_source.h"
@@ -32,6 +34,9 @@ std::vector<double> random_state(std::mt19937& rng) {
     q[ElasticPde::kRho] = 2.6 + 0.2 * dist(rng);
     q[ElasticPde::kCp] = 6.0 + 0.5 * dist(rng);
     q[ElasticPde::kCs] = 3.4 + 0.3 * dist(rng);
+  } else if constexpr (std::is_same_v<Pde, MaxwellPde>) {
+    q[MaxwellPde::kEps] = 1.5 + 0.3 * dist(rng);
+    q[MaxwellPde::kMu] = 0.8 + 0.2 * dist(rng);
   } else if constexpr (std::is_same_v<Pde, CurvilinearElasticPde>) {
     q[CurvilinearElasticPde::kRho] = 2.6 + 0.2 * dist(rng);
     q[CurvilinearElasticPde::kCp] = 6.0 + 0.5 * dist(rng);
@@ -48,7 +53,8 @@ template <class Pde>
 class PdeTypedTest : public ::testing::Test {};
 
 using AllPdes = ::testing::Types<AdvectionPde, AdvectionNcpPde, AcousticPde,
-                                 ElasticPde, CurvilinearElasticPde>;
+                                 ElasticPde, CurvilinearElasticPde,
+                                 MaxwellPde>;
 TYPED_TEST_SUITE(PdeTypedTest, AllPdes);
 
 TYPED_TEST(PdeTypedTest, QuantityCountsConsistent) {
@@ -139,9 +145,9 @@ TYPED_TEST(PdeTypedTest, LineFunctionsMatchPointwise) {
   std::vector<double> f_pt(TypeParam::kQuants), b_pt(TypeParam::kQuants);
   for (int dir = 0; dir < 3; ++dir) {
     flux_line(Isa::kScalar, pde, qs.data(), dir, f_line.data(), kLen,
-              kStride);
+              kStride, 1, 0);
     ncp_line(Isa::kScalar, pde, qs.data(), gs.data(), dir, b_line.data(),
-             kLen, kStride);
+             kLen, kStride, 1, 0);
     for (int i = 0; i < kLen; ++i) {
       pde.flux(q_nodes[i].data(), dir, f_pt.data());
       pde.ncp(q_nodes[i].data(), g_nodes[i].data(), dir, b_pt.data());
@@ -168,9 +174,10 @@ TYPED_TEST(PdeTypedTest, LineFunctionsTolerateZeroPaddedLanes) {
   std::vector<double> f(TypeParam::kQuants * kStride, 0.0);
   std::vector<double> b(TypeParam::kQuants * kStride, 0.0);
   for (int dir = 0; dir < 3; ++dir) {
-    flux_line(Isa::kScalar, pde, qs.data(), dir, f.data(), kLen, kStride);
+    flux_line(Isa::kScalar, pde, qs.data(), dir, f.data(), kLen, kStride, 1,
+              0);
     ncp_line(Isa::kScalar, pde, qs.data(), gs.data(), dir, b.data(), kLen,
-             kStride);
+             kStride, 1, 0);
     for (double v : f) EXPECT_TRUE(std::isfinite(v));
     for (double v : b) EXPECT_TRUE(std::isfinite(v));
   }
@@ -192,19 +199,84 @@ TYPED_TEST(PdeTypedTest, IsaLineVariantsAgree) {
   }
   std::vector<double> ref_f(TypeParam::kQuants * kStride);
   std::vector<double> ref_b(TypeParam::kQuants * kStride);
-  flux_line(Isa::kScalar, pde, qs.data(), 1, ref_f.data(), kLen, kStride);
+  flux_line(Isa::kScalar, pde, qs.data(), 1, ref_f.data(), kLen, kStride, 1,
+            0);
   ncp_line(Isa::kScalar, pde, qs.data(), gs.data(), 1, ref_b.data(), kLen,
-           kStride);
+           kStride, 1, 0);
   for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
     if (!host_supports(isa)) continue;
     std::vector<double> f(TypeParam::kQuants * kStride);
     std::vector<double> b(TypeParam::kQuants * kStride);
-    flux_line(isa, pde, qs.data(), 1, f.data(), kLen, kStride);
-    ncp_line(isa, pde, qs.data(), gs.data(), 1, b.data(), kLen, kStride);
+    flux_line(isa, pde, qs.data(), 1, f.data(), kLen, kStride, 1, 0);
+    ncp_line(isa, pde, qs.data(), gs.data(), 1, b.data(), kLen, kStride, 1,
+             0);
     for (std::size_t i = 0; i < f.size(); ++i) {
       EXPECT_NEAR(f[i], ref_f[i], 1e-13);
       EXPECT_NEAR(b[i], ref_b[i], 1e-13);
     }
+  }
+}
+
+// A multi-line call is the loop of single-line calls: L lines at line
+// stride S write the same bytes (gaps between lines untouched) and book the
+// same FLOPs in every width class, for both precisions and every host ISA.
+// The lane count 13 leaves a remainder on every path, so the per-line
+// scalar booking is covered too.
+template <class Pde, class Real>
+void expect_multi_line_is_single_line_loop(Isa isa) {
+  constexpr int kLen = 13, kStride = 16;
+  constexpr long kLineStride = Pde::kQuants * kStride + 5;
+  std::mt19937 rng(9);
+  Pde pde;
+  for (int lines : {0, 1, 2, 7}) {
+    // One element past the last line: a sentinel no call may touch.
+    const std::size_t size =
+        static_cast<std::size_t>(lines) * kLineStride + 1;
+    std::vector<Real> q(size, Real(0)), grad(size, Real(0));
+    for (int l = 0; l < lines; ++l)
+      for (int i = 0; i < kLen; ++i) {
+        const auto qi = random_state<Pde>(rng);
+        const auto gi = random_state<Pde>(rng);
+        for (int s = 0; s < Pde::kQuants; ++s) {
+          q[l * kLineStride + s * kStride + i] = static_cast<Real>(qi[s]);
+          grad[l * kLineStride + s * kStride + i] = static_cast<Real>(gi[s]);
+        }
+      }
+    for (int dir = 0; dir < 3; ++dir) {
+      std::vector<Real> f_one(size, Real(-7)), b_one(size, Real(-7));
+      std::vector<Real> f_all = f_one, b_all = b_one;
+      FlopSection one;
+      for (int l = 0; l < lines; ++l) {
+        const long off = l * kLineStride;
+        flux_line(isa, pde, q.data() + off, dir, f_one.data() + off, kLen,
+                  kStride, 1, 0);
+        ncp_line(isa, pde, q.data() + off, grad.data() + off, dir,
+                 b_one.data() + off, kLen, kStride, 1, 0);
+      }
+      const FlopCounter one_flops = one.delta();
+      FlopSection all;
+      flux_line(isa, pde, q.data(), dir, f_all.data(), kLen, kStride, lines,
+                kLineStride);
+      ncp_line(isa, pde, q.data(), grad.data(), dir, b_all.data(), kLen,
+               kStride, lines, kLineStride);
+      const FlopCounter all_flops = all.delta();
+      const std::size_t bytes = size * sizeof(Real);
+      EXPECT_EQ(std::memcmp(f_one.data(), f_all.data(), bytes), 0)
+          << "flux, lines " << lines << " dir " << dir;
+      EXPECT_EQ(std::memcmp(b_one.data(), b_all.data(), bytes), 0)
+          << "ncp, lines " << lines << " dir " << dir;
+      EXPECT_EQ(one_flops.flops, all_flops.flops)
+          << "FLOPs, lines " << lines << " dir " << dir;
+    }
+  }
+}
+
+TYPED_TEST(PdeTypedTest, MultiLineCallsAreTheSingleLineLoopBitForBit) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    SCOPED_TRACE(isa_name(isa));
+    expect_multi_line_is_single_line_loop<TypeParam, double>(isa);
+    expect_multi_line_is_single_line_loop<TypeParam, float>(isa);
   }
 }
 
