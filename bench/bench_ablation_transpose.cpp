@@ -5,11 +5,17 @@
 //       back at the end (chosen for linear PDEs),
 //   (b) transpose AoS -> SoA and back around *every* user-function call
 //       (rejected: effective only for expensive non-linear user functions).
-// This bench measures the boundary-transpose cost relative to one AoSoA
-// kernel invocation, and the total cost the rejected per-call scheme would
-// add (2 transposes x 3 dimensions x 2 user functions x N Taylor orders).
+// This bench measures the production boundary of (a) relative to one AoSoA
+// kernel invocation with the solver's request (qavg and the volume update
+// qnew, no favg): q in, qavg and qnew out, each at the kernel's ISA width.
+// It also measures the rejected per-call scheme (2 transposes x 3
+// dimensions x 2 user functions x N Taylor orders). Every host ISA gets its
+// own rows.
+//
+//   build/bench/bench_ablation_transpose [min_order] [max_order]
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_common.h"
 
@@ -27,80 +33,78 @@ double time_seconds(const std::function<void()>& fn, int reps) {
 
 }  // namespace
 
-int main() {
-  ReportTable table({"order", "aosoa_kernel_ms", "boundary_transpose_ms",
-                     "boundary_pct_of_kernel", "rejected_soa_uf_kernel_ms",
-                     "rejected_pct_of_aosoa"});
-  for (int order = kBenchMinOrder; order <= kBenchMaxOrder; ++order) {
-    const int m = CurvilinearElasticPde::kQuants;
-    AosLayout aos(order, m, Isa::kAvx512);
-    AosoaLayout aosoa(order, m, Isa::kAvx512);
-    AlignedVector q = benchmark_cell(aos, 0);
-    AlignedVector hybrid(aosoa.size()), back(aos.size());
+int main(int argc, char** argv) {
+  const int min_order = argc > 1 ? std::atoi(argv[1]) : kBenchMinOrder;
+  const int max_order = argc > 2 ? std::atoi(argv[2]) : kBenchMaxOrder;
+  const std::array<double, 3> inv_dx{8.0, 8.0, 8.0};
+  const double dt = 1e-3;
+  ReportTable table({"isa", "order", "aosoa_kernel_ms",
+                     "boundary_transpose_ms", "boundary_pct_of_kernel",
+                     "rejected_soa_uf_kernel_ms", "rejected_pct_of_aosoa"});
+  ReportTable native(
+      {"isa", "order", "wrapper_ms", "native_ms", "saving_pct"});
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    for (int order = min_order; order <= max_order; ++order) {
+      AosoaStp<CurvilinearElasticPde> kernel(CurvilinearElasticPde{}, order,
+                                             isa);
+      const AosLayout& aos = kernel.layout();
+      const AosoaLayout& aosoa = kernel.internal_layout();
+      AlignedVector q = benchmark_cell(aos, 0);
+      AlignedVector qavg(aos.size()), qnew(aos.size());
+      StpOutputs out;
+      out.qavg = qavg.data();
+      out.qnew = qnew.data();
+      AlignedVector q_a(aosoa.size()), qavg_a(aosoa.size()),
+          qnew_a(aosoa.size());
+      StpOutputs out_a;
+      out_a.qavg = qavg_a.data();
+      out_a.qnew = qnew_a.data();
+      aos_to_aosoa(isa, q.data(), aos, q_a.data(), aosoa);
 
-    Measurement kernel =
-        measure_stp(StpVariant::kAosoaSplitCk, order, Isa::kAvx512,
-                    /*min_seconds=*/0.05);
+      const int reps = order >= 9 ? 30 : 120;
+      // The wrapper: the kernel as the solver calls it.
+      const double wrapper = time_seconds(
+          [&] { kernel.compute(q.data(), dt, inv_dx, nullptr, out); }, reps);
+      // (a) the chosen scheme's boundary: one transpose in, two out.
+      const double boundary = time_seconds(
+          [&] {
+            aos_to_aosoa(isa, q.data(), aos, q_a.data(), aosoa);
+            aosoa_to_aos(isa, qavg_a.data(), aosoa, qavg.data(), aos);
+            aosoa_to_aos(isa, qnew_a.data(), aosoa, qnew.data(), aos);
+          },
+          reps * 10);
+      // (b) the rejected scheme, measured rather than estimated: SplitCK
+      // with AoS->SoA->AoS round trips around every user-function sweep.
+      Measurement rejected = measure_stp(StpVariant::kSoaUfSplitCk, order,
+                                         isa, /*min_seconds=*/0.05);
+      table.add_row(
+          {isa_name(isa), std::to_string(order),
+           ReportTable::num(wrapper * 1e3, 3),
+           ReportTable::num(boundary * 1e3, 4),
+           ReportTable::num(100.0 * boundary / wrapper, 1),
+           ReportTable::num(rejected.seconds_per_call * 1e3, 3),
+           ReportTable::num(100.0 * rejected.seconds_per_call / wrapper, 1)});
 
-    const int reps = order >= 9 ? 50 : 200;
-    // (a) chosen scheme: in-transpose + out-transposes (1x qavg + 3x favg).
-    const double boundary = time_seconds(
-        [&] {
-          aos_to_aosoa(q.data(), aos, hybrid.data(), aosoa);
-          for (int i = 0; i < 4; ++i)
-            aosoa_to_aos(hybrid.data(), aosoa, back.data(), aos);
-        },
-        reps);
-    // (b) rejected scheme, actually measured (not estimated): SplitCK with
-    // AoS->SoA->AoS round trips around every user-function sweep.
-    Measurement rejected = measure_stp(StpVariant::kSoaUfSplitCk, order,
-                                       Isa::kAvx512, /*min_seconds=*/0.05);
-    table.add_row(
-        {std::to_string(order),
-         ReportTable::num(kernel.seconds_per_call * 1e3, 3),
-         ReportTable::num(boundary * 1e3, 3),
-         ReportTable::num(100.0 * boundary / kernel.seconds_per_call, 1),
-         ReportTable::num(rejected.seconds_per_call * 1e3, 3),
-         ReportTable::num(
-             100.0 * rejected.seconds_per_call / kernel.seconds_per_call, 1)});
+      // Extension: the AoSoA-native entry point (whole engine in AoSoA —
+      // the paper's future-work variant) with the same request.
+      const double nat = time_seconds(
+          [&] {
+            kernel.compute_native(q_a.data(), dt, inv_dx, nullptr, out_a);
+          },
+          reps);
+      native.add_row({isa_name(isa), std::to_string(order),
+                      ReportTable::num(wrapper * 1e3, 3),
+                      ReportTable::num(nat * 1e3, 3),
+                      ReportTable::num(100.0 * (wrapper - nat) / wrapper, 1)});
+    }
   }
-  table.print("Sec. V ablation — boundary AoSoA transpose vs per-call "
-              "AoS<->SoA transpose");
+  table.print("Sec. V ablation — boundary AoSoA transposes (q in; qavg, qnew "
+              "out) vs per-call AoS<->SoA transposes");
   table.write_csv("bench_ablation_transpose.csv");
   std::printf("\nexpected: boundary transposes cost a few %% of the kernel; "
               "the rejected per-call scheme costs a large multiple of "
               "that\nwrote bench_ablation_transpose.csv\n");
-
-  // Extension measurement: the AoSoA-native entry point (whole engine in
-  // AoSoA — the paper's future-work variant) vs the transposing wrapper.
-  ReportTable native({"order", "wrapper_ms", "native_ms", "saving_pct"});
-  for (int order = kBenchMinOrder; order <= kBenchMaxOrder; ++order) {
-    AosoaStp<CurvilinearElasticPde> kernel(CurvilinearElasticPde{}, order,
-                                           Isa::kAvx512);
-    const AosLayout& aos = kernel.layout();
-    const AosoaLayout& aosoa = kernel.internal_layout();
-    AlignedVector q = benchmark_cell(aos, 0);
-    AlignedVector qavg(aos.size()), f0(aos.size()), f1(aos.size()),
-        f2(aos.size());
-    StpOutputs out{qavg.data(), {f0.data(), f1.data(), f2.data()}};
-    AlignedVector q_a(aosoa.size()), qavg_a(aosoa.size()), g0(aosoa.size()),
-        g1(aosoa.size()), g2(aosoa.size());
-    aos_to_aosoa(q.data(), aos, q_a.data(), aosoa);
-    const std::array<double, 3> inv_dx{8.0, 8.0, 8.0};
-    const int reps = order >= 9 ? 30 : 120;
-    const double wrapper = time_seconds(
-        [&] { kernel.compute(q.data(), 1e-3, inv_dx, nullptr, out); }, reps);
-    const double nat = time_seconds(
-        [&] {
-          kernel.compute_native(q_a.data(), 1e-3, inv_dx, nullptr,
-                                qavg_a.data(),
-                                {g0.data(), g1.data(), g2.data()});
-        },
-        reps);
-    native.add_row({std::to_string(order), ReportTable::num(wrapper * 1e3, 3),
-                    ReportTable::num(nat * 1e3, 3),
-                    ReportTable::num(100.0 * (wrapper - nat) / wrapper, 1)});
-  }
   native.print("extension — AoSoA-native engine mode vs transposing wrapper");
   native.write_csv("bench_ablation_transpose_native.csv");
   std::printf("\nwrote bench_ablation_transpose_native.csv\n");

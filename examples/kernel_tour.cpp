@@ -3,18 +3,21 @@
 // produce identical predictors, and prints each variant's footprint and
 // instruction mix — the paper's whole story in one terminal screen. The
 // kernels come from the string-keyed PDE registry, the same path the
-// Simulation façade uses. Every run also requests the half-window average.
+// Simulation façade uses. Every run requests every output: qavg, favg0..2,
+// the half-window average and the volume update qnew.
 //
 // Each row prints an FNV-1a digest of the bytes of qavg, favg0..2 and
-// qavg_half, padding included. Two builds of the same kernels must print
-// the same digests, so diffing the output of two builds checks that a
-// change kept the kernel bits.
+// qavg_half, and one of qnew, padding included. Two builds of the same
+// kernels must print the same digests, so diffing the output of two builds
+// checks that a change kept the kernel bits. The tour exits 1 unless every
+// qnew equals q + dt * favg0 + dt * favg1 + dt * favg2, bit for bit.
 //
 //   build/examples/kernel_tour [order]
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -74,29 +77,34 @@ int main(int argc, char** argv) {
   rows.push_back({StpVariant::kSplitCk, Precision::kF32});
   rows.push_back({StpVariant::kAosoaSplitCk, Precision::kF32});
 
-  ReportTable table(
-      {"variant", "precision", "workspace_KiB", "qavg[0]", "digest", "mix"});
+  ReportTable table({"variant", "precision", "workspace_KiB", "qavg[0]",
+                     "digest", "qnew", "mix"});
+  const double dt = 1e-3;
   double reference = 0.0;
   for (const Row& row : rows) {
     StpKernel kernel = factory->make_kernel(
         row.variant, order, isa, NodeFamily::kGaussLegendre, row.precision);
     const AosLayout& aos = kernel.layout();
     AlignedVector q(aos.size()), qavg(aos.size()), f0(aos.size()),
-        f1(aos.size()), f2(aos.size()), half(aos.size());
+        f1(aos.size()), f2(aos.size()), half(aos.size()), qnew(aos.size());
     pad_aos(state.data(), order, m, q.data(), aos);
     StpOutputs out{qavg.data(), {f0.data(), f1.data(), f2.data()},
-                   half.data()};
+                   half.data(), qnew.data()};
 
     FlopSection section;
-    kernel.run(q.data(), 1e-3, {4.0, 4.0, 4.0}, nullptr, out);
+    kernel.run(q.data(), dt, {4.0, 4.0, 4.0}, nullptr, out);
     InstrMix mix = instruction_mix(section.delta());
 
     std::uint64_t digest = 14695981039346656037ull;
     for (const AlignedVector* t : {&qavg, &f0, &f1, &f2, &half})
       digest = fnv1a(t->data(), t->size(), digest);
-    char digest_hex[17];
+    const std::uint64_t qnew_digest =
+        fnv1a(qnew.data(), qnew.size(), 14695981039346656037ull);
+    char digest_hex[17], qnew_hex[17];
     std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
                   static_cast<unsigned long long>(digest));
+    std::snprintf(qnew_hex, sizeof qnew_hex, "%016llx",
+                  static_cast<unsigned long long>(qnew_digest));
 
     const double probe = qavg[aos.idx(1, 1, 1, 2)];
     if (row.variant == StpVariant::kGeneric) reference = probe;
@@ -104,7 +112,20 @@ int main(int argc, char** argv) {
     const std::string precision = precision_name(row.precision);
     table.add_row({name, precision,
                    std::to_string(kernel.workspace_bytes() / 1024),
-                   ReportTable::num(probe, 12), digest_hex, format_mix(mix)});
+                   ReportTable::num(probe, 12), digest_hex, qnew_hex,
+                   format_mix(mix)});
+    // The solver's volume update, element by element in its order.
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      double v = q[i];
+      v += dt * f0[i];
+      v += dt * f1[i];
+      v += dt * f2[i];
+      if (std::memcmp(&v, &qnew[i], sizeof v) != 0) {
+        std::printf("QNEW MISMATCH for %s %s at element %zu\n", name.c_str(),
+                    precision.c_str(), i);
+        return 1;
+      }
+    }
     const double tolerance =
         row.precision == Precision::kF32 ? 1e-5 : 1e-9;
     if (std::abs(probe - reference) > tolerance * std::abs(reference)) {
@@ -114,6 +135,7 @@ int main(int argc, char** argv) {
     }
   }
   table.print("all kernel variants, one scheme");
-  std::printf("\nall variants agree to floating-point tolerance\n");
+  std::printf("\nall variants agree to floating-point tolerance; every qnew "
+              "is q + dt * sum favg, bit for bit\n");
   return 0;
 }

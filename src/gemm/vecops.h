@@ -38,7 +38,7 @@ void vec_zero(long n, float* y);
 void vec_copy(long n, const float* x, float* y);
 
 /// Precision boundary conversions of the fp32 path: widen at kernel exit
-/// (qavg/favg back to the engine's double buffers), narrow at kernel entry
+/// (the outputs back to the engine's double buffers), narrow at kernel entry
 /// (q into float scratch). Conversions are data movement, not FLOPs, and
 /// are not counted — mirroring how the trace model treats copies.
 void vec_widen(long n, const float* x, double* y);

@@ -21,9 +21,14 @@
 // (AVX-512 Xeon) it took 1-18% longer in fp64 at orders 6-11, though up to
 // 8% less in fp32. PDEs whose NCP is zero skip the stage and get no buffer.
 //
-// The rest of the engine speaks AoS, so inputs are transposed to AoSoA on
+// The rest of the engine speaks AoS, so the state is transposed to AoSoA on
 // entry and outputs back on exit, as the paper does ("the performance impact
 // of these transpositions is minimal compared to the cost of the kernel").
+// The kernel forms the volume update qnew itself, in AoSoA, so the outputs
+// the solver reads are qavg (plus qavg_half under LTS) and qnew: one
+// transpose in and two or three out, each an ISA-width register-block
+// transpose (tensor/transpose.h). A favg[d] leaves only when a caller
+// requests it.
 //
 // Shares the SplitCK extensions (see splitck_stp.h): fused cache-blocked
 // dimension sweeps (slab size from FusionTuneTable), PDE-declared zero-block
@@ -46,39 +51,43 @@
 namespace exastp {
 
 /// The AoS engine boundary of the AoSoA kernel: the state is transposed in
-/// on entry; the outputs are staged in double AoSoA tensors and transposed
-/// out on exit. The half-window average borrows the first favg tensor.
+/// on entry; qavg and qnew are staged in double AoSoA tensors and
+/// transposed out on exit, all at the kernel's ISA width. The half-window
+/// average borrows the qnew staging. favg is not staged: the driver
+/// transposes a requested favg[d] out of its recursion tensor.
 class AosoaBoundary {
  public:
-  AosoaBoundary(const AosLayout& aos, const AosoaLayout& aosoa)
-      : aos_(aos), aosoa_(aosoa) {
+  AosoaBoundary(const AosLayout& aos, const AosoaLayout& aosoa, Isa isa)
+      : aos_(aos), aosoa_(aosoa), isa_(isa) {
     q_.assign(aosoa.size(), 0.0);
     qavg_.assign(aosoa.size(), 0.0);
-    for (auto& f : favg_) f.assign(aosoa.size(), 0.0);
+    qnew_.assign(aosoa.size(), 0.0);
   }
 
   std::size_t workspace_bytes() const {
-    return 5 * aosoa_.size() * sizeof(double);
+    return 3 * aosoa_.size() * sizeof(double);
   }
 
   const double* enter(const double* q) {
-    aos_to_aosoa(q, aos_, q_.data(), aosoa_);
+    aos_to_aosoa(isa_, q, aos_, q_.data(), aosoa_);
     return q_.data();
   }
   StpOutputs stage(const StpOutputs& out) {
-    return {qavg_.data(),
-            {favg_[0].data(), favg_[1].data(), favg_[2].data()},
-            out.qavg_half != nullptr ? favg_[0].data() : nullptr};
+    StpOutputs staged;
+    staged.qavg = qavg_.data();
+    if (out.qavg_half != nullptr) staged.qavg_half = qnew_.data();
+    if (out.qnew != nullptr) staged.qnew = qnew_.data();
+    return staged;
   }
   void leave(const double* staged, double* out) const {
-    aosoa_to_aos(staged, aosoa_, out, aos_);
+    aosoa_to_aos(isa_, staged, aosoa_, out, aos_);
   }
 
  private:
   AosLayout aos_;
   AosoaLayout aosoa_;
-  AlignedVector q_, qavg_;
-  std::array<AlignedVector, 3> favg_;
+  Isa isa_;
+  AlignedVector q_, qavg_, qnew_;
 };
 
 template <class Pde, class Real = double>
@@ -93,7 +102,7 @@ class AosoaStpT {
         n_(order),
         aos_(order, kQuants, isa),
         aosoa_(order, kQuants, isa),
-        boundary_(aos_, aosoa_),
+        boundary_(aos_, aosoa_, isa),
         driver_(aosoa_, Pde::kVars, isa),
         block_(FusionTuneTable::instance().block_planes(
             Pde::kName, order, kQuants, isa, precision_of<Real>())) {
@@ -126,15 +135,15 @@ class AosoaStpT {
   /// Extension (paper Sec. V-B: the boundary transposes "could be avoided
   /// altogether by switching the whole engine to an AoSoA data layout"):
   /// runs the predictor directly on AoSoA buffers with no transposes.
-  /// All pointers use this kernel's internal_layout(); q_aosoa must have
-  /// zeroed padding lanes. For Real=float the AoSoA boundary stays double;
-  /// the driver narrows and widens as in compute().
+  /// q_aosoa and every output in out_aosoa use this kernel's
+  /// internal_layout(); q_aosoa must have zeroed padding lanes. For
+  /// Real=float the AoSoA boundary stays double; the driver narrows and
+  /// widens as in compute().
   void compute_native(const double* q_aosoa, double dt,
                       const std::array<double, 3>& inv_dx,
-                      const SourceTerm* source, double* qavg_aosoa,
-                      const std::array<double*, 3>& favg_aosoa) {
+                      const SourceTerm* source, const StpOutputs& out_aosoa) {
     driver_.run(*this, InPlaceBoundary{}, q_aosoa, dt, inv_dx, source,
-                StpOutputs{qavg_aosoa, favg_aosoa});
+                out_aosoa);
   }
 
  private:

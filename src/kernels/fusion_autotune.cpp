@@ -193,6 +193,12 @@ bool FusionTuneTable::load_file(const std::string& path) {
 }
 
 void FusionTuneTable::save_file(const std::string& path) const {
+  // Pool jobs that tune different keys save this one process-wide table.
+  // Holding the path's lock from the snapshot to the rename orders the
+  // saves, so the last rename carries every entry set before it: a job
+  // that serialized before another job's set() cannot rename after that
+  // job's save and drop its entry.
+  const std::lock_guard<std::mutex> lock(file_lock(path));
   write_file_atomically(path, serialize(), "autotune table");
 }
 

@@ -72,7 +72,9 @@ class FusionTuneTable {
 
   /// Best-effort persistence helpers. load_file returns false when the
   /// file does not exist; save_file replaces it atomically (a concurrent
-  /// load sees a whole table) and throws when the path is unwritable.
+  /// load sees a whole table) under the path's process-wide file_lock (so
+  /// concurrent saves of one table keep every entry) and throws when the
+  /// path is unwritable.
   bool load_file(const std::string& path);
   void save_file(const std::string& path) const;
 

@@ -118,24 +118,31 @@ void GenericStp::compute(const double* q, double dt,
   }
 
   // Time-averaged outputs: qavg = sum_o c[o] p[o], favg[d] = sum_o c[o]
-  // dF[o][d], with c[o] = dt^o/(o+1)!.
+  // dF[o][d], with c[o] = dt^o/(o+1)!. An favg[d] the caller does not read
+  // is summed into flux[0][d], which the recursion is done with.
   const auto coeff = time_average_coefficients(dt, n);
-  std::memset(out.qavg, 0, cell_ * sizeof(double));
+  std::array<double*, 3> favg;
   for (int d = 0; d < 3; ++d)
-    std::memset(out.favg[d], 0, cell_ * sizeof(double));
+    favg[d] = out.favg[d] != nullptr ? out.favg[d]
+                                     : flux_.data() + od_index(0, d);
+  std::memset(out.qavg, 0, cell_ * sizeof(double));
+  for (int d = 0; d < 3; ++d) std::memset(favg[d], 0, cell_ * sizeof(double));
   for (int o = 0; o < n; ++o) {
     const double c = coeff[o];
     const double* po = p_.data() + p_index(o);
     for (std::size_t i = 0; i < cell_; ++i) out.qavg[i] += c * po[i];
     for (int d = 0; d < 3; ++d) {
       const double* dfo = df_.data() + od_index(o, d);
-      double* fd = out.favg[d];
+      double* fd = favg[d];
       for (std::size_t i = 0; i < cell_; ++i) fd[i] += c * dfo[i];
     }
   }
   // Contiguous axpy sweeps: the one part of the generic kernel the baseline
   // compiler packs (128-bit), as in the paper's Fig. 9 "Generic" column.
   fc.add(WidthClass::k128, 8ull * n * cell_);
+  if (out.qnew != nullptr)
+    for (int d = 0; d < 3; ++d)
+      add_volume_update(cell_, dt, d == 0 ? q : out.qnew, favg[d], out.qnew);
 
   // The Taylor sum scaled the constant parameter rows; restore them so that
   // flux(qavg)/wave speeds of the averaged state stay well defined.

@@ -109,17 +109,27 @@ class LogStp {
       refresh_param_rows(aos_, Pde::kVars, q, pn);
     }
 
-    // Taylor accumulation of the time-averaged outputs.
+    // Taylor accumulation of the time-averaged outputs. An favg[d] the
+    // caller does not read is summed into flux[0][d], which the recursion
+    // is done with.
     const auto coeff = time_average_coefficients(dt, n);
+    std::array<double*, 3> favg;
+    for (int d = 0; d < 3; ++d)
+      favg[d] = out.favg[d] != nullptr ? out.favg[d]
+                                       : flux_.data() + od_index(0, d);
     vec_zero(static_cast<long>(cell_), out.qavg);
-    for (int d = 0; d < 3; ++d) vec_zero(static_cast<long>(cell_), out.favg[d]);
+    for (int d = 0; d < 3; ++d) vec_zero(static_cast<long>(cell_), favg[d]);
     for (int o = 0; o < n; ++o) {
       vec_axpy(isa_, static_cast<long>(cell_), coeff[o],
                p_.data() + p_index(o), out.qavg);
       for (int d = 0; d < 3; ++d)
         vec_axpy(isa_, static_cast<long>(cell_), coeff[o],
-                 df_.data() + od_index(o, d), out.favg[d]);
+                 df_.data() + od_index(o, d), favg[d]);
     }
+    if (out.qnew != nullptr)
+      for (int d = 0; d < 3; ++d)
+        add_volume_update(cell_, dt, d == 0 ? q : out.qnew, favg[d],
+                          out.qnew);
     refresh_param_rows(aos_, Pde::kVars, q, out.qavg);
 
     // Half-window average: the same p[o] with the dt/2 weights.

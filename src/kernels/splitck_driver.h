@@ -12,10 +12,14 @@
 //    iteration sums the three dimension sweeps and the point source into
 //    ptemp, folds it into qavg (and qavg_half) as soon as it exists, and
 //    restores the parameter rows the next sweep's user functions read;
-//  * favg[d] is recomputed from the averaged state after the loop, which is
-//    legal because the scheme is linear and qavg's parameter rows are
-//    exact. This is the paper's "almost one iteration" of extra work, which
-//    vanishes relative to the N-order loop at high order;
+//  * the favg stage: favg[d] is recomputed from the averaged state after
+//    the loop, which is legal because the scheme is linear and qavg's
+//    parameter rows are exact. This is the paper's "almost one iteration"
+//    of extra work, which vanishes relative to the N-order loop at high
+//    order. Each favg[d] is formed in p, which the loop has finished with,
+//    handed out only if requested, and added into qnew in the working
+//    layout; the request decides only where favg[d] goes. So favg need
+//    not leave the kernel at all: the solver asks for qnew only;
 //  * exit: widen once (Real=float) and transpose back.
 //
 // A variant reaches the driver as two compile-time policies:
@@ -26,13 +30,18 @@
 //   Boundary::enter(const double* q) -> const double*
 //       the state in the working layout;
 //   Boundary::stage(const StpOutputs& out) -> StpOutputs
-//       double working-layout targets for out's tensors;
-//   Boundary::leave(const double* target, double* out)
-//       one staged tensor back into the caller's layout.
+//       double working-layout targets for out's qavg, qavg_half and qnew;
+//       favg[d] is staged only by a boundary that works in place (it is
+//       the caller's buffer, and fp64 forms favg[d] there instead of in
+//       p), else nullptr;
+//   Boundary::leave(const double* working, double* out)
+//       one working-layout tensor back into the caller's layout.
 //
-// A staged half-window average may borrow the first favg target, and the
-// fp32 half-window accumulator borrows the first float favg tensor: the
-// driver hands the half window out before the favg stage writes either.
+// A staged half-window average may borrow the qnew target, and the fp32
+// half-window accumulator has its own float tensor: the driver hands the
+// half window out before the favg stage writes qnew. An fp32 kernel
+// widens a favg[d] handout into its staged target, or else into the qavg
+// target, which receives qavg only at exit.
 #pragma once
 
 #include <array>
@@ -65,14 +74,14 @@ class SplitCkDriver {
     if constexpr (kF32) {
       qr_.assign(cell_, Real(0));
       qavg_r_.assign(cell_, Real(0));
-      for (auto& f : favg_r_) f.assign(cell_, Real(0));
+      half_r_.assign(cell_, Real(0));
     }
   }
 
   /// Bytes of the recursion tensors and the fp32 staging.
   std::size_t workspace_bytes() const {
     return (p_.size() + ptemp_.size() + qr_.size() + qavg_r_.size() +
-            3 * favg_r_[0].size()) *
+            half_r_.size()) *
            sizeof(Real);
   }
 
@@ -81,29 +90,41 @@ class SplitCkDriver {
            const std::array<double, 3>& inv_dx, const SourceTerm* source,
            const StpOutputs& out) {
     const StpOutputs staged = boundary.stage(out);
-    const Real* qr = narrow(boundary.enter(q));
+    const double* qd = boundary.enter(q);
+    const Real* qr = narrow(qd);
     Real* qavg = working(staged.qavg, qavg_r_);
     Real* half = staged.qavg_half != nullptr
-                     ? working(staged.qavg_half, favg_r_[0])
+                     ? working(staged.qavg_half, half_r_)
                      : nullptr;
     taylor(sweep, qr, dt, inv_dx, source, qavg, half);
     if (half != nullptr) {
       widen(half, staged.qavg_half);
       boundary.leave(staged.qavg_half, out.qavg_half);
     }
-    // favg[d] = D_d F_d(qavg) + B_d(qavg) D_d qavg.
-    std::array<Real*, 3> favg;
+    // favg[d] = D_d F_d(qavg) + B_d(qavg) D_d qavg; qnew = q + dt favg[0]
+    // + dt favg[1] + dt favg[2], one dimension at a time.
     for (int d = 0; d < 3; ++d) {
-      favg[d] = working(staged.favg[d], favg_r_[d]);
-      vec_zero(static_cast<long>(cell_), favg[d]);
-      sweep.volume(d, Real(inv_dx[d]), qavg, favg[d]);
+      Real* f = staged.favg[d] != nullptr ? working(staged.favg[d], p_)
+                                          : p_.data();
+      vec_zero(static_cast<long>(cell_), f);
+      sweep.volume(d, Real(inv_dx[d]), qavg, f);
+      if (out.favg[d] != nullptr) {
+        if constexpr (kF32) {
+          double* target =
+              staged.favg[d] != nullptr ? staged.favg[d] : staged.qavg;
+          widen(f, target);
+          boundary.leave(target, out.favg[d]);
+        } else {
+          boundary.leave(f, out.favg[d]);
+        }
+      }
+      if (staged.qnew != nullptr)
+        add_volume_update(cell_, dt, d == 0 ? qd : staged.qnew, f,
+                          staged.qnew);
     }
     widen(qavg, staged.qavg);
     boundary.leave(staged.qavg, out.qavg);
-    for (int d = 0; d < 3; ++d) {
-      widen(favg[d], staged.favg[d]);
-      boundary.leave(staged.favg[d], out.favg[d]);
-    }
+    if (staged.qnew != nullptr) boundary.leave(staged.qnew, out.qnew);
   }
 
  private:
@@ -170,9 +191,8 @@ class SplitCkDriver {
   Isa isa_;
   std::size_t cell_;
   AlignedVectorT<Real> p_, ptemp_;
-  // fp32 only: the narrowed state and the float outputs.
-  AlignedVectorT<Real> qr_, qavg_r_;
-  std::array<AlignedVectorT<Real>, 3> favg_r_;
+  // fp32 only: the narrowed state and the float averages.
+  AlignedVectorT<Real> qr_, qavg_r_, half_r_;
 };
 
 }  // namespace exastp

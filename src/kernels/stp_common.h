@@ -9,30 +9,39 @@
 //   outputs  qavg     — time-AVERAGED state (1/dt) * integral of q over
 //                       [t_n, t_n+dt]; constant parameter rows pass through
 //                       unchanged so flux/ncp of qavg stay well defined
-//            favg[d]  — time-averaged volume fluctuation per dimension:
-//                       (1/dt) * integral of (d/dx_d F_d(q) + B_d dq/dx_d)
-//            qavg_half — optional (nullptr = not requested): the time
-//                       average over the first half window [t_n,
-//                       t_n + dt/2]. The Cauchy-Kowalewsky time derivatives
-//                       do not depend on dt, so the kernel folds the same
-//                       derivative tensors into a second accumulator with
-//                       the weights time_average_coefficients(dt/2, n),
-//                       in the same pass. The result is bit-identical to
-//                       the qavg of a separate run at dt/2 (same vecop
-//                       sequence, storage precision, parameter-row refresh
-//                       and exit widen/transpose), requesting it leaves
-//                       qavg and favg bit-identical, and it needs no
-//                       workspace beyond workspace_bytes(): kernels whose
-//                       accumulator must live in their own layout or
-//                       precision borrow a favg tensor, which is written
-//                       only after the time loop.
+//            qnew     — optional (nullptr = not requested): the volume part
+//                       of the cell update, q + dt * favg[0] + dt * favg[1]
+//                       + dt * favg[2], each element summed left to right
+//                       in double with every product rounded before its
+//                       add (add_volume_update). This is what the solver
+//                       reads, so favg need not leave the kernel
+//            favg[d]  — optional per dimension: the time-averaged volume
+//                       fluctuation (1/dt) * integral of (d/dx_d F_d(q) +
+//                       B_d dq/dx_d). Every kernel forms all three for
+//                       qnew; a request only hands one out, so requesting
+//                       any of favg and qnew leaves the others' bits alone
+//            qavg_half — optional: the time average over the first half
+//                       window [t_n, t_n + dt/2]. The Cauchy-Kowalewsky time
+//                       derivatives do not depend on dt, so the kernel folds
+//                       the same derivative tensors into a second
+//                       accumulator with the weights
+//                       time_average_coefficients(dt/2, n), in the same
+//                       pass. The result is bit-identical to the qavg of a
+//                       separate run at dt/2 (same vecop sequence, storage
+//                       precision, parameter-row refresh and exit
+//                       widen/transpose), requesting it leaves the other
+//                       outputs bit-identical, and it needs no workspace
+//                       beyond workspace_bytes(): the AoSoA kernel stages
+//                       it in its qnew staging, which is written only after
+//                       the time loop, and the fp32 kernels accumulate it in
+//                       a float tensor of their own.
 //   Every output the caller passes is overwritten in full, padding
 //   included, so callers need not clear the buffers between calls.
 //
-// The corrector then computes q^{n+1} = q + dt * sum_d favg[d] + surface
-// terms built from qavg's face traces (see face.h and
-// solver/ader_dg_solver.cpp). All buffers use the layout returned by
-// StpKernel::layout; padding lanes are kept at exactly zero.
+// The corrector then adds the surface terms built from qavg's face traces
+// to qnew (see face.h and solver/ader_dg_solver.cpp). All buffers use the
+// layout returned by StpKernel::layout; padding lanes are kept at exactly
+// zero.
 #pragma once
 
 #include <array>
@@ -63,8 +72,8 @@ enum class StpVariant {
 std::string variant_name(StpVariant v);
 
 /// Storage precision of a kernel's internal DOF/flux/update tensors. The
-/// engine-facing buffers (q/qavg/favg) are always double; an fp32 kernel
-/// converts once at entry and once at exit, and everything the *solver*
+/// engine-facing buffers (q and every output) are always double; an fp32
+/// kernel converts once at entry and once at exit, and everything the *solver*
 /// reduces over those outputs (stable_dt, norms, energy) accumulates in
 /// fp64 regardless — the "fp32 storage / fp64 accumulation" scheme the
 /// memory-bound sweeps want (halved DOF bytes, near-2x bandwidth win).
@@ -149,12 +158,31 @@ inline void add_source_derivative(const Layout& layout,
   FlopCounter::instance().add(WidthClass::kScalar, 2ull * n * n * n);
 }
 
+/// One dimension's share of the volume update (see qnew in the contract
+/// above): qnew[i] = base[i] + dt * f[i], with base = q for favg[0] and
+/// base = qnew for favg[1] and favg[2], so each element is summed in the
+/// contract's order. f may be a float tensor; it is widened exactly. The
+/// kernel templates instantiate this in the baseline translation units,
+/// which have no FMA to contract the product into, and it books 2 FLOPs
+/// per element at the 128-bit width those units pack.
+template <class Real>
+inline void add_volume_update(std::size_t n, double dt, const double* base,
+                              const Real* f, double* qnew) {
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i)
+    qnew[i] = base[i] + dt * static_cast<double>(f[i]);
+  FlopCounter::instance().add(WidthClass::k128, 2ull * n);
+}
+
 /// The kernel outputs (see the contract at the top of this file).
 struct StpOutputs {
   double* qavg = nullptr;
+  /// Optional per dimension; nullptr skips it.
   std::array<double*, 3> favg{};
   /// Optional half-window average [t_n, t_n + dt/2]; nullptr skips it.
   double* qavg_half = nullptr;
+  /// Optional volume update q + dt * sum_d favg[d]; nullptr skips it.
+  double* qnew = nullptr;
 };
 
 /// Type-erased handle to a configured kernel instance. Create through
@@ -181,9 +209,9 @@ class StpKernel {
   /// Storage precision of the kernel's internal tensors; the run()
   /// boundary is always double.
   Precision precision() const { return precision_; }
-  /// Engine-facing AoS layout of q/qavg/favg buffers. The generic variant
-  /// uses the unpadded layout (m_pad == m), the optimized ones pad to the
-  /// ISA width.
+  /// Engine-facing AoS layout of the q and output buffers. The generic
+  /// variant uses the unpadded layout (m_pad == m), the optimized ones pad
+  /// to the ISA width.
   const AosLayout& layout() const { return layout_; }
   /// ISA the kernel's code paths dispatch to; the solver runs its face
   /// traces at the same width. The generic variant is scalar (kScalar).

@@ -170,16 +170,25 @@ void trace_vecop(CacheSim& sim, Isa isa, std::uint64_t src, std::uint64_t dst,
     count_packed_flops(isa, static_cast<long>(elems), flops_per_elem);
 }
 
+/// The kernel's volume update of one dimension (add_volume_update in
+/// kernels/stp_common.h): qnew = base + dt * f, booked at 128 bits.
+void trace_update(CacheSim& sim, std::uint64_t base, std::uint64_t f,
+                  std::uint64_t qnew, std::size_t elems) {
+  sim.access(base, elems * kWord);
+  sim.access(f, elems * kWord);
+  sim.access(qnew, elems * kWord);
+  FlopCounter::instance().add(WidthClass::k128, 2ull * elems);
+}
+
 /// Per-cell corrector pattern (mirrors solver/ader_dg_solver.cpp and
-/// kernels/face_impl.h): the volume update, one pass over qavg that fills
-/// the cell's six face traces, six Rusanov solves from the own and the
-/// neighbour traces (two normal fluxes each), and one lift pass adding the
-/// six jumps into qnew. The face work books at the dispatched width.
+/// kernels/face_impl.h) after a predictor that wrote qavg and the volume
+/// update qnew: one pass over qavg that fills the cell's six face traces,
+/// six Rusanov solves from the own and the neighbour traces (two normal
+/// fluxes each), and one lift pass adding the six jumps into qnew. The
+/// face work books at the dispatched width.
 void trace_corrector_cell(CacheSim& sim, int n, int mp, Isa isa,
-                          const TwinPde& pde, std::uint64_t q,
-                          std::uint64_t qavg,
-                          const std::array<std::uint64_t, 3>& favg,
-                          VirtualArena& arena) {
+                          const TwinPde& pde, std::uint64_t qavg,
+                          std::uint64_t qnew, VirtualArena& arena) {
   const std::size_t cell = static_cast<std::size_t>(n) * n * n * mp;
   const std::size_t cell_bytes = cell * kWord;
   const std::size_t face = static_cast<std::size_t>(n) * n * mp;
@@ -188,16 +197,9 @@ void trace_corrector_cell(CacheSim& sim, int n, int mp, Isa isa,
   FlopCounter& fc = FlopCounter::instance();
   const WidthClass packed = packed_width_class(isa);
 
-  const std::uint64_t qnew = arena.alloc(cell);
   const std::uint64_t traces = arena.alloc(6 * face);
   const std::uint64_t nb_traces = arena.alloc(6 * face);
   const std::uint64_t jump = arena.alloc(6 * face);
-
-  // Volume update qnew = q + dt * sum_d favg[d].
-  sim.access(q, cell_bytes);
-  sim.access(qnew, cell_bytes);
-  for (std::uint64_t f : favg) sim.access(f, cell_bytes);
-  fc.add(WidthClass::k128, 6ull * cell);
 
   // Projection: every element of qavg feeds all six traces.
   sim.access(qavg, cell_bytes);
@@ -310,18 +312,28 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
       for (int d = 0; d < 3; ++d) sim.access(od_at(df, o, d), cell_bytes);
       FlopCounter::instance().add(WidthClass::k128, 3 * cell);
     }
-    // Taylor accumulation.
+    // Taylor accumulation. The solver's request (corrector) reads qnew
+    // only, so the favg sums go to the finished flux[0][d].
+    const std::array<std::uint64_t, 3> fsum =
+        corrector ? std::array<std::uint64_t, 3>{od_at(flux, 0, 0),
+                                                 od_at(flux, 0, 1),
+                                                 od_at(flux, 0, 2)}
+                  : favg;
     sim.access(qavg, cell_bytes);
-    for (auto f : favg) sim.access(f, cell_bytes);
+    for (auto f : fsum) sim.access(f, cell_bytes);
     for (int o = 0; o < n; ++o) {
       sim.access(p_at(o), cell_bytes);
       sim.access(qavg, cell_bytes);
       for (int d = 0; d < 3; ++d) {
         sim.access(od_at(df, o, d), cell_bytes);
-        sim.access(favg[d], cell_bytes);
+        sim.access(fsum[d], cell_bytes);
       }
     }
     FlopCounter::instance().add(WidthClass::k128, 8ull * n * cell);
+    const std::uint64_t qnew = corrector ? arena.alloc(cell) : 0;
+    if (corrector)
+      for (int d = 0; d < 3; ++d)
+        trace_update(sim, d == 0 ? q : qnew, fsum[d], qnew, cell);
     if (half) {
       sim.access(qavg_half, cell_bytes);
       for (int o = 0; o < n; ++o) {
@@ -331,8 +343,7 @@ TwinResult trace_generic(int order, const TwinPde& pde, CacheSim& sim,
       FlopCounter::instance().add(WidthClass::k128, 2ull * n * cell);
     }
     if (corrector)
-      trace_corrector_cell(sim, n, m, Isa::kScalar, pde, q, qavg, favg,
-                           arena);
+      trace_corrector_cell(sim, n, m, Isa::kScalar, pde, qavg, qnew, arena);
   });
 }
 
@@ -388,13 +399,24 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
         trace_vecop(sim, isa, od_at(df, o, d), p_at(o + 1), cell, 1);
       sim.access(q, cell_bytes);  // parameter-row refresh reads q
     }
+    // The solver's request (corrector) reads qnew only, so the favg sums
+    // go to the finished flux[0][d].
+    const std::array<std::uint64_t, 3> fsum =
+        corrector ? std::array<std::uint64_t, 3>{od_at(flux, 0, 0),
+                                                 od_at(flux, 0, 1),
+                                                 od_at(flux, 0, 2)}
+                  : favg;
     sim.access(qavg, cell_bytes);
-    for (auto f : favg) sim.access(f, cell_bytes);
+    for (auto f : fsum) sim.access(f, cell_bytes);
     for (int o = 0; o < n; ++o) {
       trace_vecop(sim, isa, p_at(o), qavg, cell, 2);
       for (int d = 0; d < 3; ++d)
-        trace_vecop(sim, isa, od_at(df, o, d), favg[d], cell, 2);
+        trace_vecop(sim, isa, od_at(df, o, d), fsum[d], cell, 2);
     }
+    const std::uint64_t qnew = corrector ? arena.alloc(cell) : 0;
+    if (corrector)
+      for (int d = 0; d < 3; ++d)
+        trace_update(sim, d == 0 ? q : qnew, fsum[d], qnew, cell);
     sim.access(q, cell_bytes);
     if (half) {
       sim.access(qavg_half, cell_bytes);
@@ -403,7 +425,7 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
       sim.access(q, cell_bytes);
     }
     if (corrector)
-      trace_corrector_cell(sim, n, mp, isa, pde, q, qavg, favg, arena);
+      trace_corrector_cell(sim, n, mp, isa, pde, qavg, qnew, arena);
   });
 }
 
@@ -413,19 +435,21 @@ TwinResult trace_log(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
 
 /// A SplitCK-family twin's tensors: the working-layout ones the driver
 /// computes in, and the caller-layout outputs they leave through (the same
-/// addresses when the kernel works in place).
+/// addresses when the kernel works in place). 0 marks an output the call
+/// does not request, and a favg[d] with no working target is formed in p.
 struct SplitTwinTensors {
   std::size_t cell = 0;  ///< elements of one working-layout tensor
-  std::uint64_t p = 0, ptemp = 0, qavg = 0, qavg_half = 0;
+  std::uint64_t p = 0, ptemp = 0, qavg = 0, qavg_half = 0, qnew = 0;
   std::array<std::uint64_t, 3> favg{};
-  std::uint64_t qavg_out = 0, qavg_half_out = 0;
+  std::uint64_t qavg_out = 0, qavg_half_out = 0, qnew_out = 0;
   std::array<std::uint64_t, 3> favg_out{};
 };
 
 /// Replays one SplitCkDriver::run from the working-layout state `q`: the
 /// Taylor loop with its parameter-row refreshes, the averaged states'
-/// refreshes, and the favg recomputation. `volume(d, src, dst)` replays the
-/// variant's sweep, `leave(staged, out)` its exit transpose of one output.
+/// refreshes, and the favg stage, which hands out the requested favg[d]
+/// and adds each into qnew. `volume(d, src, dst)` replays the variant's
+/// sweep, `leave(working, out)` its exit transpose of one tensor.
 template <class Volume, class Leave>
 void replay_split_ck(CacheSim& sim, Isa isa, int n, std::uint64_t q,
                      SplitTwinTensors& t, bool half, Volume&& volume,
@@ -450,12 +474,15 @@ void replay_split_ck(CacheSim& sim, Isa isa, int n, std::uint64_t q,
     sim.access(t.qavg_half, cell_bytes);
     leave(t.qavg_half, t.qavg_half_out);
   }
-  leave(t.qavg, t.qavg_out);
   for (int d = 0; d < 3; ++d) {
-    sim.access(t.favg[d], cell_bytes);  // zero
-    volume(d, t.qavg, t.favg[d]);
-    leave(t.favg[d], t.favg_out[d]);
+    const std::uint64_t f = t.favg[d] != 0 ? t.favg[d] : t.p;
+    sim.access(f, cell_bytes);  // zero
+    volume(d, t.qavg, f);
+    if (t.favg_out[d] != 0) leave(f, t.favg_out[d]);
+    if (t.qnew != 0) trace_update(sim, d == 0 ? q : t.qnew, f, t.qnew, t.cell);
   }
+  leave(t.qavg, t.qavg_out);
+  if (t.qnew != 0) leave(t.qnew, t.qnew_out);
 }
 
 TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
@@ -477,8 +504,11 @@ TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
   const std::size_t workspace = arena.bytes();
   const std::uint64_t diff = arena.alloc(static_cast<std::size_t>(n) * n);
   t.qavg = t.qavg_out = arena.alloc(cell);
-  for (std::uint64_t& f : t.favg) f = arena.alloc(cell);
-  t.favg_out = t.favg;
+  std::array<std::uint64_t, 3> favg;
+  for (std::uint64_t& f : favg) f = arena.alloc(cell);
+  // The solver's request (corrector) is qnew only; a kernel probe asks for
+  // favg, which the in-place kernel forms straight in the caller's buffers.
+  if (!corrector) t.favg = t.favg_out = favg;
   t.qavg_half = t.qavg_half_out = half ? arena.alloc(cell) : 0;
 
   // Mirrors SplitCkStpT::volume: the flux stage runs only over
@@ -500,10 +530,11 @@ TwinResult trace_splitck(int order, const TwinPde& pde, Isa isa,
 
   return replay_reps(sim, workspace, warmup, reps, [&] {
     const std::uint64_t q = arena.alloc(cell);
+    if (corrector) t.qnew = t.qnew_out = arena.alloc(cell);
     replay_split_ck(sim, isa, n, q, t, half, volume,
                     [](std::uint64_t, std::uint64_t) {});
     if (corrector)
-      trace_corrector_cell(sim, n, mp, isa, pde, q, t.qavg, t.favg, arena);
+      trace_corrector_cell(sim, n, mp, isa, pde, t.qavg, t.qnew, arena);
   });
 }
 
@@ -527,18 +558,22 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
   const std::uint64_t flux = arena.alloc(cell);
   const std::uint64_t gradq = arena.alloc(cell);
   t.qavg = arena.alloc(cell);
-  for (std::uint64_t& f : t.favg) f = arena.alloc(cell);
+  const std::uint64_t qnew_staging = arena.alloc(cell);
   const std::uint64_t line_buf = pde.ncp_zero ? 0 : arena.alloc(line);
   const std::size_t workspace = arena.bytes();
   const std::uint64_t diff = arena.alloc(static_cast<std::size_t>(n) * n);
   const std::uint64_t diff_t =
       arena.alloc(static_cast<std::size_t>(n) * np);
   t.qavg_out = arena.alloc(aos_cell);
-  for (std::uint64_t& f : t.favg_out) f = arena.alloc(aos_cell);
+  // The solver's request (corrector) is qnew only; a kernel probe asks for
+  // favg, which leaves out of p. The half-window accumulator borrows the
+  // qnew staging (written only in the favg stage), exactly like
+  // AosoaBoundary.
+  std::array<std::uint64_t, 3> favg_out;
+  for (std::uint64_t& f : favg_out) f = arena.alloc(aos_cell);
+  if (!corrector) t.favg_out = favg_out;
   t.qavg_half_out = half ? arena.alloc(aos_cell) : 0;
-  // The half-window accumulator borrows favg[0] (written only after the
-  // time loop), exactly like AosoaBoundary.
-  t.qavg_half = t.favg[0];
+  t.qavg_half = qnew_staging;
 
   // Mirrors AosoaStpT::volume (same gating as the SplitCK twin: flux stage
   // under cover > 0, gradient/NCP stage under !ncp_zero). The flux stage's
@@ -577,10 +612,14 @@ TwinResult trace_aosoa(int order, const TwinPde& pde, Isa isa, CacheSim& sim,
 
   return replay_reps(sim, workspace, warmup, reps, [&] {
     const std::uint64_t q = arena.alloc(aos_cell);
+    if (corrector) {
+      t.qnew = qnew_staging;
+      t.qnew_out = arena.alloc(aos_cell);
+    }
     trace_vecop(sim, Isa::kScalar, q, q_a, aos_cell, 0);
     replay_split_ck(sim, isa, n, q_a, t, half, volume, transpose);
     if (corrector)
-      trace_corrector_cell(sim, n, mp, isa, pde, q, t.qavg_out, t.favg_out,
+      trace_corrector_cell(sim, n, mp, isa, pde, t.qavg_out, t.qnew_out,
                            arena);
   });
 }

@@ -61,20 +61,23 @@ struct TwinResult {
 /// reusing the same workspace — the mesh-traversal pattern) and returns the
 /// cache statistics and FLOP counts of the measured repetitions.
 ///
-/// With `include_corrector` each repetition is a full ADER-DG step: after
-/// the predictor, the per-cell corrector pattern (volume update, the
-/// one-pass projection onto six face traces, six Riemann solves from
-/// traces, the one-pass surface lift) is replayed too, booking the face
-/// work at the kernel's dispatched width like the solver does. The paper's
-/// benchmarks measure the end-to-end application (Sec. VI), where the
-/// corrector's memory-heavy O(N^2..N^3) share shrinks relative to the
-/// O(N^4) predictor as the order grows.
+/// Without `include_corrector` each predictor replays a kernel probe's
+/// request: qavg and the three favg[d] leave the kernel. With it each
+/// repetition is a full ADER-DG step and replays the solver's request:
+/// the predictor forms the volume update qnew = q + dt * sum_d favg[d]
+/// itself and no favg leaves (stp_common.h); then the per-cell corrector
+/// pattern (the one-pass projection onto six face traces, six Riemann
+/// solves from traces, the one-pass surface lift into qnew) is replayed
+/// too, booking the face work at the kernel's dispatched width like the
+/// solver does. The paper's benchmarks measure the end-to-end application
+/// (Sec. VI), where the corrector's memory-heavy O(N^2..N^3) share shrinks
+/// relative to the O(N^4) predictor as the order grows.
 ///
 /// With `half_window` each predictor also emits the half-window average
 /// (StpOutputs::qavg_half, the clustered-LTS coarse-cell request): the
 /// twin replays the second accumulator's vecops, its parameter-row
-/// refresh and, for AoSoA, the transpose out of the borrowed favg tensor.
-/// The workspace is the same either way.
+/// refresh and, for AoSoA, the transpose out of the borrowed qnew
+/// staging. The workspace is the same either way.
 TwinResult trace_stp(StpVariant variant, int order, const TwinPde& pde,
                      Isa isa, CacheSim& sim, int warmup = 1, int reps = 1,
                      bool include_corrector = false,

@@ -65,9 +65,7 @@ void AderDgSolver::rebuild_scratch() {
     ts.kernel = tid == 0 ? kernel_ : kernel_.fork();
     ts.qavg.assign(cell_size_, 0.0);
     if (num_clusters_ > 1) ts.qavg_half.assign(cell_size_, 0.0);
-    ts.work.assign(std::max(favg_offset(3), nb_traces_offset() +
-                                                6 * trace_layout_.size()),
-                   0.0);
+    ts.work.assign(nb_traces_offset() + 6 * trace_layout_.size(), 0.0);
     scratch_.push_back(std::move(ts));
   }
 }
@@ -160,30 +158,15 @@ void AderDgSolver::predict_cell(
   // [t, t + dt/2], which the kernel folds out of the same Taylor expansion.
   const bool half =
       lts_enabled_ && needs_half_[static_cast<std::size_t>(c)] != 0;
-  // Every kernel output is consumed inside this call — favg by the volume
-  // update, the averages by the face projection — so one set of per-thread
-  // temporaries suffices; the kernel overwrites them in full
-  // (stp_common.h).
-  double* work = ts.work.data();
-  StpOutputs out{ts.qavg.data(),
-                 {work + favg_offset(0), work + favg_offset(1),
-                  work + favg_offset(2)},
-                 half ? ts.qavg_half.data() : nullptr};
+  // The kernel writes the volume update q + dt * sum_d favg[d] straight
+  // into qnew_c; the averages are consumed by the face projection below,
+  // so one pair of per-thread temporaries suffices (the kernel overwrites
+  // every output in full, stp_common.h).
+  StpOutputs out;
+  out.qavg = ts.qavg.data();
+  out.qavg_half = half ? ts.qavg_half.data() : nullptr;
+  out.qnew = qnew_c;
   ts.kernel.run(qc, dt, inv_dx, src_ptr, out);
-
-  // qnew = q + dt * favg0 + dt * favg1 + dt * favg2 in one sweep, each
-  // element summed left to right in that order.
-  const double* f0 = out.favg[0];
-  const double* f1 = out.favg[1];
-  const double* f2 = out.favg[2];
-  for (std::size_t i = 0; i < cell_size_; ++i) {
-    double v = qc[i];
-    v += dt * f0[i];
-    v += dt * f1[i];
-    v += dt * f2[i];
-    qnew_c[i] = v;
-  }
-  FlopCounter::instance().add(WidthClass::k128, 6ull * cell_size_);
 
   if (src_ptr != nullptr) {
     // Direct time integral of the source: qnew += psi * int s dt.

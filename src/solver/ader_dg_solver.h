@@ -1,12 +1,13 @@
 // ADER-DG predictor-corrector time stepping (paper Sec. II, eq. (5)).
 //
 // One time step = one amortized mesh traversal:
-//   1. per cell: STP kernel -> time-averaged state qavg and volume
-//      fluctuations favg[d] (per-thread scratch); volume update qnew = q +
-//      dt sum_d favg[d] (+ the direct time-integral of any point source);
-//      then qavg is projected onto the cell's six faces while it is still
-//      in cache (kernels/face.h). The face traces are all that outlives
-//      the predictor;
+//   1. per cell: STP kernel -> time-averaged state qavg (per-thread
+//      scratch) and the volume update qnew = q + dt sum_d favg[d], which
+//      the kernel forms in its own layout so the volume fluctuations favg
+//      never leave it; the solver adds the direct time-integral of any
+//      point source to qnew, then projects qavg onto the cell's six faces
+//      while it is still in cache (kernels/face.h). The face traces are
+//      all that outlives the predictor;
 //   2. per cell: one surface update solves the cell's six Rusanov problems
 //      from its own traces and one trace per neighbour (a ghost trace on
 //      wall/outflow faces) and lifts them into qnew in one pass, at the
@@ -151,16 +152,13 @@ class AderDgSolver final : public SolverBase {
     StpKernel kernel;
     AlignedVector qavg;       // kernel output, projected onto the faces
     AlignedVector qavg_half;  // half-window average (LTS, K > 1)
-    /// Phase-shared arena: the kernel's three favg outputs in the
-    /// predictor, the six face jumps and the derived cross-cluster
-    /// neighbour traces in the corrector (a thread never runs both at once).
+    /// Corrector arena: the six face jumps and the derived cross-cluster
+    /// neighbour traces.
     AlignedVector work;
     char nonfinite = 0;  // the final (sub)step wrote a non-finite value
   };
-  /// Offsets into ThreadScratch::work, in doubles rounded up to 64 bytes.
-  std::size_t favg_offset(int d) const {
-    return static_cast<std::size_t>(d) * ((cell_size_ + 7) / 8 * 8);
-  }
+  /// Offset of the neighbour traces in ThreadScratch::work, after the six
+  /// jumps, in doubles rounded up to 64 bytes.
   std::size_t nb_traces_offset() const {
     return (6 * trace_layout_.size() + 7) / 8 * 8;
   }

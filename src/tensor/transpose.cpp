@@ -3,31 +3,59 @@
 #include <cstring>
 
 #include "exastp/common/check.h"
+#include "exastp/tensor/transpose_impl.h"
 
 namespace exastp {
 
-void aos_to_aosoa(const double* src, const AosLayout& aos, double* dst,
-                  const AosoaLayout& aosoa) {
+namespace {
+
+void check_transpose_shapes(Isa isa, const AosLayout& aos,
+                            const AosoaLayout& aosoa) {
   EXASTP_CHECK(aos.n == aosoa.n && aos.m == aosoa.m);
-  const int n = aos.n, m = aos.m;
-  std::memset(dst, 0, aosoa.size() * sizeof(double));
-  for (int k3 = 0; k3 < n; ++k3)
-    for (int k2 = 0; k2 < n; ++k2)
-      for (int k1 = 0; k1 < n; ++k1)
-        for (int s = 0; s < m; ++s)
-          dst[aosoa.idx(k3, k2, s, k1)] = src[aos.idx(k3, k2, k1, s)];
+  const int w = vector_width(isa);
+  EXASTP_CHECK_MSG(aos.m_pad % w == 0 && aosoa.n_pad % w == 0,
+                   "transpose layouts are padded narrower than " +
+                       isa_name(isa));
 }
 
-void aosoa_to_aos(const double* src, const AosoaLayout& aosoa, double* dst,
-                  const AosLayout& aos) {
-  EXASTP_CHECK(aos.n == aosoa.n && aos.m == aosoa.m);
+}  // namespace
+
+void aos_to_aosoa(Isa isa, const double* src, const AosLayout& aos,
+                  double* dst, const AosoaLayout& aosoa) {
+  check_transpose_shapes(isa, aos, aosoa);
+  switch (isa) {
+    case Isa::kAvx2: detail::aos_to_aosoa_avx2(src, aos, dst, aosoa); return;
+    case Isa::kAvx512:
+      detail::aos_to_aosoa_avx512(src, aos, dst, aosoa);
+      return;
+    case Isa::kScalar: break;
+  }
   const int n = aos.n, m = aos.m;
-  std::memset(dst, 0, aos.size() * sizeof(double));
+  for (int k3 = 0; k3 < n; ++k3)
+    for (int k2 = 0; k2 < n; ++k2)
+      for (int s = 0; s < m; ++s)
+        for (int k1 = 0; k1 < aosoa.n_pad; ++k1)
+          dst[aosoa.idx(k3, k2, s, k1)] =
+              k1 < n ? src[aos.idx(k3, k2, k1, s)] : 0.0;
+}
+
+void aosoa_to_aos(Isa isa, const double* src, const AosoaLayout& aosoa,
+                  double* dst, const AosLayout& aos) {
+  check_transpose_shapes(isa, aos, aosoa);
+  switch (isa) {
+    case Isa::kAvx2: detail::aosoa_to_aos_avx2(src, aosoa, dst, aos); return;
+    case Isa::kAvx512:
+      detail::aosoa_to_aos_avx512(src, aosoa, dst, aos);
+      return;
+    case Isa::kScalar: break;
+  }
+  const int n = aos.n, m = aos.m;
   for (int k3 = 0; k3 < n; ++k3)
     for (int k2 = 0; k2 < n; ++k2)
       for (int k1 = 0; k1 < n; ++k1)
-        for (int s = 0; s < m; ++s)
-          dst[aos.idx(k3, k2, k1, s)] = src[aosoa.idx(k3, k2, s, k1)];
+        for (int s = 0; s < aos.m_pad; ++s)
+          dst[aos.idx(k3, k2, k1, s)] =
+              s < m ? src[aosoa.idx(k3, k2, s, k1)] : 0.0;
 }
 
 void aos_to_soa(const double* src, const AosLayout& aos, double* dst,

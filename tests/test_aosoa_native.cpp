@@ -59,18 +59,19 @@ void check_native_matches_wrapper(int order) {
   // Native path (AoSoA in/out), transposed manually for comparison.
   AlignedVector q_a(aosoa.size()), qavg_a(aosoa.size()),
       g0(aosoa.size()), g1(aosoa.size()), g2(aosoa.size());
-  aos_to_aosoa(q.data(), aos, q_a.data(), aosoa);
-  kernel.compute_native(q_a.data(), dt, inv_dx, nullptr, qavg_a.data(),
-                        {g0.data(), g1.data(), g2.data()});
+  aos_to_aosoa(isa, q.data(), aos, q_a.data(), aosoa);
+  kernel.compute_native(
+      q_a.data(), dt, inv_dx, nullptr,
+      StpOutputs{qavg_a.data(), {g0.data(), g1.data(), g2.data()}});
 
   AlignedVector check(aos.size());
-  aosoa_to_aos(qavg_a.data(), aosoa, check.data(), aos);
+  aosoa_to_aos(isa, qavg_a.data(), aosoa, check.data(), aos);
   for (std::size_t i = 0; i < aos.size(); ++i)
     ASSERT_EQ(check[i], qavg[i]) << "qavg differs at " << i;
   const AlignedVector* favg_a[3] = {&g0, &g1, &g2};
   const AlignedVector* favg[3] = {&f0, &f1, &f2};
   for (int d = 0; d < 3; ++d) {
-    aosoa_to_aos(favg_a[d]->data(), aosoa, check.data(), aos);
+    aosoa_to_aos(isa, favg_a[d]->data(), aosoa, check.data(), aos);
     for (std::size_t i = 0; i < aos.size(); ++i)
       ASSERT_EQ(check[i], (*favg[d])[i]) << "favg" << d << " differs at " << i;
   }
@@ -116,10 +117,11 @@ TEST(AosoaNative, NativeSkipsTransposesButCountsSameFlops) {
 
   AlignedVector q_a(aosoa.size()), qavg_a(aosoa.size()), g0(aosoa.size()),
       g1(aosoa.size()), g2(aosoa.size());
-  aos_to_aosoa(q.data(), aos, q_a.data(), aosoa);
+  aos_to_aosoa(isa, q.data(), aos, q_a.data(), aosoa);
   FlopSection native_section;
-  kernel.compute_native(q_a.data(), 1e-3, {4.0, 4.0, 4.0}, nullptr,
-                        qavg_a.data(), {g0.data(), g1.data(), g2.data()});
+  kernel.compute_native(
+      q_a.data(), 1e-3, {4.0, 4.0, 4.0}, nullptr,
+      StpOutputs{qavg_a.data(), {g0.data(), g1.data(), g2.data()}});
   EXPECT_EQ(native_section.delta().total(), wrapper_flops);
 }
 

@@ -107,14 +107,14 @@ TEST_P(DerivativeP, AosoaMatchesNaiveContraction) {
   pad_aos(q_tight.data(), n, m, q_aos.data(), aos);
   pad_aos(dst_tight.data(), n, m, dst_aos.data(), aos);
   AlignedVector q(aosoa.size()), dst(aosoa.size());
-  aos_to_aosoa(q_aos.data(), aos, q.data(), aosoa);
-  aos_to_aosoa(dst_aos.data(), aos, dst.data(), aosoa);
+  aos_to_aosoa(isa, q_aos.data(), aos, q.data(), aosoa);
+  aos_to_aosoa(isa, dst_aos.data(), aos, dst.data(), aosoa);
 
   aosoa_derivative(isa, aosoa, basis.diff.data(), diff_t.data(), inv_h, dir,
                    q.data(), dst.data(), accumulate);
 
   AlignedVector back(aos.size());
-  aosoa_to_aos(dst.data(), aosoa, back.data(), aos);
+  aosoa_to_aos(isa, dst.data(), aosoa, back.data(), aos);
   std::vector<double> got(q_tight.size());
   unpad_aos(back.data(), aos, m, got.data());
   for (std::size_t i = 0; i < got.size(); ++i)

@@ -8,6 +8,8 @@
 //   * exact point-source integration for polynomial wavelets,
 //   * the optional half-window output: bit-identical to a separate dt/2
 //     run, with qavg/favg untouched by requesting it,
+//   * the optional volume update qnew: the solver's q + dt * sum favg loop
+//     over the kernel's own favg, bit for bit, whatever else is requested,
 //   * cross-PDE equivalences (flux-form vs NCP-form advection; elastic vs
 //     identity-metric curvilinear elastic),
 //   * the footprint claims of Sec. IV-A (O(N^4 m) vs O(N^3 m), 1 MiB L2
@@ -33,6 +35,7 @@
 #include "exastp/pde/elastic.h"
 #include "exastp/pde/maxwell.h"
 #include "exastp/tensor/transpose.h"
+#include "stp_request_check.h"
 
 namespace exastp {
 namespace {
@@ -403,6 +406,17 @@ TEST_P(PredictorExactness, HalfWindowIsADtOverTwoRunFromTheSamePass) {
             << tag << ": node " << k << " row " << s;
       }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The volume update (StpOutputs::qnew): the solver's loop, bit for bit,
+// whatever else the caller requests (stp_request_check.h).
+
+TEST_P(PredictorExactness, QnewIsTheSolversUpdateWhateverElseIsRequested) {
+  request_check::expect_qnew_contract_matrix<CurvilinearElasticPde>(
+      GetParam(), Precision::kF64, smooth_cell_state<CurvilinearElasticPde>);
+  request_check::expect_qnew_contract_matrix<ElasticPde>(
+      GetParam(), Precision::kF64, smooth_cell_state<ElasticPde>);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, PredictorExactness,

@@ -10,6 +10,8 @@
 //     a smooth state,
 //   * the fp32 half-window output (StpOutputs::qavg_half) is bit-identical
 //     to a separate dt/2 run and leaves qavg/favg bit-identical,
+//   * the fp32 volume update (StpOutputs::qnew) is the solver's loop over
+//     the returned favg, bit for bit, whatever else is requested,
 //   * end-to-end per-order convergence of precision=fp32 runs against the
 //     thresholds documented in docs/precision.md (acoustic plane wave and
 //     the Maxwell TE101 cavity eigenmode),
@@ -38,7 +40,9 @@
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
 #include "exastp/pde/curvilinear_elastic.h"
+#include "exastp/pde/elastic.h"
 #include "exastp/tensor/transpose.h"
+#include "stp_request_check.h"
 
 namespace exastp {
 namespace {
@@ -88,7 +92,7 @@ TEST(Precision, RkSteppersRejectF32) {
 // Kernel-level fp64 vs fp32 comparison on a smooth state.
 
 // Smooth nodal state with gently varying material/geometry parameters
-// (same construction as test_kernels.cpp, reduced to the two PDEs used
+// (same construction as test_kernels.cpp, reduced to the three PDEs used
 // here).
 template <class Pde>
 std::vector<double> smooth_cell_state(int n) {
@@ -108,6 +112,10 @@ std::vector<double> smooth_cell_state(int n) {
         if constexpr (std::is_same_v<Pde, AcousticPde>) {
           node[AcousticPde::kRho] = 1.2 + 0.1 * x;
           node[AcousticPde::kC] = 2.0 + 0.2 * y;
+        } else if constexpr (std::is_same_v<Pde, ElasticPde>) {
+          node[ElasticPde::kRho] = 2.6 + 0.1 * z;
+          node[ElasticPde::kCp] = 6.0 + 0.2 * x;
+          node[ElasticPde::kCs] = 3.4 + 0.1 * y;
         } else if constexpr (std::is_same_v<Pde, CurvilinearElasticPde>) {
           node[CurvilinearElasticPde::kRho] = 2.6 + 0.1 * z;
           node[CurvilinearElasticPde::kCp] = 6.0 + 0.2 * x;
@@ -195,8 +203,9 @@ TEST(Precision, F32TracksF64OnSmoothState) {
 }
 
 // ---------------------------------------------------------------------------
-// fp32 half window: the float accumulator borrows a favg tensor, so check
-// that the borrow leaves no trace in the other outputs.
+// fp32 half window: the float accumulator and the AoSoA staging it leaves
+// through are shared with other outputs, so check that the sharing leaves
+// no trace in them.
 
 constexpr double kUnwritten = -7.25e300;
 
@@ -272,6 +281,18 @@ TEST(Precision, F32HalfWindowIsADtOverTwoRunFromTheSamePass) {
               << tag << " node " << k << " row " << s;
         }
     }
+  }
+}
+
+// fp32 volume update: qnew sums the double entry state and the widened
+// favg in double, so it is the solver's loop over the returned favg, bit
+// for bit, whatever else is requested (stp_request_check.h).
+TEST(Precision, F32QnewIsTheSolversUpdateWhateverElseIsRequested) {
+  for (StpVariant v : {StpVariant::kSplitCk, StpVariant::kAosoaSplitCk}) {
+    request_check::expect_qnew_contract_matrix<CurvilinearElasticPde>(
+        v, Precision::kF32, smooth_cell_state<CurvilinearElasticPde>);
+    request_check::expect_qnew_contract_matrix<ElasticPde>(
+        v, Precision::kF32, smooth_cell_state<ElasticPde>);
   }
 }
 

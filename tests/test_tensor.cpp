@@ -1,9 +1,12 @@
 // Tests for src/tensor: layout index maps, padding rules, transpose
-// round-trips, pad/unpad.
+// round-trips, the ISA transposes against the scalar reference, pad/unpad.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "exastp/common/aligned.h"
 #include "exastp/tensor/layout.h"
@@ -75,8 +78,8 @@ TEST_P(LayoutP, AosAosoaRoundTrip) {
   AlignedVector src(aos.size());
   std::iota(src.begin(), src.end(), 1.0);
   AlignedVector mid(aosoa.size()), back(aos.size());
-  aos_to_aosoa(src.data(), aos, mid.data(), aosoa);
-  aosoa_to_aos(mid.data(), aosoa, back.data(), aos);
+  aos_to_aosoa(Isa::kScalar, src.data(), aos, mid.data(), aosoa);
+  aosoa_to_aos(Isa::kScalar, mid.data(), aosoa, back.data(), aos);
   for (int k3 = 0; k3 < n; ++k3)
     for (int k2 = 0; k2 < n; ++k2)
       for (int k1 = 0; k1 < n; ++k1)
@@ -97,7 +100,7 @@ TEST_P(LayoutP, AosoaTransposePlacesValuesAndZeroesPadding) {
           src[aos.idx(k3, k2, k1, s)] = 1000.0 * k3 + 100.0 * k2 +
                                         10.0 * k1 + s;
   AlignedVector dst(aosoa.size(), 13.0);
-  aos_to_aosoa(src.data(), aos, dst.data(), aosoa);
+  aos_to_aosoa(Isa::kScalar, src.data(), aos, dst.data(), aosoa);
   for (int k3 = 0; k3 < n; ++k3)
     for (int k2 = 0; k2 < n; ++k2)
       for (int s = 0; s < m; ++s) {
@@ -153,6 +156,61 @@ INSTANTIATE_TEST_SUITE_P(
                       LayoutCase{9, 21, Isa::kAvx512},
                       LayoutCase{6, 3, Isa::kAvx2},
                       LayoutCase{11, 21, Isa::kAvx512}));
+
+// The register-block transposes of every host ISA against the scalar
+// reference: same bytes, every destination element written (the
+// destination starts as a sentinel), and AoS -> AoSoA -> AoS returns the
+// input.
+TEST(Transpose, IsaBlocksMatchTheScalarReference) {
+  constexpr double kSentinel = -7.25e300;
+  auto same_bytes = [](const AlignedVector& a, const AlignedVector& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  auto fully_written = [&](const AlignedVector& v) {
+    return std::find(v.begin(), v.end(), kSentinel) == v.end();
+  };
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    for (int n = 2; n <= 11; ++n)
+      for (int m : {1, 4, 6, 9, 12, 21}) {
+        SCOPED_TRACE(isa_name(isa) + " n" + std::to_string(n) + " m" +
+                     std::to_string(m));
+        const AosLayout aos(n, m, isa);
+        const AosoaLayout aosoa(n, m, isa);
+        // Distinct values everywhere, padding lanes included: the source
+        // padding must not leak into the destination.
+        AlignedVector aos_src(aos.size()), aosoa_src(aosoa.size());
+        std::iota(aos_src.begin(), aos_src.end(), 1.0);
+        std::iota(aosoa_src.begin(), aosoa_src.end(), -0.5);
+
+        AlignedVector want(aosoa.size(), kSentinel),
+            got(aosoa.size(), kSentinel);
+        aos_to_aosoa(Isa::kScalar, aos_src.data(), aos, want.data(), aosoa);
+        aos_to_aosoa(isa, aos_src.data(), aos, got.data(), aosoa);
+        EXPECT_TRUE(fully_written(want) && fully_written(got));
+        EXPECT_TRUE(same_bytes(got, want)) << "AoS -> AoSoA";
+
+        AlignedVector back_want(aos.size(), kSentinel),
+            back_got(aos.size(), kSentinel);
+        aosoa_to_aos(Isa::kScalar, aosoa_src.data(), aosoa, back_want.data(),
+                     aos);
+        aosoa_to_aos(isa, aosoa_src.data(), aosoa, back_got.data(), aos);
+        EXPECT_TRUE(fully_written(back_want) && fully_written(back_got));
+        EXPECT_TRUE(same_bytes(back_got, back_want)) << "AoSoA -> AoS";
+
+        // Round trip of a tensor with zero padding, as the engine keeps it.
+        AlignedVector state(aos.size(), 0.0);
+        for (std::size_t k = 0; k < aos.size(); ++k)
+          if (static_cast<int>(k % aos.m_pad) < m) state[k] = aos_src[k];
+        AlignedVector mid(aosoa.size(), kSentinel),
+            round(aos.size(), kSentinel);
+        aos_to_aosoa(isa, state.data(), aos, mid.data(), aosoa);
+        aosoa_to_aos(isa, mid.data(), aosoa, round.data(), aos);
+        EXPECT_TRUE(same_bytes(round, state)) << "round trip";
+      }
+  }
+}
 
 TEST(Padding, SweetspotOrder8NoOverheadOrder9Worst) {
   // Sec. V-A: with AVX-512 (8 doubles) order 8 needs no x-line padding while

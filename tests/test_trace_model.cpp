@@ -140,14 +140,19 @@ TEST(TraceModel, AcousticAndElasticTwinsMatchPerWidthClass) {
 }
 
 /// Corrector FLOPs per cell of one global ADER step on a periodic mesh:
-/// the solver's step ledger minus its predictor kernel calls.
+/// the solver's step ledger minus its predictor kernel calls, each counted
+/// as a kernel probe (favg request). What is left is the volume update,
+/// which the kernel now books over its working layout, and the face work.
 template <class Pde>
-FlopCounter solver_corrector_flops_per_cell(int order, Isa isa) {
+FlopCounter solver_corrector_flops_per_cell(StpVariant variant,
+                                            Precision precision, int order,
+                                            Isa isa) {
   Pde pde;
   GridSpec spec;
   spec.cells = {2, 2, 2};
   auto runtime = std::make_shared<PdeAdapter<Pde>>(pde);
-  StpKernel kernel = make_stp_kernel(pde, StpVariant::kSplitCk, order, isa);
+  StpKernel kernel = make_stp_kernel(pde, variant, order, isa,
+                                     NodeFamily::kGaussLegendre, precision);
   StpKernel probe = kernel.fork();
   AderDgSolver solver(runtime, std::move(kernel), spec);
   solver.set_initial_condition([](const std::array<double, 3>& x, double* q) {
@@ -170,25 +175,38 @@ FlopCounter solver_corrector_flops_per_cell(int order, Isa isa) {
   return per_cell;
 }
 
+/// The twins replay the solver's request with the corrector and a kernel
+/// probe's without, so their difference must be the solver's corrector
+/// ledger above. AoSoA cells are smaller or larger than AoS cells, so the
+/// update's FLOPs follow the kernel's layout; the twins model fp64, and
+/// fp32 kernels book at the same width classes.
 template <class Pde>
 void expect_corrector_matches_twin(int order) {
-  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
-    if (!host_supports(isa)) continue;
-    const FlopCounter solver = solver_corrector_flops_per_cell<Pde>(order, isa);
-    CacheSim sim = CacheSim::skylake_sp();
-    const TwinResult with = trace_stp(StpVariant::kSplitCk, order,
-                                      twin_pde<Pde>(), isa, sim, 0, 1,
-                                      /*include_corrector=*/true);
-    const TwinResult without = trace_stp(StpVariant::kSplitCk, order,
-                                         twin_pde<Pde>(), isa, sim, 0, 1,
-                                         /*include_corrector=*/false);
-    for (int c = 0; c < kNumWidthClasses; ++c)
-      EXPECT_EQ(solver.flops[c], with.flops.flops[c] - without.flops.flops[c])
-          << Pde::kName << " order " << order << " " << isa_name(isa)
-          << " width class " << c;
-    EXPECT_GT(solver.flops[static_cast<int>(packed_width_class(isa))], 0u)
-        << "face work books at the dispatched width";
-  }
+  const std::pair<StpVariant, Precision> cases[] = {
+      {StpVariant::kSplitCk, Precision::kF64},
+      {StpVariant::kAosoaSplitCk, Precision::kF64},
+      {StpVariant::kAosoaSplitCk, Precision::kF32}};
+  for (const auto& [variant, precision] : cases)
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+      if (!host_supports(isa)) continue;
+      const FlopCounter solver = solver_corrector_flops_per_cell<Pde>(
+          variant, precision, order, isa);
+      CacheSim sim = CacheSim::skylake_sp();
+      const TwinResult with = trace_stp(variant, order, twin_pde<Pde>(), isa,
+                                        sim, 0, 1,
+                                        /*include_corrector=*/true);
+      const TwinResult without = trace_stp(variant, order, twin_pde<Pde>(),
+                                           isa, sim, 0, 1,
+                                           /*include_corrector=*/false);
+      for (int c = 0; c < kNumWidthClasses; ++c)
+        EXPECT_EQ(solver.flops[c],
+                  with.flops.flops[c] - without.flops.flops[c])
+            << Pde::kName << " order " << order << " " << variant_name(variant)
+            << " " << precision_name(precision) << " " << isa_name(isa)
+            << " width class " << c;
+      EXPECT_GT(solver.flops[static_cast<int>(packed_width_class(isa))], 0u)
+          << "face work books at the dispatched width";
+    }
 }
 
 TEST(TraceModel, CorrectorFlopsMatchTheSolverPerWidthClass) {
