@@ -131,16 +131,13 @@ inline Measurement measure_stp(StpVariant variant, int order, Isa isa,
   m.workspace_bytes = kernel.workspace_bytes();
 
   // Simulated memory-stall proxy (end-to-end step, like the paper's
-  // full-application measurement). The rejected SoA-UF ablation variant has
-  // no trace twin; its stall column stays at zero.
-  if (variant != StpVariant::kSoaUfSplitCk) {
-    CacheSim sim = CacheSim::skylake_sp();
-    TwinResult twin =
-        trace_stp(variant, order, twin_pde<CurvilinearElasticPde>(), isa, sim,
-                  /*warmup=*/1, /*reps=*/2, /*include_corrector=*/true);
-    m.stall_pct =
-        100.0 * StallModel{}.stall_fraction(twin.cache, twin.flops.flops);
-  }
+  // full-application measurement): the twin runs the kernel just timed.
+  CacheSim sim = CacheSim::skylake_sp();
+  const TwinResult twin =
+      trace_stp(kernel, PdeAdapter<CurvilinearElasticPde>(), sim,
+                /*warmup=*/1, /*reps=*/2, /*include_corrector=*/true);
+  m.stall_pct =
+      100.0 * StallModel{}.stall_fraction(twin.cache, twin.flops.flops);
   return m;
 }
 

@@ -3,14 +3,16 @@
 // and balance tables are saved back by every run that names them, and
 // ensemble pool jobs share those paths.
 //
-// Atomic replacement alone still loses updates when two jobs each load a
-// table, add their own entries and save it: the last rename wins. A
-// read-merge-write therefore holds the path's process-wide lock
-// (file_lock) from the load to the rename. Writers in other processes are
-// not excluded.
+// Atomic replacement alone still loses updates when two writers each load
+// a table, add their own entries and save it: the last rename wins. A
+// read-merge-write therefore holds the path's FileLock from the load to
+// the rename: the path's process-wide mutex (file_lock), which orders the
+// jobs of one process, and an advisory flock on the sibling file
+// `<path>.lock`, which orders processes.
 #pragma once
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +21,8 @@
 #include <mutex>
 #include <string>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include "exastp/common/check.h"
@@ -42,9 +46,7 @@ inline void write_file_atomically(const std::string& path,
 }
 
 /// The process-wide lock of `path` (spellings that name the same absolute
-/// path share it). Hold it across a load, modify and write_file_atomically
-/// of one file so that concurrent jobs of this process keep each other's
-/// entries.
+/// path share it); FileLock below holds it.
 inline std::mutex& file_lock(const std::string& path) {
   static std::mutex registry;
   static std::map<std::string, std::unique_ptr<std::mutex>> locks;
@@ -56,5 +58,34 @@ inline std::mutex& file_lock(const std::string& path) {
   if (!lock) lock = std::make_unique<std::mutex>();
   return *lock;
 }
+
+/// Excludes every other writer of `path`, in this process and in others,
+/// for its lifetime: it takes file_lock(path), then an exclusive flock on
+/// `<path>.lock`. The lock file is created when missing and never removed
+/// (removing it would let a late writer lock a new file while an earlier
+/// one still holds the old). Throws when the lock file cannot be opened.
+class FileLock {
+ public:
+  explicit FileLock(const std::string& path) : guard_(file_lock(path)) {
+    const std::string lock = path + ".lock";
+    fd_ = ::open(lock.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (fd_ < 0) EXASTP_FAIL("cannot open lock file " + lock);
+    while (::flock(fd_, LOCK_EX) != 0) {
+      if (errno == EINTR) continue;
+      ::close(fd_);
+      EXASTP_FAIL("cannot lock " + lock);
+    }
+  }
+  ~FileLock() {
+    ::flock(fd_, LOCK_UN);
+    ::close(fd_);
+  }
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+ private:
+  std::lock_guard<std::mutex> guard_;
+  int fd_ = -1;
+};
 
 }  // namespace exastp

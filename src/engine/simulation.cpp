@@ -95,7 +95,8 @@ Simulation Simulation::from_config(SimulationConfig config) {
 
   // Fused-block autotune table: load whatever the file already knows, then
   // measure this run's (pde, order, isa, precision) entry if it is missing
-  // and persist the grown table. Block sizes are bitwise-neutral, so this
+  // and merge the grown table into the file, keeping what other processes
+  // saved since the load. Block sizes are bitwise-neutral, so this
   // only changes speed; the kernel prototype cache keys on the block size,
   // so a tuned entry takes effect even when the configuration was built
   // before.
@@ -111,7 +112,7 @@ Simulation Simulation::from_config(SimulationConfig config) {
                    return pde->make_kernel(config.variant, config.order, isa,
                                            config.family, config.precision);
                  });
-      table.save_file(config.autotune);
+      table.merge_into_file(config.autotune);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include "exastp/common/check.h"
 #include "exastp/gemm/gemm_impl.h"
+#include "exastp/perf/access_recorder.h"
 #include "exastp/perf/flop_count.h"
 
 namespace exastp {
@@ -13,6 +14,9 @@ void dispatch(Isa isa, bool accumulate, T alpha, int m, int n, int k,
               long stride_b, T* c, int ldc, long stride_c, int batch) {
   EXASTP_CHECK(m >= 0 && n >= 0 && k >= 0 && batch >= 0);
   EXASTP_CHECK(lda >= k && ldb >= n && ldc >= n);
+  if (AccessRecorder* rec = AccessRecorder::thread_instance())
+    rec->gemm(m, n, k, a, lda, stride_a, b, ldb, stride_b, c, ldc, stride_c,
+              batch);
   switch (isa) {
     case Isa::kScalar:
       detail::gemm_batch_baseline(accumulate, alpha, m, n, k, a, lda,
@@ -35,7 +39,7 @@ void dispatch(Isa isa, bool accumulate, T alpha, int m, int n, int k,
   // and count as scalar. Zeroing stores are not FLOPs. Padded columns
   // execute real arithmetic and are included, as a hardware counter would.
   // FLOPs are precision-independent: the fp32 path books at the double
-  // lane count so fp32/fp64 twins of one kernel report one instruction mix.
+  // lane count so fp32/fp64 runs of one kernel report one instruction mix.
   count_packed_flops(isa, n, 2ull * m * k * static_cast<unsigned>(batch));
 }
 

@@ -45,6 +45,8 @@
 // Dispatch, argument checks and the FLOP booking happen once per batch:
 // batch * 2*M*N*K FLOPs (padding included), classified by the packing
 // width of the selected path exactly as `batch` single calls would be.
+// An installed access recorder (perf/access_recorder.h) gets the batch's
+// row accesses there too.
 #pragma once
 
 #include "exastp/common/simd.h"
@@ -63,8 +65,7 @@ void gemm_batch(Isa isa, bool accumulate, double alpha, int m, int n, int k,
 /// The fp32 entry: same schedule, same FLOP booking. FLOPs are classified
 /// at the double packing width of the ISA (conservative: an AVX-512
 /// register holds 16 floats, reported as 8 lanes), so fp32/fp64 runs of one
-/// kernel report identical counts and the trace-model twins stay
-/// precision-agnostic.
+/// kernel report identical counts.
 void gemm_batch(Isa isa, bool accumulate, float alpha, int m, int n, int k,
                 const float* a, int lda, long stride_a, const float* b,
                 int ldb, long stride_b, float* c, int ldc, long stride_c,

@@ -7,7 +7,8 @@
 // the AVX2/AVX-512 comparison exercises genuinely different code paths.
 //
 // All entry points report their FLOPs to FlopCounter with the packing class
-// of the selected ISA path (remainder elements count as scalar).
+// of the selected ISA path (remainder elements count as scalar), and their
+// operand ranges to an installed access recorder (perf/access_recorder.h).
 #pragma once
 
 #include "exastp/common/simd.h"
@@ -40,7 +41,7 @@ void vec_copy(long n, const float* x, float* y);
 /// Precision boundary conversions of the fp32 path: widen at kernel exit
 /// (the outputs back to the engine's double buffers), narrow at kernel entry
 /// (q into float scratch). Conversions are data movement, not FLOPs, and
-/// are not counted — mirroring how the trace model treats copies.
+/// are not counted, like copies.
 void vec_widen(long n, const float* x, double* y);
 void vec_narrow(long n, const double* x, float* y);
 

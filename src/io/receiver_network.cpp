@@ -101,24 +101,27 @@ void ReceiverNetwork::sample_now(const SolverBase& solver) {
   const AosLayout& aos = solver.layout();
   const int n = aos.n;
   const std::size_t nq = quantities_.size();
-  // Receiver-parallel on the solver's team: receiver r writes only
-  // row_[r*nq .. r*nq+nq), so the row is identical for any thread count.
-  solver.parallel().for_each(
-      static_cast<long>(positions_.size()), [&](int, long r) {
-        const BoundReceiver& b = bound_[static_cast<std::size_t>(r)];
-        const double* qc = solver.cell_dofs(b.cell);
-        double* out = row_.data() + static_cast<std::size_t>(r) * nq;
-        for (std::size_t q = 0; q < nq; ++q) {
-          const int s = quantities_[q];
-          double value = 0.0;
-          std::size_t k = 0;
-          for (int k3 = 0; k3 < n; ++k3)
-            for (int k2 = 0; k2 < n; ++k2)
-              for (int k1 = 0; k1 < n; ++k1, ++k)
-                value += b.weights[k] * qc[aos.idx(k3, k2, k1, s)];
-          out[q] = value;
-        }
-      });
+  // On the calling thread: a sample of a few dozen receivers takes tens of
+  // microseconds, about what a fork-join of the solver's team costs on an
+  // idle host, and under CPU contention each fork-join waits milliseconds
+  // for descheduled workers (64 receivers cost 38-50% of the stepped time
+  // at threads=4 beside another busy process). The row is the same for
+  // any thread count.
+  for (std::size_t r = 0; r < positions_.size(); ++r) {
+    const BoundReceiver& b = bound_[r];
+    const double* qc = solver.cell_dofs(b.cell);
+    double* out = row_.data() + r * nq;
+    for (std::size_t q = 0; q < nq; ++q) {
+      const int s = quantities_[q];
+      double value = 0.0;
+      std::size_t k = 0;
+      for (int k3 = 0; k3 < n; ++k3)
+        for (int k2 = 0; k2 < n; ++k2)
+          for (int k1 = 0; k1 < n; ++k1, ++k)
+            value += b.weights[k] * qc[aos.idx(k3, k2, k1, s)];
+      out[q] = value;
+    }
+  }
   times_.push_back(solver.time());
   if (keep_traces_) data_.insert(data_.end(), row_.begin(), row_.end());
   for (auto& sink : sinks_)

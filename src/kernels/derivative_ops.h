@@ -27,8 +27,7 @@
 //    Quantity rows >= cover of the flux tensor are exactly zero, so their
 //    derivative columns are skipped. Skipping is bitwise-exact for
 //    accumulate mode (adding signed zeros to a zeroed target yields +0
-//    either way) but changes reported FLOPs — the trace-model twins mirror
-//    the masking rules below EXACTLY (same conditions, same GEMM shapes).
+//    either way) but changes reported FLOPs.
 //  * Slab ranges (`lo`, `hi`): the fused kernels interleave pointwise flux
 //    evaluation with the derivative GEMMs block by block so the flux slab
 //    is still cache-resident when the GEMM consumes it. dirs 0 and 1
@@ -36,14 +35,12 @@
 //    contracts OVER k3, so the range selects k2 pencils (all k3 present).
 //    Slab boundaries split GEMM columns at multiples of the padded leading
 //    dimension (a multiple of the vector width), so blocking never changes
-//    FLOP counts or their width classification — the twins need only
-//    mirror masking, not block sizes.
+//    FLOP counts or their width classification.
 //
-// Masking rules (definitive; trace_model.cpp copies these literally). AoS
-// masked widths are rounded UP to the ISA vector width — the masked
-// columns stay full SIMD lanes (no scalar remainder loop) and the extra
-// columns within the last vector multiply zeros, which accumulate-mode
-// absorbs bitwise-exactly:
+// Masking rules. AoS masked widths are rounded UP to the ISA vector width
+// — the masked columns stay full SIMD lanes (no scalar remainder loop) and
+// the extra columns within the last vector multiply zeros, which
+// accumulate-mode absorbs bitwise-exactly:
 //
 //   ncols = min(pad_to(cover, vector_width(isa)), mPad)
 //   AoS  dir 0: skip when cover == 0; each slice's GEMM has N = ncols.
@@ -75,7 +72,7 @@
 namespace exastp {
 
 /// Masked AoS column count: cover rounded up to full vectors, capped at
-/// the padded row width. Shared with the trace-model twins.
+/// the padded row width.
 inline int aos_masked_cols(const AosLayout& aos, Isa isa, int cover) {
   const int padded = pad_to(cover, vector_width(isa));
   return padded < aos.m_pad ? padded : aos.m_pad;

@@ -23,8 +23,9 @@
 // Both bodies live in face_impl.h and are compiled once per ISA
 // translation unit (pde_lines_<isa>.cpp); the functions below dispatch on
 // the Isa, and each call books its FLOPs once, at the dispatched packing
-// width. surface_update is templated on the concrete PDE; the solvers
-// reach it through one virtual PdeRuntime::surface_update call per cell.
+// width, and reports its operands once to an installed access recorder.
+// surface_update is templated on the concrete PDE; the solvers reach it
+// through one virtual PdeRuntime::surface_update call per cell.
 //
 // Storage: a view's trace buffer keeps six traces per owned cell (face
 // f = 2 dir + side of cell c at slot 6c + f) followed by one trace per
@@ -47,6 +48,7 @@
 #include "exastp/basis/basis_tables.h"
 #include "exastp/common/simd.h"
 #include "exastp/mesh/grid.h"
+#include "exastp/perf/access_recorder.h"
 #include "exastp/tensor/layout.h"
 
 namespace exastp {
@@ -118,6 +120,20 @@ bool surface_update_avx2(const Pde& pde, const FaceUpdate& u);
 template <class Pde>
 bool surface_update_avx512(const Pde& pde, const FaceUpdate& u);
 
+/// Reports a surface update to an installed recorder: per face, the own
+/// trace, the neighbour's and the jump; then the lift's six jumps and the
+/// cell.
+inline void record_surface_update(AccessRecorder& rec, const FaceUpdate& u) {
+  const std::size_t t = u.layout.size();
+  for (std::size_t f = 0; f < 6; ++f) {
+    rec.range(u.own + f * t, t);
+    if (u.neighbour[f] != nullptr) rec.range(u.neighbour[f], t);
+    rec.range(u.jump + f * t, t);
+  }
+  rec.range(u.jump, 6 * t);
+  rec.range(u.out, t * static_cast<std::size_t>(u.layout.n));
+}
+
 }  // namespace detail
 
 /// Projects the cell tensor q onto its six faces in one pass:
@@ -127,6 +143,10 @@ bool surface_update_avx512(const Pde& pde, const FaceUpdate& u);
 inline void project_faces(Isa isa, const AosLayout& aos,
                           const BasisTables& basis, const double* q,
                           double* traces) {
+  if (AccessRecorder* rec = AccessRecorder::thread_instance()) {
+    rec->range(q, aos.size());
+    rec->range(traces, 6 * FaceLayout(aos).size());
+  }
   switch (isa) {
     case Isa::kScalar:
       detail::project_faces_baseline(aos, basis, q, traces);
@@ -153,6 +173,8 @@ inline void project_faces(Isa isa, const AosLayout& aos,
 /// nothing. Returns false when a value the lift wrote is not finite.
 template <class Pde>
 bool surface_update(Isa isa, const Pde& pde, const FaceUpdate& u) {
+  if (AccessRecorder* rec = AccessRecorder::thread_instance())
+    detail::record_surface_update(*rec, u);
   switch (isa) {
     case Isa::kScalar:
       return detail::surface_update_baseline(pde, u);

@@ -198,8 +198,19 @@ void FusionTuneTable::save_file(const std::string& path) const {
   // saves, so the last rename carries every entry set before it: a job
   // that serialized before another job's set() cannot rename after that
   // job's save and drop its entry.
-  const std::lock_guard<std::mutex> lock(file_lock(path));
+  const FileLock lock(path);
   write_file_atomically(path, serialize(), "autotune table");
+}
+
+void FusionTuneTable::merge_into_file(const std::string& path) const {
+  const FileLock lock(path);
+  FusionTuneTable merged;
+  merged.load_file(path);
+  {
+    const std::lock_guard<std::mutex> guard(mu_);
+    for (const auto& [k, planes] : table_) merged.table_[k] = planes;
+  }
+  write_file_atomically(path, merged.serialize(), "autotune table");
 }
 
 }  // namespace exastp

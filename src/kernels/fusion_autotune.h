@@ -17,8 +17,9 @@
 //
 //     pde order isa precision block_planes
 //
-// that `save_file`/`load_file` persist, wired to the `autotune=PATH`
-// config key (simulation.cpp: load, tune what is missing, save back).
+// that `save_file`/`load_file`/`merge_into_file` persist, wired to the
+// `autotune=PATH` config key (simulation.cpp: load, tune what is missing,
+// merge back).
 #pragma once
 
 #include <functional>
@@ -72,11 +73,16 @@ class FusionTuneTable {
 
   /// Best-effort persistence helpers. load_file returns false when the
   /// file does not exist; save_file replaces it atomically (a concurrent
-  /// load sees a whole table) under the path's process-wide file_lock (so
-  /// concurrent saves of one table keep every entry) and throws when the
-  /// path is unwritable.
+  /// load sees a whole table) under the path's FileLock (atomic_file.h),
+  /// so concurrent saves of one table keep every entry, and throws when
+  /// the path is unwritable.
   bool load_file(const std::string& path);
   void save_file(const std::string& path) const;
+  /// Adds this table's entries to the table stored at `path` (this
+  /// table's value wins on a shared key) and saves the result under the
+  /// path's FileLock: processes that share one autotune= file keep each
+  /// other's entries.
+  void merge_into_file(const std::string& path) const;
 
  private:
   static std::string key(const std::string& pde, int order, Isa isa,

@@ -4,6 +4,7 @@
 
 #include "exastp/common/check.h"
 #include "exastp/common/taylor.h"
+#include "exastp/perf/access_recorder.h"
 #include "exastp/perf/flop_count.h"
 
 namespace exastp {
@@ -16,6 +17,30 @@ std::size_t dim_stride(int n, int m, int d) {
     case 1: return static_cast<std::size_t>(m) * n;
     default: return static_cast<std::size_t>(m) * n * n;
   }
+}
+
+/// Reports one naive derivative sweep along d to an installed recorder, in
+/// the kernel's output-node order: each node writes its df and gradQ rows
+/// and reads the line through it in flux and p, n rows `stride` apart —
+/// the strided, latency-bound pattern.
+void record_naive_derivative(int n, int m, int d, const double* flux,
+                             const double* p, const double* df,
+                             const double* gradq) {
+  AccessRecorder* rec = AccessRecorder::thread_instance();
+  if (rec == nullptr) return;
+  const std::size_t stride = dim_stride(n, m, d);
+  for (int k3 = 0; k3 < n; ++k3)
+    for (int k2 = 0; k2 < n; ++k2)
+      for (int k1 = 0; k1 < n; ++k1) {
+        const int kd = d == 0 ? k1 : (d == 1 ? k2 : k3);
+        const std::size_t base =
+            ((static_cast<std::size_t>(k3) * n + k2) * n + k1) * m;
+        const std::size_t line0 = base - kd * stride;
+        rec->range(df + base, m);
+        rec->range(gradq + base, m);
+        rec->strided(flux + line0, n, m, stride);
+        rec->strided(p + line0, n, m, stride);
+      }
 }
 
 }  // namespace
@@ -49,6 +74,7 @@ void GenericStp::compute(const double* q, double dt,
 
   // p[0] = q(t_n).
   std::memcpy(p_.data(), q, cell_ * sizeof(double));
+  record_ranges(cell_, q, p_.data());
   std::vector<double> ncp_tmp(m);
 
   for (int o = 0; o < n; ++o) {
@@ -59,6 +85,7 @@ void GenericStp::compute(const double* q, double dt,
       double* fo = flux_.data() + od_index(o, d);
       for (std::size_t k = 0; k < nodes; ++k)
         pde_.flux(po + k * m, d, fo + k * m);
+      record_ranges(cell_, po, fo);
     }
     fc.add(WidthClass::kScalar, 3 * nodes * pde_.flux_flops());
 
@@ -70,6 +97,7 @@ void GenericStp::compute(const double* q, double dt,
       const double* fo = flux_.data() + od_index(o, d);
       double* dfo = df_.data() + od_index(o, d);
       double* go = gradq_.data() + od_index(o, d);
+      record_naive_derivative(n, m, d, fo, po, dfo, go);
       for (int k3 = 0; k3 < n; ++k3)
         for (int k2 = 0; k2 < n; ++k2)
           for (int k1 = 0; k1 < n; ++k1) {
@@ -100,15 +128,18 @@ void GenericStp::compute(const double* q, double dt,
         pde_.ncp(po + k * m, go + k * m, d, ncp_tmp.data());
         for (int s = 0; s < m; ++s) dfo[k * m + s] += ncp_tmp[s];
       }
+      record_ranges(cell_, po, go, dfo);
     }
     fc.add(WidthClass::kScalar, 3 * nodes * (pde_.ncp_flops() + m));
 
     // p[o+1] = sum_d dF[o][d]  (+ source time derivative).
     double* pn = p_.data() + p_index(o + 1);
     std::memset(pn, 0, cell_ * sizeof(double));
+    record_ranges(cell_, pn);
     for (int d = 0; d < 3; ++d) {
       const double* dfo = df_.data() + od_index(o, d);
       for (std::size_t i = 0; i < cell_; ++i) pn[i] += dfo[i];
+      record_ranges(cell_, dfo, pn);
     }
     fc.add(WidthClass::k128, 3 * cell_);
     if (source != nullptr) add_source_derivative(aos_, *source, o, pn);
@@ -127,14 +158,17 @@ void GenericStp::compute(const double* q, double dt,
                                      : flux_.data() + od_index(0, d);
   std::memset(out.qavg, 0, cell_ * sizeof(double));
   for (int d = 0; d < 3; ++d) std::memset(favg[d], 0, cell_ * sizeof(double));
+  record_ranges(cell_, out.qavg, favg[0], favg[1], favg[2]);
   for (int o = 0; o < n; ++o) {
     const double c = coeff[o];
     const double* po = p_.data() + p_index(o);
     for (std::size_t i = 0; i < cell_; ++i) out.qavg[i] += c * po[i];
+    record_ranges(cell_, po, out.qavg);
     for (int d = 0; d < 3; ++d) {
       const double* dfo = df_.data() + od_index(o, d);
       double* fd = favg[d];
       for (std::size_t i = 0; i < cell_; ++i) fd[i] += c * dfo[i];
+      record_ranges(cell_, dfo, fd);
     }
   }
   // Contiguous axpy sweeps: the one part of the generic kernel the baseline
@@ -153,10 +187,12 @@ void GenericStp::compute(const double* q, double dt,
   if (out.qavg_half != nullptr) {
     const auto half = time_average_coefficients(0.5 * dt, n);
     std::memset(out.qavg_half, 0, cell_ * sizeof(double));
+    record_ranges(cell_, out.qavg_half);
     for (int o = 0; o < n; ++o) {
       const double c = half[o];
       const double* po = p_.data() + p_index(o);
       for (std::size_t i = 0; i < cell_; ++i) out.qavg_half[i] += c * po[i];
+      record_ranges(cell_, po, out.qavg_half);
     }
     fc.add(WidthClass::k128, 2ull * n * cell_);
     refresh_param_rows(aos_, pde_.info().vars, q, out.qavg_half);

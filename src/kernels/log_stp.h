@@ -76,6 +76,7 @@ class LogStp {
         double* fo = flux_.data() + od_index(o, d);
         for (std::size_t k = 0; k < nodes; ++k)
           pde_.flux(po + k * mp, d, fo + k * mp);
+        record_ranges(cell_, po, fo);
       }
       fc.add(WidthClass::kScalar, 3 * nodes * Pde::kFluxFlops);
 
@@ -96,6 +97,7 @@ class LogStp {
           pde_.ncp(po + k * mp, go + k * mp, d, ncp_tmp_);
           for (int s = 0; s < kQuants; ++s) dfo[k * mp + s] += ncp_tmp_[s];
         }
+        record_ranges(cell_, po, go, dfo);
       }
       fc.add(WidthClass::kScalar, 3 * nodes * (Pde::kNcpFlops + kQuants));
 

@@ -14,8 +14,7 @@
 //    comes from FusionTuneTable (autotunable; bitwise- and FLOP-neutral).
 //  * Zero-block skipping: flux derivative GEMMs mask quantity rows past
 //    the PDE-declared pde_flux_rows_end bound, and PDEs with kNcpIsZero
-//    skip the gradQ + NCP stage entirely. Both are bitwise-exact; the
-//    trace-model twins mirror the same rules so FLOP ledgers still match.
+//    skip the gradQ + NCP stage entirely. Both are bitwise-exact.
 //  * Precision templating: Real=float stores every internal tensor in
 //    fp32 (half the DOF bytes — the memory-bound win) and converts exactly
 //    once at the kernel boundary; the PDE user functions are templated on
@@ -88,6 +87,24 @@ class SplitCkStpT {
     }
   }
 
+  /// Reports a pointwise sweep over slab [lo, hi) to an installed
+  /// recorder: run by run (one per slab, or one k2 pencil per k3), each
+  /// operand's nodes in turn.
+  template <class... Ptr>
+  void record_slab(int d, int lo, int hi, Ptr... operands) const {
+    AccessRecorder* rec = AccessRecorder::thread_instance();
+    if (rec == nullptr) return;
+    const std::size_t nn = static_cast<std::size_t>(n_) * n_;
+    const std::size_t mp = aos_.m_pad;
+    if (d < 2) {
+      (rec->range(operands + lo * nn * mp, (hi - lo) * nn * mp), ...);
+    } else {
+      for (int k3 = 0; k3 < n_; ++k3)
+        (rec->range(operands + (k3 * nn + lo * n_) * mp, (hi - lo) * n_ * mp),
+         ...);
+    }
+  }
+
   /// The driver's sweep: dst += inv_h * D_d F_d(src) + B_d(src, inv_h *
   /// D_d src), fused slab by slab so the flux block is still cache-resident
   /// at its GEMM. The PDE pointwise functions are templated on the scalar
@@ -106,6 +123,7 @@ class SplitCkStpT {
           pde_.flux(src + k * mp, d, flux_.data() + k * mp);
         });
         fc.add(WidthClass::kScalar, slab_nodes * Pde::kFluxFlops);
+        record_slab(d, lo, hi, src, flux_.data());
         // dst += inv_h * D_d flux, masked past the PDE's flux rows.
         aos_derivative_slab(isa_, aos_, diff_.data(), inv_h, d, lo, hi,
                             cover, flux_.data(), dst, /*accumulate=*/true);
@@ -120,6 +138,7 @@ class SplitCkStpT {
         });
         fc.add(WidthClass::kScalar,
                slab_nodes * (Pde::kNcpFlops + kQuants));
+        record_slab(d, lo, hi, src, gradq_.data(), dst);
       }
     }
   }

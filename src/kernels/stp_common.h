@@ -54,12 +54,14 @@
 #include "exastp/common/aligned.h"
 #include "exastp/common/simd.h"
 #include "exastp/pde/point_source.h"
+#include "exastp/perf/access_recorder.h"
 #include "exastp/perf/flop_count.h"
 #include "exastp/tensor/layout.h"
 
 namespace exastp {
 
-/// The four kernel variants of the paper, in the order they are introduced.
+/// The kernel variants: the paper's four, in the order it introduces
+/// them, and the measured ablation of the scheme it rejects.
 enum class StpVariant {
   kGeneric,       ///< Sec. II-B / Fig. 1: scalar reference implementation
   kLog,           ///< Sec. III: AoS + Loop-over-GEMM
@@ -106,10 +108,32 @@ constexpr Precision precision_of() {
 /// same way after the Taylor accumulation, because the Taylor sum scales
 /// them and the corrector and the SplitCK favg recomputation evaluate
 /// flux(qavg) (see splitck_driver.h).
+/// Reports the quantity rows [s0, s1) of every node of a tensor to an
+/// installed recorder: one run per node (AoS) or per x-line (AoSoA).
+template <class Real>
+inline void record_quantity_rows(AccessRecorder& rec, const AosLayout& aos,
+                                 int s0, int s1, const Real* p) {
+  rec.rows(p + s0, static_cast<std::size_t>(aos.n) * aos.n * aos.n,
+           static_cast<std::size_t>(s1 - s0), aos.m_pad);
+}
+template <class Real>
+inline void record_quantity_rows(AccessRecorder& rec,
+                                 const AosoaLayout& aosoa, int s0, int s1,
+                                 const Real* p) {
+  rec.rows(p + static_cast<std::size_t>(s0) * aosoa.n_pad,
+           static_cast<std::size_t>(aosoa.n) * aosoa.n,
+           static_cast<std::size_t>(s1 - s0) * aosoa.n_pad,
+           static_cast<std::ptrdiff_t>(aosoa.m) * aosoa.n_pad);
+}
+
 template <class Real>
 inline void refresh_param_rows(const AosLayout& aos, int vars, const Real* q,
                                Real* dst) {
   if (vars == aos.m) return;
+  if (AccessRecorder* rec = AccessRecorder::thread_instance()) {
+    record_quantity_rows(*rec, aos, vars, aos.m, q);
+    record_quantity_rows(*rec, aos, vars, aos.m, dst);
+  }
   const std::size_t nodes =
       static_cast<std::size_t>(aos.n) * aos.n * aos.n;
   for (std::size_t k = 0; k < nodes; ++k)
@@ -122,6 +146,10 @@ template <class Real>
 inline void refresh_param_rows(const AosoaLayout& aosoa, int vars,
                                const Real* q, Real* dst) {
   if (vars == aosoa.m) return;
+  if (AccessRecorder* rec = AccessRecorder::thread_instance()) {
+    record_quantity_rows(*rec, aosoa, vars, aosoa.m, q);
+    record_quantity_rows(*rec, aosoa, vars, aosoa.m, dst);
+  }
   for (int k3 = 0; k3 < aosoa.n; ++k3)
     for (int k2 = 0; k2 < aosoa.n; ++k2)
       for (int s = vars; s < aosoa.m; ++s) {
@@ -150,6 +178,11 @@ inline void add_source_derivative(const Layout& layout,
   const int n = layout.n;
   const double sdo = source.dt_derivatives[o];
   const double* psi = source.psi;
+  if (AccessRecorder* rec = AccessRecorder::thread_instance()) {
+    rec->range(psi, static_cast<std::size_t>(n) * n * n);
+    record_quantity_rows(*rec, layout, source.quantity, source.quantity + 1,
+                         dst);
+  }
   for (int k3 = 0; k3 < n; ++k3)
     for (int k2 = 0; k2 < n; ++k2)
       for (int k1 = 0; k1 < n; ++k1)
@@ -168,6 +201,7 @@ inline void add_source_derivative(const Layout& layout,
 template <class Real>
 inline void add_volume_update(std::size_t n, double dt, const double* base,
                               const Real* f, double* qnew) {
+  record_ranges(n, base, f, qnew);
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i)
     qnew[i] = base[i] + dt * static_cast<double>(f[i]);

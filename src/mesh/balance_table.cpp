@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -108,7 +107,7 @@ void BalanceTable::save_file(const std::string& path) const {
 }
 
 void BalanceTable::merge_into_file(const std::string& path) const {
-  const std::lock_guard<std::mutex> lock(file_lock(path));
+  const FileLock lock(path);
   BalanceTable merged;
   merged.load_file(path);
   for (const auto& [key, cost] : table_) merged.table_[key] = cost;

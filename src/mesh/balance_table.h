@@ -61,9 +61,9 @@ class BalanceTable {
   bool load_file(const std::string& path);
   void save_file(const std::string& path) const;
   /// Adds this table's entries to the table stored at `path` (this
-  /// table's value wins on a shared key) and saves the result, as one
-  /// critical section per path within the process: concurrent pool jobs
-  /// that name one balance= file keep each other's entries.
+  /// table's value wins on a shared key) and saves the result, under the
+  /// path's FileLock (atomic_file.h): concurrent pool jobs and other
+  /// processes that name one balance= file keep each other's entries.
   void merge_into_file(const std::string& path) const;
 
  private:

@@ -38,7 +38,7 @@
 // PDE's line bodies are compiled once per ISA translation unit and
 // dispatched on the kernel's Isa, so they count at the dispatched width
 // (128 bits for Isa::kScalar's baseline TU, 256 for AVX2, 512 for
-// AVX-512), the width the trace-model twins book them at.
+// AVX-512).
 #pragma once
 
 #include <cstdint>
@@ -62,8 +62,7 @@ struct PdeInfo {
 /// `static constexpr int flux_rows_end(int dir)` to tighten it (acoustic:
 /// only p and v_dir move → 2+dir; pure-NCP PDEs: 0, flux is identically
 /// zero). The SplitCK kernels skip the derivative GEMM columns of rows
-/// beyond this bound — bitwise-exact, but the trace-model twins must use
-/// the same bound for the FLOP ledgers to agree.
+/// beyond this bound: bitwise-exact, but fewer FLOPs are counted.
 template <class Pde>
 constexpr int pde_flux_rows_end(int dir) {
   if constexpr (requires { Pde::flux_rows_end(dir); }) {

@@ -26,20 +26,39 @@
 // that TU. The functions below dispatch on `isa` once per call and book
 // the call's FLOPs once: kFluxFlops / kNcpFlops per lane of every line, at
 // the dispatched packing width (each line's remainder lanes as scalar, as
-// `lines` single-line calls would). fp32 lanes count at the double packing
-// width, as in gemm.h, so both precisions report one instruction mix. A
-// PDE gains line functions by adding its two bodies to pde_lines_impl.h
-// and its name to EXASTP_FOR_EACH_LINE_PDE.
+// `lines` single-line calls would). They also report each line of every
+// operand to an installed access recorder (perf/access_recorder.h). fp32
+// lanes count at the double packing width, as in gemm.h, so both
+// precisions report one instruction mix. A PDE gains line functions by
+// adding its two bodies to pde_lines_impl.h and its name to
+// EXASTP_FOR_EACH_LINE_PDE.
 #pragma once
 
 #include <cstdint>
 
 #include "exastp/common/check.h"
 #include "exastp/common/simd.h"
+#include "exastp/perf/access_recorder.h"
 #include "exastp/perf/flop_count.h"
 
 namespace exastp {
 namespace detail {
+
+/// Reports a line-function call to an installed recorder: line by line,
+/// each operand's kQuants rows (`in` may be null).
+template <class Pde, class Real>
+void record_lines(const Real* q, const Real* in, const Real* out, int len,
+                  int stride, int lines, long line_stride) {
+  AccessRecorder* rec = AccessRecorder::thread_instance();
+  if (rec == nullptr) return;
+  const std::size_t extent =
+      static_cast<std::size_t>(Pde::kQuants - 1) * stride + len;
+  for (long l = 0; l < lines; ++l) {
+    rec->range(q + l * line_stride, extent);
+    if (in != nullptr) rec->range(in + l * line_stride, extent);
+    rec->range(out + l * line_stride, extent);
+  }
+}
 
 // Per-ISA entry points, defined and instantiated in pde_lines_<isa>.cpp.
 #define EXASTP_DECLARE_PDE_LINES(SUFFIX)                                     \
@@ -63,6 +82,8 @@ template <class Pde, class Real>
 void flux_line(Isa isa, const Pde& pde, const Real* q, int dir, Real* f,
                int len, int stride, int lines, long line_stride) {
   EXASTP_CHECK(lines >= 0);
+  detail::record_lines<Pde, Real>(q, nullptr, f, len, stride, lines,
+                                  line_stride);
   switch (isa) {
     case Isa::kScalar:
       detail::flux_line_baseline(pde, q, dir, f, len, stride, lines,
@@ -85,6 +106,8 @@ void ncp_line(Isa isa, const Pde& pde, const Real* q, const Real* grad,
               int dir, Real* out, int len, int stride, int lines,
               long line_stride) {
   EXASTP_CHECK(lines >= 0);
+  detail::record_lines<Pde, Real>(q, grad, out, len, stride, lines,
+                                  line_stride);
   switch (isa) {
     case Isa::kScalar:
       detail::ncp_line_baseline(pde, q, grad, dir, out, len, stride, lines,

@@ -1,8 +1,9 @@
 // Set-associative LRU cache hierarchy simulator.
 //
-// Replaces the VTune memory-stall measurements of Figs. 4, 6, 10: the trace
-// twins (trace_model.h) replay each kernel variant's memory-access pattern
-// through a hierarchy configured like one Skylake-SP core (32 KiB 8-way L1D,
+// Replaces the VTune memory-stall measurements of Figs. 4, 6, 10: a trace
+// twin (trace_model.h) runs a real kernel with an access recorder
+// (access_recorder.h) that feeds its per-call operand ranges into a
+// hierarchy configured like one Skylake-SP core (32 KiB 8-way L1D,
 // 1 MiB 16-way private L2 — the capacity whose overflow Sec. IV-A analyses —
 // and a 1.375 MiB 11-way L3 slice), and a latency model converts the
 // per-level misses into the fraction of pipeline slots stalled on memory.

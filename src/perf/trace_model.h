@@ -1,22 +1,19 @@
-// Trace twins: memory-access replicas of the four STP kernel variants.
+// Trace twins: the real STP kernels, run with an access recorder.
 //
 // VTune substitute, part 2 (part 1 is the FLOP ledger, flop_count.h and
-// instr_mix.h): each twin walks the exact loop nest of its kernel variant
-// and issues the corresponding memory accesses (at cache-line granularity)
-// into a CacheSim, while reporting FLOPs through the *same* accounting
-// helpers the real kernels use. Two validation hooks keep the twins honest:
-//   * their FLOP totals must equal a real kernel run's FlopCounter delta
-//     (tests/test_trace_model.cpp),
-//   * their workspace footprint must equal StpKernel::workspace_bytes().
-//
-// The twins exist because instrumenting the hot kernels with per-access
-// callbacks would destroy the very code the paper measures; replaying the
-// address pattern offline costs nothing at run time and reproduces the
-// L2-capacity behaviour that drives Figs. 4, 6 and 10.
+// instr_mix.h). A twin runs a built kernel with an AccessRecorder
+// (access_recorder.h) installed on the calling thread: every primitive the
+// kernel calls reports its operand ranges once per call, and the recorder
+// feeds them, at cache-line granularity, into a CacheSim. The FLOPs are
+// the kernel's own bookings. So a twin cannot drift from its kernel: a
+// kernel change reaches the cache statistics without a second copy of its
+// loop nest, and recording costs the production path one predictable
+// branch per call (a per-access callback would have changed the very code
+// the paper measures). The simulated L2-capacity behaviour is what drives
+// Figs. 4, 6 and 10.
 #pragma once
 
-#include <array>
-#include <cstdint>
+#include <cstddef>
 
 #include "exastp/kernels/stp_common.h"
 #include "exastp/pde/pde_base.h"
@@ -25,31 +22,6 @@
 
 namespace exastp {
 
-/// Runtime description of the PDE for the twin (no user code is executed).
-/// flux_cover/ncp_zero carry the PDE's declared sparsity (pde_base.h
-/// traits): the SplitCK twins must mask/skip exactly like the real fused
-/// kernels or the FLOP ledgers drift apart.
-struct TwinPde {
-  int quants = 0;
-  int vars = 0;
-  std::uint64_t flux_flops = 0;
-  std::uint64_t ncp_flops = 0;
-  /// Per direction: past-the-end possibly-nonzero flux row
-  /// (pde_flux_rows_end). Defaults to vars via twin_pde().
-  std::array<int, 3> flux_cover{};
-  /// True when the NCP stage is skipped entirely (kNcpIsZero).
-  bool ncp_zero = false;
-};
-
-template <class Pde>
-TwinPde twin_pde() {
-  TwinPde t{Pde::kQuants, Pde::kVars, Pde::kFluxFlops, Pde::kNcpFlops,
-            {pde_flux_rows_end<Pde>(0), pde_flux_rows_end<Pde>(1),
-             pde_flux_rows_end<Pde>(2)},
-            pde_ncp_is_zero<Pde>()};
-  return t;
-}
-
 struct TwinResult {
   CacheStats cache;          ///< measured repetitions only (after warmup)
   FlopCounter flops;         ///< per measured repetition set
@@ -57,29 +29,33 @@ struct TwinResult {
   int measured_reps = 0;
 };
 
-/// Replays `warmup + reps` kernel invocations (each on a fresh input cell,
-/// reusing the same workspace — the mesh-traversal pattern) and returns the
-/// cache statistics and FLOP counts of the measured repetitions.
+/// Runs `kernel` `warmup + reps` times, each on a fresh input cell and
+/// reusing the kernel's workspace (the mesh-traversal pattern), with its
+/// accesses recorded into `sim`, and returns the cache statistics and the
+/// FLOPs of the measured repetitions. The sequence runs twice: the first
+/// run only teaches the recorder the buffers' extents (access_recorder.h).
+/// The FLOPs are counted in a counter of the call's own, so the caller's
+/// counts stay as they were. `pde` is the kernel's PDE: it fills the input
+/// cells (evolved quantities small, parameters 1) and solves the
+/// corrector's face problems.
 ///
-/// Without `include_corrector` each predictor replays a kernel probe's
-/// request: qavg and the three favg[d] leave the kernel. With it each
-/// repetition is a full ADER-DG step and replays the solver's request:
-/// the predictor forms the volume update qnew = q + dt * sum_d favg[d]
-/// itself and no favg leaves (stp_common.h); then the per-cell corrector
-/// pattern (the one-pass projection onto six face traces, six Riemann
-/// solves from traces, the one-pass surface lift into qnew) is replayed
-/// too, booking the face work at the kernel's dispatched width like the
-/// solver does. The paper's benchmarks measure the end-to-end application
-/// (Sec. VI), where the corrector's memory-heavy O(N^2..N^3) share shrinks
-/// relative to the O(N^4) predictor as the order grows.
+/// Without `include_corrector` each call is a kernel probe's request: qavg
+/// and the three favg[d] leave the kernel. With it each repetition is a
+/// full ADER-DG step of one cell in AderDgSolver's order and buffer reuse:
+/// the kernel takes the solver's request (qavg and the volume update qnew,
+/// no favg) into the reused qavg buffer and a fresh qnew, project_faces
+/// fills the cell's six traces from qavg, and surface_update adds the six
+/// face terms from them and six fresh neighbour traces into qnew, with the
+/// reused jump scratch. The paper's benchmarks measure the end-to-end
+/// application (Sec. VI), where the corrector's memory-heavy O(N^2..N^3)
+/// share shrinks relative to the O(N^4) predictor as the order grows.
 ///
-/// With `half_window` each predictor also emits the half-window average
-/// (StpOutputs::qavg_half, the clustered-LTS coarse-cell request): the
-/// twin replays the second accumulator's vecops, its parameter-row
-/// refresh and, for AoSoA, the transpose out of the borrowed qnew
-/// staging. The workspace is the same either way.
-TwinResult trace_stp(StpVariant variant, int order, const TwinPde& pde,
-                     Isa isa, CacheSim& sim, int warmup = 1, int reps = 1,
+/// With `half_window` each call also asks for the half-window average
+/// (StpOutputs::qavg_half, the clustered-LTS coarse-cell request), and
+/// with the corrector it is projected onto its traces too, as the solver
+/// does.
+TwinResult trace_stp(const StpKernel& kernel, const PdeRuntime& pde,
+                     CacheSim& sim, int warmup = 1, int reps = 1,
                      bool include_corrector = false,
                      bool half_window = false);
 

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "exastp/common/check.h"
+#include "exastp/perf/access_recorder.h"
 #include "exastp/tensor/transpose_impl.h"
 
 namespace exastp {
@@ -18,11 +19,25 @@ void check_transpose_shapes(Isa isa, const AosLayout& aos,
                        isa_name(isa));
 }
 
+/// Reports an AoS <-> AoSoA transpose to an installed recorder: line by
+/// line, the source's (k3,k2) line, then the destination's.
+void record_lines(const double* src, std::size_t src_line, const double* dst,
+                  std::size_t dst_line, int n) {
+  AccessRecorder* rec = AccessRecorder::thread_instance();
+  if (rec == nullptr) return;
+  for (std::size_t l = 0; l < static_cast<std::size_t>(n) * n; ++l) {
+    rec->range(src + l * src_line, src_line);
+    rec->range(dst + l * dst_line, dst_line);
+  }
+}
+
 }  // namespace
 
 void aos_to_aosoa(Isa isa, const double* src, const AosLayout& aos,
                   double* dst, const AosoaLayout& aosoa) {
   check_transpose_shapes(isa, aos, aosoa);
+  record_lines(src, static_cast<std::size_t>(aos.n) * aos.m_pad, dst,
+               static_cast<std::size_t>(aosoa.m) * aosoa.n_pad, aos.n);
   switch (isa) {
     case Isa::kAvx2: detail::aos_to_aosoa_avx2(src, aos, dst, aosoa); return;
     case Isa::kAvx512:
@@ -42,6 +57,8 @@ void aos_to_aosoa(Isa isa, const double* src, const AosLayout& aos,
 void aosoa_to_aos(Isa isa, const double* src, const AosoaLayout& aosoa,
                   double* dst, const AosLayout& aos) {
   check_transpose_shapes(isa, aos, aosoa);
+  record_lines(src, static_cast<std::size_t>(aosoa.m) * aosoa.n_pad, dst,
+               static_cast<std::size_t>(aos.n) * aos.m_pad, aos.n);
   switch (isa) {
     case Isa::kAvx2: detail::aosoa_to_aos_avx2(src, aosoa, dst, aos); return;
     case Isa::kAvx512:
@@ -61,6 +78,8 @@ void aosoa_to_aos(Isa isa, const double* src, const AosoaLayout& aosoa,
 void aos_to_soa(const double* src, const AosLayout& aos, double* dst,
                 const SoaLayout& soa) {
   EXASTP_CHECK(aos.n == soa.n && aos.m == soa.m);
+  record_ranges(aos.size(), src);
+  record_ranges(soa.size(), dst);
   const int n = aos.n, m = aos.m;
   std::memset(dst, 0, soa.size() * sizeof(double));
   for (int k3 = 0; k3 < n; ++k3)
@@ -73,6 +92,8 @@ void aos_to_soa(const double* src, const AosLayout& aos, double* dst,
 void soa_to_aos(const double* src, const SoaLayout& soa, double* dst,
                 const AosLayout& aos) {
   EXASTP_CHECK(aos.n == soa.n && aos.m == soa.m);
+  record_ranges(soa.size(), src);
+  record_ranges(aos.size(), dst);
   const int n = aos.n, m = aos.m;
   std::memset(dst, 0, aos.size() * sizeof(double));
   for (int k3 = 0; k3 < n; ++k3)

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <random>
@@ -29,6 +30,9 @@
 #include <thread>
 #include <typeinfo>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "exastp/engine/kernel_cache.h"
 #include "exastp/engine/simulation.h"
@@ -529,6 +533,72 @@ TEST(TableFiles, ConcurrentAutotuneSavesKeepEveryJobsEntries) {
   }
   std::remove(path.c_str());
   EXPECT_EQ(lossy_trials, 0) << "of " << kTrials << " trials lost an entry";
+}
+
+constexpr int kEntriesPerProcess = 200;
+
+/// Two processes that share one table file each merge
+/// kEntriesPerProcess distinct entries into it, one save at a time (a run
+/// per save): `merge(process, entry)`. The FileLock's flock on
+/// `<path>.lock` orders their read-merge-writes; without it, a merge that
+/// loads before the other process's rename and renames after it drops
+/// that entry.
+template <class Merge>
+void merge_from_two_processes(const std::string& path, Merge merge) {
+  std::remove(path.c_str());
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    int status = 0;
+    try {
+      for (int e = 0; e < kEntriesPerProcess; ++e) merge(1, e);
+    } catch (...) {
+      status = 1;
+    }
+    std::_Exit(status);
+  }
+  for (int e = 0; e < kEntriesPerProcess; ++e) merge(0, e);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+TEST(TableFiles, BalanceMergesFromTwoProcessesKeepEveryEntry) {
+  const std::string path = "test_config_balance_processes.txt";
+  const std::string pdes[] = {"elastic", "acoustic"};
+  merge_from_two_processes(path, [&](int process, int e) {
+    BalanceTable measured;
+    measured.set(pdes[process], 2 + e, 0, 1.0 + e);
+    measured.merge_into_file(path);
+  });
+  BalanceTable saved;
+  ASSERT_TRUE(saved.load_file(path));
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+  int lost = 0;
+  for (const std::string& pde : pdes)
+    for (int e = 0; e < kEntriesPerProcess; ++e)
+      lost += saved.has(pde, 2 + e, 0) ? 0 : 1;
+  EXPECT_EQ(lost, 0) << "of " << 2 * kEntriesPerProcess << " entries lost";
+}
+
+TEST(TableFiles, AutotuneMergesFromTwoProcessesKeepEveryEntry) {
+  const std::string path = "test_config_autotune_processes.txt";
+  const std::string pdes[] = {"elastic", "acoustic"};
+  merge_from_two_processes(path, [&](int process, int e) {
+    FusionTuneTable tuned;
+    tuned.set(pdes[process], 2 + e, Isa::kScalar, Precision::kF64, 1);
+    tuned.merge_into_file(path);
+  });
+  FusionTuneTable saved;
+  ASSERT_TRUE(saved.load_file(path));
+  std::remove(path.c_str());
+  std::remove((path + ".lock").c_str());
+  int lost = 0;
+  for (const std::string& pde : pdes)
+    for (int e = 0; e < kEntriesPerProcess; ++e)
+      lost += saved.has(pde, 2 + e, Isa::kScalar, Precision::kF64) ? 0 : 1;
+  EXPECT_EQ(lost, 0) << "of " << 2 * kEntriesPerProcess << " entries lost";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the shared STP infrastructure: parameter-row refresh helpers,
 // the type-erased StpKernel handle, Taylor coefficient variants, and the
-// rejected-variant trace restriction.
+// rejected variant's footprint.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "exastp/common/taylor.h"
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
-#include "exastp/perf/trace_model.h"
 
 namespace exastp {
 namespace {
@@ -90,13 +89,6 @@ TEST(TaylorVariants, AverageTimesDtEqualsIntegralCoefficients) {
   for (int o = 0; o < 8; ++o)
     EXPECT_NEAR(avg[o] * dt, integral[o], 1e-16 + 1e-14 * integral[o]);
   EXPECT_DOUBLE_EQ(avg[0], 1.0) << "o=0 average weight must be exactly 1";
-}
-
-TEST(TraceModelRestriction, RejectedVariantHasNoTwin) {
-  CacheSim sim = CacheSim::skylake_sp();
-  EXPECT_THROW(trace_stp(StpVariant::kSoaUfSplitCk, 4,
-                         twin_pde<AcousticPde>(), Isa::kAvx512, sim),
-               std::invalid_argument);
 }
 
 TEST(RejectedVariant, FootprintSitsBetweenSplitCkAndLog) {

@@ -1,148 +1,249 @@
-// Tests for src/perf/trace_model: the twins must report exactly the FLOPs
-// the real kernels count, the footprints the real kernels allocate, and
-// cache behaviour that reproduces the paper's qualitative claims.
+// Tests for src/perf/access_recorder and src/perf/trace_model. A twin is
+// the real kernel run with an access recorder, so its FLOPs and footprint
+// are the kernel's by construction. What is left to check: recording
+// changes no output bit and no FLOP, the recorder sees every byte the
+// kernel owns, its statistics do not depend on where malloc puts the
+// buffers, and the cache behaviour reproduces the paper's claims.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
 #include "exastp/pde/curvilinear_elastic.h"
 #include "exastp/pde/elastic.h"
+#include "exastp/perf/access_recorder.h"
 #include "exastp/perf/trace_model.h"
 #include "exastp/solver/ader_dg_solver.h"
-#include "exastp/tensor/transpose.h"
 
 namespace exastp {
 namespace {
 
-// Runs the real kernel once and returns its FlopCounter delta; `half`
-// also requests the half-window average.
-template <class Pde>
-FlopCounter real_kernel_flops(StpVariant variant, int order, Isa isa,
-                              bool half = false) {
-  StpKernel kernel = make_stp_kernel(Pde{}, variant, order, isa);
-  const AosLayout& aos = kernel.layout();
-  AlignedVector q(aos.size(), 0.0), qavg(aos.size(), 0.0),
-      qavg_half(aos.size(), 0.0);
-  std::array<AlignedVector, 3> favg;
-  for (auto& f : favg) f.assign(aos.size(), 0.0);
-  // Physically sane constant state (avoid division hazards).
+/// An admissible curvilinear-elastic state on the kernel's layout, with
+/// a mild curvature so no metric entry is trivially one or zero.
+AlignedVector curvilinear_cell(const AosLayout& aos) {
+  using Pde = CurvilinearElasticPde;
+  AlignedVector q(aos.size(), 0.0);
   const int n = aos.n;
   for (int k3 = 0; k3 < n; ++k3)
     for (int k2 = 0; k2 < n; ++k2)
       for (int k1 = 0; k1 < n; ++k1) {
         double* node = q.data() + aos.idx(k3, k2, k1, 0);
-        for (int s = 0; s < Pde::kVars; ++s) node[s] = 0.1 * s;
-        if constexpr (std::is_same_v<Pde, CurvilinearElasticPde>) {
-          node[Pde::kRho] = 2.7;
-          node[Pde::kCp] = 6.0;
-          node[Pde::kCs] = 3.4;
-          for (int r = 0; r < 3; ++r) node[Pde::kMetric + 3 * r + r] = 1.0;
-        } else if constexpr (std::is_same_v<Pde, ElasticPde>) {
-          node[Pde::kRho] = 2.7;
-          node[Pde::kCp] = 6.0;
-          node[Pde::kCs] = 3.4;
-        } else if constexpr (std::is_same_v<Pde, AcousticPde>) {
-          node[Pde::kRho] = 1.0;
-          node[Pde::kC] = 2.0;
-        }
+        for (int s = 0; s < Pde::kVars; ++s)
+          node[s] = 0.01 * ((k1 + 2 * k2 + 3 * k3 + s) % 17) - 0.08;
+        node[Pde::kRho] = 2.7;
+        node[Pde::kCp] = 6.0;
+        node[Pde::kCs] = 3.4;
+        for (int r = 0; r < 3; ++r) node[Pde::kMetric + 3 * r + r] = 1.0;
+        node[Pde::kMetric + 1] = 0.05;
       }
-  StpOutputs out{qavg.data(),
-                 {favg[0].data(), favg[1].data(), favg[2].data()},
-                 half ? qavg_half.data() : nullptr};
-  FlopSection section;
-  kernel.run(q.data(), 1e-3, {4.0, 4.0, 4.0}, nullptr, out);
-  return section.delta();
+  return q;
 }
 
-struct TwinCase {
-  StpVariant variant;
-  int order;
-  bool half = false;  ///< also emit the half-window average
+/// Buffers for every output the kernel contract offers.
+struct FullRequest {
+  explicit FullRequest(const AosLayout& aos) {
+    for (AlignedVector& b : buffers) b.assign(aos.size(), -1.0);
+  }
+  StpOutputs outputs() {
+    StpOutputs out;
+    out.qavg = buffers[0].data();
+    for (int d = 0; d < 3; ++d) out.favg[d] = buffers[1 + d].data();
+    out.qavg_half = buffers[4].data();
+    out.qnew = buffers[5].data();
+    return out;
+  }
+  std::array<AlignedVector, 6> buffers;
 };
 
-void PrintTo(const TwinCase& c, std::ostream* os) {
-  *os << variant_name(c.variant) << "_n" << c.order << (c.half ? "_half" : "");
+struct KernelCase {
+  StpVariant variant;
+  Precision precision;
+  Isa isa;
+};
+
+void PrintTo(const KernelCase& c, std::ostream* os) {
+  *os << variant_name(c.variant) << "_" << precision_name(c.precision) << "_"
+      << isa_name(c.isa);
 }
 
-class TwinFlopP : public ::testing::TestWithParam<TwinCase> {};
-
-TEST_P(TwinFlopP, TwinFlopsMatchRealCurvilinearKernel) {
-  const auto [variant, order, half] = GetParam();
-  const Isa isa = host_best_isa();
-  FlopCounter real = real_kernel_flops<CurvilinearElasticPde>(variant, order,
-                                                              isa, half);
-  CacheSim sim = CacheSim::skylake_sp();
-  TwinResult twin = trace_stp(variant, order,
-                              twin_pde<CurvilinearElasticPde>(), isa, sim,
-                              /*warmup=*/0, /*reps=*/1,
-                              /*include_corrector=*/false, half);
-  EXPECT_EQ(twin.flops.total(), real.total()) << "total FLOPs diverge";
-  for (int c = 0; c < kNumWidthClasses; ++c)
-    EXPECT_EQ(twin.flops.flops[c], real.flops[c])
-        << "width class " << c << " diverges";
+/// Every variant in fp64 and the SplitCK family in fp32, at every ISA the
+/// host runs (the generic kernel has one scalar code path).
+std::vector<KernelCase> host_kernel_cases() {
+  std::vector<KernelCase> cases;
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    for (StpVariant v : kAllVariants)
+      if (v != StpVariant::kGeneric || isa == Isa::kScalar)
+        cases.push_back({v, Precision::kF64, isa});
+    for (StpVariant v : {StpVariant::kSplitCk, StpVariant::kAosoaSplitCk})
+      cases.push_back({v, Precision::kF32, isa});
+  }
+  return cases;
 }
 
-TEST_P(TwinFlopP, TwinFootprintMatchesKernelWorkspace) {
-  // The half-window case shares the expectation: emitting qavg_half adds
-  // no kernel workspace.
-  const auto [variant, order, half] = GetParam();
-  const Isa isa = host_best_isa();
-  StpKernel kernel =
-      make_stp_kernel(CurvilinearElasticPde{}, variant, order, isa);
-  CacheSim sim = CacheSim::skylake_sp();
-  TwinResult twin = trace_stp(variant, order,
-                              twin_pde<CurvilinearElasticPde>(), isa, sim, 0,
-                              1, /*include_corrector=*/false, half);
-  EXPECT_EQ(twin.workspace_bytes, kernel.workspace_bytes());
+StpKernel make_case_kernel(const KernelCase& c, int order) {
+  return make_stp_kernel(CurvilinearElasticPde{}, c.variant, order, c.isa,
+                         NodeFamily::kGaussLegendre, c.precision);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, TwinFlopP,
-    ::testing::Values(TwinCase{StpVariant::kGeneric, 3},
-                      TwinCase{StpVariant::kGeneric, 6},
-                      TwinCase{StpVariant::kLog, 3},
-                      TwinCase{StpVariant::kLog, 6},
-                      TwinCase{StpVariant::kLog, 9},
-                      TwinCase{StpVariant::kSplitCk, 3},
-                      TwinCase{StpVariant::kSplitCk, 6},
-                      TwinCase{StpVariant::kSplitCk, 9},
-                      TwinCase{StpVariant::kAosoaSplitCk, 3},
-                      TwinCase{StpVariant::kAosoaSplitCk, 6},
-                      TwinCase{StpVariant::kAosoaSplitCk, 9},
-                      TwinCase{StpVariant::kGeneric, 3, true},
-                      TwinCase{StpVariant::kLog, 6, true},
-                      TwinCase{StpVariant::kSplitCk, 3, true},
-                      TwinCase{StpVariant::kSplitCk, 6, true},
-                      TwinCase{StpVariant::kAosoaSplitCk, 6, true},
-                      TwinCase{StpVariant::kAosoaSplitCk, 9, true}));
+constexpr double kDt = 1e-3;
+const std::array<double, 3> kInvDx{4.0, 4.0, 4.0};
 
-template <class Pde>
-void expect_twins_match_per_width_class(int order) {
-  for (StpVariant v : kAllVariants) {
-    // The rejected SoA-UF ablation variant has no trace twin.
-    if (v == StpVariant::kSoaUfSplitCk) continue;
-    const Isa isa = host_best_isa();
-    FlopCounter real = real_kernel_flops<Pde>(v, order, isa);
+class RecorderP : public ::testing::TestWithParam<KernelCase> {};
+
+TEST_P(RecorderP, RecordingChangesNoOutputBitAndNoFlop) {
+  const KernelCase c = GetParam();
+  for (int order = 2; order <= 11; ++order) {
+    const StpKernel kernel = make_case_kernel(c, order);
+    const AlignedVector q = curvilinear_cell(kernel.layout());
+    FullRequest plain(kernel.layout()), recorded(kernel.layout());
+
+    FlopSection plain_section;
+    kernel.run(q.data(), kDt, kInvDx, nullptr, plain.outputs());
+    const FlopCounter plain_flops = plain_section.delta();
+
     CacheSim sim = CacheSim::skylake_sp();
-    TwinResult twin = trace_stp(v, order, twin_pde<Pde>(), isa, sim, 0, 1);
-    for (int c = 0; c < kNumWidthClasses; ++c)
-      EXPECT_EQ(twin.flops.flops[c], real.flops[c])
-          << Pde::kName << " " << variant_name(v) << " width class " << c;
+    AccessRecorder recorder;
+    recorder.attach(sim);
+    FlopCounter recorded_flops;
+    {
+      const AccessRecorder::Scope scope(recorder);
+      FlopSection section;
+      kernel.run(q.data(), kDt, kInvDx, nullptr, recorded.outputs());
+      recorded_flops = section.delta();
+    }
+    EXPECT_GT(sim.stats().accesses, 0u) << "order " << order;
+    for (std::size_t b = 0; b < plain.buffers.size(); ++b)
+      EXPECT_EQ(std::memcmp(plain.buffers[b].data(),
+                            recorded.buffers[b].data(),
+                            plain.buffers[b].size() * sizeof(double)),
+                0)
+          << "order " << order << " output " << b;
+    for (int w = 0; w < kNumWidthClasses; ++w)
+      EXPECT_EQ(recorded_flops.flops[w], plain_flops.flops[w])
+          << "order " << order << " width class " << w;
   }
 }
 
-TEST(TraceModel, AcousticAndElasticTwinsMatchPerWidthClass) {
-  // Two more PDEs pin the parameterization (quants, flux/ncp flops, flux
-  // row masks), and the per-class ledger pins where the line functions
-  // run: at the kernel's ISA, which the AoSoA twin assumes.
-  expect_twins_match_per_width_class<AcousticPde>(4);
-  expect_twins_match_per_width_class<ElasticPde>(8);
+TEST_P(RecorderP, OneCallCoversTheWorkspaceAndTheRequest) {
+  // The recorder must see every byte of the request's buffers and at least
+  // workspace_bytes() beyond them; the rest it sees is the derivative
+  // operators (D and the AoSoA kernel's padded D^T). A workspace tensor
+  // that a kernel touches only through an unhooked loop fails this.
+  const KernelCase c = GetParam();
+  for (int order : {2, 5, 8, 9, 11}) {
+    const StpKernel kernel = make_case_kernel(c, order);
+    const AlignedVector q = curvilinear_cell(kernel.layout());
+    FullRequest request(kernel.layout());
+    kernel.run(q.data(), kDt, kInvDx, nullptr, request.outputs());
+
+    AccessRecorder recorder;
+    {
+      const AccessRecorder::Scope scope(recorder);
+      kernel.run(q.data(), kDt, kInvDx, nullptr, request.outputs());
+    }
+    std::size_t io = 0;
+    std::vector<const AlignedVector*> buffers{&q};
+    for (const AlignedVector& b : request.buffers) buffers.push_back(&b);
+    for (const AlignedVector* b : buffers) {
+      const std::size_t bytes = b->size() * sizeof(double);
+      EXPECT_EQ(recorder.distinct_bytes_in(b->data(), bytes), bytes)
+          << "order " << order;
+      io += bytes;
+    }
+    const std::size_t beyond = recorder.distinct_bytes() - io;
+    const std::size_t operators =
+        (static_cast<std::size_t>(order) * order +
+         static_cast<std::size_t>(order) * pad_to(order, 8)) *
+        sizeof(double);
+    EXPECT_GE(beyond, kernel.workspace_bytes()) << "order " << order;
+    EXPECT_LE(beyond, kernel.workspace_bytes() + operators)
+        << "order " << order;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HostKernels, RecorderP,
+                         ::testing::ValuesIn(host_kernel_cases()));
+
+TEST(AccessRecorder, LaysBuffersOutInFirstTouchOrder) {
+  // The same access pattern on buffers at unrelated addresses gives the
+  // same statistics; the distinct bytes merge overlapping and adjacent
+  // ranges; and a buffer first touched in alternation with another still
+  // reaches the simulator as one stream per sweep.
+  auto run = [](bool swapped) {
+    std::vector<std::unique_ptr<AlignedVector>> heap;
+    heap.push_back(std::make_unique<AlignedVector>(swapped ? 3000 : 70));
+    heap.push_back(std::make_unique<AlignedVector>(4096));
+    heap.push_back(std::make_unique<AlignedVector>(swapped ? 10 : 5000));
+    heap.push_back(std::make_unique<AlignedVector>(4096));
+    const AlignedVector& a = *heap[swapped ? 3 : 1];
+    const AlignedVector& b = *heap[swapped ? 1 : 3];
+    auto pattern = [&](AccessRecorder& recorder) {
+      for (int r = 0; r < 64; ++r) {
+        recorder.range(b.data() + 64 * r, 24);
+        recorder.range(a.data() + 64 * r, 64);
+      }
+      recorder.range(a.data(), 2000);
+      recorder.strided(b.data() + 3, 16, 8, 256);
+      recorder.range(a.data(), 4096);
+    };
+    AccessRecorder recorder;
+    pattern(recorder);
+    EXPECT_EQ(recorder.distinct_bytes(), (4096 + 64 * 24) * 8u);
+    EXPECT_EQ(recorder.distinct_bytes_in(b.data(), 64 * 8), 24 * 8u);
+    CacheSim sim = CacheSim::skylake_sp();
+    recorder.attach(sim);
+    pattern(recorder);
+    const CacheStats before = sim.stats();
+    recorder.range(a.data(), 4096);
+    const CacheStats sweep = sim.stats();
+    // a's 512 lines were learned as one interval: one stream, at most one
+    // demand head.
+    EXPECT_EQ(sweep.accesses - before.accesses, 512u);
+    EXPECT_LE(sweep.demand_misses[0] - before.demand_misses[0], 1u);
+    return sim.stats();
+  };
+  const CacheStats first = run(false), second = run(true);
+  EXPECT_GT(first.accesses, 0u);
+  EXPECT_EQ(first.accesses, second.accesses);
+  EXPECT_EQ(first.misses, second.misses);
+  EXPECT_EQ(first.demand_misses, second.demand_misses);
+}
+
+TEST(TraceModel, TwinStatsDoNotDependOnTheHeap) {
+  // Two twins of one configuration in one process, with unrelated
+  // allocations between them (so every kernel and request buffer lands
+  // elsewhere), give equal statistics.
+  const PdeAdapter<CurvilinearElasticPde> pde;
+  const Isa isa = host_best_isa();
+  for (StpVariant v : {StpVariant::kLog, StpVariant::kAosoaSplitCk,
+                       StpVariant::kSoaUfSplitCk}) {
+    std::vector<TwinResult> runs;
+    std::vector<std::unique_ptr<AlignedVector>> heap;
+    for (int r = 0; r < 2; ++r) {
+      heap.push_back(std::make_unique<AlignedVector>(1000 + 7777 * r));
+      const StpKernel kernel =
+          make_stp_kernel(CurvilinearElasticPde{}, v, 6, isa);
+      heap.push_back(std::make_unique<AlignedVector>(333 * (r + 1)));
+      CacheSim sim = CacheSim::skylake_sp();
+      runs.push_back(trace_stp(kernel, pde, sim, 1, 1, true, true));
+    }
+    EXPECT_GT(runs[0].cache.accesses, 0u);
+    EXPECT_EQ(runs[0].cache.accesses, runs[1].cache.accesses)
+        << variant_name(v);
+    EXPECT_EQ(runs[0].cache.misses, runs[1].cache.misses) << variant_name(v);
+    EXPECT_EQ(runs[0].cache.demand_misses, runs[1].cache.demand_misses)
+        << variant_name(v);
+  }
 }
 
 /// Corrector FLOPs per cell of one global ADER step on a periodic mesh:
 /// the solver's step ledger minus its predictor kernel calls, each counted
 /// as a kernel probe (favg request). What is left is the volume update,
-/// which the kernel now books over its working layout, and the face work.
+/// which the kernel books over its working layout, and the face work.
 template <class Pde>
 FlopCounter solver_corrector_flops_per_cell(StpVariant variant,
                                             Precision precision, int order,
@@ -175,28 +276,28 @@ FlopCounter solver_corrector_flops_per_cell(StpVariant variant,
   return per_cell;
 }
 
-/// The twins replay the solver's request with the corrector and a kernel
+/// A twin runs the solver's request with the corrector and a kernel
 /// probe's without, so their difference must be the solver's corrector
-/// ledger above. AoSoA cells are smaller or larger than AoS cells, so the
-/// update's FLOPs follow the kernel's layout; the twins model fp64, and
-/// fp32 kernels book at the same width classes.
+/// ledger above, in both precisions.
 template <class Pde>
 void expect_corrector_matches_twin(int order) {
   const std::pair<StpVariant, Precision> cases[] = {
       {StpVariant::kSplitCk, Precision::kF64},
       {StpVariant::kAosoaSplitCk, Precision::kF64},
       {StpVariant::kAosoaSplitCk, Precision::kF32}};
+  const PdeAdapter<Pde> runtime;
   for (const auto& [variant, precision] : cases)
     for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
       if (!host_supports(isa)) continue;
       const FlopCounter solver = solver_corrector_flops_per_cell<Pde>(
           variant, precision, order, isa);
+      const StpKernel kernel =
+          make_stp_kernel(Pde{}, variant, order, isa,
+                          NodeFamily::kGaussLegendre, precision);
       CacheSim sim = CacheSim::skylake_sp();
-      const TwinResult with = trace_stp(variant, order, twin_pde<Pde>(), isa,
-                                        sim, 0, 1,
+      const TwinResult with = trace_stp(kernel, runtime, sim, 0, 1,
                                         /*include_corrector=*/true);
-      const TwinResult without = trace_stp(variant, order, twin_pde<Pde>(),
-                                           isa, sim, 0, 1,
+      const TwinResult without = trace_stp(kernel, runtime, sim, 0, 1,
                                            /*include_corrector=*/false);
       for (int c = 0; c < kNumWidthClasses; ++c)
         EXPECT_EQ(solver.flops[c],
@@ -214,23 +315,26 @@ TEST(TraceModel, CorrectorFlopsMatchTheSolverPerWidthClass) {
   expect_corrector_matches_twin<AcousticPde>(4);
 }
 
+/// Stall fraction of the AVX-512 curvilinear-elastic twin (the paper's
+/// benchmark kernels), one warmup and two measured calls.
+double avx512_stall(StpVariant v, int order, bool corrector) {
+  const StpKernel kernel =
+      make_stp_kernel(CurvilinearElasticPde{}, v, order, Isa::kAvx512);
+  CacheSim sim = CacheSim::skylake_sp();
+  const TwinResult r = trace_stp(kernel, PdeAdapter<CurvilinearElasticPde>(),
+                                 sim, 1, 2, corrector);
+  return StallModel{}.stall_fraction(r.cache, r.flops.flops);
+}
+
 TEST(TraceModel, LogStallsExceedSplitCkAtHighOrder) {
   // The paper's central memory claim (Figs. 6/10): from order ~6 the LoG
   // kernel's working set overflows L2 and its stall fraction stays high,
   // while SplitCK's keeps decreasing.
-  const TwinPde pde = twin_pde<CurvilinearElasticPde>();
-  StallModel model;
-  for (int order : {8, 10}) {
-    CacheSim sim_log = CacheSim::skylake_sp();
-    TwinResult log =
-        trace_stp(StpVariant::kLog, order, pde, Isa::kAvx512, sim_log, 1, 2);
-    CacheSim sim_sp = CacheSim::skylake_sp();
-    TwinResult sp = trace_stp(StpVariant::kSplitCk, order, pde, Isa::kAvx512,
-                              sim_sp, 1, 2);
-    const double stall_log = model.stall_fraction(log.cache, log.flops.flops);
-    const double stall_sp = model.stall_fraction(sp.cache, sp.flops.flops);
-    EXPECT_GT(stall_log, stall_sp) << "order " << order;
-  }
+  if (!host_supports(Isa::kAvx512)) GTEST_SKIP() << "needs AVX-512";
+  for (int order : {8, 10})
+    EXPECT_GT(avx512_stall(StpVariant::kLog, order, false),
+              avx512_stall(StpVariant::kSplitCk, order, false))
+        << "order " << order;
 }
 
 TEST(TraceModel, SplitCkStaysBoundedWhileLogEscalates) {
@@ -239,18 +343,12 @@ TEST(TraceModel, SplitCkStaysBoundedWhileLogEscalates) {
   // bounded band across the whole sweep. (The paper's SplitCK curve
   // declines gently; this model holds it flat, so the test checks only that
   // it stays bounded.)
-  const TwinPde pde = twin_pde<CurvilinearElasticPde>();
-  StallModel model;
-  auto stall = [&](StpVariant v, int order) {
-    CacheSim sim = CacheSim::skylake_sp();
-    TwinResult r = trace_stp(v, order, pde, Isa::kAvx512, sim, 1, 2, true);
-    return model.stall_fraction(r.cache, r.flops.flops);
-  };
-  const double sp4 = stall(StpVariant::kSplitCk, 4);
-  const double sp11 = stall(StpVariant::kSplitCk, 11);
+  if (!host_supports(Isa::kAvx512)) GTEST_SKIP() << "needs AVX-512";
+  const double sp4 = avx512_stall(StpVariant::kSplitCk, 4, true);
+  const double sp11 = avx512_stall(StpVariant::kSplitCk, 11, true);
   EXPECT_LT(std::abs(sp11 - sp4), 0.15) << "SplitCK band too wide";
-  const double log4 = stall(StpVariant::kLog, 4);
-  const double log11 = stall(StpVariant::kLog, 11);
+  const double log4 = avx512_stall(StpVariant::kLog, 4, true);
+  const double log11 = avx512_stall(StpVariant::kLog, 11, true);
   EXPECT_GT(log11 - log4, 0.15) << "LoG must escalate past the L2 overflow";
   EXPECT_GT(log11, sp11 + 0.15);
 }
@@ -258,25 +356,19 @@ TEST(TraceModel, SplitCkStaysBoundedWhileLogEscalates) {
 TEST(TraceModel, AosoaShowsOrder9PaddingBump) {
   // Sec. V-A: order 8 needs no x-line padding under AVX-512, order 9 pads
   // 9 -> 16; the extra traffic and FLOPs are visible as a stall bump.
-  const TwinPde pde = twin_pde<CurvilinearElasticPde>();
-  StallModel model;
-  auto stall = [&](int order) {
-    CacheSim sim = CacheSim::skylake_sp();
-    TwinResult r = trace_stp(StpVariant::kAosoaSplitCk, order, pde,
-                             Isa::kAvx512, sim, 1, 2, true);
-    return model.stall_fraction(r.cache, r.flops.flops);
-  };
-  EXPECT_GT(stall(9), stall(8));
+  if (!host_supports(Isa::kAvx512)) GTEST_SKIP() << "needs AVX-512";
+  EXPECT_GT(avx512_stall(StpVariant::kAosoaSplitCk, 9, true),
+            avx512_stall(StpVariant::kAosoaSplitCk, 8, true));
 }
 
 TEST(TraceModel, WarmupRepsAreExcludedFromStats) {
-  const TwinPde pde = twin_pde<AcousticPde>();
+  const StpKernel kernel = make_stp_kernel(
+      AcousticPde{}, StpVariant::kSplitCk, 4, host_best_isa());
+  const PdeAdapter<AcousticPde> pde;
   CacheSim sim1 = CacheSim::skylake_sp();
-  TwinResult one = trace_stp(StpVariant::kSplitCk, 4, pde, Isa::kAvx512,
-                             sim1, 0, 1);
+  TwinResult one = trace_stp(kernel, pde, sim1, 0, 1);
   CacheSim sim2 = CacheSim::skylake_sp();
-  TwinResult warm = trace_stp(StpVariant::kSplitCk, 4, pde, Isa::kAvx512,
-                              sim2, 1, 1);
+  TwinResult warm = trace_stp(kernel, pde, sim2, 1, 1);
   // A warm workspace produces strictly fewer misses than a cold one.
   EXPECT_LT(warm.cache.misses[1] + warm.cache.misses[2],
             one.cache.misses[1] + one.cache.misses[2] + 1);
@@ -286,21 +378,27 @@ TEST(TraceModel, WarmupRepsAreExcludedFromStats) {
 TEST(TraceModel, PreservesCallersFlopCounter) {
   FlopCounter::instance().reset();
   FlopCounter::instance().add(WidthClass::k256, 1234);
+  const StpKernel kernel =
+      make_stp_kernel(AcousticPde{}, StpVariant::kLog, 4, host_best_isa());
   CacheSim sim = CacheSim::skylake_sp();
-  trace_stp(StpVariant::kLog, 4, twin_pde<AcousticPde>(), Isa::kAvx512, sim);
+  const TwinResult r = trace_stp(kernel, PdeAdapter<AcousticPde>(), sim);
+  EXPECT_GT(r.flops.total(), 0u);
   EXPECT_EQ(FlopCounter::instance().flops[2], 1234u);
+  EXPECT_EQ(FlopCounter::instance().total(), 1234u);
+  EXPECT_EQ(AccessRecorder::thread_instance(), nullptr);
   FlopCounter::instance().reset();
 }
 
 TEST(TraceModel, RejectsBadArguments) {
   CacheSim sim = CacheSim::skylake_sp();
-  EXPECT_THROW(trace_stp(StpVariant::kLog, 1, twin_pde<AcousticPde>(),
-                         Isa::kAvx512, sim),
+  const PdeAdapter<AcousticPde> acoustic;
+  const StpKernel kernel =
+      make_stp_kernel(AcousticPde{}, StpVariant::kLog, 4, host_best_isa());
+  EXPECT_THROW(trace_stp(kernel, acoustic, sim, 1, 0),
                std::invalid_argument);
-  TwinPde empty;
-  EXPECT_THROW(
-      trace_stp(StpVariant::kLog, 4, empty, Isa::kAvx512, sim),
-      std::invalid_argument);
+  EXPECT_THROW(trace_stp(StpKernel{}, acoustic, sim), std::invalid_argument);
+  EXPECT_THROW(trace_stp(kernel, PdeAdapter<ElasticPde>(), sim),
+               std::invalid_argument);
 }
 
 }  // namespace
