@@ -18,7 +18,7 @@ struct Shape {
 };
 
 // Slice shapes for the m=21 elastic benchmark (mPad = 24) at orders 6/8/11:
-// AoS x-derivative (D x slice), fused y-slab, AoSoA x-line (slice x D^T);
+// AoS x-derivative (D x slice), fused y plane, AoSoA x-line (slice x D^T);
 // then the AoSoA shapes the perfbench workloads issue at isa=avx512
 // (x-lines carry only the flux rows that can be nonzero: 9 for elastic,
 // 2 + dir for acoustic).
@@ -31,7 +31,7 @@ const Shape kShapes[] = {
     {21, 8, 8},    // AoSoA x, order 8
     {21, 16, 11},  // AoSoA x, order 11
     {9, 8, 8},     // elastic AoSoA x-line, order 8 (loh1_o8_serial)
-    {8, 72, 8},    // elastic AoSoA y/z slab, order 8
+    {8, 72, 8},    // elastic AoSoA masked y/z block, order 8
     {9, 8, 6},     // elastic AoSoA x-line, order 6 (loh1_stiff_lts)
     {2, 8, 4},     // acoustic AoSoA x-line, order 4 (planewave)
 };
@@ -83,9 +83,9 @@ void run_gemm_f32(benchmark::State& state, Isa isa) {
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
-// The dispatch gap: the AoSoA x sweep of one slab, as the perfbench
-// workloads issue it at isa=avx512 — `lines` x-line GEMMs Q'_l * D^T, the
-// lines m * n_pad apart and D^T shared — once as a loop of single calls
+// The dispatch gap: the AoSoA x sweep of one cell, as the perfbench
+// workloads issue it at isa=avx512 — `lines` = n^2 x-line GEMMs Q'_l * D^T,
+// the lines m * n_pad apart and D^T shared — once as a loop of single calls
 // (one dispatch, argument check and FLOP booking each) and once as one
 // strided batch. Same arithmetic, same bits.
 struct LineBatch {

@@ -1,7 +1,7 @@
 // Whole-file replacement that a concurrent reader never sees half-done:
-// write a sibling temp file, then rename it over the target. The autotune
-// and balance tables are saved back by every run that names them, and
-// ensemble pool jobs share those paths.
+// write a sibling temp file, then rename it over the target. The balance
+// table is saved back by every run that names it, and ensemble pool jobs
+// share its path.
 //
 // Atomic replacement alone still loses updates when two writers each load
 // a table, add their own entries and save it: the last rename wins. A

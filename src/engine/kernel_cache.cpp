@@ -4,8 +4,6 @@
 #include <mutex>
 #include <string>
 
-#include "exastp/kernels/fusion_autotune.h"
-
 namespace exastp {
 namespace {
 
@@ -33,9 +31,7 @@ StpKernel cached_stp_kernel(const KernelFactory& pde, StpVariant variant,
       pde.name() + "/" + variant_name(variant) + "/" + std::to_string(order) +
       "/" + isa_name(isa) + "/" +
       (family == NodeFamily::kGaussLegendre ? "gl" : "lobatto") + "/" +
-      precision_name(precision) + "/" +
-      std::to_string(FusionTuneTable::instance().block_planes(
-          pde.name(), order, pde.info().quants, isa, precision));
+      precision_name(precision);
   StpKernel prototype;
   {
     std::lock_guard<std::mutex> lock(cache_mutex());

@@ -34,8 +34,7 @@ struct KernelCacheStats {
 /// pde.make_kernel on the first request). The returned kernel owns its
 /// workspace and can fork again — it behaves exactly like a kernel from
 /// pde.make_kernel. The precision is part of the cache key: fp64 and fp32
-/// prototypes of one configuration coexist. So is the current fused block
-/// size, so an autotune= table loaded later still takes effect.
+/// prototypes of one configuration coexist.
 StpKernel cached_stp_kernel(const KernelFactory& pde, StpVariant variant,
                             int order, Isa isa, NodeFamily family,
                             Precision precision = Precision::kF64);

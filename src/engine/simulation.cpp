@@ -11,7 +11,6 @@
 #include "exastp/engine/kernel_cache.h"
 #include "exastp/engine/lts_clusters.h"
 #include "exastp/io/receiver_sinks.h"
-#include "exastp/kernels/fusion_autotune.h"
 #include "exastp/mesh/balance_table.h"
 #include "exastp/mesh/partition.h"
 #include "exastp/solver/ader_dg_solver.h"
@@ -37,9 +36,9 @@ Simulation::Simulation(SimulationConfig config, Isa isa,
 Simulation Simulation::from_config(SimulationConfig config) {
   // The run's registry exists from the first setup step: spans turn on when
   // any telemetry output asked for them, and the scope below routes
-  // FlopCounter::instance() to this run for the whole build — so autotune
-  // and kernel-construction FLOPs land in the job that caused them, not in
-  // a process-wide counter shared with concurrent pool jobs.
+  // FlopCounter::instance() to this run for the whole build — so
+  // kernel-construction FLOPs land in the job that caused them, not in a
+  // process-wide counter shared with concurrent pool jobs.
   const TelemetryConfig& tc = config.telemetry;
   const bool spans_on =
       !tc.trace.empty() || !tc.metrics.empty() || !tc.progress.empty();
@@ -92,29 +91,6 @@ Simulation Simulation::from_config(SimulationConfig config) {
   EXASTP_CHECK_MSG(!config.lts || config.stepper == "ader",
                    "lts=on requires stepper=ader (rk4 has no local time "
                    "stepping schedule)");
-
-  // Fused-block autotune table: load whatever the file already knows, then
-  // measure this run's (pde, order, isa, precision) entry if it is missing
-  // and merge the grown table into the file, keeping what other processes
-  // saved since the load. Block sizes are bitwise-neutral, so this
-  // only changes speed; the kernel prototype cache keys on the block size,
-  // so a tuned entry takes effect even when the configuration was built
-  // before.
-  if (!config.autotune.empty() && config.stepper == "ader" &&
-      (config.variant == StpVariant::kSplitCk ||
-       config.variant == StpVariant::kAosoaSplitCk)) {
-    ScopedSpan span(SpanId::kSetupTune);
-    FusionTuneTable& table = FusionTuneTable::instance();
-    table.load_file(config.autotune);
-    if (!table.has(pde->name(), config.order, isa, config.precision)) {
-      table.tune(pde->name(), config.order, pde->info().quants, isa,
-                 config.precision, [&] {
-                   return pde->make_kernel(config.variant, config.order, isa,
-                                           config.family, config.precision);
-                 });
-      table.merge_into_file(config.autotune);
-    }
-  }
 
   // One shard factory serves both paths: a monolithic run is the factory
   // applied to the whole-domain grid, a sharded run applies it to every

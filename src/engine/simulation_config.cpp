@@ -288,9 +288,6 @@ const std::vector<ConfigKey>& config_schema() {
          one_of(v, "deps");
        },
        [](const Config&) { return std::string("deps"); }},
-      {"autotune", "PATH", "fused-block autotune table (load, tune, save)",
-       kNeutral, [](Config& c, Value v) { c.autotune = nonempty_path(v); },
-       [](const Config& c) { return c.autotune; }},
       {"lts", "on|off", "clustered local time stepping (default off)", kResult,
        [](Config& c, Value v) { c.lts = one_of(v, "on|off") == "on"; },
        [](const Config& c) { return std::string(c.lts ? "on" : "off"); }},

@@ -98,12 +98,6 @@ struct SimulationConfig {
   /// stepper=ader and a SplitCK-family variant (splitck | aosoa_splitck);
   /// accuracy bounds per order are documented in docs/precision.md.
   Precision precision = Precision::kF64;
-  /// Path of a fused-block autotune table (kernels/fusion_autotune.h):
-  /// loaded before kernels are built, the entry for this run's
-  /// (pde, order, isa, precision) is measured if missing, and the table is
-  /// saved back. Empty = use the built-in footprint heuristic. Block sizes
-  /// are bitwise- and FLOP-neutral: pure performance state.
-  std::string autotune;
 
   /// Clustered local time stepping (docs/lts.md): "on" bins cells into
   /// powers-of-two rate clusters from their local wave speeds and steps
@@ -117,8 +111,8 @@ struct SimulationConfig {
   /// Path of a measured-cost balance table (mesh/balance_table.h): loaded
   /// before partitioning so shard splits weight cells by measured per-
   /// cluster cost, updated with this run's measurements and saved back.
-  /// Empty = substep-count weighting only. Like autotune, pure
-  /// performance state: every decomposition is bitwise-identical.
+  /// Empty = substep-count weighting only. Pure performance state: every
+  /// decomposition is bitwise-identical.
   std::string balance;
 
   GridSpec grid;

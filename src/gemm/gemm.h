@@ -24,8 +24,8 @@
 // and AVX2, 32 on AVX-512). Every C element is computed by the same
 // operation sequence whatever tile, row count or column window it falls
 // in, so results are bit-identical across tile shapes: splitting a GEMM
-// into row or column pieces (AoSoA row masking, autotuned slab sizes,
-// thread and shard splits) never changes a bit.
+// into row or column pieces (AoSoA row masking, thread and shard splits)
+// never changes a bit.
 //
 // The one entry per precision is a strided batch, modelled on LIBXSMM's
 // strided-batch GEMM: `batch` independent GEMMs whose operands sit at
@@ -34,7 +34,7 @@
 //     for b in [0, batch):
 //       C_b  =/+=  alpha * A_b * B_b,   X_b = x + b * stride_x,
 //
-// so a derivative sweep is one call per slab instead of one per x-line,
+// so a derivative sweep is one call per cell instead of one per x-line,
 // slice or pencil. A stride of 0 shares the operand (the derivative matrix
 // of every slice). C blocks may interleave, each row of one block falling
 // between rows of the others, as long as no two blocks share an element:

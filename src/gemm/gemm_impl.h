@@ -38,7 +38,7 @@
 // vector block; the tail tiles here fuse like every other tile.)
 //
 // Each TU also runs the strided-batch loop (gemm_batch_body) around this
-// schedule, so one call crosses the dispatch once for a whole slab and
+// schedule, so one call crosses the dispatch once for a whole sweep and
 // every GEMM of the batch still runs the one tile schedule of its ISA.
 //
 // The schedule is templated on the scalar type: the fp32 kernel path runs

@@ -86,8 +86,10 @@ void BinaryReceiverSink::finish() {
 }
 
 ReceiverRecords read_receiver_records(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   EXASTP_CHECK_MSG(in.good(), "cannot open " + path);
+  const auto size = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   char magic[8] = {};
   in.read(magic, sizeof(magic));
   EXASTP_CHECK_MSG(
@@ -112,18 +114,20 @@ ReceiverRecords read_receiver_records(const std::string& path) {
     records.positions.push_back(position);
   }
 
+  // Only the whole records the file holds are allocated and read; a
+  // trailing partial record from an interrupted run is left out.
   const std::size_t row_size = records.row_size();
-  std::vector<double> row(row_size);
-  double time = 0.0;
-  while (read_raw(in, &time)) {
-    in.read(reinterpret_cast<char*>(row.data()),
-            static_cast<std::streamsize>(row_size * sizeof(double)));
-    if (in.gcount() !=
-        static_cast<std::streamsize>(row_size * sizeof(double)))
-      break;  // trailing partial record from an interrupted run
-    records.times.push_back(time);
-    records.data.insert(records.data.end(), row.begin(), row.end());
-  }
+  const std::uint64_t left = size - static_cast<std::uint64_t>(in.tellg());
+  const std::size_t rows = left / sizeof(double) / (1 + row_size);
+  records.times.resize(rows);
+  records.data.resize(rows * row_size);
+  for (std::size_t i = 0; i < rows; ++i)
+    EXASTP_CHECK_MSG(
+        read_raw(in, &records.times[i]) &&
+            in.read(reinterpret_cast<char*>(records.data.data() +
+                                            i * row_size),
+                    static_cast<std::streamsize>(row_size * sizeof(double))),
+        path + ": read failed");
   return records;
 }
 

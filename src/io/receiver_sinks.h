@@ -80,7 +80,8 @@ struct ReceiverRecords {
 
 /// Reads a BinaryReceiverSink stream back; throws on bad magic or a
 /// truncated header. A trailing partial record (e.g. from a killed run) is
-/// ignored, matching the "valid after every append" contract.
+/// ignored, matching the "valid after every append" contract. Rows are
+/// allocated only for the whole records the file holds.
 ReceiverRecords read_receiver_records(const std::string& path);
 
 /// Writes records in the BinaryReceiverSink stream format.

@@ -10,13 +10,13 @@
 //  * every (k3,k2) line is a ready-made SoA chunk, so the PDE user functions
 //    run line by line on VECTLENGTH = n_pad lanes and vectorize at the full
 //    SIMD width (Sec. V-C / Fig. 8) — this removes the ~10% scalar tail the
-//    AoS variants keep. The lines of a slab are equally spaced, so one
-//    flux-line call covers a slab (one per k3 plane in the z sweep), as
-//    one strided-batch GEMM call covers each derivative.
+//    AoS variants keep. The n^2 lines of a cell are equally spaced, so one
+//    flux-line call covers the cell in every dimension's sweep, as one
+//    strided-batch GEMM call covers each derivative.
 //
 // The NCP stage stays line by line: B_d(q) * grad q goes into a one-line
 // buffer that stays in L1 and is added to the sweep's output at once.
-// Writing a whole run into the consumed flux slab instead costs a
+// Writing a run of lines into the consumed flux tensor instead costs a
 // write-allocate and a re-read from L2 per line: on curvilinear elastic
 // (AVX-512 Xeon) it took 1-18% longer in fp64 at orders 6-11, though up to
 // 8% less in fp32. PDEs whose NCP is zero skip the stage and get no buffer.
@@ -30,19 +30,15 @@
 // transpose (tensor/transpose.h). A favg[d] leaves only when a caller
 // requests it.
 //
-// Shares the SplitCK extensions (see splitck_stp.h): fused cache-blocked
-// dimension sweeps (slab size from FusionTuneTable), PDE-declared zero-block
-// masking of the flux derivative GEMMs and NCP-stage skipping, and Real
-// templating — the templated PDE line functions keep the hot sweeps
-// conversion-free in both precisions.
+// Shares the SplitCK extensions (see splitck_stp.h): whole-cell dimension
+// sweeps, PDE-declared zero-block masking of the flux derivative GEMMs and
+// NCP-stage skipping, and Real templating — the templated PDE line
+// functions keep the hot sweeps conversion-free in both precisions.
 #pragma once
-
-#include <algorithm>
 
 #include "exastp/basis/basis_tables.h"
 #include "exastp/common/check.h"
 #include "exastp/kernels/derivative_ops.h"
-#include "exastp/kernels/fusion_autotune.h"
 #include "exastp/kernels/splitck_driver.h"
 #include "exastp/pde/pde_base.h"
 #include "exastp/pde/pde_lines.h"
@@ -99,13 +95,10 @@ class AosoaStpT {
             NodeFamily family = NodeFamily::kGaussLegendre)
       : pde_(std::move(pde)),
         isa_(isa),
-        n_(order),
         aos_(order, kQuants, isa),
         aosoa_(order, kQuants, isa),
         boundary_(aos_, aosoa_, isa),
-        driver_(aosoa_, Pde::kVars, isa),
-        block_(FusionTuneTable::instance().block_planes(
-            Pde::kName, order, kQuants, isa, precision_of<Real>())) {
+        driver_(aosoa_, Pde::kVars, isa) {
     EXASTP_CHECK_MSG(order >= 2, "STP needs at least 2 nodes per dimension");
     const BasisTables& basis = basis_tables(order, family);
     const AlignedVector diff_t = basis.padded_diff_t(aosoa_.n_pad);
@@ -149,64 +142,42 @@ class AosoaStpT {
  private:
   friend class SplitCkDriver<Real, AosoaLayout>;
 
-  /// Iterates `fn(line_offset, lines)` over the slab's runs of equally
-  /// spaced (k3,k2) lines: the x/y sweeps' k3 planes are one run; the z
-  /// sweep's k2 pencils are one run per k3 plane.
-  template <class Fn>
-  void for_slab_runs(int d, int lo, int hi, Fn&& fn) const {
-    if (d < 2) {
-      fn(aosoa_.line_offset(lo, 0), (hi - lo) * n_);
-    } else {
-      for (int k3 = 0; k3 < n_; ++k3) fn(aosoa_.line_offset(k3, lo), hi - lo);
-    }
-  }
-
   /// The driver's sweep: dst += inv_h * D_d F_d(src) + B_d(src, inv_h *
-  /// D_d src), all AoSoA, fused slab by slab (see splitck_stp.h). The PDE
-  /// line functions run at the kernel's ISA in the kernel's scalar type.
+  /// D_d src), all AoSoA, each stage over the whole cell (see
+  /// splitck_stp.h). The PDE line functions run at the kernel's ISA in the
+  /// kernel's scalar type.
   void volume(int d, Real inv_h, const Real* src, Real* dst) {
     const int np = aosoa_.n_pad;
     const long line = static_cast<long>(kQuants) * np;
+    const int lines = aosoa_.n * aosoa_.n;
     const int cover = pde_flux_rows_end<Pde>(d);
-    for (int lo = 0; lo < n_; lo += block_) {
-      const int hi = std::min(n_, lo + block_);
-      if (cover > 0) {
-        // Vectorized user function: one call per run of the slab's lines,
-        // each on the full padded x-line (zero lanes are valid inputs by
-        // PDE contract).
-        for_slab_runs(d, lo, hi, [&](std::size_t off, int lines) {
-          flux_line(isa_, pde_, src + off, d, flux_.data() + off, np, np,
-                    lines, line);
-        });
-        aosoa_derivative_slab(isa_, aosoa_, diff_.data(), diff_t_.data(),
-                              inv_h, d, lo, hi, cover, flux_.data(), dst,
-                              /*accumulate=*/true);
-      }
-      if constexpr (!pde_ncp_is_zero<Pde>()) {
-        aosoa_derivative_slab(isa_, aosoa_, diff_.data(), diff_t_.data(),
-                              inv_h, d, lo, hi, aosoa_.m, src, gradq_.data(),
-                              /*accumulate=*/false);
-        // Line by line through the L1-resident buffer (see the header).
-        for_slab_runs(d, lo, hi, [&](std::size_t first, int lines) {
-          for (int l = 0; l < lines; ++l) {
-            const std::size_t off = first + static_cast<std::size_t>(l) * line;
-            ncp_line(isa_, pde_, src + off, gradq_.data() + off, d,
-                     line_buf_.data(), np, np, 1, 0);
-            vec_add(isa_, line, line_buf_.data(), dst + off);
-          }
-        });
+    if (cover > 0) {
+      // Vectorized user function: one call over the cell's x-lines, each
+      // on the full padded line (zero lanes are valid inputs by PDE
+      // contract).
+      flux_line(isa_, pde_, src, d, flux_.data(), np, np, lines, line);
+      aosoa_derivative(isa_, aosoa_, diff_.data(), diff_t_.data(), inv_h, d,
+                       flux_.data(), dst, /*accumulate=*/true, cover);
+    }
+    if constexpr (!pde_ncp_is_zero<Pde>()) {
+      aosoa_derivative(isa_, aosoa_, diff_.data(), diff_t_.data(), inv_h, d,
+                       src, gradq_.data(), /*accumulate=*/false);
+      // Line by line through the L1-resident buffer (see the header).
+      for (int l = 0; l < lines; ++l) {
+        const std::size_t off = static_cast<std::size_t>(l) * line;
+        ncp_line(isa_, pde_, src + off, gradq_.data() + off, d,
+                 line_buf_.data(), np, np, 1, 0);
+        vec_add(isa_, line, line_buf_.data(), dst + off);
       }
     }
   }
 
   Pde pde_;
   Isa isa_;
-  int n_;
   AosLayout aos_;
   AosoaLayout aosoa_;
   AosoaBoundary boundary_;
   SplitCkDriver<Real, AosoaLayout> driver_;
-  int block_;
   // The derivative operator and its zero-padded transpose, in Real.
   AlignedVectorT<Real> diff_, diff_t_;
   AlignedVectorT<Real> flux_, gradq_, line_buf_;

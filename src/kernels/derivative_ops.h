@@ -3,39 +3,31 @@
 // Every tensor contraction of the STP reduces to mini-GEMMs on matrix
 // slices of the cell tensor (Fig. 3): the slice stride becomes the leading
 // dimension. Three shapes appear per layout, and each is ONE strided-batch
-// call (gemm.h) per slab, the derivative operator shared at stride 0:
+// call (gemm.h) over the whole cell, the derivative operator shared at
+// stride 0:
 //
 //   AoS,   x:  (k3,k2) slices  out' = D * Q'  (n x n)(n x mPad), batched
-//              over the slab's consecutive slices
+//              over the n^2 slices
 //   AoS,   y:  per k3 plane, fuse (k1,s):  D * (n x n*mPad), batched over
-//              the slab's planes
+//              the n planes
 //   AoS,   z:  one GEMM, fuse (k2,k1,s):  D * (n x n^2*mPad)
 //   AoSoA, x:  (k3,k2) lines, transposed product  Q' * D^T  (Sec. V-B
 //              case 1: C^T = B^T A^T), vectorizing over the padded x-line,
-//              batched over the slab's consecutive lines
+//              batched over the n^2 lines
 //   AoSoA, y:  per k3 plane, fuse (s,k1):  D * (n x m*nPad)  (Fig. 7),
-//              batched over the slab's planes
+//              batched over the n planes
 //   AoSoA, z:  one GEMM, fuse (k2,s,k1):  D * (n x n*m*nPad)
 //
 // The 1/h mesh scaling rides along as the GEMM alpha so no separate scaling
 // pass over the output is needed.
 //
-// Two orthogonal extensions serve the fused SplitCK kernels:
-//
-//  * Zero-block masking (`cover`): the PDE declares the past-the-end index
-//    of its possibly-nonzero flux rows per direction (pde_base.h traits).
-//    Quantity rows >= cover of the flux tensor are exactly zero, so their
-//    derivative columns are skipped. Skipping is bitwise-exact for
-//    accumulate mode (adding signed zeros to a zeroed target yields +0
-//    either way) but changes reported FLOPs.
-//  * Slab ranges (`lo`, `hi`): the fused kernels interleave pointwise flux
-//    evaluation with the derivative GEMMs block by block so the flux slab
-//    is still cache-resident when the GEMM consumes it. dirs 0 and 1
-//    contract within a k3 plane, so the range selects k3 planes; dir 2
-//    contracts OVER k3, so the range selects k2 pencils (all k3 present).
-//    Slab boundaries split GEMM columns at multiples of the padded leading
-//    dimension (a multiple of the vector width), so blocking never changes
-//    FLOP counts or their width classification.
+// Zero-block masking (`cover`) serves the SplitCK kernels: the PDE declares
+// the past-the-end index of its possibly-nonzero flux rows per direction
+// (pde_base.h traits). Quantity rows >= cover of the flux tensor are
+// exactly zero, so their derivative columns are skipped. Skipping is
+// bitwise-exact for accumulate mode (adding signed zeros to a zeroed target
+// yields +0 either way) but changes reported FLOPs. The default cover masks
+// nothing.
 //
 // Masking rules. AoS masked widths are rounded UP to the ISA vector width
 // — the masked columns stay full SIMD lanes (no scalar remainder loop) and
@@ -50,7 +42,7 @@
 //               the fused GEMM of each plane.
 //   AoS  dir 2: skip when cover == 0; when ncols < mPad: (k2,k1) GEMMs of
 //               N = ncols, one batch whose blocks interleave mPad apart;
-//               else one GEMM over the slab's fused columns.
+//               else one GEMM over the cell's fused columns.
 //
 // AoSoA columns fuse (s, k1) with s outer, so a row mask keeps whole
 // padded x-lines — already vector-width multiples, no rounding needed:
@@ -60,8 +52,11 @@
 //   AoSoA dir 1: when cover < m: N = cover*nPad (contiguous prefix).
 //   AoSoA dir 2: when cover < m: per-k2 GEMMs of N = cover*nPad, one batch
 //               whose blocks interleave m*nPad apart; else one GEMM over
-//               the slab's fused columns.
+//               the cell's fused columns.
 #pragma once
+
+#include <algorithm>
+#include <limits>
 
 #include "exastp/common/aligned.h"
 #include "exastp/common/check.h"
@@ -71,21 +66,23 @@
 
 namespace exastp {
 
+/// The default `cover`: every quantity row, no masking.
+inline constexpr int kAllRows = std::numeric_limits<int>::max();
+
 /// Masked AoS column count: cover rounded up to full vectors, capped at
 /// the padded row width.
 inline int aos_masked_cols(const AosLayout& aos, Isa isa, int cover) {
-  const int padded = pad_to(cover, vector_width(isa));
-  return padded < aos.m_pad ? padded : aos.m_pad;
+  return std::min(pad_to(std::min(cover, aos.m_pad), vector_width(isa)),
+                  aos.m_pad);
 }
 
-/// dst (+)= inv_h * d(src)/dxi_dir restricted to a slab (see header
-/// comment) with zero-block masking for quantity rows >= cover. `diff` is
-/// the n x n derivative operator, row-major, lda = n.
+/// dst (+)= inv_h * d(src)/dxi_dir over the whole cell, skipping quantity
+/// rows >= cover (see the header comment). `diff` is the n x n derivative
+/// operator, row-major, lda = n.
 template <class Real>
-inline void aos_derivative_slab(Isa isa, const AosLayout& aos,
-                                const Real* diff, Real inv_h, int dir,
-                                int lo, int hi, int cover, const Real* src,
-                                Real* dst, bool accumulate) {
+inline void aos_derivative(Isa isa, const AosLayout& aos, const Real* diff,
+                           Real inv_h, int dir, const Real* src, Real* dst,
+                           bool accumulate, int cover = kAllRows) {
   const int n = aos.n;
   const int ld = aos.m_pad;
   if (cover <= 0) return;
@@ -100,46 +97,35 @@ inline void aos_derivative_slab(Isa isa, const AosLayout& aos,
   const long slice = static_cast<long>(n) * ld;
   switch (dir) {
     case 0:
-      run(ncols, aos.node_offset(lo, 0, 0), ld, slice, (hi - lo) * n);
+      run(ncols, 0, ld, slice, n * n);
       break;
     case 1:
       if (masked) {
-        for (int k3 = lo; k3 < hi; ++k3)
+        for (int k3 = 0; k3 < n; ++k3)
           run(ncols, aos.node_offset(k3, 0, 0), n * ld, ld, n);
       } else {
-        run(n * ld, aos.node_offset(lo, 0, 0), n * ld, n * slice, hi - lo);
+        run(n * ld, 0, n * ld, n * slice, n);
       }
       break;
     case 2:
       if (masked)
-        run(ncols, aos.node_offset(0, lo, 0), n * n * ld, ld, (hi - lo) * n);
+        run(ncols, 0, n * n * ld, ld, n * n);
       else
-        run((hi - lo) * n * ld, aos.node_offset(0, lo, 0), n * n * ld, 0, 1);
+        run(n * n * ld, 0, n * n * ld, 0, 1);
       break;
     default:
       EXASTP_CHECK_MSG(false, "dir must be 0, 1 or 2");
   }
 }
 
-/// dst (+)= inv_h * d(src)/dxi_dir for AoS tensors, full cell, no masking.
-/// `diff` is the n x n derivative operator, row-major, lda = n.
+/// AoSoA counterpart of aos_derivative. `diff` as above; `diff_t_padded`
+/// is D^T with rows padded to aosoa.n_pad (basis_tables' padded_diff_t),
+/// required for dir == 0.
 template <class Real>
-inline void aos_derivative(Isa isa, const AosLayout& aos, const Real* diff,
-                           Real inv_h, int dir, const Real* src, Real* dst,
-                           bool accumulate) {
-  aos_derivative_slab(isa, aos, diff, inv_h, dir, 0, aos.n, aos.m_pad, src,
-                      dst, accumulate);
-}
-
-/// AoSoA counterpart of aos_derivative_slab. `diff` as above;
-/// `diff_t_padded` is D^T with rows padded to aosoa.n_pad (basis_tables'
-/// padded_diff_t), required for dir == 0.
-template <class Real>
-inline void aosoa_derivative_slab(Isa isa, const AosoaLayout& aosoa,
-                                  const Real* diff, const Real* diff_t_padded,
-                                  Real inv_h, int dir, int lo, int hi,
-                                  int cover, const Real* src, Real* dst,
-                                  bool accumulate) {
+inline void aosoa_derivative(Isa isa, const AosoaLayout& aosoa,
+                             const Real* diff, const Real* diff_t_padded,
+                             Real inv_h, int dir, const Real* src, Real* dst,
+                             bool accumulate, int cover = kAllRows) {
   const int n = aosoa.n;
   const int m = aosoa.m;
   const int np = aosoa.n_pad;
@@ -148,51 +134,35 @@ inline void aosoa_derivative_slab(Isa isa, const AosoaLayout& aosoa,
   const long line = static_cast<long>(m) * np;
   const int ld = n * m * np;  // k3 stride, the y/z GEMMs' leading dimension
   // `batch` GEMMs D * B_b of N columns, the B/C blocks `stride` apart.
-  const auto run = [&](int N, std::size_t off, int ldx, long stride,
-                       int batch) {
-    gemm_batch(isa, accumulate, inv_h, n, N, n, diff, n, 0, src + off, ldx,
-               stride, dst + off, ldx, stride, batch);
+  const auto run = [&](int N, int ldx, long stride, int batch) {
+    gemm_batch(isa, accumulate, inv_h, n, N, n, diff, n, 0, src, ldx, stride,
+               dst, ldx, stride, batch);
   };
   switch (dir) {
-    case 0: {
+    case 0:
       // out[s][i] = sum_l src[s][l] * Dt[l][i]; unit stride over the padded
       // x-line in both B and C, Dt shared. Masking shrinks the row count.
-      const std::size_t off = aosoa.line_offset(lo, 0);
-      gemm_batch(isa, accumulate, inv_h, masked ? cover : m, np, n,
-                 src + off, np, line, diff_t_padded, np, 0, dst + off, np,
-                 line, (hi - lo) * n);
+      gemm_batch(isa, accumulate, inv_h, masked ? cover : m, np, n, src, np,
+                 line, diff_t_padded, np, 0, dst, np, line, n * n);
       break;
-    }
     case 1:
       // Fuse (s, i): out[j][si] = sum_l D[j][l] src[l][si] (Fig. 7). The s
       // index is outermost in the fused columns, so masking keeps the
       // contiguous prefix of cover*np columns.
-      run((masked ? cover : m) * np, aosoa.idx(lo, 0, 0, 0), m * np, ld,
-          hi - lo);
+      run((masked ? cover : m) * np, m * np, ld, n);
       break;
     case 2:
-      // Fuse (k2, s, i). Unmasked: one GEMM over the slab's k2 range.
-      // Masked: k2 is outermost in the fused columns, so each k2 keeps its
-      // own cover*np prefix — one GEMM per k2, batched.
+      // Fuse (k2, s, i). Unmasked: one GEMM over the whole cell. Masked:
+      // k2 is outermost in the fused columns, so each k2 keeps its own
+      // cover*np prefix — one GEMM per k2, batched.
       if (masked)
-        run(cover * np, aosoa.idx(0, lo, 0, 0), ld, line, hi - lo);
+        run(cover * np, ld, line, n);
       else
-        run((hi - lo) * m * np, aosoa.idx(0, lo, 0, 0), ld, 0, 1);
+        run(n * m * np, ld, 0, 1);
       break;
     default:
       EXASTP_CHECK_MSG(false, "dir must be 0, 1 or 2");
   }
-}
-
-/// dst (+)= inv_h * d(src)/dxi_dir for AoSoA tensors, full cell, no
-/// masking.
-template <class Real>
-inline void aosoa_derivative(Isa isa, const AosoaLayout& aosoa,
-                             const Real* diff, const Real* diff_t_padded,
-                             Real inv_h, int dir, const Real* src, Real* dst,
-                             bool accumulate) {
-  aosoa_derivative_slab(isa, aosoa, diff, diff_t_padded, inv_h, dir, 0,
-                        aosoa.n, aosoa.m, src, dst, accumulate);
 }
 
 }  // namespace exastp

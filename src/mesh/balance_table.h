@@ -10,7 +10,7 @@
 // back to cost 1, i.e. the pure substep-count model, which is already the
 // right first-order answer.
 //
-// Persistence mirrors FusionTuneTable: a line-oriented text format
+// Persistence is a line-oriented text format
 //
 //     pde order cluster cost
 //
@@ -18,8 +18,8 @@
 // `load_file`/`save_file`/`merge_into_file`, wired to the `balance=PATH`
 // config key (simulation.cpp: load before partitioning, measure
 // per-cluster costs from telemetry after the run, merge them into the file
-// — first run measures, later runs just load). Like autotune=, the table
-// is pure performance state: any weighting produces a valid decomposition
+// — first run measures, later runs just load). The table is pure
+// performance state: any weighting produces a valid decomposition
 // and every decomposition is bitwise-identical, so balance= is a neutral
 // config key.
 #pragma once

@@ -9,7 +9,7 @@
 //       out = B_dir(q) * grad lane by lane, likewise.
 //
 // q, grad and the output share the one line stride. A kernel hands over a
-// whole slab of equally spaced lines (AoSoA: consecutive (k3,k2) x-lines,
+// whole cell of equally spaced lines (AoSoA: the n^2 (k3,k2) x-lines,
 // line_stride = m * n_pad) in one call; SoA-UF passes its one line of all
 // n^3 nodes (lines = 1). The lines are independent, so a call is the loop
 // of single-line calls bit for bit.

@@ -8,7 +8,7 @@
 // helpers (stp_common.h), the generic kernel's loops, the face projection
 // and the surface update. Only trace_stp and tests install a recorder.
 // Without one, a hook costs one thread-local load and one not-taken branch
-// per call: since the predictor issues one call per slab, that is a few
+// per call: since the predictor issues one call per sweep, that is a few
 // hundred branches per kernel call, and the per-element code the paper
 // measures stays as it is. A per-access callback would have changed that
 // code.

@@ -168,9 +168,12 @@ void put_string(std::ostream& out, const std::string& s) {
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-bool get_string(std::istream& in, std::string* s) {
+/// Reads a length-prefixed string; false, before allocating anything, when
+/// its bytes would run past `end`, the stream's size.
+bool get_string(std::istream& in, std::streamoff end, std::string* s) {
   std::uint32_t n = 0;
-  if (!get(in, &n)) return false;
+  if (!get(in, &n) || n > end - static_cast<std::streamoff>(in.tellg()))
+    return false;
   s->resize(n);
   return static_cast<bool>(in.read(s->data(), n));
 }
@@ -304,8 +307,10 @@ std::unique_ptr<ResultGallery> make_gallery(const GallerySpec& spec,
 }
 
 std::vector<JobResult> read_gallery_records(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   EXASTP_CHECK_MSG(in.good(), "cannot open gallery \"" + path + "\"");
+  const std::streamoff end = in.tellg();
+  in.seekg(0);
   char magic[8];
   EXASTP_CHECK_MSG(in.read(magic, sizeof(magic)) &&
                        std::equal(magic, magic + 8, kBinMagic),
@@ -319,9 +324,13 @@ std::vector<JobResult> read_gallery_records(const std::string& path) {
     std::uint64_t flops = 0;
     if (!get(in, &status) || !get(in, &cached) || !get(in, &steps) ||
         !get(in, &r.t) || !get(in, &r.l2_error) || !get(in, &r.seconds) ||
-        !get(in, &flops) || !get_string(in, &r.label) ||
-        !get_string(in, &r.error) || !get_string(in, &r.summary))
+        !get(in, &flops) || !get_string(in, end, &r.label) ||
+        !get_string(in, end, &r.error) || !get_string(in, end, &r.summary))
       break;  // trailing partial record (killed run) — ignore
+    EXASTP_CHECK_MSG(status <= static_cast<std::uint8_t>(JobStatus::kSkipped),
+                     "\"" + path + "\": record " +
+                         std::to_string(results.size()) +
+                         " has no job status " + std::to_string(status));
     r.id = id;
     r.steps = steps;
     r.status = static_cast<JobStatus>(status);

@@ -101,9 +101,11 @@ GallerySpec parse_gallery_spec(const std::string& value);
 std::unique_ptr<ResultGallery> make_gallery(const GallerySpec& spec,
                                             std::ostream* fallback);
 
-/// Reads a "bin" gallery stream back, in row order; throws on bad magic or
-/// a truncated header. A trailing partial record is ignored (the stream is
-/// valid after every append, like the receiver streams).
+/// Reads a "bin" gallery stream back, in row order; throws on bad magic, a
+/// truncated header or a status byte outside JobStatus. A trailing partial
+/// record is ignored (the stream is valid after every append, like the
+/// receiver streams), and so is a record whose string length runs past the
+/// end of the file: nothing is allocated beyond the bytes the file holds.
 std::vector<JobResult> read_gallery_records(const std::string& path);
 
 }  // namespace exastp

@@ -24,7 +24,6 @@ const char* span_name(SpanId id) {
     case SpanId::kShardBoundary: return "shard_boundary";
     case SpanId::kOverlapCompute: return "overlap_compute";
     case SpanId::kParallelRegion: return "parallel_region";
-    case SpanId::kSetupTune: return "setup_tune";
     case SpanId::kSetupSolver: return "setup_solver";
     case SpanId::kSetupInit: return "setup_init";
     case SpanId::kJob: return "job";

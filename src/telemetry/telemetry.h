@@ -68,7 +68,6 @@ enum class SpanId : std::int32_t {
   kShardBoundary,     ///< one shard's boundary sweep (track = shard)
   kOverlapCompute,    ///< sweep compute while an exchange was in flight
   kParallelRegion,    ///< one thread's share of a ParallelFor::run
-  kSetupTune,         ///< from_config: fused-block autotune measurement
   kSetupSolver,       ///< from_config: kernel + solver construction
   kSetupInit,         ///< from_config: initial condition + sources
   kJob,               ///< one SimulationPool job (arg = job id)

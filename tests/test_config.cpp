@@ -5,15 +5,15 @@
 //     different canonical strings when the key is a result or an artifact
 //     and equal strings when it is neutral, and every formatter reads back
 //     what its parser wrote. A key without sample values fails the test;
-//   * the neutral set is {threads, schedule, autotune, balance, progress},
-//     and each neutral key leaves the final state bitwise unchanged on a
-//     run where it acts (balance= on a multi-cluster sharded LTS run);
+//   * the neutral set is {threads, schedule, balance, progress}, and each
+//     neutral key leaves the final state bitwise unchanged on a run where
+//     it acts (balance= on a multi-cluster sharded LTS run);
 //   * a seeded config fuzz over mutations of the perfbench, CI and
 //     examples/batches configs: every vector parses and canonicalizes, or
 //     throws std::invalid_argument naming one of its keys;
-//   * the autotune and balance tables those neutral keys name are replaced
-//     atomically: a reader racing a writer only loads complete tables, and
-//     concurrent balance= saves keep every job's entries.
+//   * the balance table balance= names is replaced atomically: a reader
+//     racing a writer only loads complete tables, and concurrent saves, from
+//     threads or processes, keep every job's entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,9 +34,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "exastp/engine/kernel_cache.h"
 #include "exastp/engine/simulation.h"
-#include "exastp/kernels/fusion_autotune.h"
 #include "exastp/mesh/balance_table.h"
 
 namespace exastp {
@@ -63,7 +61,6 @@ const std::map<std::string, std::vector<std::string>>& samples() {
       {"shards_per_rank", {"2", "3"}},
       {"backend", {"mpi"}},
       {"schedule", {"deps"}},
-      {"autotune", {"a.txt", "b.txt"}},
       {"lts", {"on"}},
       {"lts_clusters", {"2", "3"}},
       {"balance", {"a.txt", "b.txt"}},
@@ -131,9 +128,8 @@ TEST(ConfigSchema, PolicySetsAreTheDocumentedOnes) {
     if (key.policy == MemoPolicy::kNeutral) neutral.insert(key.name);
     if (key.policy == MemoPolicy::kArtifact) artifact.insert(key.name);
   }
-  EXPECT_EQ(neutral, (std::set<std::string>{"autotune", "balance",
-                                            "progress", "schedule",
-                                            "threads"}));
+  EXPECT_EQ(neutral, (std::set<std::string>{"balance", "progress",
+                                            "schedule", "threads"}));
   // The output files a pool job suffixes.
   EXPECT_EQ(artifact,
             (std::set<std::string>{"csv", "metrics", "output.receivers_bin",
@@ -203,31 +199,6 @@ TEST(NeutralKeys, ThreadsScheduleAndProgress) {
     SCOPED_TRACE("progress");
     expect_neutral(kPlanewave, {}, {"progress=stderr"});
   }
-}
-
-TEST(NeutralKeys, AutotuneTableWithAPinnedBlockSize) {
-  // A table pinning a non-heuristic fused block size for this run's
-  // (pde, order, isa, precision): the tuned run builds its own kernel
-  // prototype with that block and must match the untuned run bit for bit.
-  FusionTuneTable::instance().clear();
-  const std::vector<std::string> base{
-      "scenario=planewave", "order=4",      "cells=3x3x3", "t_end=0.05",
-      "variant=splitck",    "isa=scalar",   "stepper=ader"};
-  const int heuristic = FusionTuneTable::heuristic_block_planes(
-      4, find_pde("acoustic")->info().quants, Isa::kScalar, Precision::kF64);
-  const std::string path = "test_config_autotune.txt";
-  std::ofstream(path) << "acoustic 4 scalar fp64 " << (heuristic == 1 ? 2 : 1)
-                      << "\n";
-  Simulation plain = run_with(base, {});
-  reset_kernel_cache_stats();
-  Simulation tuned = run_with(base, {"autotune=" + path});
-  std::remove(path.c_str());
-  EXPECT_GE(kernel_cache_stats().misses, 1)
-      << "the pinned block size did not reach the kernel";
-  EXPECT_EQ(canonical_config_string(plain.config()),
-            canonical_config_string(tuned.config()));
-  EXPECT_EQ(max_dof_difference(plain.solver(), tuned.solver()), 0.0);
-  FusionTuneTable::instance().clear();
 }
 
 TEST(NeutralKeys, BalanceTableOnAMultiClusterShardedLtsRun) {
@@ -444,15 +415,6 @@ void expect_loads_see_whole_tables(const Table& a, const Table& b,
                      << " loads saw a partial or empty table";
 }
 
-TEST(TableFiles, ConcurrentLoadsSeeOnlyCompleteAutotuneTables) {
-  FusionTuneTable a, b;
-  for (int order = 2; order < 102; ++order) {
-    a.set("curvilinear_elastic", order, Isa::kAvx512, Precision::kF64, 1);
-    b.set("curvilinear_elastic", order, Isa::kAvx2, Precision::kF32, 2);
-  }
-  expect_loads_see_whole_tables(a, b, "test_config_tune_race.txt");
-}
-
 TEST(TableFiles, ConcurrentLoadsSeeOnlyCompleteBalanceTables) {
   BalanceTable a, b;
   for (int order = 2; order < 102; ++order) {
@@ -492,47 +454,6 @@ TEST(TableFiles, ConcurrentBalanceSavesKeepEveryJobsEntries) {
     for (int round = 0; round < kRounds; ++round)
       EXPECT_TRUE(saved.has(pde, 2 + round, 0))
           << pde << " order " << 2 + round << " lost";
-}
-
-// Two pool jobs that tune different keys of one autotune= path share the
-// process-wide table: each sets its key, then saves the whole table
-// (Simulation::from_config). Without the path's lock from serialize() to
-// the rename, a job that serialized before the other's set() could rename
-// after the other's save and drop that entry. A probe of this body against
-// the unlocked save lost an entry in 9 to 112 of the 1,000 trials, over
-// eight runs on a 4-vCPU host.
-TEST(TableFiles, ConcurrentAutotuneSavesKeepEveryJobsEntries) {
-  const std::string path = "test_config_autotune_merge.txt";
-  constexpr int kTrials = 1000;
-  constexpr int kRounds = 2;
-  const std::string pdes[] = {"elastic", "acoustic"};
-  int lossy_trials = 0;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    std::remove(path.c_str());
-    FusionTuneTable shared;
-    std::atomic<int> ready{0};
-    const auto job = [&](const std::string& pde) {
-      ready.fetch_add(1);
-      while (ready.load() < 2) std::this_thread::yield();
-      for (int round = 0; round < kRounds; ++round) {
-        shared.set(pde, 2 + round, Isa::kScalar, Precision::kF64, 1);
-        shared.save_file(path);
-      }
-    };
-    std::thread first(job, pdes[0]), second(job, pdes[1]);
-    first.join();
-    second.join();
-    FusionTuneTable saved;
-    ASSERT_TRUE(saved.load_file(path));
-    bool lost = false;
-    for (const std::string& pde : pdes)
-      for (int round = 0; round < kRounds; ++round)
-        lost = lost ||
-               !saved.has(pde, 2 + round, Isa::kScalar, Precision::kF64);
-    lossy_trials += lost ? 1 : 0;
-  }
-  std::remove(path.c_str());
-  EXPECT_EQ(lossy_trials, 0) << "of " << kTrials << " trials lost an entry";
 }
 
 constexpr int kEntriesPerProcess = 200;
@@ -579,25 +500,6 @@ TEST(TableFiles, BalanceMergesFromTwoProcessesKeepEveryEntry) {
   for (const std::string& pde : pdes)
     for (int e = 0; e < kEntriesPerProcess; ++e)
       lost += saved.has(pde, 2 + e, 0) ? 0 : 1;
-  EXPECT_EQ(lost, 0) << "of " << 2 * kEntriesPerProcess << " entries lost";
-}
-
-TEST(TableFiles, AutotuneMergesFromTwoProcessesKeepEveryEntry) {
-  const std::string path = "test_config_autotune_processes.txt";
-  const std::string pdes[] = {"elastic", "acoustic"};
-  merge_from_two_processes(path, [&](int process, int e) {
-    FusionTuneTable tuned;
-    tuned.set(pdes[process], 2 + e, Isa::kScalar, Precision::kF64, 1);
-    tuned.merge_into_file(path);
-  });
-  FusionTuneTable saved;
-  ASSERT_TRUE(saved.load_file(path));
-  std::remove(path.c_str());
-  std::remove((path + ".lock").c_str());
-  int lost = 0;
-  for (const std::string& pde : pdes)
-    for (int e = 0; e < kEntriesPerProcess; ++e)
-      lost += saved.has(pde, 2 + e, Isa::kScalar, Precision::kF64) ? 0 : 1;
   EXPECT_EQ(lost, 0) << "of " << 2 * kEntriesPerProcess << " entries lost";
 }
 

@@ -123,7 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{4, 24, 4, 0, 0, 0, Isa::kAvx2},
         GemmCase{8, 24, 8, 0, 0, 0, Isa::kAvx512},
         GemmCase{11, 24, 11, 0, 0, 0, Isa::kAvx512},
-        // Fused y/z slabs: D times (n x n*mPad).
+        // Fused y planes: D times (n x n*mPad).
         GemmCase{6, 144, 6, 0, 0, 0, Isa::kAvx512},
         GemmCase{9, 216, 9, 0, 0, 0, Isa::kAvx2},
         // AoSoA x-derivative: (m x n) times Dt (n x nPad).
@@ -204,8 +204,7 @@ TEST(GemmProperty, LinearityInA) {
 // Bit stability of the register tiles: every C element keeps one operation
 // sequence whatever tile, row count or column window computes it. So any
 // split of a GEMM into row pieces (AoSoA row masking, thread and shard
-// splits) or column pieces (autotuned slab sizes) reproduces the unsplit
-// call bit for bit. A tile holds at most kMaxTileRows rows on every ISA
+// splits) or column pieces reproduces the unsplit call bit for bit. A tile holds at most kMaxTileRows rows on every ISA
 // path, so M = 1 .. 2 * kMaxTileRows + 1 straddles every tile edge (full
 // tiles and every remainder size); N crosses the 32/16/8/4 column tiers
 // and the scalar tail.

@@ -1,10 +1,11 @@
 // Tests for the src/io streaming observer subsystem: hook ordering on the
 // SolverBase time loop, batched receiver accuracy against the analytic
 // planewave, incremental writer round-trips (appending CSV, binary record
-// stream, VTK series + .pvd index), and the two acceptance guards — field
-// state bitwise-identical with/without observers at any thread count, and
-// < 5% wall-clock overhead with 64 receivers on the threaded planewave
-// workload.
+// stream, VTK series + .pvd index), the record-stream reader's bounds (a
+// header-only stream, a seeded mutational fuzz), and the two acceptance
+// guards — field state bitwise-identical with/without observers at any
+// thread count, and < 5% wall-clock overhead with 64 receivers on the
+// threaded planewave workload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "exastp/io/receiver_sinks.h"
 #include "exastp/io/vtk_series.h"
 #include "exastp/scenarios/planewave.h"
+#include "stream_fuzz.h"
 
 namespace exastp {
 namespace {
@@ -227,6 +229,48 @@ TEST(ReceiverNetwork, RecordReaderRejectsForeignFiles) {
   std::remove(path.c_str());
   EXPECT_THROW(read_receiver_records("/tmp/exastp_io_missing.bin"),
                std::invalid_argument);
+}
+
+TEST(ReceiverNetwork, RecordReaderAllocatesOnlyTheRowsTheFileHolds) {
+  // A header-only stream of 2,000 receivers x 20,000 quantities: 125 KiB
+  // on disk, but one row of it would take 305 MiB.
+  const std::string path = "/tmp/exastp_io_wide_header.bin";
+  ReceiverRecords wide;
+  wide.positions.assign(2000, {0.5, 0.5, 0.5});
+  wide.quantities.assign(20000, 0);
+  write_receiver_records(wide, path);
+  const long growth = stream_fuzz::peak_rss_growth_mib([&] {
+    const ReceiverRecords records = read_receiver_records(path);
+    return records.positions.size() == 2000 && records.times.empty();
+  });
+  std::remove(path.c_str());
+  EXPECT_GE(growth, 0) << "the read threw or returned the wrong header";
+  EXPECT_LT(growth, 64) << "the read raised the peak resident set by "
+                        << growth << " MiB";
+}
+
+TEST(ReceiverNetwork, RecordReaderFuzzStaysWithinTheFileOrNamesIt) {
+  // A corrupted header reframes the rows (zero receivers make every record
+  // one time stamp), so the bound is the file, not the row count: every
+  // row returned is backed by its bytes.
+  const std::string path = "/tmp/exastp_io_fuzz.bin";
+  ReceiverRecords records;
+  records.positions = {{0.5, 0.5, 0.5}, {0.25, 0.5, 0.75}};
+  records.quantities = {0, 1, 3};
+  for (int i = 0; i < 3; ++i) {
+    records.times.push_back(0.1 * i);
+    for (std::size_t j = 0; j < records.row_size(); ++j)
+      records.data.push_back(std::sin(1.0 + i + 0.1 * j));
+  }
+  write_receiver_records(records, path);
+  const std::string stream = stream_fuzz::file_bytes(path);
+  stream_fuzz::fuzz_stream(
+      stream, path, [](const std::string& file, const std::string& bytes) {
+        const ReceiverRecords read = read_receiver_records(file);
+        EXPECT_EQ(read.data.size(), read.times.size() * read.row_size());
+        EXPECT_LE(read.times.size() * (1 + read.row_size()) * sizeof(double),
+                  bytes.size());
+      });
 }
 
 TEST(VtkSeries, EmitsIntervalSpacedSnapshotsWithAnIndex) {

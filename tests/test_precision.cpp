@@ -17,26 +17,19 @@
 //     the Maxwell TE101 cavity eigenmode),
 //   * bitwise thread/shard invariance of the fp32 path (the same acceptance
 //     matrix the fp64 solver passes; carries the threaded+sharded labels),
-//   * the kernel cache keys prototypes by precision,
-//   * fused-block bitwise neutrality: any FusionTuneTable block size gives
-//     bit-identical outputs in both precisions,
-//   * FusionTuneTable text/file round trips (the autotune=PATH format),
-//   * tune() shows its trial block sizes to its own thread only.
+//   * the kernel cache keys prototypes by precision.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exastp/engine/kernel_cache.h"
 #include "exastp/engine/simulation.h"
-#include "exastp/kernels/fusion_autotune.h"
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
 #include "exastp/pde/curvilinear_elastic.h"
@@ -421,132 +414,6 @@ TEST(Precision, KernelCacheKeysByPrecision) {
   s = kernel_cache_stats();
   EXPECT_EQ(s.misses, 2);
   EXPECT_EQ(s.hits, 2);
-}
-
-// ---------------------------------------------------------------------------
-// Fused-block bitwise neutrality and the autotune table round trip.
-
-/// Restores a pristine (empty) process-wide table around a test.
-struct TuneTableGuard {
-  TuneTableGuard() { FusionTuneTable::instance().clear(); }
-  ~TuneTableGuard() { FusionTuneTable::instance().clear(); }
-};
-
-TEST(FusionTune, BlockSizeIsBitwiseNeutral) {
-  TuneTableGuard guard;
-  const int order = 5;
-  for (Precision p : {Precision::kF64, Precision::kF32}) {
-    auto state = smooth_cell_state<CurvilinearElasticPde>(order);
-    std::vector<StpResult> results;
-    for (int planes : {1, 2, order}) {
-      FusionTuneTable::instance().set(CurvilinearElasticPde::kName, order,
-                                      Isa::kScalar, p, planes);
-      results.push_back(run_stp(CurvilinearElasticPde{},
-                                StpVariant::kSplitCk, order, Isa::kScalar, p,
-                                state));
-    }
-    for (std::size_t r = 1; r < results.size(); ++r) {
-      EXPECT_EQ(results[0].qavg, results[r].qavg) << precision_name(p);
-      for (int d = 0; d < 3; ++d)
-        EXPECT_EQ(results[0].favg[d], results[r].favg[d])
-            << precision_name(p) << " favg[" << d << "]";
-    }
-  }
-}
-
-TEST(FusionTune, HeuristicAndLookupBounds) {
-  TuneTableGuard guard;
-  FusionTuneTable& table = FusionTuneTable::instance();
-  for (int order : {2, 4, 6, 8, 10}) {
-    for (Precision p : {Precision::kF64, Precision::kF32}) {
-      const int planes =
-          FusionTuneTable::heuristic_block_planes(order, 21, Isa::kAvx512, p);
-      EXPECT_GE(planes, 1);
-      EXPECT_LE(planes, order);
-      // Without an entry, block_planes falls back to the heuristic.
-      EXPECT_EQ(table.block_planes("curvilinear_elastic", order, 21,
-                                   Isa::kAvx512, p),
-                planes);
-    }
-  }
-  // fp32 slabs are half the bytes: the tuned block can only grow.
-  EXPECT_GE(
-      FusionTuneTable::heuristic_block_planes(8, 21, Isa::kAvx512,
-                                              Precision::kF32),
-      FusionTuneTable::heuristic_block_planes(8, 21, Isa::kAvx512,
-                                              Precision::kF64));
-}
-
-TEST(FusionTune, TrialBlockSizesStayOnTheTuningThread) {
-  // A pool job building the same configuration while tune() measures must
-  // read the published table, never a trial size; the tuning thread's own
-  // builds see every candidate, and a throwing build publishes nothing.
-  TuneTableGuard guard;
-  FusionTuneTable& table = FusionTuneTable::instance();
-  const int order = 4;
-  const int quants = AcousticPde::kQuants;
-  const Precision p = Precision::kF64;
-  const int heuristic = FusionTuneTable::heuristic_block_planes(
-      order, quants, Isa::kScalar, p);
-  const auto read = [&] {
-    return table.block_planes(AcousticPde::kName, order, quants,
-                              Isa::kScalar, p);
-  };
-  std::vector<int> own, other;
-  const int best = table.tune(
-      AcousticPde::kName, order, quants, Isa::kScalar, p,
-      [&] {
-        own.push_back(read());
-        std::thread([&] { other.push_back(read()); }).join();
-        return make_stp_kernel(AcousticPde{}, StpVariant::kSplitCk, order,
-                               Isa::kScalar, NodeFamily::kGaussLegendre, p);
-      },
-      /*reps=*/1);
-  EXPECT_EQ(own, (std::vector<int>{1, 2, 4}));
-  EXPECT_EQ(other, std::vector<int>(own.size(), heuristic));
-  EXPECT_EQ(read(), best);
-
-  table.clear();
-  EXPECT_THROW(table.tune(AcousticPde::kName, order, quants, Isa::kScalar, p,
-                          []() -> StpKernel {
-                            throw std::runtime_error("build failed");
-                          }),
-               std::runtime_error);
-  EXPECT_FALSE(table.has(AcousticPde::kName, order, Isa::kScalar, p));
-  EXPECT_EQ(read(), heuristic);
-}
-
-TEST(FusionTune, TextAndFileRoundTrip) {
-  TuneTableGuard guard;
-  FusionTuneTable& table = FusionTuneTable::instance();
-  table.set("acoustic", 6, Isa::kAvx2, Precision::kF64, 3);
-  table.set("curvilinear_elastic", 8, Isa::kAvx512, Precision::kF32, 2);
-  const std::string text = table.serialize();
-  EXPECT_NE(text.find("acoustic 6 avx2 fp64 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("curvilinear_elastic 8 avx512 fp32 2"),
-            std::string::npos)
-      << text;
-
-  table.clear();
-  EXPECT_FALSE(table.has("acoustic", 6, Isa::kAvx2, Precision::kF64));
-  table.merge_text("# comment line\n\n" + text);
-  EXPECT_TRUE(table.has("acoustic", 6, Isa::kAvx2, Precision::kF64));
-  EXPECT_EQ(table.block_planes("acoustic", 6, 6, Isa::kAvx2,
-                               Precision::kF64),
-            3);
-  EXPECT_EQ(table.block_planes("curvilinear_elastic", 8, 21, Isa::kAvx512,
-                               Precision::kF32),
-            2);
-  EXPECT_THROW(table.merge_text("acoustic 6 avx2"), std::invalid_argument);
-
-  const std::string path = "test_precision_autotune.txt";
-  table.save_file(path);
-  table.clear();
-  EXPECT_FALSE(table.load_file("test_precision_no_such_file.txt"));
-  EXPECT_TRUE(table.load_file(path));
-  EXPECT_TRUE(table.has("curvilinear_elastic", 8, Isa::kAvx512,
-                        Precision::kF32));
-  std::remove(path.c_str());
 }
 
 }  // namespace

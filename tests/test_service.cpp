@@ -1,7 +1,8 @@
 // Tests for the ensemble service (src/service/): batch-file parsing, the
-// pluggable result galleries, and the SimulationPool itself — pool results
-// bitwise-identical to standalone runs, memoization of duplicate configs
-// (verified by run counters), failure isolation, and deterministic
+// pluggable result galleries, the bin-gallery reader's bounds (a flipped
+// length, a seeded mutational fuzz), and the SimulationPool itself — pool
+// results bitwise-identical to standalone runs, memoization of duplicate
+// configs (verified by run counters), failure isolation, and deterministic
 // id-ordered gallery rows at any concurrency.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "exastp/service/job_queue.h"
 #include "exastp/service/result_gallery.h"
 #include "exastp/service/simulation_pool.h"
+#include "stream_fuzz.h"
 
 namespace exastp {
 namespace {
@@ -177,6 +179,65 @@ TEST(Gallery, BinRoundTrips) {
 
   EXPECT_THROW(make_gallery(parse_gallery_spec("bin"), nullptr),
                std::invalid_argument);
+}
+
+/// A 203-byte bin gallery of three records: done, failed (with an error)
+/// and skipped.
+std::string three_record_gallery(const std::string& path) {
+  auto gallery = make_gallery(parse_gallery_spec("bin:" + path), nullptr);
+  gallery->open();
+  const char* labels[] = {"first", "second", "third"};
+  const JobStatus statuses[] = {JobStatus::kDone, JobStatus::kFailed,
+                                JobStatus::kSkipped};
+  for (int i = 0; i < 3; ++i) {
+    JobResult r;
+    r.id = i;
+    r.label = labels[i];
+    r.status = statuses[i];
+    r.error = i == 1 ? "exploded" : "";
+    r.steps = 10 + i;
+    r.t = 0.1 * i;
+    r.l2_error = 1e-3 * i;
+    r.seconds = 0.5;
+    r.flops = 1000u + i;
+    r.summary = "o=3";
+    gallery->add(r);
+  }
+  gallery->finish();
+  return stream_fuzz::file_bytes(path);
+}
+
+TEST(Gallery, BinReaderStopsAtALengthPastTheEnd) {
+  // One flipped bit (0x40 in the high byte of the second record's label
+  // length) asks for a 1 GiB label in a 203-byte file. That is the
+  // documented trailing partial record: the reader returns the first
+  // record without allocating the label.
+  const std::string path = "/tmp/exastp_test_gallery_flip.bin";
+  std::string bytes = three_record_gallery(path);
+  ASSERT_EQ(bytes.size(), 203u);
+  // magic, the first record (42 fixed bytes, three length prefixes and
+  // "first" + "" + "o=3"), then the second record's fixed bytes.
+  const std::size_t label_length = 8 + (42 + 12 + 5 + 0 + 3) + 42;
+  ASSERT_EQ(bytes[label_length], 6);  // "second"
+  bytes[label_length + 3] ^= 0x40;
+  stream_fuzz::write_bytes(path, bytes);
+  const long growth = stream_fuzz::peak_rss_growth_mib([&] {
+    const std::vector<JobResult> rows = read_gallery_records(path);
+    return rows.size() == 1 && rows[0].label == "first";
+  });
+  std::remove(path.c_str());
+  EXPECT_GE(growth, 0) << "the read threw or did not return the first record";
+  EXPECT_LT(growth, 64) << "the read raised the peak resident set by "
+                        << growth << " MiB";
+}
+
+TEST(Gallery, BinReaderFuzzReturnsAtMostTheRecordsOrANamedError) {
+  const std::string path = "/tmp/exastp_test_gallery_fuzz.bin";
+  const std::string stream = three_record_gallery(path);
+  stream_fuzz::fuzz_stream(
+      stream, path, [](const std::string& file, const std::string&) {
+        EXPECT_LE(read_gallery_records(file).size(), 3u);
+      });
 }
 
 TEST(Gallery, DirWritesOneFilePerJobPlusIndex) {
