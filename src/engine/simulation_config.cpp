@@ -405,10 +405,11 @@ int scenario_param_int(const SimulationConfig& config, const std::string& key,
 
 std::string canonical_config_string(const SimulationConfig& config) {
   std::string out;
-  for (const ConfigKey& key : config_schema())
-    if (key.policy != kNeutral)
-      out += (out.empty() ? "" : "|") + std::string(key.name) + "=" +
-             key.format(config);
+  for (const ConfigKey& key : config_schema()) {
+    if (key.policy == kNeutral) continue;
+    if (!out.empty()) out.append("|");
+    out.append(key.name).append("=").append(key.format(config));
+  }
   return out;
 }
 

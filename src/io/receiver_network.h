@@ -1,17 +1,17 @@
 // Batched receiver (seismogram) network: many probe points registered at
 // once, sampled incrementally from the time loop.
 //
-// The old SeismogramRecorder re-located its containing cell and re-evaluated
-// all n^3 Lagrange basis products on *every* sample. ReceiverNetwork does
-// that work once per receiver at bind time (cell index + tensor-product
-// basis weights against the solver's layout) and every subsequent sample is
-// a dense dot product per quantity — cheap enough to run after every step
-// with dozens of receivers attached (< 5% overhead on the threaded
-// planewave workload; tests/test_io.cpp guards this).
+// Locating a receiver's cell and evaluating its n^3 Lagrange basis
+// products happens once per receiver at bind time (cell index +
+// tensor-product basis weights against the solver's layout), so every
+// sample is a dense dot product per quantity — cheap enough to run after
+// every step with dozens of receivers attached (< 5% overhead on the
+// threaded planewave workload; tests/test_io.cpp guards this).
 //
-// Sampling fans out over the solver's own thread team (ParallelFor): each
-// receiver writes only its slot of the preallocated row, so the traces are
-// deterministic and bitwise-identical for any thread count. Attached
+// Binding fans out over the solver's own thread team (ParallelFor);
+// sampling runs on the calling thread. Each receiver writes only its slot
+// of the preallocated row, so the traces are deterministic and
+// bitwise-identical for any thread count. Attached
 // ReceiverSinks stream each sampled row out incrementally (appending CSV,
 // binary record stream — receiver_sinks.h) while the in-memory traces stay
 // available for analysis.

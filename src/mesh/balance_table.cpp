@@ -1,5 +1,6 @@
 #include "exastp/mesh/balance_table.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,11 +19,13 @@ struct ParsedLine {
   double cost = 0.0;
 };
 
-/// Parses the tokens produced by BalanceTable::key/serialize.
+/// Parses the tokens produced by BalanceTable::key/serialize; a line with
+/// fewer or more tokens is malformed.
 ParsedLine parse_line(const std::string& line) {
   std::istringstream is(line);
   ParsedLine p;
-  if (!(is >> p.pde >> p.order >> p.cluster >> p.cost))
+  std::string extra;
+  if (!(is >> p.pde >> p.order >> p.cluster >> p.cost) || is >> extra)
     throw std::invalid_argument("malformed balance-table line: " + line);
   if (p.order < 1 || p.cluster < 0 || !(p.cost > 0.0))
     throw std::invalid_argument("invalid balance-table entry: " + line);
@@ -59,6 +62,7 @@ std::vector<double> BalanceTable::cell_weights(
     int num_clusters) const {
   EXASTP_CHECK_MSG(num_clusters >= 1, "need at least one cluster");
   std::vector<double> weights(assignment.size(), 1.0);
+  double total = 0.0;
   for (std::size_t g = 0; g < assignment.size(); ++g) {
     const int k = assignment[g];
     EXASTP_CHECK_MSG(k >= 0 && k < num_clusters,
@@ -66,7 +70,16 @@ std::vector<double> BalanceTable::cell_weights(
     const double substeps =
         static_cast<double>(1 << (num_clusters - 1 - k));
     weights[g] = cost(pde, order, k) * substeps;
+    total += weights[g];
   }
+  // Every block weight the partition forms (planes, shards, ranks) is at
+  // most this total, and its split squares block weights, so the total's
+  // square must stay finite (Partition::weighted_split_sizes).
+  EXASTP_CHECK_MSG(std::isfinite(total * total),
+                   "balance-table costs overflow: the " + pde + " order " +
+                       std::to_string(order) + " cell weights sum to " +
+                       std::to_string(total) +
+                       ", too large to partition");
   return weights;
 }
 
@@ -83,14 +96,17 @@ std::string BalanceTable::serialize() const {
 }
 
 void BalanceTable::merge_text(const std::string& text) {
+  // Parse every line before merging any, so a malformed text leaves the
+  // table as it was.
+  std::vector<ParsedLine> parsed;
   std::istringstream is(text);
   std::string line;
   while (std::getline(is, line)) {
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
-    const ParsedLine p = parse_line(line);
-    set(p.pde, p.order, p.cluster, p.cost);
+    parsed.push_back(parse_line(line));
   }
+  for (const ParsedLine& p : parsed) set(p.pde, p.order, p.cluster, p.cost);
 }
 
 bool BalanceTable::load_file(const std::string& path) {
@@ -98,7 +114,11 @@ bool BalanceTable::load_file(const std::string& path) {
   if (!in) return false;
   std::ostringstream buf;
   buf << in.rdbuf();
-  merge_text(buf.str());
+  try {
+    merge_text(buf.str());
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(path + ": " + e.what());
+  }
   return true;
 }
 

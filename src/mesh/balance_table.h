@@ -45,6 +45,8 @@ class BalanceTable {
   /// Per-global-cell partition weights for a cluster assignment
   /// (`assignment[g]` = rate cluster of global cell g, `num_clusters` = K):
   /// measured-or-default substep cost times the 2^(K-1-k) substep count.
+  /// Throws std::invalid_argument when the weights are too large to
+  /// partition: their total squared is not finite.
   std::vector<double> cell_weights(const std::string& pde, int order,
                                    const std::vector<int>& assignment,
                                    int num_clusters) const;
@@ -52,12 +54,14 @@ class BalanceTable {
   /// One "pde order cluster cost" line per entry, sorted by key.
   std::string serialize() const;
   /// Merges entries parsed from `text` (same format; '#' comments and
-  /// blank lines ignored). Throws on malformed lines.
+  /// blank lines ignored). Throws std::invalid_argument on a malformed
+  /// line or a non-positive cost, merging nothing.
   void merge_text(const std::string& text);
 
   /// Best-effort persistence helpers. load_file returns false when the
-  /// file does not exist; save_file replaces it atomically (a concurrent
-  /// load sees a whole table) and throws when the path is unwritable.
+  /// file does not exist and prefixes every parse error with the path;
+  /// save_file replaces it atomically (a concurrent load sees a whole
+  /// table) and throws when the path is unwritable.
   bool load_file(const std::string& path);
   void save_file(const std::string& path) const;
   /// Adds this table's entries to the table stored at `path` (this

@@ -1,6 +1,7 @@
 #include "exastp/mesh/partition.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace exastp {
@@ -45,6 +46,11 @@ std::vector<int> Partition::weighted_split_sizes(
   for (int i = 0; i < n; ++i)
     prefix[static_cast<std::size_t>(i) + 1] =
         prefix[static_cast<std::size_t>(i)] + at(i);
+  // The even-split pass below squares block weights, each at most the
+  // total: a total whose square overflows would make every split tie.
+  const double total = prefix[static_cast<std::size_t>(n)];
+  EXASTP_CHECK_MSG(std::isfinite(total * total),
+                   "plane weights overflow: their sum squared must be finite");
   auto range = [&](int a, int b) {
     return prefix[static_cast<std::size_t>(b)] -
            prefix[static_cast<std::size_t>(a)];

@@ -96,7 +96,9 @@ class Partition {
   /// `plane_weights` (one entry per cell plane, every group non-empty)
   /// minimizing the maximum group weight, by dynamic programming. Ties
   /// break toward the unweighted split (earlier cuts as late as possible),
-  /// so uniform weights reproduce split_sizes exactly.
+  /// so uniform weights reproduce split_sizes exactly. Throws
+  /// std::invalid_argument unless every weight is positive and the
+  /// square of their sum is finite.
   static std::vector<int> weighted_split_sizes(
       const std::vector<double>& plane_weights, int k);
 

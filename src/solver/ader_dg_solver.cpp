@@ -1,17 +1,22 @@
 #include "exastp/solver/ader_dg_solver.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
-#include "exastp/basis/lagrange.h"
+#include "exastp/common/check.h"
 #include "exastp/common/taylor.h"
-#include "exastp/gemm/vecops.h"
-#include "exastp/mesh/partition.h"
 #include "exastp/telemetry/telemetry.h"
 
 namespace exastp {
+namespace {
+
+/// The kernel's layout, once the kernel is known to exist.
+const AosLayout& kernel_layout(const StpKernel& kernel) {
+  EXASTP_CHECK_MSG(static_cast<bool>(kernel), "solver needs a kernel");
+  return kernel.layout();
+}
+
+}  // namespace
 
 AderDgSolver::AderDgSolver(std::shared_ptr<const PdeRuntime> pde,
                            StpKernel kernel, const GridSpec& grid_spec,
@@ -22,27 +27,16 @@ AderDgSolver::AderDgSolver(std::shared_ptr<const PdeRuntime> pde,
 AderDgSolver::AderDgSolver(std::shared_ptr<const PdeRuntime> pde,
                            StpKernel kernel, const Grid& grid,
                            NodeFamily family)
-    : pde_(std::move(pde)),
-      kernel_(std::move(kernel)),
-      grid_(grid),
-      basis_(basis_tables(kernel_.layout().n, family)),
-      layout_(kernel_.layout()),
-      isa_(kernel_.isa()),
-      trace_layout_(layout_),
-      cell_size_(layout_.size()),
-      vars_(pde_ ? pde_->info().vars : 0) {
-  EXASTP_CHECK_MSG(pde_ != nullptr && kernel_, "solver needs pde and kernel");
-  EXASTP_CHECK_MSG(pde_->info().quants == layout_.m,
-                   "kernel layout does not match the PDE");
-  const std::size_t owned =
-      static_cast<std::size_t>(grid_.num_cells()) * cell_size_;
-  q_.assign(owned, 0.0);
-  qnew_.assign(owned, 0.0);
-  traces_.assign(trace_count(grid_) * trace_layout_.size(), 0.0);
-  CellClassification cells = classify_cells(grid_);
-  interior_cells_ = std::move(cells.interior);
-  boundary_cells_ = std::move(cells.boundary);
+    : DgSolver(std::move(pde), grid, kernel_layout(kernel), kernel.isa(),
+               family),
+      kernel_(std::move(kernel)) {
+  qnew_.assign(q_.size(), 0.0);
   rebuild_scratch();
+  assign_clusters(
+      std::vector<int>(
+          static_cast<std::size_t>(grid_.num_cells() + grid_.num_halo_cells()),
+          0),
+      1);
 }
 
 void AderDgSolver::set_thread_team(const ParallelFor& team) {
@@ -70,71 +64,6 @@ void AderDgSolver::rebuild_scratch() {
   }
 }
 
-void AderDgSolver::set_initial_condition(
-    const std::function<void(const std::array<double, 3>&, double*)>& init) {
-  const int n = layout_.n;
-  std::vector<double> node(layout_.m);
-  for (int c = 0; c < grid_.num_cells(); ++c) {
-    double* cell = mutable_cell_dofs(c);
-    for (int k3 = 0; k3 < n; ++k3)
-      for (int k2 = 0; k2 < n; ++k2)
-        for (int k1 = 0; k1 < n; ++k1) {
-          init(node_position(c, k1, k2, k3), node.data());
-          double* dst = cell + layout_.idx(k3, k2, k1, 0);
-          std::memcpy(dst, node.data(), layout_.m * sizeof(double));
-          for (int s = layout_.m; s < layout_.m_pad; ++s) dst[s] = 0.0;
-        }
-  }
-  time_ = 0.0;
-  // Material parameters may have changed; the wave-speed cache rebuilds
-  // on the next stable_dt call.
-  wave_speed_cache_.clear();
-}
-
-void AderDgSolver::add_point_source(const MeshPointSource& source) {
-  prepare_point_source(source, vars_);
-}
-
-std::array<double, 3> AderDgSolver::node_position(int cell, int k1, int k2,
-                                                  int k3) const {
-  const auto o = grid_.cell_origin(cell);
-  return {o[0] + grid_.dx(0) * basis_.nodes[k1],
-          o[1] + grid_.dx(1) * basis_.nodes[k2],
-          o[2] + grid_.dx(2) * basis_.nodes[k3]};
-}
-
-double AderDgSolver::stable_dt(double cfl) const {
-  const int n = layout_.n;
-  if (wave_speed_cache_.empty()) {
-    // Per-cell maxima, computed once per initial condition: every PDE's
-    // max_wave_speed reads only material parameter rows, which the zero
-    // flux rows keep constant in time, so the eigenvalue sweep need not
-    // rerun every step. max commutes exactly, so the cached per-cell
-    // values — and the reduction below — stay bitwise-independent of the
-    // thread count.
-    const std::size_t nodes = static_cast<std::size_t>(n) * n * n;
-    wave_speed_cache_.assign(static_cast<std::size_t>(grid_.num_cells()),
-                             0.0);
-    par_.run(grid_.num_cells(), 1, [&](int /*tid*/, long begin, long end) {
-      for (long c = begin; c < end; ++c) {
-        const double* cell = cell_dofs(static_cast<int>(c));
-        double cell_max = 0.0;
-        for (std::size_t k = 0; k < nodes; ++k)
-          for (int d = 0; d < 3; ++d)
-            cell_max = std::max(
-                cell_max, pde_->max_wave_speed(cell + k * layout_.m_pad, d));
-        wave_speed_cache_[static_cast<std::size_t>(c)] = cell_max;
-      }
-    });
-  }
-  double smax = 1e-300;
-  for (double s : wave_speed_cache_) smax = std::max(smax, s);
-  const double hmin =
-      std::min({grid_.dx(0), grid_.dx(1), grid_.dx(2)});
-  // Standard explicit-DG CFL bound ~ h / (c (2N - 1)) per dimension.
-  return cfl * hmin / (smax * (2.0 * n - 1.0) * 3.0);
-}
-
 void AderDgSolver::predict_cell(
     ThreadScratch& ts, int c, double dt, double t,
     const std::array<double, 3>& inv_dx,
@@ -156,8 +85,7 @@ void AderDgSolver::predict_cell(
 
   // A cell with a finer face neighbour also publishes the average over
   // [t, t + dt/2], which the kernel folds out of the same Taylor expansion.
-  const bool half =
-      lts_enabled_ && needs_half_[static_cast<std::size_t>(c)] != 0;
+  const bool half = needs_half_[static_cast<std::size_t>(c)] != 0;
   // The kernel writes the volume update q + dt * sum_d favg[d] straight
   // into qnew_c; the averages are consumed by the face projection below,
   // so one pair of per-thread temporaries suffices (the kernel overwrites
@@ -190,7 +118,7 @@ void AderDgSolver::predict_cell(
     project_faces(isa_, layout_, basis_, ts.qavg_half.data(),
                   traces_of(half_traces_, c));
 
-  if (lts_enabled_ && needs_sum_[static_cast<std::size_t>(c)] != 0) {
+  if (needs_sum_[static_cast<std::size_t>(c)] != 0) {
     // A coarser face neighbour averages this cell's two sub-averages over
     // its full interval; fold the traces into the running window sum.
     double* sum_c = traces_of(sum_traces_, c);
@@ -202,115 +130,68 @@ void AderDgSolver::predict_cell(
   }
 }
 
-void AderDgSolver::step(double dt) {
-  for (int phase = 0; phase < num_step_phases(); ++phase)
-    step_phase(phase, dt);
-}
-
-void AderDgSolver::step_phase(int phase, double dt) {
-  step_phase_interior(phase, dt);
-  step_phase_boundary(phase, dt);
-}
-
 void AderDgSolver::step_phase_interior(int phase, double dt) {
   EXASTP_CHECK_MSG(dt > 0.0, "dt must be positive");
-  if (lts_enabled_) {
-    EXASTP_CHECK(phase >= 0 && phase < 2 * macro_substeps_);
-    const int s = phase / 2;
-    const double dt_fine = dt / macro_substeps_;
-    if (phase % 2 == 0) {
-      // Predict fine substep s: every cluster whose step starts here
-      // (s aligned to its 2^k stride) expands at t = time_ + s dt_fine.
-      ScopedSpan span(SpanId::kPredict);
-      const auto inv_dx = grid_.inv_dx();
-      for (int k = 0; k < num_clusters_; ++k) {
-        if (s % (1 << k) != 0) continue;
-        predict_cluster(k, s, dt_fine * (1 << k), time_ + s * dt_fine,
-                        inv_dx);
-      }
-      return;
-    }
-    // Correct fine substep s, interior sweep: the clusters completing
-    // their step here read only owned traces.
-    ScopedSpan span(SpanId::kCorrectInterior);
-    for (int k = 0; k < num_clusters_; ++k) {
-      if ((s + 1) % (1 << k) != 0) continue;
-      correct_cluster(k, s, dt_fine * (1 << k), cluster_interior_[k]);
-    }
-    return;
-  }
-
-  EXASTP_CHECK(phase == 0 || phase == 1);
-  if (phase == 0) {
+  EXASTP_CHECK(phase >= 0 && phase < num_step_phases());
+  const int s = phase / 2;
+  const double dt_fine = dt / macro_substeps_;
+  if (phase % 2 == 0) {
+    // Predict fine substep s: every cluster whose step starts here (s
+    // aligned to its 2^k stride) expands at t = time_ + s dt_fine. The
+    // predictor reads no neighbour data, so the phase is all interior.
     ScopedSpan span(SpanId::kPredict);
     const auto inv_dx = grid_.inv_dx();
-    const auto integral_coeff = taylor_coefficients(dt, layout_.n);
-    // Predictor + volume update + projection: embarrassingly cell-parallel
-    // — qnew_c and the cell's traces belong to the traversed cell, each
-    // thread runs its own kernel clone and output scratch. No neighbour
-    // reads, so the phase is all interior.
-    par_.run(grid_.num_cells(), 1, [&](int tid, long begin, long end) {
-      ThreadScratch& ts = scratch_[static_cast<std::size_t>(tid)];
-      for (long c = begin; c < end; ++c)
-        predict_cell(ts, static_cast<int>(c), dt, time_, inv_dx,
-                     integral_coeff, false);
-    });
+    for (int k = 0; k < num_clusters_; ++k) {
+      if (s % (1 << k) != 0) continue;
+      predict_cluster(k, s, dt_fine * (1 << k), time_ + s * dt_fine, inv_dx);
+    }
     return;
   }
-
-  // Corrector over the interior set: these cells read only owned traces,
-  // so the sweep runs while the halo exchange is in flight.
+  // Correct fine substep s, interior sweep: the clusters completing their
+  // step here read only owned traces, so the sweep runs while the halo
+  // exchange is in flight.
   ScopedSpan span(SpanId::kCorrectInterior);
-  apply_corrector(dt, interior_cells_);
+  for (int k = 0; k < num_clusters_; ++k) {
+    if ((s + 1) % (1 << k) != 0) continue;
+    correct_cluster(k, s, dt_fine * (1 << k), cluster_interior_[k]);
+  }
 }
 
 void AderDgSolver::step_phase_boundary(int phase, double dt) {
-  if (lts_enabled_) {
-    EXASTP_CHECK(phase >= 0 && phase < 2 * macro_substeps_);
-    if (phase % 2 == 0) return;
-    const int s = phase / 2;
-    const double dt_fine = dt / macro_substeps_;
-    ScopedSpan span(SpanId::kCorrectBoundary);
-    for (int k = 0; k < num_clusters_; ++k) {
-      if ((s + 1) % (1 << k) != 0) continue;
-      correct_cluster(k, s, dt_fine * (1 << k), cluster_boundary_[k]);
-    }
-    if (s == macro_substeps_ - 1) {
-      // Every cluster completes at the last fine substep, so every owned
-      // cell's qnew is fresh — the whole-buffer swap and finite check of
-      // the global path apply verbatim (K == 1 IS the global path).
-      finish_step(dt);
-      return;
-    }
-    // Intermediate advance: only the completing clusters' cells move to
-    // their substepped state; everyone else keeps stepping from q.
-    for (int k = 0; k < num_clusters_; ++k) {
-      if ((s + 1) % (1 << k) != 0) continue;
-      const std::vector<int>& cells = cluster_cells_[k];
-      par_.run(static_cast<long>(cells.size()), 1,
-               [&](int /*tid*/, long begin, long end) {
-                 for (long i = begin; i < end; ++i) {
-                   const std::size_t off =
-                       static_cast<std::size_t>(
-                           cells[static_cast<std::size_t>(i)]) *
-                       cell_size_;
-                   std::memcpy(q_.data() + off, qnew_.data() + off,
-                               cell_size_ * sizeof(double));
-                 }
-               });
-    }
+  EXASTP_CHECK(phase >= 0 && phase < num_step_phases());
+  if (phase % 2 == 0) return;
+  // Runs after the trace halos are valid (the monolithic grid has none,
+  // and its boundary lists are empty).
+  const int s = phase / 2;
+  const double dt_fine = dt / macro_substeps_;
+  ScopedSpan span(SpanId::kCorrectBoundary);
+  for (int k = 0; k < num_clusters_; ++k) {
+    if ((s + 1) % (1 << k) != 0) continue;
+    correct_cluster(k, s, dt_fine * (1 << k), cluster_boundary_[k]);
+  }
+  if (s == macro_substeps_ - 1) {
+    // Every cluster completes at the last fine substep, so every owned
+    // cell's qnew is fresh: swap the whole buffer and check it.
+    finish_step(dt);
     return;
   }
-
-  EXASTP_CHECK(phase == 0 || phase == 1);
-  if (phase == 0) return;
-
-  // Runs after the trace halos are valid (the monolithic grid has none, and
-  // its boundary set is empty): boundary corrector, buffer swap, time
-  // advance.
-  ScopedSpan span(SpanId::kCorrectBoundary);
-  apply_corrector(dt, boundary_cells_);
-  finish_step(dt);
+  // Intermediate advance: only the completing clusters' cells move to
+  // their substepped state; everyone else keeps stepping from q.
+  for (int k = 0; k < num_clusters_; ++k) {
+    if ((s + 1) % (1 << k) != 0) continue;
+    const std::vector<int>& cells = cluster_cells_[k];
+    par_.run(static_cast<long>(cells.size()), 1,
+             [&](int /*tid*/, long begin, long end) {
+               for (long i = begin; i < end; ++i) {
+                 const std::size_t off =
+                     static_cast<std::size_t>(
+                         cells[static_cast<std::size_t>(i)]) *
+                     cell_size_;
+                 std::memcpy(q_.data() + off, qnew_.data() + off,
+                             cell_size_ * sizeof(double));
+               }
+             });
+  }
 }
 
 void AderDgSolver::correct_cell(ThreadScratch& ts, int c, double dt, int s) {
@@ -323,8 +204,7 @@ void AderDgSolver::correct_cell(ThreadScratch& ts, int c, double dt, int s) {
   u.jump = ts.work.data();
   u.out = qnew_.data() + static_cast<std::size_t>(c) * cell_size_;
   for (int dir = 0; dir < 3; ++dir) u.scale[dir] = dt * inv_dx[dir];
-  const bool clustered = lts_enabled_ && num_clusters_ > 1;
-  const int k = clustered ? cluster_[static_cast<std::size_t>(c)] : 0;
+  const int k = cluster_[static_cast<std::size_t>(c)];
   for (int f = 0; f < 6; ++f) {
     const int dir = f / 2;
     const int side = f % 2;
@@ -337,7 +217,7 @@ void AderDgSolver::correct_cell(ThreadScratch& ts, int c, double dt, int s) {
     // The neighbour's trace of the shared face: its face on the far side.
     const std::size_t off = trace_slot(grid_, nb.cell, dir, 1 - side) * t;
     const double* avg = traces_.data() + off;
-    const int nk = clustered ? cluster_[static_cast<std::size_t>(nb.cell)] : k;
+    const int nk = cluster_[static_cast<std::size_t>(nb.cell)];
     if (nk == k) {
       u.neighbour[static_cast<std::size_t>(f)] = avg;
       continue;
@@ -364,24 +244,10 @@ void AderDgSolver::correct_cell(ThreadScratch& ts, int c, double dt, int s) {
     }
     u.neighbour[static_cast<std::size_t>(f)] = tmp;
   }
-  // The lift of the final (sub)step writes every owned DOF of the step's
+  // The lift of the final substep writes every owned DOF of the step's
   // result, so its finite flag is the blow-up check.
   const bool finite = pde_->surface_update(isa_, u);
-  if (!finite && (!lts_enabled_ || s == macro_substeps_ - 1))
-    ts.nonfinite = 1;
-}
-
-void AderDgSolver::apply_corrector(double dt, const std::vector<int>& cells) {
-  // Cell-parallel surface sweep over one classification set: each cell
-  // applies the lift from its own six faces to itself only (interior
-  // Riemann solves run once per side — identical bits, no write races), so
-  // the interior/boundary split never changes any cell's bits.
-  par_.run(static_cast<long>(cells.size()), 1,
-           [&](int tid, long begin, long end) {
-             ThreadScratch& ts = scratch_[static_cast<std::size_t>(tid)];
-             for (long i = begin; i < end; ++i)
-               correct_cell(ts, cells[static_cast<std::size_t>(i)], dt, 0);
-           });
+  if (!finite && s == macro_substeps_ - 1) ts.nonfinite = 1;
 }
 
 void AderDgSolver::predict_cluster(int k, int s, double dt_k, double t,
@@ -392,6 +258,9 @@ void AderDgSolver::predict_cluster(int k, int s, double dt_k, double t,
   // A new sum window opens on every even local substep (the start of the
   // coarser neighbour's interval).
   const bool sum_reset = ((s >> k) & 1) == 0;
+  // Predictor + volume update + projection: embarrassingly cell-parallel —
+  // qnew_c and the cell's traces belong to the traversed cell, each thread
+  // runs its own kernel clone and output scratch.
   const std::vector<int>& cells = cluster_cells_[static_cast<std::size_t>(k)];
   par_.run(static_cast<long>(cells.size()), 1,
            [&](int tid, long begin, long end) {
@@ -412,6 +281,10 @@ void AderDgSolver::correct_cluster(int k, int s, double dt_k,
                                    const std::vector<int>& cells) {
   ScopedSpan span(SpanId::kLtsCluster, /*arg=*/k);
   const auto t0 = std::chrono::steady_clock::now();
+  // Cell-parallel surface sweep: each cell applies the lift from its own
+  // six faces to itself only (interior Riemann solves run once per side —
+  // identical bits, no write races), so the interior/boundary split never
+  // changes any cell's bits.
   par_.run(static_cast<long>(cells.size()), 1,
            [&](int tid, long begin, long end) {
              ThreadScratch& ts = scratch_[static_cast<std::size_t>(tid)];
@@ -450,14 +323,18 @@ void AderDgSolver::enable_lts(const std::vector<int>& cluster_of_cell,
       }
     }
   }
+  assign_clusters(cluster_of_cell, num_clusters);
+  lts_enabled_ = true;
+}
 
+void AderDgSolver::assign_clusters(const std::vector<int>& cluster_of_cell,
+                                   int num_clusters) {
   cluster_ = cluster_of_cell;
   num_clusters_ = num_clusters;
   macro_substeps_ = 1 << (num_clusters - 1);
-  lts_enabled_ = true;
 
-  // Per-cluster sweep lists, filtered from the global orders so the
-  // K == 1 degenerate case walks exactly the global sweeps.
+  // Per-cluster sweep lists, filtered from the owned order and the
+  // interior/boundary lists: one cluster walks exactly those.
   cluster_cells_.assign(static_cast<std::size_t>(num_clusters), {});
   for (int c = 0; c < grid_.num_cells(); ++c)
     cluster_cells_[static_cast<std::size_t>(cluster_[c])].push_back(c);
@@ -471,22 +348,23 @@ void AderDgSolver::enable_lts(const std::vector<int>& cluster_of_cell,
   // Production flags: which owned cells must publish the extra
   // time-average traces. Halo neighbours count — the reader may live on
   // another shard, and the exchange moves whatever this shard produced.
-  needs_half_.assign(static_cast<std::size_t>(total), 0);
-  needs_sum_.assign(static_cast<std::size_t>(total), 0);
-  for (int c = 0; c < grid_.num_cells(); ++c) {
-    for (int dir = 0; dir < 3; ++dir) {
-      for (int side = 0; side < 2; ++side) {
-        const NeighborRef nb = grid_.neighbor(c, dir, side);
-        if (nb.boundary) continue;
-        const int nk = cluster_[static_cast<std::size_t>(nb.cell)];
-        const int k = cluster_[static_cast<std::size_t>(c)];
-        if (nk < k) needs_half_[static_cast<std::size_t>(c)] = 1;
-        if (nk > k) needs_sum_[static_cast<std::size_t>(c)] = 1;
+  // One cluster has no cross-cluster face, so its flags all stay 0.
+  const std::size_t total = cluster_.size();
+  needs_half_.assign(total, 0);
+  needs_sum_.assign(total, 0);
+  if (num_clusters_ > 1) {
+    for (int c = 0; c < grid_.num_cells(); ++c) {
+      for (int dir = 0; dir < 3; ++dir) {
+        for (int side = 0; side < 2; ++side) {
+          const NeighborRef nb = grid_.neighbor(c, dir, side);
+          if (nb.boundary) continue;
+          const int nk = cluster_[static_cast<std::size_t>(nb.cell)];
+          const int k = cluster_[static_cast<std::size_t>(c)];
+          if (nk < k) needs_half_[static_cast<std::size_t>(c)] = 1;
+          if (nk > k) needs_sum_[static_cast<std::size_t>(c)] = 1;
+        }
       }
     }
-  }
-
-  if (num_clusters_ > 1) {
     const std::size_t size = trace_count(grid_) * trace_layout_.size();
     half_traces_.assign(size, 0.0);
     sum_traces_.assign(size, 0.0);
@@ -513,8 +391,7 @@ std::vector<SolverBase::LtsClusterStats> AderDgSolver::lts_cluster_stats()
 
 std::vector<SolverBase::PhaseHaloField> AderDgSolver::step_phase_halo_fields(
     int phase) {
-  const bool correct = lts_enabled_ ? phase % 2 == 1 : phase == 1;
-  if (!correct) return {};
+  if (phase % 2 == 0) return {};
   std::vector<PhaseHaloField> fields{PhaseHaloField{traces_.data(), 0}};
   if (num_clusters_ > 1) {
     // Over-exchange by design: not every correct phase reads every

@@ -66,37 +66,4 @@ void write_vtk_cell_averages(const SolverBase& solver,
   }
 }
 
-void SeismogramRecorder::record(const SolverBase& solver) {
-  network_.sample_now(solver);
-}
-
-const std::vector<std::vector<double>>& SeismogramRecorder::samples() const {
-  const std::size_t nq = network_.quantities().size();
-  for (std::size_t i = samples_view_.size(); i < network_.num_samples();
-       ++i) {
-    std::vector<double> row;
-    row.reserve(nq);
-    for (std::size_t q = 0; q < nq; ++q)
-      row.push_back(network_.value(i, 0, q));
-    samples_view_.push_back(std::move(row));
-  }
-  return samples_view_;
-}
-
-void SeismogramRecorder::write_csv(const std::string& path,
-                                   const std::vector<std::string>& names) const {
-  EXASTP_CHECK(names.size() == network_.quantities().size());
-  std::ofstream out(path);
-  EXASTP_CHECK_MSG(out.good(), "cannot open " + path);
-  out << "t";
-  for (const auto& n : names) out << "," << n;
-  out << "\n";
-  for (std::size_t i = 0; i < network_.times().size(); ++i) {
-    out << network_.times()[i];
-    for (std::size_t q = 0; q < network_.quantities().size(); ++q)
-      out << "," << network_.value(i, 0, q);
-    out << "\n";
-  }
-}
-
 }  // namespace exastp

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "exastp/io/receiver_network.h"
 #include "exastp/solver/solver_base.h"
 
 namespace exastp {
@@ -21,34 +20,5 @@ void write_vtk_cell_averages(const SolverBase& solver,
                              const std::vector<int>& quantities,
                              const std::vector<std::string>& names,
                              const std::string& path);
-
-/// Time series recorder for a single receiver — a thin shim over
-/// io/receiver_network.h kept for callers that drive recording by hand.
-/// The first record() binds the network (locating the containing cell and
-/// precomputing the basis weights once); every later record() is a cached
-/// dot product instead of the old locate-and-re-evaluate-per-sample path.
-/// New code should attach a ReceiverNetwork observer instead.
-class SeismogramRecorder {
- public:
-  SeismogramRecorder(std::array<double, 3> position,
-                     std::vector<int> quantities)
-      : network_(std::move(quantities)) {
-    network_.add_receiver(position);
-  }
-
-  void record(const SolverBase& solver);
-  void write_csv(const std::string& path,
-                 const std::vector<std::string>& names) const;
-  std::size_t num_samples() const { return network_.num_samples(); }
-  const std::vector<double>& times() const { return network_.times(); }
-  /// Row-per-record view of the network's traces, rebuilt on demand (the
-  /// network already owns the data; this keeps the legacy return type
-  /// without a second persistent copy).
-  const std::vector<std::vector<double>>& samples() const;
-
- private:
-  ReceiverNetwork network_;
-  mutable std::vector<std::vector<double>> samples_view_;
-};
 
 }  // namespace exastp

@@ -6,7 +6,6 @@
 
 #include "exastp/gemm/vecops.h"
 #include "exastp/kernels/derivative_ops.h"
-#include "exastp/mesh/partition.h"
 #include "exastp/telemetry/telemetry.h"
 
 namespace exastp {
@@ -27,24 +26,11 @@ RkDgSolver::RkDgSolver(std::shared_ptr<const PdeRuntime> pde, int order,
 
 RkDgSolver::RkDgSolver(std::shared_ptr<const PdeRuntime> pde, int order,
                        Isa isa, const Grid& grid, NodeFamily family)
-    : pde_(std::move(pde)),
-      grid_(grid),
-      basis_(basis_tables(order, family)),
-      isa_(isa),
-      layout_(order, pde_->info().quants, isa),
-      trace_layout_(layout_),
-      cell_size_(layout_.size()),
-      vars_(pde_->info().vars) {
-  const std::size_t owned =
-      static_cast<std::size_t>(grid_.num_cells()) * cell_size_;
-  q_.assign(owned, 0.0);
-  stage_.assign(owned, 0.0);
-  rhs_.assign(owned, 0.0);
-  accum_.assign(owned, 0.0);
-  traces_.assign(trace_count(grid_) * trace_layout_.size(), 0.0);
-  CellClassification cells = classify_cells(grid_);
-  interior_cells_ = std::move(cells.interior);
-  boundary_cells_ = std::move(cells.boundary);
+    : DgSolver(pde, grid, AosLayout(order, pde->info().quants, isa), isa,
+               family) {
+  stage_.assign(q_.size(), 0.0);
+  rhs_.assign(q_.size(), 0.0);
+  accum_.assign(q_.size(), 0.0);
   rebuild_scratch();
 }
 
@@ -66,70 +52,18 @@ void RkDgSolver::rebuild_scratch() {
   }
 }
 
-void RkDgSolver::set_initial_condition(
-    const std::function<void(const std::array<double, 3>&, double*)>& init) {
-  const int n = layout_.n;
-  std::vector<double> node(layout_.m);
-  for (int c = 0; c < grid_.num_cells(); ++c) {
-    double* cell = q_.data() + static_cast<std::size_t>(c) * cell_size_;
-    for (int k3 = 0; k3 < n; ++k3)
-      for (int k2 = 0; k2 < n; ++k2)
-        for (int k1 = 0; k1 < n; ++k1) {
-          init(node_position(c, k1, k2, k3), node.data());
-          double* dst = cell + layout_.idx(k3, k2, k1, 0);
-          std::memcpy(dst, node.data(), layout_.m * sizeof(double));
-          for (int s = layout_.m; s < layout_.m_pad; ++s) dst[s] = 0.0;
-        }
-  }
-  time_ = 0.0;
+void RkDgSolver::set_initial_condition(const InitialCondition& init) {
+  DgSolver::set_initial_condition(init);
   project_state(q_);
 }
 
 void RkDgSolver::project_state(const AlignedVector& state) {
-  const std::size_t t = trace_layout_.size();
   par_.run(grid_.num_cells(), 1, [&](int /*tid*/, long begin, long end) {
     for (long c = begin; c < end; ++c)
       project_faces(isa_, layout_, basis_,
                     state.data() + static_cast<std::size_t>(c) * cell_size_,
-                    traces_.data() +
-                        trace_slot(grid_, static_cast<int>(c), 0, 0) * t);
+                    traces_of(traces_, static_cast<int>(c)));
   });
-}
-
-void RkDgSolver::add_point_source(const MeshPointSource& source) {
-  prepare_point_source(source, vars_);
-}
-
-std::array<double, 3> RkDgSolver::node_position(int cell, int k1, int k2,
-                                                int k3) const {
-  const auto o = grid_.cell_origin(cell);
-  return {o[0] + grid_.dx(0) * basis_.nodes[k1],
-          o[1] + grid_.dx(1) * basis_.nodes[k2],
-          o[2] + grid_.dx(2) * basis_.nodes[k3]};
-}
-
-double RkDgSolver::stable_dt(double cfl) const {
-  const int n = layout_.n;
-  const std::size_t nodes = static_cast<std::size_t>(n) * n * n;
-  // Per-chunk maxima: max commutes exactly, so the result stays bitwise-
-  // independent of the thread count even though chunk bounds are not.
-  std::vector<double> partials(static_cast<std::size_t>(par_.num_threads()),
-                               0.0);
-  par_.run(grid_.num_cells(), 1, [&](int tid, long begin, long end) {
-    double chunk_max = 0.0;
-    for (long c = begin; c < end; ++c) {
-      const double* cell = cell_dofs(static_cast<int>(c));
-      for (std::size_t k = 0; k < nodes; ++k)
-        for (int d = 0; d < 3; ++d)
-          chunk_max = std::max(
-              chunk_max, pde_->max_wave_speed(cell + k * layout_.m_pad, d));
-    }
-    partials[static_cast<std::size_t>(tid)] = chunk_max;
-  });
-  double smax = 1e-300;
-  for (double s : partials) smax = std::max(smax, s);
-  const double hmin = std::min({grid_.dx(0), grid_.dx(1), grid_.dx(2)});
-  return cfl * hmin / (smax * (2.0 * n - 1.0) * 3.0);
 }
 
 void RkDgSolver::operator_cell(ThreadScratch& ts, const AlignedVector& state,
@@ -168,7 +102,7 @@ void RkDgSolver::operator_cell(ThreadScratch& ts, const AlignedVector& state,
   FaceUpdate u;
   u.layout = trace_layout_;
   u.basis = &basis_;
-  u.own = traces_.data() + trace_slot(grid_, c, 0, 0) * trace;
+  u.own = traces_of(traces_, c);
   u.jump = ts.jump.data();
   u.out = rc;
   u.scale = inv_dx;
@@ -207,16 +141,6 @@ void RkDgSolver::evaluate_operator(const AlignedVector& state, double t,
                operator_cell(ts, state, t, cells[static_cast<std::size_t>(i)],
                              rhs);
            });
-}
-
-void RkDgSolver::step(double dt) {
-  for (int phase = 0; phase < num_step_phases(); ++phase)
-    step_phase(phase, dt);
-}
-
-void RkDgSolver::step_phase(int phase, double dt) {
-  step_phase_interior(phase, dt);
-  step_phase_boundary(phase, dt);
 }
 
 void RkDgSolver::step_phase_interior(int phase, double dt) {

@@ -79,9 +79,6 @@ class ShardedSolver final : public SolverBase {
   /// Routes the source to the shard owning its position (a no-op on ranks
   /// that do not own it — every rank calls this with the same sources).
   void add_point_source(const MeshPointSource& source) override;
-  bool supports_point_sources() const override {
-    return primary().supports_point_sources();
-  }
 
   /// One shared team for every local shard: shards step sequentially, so a
   /// single pool serves the composite and all sub-solvers.

@@ -1,37 +1,12 @@
 #include "exastp/solver/solver_base.h"
 
-#include <cmath>
-#include <sstream>
-#include <stdexcept>
-
 #include "exastp/basis/lagrange.h"
 #include "exastp/common/check.h"
 #include "exastp/telemetry/telemetry.h"
 
 namespace exastp {
 
-void SolverBase::add_point_source(const MeshPointSource& /*source*/) {
-  EXASTP_FAIL("this stepper (" + stepper_name() +
-              ") does not support point sources");
-}
-
 void SolverBase::set_thread_team(const ParallelFor& team) { par_ = team; }
-
-void SolverBase::throw_nonfinite(const std::string& who) const {
-  const std::size_t cell_size = layout().size();
-  for (int c = 0; c < grid().num_cells(); ++c) {
-    const double* q = cell_dofs(c);
-    for (std::size_t i = 0; i < cell_size; ++i) {
-      if (std::isfinite(q[i])) continue;
-      std::ostringstream msg;
-      msg << who << ": solution became non-finite at t = " << time()
-          << " in cell " << grid().global_cell(c) << ", quantity "
-          << i % layout().m_pad << " (CFL violation or unstable setup)";
-      throw std::runtime_error(msg.str());
-    }
-  }
-  EXASTP_FAIL(who + ": the finite check fired on a finite state");
-}
 
 void SolverBase::step_phase(int phase, double dt) {
   EXASTP_CHECK_MSG(phase == 0, "this stepper has a single step phase");
@@ -96,22 +71,6 @@ int SolverBase::run_until(double t_end, double cfl) {
   for (AttachedObserver& attached : observers_)
     attached.observer->on_finish(*this);
   return steps;
-}
-
-void SolverBase::prepare_point_source(const MeshPointSource& source,
-                                      int vars) {
-  EXASTP_CHECK_MSG(source.wavelet != nullptr, "source needs a wavelet");
-  EXASTP_CHECK_MSG(source.quantity >= 0 && source.quantity < vars,
-                   "source quantity must be an evolved variable");
-  PreparedSource prepared;
-  std::array<double, 3> xi{};
-  prepared.cell = grid().locate(source.position, &xi);
-  for (const auto& existing : sources_)
-    EXASTP_CHECK_MSG(existing.cell != prepared.cell,
-                     "only one point source per cell is supported");
-  prepared.source = source;
-  prepared.psi = project_point_source(basis(), xi, grid().cell_volume());
-  sources_.push_back(std::move(prepared));
 }
 
 double SolverBase::sample(const std::array<double, 3>& x, int quantity) const {

@@ -5,7 +5,8 @@
 // it is measured against. SolverBase is the contract drivers, norms, energy
 // functionals and output writers program against, so every scenario runs on
 // either stepper — and the Simulation façade (src/engine/) can pick one from
-// a runtime config string.
+// a runtime config string. Both steppers implement it on one cell core,
+// DgSolver (dg_solver.h); ShardedSolver composes them over mesh shards.
 #pragma once
 
 #include <array>
@@ -57,9 +58,10 @@ class SolverBase {
 
   virtual void set_initial_condition(const InitialCondition& init) = 0;
 
-  /// Steppers without point-source support throw std::invalid_argument.
-  virtual void add_point_source(const MeshPointSource& source);
-  virtual bool supports_point_sources() const { return false; }
+  /// Attaches a point source to the cell containing its position; throws
+  /// std::invalid_argument for a source without a wavelet, a quantity that
+  /// is not evolved, or a second source in one cell.
+  virtual void add_point_source(const MeshPointSource& source) = 0;
 
   /// Number of threads the hot loops fan out to. Direct construction
   /// defaults to 1 (serial, the benches' per-core measurement mode); the
@@ -80,9 +82,9 @@ class SolverBase {
   /// CFL-limited stable time step from the current solution.
   virtual double stable_dt(double cfl = 0.4) const = 0;
   /// Maps the CFL-stable dt to the dt one step() call actually advances.
-  /// The identity for global stepping; the clustered-LTS ADER stepper
-  /// returns stable * 2^(K-1) — one macro step spans the coarsest
-  /// cluster's dt while the finest cluster substeps at the stable rate.
+  /// The identity for RK4; the ADER stepper returns stable * 2^(K-1) — one
+  /// macro step spans the coarsest cluster's dt while the finest cluster
+  /// substeps at the stable rate (K = 1: stable itself).
   /// run_until calls this between stable_dt and the tail clamp, so a
   /// clamped macro step shrinks every cluster's dt proportionally (still
   /// stable: clamping only decreases dt).
@@ -101,8 +103,7 @@ class SolverBase {
   /// dt_fine * 2^k; face neighbours must be at most one cluster apart
   /// (the caller normalizes the binning). Steppers without LTS support
   /// throw; ShardedSolver accepts GLOBAL cell indexing and maps it onto
-  /// each local shard. num_clusters == 1 must reproduce global stepping
-  /// bitwise.
+  /// each local shard.
   virtual void enable_lts(const std::vector<int>& cluster_of_cell,
                           int num_clusters);
   /// Rate clusters the stepper advances (1 = global stepping).
@@ -141,8 +142,9 @@ class SolverBase {
   // of FaceLayout(layout()).size() doubles, addressed by trace_slot). Only
   // they carry halo slots; the state buffers cover the owned cells.
 
-  /// Phases per step: 2 for ADER (predict | correct+advance), 4 for RK4
-  /// (one per stage), 1 for steppers without a sharded decomposition.
+  /// Phases per step: 2 * 2^(K-1) for ADER (predict | correct per fine
+  /// substep), 4 for RK4 (one per stage), 1 for steppers without a
+  /// sharded decomposition.
   virtual int num_step_phases() const { return 1; }
   /// Runs one phase of a step of size dt; calling phases 0..P-1 in order
   /// is exactly one step(dt). Default: single-phase, forwards to step().
@@ -166,8 +168,8 @@ class SolverBase {
   };
   /// All halo fields `phase` reads, refreshed together before its
   /// boundary sweep (empty = no neighbour data) — one for the RK stages
-  /// and the global ADER corrector, three for the LTS corrector (average,
-  /// half and sum traces). Default: none.
+  /// and the one-cluster ADER corrector, three for the multi-cluster
+  /// corrector (average, half and sum traces). Default: none.
   virtual std::vector<PhaseHaloField> step_phase_halo_fields(int phase);
 
   /// Mesh shards behind this solver: 1 for monolithic solvers, the
@@ -215,25 +217,6 @@ class SolverBase {
   double sample(const std::array<double, 3>& x, int quantity) const;
 
  protected:
-  /// A point source located on the mesh and projected onto the nodal basis
-  /// of its cell.
-  struct PreparedSource {
-    int cell = -1;
-    MeshPointSource source;
-    AlignedVector psi;
-  };
-
-  /// Shared add_point_source body for steppers that support sources:
-  /// validates the wavelet and quantity (`vars` = evolved-quantity count),
-  /// locates the cell and projects the delta onto its basis.
-  void prepare_point_source(const MeshPointSource& source, int vars);
-
-  /// Cold path of the steppers' finite checks: throws std::runtime_error
-  /// naming `who`, t, the global cell and the quantity of the lowest-index
-  /// non-finite value of the owned state.
-  [[noreturn]] void throw_nonfinite(const std::string& who) const;
-
-  std::vector<PreparedSource> sources_;
   /// The thread team the subclass hot loops run on (1 thread by default).
   ParallelFor par_;
 

@@ -32,9 +32,6 @@
 // Determinism: telemetry only reads the monotonic clock and writes to its
 // own buffers and files — it never touches solver state, so enabling it
 // changes no simulation bytes (guarded by tests/test_telemetry.cpp).
-//
-// Compile-time kill switch: defining EXASTP_DISABLE_TELEMETRY turns
-// ScopedSpan and the capture/install hooks into empty inline no-ops.
 #pragma once
 
 #include <array>
@@ -225,8 +222,6 @@ namespace detail {
 TelemetryRegistry*& current_telemetry();
 }  // namespace detail
 
-#ifndef EXASTP_DISABLE_TELEMETRY
-
 /// RAII span timer. Constructed on the hot path of every step phase, so
 /// the disabled path must stay trivial: one TLS load and one branch.
 class ScopedSpan {
@@ -322,29 +317,6 @@ class TelemetryEnv {
   FlopCounter* flops_ = nullptr;
 };
 
-#else  // EXASTP_DISABLE_TELEMETRY
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(SpanId, std::int64_t = -1, int = -1) {}
-};
-
-class TelemetryScope {
- public:
-  explicit TelemetryScope(TelemetryRegistry*) {}
-  static TelemetryRegistry* current() { return nullptr; }
-};
-
-class TelemetryEnv {
- public:
-  static TelemetryEnv capture() { return {}; }
-  class Install {
-   public:
-    explicit Install(const TelemetryEnv&) {}
-  };
-};
-
-#endif  // EXASTP_DISABLE_TELEMETRY
 
 /// Human-readable end-of-run table: phase wall-time shares of the stepped
 /// time, per-shard imbalance and overlap efficiency, FLOP throughput, and

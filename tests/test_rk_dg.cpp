@@ -132,7 +132,6 @@ TEST(RkDg, PointSourceMatchesAder) {
   src.wavelet = std::make_shared<RickerWavelet>(2.0, 0.4);
 
   RkDgSolver rk(runtime, 4, host_best_isa(), grid);
-  EXPECT_TRUE(rk.supports_point_sources());
   rk.set_initial_condition(quiet);
   rk.add_point_source(src);
   rk.run_until(0.6, /*cfl=*/0.2);
