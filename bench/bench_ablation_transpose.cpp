@@ -6,11 +6,11 @@
 //   (b) transpose AoS -> SoA and back around *every* user-function call
 //       (rejected: effective only for expensive non-linear user functions).
 // This bench measures the production boundary of (a) relative to one AoSoA
-// kernel invocation with the solver's request (qavg and the volume update
-// qnew, no favg): q in, qavg and qnew out, each at the kernel's ISA width.
-// It also measures the rejected per-call scheme (2 transposes x 3
-// dimensions x 2 user functions x N Taylor orders). Every host ISA gets its
-// own rows.
+// kernel invocation with the solver's request (the face traces and the
+// volume update qnew; no average and no favg leaves the kernel): q in and
+// qnew out, each at the kernel's ISA width. It also measures the rejected
+// per-call scheme (2 transposes x 3 dimensions x 2 user functions x N
+// Taylor orders). Every host ISA gets its own rows.
 //
 //   build/bench/bench_ablation_transpose [min_order] [max_order]
 #include <chrono>
@@ -51,26 +51,25 @@ int main(int argc, char** argv) {
       const AosLayout& aos = kernel.layout();
       const AosoaLayout& aosoa = kernel.internal_layout();
       AlignedVector q = benchmark_cell(aos, 0);
-      AlignedVector qavg(aos.size()), qnew(aos.size());
+      AlignedVector qnew(aos.size()), traces(6 * FaceLayout(aos).size());
       StpOutputs out;
-      out.qavg = qavg.data();
       out.qnew = qnew.data();
-      AlignedVector q_a(aosoa.size()), qavg_a(aosoa.size()),
-          qnew_a(aosoa.size());
+      out.traces = traces.data();
+      AlignedVector q_a(aosoa.size()), qnew_a(aosoa.size()),
+          traces_a(traces.size());
       StpOutputs out_a;
-      out_a.qavg = qavg_a.data();
       out_a.qnew = qnew_a.data();
+      out_a.traces = traces_a.data();
       aos_to_aosoa(isa, q.data(), aos, q_a.data(), aosoa);
 
       const int reps = order >= 9 ? 30 : 120;
       // The wrapper: the kernel as the solver calls it.
       const double wrapper = time_seconds(
           [&] { kernel.compute(q.data(), dt, inv_dx, nullptr, out); }, reps);
-      // (a) the chosen scheme's boundary: one transpose in, two out.
+      // (a) the chosen scheme's boundary: one transpose in, one out.
       const double boundary = time_seconds(
           [&] {
             aos_to_aosoa(isa, q.data(), aos, q_a.data(), aosoa);
-            aosoa_to_aos(isa, qavg_a.data(), aosoa, qavg.data(), aos);
             aosoa_to_aos(isa, qnew_a.data(), aosoa, qnew.data(), aos);
           },
           reps * 10);
@@ -99,8 +98,8 @@ int main(int argc, char** argv) {
                       ReportTable::num(100.0 * (wrapper - nat) / wrapper, 1)});
     }
   }
-  table.print("Sec. V ablation — boundary AoSoA transposes (q in; qavg, qnew "
-              "out) vs per-call AoS<->SoA transposes");
+  table.print("Sec. V ablation — boundary AoSoA transposes (q in, qnew out) "
+              "vs per-call AoS<->SoA transposes");
   table.write_csv("bench_ablation_transpose.csv");
   std::printf("\nexpected: boundary transposes cost a few %% of the kernel; "
               "the rejected per-call scheme costs a large multiple of "

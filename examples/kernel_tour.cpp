@@ -4,13 +4,16 @@
 // instruction mix — the paper's whole story in one terminal screen. The
 // kernels come from the string-keyed PDE registry, the same path the
 // Simulation façade uses. Every run requests every output: qavg, favg0..2,
-// the half-window average and the volume update qnew.
+// the half-window average, the volume update qnew and the face traces of
+// both averages.
 //
 // Each row prints an FNV-1a digest of the bytes of qavg, favg0..2 and
-// qavg_half, and one of qnew, padding included. Two builds of the same
-// kernels must print the same digests, so diffing the output of two builds
-// checks that a change kept the kernel bits. The tour exits 1 unless every
-// qnew equals q + dt * favg0 + dt * favg1 + dt * favg2, bit for bit.
+// qavg_half, one of qnew and one of the traces and half-window traces,
+// padding included. Two builds of the same kernels must print the same
+// digests, so diffing the output of two builds checks that a change kept
+// the kernel bits. The tour exits 1 unless every qnew equals q + dt *
+// favg0 + dt * favg1 + dt * favg2, and every trace set equals
+// project_faces of the average it came from, bit for bit.
 //
 //   build/examples/kernel_tour [order]
 #include <cmath>
@@ -19,9 +22,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exastp/engine/pde_registry.h"
+#include "exastp/kernels/face.h"
 #include "exastp/pde/curvilinear_elastic.h"
 #include "exastp/perf/instr_mix.h"
 #include "exastp/perf/report.h"
@@ -78,7 +83,7 @@ int main(int argc, char** argv) {
   rows.push_back({StpVariant::kAosoaSplitCk, Precision::kF32});
 
   ReportTable table({"variant", "precision", "workspace_KiB", "qavg[0]",
-                     "digest", "qnew", "mix"});
+                     "digest", "qnew", "traces", "mix"});
   const double dt = 1e-3;
   double reference = 0.0;
   for (const Row& row : rows) {
@@ -87,9 +92,12 @@ int main(int argc, char** argv) {
     const AosLayout& aos = kernel.layout();
     AlignedVector q(aos.size()), qavg(aos.size()), f0(aos.size()),
         f1(aos.size()), f2(aos.size()), half(aos.size()), qnew(aos.size());
+    const std::size_t trace_size = 6 * FaceLayout(aos).size();
+    AlignedVector traces(trace_size), traces_half(trace_size);
     pad_aos(state.data(), order, m, q.data(), aos);
     StpOutputs out{qavg.data(), {f0.data(), f1.data(), f2.data()},
-                   half.data(), qnew.data()};
+                   half.data(), qnew.data(), traces.data(),
+                   traces_half.data()};
 
     FlopSection section;
     kernel.run(q.data(), dt, {4.0, 4.0, 4.0}, nullptr, out);
@@ -100,11 +108,16 @@ int main(int argc, char** argv) {
       digest = fnv1a(t->data(), t->size(), digest);
     const std::uint64_t qnew_digest =
         fnv1a(qnew.data(), qnew.size(), 14695981039346656037ull);
-    char digest_hex[17], qnew_hex[17];
+    const std::uint64_t traces_digest = fnv1a(
+        traces_half.data(), traces_half.size(),
+        fnv1a(traces.data(), traces.size(), 14695981039346656037ull));
+    char digest_hex[17], qnew_hex[17], traces_hex[17];
     std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
                   static_cast<unsigned long long>(digest));
     std::snprintf(qnew_hex, sizeof qnew_hex, "%016llx",
                   static_cast<unsigned long long>(qnew_digest));
+    std::snprintf(traces_hex, sizeof traces_hex, "%016llx",
+                  static_cast<unsigned long long>(traces_digest));
 
     const double probe = qavg[aos.idx(1, 1, 1, 2)];
     if (row.variant == StpVariant::kGeneric) reference = probe;
@@ -113,7 +126,7 @@ int main(int argc, char** argv) {
     table.add_row({name, precision,
                    std::to_string(kernel.workspace_bytes() / 1024),
                    ReportTable::num(probe, 12), digest_hex, qnew_hex,
-                   format_mix(mix)});
+                   traces_hex, format_mix(mix)});
     // The solver's volume update, element by element in its order.
     for (std::size_t i = 0; i < q.size(); ++i) {
       double v = q[i];
@@ -123,6 +136,19 @@ int main(int argc, char** argv) {
       if (std::memcmp(&v, &qnew[i], sizeof v) != 0) {
         std::printf("QNEW MISMATCH for %s %s at element %zu\n", name.c_str(),
                     precision.c_str(), i);
+        return 1;
+      }
+    }
+    // The traces are the kernel's projection of the averages it returned.
+    const BasisTables& basis = basis_tables(order);
+    AlignedVector want(trace_size);
+    for (const auto& [avg, got] :
+         {std::pair{&qavg, &traces}, std::pair{&half, &traces_half}}) {
+      project_faces(kernel.isa(), aos, basis, avg->data(), want.data());
+      if (std::memcmp(want.data(), got->data(),
+                      trace_size * sizeof(double)) != 0) {
+        std::printf("TRACES MISMATCH for %s %s\n", name.c_str(),
+                    precision.c_str());
         return 1;
       }
     }
@@ -136,6 +162,7 @@ int main(int argc, char** argv) {
   }
   table.print("all kernel variants, one scheme");
   std::printf("\nall variants agree to floating-point tolerance; every qnew "
-              "is q + dt * sum favg, bit for bit\n");
+              "is q + dt * sum favg and every trace set the projection of "
+              "its average, bit for bit\n");
   return 0;
 }

@@ -24,11 +24,12 @@
 // The rest of the engine speaks AoS, so the state is transposed to AoSoA on
 // entry and outputs back on exit, as the paper does ("the performance impact
 // of these transpositions is minimal compared to the cost of the kernel").
-// The kernel forms the volume update qnew itself, in AoSoA, so the outputs
-// the solver reads are qavg (plus qavg_half under LTS) and qnew: one
-// transpose in and two or three out, each an ISA-width register-block
-// transpose (tensor/transpose.h). A favg[d] leaves only when a caller
-// requests it.
+// The kernel forms the volume update qnew itself, in AoSoA, and projects
+// its averages onto the face traces in AoSoA at the ISA width (face.h), so
+// the solver's request (traces, traces_half under LTS, qnew) costs one
+// transpose in and one out, each an ISA-width register-block transpose
+// (tensor/transpose.h). qavg, qavg_half and favg[d] leave only when a
+// caller requests them.
 //
 // Shares the SplitCK extensions (see splitck_stp.h): whole-cell dimension
 // sweeps, PDE-declared zero-block masking of the flux derivative GEMMs and
@@ -47,10 +48,11 @@
 namespace exastp {
 
 /// The AoS engine boundary of the AoSoA kernel: the state is transposed in
-/// on entry; qavg and qnew are staged in double AoSoA tensors and
-/// transposed out on exit, all at the kernel's ISA width. The half-window
-/// average borrows the qnew staging. favg is not staged: the driver
-/// transposes a requested favg[d] out of its recursion tensor.
+/// on entry; qavg and qnew are staged in double AoSoA tensors, and what the
+/// caller requested is transposed out on exit, all at the kernel's ISA
+/// width. The half-window average borrows the qnew staging. favg is not
+/// staged: the driver transposes a requested favg[d] out of its recursion
+/// tensor.
 class AosoaBoundary {
  public:
   AosoaBoundary(const AosLayout& aos, const AosoaLayout& aosoa, Isa isa)
@@ -71,13 +73,16 @@ class AosoaBoundary {
   StpOutputs stage(const StpOutputs& out) {
     StpOutputs staged;
     staged.qavg = qavg_.data();
-    if (out.qavg_half != nullptr) staged.qavg_half = qnew_.data();
+    if (out.qavg_half != nullptr || out.traces_half != nullptr)
+      staged.qavg_half = qnew_.data();
     if (out.qnew != nullptr) staged.qnew = qnew_.data();
     return staged;
   }
   void leave(const double* staged, double* out) const {
     aosoa_to_aos(isa_, staged, aosoa_, out, aos_);
   }
+  /// The qavg staging, which the native entry point stages qavg in too.
+  double* qavg_staging() { return qavg_.data(); }
 
  private:
   AosLayout aos_;
@@ -90,6 +95,7 @@ template <class Pde, class Real = double>
 class AosoaStpT {
  public:
   static constexpr int kQuants = Pde::kQuants;
+  static constexpr bool kF64 = std::is_same_v<Real, double>;
 
   AosoaStpT(Pde pde, int order, Isa isa,
             NodeFamily family = NodeFamily::kGaussLegendre)
@@ -98,7 +104,7 @@ class AosoaStpT {
         aos_(order, kQuants, isa),
         aosoa_(order, kQuants, isa),
         boundary_(aos_, aosoa_, isa),
-        driver_(aosoa_, Pde::kVars, isa) {
+        driver_(aosoa_, Pde::kVars, isa, basis_tables(order, family)) {
     EXASTP_CHECK_MSG(order >= 2, "STP needs at least 2 nodes per dimension");
     const BasisTables& basis = basis_tables(order, family);
     const AlignedVector diff_t = basis.padded_diff_t(aosoa_.n_pad);
@@ -129,14 +135,17 @@ class AosoaStpT {
   /// altogether by switching the whole engine to an AoSoA data layout"):
   /// runs the predictor directly on AoSoA buffers with no transposes.
   /// q_aosoa and every output in out_aosoa use this kernel's
-  /// internal_layout(); q_aosoa must have zeroed padding lanes. For
-  /// Real=float the AoSoA boundary stays double; the driver narrows and
-  /// widens as in compute().
+  /// internal_layout(); q_aosoa must have zeroed padding lanes. The traces
+  /// are the same FaceLayout traces as compute()'s. For Real=float the
+  /// AoSoA boundary stays double; the driver narrows and widens as in
+  /// compute().
   void compute_native(const double* q_aosoa, double dt,
                       const std::array<double, 3>& inv_dx,
                       const SourceTerm* source, const StpOutputs& out_aosoa) {
-    driver_.run(*this, InPlaceBoundary{}, q_aosoa, dt, inv_dx, source,
-                out_aosoa);
+    driver_.run(*this,
+                InPlaceBoundary{kF64 ? boundary_.qavg_staging() : nullptr,
+                                aosoa_.size()},
+                q_aosoa, dt, inv_dx, source, out_aosoa);
   }
 
  private:

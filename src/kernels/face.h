@@ -11,8 +11,13 @@
 // for parallel dynamically adaptive simulations of wave problems", Comput.
 // Phys. Commun. 254, 2020):
 //
-//   project_faces   one pass over a cell tensor fills its six traces (the
-//                   ADER predictor's tail; every RK stage state);
+//   project_faces   fills a cell tensor's six traces. The AoS kernels
+//                   (generic, LoG, SplitCK, SoA-UF) project their averages
+//                   with the AoS body, RK projects every stage state with
+//                   it, and the AoSoA kernel projects its averages in its
+//                   own layout with the AoSoA body. Both bodies sum every
+//                   trace element in the same chain, so a trace has the
+//                   same bits whichever layout it came from;
 //   surface_update  solves one cell's six Rusanov problems from its own
 //                   traces and one trace per neighbour (a ghost trace on
 //                   wall/outflow faces), then applies the strong-form
@@ -20,7 +25,7 @@
 //                   Each element adds its six terms in the order x0, x1,
 //                   y0, y1, z0, z1.
 //
-// Both bodies live in face_impl.h and are compiled once per ISA
+// All bodies live in face_impl.h and are compiled once per ISA
 // translation unit (pde_lines_<isa>.cpp); the functions below dispatch on
 // the Isa, and each call books its FLOPs once, at the dispatched packing
 // width, and reports its operands once to an installed access recorder.
@@ -106,13 +111,23 @@ struct FaceUpdate {
 namespace detail {
 
 // Per-ISA entry points, defined in pde_lines_<isa>.cpp (bodies in
-// face_impl.h; surface_update_* instantiated for every line PDE).
-void project_faces_baseline(const AosLayout& aos, const BasisTables& basis,
-                            const double* q, double* traces);
-void project_faces_avx2(const AosLayout& aos, const BasisTables& basis,
-                        const double* q, double* traces);
-void project_faces_avx512(const AosLayout& aos, const BasisTables& basis,
-                          const double* q, double* traces);
+// face_impl.h; surface_update_* instantiated for every line PDE). The
+// projection takes an AoS or AoSoA cell tensor of doubles or floats.
+#define EXASTP_DECLARE_PROJECT_FACES(SUFFIX)                                 \
+  void project_faces_##SUFFIX(const AosLayout& aos, const BasisTables& basis, \
+                              const double* q, double* traces);              \
+  void project_faces_##SUFFIX(const AosLayout& aos, const BasisTables& basis, \
+                              const float* q, double* traces);               \
+  void project_faces_##SUFFIX(const AosoaLayout& aosoa,                      \
+                              const BasisTables& basis, const double* q,     \
+                              double* traces);                               \
+  void project_faces_##SUFFIX(const AosoaLayout& aosoa,                      \
+                              const BasisTables& basis, const float* q,      \
+                              double* traces);
+EXASTP_DECLARE_PROJECT_FACES(baseline)
+EXASTP_DECLARE_PROJECT_FACES(avx2)
+EXASTP_DECLARE_PROJECT_FACES(avx512)
+#undef EXASTP_DECLARE_PROJECT_FACES
 template <class Pde>
 bool surface_update_baseline(const Pde& pde, const FaceUpdate& u);
 template <class Pde>
@@ -136,26 +151,66 @@ inline void record_surface_update(AccessRecorder& rec, const FaceUpdate& u) {
 
 }  // namespace detail
 
-/// Projects the cell tensor q onto its six faces in one pass:
-/// traces[f][(a, b), s] = sum_l phi_side[l] * q[node with dim-dir index l],
-/// each element summed in ascending l. `traces` holds 6 * FaceLayout(aos)
-/// .size() doubles, face f = 2 dir + side at f * size().
-inline void project_faces(Isa isa, const AosLayout& aos,
-                          const BasisTables& basis, const double* q,
-                          double* traces) {
-  if (AccessRecorder* rec = AccessRecorder::thread_instance()) {
-    rec->range(q, aos.size());
-    rec->range(traces, 6 * FaceLayout(aos).size());
+/// The layout of the traces projected from a cell tensor at `isa`: the AoS
+/// tensor's own quantity padding, or for an AoSoA tensor the padding of the
+/// engine's AoS layout at that ISA.
+inline FaceLayout face_layout(Isa, const AosLayout& aos) {
+  return FaceLayout(aos);
+}
+inline FaceLayout face_layout(Isa isa, const AosoaLayout& aosoa) {
+  return FaceLayout(AosLayout(aosoa.n, aosoa.m, isa));
+}
+
+namespace detail {
+
+/// Reports a projection to an installed recorder, pass by pass: the AoS
+/// body reads the cell once and writes all six traces; the AoSoA body
+/// reads it once per direction and writes that direction's two traces.
+template <class Real>
+void record_projection(AccessRecorder& rec, Isa isa, const AosLayout& aos,
+                       const Real* q, double* traces) {
+  rec.range(q, aos.size());
+  rec.range(traces, 6 * face_layout(isa, aos).size());
+}
+template <class Real>
+void record_projection(AccessRecorder& rec, Isa isa,
+                       const AosoaLayout& aosoa, const Real* q,
+                       double* traces) {
+  const std::size_t t = face_layout(isa, aosoa).size();
+  for (std::size_t dir = 0; dir < 3; ++dir) {
+    rec.range(q, aosoa.size());
+    rec.range(traces + 2 * dir * t, 2 * t);
   }
+}
+
+}  // namespace detail
+
+/// Projects the cell tensor q onto its six faces:
+/// traces[f][(a, b), s] = sum_l phi_side[l] * q[node with dim-dir index l],
+/// each element a chain from +0.0 over ascending l, one multiply-add per
+/// term (fused on the FMA ISAs); a zero-padded tensor gives +0.0 in the
+/// quantity padding lanes.
+/// `traces` holds 6 * face_layout(isa, layout).size() doubles, face
+/// f = 2 dir + side at f * size(). q is an AoS or (padded to the width of
+/// `isa`) AoSoA cell tensor; a float tensor is widened exactly, so its
+/// traces are those of the widened tensor. The AoS body makes one pass in
+/// cell order; the AoSoA body folds whole x-lines for the y and z faces
+/// and register-transposed quantity blocks for the x faces.
+template <class Layout, class Real>
+inline void project_faces(Isa isa, const Layout& layout,
+                          const BasisTables& basis, const Real* q,
+                          double* traces) {
+  if (AccessRecorder* rec = AccessRecorder::thread_instance())
+    detail::record_projection(*rec, isa, layout, q, traces);
   switch (isa) {
     case Isa::kScalar:
-      detail::project_faces_baseline(aos, basis, q, traces);
+      detail::project_faces_baseline(layout, basis, q, traces);
       break;
     case Isa::kAvx2:
-      detail::project_faces_avx2(aos, basis, q, traces);
+      detail::project_faces_avx2(layout, basis, q, traces);
       break;
     case Isa::kAvx512:
-      detail::project_faces_avx512(aos, basis, q, traces);
+      detail::project_faces_avx512(layout, basis, q, traces);
       break;
   }
 }

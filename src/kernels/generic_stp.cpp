@@ -4,6 +4,7 @@
 
 #include "exastp/common/check.h"
 #include "exastp/common/taylor.h"
+#include "exastp/kernels/face.h"
 #include "exastp/perf/access_recorder.h"
 #include "exastp/perf/flop_count.h"
 
@@ -149,21 +150,24 @@ void GenericStp::compute(const double* q, double dt,
   }
 
   // Time-averaged outputs: qavg = sum_o c[o] p[o], favg[d] = sum_o c[o]
-  // dF[o][d], with c[o] = dt^o/(o+1)!. An favg[d] the caller does not read
-  // is summed into flux[0][d], which the recursion is done with.
+  // dF[o][d], with c[o] = dt^o/(o+1)!. An favg[d], qavg or qavg_half the
+  // caller does not read is summed into flux[0][d], flux[1][0] or
+  // flux[1][1], which the recursion is done with.
   const auto coeff = time_average_coefficients(dt, n);
   std::array<double*, 3> favg;
   for (int d = 0; d < 3; ++d)
     favg[d] = out.favg[d] != nullptr ? out.favg[d]
                                      : flux_.data() + od_index(0, d);
-  std::memset(out.qavg, 0, cell_ * sizeof(double));
+  double* qavg =
+      out.qavg != nullptr ? out.qavg : flux_.data() + od_index(1, 0);
+  std::memset(qavg, 0, cell_ * sizeof(double));
   for (int d = 0; d < 3; ++d) std::memset(favg[d], 0, cell_ * sizeof(double));
-  record_ranges(cell_, out.qavg, favg[0], favg[1], favg[2]);
+  record_ranges(cell_, qavg, favg[0], favg[1], favg[2]);
   for (int o = 0; o < n; ++o) {
     const double c = coeff[o];
     const double* po = p_.data() + p_index(o);
-    for (std::size_t i = 0; i < cell_; ++i) out.qavg[i] += c * po[i];
-    record_ranges(cell_, po, out.qavg);
+    for (std::size_t i = 0; i < cell_; ++i) qavg[i] += c * po[i];
+    record_ranges(cell_, po, qavg);
     for (int d = 0; d < 3; ++d) {
       const double* dfo = df_.data() + od_index(o, d);
       double* fd = favg[d];
@@ -174,28 +178,37 @@ void GenericStp::compute(const double* q, double dt,
   // Contiguous axpy sweeps: the one part of the generic kernel the baseline
   // compiler packs (128-bit), as in the paper's Fig. 9 "Generic" column.
   fc.add(WidthClass::k128, 8ull * n * cell_);
-  if (out.qnew != nullptr)
+  if (out.qnew != nullptr) {
     for (int d = 0; d < 3; ++d)
       add_volume_update(cell_, dt, d == 0 ? q : out.qnew, favg[d], out.qnew);
+    if (source != nullptr) add_source_integral(aos_, dt, *source, out.qnew);
+  }
 
   // The Taylor sum scaled the constant parameter rows; restore them so that
   // flux(qavg)/wave speeds of the averaged state stay well defined.
-  refresh_param_rows(aos_, pde_.info().vars, q, out.qavg);
+  refresh_param_rows(aos_, pde_.info().vars, q, qavg);
+  if (out.traces != nullptr)
+    project_faces(Isa::kScalar, aos_, basis_, qavg, out.traces);
 
   // Half-window average: the same p[o] with the dt/2 weights, summed in
   // the same order as qavg above.
-  if (out.qavg_half != nullptr) {
+  if (out.qavg_half != nullptr || out.traces_half != nullptr) {
+    double* qavg_half = out.qavg_half != nullptr
+                            ? out.qavg_half
+                            : flux_.data() + od_index(1, 1);
     const auto half = time_average_coefficients(0.5 * dt, n);
-    std::memset(out.qavg_half, 0, cell_ * sizeof(double));
-    record_ranges(cell_, out.qavg_half);
+    std::memset(qavg_half, 0, cell_ * sizeof(double));
+    record_ranges(cell_, qavg_half);
     for (int o = 0; o < n; ++o) {
       const double c = half[o];
       const double* po = p_.data() + p_index(o);
-      for (std::size_t i = 0; i < cell_; ++i) out.qavg_half[i] += c * po[i];
-      record_ranges(cell_, po, out.qavg_half);
+      for (std::size_t i = 0; i < cell_; ++i) qavg_half[i] += c * po[i];
+      record_ranges(cell_, po, qavg_half);
     }
     fc.add(WidthClass::k128, 2ull * n * cell_);
-    refresh_param_rows(aos_, pde_.info().vars, q, out.qavg_half);
+    refresh_param_rows(aos_, pde_.info().vars, q, qavg_half);
+    if (out.traces_half != nullptr)
+      project_faces(Isa::kScalar, aos_, basis_, qavg_half, out.traces_half);
   }
 }
 

@@ -25,6 +25,7 @@
 #include "exastp/common/taylor.h"
 #include "exastp/gemm/vecops.h"
 #include "exastp/kernels/derivative_ops.h"
+#include "exastp/kernels/face.h"
 #include "exastp/kernels/stp_common.h"
 #include "exastp/perf/flop_count.h"
 
@@ -111,37 +112,49 @@ class LogStp {
       refresh_param_rows(aos_, Pde::kVars, q, pn);
     }
 
-    // Taylor accumulation of the time-averaged outputs. An favg[d] the
-    // caller does not read is summed into flux[0][d], which the recursion
-    // is done with.
+    // Taylor accumulation of the time-averaged outputs. An favg[d], qavg or
+    // qavg_half the caller does not read is summed into flux[0][d],
+    // flux[1][0] or flux[1][1], which the recursion is done with.
     const auto coeff = time_average_coefficients(dt, n);
     std::array<double*, 3> favg;
     for (int d = 0; d < 3; ++d)
       favg[d] = out.favg[d] != nullptr ? out.favg[d]
                                        : flux_.data() + od_index(0, d);
-    vec_zero(static_cast<long>(cell_), out.qavg);
+    double* qavg =
+        out.qavg != nullptr ? out.qavg : flux_.data() + od_index(1, 0);
+    vec_zero(static_cast<long>(cell_), qavg);
     for (int d = 0; d < 3; ++d) vec_zero(static_cast<long>(cell_), favg[d]);
     for (int o = 0; o < n; ++o) {
       vec_axpy(isa_, static_cast<long>(cell_), coeff[o],
-               p_.data() + p_index(o), out.qavg);
+               p_.data() + p_index(o), qavg);
       for (int d = 0; d < 3; ++d)
         vec_axpy(isa_, static_cast<long>(cell_), coeff[o],
                  df_.data() + od_index(o, d), favg[d]);
     }
-    if (out.qnew != nullptr)
+    if (out.qnew != nullptr) {
       for (int d = 0; d < 3; ++d)
         add_volume_update(cell_, dt, d == 0 ? q : out.qnew, favg[d],
                           out.qnew);
-    refresh_param_rows(aos_, Pde::kVars, q, out.qavg);
+      if (source != nullptr)
+        add_source_integral(aos_, dt, *source, out.qnew);
+    }
+    refresh_param_rows(aos_, Pde::kVars, q, qavg);
+    if (out.traces != nullptr)
+      project_faces(isa_, aos_, basis_, qavg, out.traces);
 
     // Half-window average: the same p[o] with the dt/2 weights.
-    if (out.qavg_half != nullptr) {
+    if (out.qavg_half != nullptr || out.traces_half != nullptr) {
+      double* qavg_half = out.qavg_half != nullptr
+                              ? out.qavg_half
+                              : flux_.data() + od_index(1, 1);
       const auto half = time_average_coefficients(0.5 * dt, n);
-      vec_zero(static_cast<long>(cell_), out.qavg_half);
+      vec_zero(static_cast<long>(cell_), qavg_half);
       for (int o = 0; o < n; ++o)
         vec_axpy(isa_, static_cast<long>(cell_), half[o],
-                 p_.data() + p_index(o), out.qavg_half);
-      refresh_param_rows(aos_, Pde::kVars, q, out.qavg_half);
+                 p_.data() + p_index(o), qavg_half);
+      refresh_param_rows(aos_, Pde::kVars, q, qavg_half);
+      if (out.traces_half != nullptr)
+        project_faces(isa_, aos_, basis_, qavg_half, out.traces_half);
     }
   }
 

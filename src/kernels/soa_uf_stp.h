@@ -38,10 +38,10 @@ class SoaUfStp {
         isa_(isa),
         aos_(order, kQuants, isa),
         soa_(order, kQuants, isa),
-        driver_(aos_, Pde::kVars, isa) {
+        driver_(aos_, Pde::kVars, isa, basis_) {
     EXASTP_CHECK_MSG(order >= 2, "STP needs at least 2 nodes per dimension");
-    flux_.assign(aos_.size(), 0.0);
-    gradq_.assign(aos_.size(), 0.0);
+    sweep_.assign(aos_.size(), 0.0);
+    avg_.assign(aos_.size(), 0.0);
     soa_in_.assign(soa_.size(), 0.0);
     soa_aux_.assign(soa_.size(), 0.0);
     soa_out_.assign(soa_.size(), 0.0);
@@ -51,7 +51,7 @@ class SoaUfStp {
 
   std::size_t workspace_bytes() const {
     return driver_.workspace_bytes() +
-           (flux_.size() + gradq_.size() + soa_in_.size() + soa_aux_.size() +
+           (sweep_.size() + avg_.size() + soa_in_.size() + soa_aux_.size() +
             soa_out_.size()) *
                sizeof(double);
   }
@@ -59,14 +59,17 @@ class SoaUfStp {
   void compute(const double* q, double dt,
                const std::array<double, 3>& inv_dx, const SourceTerm* source,
                const StpOutputs& out) {
-    driver_.run(*this, InPlaceBoundary{}, q, dt, inv_dx, source, out);
+    driver_.run(*this, InPlaceBoundary{avg_.data(), avg_.size()}, q, dt,
+                inv_dx, source, out);
   }
 
  private:
   friend class SplitCkDriver<double, AosLayout>;
 
   /// The driver's sweep, through the rejected scheme: every user-function
-  /// call is wrapped in whole-cell AoS <-> SoA transposes.
+  /// call is wrapped in whole-cell AoS <-> SoA transposes. One AoS scratch
+  /// cell holds the flux, then, once the flux GEMM has consumed it, gradQ
+  /// and the NCP term.
   void volume(int d, double inv_h, const double* src, double* dst) {
     const double* diff = basis_.diff.data();
     const int np = soa_.n_pad;
@@ -76,18 +79,18 @@ class SoaUfStp {
     aos_to_soa(src, aos_, soa_in_.data(), soa_);
     flux_line(isa_, pde_, soa_in_.data(), d, soa_out_.data(), np, np,
               /*lines=*/1, 0);
-    soa_to_aos(soa_out_.data(), soa_, flux_.data(), aos_);
-    aos_derivative(isa_, aos_, diff, inv_h, d, flux_.data(), dst,
+    soa_to_aos(soa_out_.data(), soa_, sweep_.data(), aos_);
+    aos_derivative(isa_, aos_, diff, inv_h, d, sweep_.data(), dst,
                    /*accumulate=*/true);
 
     // gradQ = inv_h * D_d src; NCP through the same transpose dance.
-    aos_derivative(isa_, aos_, diff, inv_h, d, src, gradq_.data(),
+    aos_derivative(isa_, aos_, diff, inv_h, d, src, sweep_.data(),
                    /*accumulate=*/false);
-    aos_to_soa(gradq_.data(), aos_, soa_aux_.data(), soa_);
+    aos_to_soa(sweep_.data(), aos_, soa_aux_.data(), soa_);
     ncp_line(isa_, pde_, soa_in_.data(), soa_aux_.data(), d, soa_out_.data(),
              np, np, /*lines=*/1, 0);
-    soa_to_aos(soa_out_.data(), soa_, gradq_.data(), aos_);
-    vec_add(isa_, static_cast<long>(aos_.size()), gradq_.data(), dst);
+    soa_to_aos(soa_out_.data(), soa_, sweep_.data(), aos_);
+    vec_add(isa_, static_cast<long>(aos_.size()), sweep_.data(), dst);
   }
 
   Pde pde_;
@@ -97,7 +100,8 @@ class SoaUfStp {
   SoaLayout soa_;
   SplitCkDriver<double, AosLayout> driver_;
 
-  AlignedVector flux_, gradq_;
+  AlignedVector sweep_;  // flux, then gradQ and the NCP term
+  AlignedVector avg_;    // qavg (InPlaceBoundary)
   AlignedVector soa_in_, soa_aux_, soa_out_;
 };
 

@@ -18,9 +18,16 @@
 //    of extra work, which vanishes relative to the N-order loop at high
 //    order. Each favg[d] is formed in p, which the loop has finished with,
 //    handed out only if requested, and added into qnew in the working
-//    layout; the request decides only where favg[d] goes. So favg need
-//    not leave the kernel at all: the solver asks for qnew only;
-//  * exit: widen once (Real=float) and transpose back.
+//    layout; the request decides only where favg[d] goes. The point
+//    source's time integral is added to qnew last, still in the working
+//    layout;
+//  * the handouts: the averages leave as face traces, projected from the
+//    working tensors by the project_faces overload of the working layout
+//    (kernels/face.h: the AoS body, or the AoSoA body at the ISA width;
+//    fp32 averages are widened in registers), and as qavg/qavg_half only
+//    when requested. The solver asks for traces (plus traces_half) and
+//    qnew, so neither favg nor an average leaves the kernel;
+//  * exit: widen once (Real=float) and transpose back what was requested.
 //
 // A variant reaches the driver as two compile-time policies:
 //
@@ -30,36 +37,58 @@
 //   Boundary::enter(const double* q) -> const double*
 //       the state in the working layout;
 //   Boundary::stage(const StpOutputs& out) -> StpOutputs
-//       double working-layout targets for out's qavg, qavg_half and qnew;
+//       double working-layout targets for qavg (fp64: always, requested or
+//       not), for qavg_half (when it or traces_half is requested) and for
+//       qnew;
 //       favg[d] is staged only by a boundary that works in place (it is
 //       the caller's buffer, and fp64 forms favg[d] there instead of in
 //       p), else nullptr;
 //   Boundary::leave(const double* working, double* out)
 //       one working-layout tensor back into the caller's layout.
 //
-// A staged half-window average may borrow the qnew target, and the fp32
-// half-window accumulator has its own float tensor: the driver hands the
-// half window out before the favg stage writes qnew. An fp32 kernel
-// widens a favg[d] handout into its staged target, or else into the qavg
-// target, which receives qavg only at exit.
+// A staged half-window average may borrow the qnew target: the driver
+// projects and hands the half window out before the favg stage writes
+// qnew. The fp32 averages have float tensors of their own, so an fp32
+// kernel needs neither target for the traces. An fp32 kernel widens a
+// favg[d] handout into its staged target, or else into the qavg target,
+// which receives qavg only at exit.
 #pragma once
 
 #include <array>
 #include <type_traits>
 
+#include "exastp/basis/basis_tables.h"
 #include "exastp/common/aligned.h"
+#include "exastp/common/check.h"
 #include "exastp/common/taylor.h"
 #include "exastp/gemm/vecops.h"
+#include "exastp/kernels/face.h"
 #include "exastp/kernels/stp_common.h"
 
 namespace exastp {
 
 /// Boundary of a kernel whose caller already speaks its working layout:
-/// the driver reads q and writes the outputs in place.
+/// the driver reads q and writes the outputs in place. An fp64 kernel
+/// stages qavg in `avg`, a cell of its own holding `size` doubles, so the
+/// average needs no caller buffer, and copies a requested qavg out; an
+/// fp32 kernel averages in float and passes nullptr. An unrequested
+/// half-window average that traces_half needs borrows the qnew target.
 struct InPlaceBoundary {
+  double* avg = nullptr;
+  std::size_t size = 0;
+
   const double* enter(const double* q) const { return q; }
-  StpOutputs stage(const StpOutputs& out) const { return out; }
-  void leave(const double*, double*) const {}
+  StpOutputs stage(const StpOutputs& out) const {
+    StpOutputs staged = out;
+    if (avg != nullptr) staged.qavg = avg;
+    if (staged.qavg_half == nullptr && out.traces_half != nullptr)
+      staged.qavg_half = out.qnew;
+    return staged;
+  }
+  /// Only the qavg cell is staged away from the caller's buffer.
+  void leave(const double* working, double* out) const {
+    if (working != out) vec_copy(static_cast<long>(size), working, out);
+  }
 };
 
 template <class Real, class Layout>
@@ -67,8 +96,13 @@ class SplitCkDriver {
   static constexpr bool kF32 = !std::is_same_v<Real, double>;
 
  public:
-  SplitCkDriver(const Layout& layout, int vars, Isa isa)
-      : layout_(layout), vars_(vars), isa_(isa), cell_(layout.size()) {
+  SplitCkDriver(const Layout& layout, int vars, Isa isa,
+                const BasisTables& basis)
+      : layout_(layout),
+        vars_(vars),
+        isa_(isa),
+        basis_(basis),
+        cell_(layout.size()) {
     p_.assign(cell_, Real(0));
     ptemp_.assign(cell_, Real(0));
     if constexpr (kF32) {
@@ -93,13 +127,20 @@ class SplitCkDriver {
     const double* qd = boundary.enter(q);
     const Real* qr = narrow(qd);
     Real* qavg = working(staged.qavg, qavg_r_);
-    Real* half = staged.qavg_half != nullptr
-                     ? working(staged.qavg_half, half_r_)
-                     : nullptr;
+    Real* half = nullptr;
+    if (out.qavg_half != nullptr || out.traces_half != nullptr) {
+      EXASTP_CHECK_MSG(kF32 || staged.qavg_half != nullptr,
+                       "StpOutputs: traces_half without qavg_half needs "
+                       "qnew, whose target the half-window average borrows");
+      half = working(staged.qavg_half, half_r_);
+    }
     taylor(sweep, qr, dt, inv_dx, source, qavg, half);
     if (half != nullptr) {
-      widen(half, staged.qavg_half);
-      boundary.leave(staged.qavg_half, out.qavg_half);
+      if (out.traces_half != nullptr) project(half, out.traces_half);
+      if (out.qavg_half != nullptr) {
+        widen(half, staged.qavg_half);
+        boundary.leave(staged.qavg_half, out.qavg_half);
+      }
     }
     // favg[d] = D_d F_d(qavg) + B_d(qavg) D_d qavg; qnew = q + dt favg[0]
     // + dt favg[1] + dt favg[2], one dimension at a time.
@@ -122,8 +163,13 @@ class SplitCkDriver {
         add_volume_update(cell_, dt, d == 0 ? qd : staged.qnew, f,
                           staged.qnew);
     }
-    widen(qavg, staged.qavg);
-    boundary.leave(staged.qavg, out.qavg);
+    if (staged.qnew != nullptr && source != nullptr)
+      add_source_integral(layout_, dt, *source, staged.qnew);
+    if (out.traces != nullptr) project(qavg, out.traces);
+    if (out.qavg != nullptr) {
+      widen(qavg, staged.qavg);
+      boundary.leave(staged.qavg, out.qavg);
+    }
     if (staged.qnew != nullptr) boundary.leave(staged.qnew, out.qnew);
   }
 
@@ -161,6 +207,11 @@ class SplitCkDriver {
       refresh_param_rows(layout_, vars_, q, qavg_half);
   }
 
+  /// The six face traces of a working-layout average.
+  void project(const Real* avg, double* traces) const {
+    project_faces(isa_, layout_, basis_, avg, traces);
+  }
+
   const Real* narrow(const double* q) {
     if constexpr (kF32) {
       vec_narrow(static_cast<long>(cell_), q, qr_.data());
@@ -189,6 +240,7 @@ class SplitCkDriver {
   Layout layout_;
   int vars_;
   Isa isa_;
+  const BasisTables& basis_;
   std::size_t cell_;
   AlignedVectorT<Real> p_, ptemp_;
   // fp32 only: the narrowed state and the float averages.

@@ -39,25 +39,29 @@ class SplitCkStpT {
       : pde_(std::move(pde)),
         isa_(isa),
         aos_(order, kQuants, isa),
-        driver_(aos_, Pde::kVars, isa) {
+        driver_(aos_, Pde::kVars, isa, basis_tables(order, family)) {
     EXASTP_CHECK_MSG(order >= 2, "STP needs at least 2 nodes per dimension");
     const AlignedVector& diff = basis_tables(order, family).diff;
     diff_.assign(diff.begin(), diff.end());
-    flux_.assign(aos_.size(), Real(0));
-    gradq_.assign(aos_.size(), Real(0));
+    sweep_.assign(aos_.size(), Real(0));
+    // The fp64 average's own cell (InPlaceBoundary); fp32 averages in float.
+    if constexpr (std::is_same_v<Real, double>) avg_.assign(aos_.size(), 0.0);
   }
 
   const AosLayout& layout() const { return aos_; }
 
   std::size_t workspace_bytes() const {
-    return driver_.workspace_bytes() +
-           (flux_.size() + gradq_.size()) * sizeof(Real);
+    return driver_.workspace_bytes() + sweep_.size() * sizeof(Real) +
+           avg_.size() * sizeof(double);
   }
 
   void compute(const double* q, double dt,
                const std::array<double, 3>& inv_dx, const SourceTerm* source,
                const StpOutputs& out) {
-    driver_.run(*this, InPlaceBoundary{}, q, dt, inv_dx, source, out);
+    driver_.run(*this,
+                InPlaceBoundary{avg_.empty() ? nullptr : avg_.data(),
+                                avg_.size()},
+                q, dt, inv_dx, source, out);
   }
 
  private:
@@ -66,7 +70,8 @@ class SplitCkStpT {
   /// The driver's sweep: dst += inv_h * D_d F_d(src) + B_d(src, inv_h *
   /// D_d src), each stage over the whole cell. The PDE pointwise functions
   /// are templated on the scalar type, so both precisions call them on the
-  /// working tensors directly.
+  /// working tensors directly. One scratch cell holds the flux, then, once
+  /// the flux GEMM has consumed it, gradQ.
   void volume(int d, Real inv_h, const Real* src, Real* dst) {
     const int mp = aos_.m_pad;
     const int cover = pde_flux_rows_end<Pde>(d);
@@ -76,23 +81,23 @@ class SplitCkStpT {
     if (cover > 0) {
       // flux = F_d(src) — pointwise user function, scalar.
       for (std::size_t k = 0; k < nodes; ++k)
-        pde_.flux(src + k * mp, d, flux_.data() + k * mp);
+        pde_.flux(src + k * mp, d, sweep_.data() + k * mp);
       fc.add(WidthClass::kScalar, nodes * Pde::kFluxFlops);
-      record_ranges(aos_.size(), src, flux_.data());
+      record_ranges(aos_.size(), src, sweep_.data());
       // dst += inv_h * D_d flux, masked past the PDE's flux rows.
-      aos_derivative(isa_, aos_, diff_.data(), inv_h, d, flux_.data(), dst,
+      aos_derivative(isa_, aos_, diff_.data(), inv_h, d, sweep_.data(), dst,
                      /*accumulate=*/true, cover);
     }
     if constexpr (!pde_ncp_is_zero<Pde>()) {
       // gradQ = inv_h * D_d src; dst += B_d(src) gradQ (pointwise).
-      aos_derivative(isa_, aos_, diff_.data(), inv_h, d, src, gradq_.data(),
+      aos_derivative(isa_, aos_, diff_.data(), inv_h, d, src, sweep_.data(),
                      /*accumulate=*/false);
       for (std::size_t k = 0; k < nodes; ++k) {
-        pde_.ncp(src + k * mp, gradq_.data() + k * mp, d, ncp_tmp_);
+        pde_.ncp(src + k * mp, sweep_.data() + k * mp, d, ncp_tmp_);
         for (int s = 0; s < kQuants; ++s) dst[k * mp + s] += ncp_tmp_[s];
       }
       fc.add(WidthClass::kScalar, nodes * (Pde::kNcpFlops + kQuants));
-      record_ranges(aos_.size(), src, gradq_.data(), dst);
+      record_ranges(aos_.size(), src, sweep_.data(), dst);
     }
   }
 
@@ -101,7 +106,8 @@ class SplitCkStpT {
   AosLayout aos_;
   SplitCkDriver<Real, AosLayout> driver_;
   AlignedVectorT<Real> diff_;  // the derivative operator in Real
-  AlignedVectorT<Real> flux_, gradq_;
+  AlignedVectorT<Real> sweep_;  // flux, then gradQ
+  AlignedVector avg_;           // fp64 only: qavg
   Real ncp_tmp_[kQuants] = {};
 };
 

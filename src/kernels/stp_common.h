@@ -6,40 +6,56 @@
 //            dt       — time step
 //            inv_dx   — 1/h per dimension (reference-to-physical scaling)
 //            source   — optional point source prepared for this cell
-//   outputs  qavg     — time-AVERAGED state (1/dt) * integral of q over
-//                       [t_n, t_n+dt]; constant parameter rows pass through
-//                       unchanged so flux/ncp of qavg stay well defined
-//            qnew     — optional (nullptr = not requested): the volume part
-//                       of the cell update, q + dt * favg[0] + dt * favg[1]
-//                       + dt * favg[2], each element summed left to right
-//                       in double with every product rounded before its
-//                       add (add_volume_update). This is what the solver
-//                       reads, so favg need not leave the kernel
-//            favg[d]  — optional per dimension: the time-averaged volume
+//   outputs (each optional: nullptr = not requested)
+//            traces   — the time average's six face traces (face.h): six
+//                       FaceLayout(layout) traces in face.h's slot order,
+//                       face f = 2 dir + side. They are byte for byte
+//                       project_faces(isa, layout, basis, qavg) of the
+//                       qavg the same run would hand out, padding lanes
+//                       included: each variant projects its own working
+//                       tensor (the AoSoA kernel in its own layout, fp32
+//                       kernels from their float averages), with the
+//                       projection's chain and its FLOP booking. This and
+//                       qnew are what the solver reads
+//            traces_half — the same for the half-window average qavg_half
+//            qnew     — the cell update's volume part plus the source:
+//                       q + dt * favg[0] + dt * favg[1] + dt * favg[2],
+//                       each element summed left to right in double with
+//                       every product rounded before its add
+//                       (add_volume_update), then, when a source is given,
+//                       psi[k] * integral added to its quantity
+//                       (add_source_integral)
+//            qavg     — the time-AVERAGED state (1/dt) * integral of q
+//                       over [t_n, t_n+dt]; constant parameter rows pass
+//                       through unchanged so flux/ncp of qavg stay well
+//                       defined
+//            favg[d]  — per dimension: the time-averaged volume
 //                       fluctuation (1/dt) * integral of (d/dx_d F_d(q) +
-//                       B_d dq/dx_d). Every kernel forms all three for
-//                       qnew; a request only hands one out, so requesting
-//                       any of favg and qnew leaves the others' bits alone
-//            qavg_half — optional: the time average over the first half
-//                       window [t_n, t_n + dt/2]. The Cauchy-Kowalewsky time
-//                       derivatives do not depend on dt, so the kernel folds
-//                       the same derivative tensors into a second
+//                       B_d dq/dx_d)
+//            qavg_half — the time average over the first half window
+//                       [t_n, t_n + dt/2]. The Cauchy-Kowalewsky time
+//                       derivatives do not depend on dt, so the kernel
+//                       folds the same derivative tensors into a second
 //                       accumulator with the weights
 //                       time_average_coefficients(dt/2, n), in the same
 //                       pass. The result is bit-identical to the qavg of a
 //                       separate run at dt/2 (same vecop sequence, storage
 //                       precision, parameter-row refresh and exit
-//                       widen/transpose), requesting it leaves the other
-//                       outputs bit-identical, and it needs no workspace
-//                       beyond workspace_bytes(): the AoSoA kernel stages
-//                       it in its qnew staging, which is written only after
-//                       the time loop, and the fp32 kernels accumulate it in
-//                       a float tensor of their own.
-//   Every output the caller passes is overwritten in full, padding
-//   included, so callers need not clear the buffers between calls.
+//                       widen/transpose).
+//   Every kernel forms qavg, all three favg[d] and qnew's terms whatever
+//   is requested; a request only decides what is handed out, so
+//   requesting any output leaves every other output's bits alone. No
+//   request needs workspace beyond workspace_bytes(): an unrequested
+//   average lives in scratch the kernel has finished with or in its own
+//   staging, and a half window the traces need but the caller does not
+//   may borrow the qnew target. The in-place fp64 kernels (SplitCK,
+//   SoA-UF) need that borrow, so there traces_half without qavg_half
+//   needs qnew (else the run throws). Every output the caller passes is
+//   overwritten in full, padding included, so callers need not clear the
+//   buffers between calls.
 //
-// The corrector then adds the surface terms built from qavg's face traces
-// to qnew (see face.h and solver/ader_dg_solver.cpp). All buffers use the
+// The corrector then adds the surface terms built from the traces to qnew
+// (see face.h and solver/ader_dg_solver.cpp). All cell buffers use the
 // layout returned by StpKernel::layout; padding lanes are kept at exactly
 // zero.
 #pragma once
@@ -53,6 +69,7 @@
 
 #include "exastp/common/aligned.h"
 #include "exastp/common/simd.h"
+#include "exastp/common/taylor.h"
 #include "exastp/pde/point_source.h"
 #include "exastp/perf/access_recorder.h"
 #include "exastp/perf/flop_count.h"
@@ -208,15 +225,47 @@ inline void add_volume_update(std::size_t n, double dt, const double* base,
   FlopCounter::instance().add(WidthClass::k128, 2ull * n);
 }
 
-/// The kernel outputs (see the contract at the top of this file).
+/// The point source's direct time integral (see qnew in the contract
+/// above): integral = sum_o s^(o)(t) * dt^(o+1) / (o+1)!, summed in
+/// ascending o from taylor_coefficients(dt, n), then qnew[k] += psi[k] *
+/// integral at the source quantity of every node k, in `layout` (the
+/// kernel's working layout). Instantiated in the baseline translation
+/// units like add_volume_update, so the product is rounded before its
+/// add. It books no FLOPs: the ledger leaves a source cell's 2 n^3 out.
+template <class Layout>
+inline void add_source_integral(const Layout& layout, double dt,
+                                const SourceTerm& source, double* qnew) {
+  const int n = layout.n;
+  const auto coeff = taylor_coefficients(dt, n);
+  double integral = 0.0;
+  for (int o = 0; o < n; ++o)
+    integral += source.dt_derivatives[o] * coeff[o];
+  const double* psi = source.psi;
+  if (AccessRecorder* rec = AccessRecorder::thread_instance()) {
+    rec->range(psi, static_cast<std::size_t>(n) * n * n);
+    record_quantity_rows(*rec, layout, source.quantity, source.quantity + 1,
+                         qnew);
+  }
+  for (int k3 = 0; k3 < n; ++k3)
+    for (int k2 = 0; k2 < n; ++k2)
+      for (int k1 = 0; k1 < n; ++k1)
+        qnew[node_quantity_index(layout, k3, k2, k1, source.quantity)] +=
+            *psi++ * integral;
+}
+
+/// The kernel outputs (see the contract at the top of this file); every
+/// one is optional, nullptr skips it.
 struct StpOutputs {
   double* qavg = nullptr;
-  /// Optional per dimension; nullptr skips it.
   std::array<double*, 3> favg{};
-  /// Optional half-window average [t_n, t_n + dt/2]; nullptr skips it.
+  /// Half-window average [t_n, t_n + dt/2].
   double* qavg_half = nullptr;
-  /// Optional volume update q + dt * sum_d favg[d]; nullptr skips it.
+  /// Volume update q + dt * sum_d favg[d], plus the source integral.
   double* qnew = nullptr;
+  /// Six FaceLayout traces of qavg, in face.h's slot order.
+  double* traces = nullptr;
+  /// Six FaceLayout traces of qavg_half.
+  double* traces_half = nullptr;
 };
 
 /// Type-erased handle to a configured kernel instance. Create through

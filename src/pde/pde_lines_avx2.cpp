@@ -5,6 +5,6 @@
 namespace exastp::detail {
 
 EXASTP_DEFINE_PDE_LINES(avx2)
-EXASTP_DEFINE_FACE_OPS(avx2, Isa::kAvx2)
+EXASTP_DEFINE_FACE_OPS(avx2, Isa::kAvx2, Block4)
 
 }  // namespace exastp::detail

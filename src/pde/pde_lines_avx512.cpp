@@ -5,6 +5,6 @@
 namespace exastp::detail {
 
 EXASTP_DEFINE_PDE_LINES(avx512)
-EXASTP_DEFINE_FACE_OPS(avx512, Isa::kAvx512)
+EXASTP_DEFINE_FACE_OPS(avx512, Isa::kAvx512, Block8)
 
 }  // namespace exastp::detail

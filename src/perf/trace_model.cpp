@@ -75,10 +75,13 @@ TwinResult trace_stp(const StpKernel& kernel, const PdeRuntime& pde,
         node_states(6 * static_cast<std::size_t>(aos.n) * aos.n, aos.m_pad,
                     info, static_cast<int>(c) + 1);
   }
-  AlignedVector qavg(aos.size()), qavg_half(aos.size()), jump(traces);
+  AlignedVector qavg, qavg_half, jump(traces);
   std::array<AlignedVector, 3> favg;
-  if (!include_corrector)
+  if (!include_corrector) {
+    qavg.assign(aos.size(), 0.0);
+    if (half_window) qavg_half.assign(aos.size(), 0.0);
     for (AlignedVector& f : favg) f.assign(aos.size(), 0.0);
+  }
   const BasisTables& basis = basis_tables(aos.n);
 
   // The first run of the call sequence learns the buffers' extents, the
@@ -97,20 +100,18 @@ TwinResult trace_stp(const StpKernel& kernel, const PdeRuntime& pde,
         }
         Cell& cell = cells[c];
         StpOutputs out;
-        out.qavg = qavg.data();
-        out.qavg_half = half_window ? qavg_half.data() : nullptr;
         if (!include_corrector) {
+          out.qavg = qavg.data();
+          out.qavg_half = half_window ? qavg_half.data() : nullptr;
           for (int d = 0; d < 3; ++d) out.favg[d] = favg[d].data();
           kernel.run(cell.q.data(), dt, inv_dx, nullptr, out);
           continue;
         }
+        // The solver's request (AderDgSolver::predict_cell).
         out.qnew = cell.qnew.data();
+        out.traces = cell.traces.data();
+        out.traces_half = half_window ? cell.half_traces.data() : nullptr;
         kernel.run(cell.q.data(), dt, inv_dx, nullptr, out);
-        project_faces(kernel.isa(), aos, basis, qavg.data(),
-                      cell.traces.data());
-        if (half_window)
-          project_faces(kernel.isa(), aos, basis, qavg_half.data(),
-                        cell.half_traces.data());
         FaceUpdate u;
         u.layout = face;
         u.basis = &basis;

@@ -42,18 +42,18 @@ struct TwinResult {
 /// Without `include_corrector` each call is a kernel probe's request: qavg
 /// and the three favg[d] leave the kernel. With it each repetition is a
 /// full ADER-DG step of one cell in AderDgSolver's order and buffer reuse:
-/// the kernel takes the solver's request (qavg and the volume update qnew,
-/// no favg) into the reused qavg buffer and a fresh qnew, project_faces
-/// fills the cell's six traces from qavg, and surface_update adds the six
-/// face terms from them and six fresh neighbour traces into qnew, with the
-/// reused jump scratch. The paper's benchmarks measure the end-to-end
-/// application (Sec. VI), where the corrector's memory-heavy O(N^2..N^3)
-/// share shrinks relative to the O(N^4) predictor as the order grows.
+/// the kernel takes the solver's request (the cell's six traces and the
+/// volume update qnew, no average and no favg) into fresh trace and qnew
+/// buffers, and surface_update adds the six face terms from the traces and
+/// six fresh neighbour traces into qnew, with the reused jump scratch. The
+/// paper's benchmarks measure the end-to-end application (Sec. VI), where
+/// the corrector's memory-heavy O(N^2..N^3) share shrinks relative to the
+/// O(N^4) predictor as the order grows.
 ///
-/// With `half_window` each call also asks for the half-window average
-/// (StpOutputs::qavg_half, the clustered-LTS coarse-cell request), and
-/// with the corrector it is projected onto its traces too, as the solver
-/// does.
+/// With `half_window` each call also asks for the half window, the
+/// clustered-LTS coarse-cell request: its average
+/// (StpOutputs::qavg_half) for a kernel probe, its traces
+/// (StpOutputs::traces_half) with the corrector, as the solver does.
 TwinResult trace_stp(const StpKernel& kernel, const PdeRuntime& pde,
                      CacheSim& sim, int warmup = 1, int reps = 1,
                      bool include_corrector = false,

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "exastp/common/check.h"
-#include "exastp/common/taylor.h"
 #include "exastp/telemetry/telemetry.h"
 
 namespace exastp {
@@ -57,19 +56,15 @@ void AderDgSolver::rebuild_scratch() {
     // Thread 0 is the caller and may share the primary kernel's workspace;
     // every other thread gets an independent clone.
     ts.kernel = tid == 0 ? kernel_ : kernel_.fork();
-    ts.qavg.assign(cell_size_, 0.0);
-    if (num_clusters_ > 1) ts.qavg_half.assign(cell_size_, 0.0);
     ts.work.assign(nb_traces_offset() + 6 * trace_layout_.size(), 0.0);
     scratch_.push_back(std::move(ts));
   }
 }
 
-void AderDgSolver::predict_cell(
-    ThreadScratch& ts, int c, double dt, double t,
-    const std::array<double, 3>& inv_dx,
-    const std::array<double, kMaxOrder>& integral_coeff, bool sum_reset) {
+void AderDgSolver::predict_cell(ThreadScratch& ts, int c, double dt,
+                                double t, const std::array<double, 3>& inv_dx,
+                                bool sum_reset) {
   const double* qc = cell_dofs(c);
-  double* qnew_c = qnew_.data() + static_cast<std::size_t>(c) * cell_size_;
 
   SourceTerm src;
   const SourceTerm* src_ptr = nullptr;
@@ -83,40 +78,19 @@ void AderDgSolver::predict_cell(
     break;  // one source per cell supported; add_point_source validates
   }
 
-  // A cell with a finer face neighbour also publishes the average over
-  // [t, t + dt/2], which the kernel folds out of the same Taylor expansion.
+  // The kernel writes the volume update plus the source's time integral
+  // into the cell's qnew and the six face traces of its time average into
+  // the cell's trace slots; a cell with a finer face neighbour also
+  // publishes the traces of the average over [t, t + dt/2], which the
+  // kernel folds out of the same Taylor expansion. No average leaves the
+  // kernel.
   const bool half = needs_half_[static_cast<std::size_t>(c)] != 0;
-  // The kernel writes the volume update q + dt * sum_d favg[d] straight
-  // into qnew_c; the averages are consumed by the face projection below,
-  // so one pair of per-thread temporaries suffices (the kernel overwrites
-  // every output in full, stp_common.h).
-  StpOutputs out;
-  out.qavg = ts.qavg.data();
-  out.qavg_half = half ? ts.qavg_half.data() : nullptr;
-  out.qnew = qnew_c;
-  ts.kernel.run(qc, dt, inv_dx, src_ptr, out);
-
-  if (src_ptr != nullptr) {
-    // Direct time integral of the source: qnew += psi * int s dt.
-    double integral = 0.0;
-    for (int o = 0; o < layout_.n; ++o)
-      integral += src.dt_derivatives[o] * integral_coeff[o];
-    const int n = layout_.n;
-    for (int k3 = 0; k3 < n; ++k3)
-      for (int k2 = 0; k2 < n; ++k2)
-        for (int k1 = 0; k1 < n; ++k1)
-          qnew_c[layout_.idx(k3, k2, k1, src.quantity)] +=
-              src.psi[(static_cast<std::size_t>(k3) * n + k2) * n + k1] *
-              integral;
-  }
-
-  // The averages leave the predictor only as face traces, projected while
-  // they are still in cache.
   double* traces_c = traces_of(traces_, c);
-  project_faces(isa_, layout_, basis_, ts.qavg.data(), traces_c);
-  if (half)
-    project_faces(isa_, layout_, basis_, ts.qavg_half.data(),
-                  traces_of(half_traces_, c));
+  StpOutputs out;
+  out.qnew = qnew_.data() + static_cast<std::size_t>(c) * cell_size_;
+  out.traces = traces_c;
+  out.traces_half = half ? traces_of(half_traces_, c) : nullptr;
+  ts.kernel.run(qc, dt, inv_dx, src_ptr, out);
 
   if (needs_sum_[static_cast<std::size_t>(c)] != 0) {
     // A coarser face neighbour averages this cell's two sub-averages over
@@ -254,20 +228,19 @@ void AderDgSolver::predict_cluster(int k, int s, double dt_k, double t,
                                    const std::array<double, 3>& inv_dx) {
   ScopedSpan span(SpanId::kLtsCluster, /*arg=*/k);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto integral_coeff = taylor_coefficients(dt_k, layout_.n);
   // A new sum window opens on every even local substep (the start of the
   // coarser neighbour's interval).
   const bool sum_reset = ((s >> k) & 1) == 0;
-  // Predictor + volume update + projection: embarrassingly cell-parallel —
-  // qnew_c and the cell's traces belong to the traversed cell, each thread
-  // runs its own kernel clone and output scratch.
+  // Predictor, volume update and traces: embarrassingly cell-parallel —
+  // qnew_c and the cell's traces belong to the traversed cell, and each
+  // thread runs its own kernel clone.
   const std::vector<int>& cells = cluster_cells_[static_cast<std::size_t>(k)];
   par_.run(static_cast<long>(cells.size()), 1,
            [&](int tid, long begin, long end) {
              ThreadScratch& ts = scratch_[static_cast<std::size_t>(tid)];
              for (long i = begin; i < end; ++i)
                predict_cell(ts, cells[static_cast<std::size_t>(i)], dt_k, t,
-                            inv_dx, integral_coeff, sum_reset);
+                            inv_dx, sum_reset);
            });
   cluster_ns_[static_cast<std::size_t>(k)] +=
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -368,7 +341,6 @@ void AderDgSolver::assign_clusters(const std::vector<int>& cluster_of_cell,
     const std::size_t size = trace_count(grid_) * trace_layout_.size();
     half_traces_.assign(size, 0.0);
     sum_traces_.assign(size, 0.0);
-    for (ThreadScratch& ts : scratch_) ts.qavg_half.assign(cell_size_, 0.0);
   }
   cluster_ns_.assign(static_cast<std::size_t>(num_clusters), 0);
   cluster_cell_substeps_.assign(static_cast<std::size_t>(num_clusters), 0);

@@ -1,13 +1,12 @@
 // ADER-DG predictor-corrector time stepping (paper Sec. II, eq. (5)).
 //
 // One time step = one amortized mesh traversal:
-//   1. per cell: STP kernel -> time-averaged state qavg (per-thread
-//      scratch) and the volume update qnew = q + dt sum_d favg[d], which
-//      the kernel forms in its own layout so the volume fluctuations favg
-//      never leave it; the solver adds the direct time-integral of any
-//      point source to qnew, then projects qavg onto the cell's six faces
-//      while it is still in cache (kernels/face.h). The face traces are
-//      all that outlives the predictor;
+//   1. per cell: one STP kernel request writes the volume update qnew =
+//      q + dt sum_d favg[d] plus the direct time integral of any point
+//      source, and the six face traces of the cell's time average
+//      (kernels/face.h). The kernel forms both in its own layout, so
+//      neither favg nor the average leaves it; the traces are all that
+//      outlives the predictor;
 //   2. per cell: one surface update solves the cell's six Rusanov problems
 //      from its own traces and one trace per neighbour (a ghost trace on
 //      wall/outflow faces) and lifts them into qnew in one pass, at the
@@ -69,9 +68,9 @@ class AderDgSolver final : public DgSolver {
   // assignment. Cross-cluster faces use the CK/Taylor identity
   //   avg[dt/2, dt] = 2 avg[0, dt] - avg[0, dt/2]
   // so a coarse cell with a finer face neighbour asks its one predictor
-  // run for both averages (qavg over dt, and qavg_half over dt/2 from a
-  // second Taylor accumulator, StpOutputs::qavg_half) and publishes the
-  // traces of both, and a fine cell accumulates its traces over its two
+  // run for the traces of both averages (over dt, and over dt/2 from a
+  // second Taylor accumulator, StpOutputs::traces_half) and publishes
+  // both, and a fine cell accumulates its traces over its two
   // substeps when it has a coarser one (the coarse corrector reads half
   // the sum). The combinations are formed on the neighbour's trace. Every
   // cell-substep is exactly one StpKernel::run. The Rusanov flux is linear
@@ -88,8 +87,8 @@ class AderDgSolver final : public DgSolver {
   }
 
   /// The step's 2 * 2^(K-1) phases: phase 2s = predict fine substep s
-  /// (element-local predictor + volume update + face projection of the
-  /// clusters aligned at s; reads no neighbour data, so it is all
+  /// (element-local predictor, volume update and traces of the clusters
+  /// aligned at s; reads no neighbour data, so it is all
   /// interior), phase 2s+1 = correct the clusters completing at s. A
   /// correct phase reads one trace per neighbour, so its halo fields are
   /// trace buffers (the avg / half / sum traces on channels 0/1/2, the
@@ -106,11 +105,11 @@ class AderDgSolver final : public DgSolver {
 
  private:
   /// Everything one worker thread mutates outside its q/qnew/trace slices:
-  /// a kernel clone with its own workspace plus aligned scratch.
+  /// a kernel clone with its own workspace plus the corrector's aligned
+  /// scratch. The predictor writes straight into the cell's qnew and trace
+  /// slices, so it needs none.
   struct ThreadScratch {
     StpKernel kernel;
-    AlignedVector qavg;       // kernel output, projected onto the faces
-    AlignedVector qavg_half;  // half-window average (K > 1)
     /// Corrector arena: the six face jumps and the derived cross-cluster
     /// neighbour traces.
     AlignedVector work;
@@ -127,14 +126,12 @@ class AderDgSolver final : public DgSolver {
   /// the production flags and the cross-cluster trace buffers.
   void assign_clusters(const std::vector<int>& cluster_of_cell,
                        int num_clusters);
-  /// One predictor + volume update + face projection at expansion time t.
-  /// The same kernel run also emits qavg_half when the cell has a finer
-  /// face neighbour, and the cell folds its traces into the sum traces
-  /// when it has a coarser one; `sum_reset` starts a fresh sum window.
+  /// One kernel request at expansion time t, the same for every variant:
+  /// {traces, traces_half when the cell has a finer face neighbour, qnew}.
+  /// The cell then folds its traces into the sum traces when it has a
+  /// coarser one; `sum_reset` starts a fresh sum window.
   void predict_cell(ThreadScratch& ts, int c, double dt, double t,
-                    const std::array<double, 3>& inv_dx,
-                    const std::array<double, kMaxOrder>& integral_coeff,
-                    bool sum_reset);
+                    const std::array<double, 3>& inv_dx, bool sum_reset);
   /// Surface update for one cell; `s` is the fine substep index (for the
   /// cross-cluster trace selection and the final substep's finite check).
   void correct_cell(ThreadScratch& ts, int c, double dt, int s);

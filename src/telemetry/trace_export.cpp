@@ -1,16 +1,111 @@
 #include "exastp/telemetry/trace_export.h"
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "exastp/common/atomic_file.h"
 #include "exastp/common/check.h"
 
 namespace exastp {
 namespace {
+
+/// A strict recursive-descent check of one JSON value: the RFC 8259
+/// grammar without insignificant whitespace, as the writers emit it, and
+/// any byte >= 0x20 inside strings. Nesting is bounded, so a corrupted line
+/// cannot recurse without limit.
+class JsonShape {
+ public:
+  explicit JsonShape(const std::string& text) : s_(text) {}
+
+  /// True when the text is exactly one JSON object.
+  bool one_object() {
+    return peek() == '{' && value(0) && pos_ == s_.size();
+  }
+
+ private:
+  static constexpr int kMaxDepth = 32;
+
+  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
+  bool eat(char c) {
+    if (pos_ >= s_.size() || s_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  bool digits() {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ > start;
+  }
+  bool literal(const char* word) {
+    for (const char* c = word; *c != '\0'; ++c)
+      if (!eat(*c)) return false;
+    return true;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (pos_ < s_.size()) {
+      const unsigned char c = static_cast<unsigned char>(s_[pos_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (pos_ >= s_.size()) return false;
+      const char e = s_[pos_++];
+      if (e == 'u') {
+        for (int i = 0; i < 4; ++i, ++pos_)
+          if (pos_ >= s_.size() ||
+              std::isxdigit(static_cast<unsigned char>(s_[pos_])) == 0)
+            return false;
+      } else if (std::string("\"\\/bfnrt").find(e) == std::string::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool number() {
+    eat('-');
+    if (!eat('0') && !digits()) return false;
+    if (eat('.') && !digits()) return false;
+    if (peek() == 'e' || peek() == 'E') {
+      ++pos_;
+      if (!eat('+')) eat('-');
+      if (!digits()) return false;
+    }
+    return true;
+  }
+  bool value(int depth) {
+    if (depth > kMaxDepth) return false;
+    switch (peek()) {
+      case '{':
+        ++pos_;
+        if (eat('}')) return true;
+        do {
+          if (!string() || !eat(':') || !value(depth + 1)) return false;
+        } while (eat(','));
+        return eat('}');
+      case '[':
+        ++pos_;
+        if (eat(']')) return true;
+        do {
+          if (!value(depth + 1)) return false;
+        } while (eat(','));
+        return eat(']');
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+
+  const std::string& s_;
+  std::size_t pos_ = 0;
+};
 
 /// One "X" (complete) event line. ts/dur are µs with ns resolution kept as
 /// decimals; args carry the span's arg (phase/stage/job id) when set.
@@ -119,14 +214,18 @@ void merge_chrome_trace_parts(const std::string& path, int ranks) {
     std::ifstream in(part);
     EXASTP_CHECK_MSG(in.good(), "missing trace part \"" + part + "\"");
     std::string line;
-    while (std::getline(in, line))
-      if (!line.empty()) lines.push_back(line);
+    for (long number = 1; std::getline(in, line); ++number) {
+      if (line.empty()) continue;
+      if (!JsonShape(line).one_object())
+        throw std::invalid_argument("trace part \"" + part + "\" line " +
+                                    std::to_string(number) +
+                                    ": not one JSON object");
+      lines.push_back(line);
+    }
   }
-  std::ofstream out(path, std::ios::trunc);
-  EXASTP_CHECK_MSG(out.good(), "cannot open trace \"" + path + "\"");
+  std::ostringstream out;
   write_array(out, lines);
-  out.flush();
-  EXASTP_CHECK_MSG(out.good(), "failed writing trace \"" + path + "\"");
+  write_file_atomically(path, out.str(), "trace");
 }
 
 }  // namespace exastp

@@ -39,8 +39,13 @@ void write_chrome_trace_part(const TelemetryRegistry& registry,
                              const std::string& path, int rank);
 
 /// Rank-0 merge of every rank's part lines into the final JSON array at
-/// `path`. Missing parts are an error — every rank writes one. The parts
-/// stay on disk, like the receiver parts.
+/// `path`. Missing parts are an error — every rank writes one. Every
+/// non-empty part line must be one JSON object, the shape
+/// write_chrome_trace_part writes; any other line (say, the truncated last
+/// line of a rank that died mid-write) throws std::invalid_argument naming
+/// the part file and the line number, and leaves `path` as it was. The
+/// merged trace replaces `path` atomically (common/atomic_file.h). The
+/// parts stay on disk, like the receiver parts.
 void merge_chrome_trace_parts(const std::string& path, int ranks);
 
 }  // namespace exastp

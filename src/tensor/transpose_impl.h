@@ -1,8 +1,8 @@
 // Register-block AoS <-> AoSoA transposes, instantiated once per ISA
 // translation unit (transpose_avx2.cpp, transpose_avx512.cpp), the pattern
-// of gemm_impl.h and vecops_impl.h. A block policy B supplies the register
-// type Vec, its width kW in doubles, and load/store/zero/transpose of a
-// kW x kW block held in kW registers.
+// of gemm_impl.h and vecops_impl.h. A block policy B (transpose_blocks.h)
+// supplies the register type Vec, its width kW in doubles, and
+// load/store/zero/transpose of a kW x kW block held in kW registers.
 //
 // Both loops tile one (k3,k2) line: the n x m_pad AoS matrix [k1][s] and
 // the m x n_pad AoSoA matrix [s][k1]. A block row that lies past the

@@ -1,8 +1,14 @@
 // The request contract of StpOutputs (kernels/stp_common.h), checked the
-// same way for every kernel: qnew is the solver's volume update over the
-// favg the same kernel returns, byte for byte and padding included, and
-// requesting any of qnew and favg changes no other output's bytes and no
-// per-width FLOP count, apart from the update's 6 FLOPs per element.
+// same way for every kernel:
+//   * qnew is the solver's volume update over the favg the same kernel
+//     returns, plus the point source's time integral, byte for byte and
+//     padding included;
+//   * traces and traces_half are project_faces of the qavg and qavg_half
+//     the same kernel returns, byte for byte and padding included, whether
+//     or not the averages are requested too;
+//   * requesting any output changes no other output's bytes, and the
+//     per-width FLOP counts move only by the update's 6 FLOPs per element
+//     and the projection's own booking.
 // Shared by test_kernels (all five variants) and test_precision (the fp32
 // SplitCK family), which pass their own smooth cell state.
 #pragma once
@@ -11,9 +17,13 @@
 
 #include <array>
 #include <cstring>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exastp/basis/basis_tables.h"
+#include "exastp/kernels/face.h"
 #include "exastp/kernels/registry.h"
 #include "exastp/perf/flop_count.h"
 #include "exastp/pde/point_source.h"
@@ -26,26 +36,42 @@ namespace exastp::request_check {
 /// shows up.
 inline constexpr double kSentinel = -7.25e300;
 
+/// Which outputs one run asks for.
+struct Request {
+  bool qavg = true;
+  bool half = false;
+  bool favg = false;
+  bool qnew = false;
+  bool traces = false;
+  bool traces_half = false;
+};
+
 struct Run {
-  AlignedVector qavg, half, qnew;
+  AlignedVector qavg, half, qnew, traces, traces_half;
   std::array<AlignedVector, 3> favg;
   FlopCounter flops;
 };
 
 inline Run run(const StpKernel& kernel, const AlignedVector& q, double dt,
                const std::array<double, 3>& inv_dx, const SourceTerm* source,
-               bool half, bool favg, bool qnew) {
+               const Request& request) {
   const std::size_t size = kernel.layout().size();
+  const std::size_t traces = 6 * FaceLayout(kernel.layout()).size();
   Run r;
   r.qavg.assign(size, kSentinel);
   r.half.assign(size, kSentinel);
   r.qnew.assign(size, kSentinel);
+  r.traces.assign(traces, kSentinel);
+  r.traces_half.assign(traces, kSentinel);
   for (auto& f : r.favg) f.assign(size, kSentinel);
   StpOutputs out;
-  out.qavg = r.qavg.data();
-  if (favg) out.favg = {r.favg[0].data(), r.favg[1].data(), r.favg[2].data()};
-  if (half) out.qavg_half = r.half.data();
-  if (qnew) out.qnew = r.qnew.data();
+  if (request.qavg) out.qavg = r.qavg.data();
+  if (request.favg)
+    out.favg = {r.favg[0].data(), r.favg[1].data(), r.favg[2].data()};
+  if (request.half) out.qavg_half = r.half.data();
+  if (request.qnew) out.qnew = r.qnew.data();
+  if (request.traces) out.traces = r.traces.data();
+  if (request.traces_half) out.traces_half = r.traces_half.data();
   FlopSection section;
   kernel.run(q.data(), dt, inv_dx, source, out);
   r.flops = section.delta();
@@ -71,16 +97,12 @@ inline std::size_t update_elements(const StpKernel& kernel) {
              : aos.size();
 }
 
-/// Runs the four requests (neither, favg, qnew, both) against a favg-only
-/// reference run and checks the contract above.
-inline void expect_qnew_contract(const StpKernel& kernel,
-                                 const AlignedVector& q, double dt,
-                                 const std::array<double, 3>& inv_dx,
-                                 const SourceTerm* source, bool half,
-                                 const std::string& tag) {
-  const Run ref = run(kernel, q, dt, inv_dx, source, half, true, false);
-  // The solver's update loop before the kernel formed qnew, over the favg
-  // this kernel returns.
+/// The solver's update loop before the kernel formed qnew, over the favg
+/// this kernel returns, then the source's time integral: ascending o over
+/// taylor_coefficients(dt, n), one rounded product per element.
+inline AlignedVector solver_update(const StpKernel& kernel,
+                                   const AlignedVector& q, double dt,
+                                   const SourceTerm* source, const Run& ref) {
   AlignedVector want(q.size());
   for (std::size_t i = 0; i < q.size(); ++i) {
     double v = q[i];
@@ -89,37 +111,157 @@ inline void expect_qnew_contract(const StpKernel& kernel,
     v += dt * ref.favg[2][i];
     want[i] = v;
   }
+  if (source == nullptr) return want;
+  const AosLayout& aos = kernel.layout();
+  const int n = aos.n;
+  const auto coeff = taylor_coefficients(dt, n);
+  double integral = 0.0;
+  for (int o = 0; o < n; ++o) integral += source->dt_derivatives[o] * coeff[o];
+  for (int k3 = 0; k3 < n; ++k3)
+    for (int k2 = 0; k2 < n; ++k2)
+      for (int k1 = 0; k1 < n; ++k1)
+        want[aos.idx(k3, k2, k1, source->quantity)] +=
+            source->psi[(static_cast<std::size_t>(k3) * n + k2) * n + k1] *
+            integral;
+  return want;
+}
+
+/// Runs the four requests (neither, favg, qnew, both) against a favg-only
+/// reference run and checks the qnew contract above.
+inline void expect_qnew_contract(const StpKernel& kernel,
+                                 const AlignedVector& q, double dt,
+                                 const std::array<double, 3>& inv_dx,
+                                 const SourceTerm* source, bool half,
+                                 const std::string& tag) {
+  Request favg_only;
+  favg_only.half = half;
+  favg_only.favg = true;
+  const Run ref = run(kernel, q, dt, inv_dx, source, favg_only);
+  const AlignedVector want = solver_update(kernel, q, dt, source, ref);
   const std::uint64_t update_flops = 6ull * update_elements(kernel);
-  for (int request = 0; request < 4; ++request) {
-    const bool favg = (request & 1) != 0, qnew = (request & 2) != 0;
-    const std::string what = tag + (favg ? " +favg" : "") +
-                             (qnew ? " +qnew" : "") + ": ";
-    const Run r = run(kernel, q, dt, inv_dx, source, half, favg, qnew);
+  for (int bits = 0; bits < 4; ++bits) {
+    Request request;
+    request.half = half;
+    request.favg = (bits & 1) != 0;
+    request.qnew = (bits & 2) != 0;
+    const std::string what = tag + (request.favg ? " +favg" : "") +
+                             (request.qnew ? " +qnew" : "") + ": ";
+    const Run r = run(kernel, q, dt, inv_dx, source, request);
     expect_same_bytes(r.qavg, ref.qavg, what + "qavg");
     if (half) expect_same_bytes(r.half, ref.half, what + "qavg_half");
-    if (favg)
+    if (request.favg)
       for (int d = 0; d < 3; ++d)
         expect_same_bytes(r.favg[d], ref.favg[d],
                           what + "favg[" + std::to_string(d) + "]");
-    if (qnew) expect_same_bytes(r.qnew, want, what + "qnew");
+    if (request.qnew) expect_same_bytes(r.qnew, want, what + "qnew");
     for (int c = 0; c < kNumWidthClasses; ++c) {
       const std::uint64_t extra =
-          qnew && c == static_cast<int>(WidthClass::k128) ? update_flops : 0;
+          request.qnew && c == static_cast<int>(WidthClass::k128)
+              ? update_flops
+              : 0;
       EXPECT_EQ(r.flops.flops[c], ref.flops.flops[c] + extra)
           << what << "width class " << c;
     }
   }
 }
 
-/// The contract over orders 2, 5, 8 and 9, every host ISA, point source
-/// off and on and half window off and on. `state(n)` is an unpadded cell
-/// state of Pde at order n.
-template <class Pde, class State>
-void expect_qnew_contract_matrix(StpVariant variant, Precision precision,
-                                 State&& state) {
-  const std::array<double, 3> inv_dx{4.0, 5.0, 6.0};
-  const double dt = 2e-3;
-  for (int n : {2, 5, 8, 9}) {
+/// project_faces of an AoS average, and the FLOPs the kernel books for
+/// projecting it in its working layout (the AoSoA kernel projects its
+/// AoSoA tensor, which the transpose reproduces exactly).
+struct Projection {
+  AlignedVector traces;
+  FlopCounter flops;
+};
+
+inline Projection projection_of(const StpKernel& kernel,
+                                const AlignedVector& avg) {
+  const AosLayout& aos = kernel.layout();
+  const BasisTables& basis = basis_tables(aos.n);
+  Projection p;
+  p.traces.assign(6 * FaceLayout(aos).size(), kSentinel);
+  FlopSection section;
+  project_faces(kernel.isa(), aos, basis, avg.data(), p.traces.data());
+  p.flops = section.delta();
+  if (kernel.variant() == StpVariant::kAosoaSplitCk) {
+    const AosoaLayout aosoa(aos.n, aos.m, kernel.isa());
+    AlignedVector working(aosoa.size()), traces(p.traces.size());
+    aos_to_aosoa(kernel.isa(), avg.data(), aos, working.data(), aosoa);
+    FlopSection aosoa_section;
+    project_faces(kernel.isa(), aosoa, basis, working.data(), traces.data());
+    p.flops = aosoa_section.delta();
+  }
+  return p;
+}
+
+/// Whether the kernel averages in place in double, so an unrequested
+/// half window has to borrow the qnew target (stp_common.h).
+inline bool half_borrows_qnew(const StpKernel& kernel) {
+  return kernel.precision() == Precision::kF64 &&
+         (kernel.variant() == StpVariant::kSplitCk ||
+          kernel.variant() == StpVariant::kSoaUfSplitCk);
+}
+
+/// Runs the trace requests, with and without the averages and qnew,
+/// against a reference run that requests the averages and qnew, and checks
+/// the traces contract above.
+inline void expect_traces_contract(const StpKernel& kernel,
+                                   const AlignedVector& q, double dt,
+                                   const std::array<double, 3>& inv_dx,
+                                   const SourceTerm* source, bool half,
+                                   const std::string& tag) {
+  Request averages;
+  averages.half = half;
+  averages.qnew = true;
+  const Run ref = run(kernel, q, dt, inv_dx, source, averages);
+  const Projection want = projection_of(kernel, ref.qavg);
+  Projection want_half;
+  if (half) want_half = projection_of(kernel, ref.half);
+  const std::uint64_t update_flops = 6ull * update_elements(kernel);
+  for (int bits = 0; bits < 4; ++bits) {
+    Request request;
+    request.qavg = (bits & 1) != 0;
+    request.half = half && request.qavg;
+    request.qnew = (bits & 2) != 0;
+    request.traces = true;
+    request.traces_half = half;
+    const std::string what = tag + (request.qavg ? " +averages" : "") +
+                             (request.qnew ? " +qnew" : "") + ": ";
+    if (half && !request.half && !request.qnew && half_borrows_qnew(kernel)) {
+      try {
+        run(kernel, q, dt, inv_dx, source, request);
+        ADD_FAILURE() << what << "traces_half without qavg_half or qnew ran";
+      } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find("traces_half"),
+                  std::string::npos)
+            << what << e.what();
+      }
+      continue;
+    }
+    const Run r = run(kernel, q, dt, inv_dx, source, request);
+    expect_same_bytes(r.traces, want.traces, what + "traces");
+    if (half)
+      expect_same_bytes(r.traces_half, want_half.traces, what + "traces_half");
+    if (request.qavg) expect_same_bytes(r.qavg, ref.qavg, what + "qavg");
+    if (request.half) expect_same_bytes(r.half, ref.half, what + "qavg_half");
+    if (request.qnew) expect_same_bytes(r.qnew, ref.qnew, what + "qnew");
+    for (int c = 0; c < kNumWidthClasses; ++c) {
+      std::uint64_t expected = ref.flops.flops[c] + want.flops.flops[c] +
+                               want_half.flops.flops[c];
+      if (!request.qnew && c == static_cast<int>(WidthClass::k128))
+        expected -= update_flops;
+      EXPECT_EQ(r.flops.flops[c], expected) << what << "width class " << c;
+    }
+  }
+}
+
+/// Calls check(kernel, q, source, half, tag) over `orders`, every host
+/// ISA, point source off and on and half window off and on. `state(n)` is
+/// an unpadded cell state of Pde at order n.
+template <class Pde, class State, class Check>
+void for_each_case(StpVariant variant, Precision precision,
+                   std::initializer_list<int> orders, State&& state,
+                   Check&& check) {
+  for (int n : orders) {
     const auto unpadded = state(n);
     PolynomialWavelet wavelet({1.5, -0.5, 0.25, 2.0});
     AlignedVector psi =
@@ -142,14 +284,65 @@ void expect_qnew_contract_matrix(StpVariant variant, Precision precision,
       for (const SourceTerm* source : {static_cast<const SourceTerm*>(nullptr),
                                        static_cast<const SourceTerm*>(&src)})
         for (bool half : {false, true})
-          expect_qnew_contract(
-              kernel, q, dt, inv_dx, source, half,
-              std::string(Pde::kName) + " " + variant_name(variant) + " " +
-                  precision_name(precision) + " n" + std::to_string(n) +
-                  " " + isa_name(isa) + (source != nullptr ? " source" : "") +
-                  (half ? " half" : ""));
+          check(kernel, q, source, half,
+                std::string(Pde::kName) + " " + variant_name(variant) + " " +
+                    precision_name(precision) + " n" + std::to_string(n) +
+                    " " + isa_name(isa) + (source != nullptr ? " source" : "") +
+                    (half ? " half" : ""));
     }
   }
+}
+
+inline constexpr double kDt = 2e-3;
+inline const std::array<double, 3> kInvDx{4.0, 5.0, 6.0};
+
+/// The qnew contract at orders 2, 5, 8 and 9.
+template <class Pde, class State>
+void expect_qnew_contract_matrix(StpVariant variant, Precision precision,
+                                 State&& state) {
+  for_each_case<Pde>(variant, precision, {2, 5, 8, 9}, state,
+                     [](const StpKernel& kernel, const AlignedVector& q,
+                        const SourceTerm* source, bool half,
+                        const std::string& tag) {
+                       expect_qnew_contract(kernel, q, kDt, kInvDx, source,
+                                            half, tag);
+                     });
+}
+
+/// The traces contract at orders 2, 5, 8, 9 and 11 (AVX-512 x-lines
+/// padded to 8 and to 16).
+template <class Pde, class State>
+void expect_traces_contract_matrix(StpVariant variant, Precision precision,
+                                   State&& state) {
+  for_each_case<Pde>(variant, precision, {2, 5, 8, 9, 11}, state,
+                     [](const StpKernel& kernel, const AlignedVector& q,
+                        const SourceTerm* source, bool half,
+                        const std::string& tag) {
+                       expect_traces_contract(kernel, q, kDt, kInvDx, source,
+                                              half, tag);
+                     });
+}
+
+/// `base` with the parameter rows `rows` set to zeros whose sign
+/// alternates from node to node along every dimension, so along some lines
+/// every product of a face projection is -0.0: a chain that starts from
+/// the first product instead of from +0.0 keeps a -0.0 there that the
+/// contract's chain turns into +0.0.
+template <class Pde, class State>
+auto with_signed_zero_rows(State base, std::vector<int> rows) {
+  return [base, rows](int n) {
+    auto state = base(n);
+    for (int k3 = 0; k3 < n; ++k3)
+      for (int k2 = 0; k2 < n; ++k2)
+        for (int k1 = 0; k1 < n; ++k1) {
+          const std::size_t node =
+              (static_cast<std::size_t>(k3) * n + k2) * n + k1;
+          for (int s : rows)
+            state[node * Pde::kQuants + s] =
+                (k1 + k2 + k3 + s) % 2 == 0 ? 0.0 : -0.0;
+        }
+    return state;
+  };
 }
 
 }  // namespace exastp::request_check

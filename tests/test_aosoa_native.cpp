@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "exastp/kernels/aosoa_stp.h"
+#include "exastp/kernels/face.h"
 #include "exastp/pde/acoustic.h"
 #include "exastp/pde/curvilinear_elastic.h"
 #include "exastp/tensor/transpose.h"
@@ -97,6 +99,57 @@ TEST(AosoaNative, MatchesWrapperCurvilinearOrder5) {
 TEST(AosoaNative, MatchesWrapperCurvilinearOrder9) {
   check_native_matches_wrapper<CurvilinearElasticPde, double>(9);
   check_native_matches_wrapper<CurvilinearElasticPde, float>(9);
+}
+
+/// The solver's request {traces, traces_half, qnew} on both entry points:
+/// the traces are the same FaceLayout bytes, and the native qnew is the
+/// wrapper's in AoSoA.
+template <class Pde, class Real>
+void check_native_traces_match_wrapper(int order) {
+  SCOPED_TRACE(sizeof(Real) == sizeof(float) ? "fp32" : "fp64");
+  const Isa isa = host_best_isa();
+  AosoaStpT<Pde, Real> kernel(Pde{}, order, isa);
+  const AosLayout& aos = kernel.layout();
+  const AosoaLayout& aosoa = kernel.internal_layout();
+  AlignedVector q;
+  fill_state<Pde>(aos, q);
+  const double dt = 1e-3;
+  const std::array<double, 3> inv_dx{4.0, 5.0, 6.0};
+  const std::size_t t = 6 * FaceLayout(aos).size();
+
+  AlignedVector traces(t, -1.0), half(t, -1.0), qnew(aos.size(), -1.0);
+  StpOutputs out;
+  out.traces = traces.data();
+  out.traces_half = half.data();
+  out.qnew = qnew.data();
+  kernel.compute(q.data(), dt, inv_dx, nullptr, out);
+
+  AlignedVector q_a(aosoa.size()), traces_a(t, -2.0), half_a(t, -2.0),
+      qnew_a(aosoa.size(), -2.0);
+  aos_to_aosoa(isa, q.data(), aos, q_a.data(), aosoa);
+  StpOutputs out_a;
+  out_a.traces = traces_a.data();
+  out_a.traces_half = half_a.data();
+  out_a.qnew = qnew_a.data();
+  kernel.compute_native(q_a.data(), dt, inv_dx, nullptr, out_a);
+
+  EXPECT_EQ(std::memcmp(traces.data(), traces_a.data(), t * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(half.data(), half_a.data(), t * sizeof(double)), 0);
+  AlignedVector check(aos.size());
+  aosoa_to_aos(isa, qnew_a.data(), aosoa, check.data(), aos);
+  EXPECT_EQ(
+      std::memcmp(check.data(), qnew.data(), aos.size() * sizeof(double)), 0);
+}
+
+TEST(AosoaNative, NativeTracesMatchTheWrapper) {
+  for (int order : {4, 9}) {
+    SCOPED_TRACE(order);
+    check_native_traces_match_wrapper<AcousticPde, double>(order);
+    check_native_traces_match_wrapper<AcousticPde, float>(order);
+    check_native_traces_match_wrapper<CurvilinearElasticPde, double>(order);
+    check_native_traces_match_wrapper<CurvilinearElasticPde, float>(order);
+  }
 }
 
 TEST(AosoaNative, NativeSkipsTransposesButCountsSameFlops) {

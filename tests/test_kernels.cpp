@@ -419,6 +419,22 @@ TEST_P(PredictorExactness, QnewIsTheSolversUpdateWhateverElseIsRequested) {
       GetParam(), Precision::kF64, smooth_cell_state<ElasticPde>);
 }
 
+// The face traces (StpOutputs::traces, traces_half): project_faces of the
+// averages the same kernel returns, bit for bit, whatever else is
+// requested (stp_request_check.h). The curvilinear state's off-diagonal
+// metric rows hold alternating signed zeros, so a projection chain that
+// does not start from +0.0 shows.
+TEST_P(PredictorExactness, TracesAreTheProjectionOfTheAveragesWhateverElseIsRequested) {
+  constexpr int g = CurvilinearElasticPde::kMetric;
+  request_check::expect_traces_contract_matrix<CurvilinearElasticPde>(
+      GetParam(), Precision::kF64,
+      request_check::with_signed_zero_rows<CurvilinearElasticPde>(
+          smooth_cell_state<CurvilinearElasticPde>,
+          {g + 1, g + 2, g + 3, g + 5, g + 6, g + 7}));
+  request_check::expect_traces_contract_matrix<ElasticPde>(
+      GetParam(), Precision::kF64, smooth_cell_state<ElasticPde>);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllVariants, PredictorExactness,
                          ::testing::ValuesIn(kAllVariants),
                          [](const auto& info) {

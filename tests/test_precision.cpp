@@ -289,6 +289,22 @@ TEST(Precision, F32QnewIsTheSolversUpdateWhateverElseIsRequested) {
   }
 }
 
+// fp32 face traces: projected straight from the float averages, widened
+// exactly, so they are project_faces of the returned (widened) averages,
+// bit for bit, whatever else is requested (stp_request_check.h).
+TEST(Precision, F32TracesAreTheProjectionOfTheAveragesWhateverElseIsRequested) {
+  constexpr int g = CurvilinearElasticPde::kMetric;
+  for (StpVariant v : {StpVariant::kSplitCk, StpVariant::kAosoaSplitCk}) {
+    request_check::expect_traces_contract_matrix<CurvilinearElasticPde>(
+        v, Precision::kF32,
+        request_check::with_signed_zero_rows<CurvilinearElasticPde>(
+            smooth_cell_state<CurvilinearElasticPde>,
+            {g + 1, g + 2, g + 3, g + 5, g + 6, g + 7}));
+    request_check::expect_traces_contract_matrix<ElasticPde>(
+        v, Precision::kF32, smooth_cell_state<ElasticPde>);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end convergence of precision=fp32 runs.
 //

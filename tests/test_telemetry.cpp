@@ -30,6 +30,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,7 @@
 #include "exastp/telemetry/step_metrics.h"
 #include "exastp/telemetry/telemetry.h"
 #include "exastp/telemetry/trace_export.h"
+#include "stream_fuzz.h"
 
 namespace exastp {
 namespace {
@@ -275,6 +277,126 @@ TEST(Telemetry, TracePartMergeMatchesTheLocalWriterFormat) {
   std::remove(path.c_str());
   for (int r = 0; r < 2; ++r)
     std::remove((path + ".r" + std::to_string(r) + ".part").c_str());
+}
+
+/// Whether `line` has the shape of one trace event: a '{' ... '}' whose
+/// braces and brackets balance outside strings and close only at its end,
+/// with terminated strings, no control bytes in them and only JSON escapes.
+/// Independent of the merger's own check, and weaker than it.
+bool looks_like_one_object(const std::string& line) {
+  if (line.size() < 2 || line.front() != '{' || line.back() != '}')
+    return false;
+  std::vector<char> open;
+  bool in_string = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(line[i]);
+    if (in_string) {
+      if (c < 0x20) return false;
+      if (c == '\\') {
+        if (++i == line.size() ||
+            std::string("\"\\/bfnrtu").find(line[i]) == std::string::npos)
+          return false;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      open.push_back(c == '{' ? '}' : ']');
+    } else if (c == '}' || c == ']') {
+      if (open.empty() || open.back() != c) return false;
+      open.pop_back();
+      if (open.empty() && i + 1 != line.size()) return false;
+    } else if (std::string("0123456789-+.eEtruefalsn:,").find(
+                   static_cast<char>(c)) == std::string::npos) {
+      return false;
+    }
+  }
+  return !in_string && open.empty();
+}
+
+/// Writes a two-rank part set of a registry with a few spans, one with an
+/// arg; returns the part paths.
+std::vector<std::string> write_two_rank_parts(const std::string& path) {
+  TelemetryRegistry registry(/*spans_enabled=*/true);
+  {
+    TelemetryScope scope(&registry);
+    ScopedSpan step(SpanId::kStep);
+    ScopedSpan cluster(SpanId::kLtsCluster, /*arg=*/2);
+  }
+  std::vector<std::string> parts;
+  for (int rank = 0; rank < 2; ++rank) {
+    write_chrome_trace_part(registry, path, rank);
+    parts.push_back(path + ".r" + std::to_string(rank) + ".part");
+  }
+  return parts;
+}
+
+TEST(Telemetry, TracePartMergeNamesATruncatedLine) {
+  const std::string path = "test_telemetry_truncated.json";
+  const std::vector<std::string> parts = write_two_rank_parts(path);
+  // Rank 1 died mid-write: its last line lost its tail.
+  std::string bytes = read_file(parts[1]);
+  const long lines = std::count(bytes.begin(), bytes.end(), '\n');
+  bytes.resize(bytes.size() - 5);
+  std::ofstream(parts[1], std::ios::trunc) << bytes;
+  std::ofstream(path, std::ios::trunc) << "earlier trace";
+  try {
+    merge_chrome_trace_parts(path, 2);
+    ADD_FAILURE() << "a truncated part line merged";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(parts[1]), std::string::npos) << what;
+    EXPECT_NE(what.find("line " + std::to_string(lines)), std::string::npos)
+        << what;
+  }
+  // The failed merge replaced nothing.
+  EXPECT_EQ(read_file(path), "earlier trace");
+  std::remove(path.c_str());
+  for (const std::string& part : parts) std::remove(part.c_str());
+}
+
+TEST(Telemetry, TracePartMergeFuzzEitherMergesWellFormedLinesOrNamesThePart) {
+  // Seeded mutants of either part of a valid two-rank set
+  // (stream_fuzz.h): each merge writes only well-formed event lines, or
+  // throws std::invalid_argument naming the mutated part.
+  const std::string path = "test_telemetry_fuzz.json";
+  const std::vector<std::string> parts = write_two_rank_parts(path);
+  const std::vector<std::string> valid{read_file(parts[0]),
+                                       read_file(parts[1])};
+  for (int mutated = 0; mutated < 2; ++mutated) {
+    stream_fuzz::fuzz_stream(
+        valid[static_cast<std::size_t>(mutated)],
+        parts[static_cast<std::size_t>(mutated)],
+        [&](const std::string&, const std::string&) {
+          merge_chrome_trace_parts(path, 2);
+          std::istringstream merged(read_file(path));
+          std::string line;
+          ASSERT_TRUE(std::getline(merged, line));
+          ASSERT_EQ(line, "{\"traceEvents\":[");
+          std::vector<std::string> events;
+          while (std::getline(merged, line) && line != "]}")
+            events.push_back(line);
+          ASSERT_EQ(line, "]}");
+          for (std::size_t i = 0; i < events.size(); ++i) {
+            std::string event = events[i];
+            if (i + 1 < events.size()) {
+              ASSERT_EQ(event.back(), ',');
+              event.pop_back();
+            }
+            ASSERT_TRUE(looks_like_one_object(event)) << event;
+          }
+        },
+        5000);
+    // The next round mutates the other part of a valid set.
+    std::ofstream(parts[static_cast<std::size_t>(mutated)],
+                  std::ios::binary | std::ios::trunc)
+        << valid[static_cast<std::size_t>(mutated)];
+  }
+  std::remove(path.c_str());
+  for (const std::string& part : parts) std::remove(part.c_str());
 }
 
 TEST(Telemetry, MetricsStreamHasHeaderCadenceAndOverlapColumns) {

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "exastp/kernels/face.h"
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
 #include "exastp/pde/curvilinear_elastic.h"
@@ -45,7 +46,9 @@ AlignedVector curvilinear_cell(const AosLayout& aos) {
 /// Buffers for every output the kernel contract offers.
 struct FullRequest {
   explicit FullRequest(const AosLayout& aos) {
-    for (AlignedVector& b : buffers) b.assign(aos.size(), -1.0);
+    for (int b = 0; b < 6; ++b) buffers[b].assign(aos.size(), -1.0);
+    for (int b = 6; b < 8; ++b)
+      buffers[b].assign(6 * FaceLayout(aos).size(), -1.0);
   }
   StpOutputs outputs() {
     StpOutputs out;
@@ -53,9 +56,11 @@ struct FullRequest {
     for (int d = 0; d < 3; ++d) out.favg[d] = buffers[1 + d].data();
     out.qavg_half = buffers[4].data();
     out.qnew = buffers[5].data();
+    out.traces = buffers[6].data();
+    out.traces_half = buffers[7].data();
     return out;
   }
-  std::array<AlignedVector, 6> buffers;
+  std::array<AlignedVector, 8> buffers;
 };
 
 struct KernelCase {
