@@ -1,11 +1,13 @@
 // Kernel tour: drives the STP variants directly through the public kernel
-// API (no mesh/solver) on one curvilinear-elastic cell, shows that they
-// produce identical predictors, and prints each variant's footprint and
-// instruction mix — the paper's whole story in one terminal screen. The
-// kernels come from the string-keyed PDE registry, the same path the
-// Simulation façade uses. Every run requests every output: qavg, favg0..2,
-// the half-window average, the volume update qnew and the face traces of
-// both averages.
+// API (no mesh/solver) on one cell of a registered PDE (by default the
+// paper's curvilinear elastic one), shows that they produce identical
+// predictors, and prints each variant's footprint and instruction mix —
+// the paper's whole story in one terminal screen. The kernels come from
+// the string-keyed PDE registry, the same path the Simulation façade uses.
+// The cell state is sin(0.37 k + s) on the PDE's evolved quantities s of
+// node k, and the registry's default parameters on the rest. Every run
+// requests every output: qavg, favg0..2, the half-window average, the
+// volume update qnew and the face traces of both averages.
 //
 // Each row prints an FNV-1a digest of the bytes of qavg, favg0..2 and
 // qavg_half, one of qnew and one of the traces and half-window traces,
@@ -15,7 +17,7 @@
 // favg0 + dt * favg1 + dt * favg2, and every trace set equals
 // project_faces of the average it came from, bit for bit.
 //
-//   build/examples/kernel_tour [order]
+//   build/examples/kernel_tour [order] [pde]
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -27,7 +29,6 @@
 
 #include "exastp/engine/pde_registry.h"
 #include "exastp/kernels/face.h"
-#include "exastp/pde/curvilinear_elastic.h"
 #include "exastp/perf/instr_mix.h"
 #include "exastp/perf/report.h"
 #include "exastp/tensor/transpose.h"
@@ -50,24 +51,22 @@ std::uint64_t fnv1a(const double* data, std::size_t n, std::uint64_t hash) {
 
 int main(int argc, char** argv) {
   const int order = argc > 1 ? std::atoi(argv[1]) : 6;
-  auto factory = find_pde("curvilinear_elastic");
+  const std::string pde = argc > 2 ? argv[2] : "curvilinear_elastic";
+  auto factory = find_pde(pde);
+  const PdeInfo info = factory->info();
   const Isa isa = host_best_isa();
-  std::printf("order %d, m = %d quantities, host ISA %s\n", order,
-              factory->info().quants, isa_name(isa).c_str());
+  std::printf("%s, order %d, m = %d quantities, host ISA %s\n", pde.c_str(),
+              order, info.quants, isa_name(isa).c_str());
 
   // One smooth cell state, shared by all variants (unpadded AoS).
-  const int m = factory->info().quants;
+  const int m = info.quants;
   std::vector<double> state(static_cast<std::size_t>(order) * order * order *
                             m);
   for (std::size_t k = 0; k < state.size() / m; ++k) {
     double* node = state.data() + k * m;
-    for (int s = 0; s < 9; ++s)
+    for (int s = 0; s < info.vars; ++s)
       node[s] = std::sin(0.37 * static_cast<double>(k) + s);
-    node[CurvilinearElasticPde::kRho] = 2.7;
-    node[CurvilinearElasticPde::kCp] = 6.0;
-    node[CurvilinearElasticPde::kCs] = 3.464;
-    for (int r = 0; r < 3; ++r)
-      node[CurvilinearElasticPde::kMetric + 3 * r + r] = 1.0;
+    factory->default_parameters(node);
   }
 
   // Every fp64 variant, then the fp32 SplitCK family. The generic fp64

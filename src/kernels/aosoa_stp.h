@@ -8,18 +8,22 @@
 //    x-derivatives become transposed products C^T = B^T A^T, y/z-derivatives
 //    fuse the quantity and x dimensions — Sec. V-B),
 //  * every (k3,k2) line is a ready-made SoA chunk, so the PDE user functions
-//    run line by line on VECTLENGTH = n_pad lanes and vectorize at the full
-//    SIMD width (Sec. V-C / Fig. 8) — this removes the ~10% scalar tail the
-//    AoS variants keep. The n^2 lines of a cell are equally spaced, so one
-//    flux-line call covers the cell in every dimension's sweep, as one
-//    strided-batch GEMM call covers each derivative.
+//    run at the full SIMD width (Sec. V-C / Fig. 8) — this removes the ~10%
+//    scalar tail the AoS variants keep. VECTLENGTH is a compile-time chunk
+//    width: each ISA's line functions run an n_pad-lane line as full chunks
+//    of its double vector width (8 lanes on AVX-512, 4 on AVX2) with the
+//    direction fixed (pde/pde_lines_impl.h), so a padded line has no tail.
+//    The n^2 lines of a cell are equally spaced, so one flux-line call
+//    covers the cell in every dimension's sweep, as one strided-batch GEMM
+//    call covers each derivative.
 //
 // The NCP stage stays line by line: B_d(q) * grad q goes into a one-line
 // buffer that stays in L1 and is added to the sweep's output at once.
 // Writing a run of lines into the consumed flux tensor instead costs a
 // write-allocate and a re-read from L2 per line: on curvilinear elastic
 // (AVX-512 Xeon) it took 1-18% longer in fp64 at orders 6-11, though up to
-// 8% less in fp32. PDEs whose NCP is zero skip the stage and get no buffer.
+// 8% less in fp32. PDEs whose NCP is zero skip the stage and get neither
+// the buffer nor the gradQ cell.
 //
 // The rest of the engine speaks AoS, so the state is transposed to AoSoA on
 // entry and outputs back on exit, as the paper does ("the performance impact
@@ -111,10 +115,11 @@ class AosoaStpT {
     diff_.assign(basis.diff.begin(), basis.diff.end());
     diff_t_.assign(diff_t.begin(), diff_t.end());
     flux_.assign(aosoa_.size(), Real(0));
-    gradq_.assign(aosoa_.size(), Real(0));
-    if constexpr (!pde_ncp_is_zero<Pde>())
+    if constexpr (!pde_ncp_is_zero<Pde>()) {
+      gradq_.assign(aosoa_.size(), Real(0));
       line_buf_.assign(static_cast<std::size_t>(kQuants) * aosoa_.n_pad,
                        Real(0));
+    }
   }
 
   const AosLayout& layout() const { return aos_; }

@@ -23,9 +23,17 @@
 // are compiled once per ISA translation unit (pde_lines_baseline.cpp,
 // pde_lines_avx2.cpp, pde_lines_avx512.cpp), each with its own -m flags,
 // the same pattern as gemm_impl.h, and the loop over lines runs inside
-// that TU. The functions below dispatch on `isa` once per call and book
-// the call's FLOPs once: kFluxFlops / kNcpFlops per lane of every line, at
-// the dispatched packing width (each line's remainder lanes as scalar, as
+// that TU. There a call switches on `dir` once and runs each line as full
+// chunks of W lanes, W the TU's double vector width (8 on AVX-512, 4 on
+// AVX2, 2 in the SSE2 baseline; the same in both precisions), with W and
+// the direction compile-time constants, and ends a line whose length is
+// not a multiple of W in one tail chunk of len % W lanes; any len >= 0 is
+// valid. Full chunks and the tail run the same body, one per PDE and
+// operator, which writes every output row once.
+//
+// The functions below dispatch on `isa` once per call and book the call's
+// FLOPs once: kFluxFlops / kNcpFlops per lane of every line, at the
+// dispatched packing width (each line's remainder lanes as scalar, as
 // `lines` single-line calls would). They also report each line of every
 // operand to an installed access recorder (perf/access_recorder.h). fp32
 // lanes count at the double packing width, as in gemm.h, so both

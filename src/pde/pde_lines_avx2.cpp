@@ -4,7 +4,7 @@
 
 namespace exastp::detail {
 
-EXASTP_DEFINE_PDE_LINES(avx2)
+EXASTP_DEFINE_PDE_LINES(avx2, 4)
 EXASTP_DEFINE_FACE_OPS(avx2, Isa::kAvx2, Block4)
 
 }  // namespace exastp::detail

@@ -4,7 +4,7 @@
 
 namespace exastp::detail {
 
-EXASTP_DEFINE_PDE_LINES(avx512)
+EXASTP_DEFINE_PDE_LINES(avx512, 8)
 EXASTP_DEFINE_FACE_OPS(avx512, Isa::kAvx512, Block8)
 
 }  // namespace exastp::detail

@@ -5,7 +5,7 @@
 
 namespace exastp::detail {
 
-EXASTP_DEFINE_PDE_LINES(baseline)
+EXASTP_DEFINE_PDE_LINES(baseline, 2)
 EXASTP_DEFINE_FACE_OPS(baseline, Isa::kScalar, Block1)
 
 }  // namespace exastp::detail

@@ -3,9 +3,12 @@
 // point-source machinery (Hermite/Ricker derivatives, delta projection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "exastp/pde/acoustic.h"
@@ -123,41 +126,79 @@ TYPED_TEST(PdeTypedTest, NcpIsLinearInGradient) {
   }
 }
 
-TYPED_TEST(PdeTypedTest, LineFunctionsMatchPointwise) {
-  // The vectorized user functions must agree with the pointwise ones lane by
-  // lane — this is the correctness contract of the Fig. 8 transformation.
-  constexpr int kLen = 8, kStride = 8;
+// The vectorized user functions must agree with the pointwise ones lane by
+// lane — this is the correctness contract of the Fig. 8 transformation.
+// The lane counts give a tail-only line (1), one full chunk on AVX-512 (8),
+// full chunks and a tail on every path (13), and whole lines of several
+// chunks (16, 24). The outputs start as NaN, so a row that a body does not
+// write fails, and the lanes past len must keep their NaN. fp32 lines run
+// on the rounded inputs and are held to a float tolerance.
+template <class Pde, class Real>
+void expect_lines_match_pointwise(Isa isa) {
+  const double tol = std::is_same_v<Real, float> ? 1e-5 : 1e-12;
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
   std::mt19937 rng(5);
-  TypeParam pde;
-  std::vector<double> qs(TypeParam::kQuants * kStride, 0.0);
-  std::vector<double> gs(TypeParam::kQuants * kStride, 0.0);
-  std::vector<std::vector<double>> q_nodes, g_nodes;
-  for (int i = 0; i < kLen; ++i) {
-    q_nodes.push_back(random_state<TypeParam>(rng));
-    g_nodes.push_back(random_state<TypeParam>(rng));
-    for (int s = 0; s < TypeParam::kQuants; ++s) {
-      qs[s * kStride + i] = q_nodes.back()[s];
-      gs[s * kStride + i] = g_nodes.back()[s];
-    }
-  }
-  std::vector<double> f_line(TypeParam::kQuants * kStride, -1.0);
-  std::vector<double> b_line(TypeParam::kQuants * kStride, -1.0);
-  std::vector<double> f_pt(TypeParam::kQuants), b_pt(TypeParam::kQuants);
-  for (int dir = 0; dir < 3; ++dir) {
-    flux_line(Isa::kScalar, pde, qs.data(), dir, f_line.data(), kLen,
-              kStride, 1, 0);
-    ncp_line(Isa::kScalar, pde, qs.data(), gs.data(), dir, b_line.data(),
-             kLen, kStride, 1, 0);
-    for (int i = 0; i < kLen; ++i) {
-      pde.flux(q_nodes[i].data(), dir, f_pt.data());
-      pde.ncp(q_nodes[i].data(), g_nodes[i].data(), dir, b_pt.data());
-      for (int s = 0; s < TypeParam::kQuants; ++s) {
-        EXPECT_NEAR(f_line[s * kStride + i], f_pt[s], 1e-12)
-            << "flux dir " << dir << " lane " << i << " row " << s;
-        EXPECT_NEAR(b_line[s * kStride + i], b_pt[s], 1e-12)
-            << "ncp dir " << dir << " lane " << i << " row " << s;
+  Pde pde;
+  for (int len : {1, 8, 13, 16, 24}) {
+    const int stride = len + 3;
+    const std::size_t size = static_cast<std::size_t>(Pde::kQuants) * stride;
+    std::vector<Real> qs(size, Real(0)), gs(size, Real(0));
+    std::vector<std::vector<double>> q_nodes, g_nodes;
+    for (int i = 0; i < len; ++i) {
+      q_nodes.push_back(random_state<Pde>(rng));
+      g_nodes.push_back(random_state<Pde>(rng));
+      for (int s = 0; s < Pde::kQuants; ++s) {
+        qs[s * stride + i] = static_cast<Real>(q_nodes.back()[s]);
+        gs[s * stride + i] = static_cast<Real>(g_nodes.back()[s]);
+        q_nodes.back()[s] = qs[s * stride + i];
+        g_nodes.back()[s] = gs[s * stride + i];
       }
     }
+    std::vector<double> f_pt(Pde::kQuants), b_pt(Pde::kQuants);
+    for (int dir = 0; dir < 3; ++dir) {
+      std::vector<Real> f_line(size, nan), b_line(size, nan);
+      flux_line(isa, pde, qs.data(), dir, f_line.data(), len, stride, 1, 0);
+      ncp_line(isa, pde, qs.data(), gs.data(), dir, b_line.data(), len,
+               stride, 1, 0);
+      double scale = 1.0;
+      for (int i = 0; i < len; ++i) {
+        pde.flux(q_nodes[i].data(), dir, f_pt.data());
+        pde.ncp(q_nodes[i].data(), g_nodes[i].data(), dir, b_pt.data());
+        for (int s = 0; s < Pde::kQuants; ++s)
+          scale = std::max({scale, std::abs(f_pt[s]), std::abs(b_pt[s])});
+      }
+      for (int i = 0; i < stride; ++i) {
+        if (i < len) {
+          pde.flux(q_nodes[i].data(), dir, f_pt.data());
+          pde.ncp(q_nodes[i].data(), g_nodes[i].data(), dir, b_pt.data());
+        }
+        for (int s = 0; s < Pde::kQuants; ++s) {
+          const double f = f_line[s * stride + i];
+          const double b = b_line[s * stride + i];
+          if (i >= len) {
+            EXPECT_TRUE(std::isnan(f) && std::isnan(b))
+                << "len " << len << " dir " << dir << " wrote lane " << i
+                << " row " << s;
+            continue;
+          }
+          EXPECT_NEAR(f, f_pt[s], tol * scale)
+              << "flux len " << len << " dir " << dir << " lane " << i
+              << " row " << s;
+          EXPECT_NEAR(b, b_pt[s], tol * scale)
+              << "ncp len " << len << " dir " << dir << " lane " << i
+              << " row " << s;
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(PdeTypedTest, LineFunctionsMatchPointwise) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    SCOPED_TRACE(isa_name(isa));
+    expect_lines_match_pointwise<TypeParam, double>(isa);
+    expect_lines_match_pointwise<TypeParam, float>(isa);
   }
 }
 

@@ -8,8 +8,10 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "exastp/engine/pde_registry.h"
 #include "exastp/kernels/face.h"
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
@@ -21,27 +23,6 @@
 
 namespace exastp {
 namespace {
-
-/// An admissible curvilinear-elastic state on the kernel's layout, with
-/// a mild curvature so no metric entry is trivially one or zero.
-AlignedVector curvilinear_cell(const AosLayout& aos) {
-  using Pde = CurvilinearElasticPde;
-  AlignedVector q(aos.size(), 0.0);
-  const int n = aos.n;
-  for (int k3 = 0; k3 < n; ++k3)
-    for (int k2 = 0; k2 < n; ++k2)
-      for (int k1 = 0; k1 < n; ++k1) {
-        double* node = q.data() + aos.idx(k3, k2, k1, 0);
-        for (int s = 0; s < Pde::kVars; ++s)
-          node[s] = 0.01 * ((k1 + 2 * k2 + 3 * k3 + s) % 17) - 0.08;
-        node[Pde::kRho] = 2.7;
-        node[Pde::kCp] = 6.0;
-        node[Pde::kCs] = 3.4;
-        for (int r = 0; r < 3; ++r) node[Pde::kMetric + 3 * r + r] = 1.0;
-        node[Pde::kMetric + 1] = 0.05;
-      }
-  return q;
-}
 
 /// Buffers for every output the kernel contract offers.
 struct FullRequest {
@@ -67,15 +48,19 @@ struct KernelCase {
   StpVariant variant;
   Precision precision;
   Isa isa;
+  const char* pde = CurvilinearElasticPde::kName;
 };
 
 void PrintTo(const KernelCase& c, std::ostream* os) {
-  *os << variant_name(c.variant) << "_" << precision_name(c.precision) << "_"
-      << isa_name(c.isa);
+  *os << c.pde << "_" << variant_name(c.variant) << "_"
+      << precision_name(c.precision) << "_" << isa_name(c.isa);
 }
 
 /// Every variant in fp64 and the SplitCK family in fp32, at every ISA the
-/// host runs (the generic kernel has one scalar code path).
+/// host runs (the generic kernel has one scalar code path), on the
+/// curvilinear PDE; then the AoSoA kernel on two PDEs whose NCP is zero
+/// (the perfbench workloads' elastic fp64 and acoustic fp32), which must
+/// not allocate workspace for the NCP stage they skip.
 std::vector<KernelCase> host_kernel_cases() {
   std::vector<KernelCase> cases;
   for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
@@ -86,12 +71,45 @@ std::vector<KernelCase> host_kernel_cases() {
     for (StpVariant v : {StpVariant::kSplitCk, StpVariant::kAosoaSplitCk})
       cases.push_back({v, Precision::kF32, isa});
   }
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    cases.push_back({StpVariant::kAosoaSplitCk, Precision::kF64, isa,
+                     ElasticPde::kName});
+    cases.push_back({StpVariant::kAosoaSplitCk, Precision::kF32, isa,
+                     AcousticPde::kName});
+  }
   return cases;
 }
 
 StpKernel make_case_kernel(const KernelCase& c, int order) {
-  return make_stp_kernel(CurvilinearElasticPde{}, c.variant, order, c.isa,
-                         NodeFamily::kGaussLegendre, c.precision);
+  return find_pde(c.pde)->make_kernel(c.variant, order, c.isa,
+                                      NodeFamily::kGaussLegendre,
+                                      c.precision);
+}
+
+/// An admissible state of the case's PDE on the kernel's layout: a wave
+/// pattern on the registry's default parameters; the curvilinear PDE gets
+/// a mild curvature, so no metric entry is trivially one or zero.
+AlignedVector case_cell(const KernelCase& c, const AosLayout& aos) {
+  using Curvilinear = CurvilinearElasticPde;
+  const auto factory = find_pde(c.pde);
+  const int vars = factory->info().vars;
+  const bool curvilinear = std::string(c.pde) == Curvilinear::kName;
+  AlignedVector q(aos.size(), 0.0);
+  const int n = aos.n;
+  for (int k3 = 0; k3 < n; ++k3)
+    for (int k2 = 0; k2 < n; ++k2)
+      for (int k1 = 0; k1 < n; ++k1) {
+        double* node = q.data() + aos.idx(k3, k2, k1, 0);
+        for (int s = 0; s < vars; ++s)
+          node[s] = 0.01 * ((k1 + 2 * k2 + 3 * k3 + s) % 17) - 0.08;
+        factory->default_parameters(node);
+        if (curvilinear) {
+          node[Curvilinear::kCs] = 3.4;
+          node[Curvilinear::kMetric + 1] = 0.05;
+        }
+      }
+  return q;
 }
 
 constexpr double kDt = 1e-3;
@@ -103,7 +121,7 @@ TEST_P(RecorderP, RecordingChangesNoOutputBitAndNoFlop) {
   const KernelCase c = GetParam();
   for (int order = 2; order <= 11; ++order) {
     const StpKernel kernel = make_case_kernel(c, order);
-    const AlignedVector q = curvilinear_cell(kernel.layout());
+    const AlignedVector q = case_cell(c, kernel.layout());
     FullRequest plain(kernel.layout()), recorded(kernel.layout());
 
     FlopSection plain_section;
@@ -141,7 +159,7 @@ TEST_P(RecorderP, OneCallCoversTheWorkspaceAndTheRequest) {
   const KernelCase c = GetParam();
   for (int order : {2, 5, 8, 9, 11}) {
     const StpKernel kernel = make_case_kernel(c, order);
-    const AlignedVector q = curvilinear_cell(kernel.layout());
+    const AlignedVector q = case_cell(c, kernel.layout());
     FullRequest request(kernel.layout());
     kernel.run(q.data(), kDt, kInvDx, nullptr, request.outputs());
 
