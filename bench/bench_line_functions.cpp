@@ -3,7 +3,9 @@
 // cell of padded x-lines per call (n^2 lines of n_pad lanes, m * n_pad
 // apart), for elastic orders 6 and 8 in fp64 (loh1_stiff_lts,
 // loh1_o8_serial), acoustic order 4 in fp32 (planewave) and the paper's
-// curvilinear elastic order 8 in fp64, at every host ISA.
+// curvilinear elastic order 8 in fp64, at every host ISA. Elastic and
+// acoustic order 9 in fp32 give lines of two chunks (n_pad 16 on AVX-512,
+// run as two 8-float chunks since the chunk width is the double width).
 //
 //   Flux/<pde>/<isa>  one flux_line call over the cell per direction, the
 //                     three directions of one Taylor step;
@@ -105,6 +107,10 @@ void register_isa(Isa isa) {
                                flux_cell<ElasticPde, double>, isa, 8);
   benchmark::RegisterBenchmark(name("Flux/acoustic_o4_fp32").c_str(),
                                flux_cell<AcousticPde, float>, isa, 4);
+  benchmark::RegisterBenchmark(name("Flux/acoustic_o9_fp32").c_str(),
+                               flux_cell<AcousticPde, float>, isa, 9);
+  benchmark::RegisterBenchmark(name("Flux/elastic_o9_fp32").c_str(),
+                               flux_cell<ElasticPde, float>, isa, 9);
   benchmark::RegisterBenchmark(
       name("Flux/curvilinear_elastic_o8_fp64").c_str(),
       flux_cell<CurvilinearElasticPde, double>, isa, 8);

@@ -31,15 +31,16 @@
 // valid. Full chunks and the tail run the same body, one per PDE and
 // operator, which writes every output row once.
 //
-// The functions below dispatch on `isa` once per call and book the call's
-// FLOPs once: kFluxFlops / kNcpFlops per lane of every line, at the
-// dispatched packing width (each line's remainder lanes as scalar, as
-// `lines` single-line calls would). They also report each line of every
-// operand to an installed access recorder (perf/access_recorder.h). fp32
-// lanes count at the double packing width, as in gemm.h, so both
-// precisions report one instruction mix. A PDE gains line functions by
-// adding its two bodies to pde_lines_impl.h and its name to
-// EXASTP_FOR_EACH_LINE_PDE.
+// The functions below check `dir` and `lines` (so the ISA TUs, compiled
+// with their -m flags, need no check of their own), dispatch on `isa` once
+// per call and book the call's FLOPs once: kFluxFlops / kNcpFlops per lane
+// of every line, at the dispatched packing width (each line's remainder
+// lanes as scalar, as `lines` single-line calls would). They also report
+// each line of every operand to an installed access recorder
+// (perf/access_recorder.h). fp32 lanes count at the double packing width,
+// as in gemm.h, so both precisions report one instruction mix. A PDE gains
+// line functions by adding its two bodies to pde_lines_impl.h and its name
+// to EXASTP_FOR_EACH_LINE_PDE.
 #pragma once
 
 #include <cstdint>
@@ -90,6 +91,7 @@ template <class Pde, class Real>
 void flux_line(Isa isa, const Pde& pde, const Real* q, int dir, Real* f,
                int len, int stride, int lines, long line_stride) {
   EXASTP_CHECK(lines >= 0);
+  EXASTP_CHECK_MSG(dir >= 0 && dir < 3, "direction must be 0, 1 or 2");
   detail::record_lines<Pde, Real>(q, nullptr, f, len, stride, lines,
                                   line_stride);
   switch (isa) {
@@ -114,6 +116,7 @@ void ncp_line(Isa isa, const Pde& pde, const Real* q, const Real* grad,
               int dir, Real* out, int len, int stride, int lines,
               long line_stride) {
   EXASTP_CHECK(lines >= 0);
+  EXASTP_CHECK_MSG(dir >= 0 && dir < 3, "direction must be 0, 1 or 2");
   detail::record_lines<Pde, Real>(q, grad, out, len, stride, lines,
                                   line_stride);
   switch (isa) {

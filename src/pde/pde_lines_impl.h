@@ -57,15 +57,16 @@ namespace {
 template <int D>
 using Dir = std::integral_constant<int, D>;
 
-/// Calls op(Dir<dir>{}): the one switch on the direction per call.
+/// Calls op(Dir<dir>{}): the one switch on the direction per call. The
+/// dispatchers in pde_lines.h have checked dir in [0, 3), so no check here
+/// pulls a shared inline symbol into this TU (see the note on linkage).
 template <class Op>
 void with_dir(int dir, Op&& op) {
   switch (dir) {
     case 0: op(Dir<0>{}); return;
     case 1: op(Dir<1>{}); return;
-    case 2: op(Dir<2>{}); return;
+    default: op(Dir<2>{}); return;
   }
-  EXASTP_FAIL("direction must be 0, 1 or 2");
 }
 
 /// Stores +0.0 in rows [First, Last) of a chunk of n lanes. One pointer

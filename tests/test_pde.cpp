@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -131,11 +132,12 @@ TYPED_TEST(PdeTypedTest, NcpIsLinearInGradient) {
 // The lane counts give a tail-only line (1), one full chunk on AVX-512 (8),
 // full chunks and a tail on every path (13), and whole lines of several
 // chunks (16, 24). The outputs start as NaN, so a row that a body does not
-// write fails, and the lanes past len must keep their NaN. fp32 lines run
-// on the rounded inputs and are held to a float tolerance.
+// write fails, and the lanes past len must keep their NaN. fp64 lines are
+// held to 1e-12 absolute on every path. fp32 lines run on the rounded
+// inputs and are held to a float tolerance relative to the call's largest
+// pointwise magnitude (rho cp^2 v reaches a few hundred in elastic).
 template <class Pde, class Real>
 void expect_lines_match_pointwise(Isa isa) {
-  const double tol = std::is_same_v<Real, float> ? 1e-5 : 1e-12;
   const Real nan = std::numeric_limits<Real>::quiet_NaN();
   std::mt19937 rng(5);
   Pde pde;
@@ -167,6 +169,7 @@ void expect_lines_match_pointwise(Isa isa) {
         for (int s = 0; s < Pde::kQuants; ++s)
           scale = std::max({scale, std::abs(f_pt[s]), std::abs(b_pt[s])});
       }
+      const double bound = std::is_same_v<Real, float> ? 1e-5 * scale : 1e-12;
       for (int i = 0; i < stride; ++i) {
         if (i < len) {
           pde.flux(q_nodes[i].data(), dir, f_pt.data());
@@ -181,10 +184,10 @@ void expect_lines_match_pointwise(Isa isa) {
                 << " row " << s;
             continue;
           }
-          EXPECT_NEAR(f, f_pt[s], tol * scale)
+          EXPECT_NEAR(f, f_pt[s], bound)
               << "flux len " << len << " dir " << dir << " lane " << i
               << " row " << s;
-          EXPECT_NEAR(b, b_pt[s], tol * scale)
+          EXPECT_NEAR(b, b_pt[s], bound)
               << "ncp len " << len << " dir " << dir << " lane " << i
               << " row " << s;
         }
@@ -199,6 +202,23 @@ TYPED_TEST(PdeTypedTest, LineFunctionsMatchPointwise) {
     SCOPED_TRACE(isa_name(isa));
     expect_lines_match_pointwise<TypeParam, double>(isa);
     expect_lines_match_pointwise<TypeParam, float>(isa);
+  }
+}
+
+TYPED_TEST(PdeTypedTest, LineFunctionsRejectADirectionOutOfRange) {
+  TypeParam pde;
+  std::vector<double> q(TypeParam::kQuants, 1.0), out(TypeParam::kQuants);
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!host_supports(isa)) continue;
+    for (int dir : {-1, 3}) {
+      EXPECT_THROW(flux_line(isa, pde, q.data(), dir, out.data(), 1, 1, 1, 0),
+                   std::invalid_argument)
+          << isa_name(isa) << " dir " << dir;
+      EXPECT_THROW(ncp_line(isa, pde, q.data(), q.data(), dir, out.data(), 1,
+                            1, 1, 0),
+                   std::invalid_argument)
+          << isa_name(isa) << " dir " << dir;
+    }
   }
 }
 
