@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   // comment).
   auto zero = make_oversub_solver(config, pde, init, clustering, weights,
                                   0.0, threads);
-  const int phases = zero->num_step_phases();
+  const int phases = zero->shard(0).num_step_phases();
   const int exchanging_phases = phases / 2;  // odd LTS phases correct+exchange
   const OversubRun a = run_oversub(*zero, steps);
   const double latency_s = a.seconds / steps / exchanging_phases;

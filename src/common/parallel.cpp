@@ -1,14 +1,13 @@
 #include "exastp/common/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <thread>
-
-#ifdef EXASTP_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 #include "exastp/common/check.h"
 #include "exastp/telemetry/telemetry.h"
@@ -26,79 +25,117 @@ int resolve_threads(int requested) {
 
 namespace detail {
 
-/// Persistent worker team. One job at a time: run() publishes a job under
-/// the mutex, workers execute their fixed tid and report back, run()
-/// returns when all workers finished. Plain mutex/condition_variable
-/// signalling throughout so ThreadSanitizer sees every edge.
+/// Persistent worker team. One job at a time: run() publishes a job by
+/// bumping the epoch, every worker runs its fixed tid once per epoch and
+/// counts down, and run() returns when the count reaches zero. Each side of
+/// a hand-off (a worker waiting for the next epoch, the caller waiting for
+/// the last worker) first polls its atomic for up to kPoll, then blocks on
+/// its condition variable. A sharded step forks the team once per shard
+/// sweep, hundreds of times per step; without the poll every region paid a
+/// sleep and a wake-up, and a late wake-up made the others oversleep in
+/// turn. The poll yields the core between reads, so on a busy host the
+/// waiting threads cede it to runnable ones. A team larger than the host
+/// does not poll, since its waiting threads would crowd out working ones.
 class ThreadPool {
  public:
-  explicit ThreadPool(int workers) {
+  explicit ThreadPool(int workers) : polls_(workers < hardware_threads()) {
     workers_.reserve(workers);
     for (int tid = 0; tid < workers; ++tid)
       workers_.emplace_back([this, tid] { worker_loop(tid); });
   }
 
   ~ThreadPool() {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    start_cv_.notify_all();
+    stop_ = true;
+    publish();
     for (std::thread& t : workers_) t.join();
   }
+
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
 
   int workers() const { return static_cast<int>(workers_.size()); }
 
   /// Runs fn(tid) on every worker (tid in [1, workers]) while the caller
   /// runs fn(0); returns after all of them completed.
   void run(const std::function<void(int)>& fn) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      job_ = &fn;
-      remaining_ = workers();
-      ++epoch_;
-    }
-    start_cv_.notify_all();
+    job_ = &fn;
+    remaining_.store(workers(), std::memory_order_relaxed);
+    publish();
     fn(0);
+    const auto finished = [this] {
+      return remaining_.load(std::memory_order_acquire) == 0;
+    };
+    if (poll_until(finished)) return;
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
-    job_ = nullptr;
+    done_cv_.wait(lock, finished);
   }
 
  private:
+  /// The bound on each hand-off's poll: well past the serial gap between a
+  /// sharded step's regions and a late thread's wake-up, short enough that
+  /// a team idling through a long serial phase soon sleeps.
+  static constexpr std::chrono::milliseconds kPoll{1};
+
+  /// Starts the next epoch: job_, remaining_ and stop_ are written before
+  /// the release bump, so a worker that sees the new epoch sees them too.
+  void publish() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      epoch_.fetch_add(1, std::memory_order_release);
+    }
+    start_cv_.notify_all();
+  }
+
+  /// Polls `ready` for up to kPoll (once when the team does not poll);
+  /// true once it holds.
+  template <class Ready>
+  bool poll_until(const Ready& ready) const {
+    if (!polls_) return ready();
+    const auto deadline = std::chrono::steady_clock::now() + kPoll;
+    while (!ready()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
+
   void worker_loop(int tid) {
     std::uint64_t seen = 0;
     for (;;) {
-      const std::function<void(int)>* job = nullptr;
-      {
+      const auto published = [&] {
+        return epoch_.load(std::memory_order_acquire) != seen;
+      };
+      if (!poll_until(published)) {
         std::unique_lock<std::mutex> lock(mutex_);
-        start_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-        if (stop_) return;
-        seen = epoch_;
-        job = job_;
+        start_cv_.wait(lock, published);
       }
-      (*job)(tid + 1);  // tid 0 is the caller
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--remaining_ == 0) done_cv_.notify_all();
+      seen = epoch_.load(std::memory_order_acquire);
+      if (stop_) return;
+      (*job_)(tid + 1);  // tid 0 is the caller
+      if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        // The caller may be between its last poll and its wait: taking the
+        // mutex orders this notify after that wait has begun.
+        { std::lock_guard<std::mutex> lock(mutex_); }
+        done_cv_.notify_one();
+      }
     }
   }
 
-  std::vector<std::thread> workers_;
+  const bool polls_;
   std::mutex mutex_;
   std::condition_variable start_cv_, done_cv_;
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<int> remaining_{0};
   const std::function<void(int)>* job_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  int remaining_ = 0;
   bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: the threads use the above
 };
 
 }  // namespace detail
 
 ParallelFor::ParallelFor(int threads) : threads_(resolve_threads(threads)) {
-#ifndef EXASTP_HAVE_OPENMP
   if (threads_ > 1)
     pool_ = std::make_shared<detail::ThreadPool>(threads_ - 1);
-#endif
 }
 
 namespace {
@@ -127,11 +164,11 @@ void ParallelFor::run(long n, long granularity,
 
   const int nt = threads_;
   std::vector<std::exception_ptr> errors(nt);
-  // Workers (OpenMP team members or pooled std::threads) carry no telemetry
-  // installation of their own — hand them the caller's, so their spans and
-  // FLOPs land in the run that spawned this region.
+  // Pooled workers carry no telemetry installation of their own — hand them
+  // the caller's, so their spans and FLOPs land in the run that spawned
+  // this region.
   const TelemetryEnv telemetry_env = TelemetryEnv::capture();
-  auto body = [&](int tid) {
+  pool_->run([&](int tid) {
     long begin = 0, end = 0;
     chunk_bounds(n, granularity, nt, tid, &begin, &end);
     if (begin >= end) return;
@@ -142,14 +179,7 @@ void ParallelFor::run(long n, long granularity,
     } catch (...) {
       errors[tid] = std::current_exception();
     }
-  };
-
-#ifdef EXASTP_HAVE_OPENMP
-#pragma omp parallel for num_threads(nt) schedule(static)
-  for (int tid = 0; tid < nt; ++tid) body(tid);
-#else
-  pool_->run(body);
-#endif
+  });
 
   // First failing chunk wins, matching the serial first-throw behaviour.
   for (int tid = 0; tid < nt; ++tid)

@@ -1,11 +1,12 @@
 // Shared-memory parallel loop utility for the cell-parallel hot paths.
 //
 // The per-cell predictor is embarrassingly parallel (ROADMAP), so both
-// steppers fan their cell loops out over a fixed team of threads. The
-// implementation is OpenMP when the build enables it (EXASTP_HAVE_OPENMP,
-// see CMakeLists.txt) and a persistent std::thread pool otherwise — the
-// pool is what the ThreadSanitizer CI job exercises, since libgomp is not
-// TSan-instrumented.
+// steppers fan their cell loops out over a fixed team of threads: a
+// persistent std::thread pool per team, the only backend, so the
+// ThreadSanitizer CI job checks the code every build ships. A hand-off
+// between the caller and the workers polls for up to a millisecond before
+// it blocks, so back-to-back regions (one per shard sweep) cost no sleep
+// and wake-up.
 //
 // Determinism contract: work is split into contiguous chunks whose
 // boundaries depend only on (n, num_threads, granularity) — never on
@@ -61,7 +62,7 @@ class ParallelFor {
 
  private:
   int threads_ = 1;
-  std::shared_ptr<detail::ThreadPool> pool_;  // null when OpenMP or serial
+  std::shared_ptr<detail::ThreadPool> pool_;  // null for a serial team
 };
 
 /// Deterministic reduction helper: evaluates fn(i) for every i in [0, n)

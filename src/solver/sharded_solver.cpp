@@ -147,7 +147,9 @@ std::vector<ExchangeField> ShardedSolver::phase_exchange_fields(
 }
 
 void ShardedSolver::step(double dt) {
-  const int phases = num_step_phases();
+  // Queried live: enable_lts grows the ADER protocol from 2 to
+  // 2 * 2^(K-1) phases.
+  const int phases = primary().num_step_phases();
   // The whole step's exchange plan is known up front: a phase's halo
   // fields are a pure function of the phase (stable preallocated
   // pointers), so every phase's field list assembles before any sweep

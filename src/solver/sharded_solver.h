@@ -90,14 +90,11 @@ class ShardedSolver final : public SolverBase {
   double stable_dt(double cfl = 0.4) const override;
 
   /// One time step, driven by the dependency scheduler (see the file
-  /// comment).
+  /// comment) over the sub-solvers' phases. The composite itself keeps
+  /// SolverBase's one-phase protocol: step_phase(0) is step(dt), and it
+  /// names no halo fields, since the exchange between its shards is
+  /// internal to step().
   void step(double dt) override;
-
-  /// Phase count of the sub-solvers — queried live, because enable_lts
-  /// grows the ADER protocol from 2 to 2 * 2^(K-1) phases.
-  int num_step_phases() const override {
-    return primary().num_step_phases();
-  }
 
   /// Clustered LTS over the decomposition: `cluster_of_cell` uses GLOBAL
   /// cell indexing; each local shard receives its owned cells' entries

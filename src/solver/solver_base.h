@@ -143,8 +143,8 @@ class SolverBase {
   // they carry halo slots; the state buffers cover the owned cells.
 
   /// Phases per step: 2 * 2^(K-1) for ADER (predict | correct per fine
-  /// substep), 4 for RK4 (one per stage), 1 for steppers without a
-  /// sharded decomposition.
+  /// substep), 4 for RK4 (one per stage), 1 for the sharded composite,
+  /// whose step() runs its shards' phases itself.
   virtual int num_step_phases() const { return 1; }
   /// Runs one phase of a step of size dt; calling phases 0..P-1 in order
   /// is exactly one step(dt). Default: single-phase, forwards to step().

@@ -281,8 +281,8 @@ class TelemetryScope {
 /// Snapshot of a thread's telemetry installation (registry + FLOP routing),
 /// for handing to worker threads: ParallelFor captures the caller's
 /// environment once per run() and installs it inside every chunk body, so
-/// spans and FLOPs from OpenMP/pool workers land in the job that spawned
-/// them — not in whatever a pooled worker thread ran last.
+/// spans and FLOPs from pool workers land in the job that spawned them —
+/// not in whatever a pooled worker thread ran last.
 class TelemetryEnv {
  public:
   static TelemetryEnv capture() {

@@ -8,12 +8,16 @@
 // itself is unit-tested at the bottom.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exastp/common/parallel.h"
@@ -164,17 +168,38 @@ TEST(ParallelFor, ResolvesAutoThreadCounts) {
   EXPECT_EQ(resolve_threads(7), 7);
 }
 
+/// Runs check(team) on every hand-off path of the worker pool: after a
+/// sleep past the pool's 1 ms poll (the blocking wait), on a team of
+/// 3 x hardware_threads() (which never polls), on a team destroyed right
+/// after its region, and `back_to_back` times in a row on a team the host
+/// can hold (the polling wait).
+void on_every_hand_off(int back_to_back,
+                       const std::function<void(const ParallelFor&)>& check) {
+  for (int threads : {1, 2, 3, 8, 3 * hardware_threads()}) {
+    ParallelFor team(threads);
+    for (int r = 0; r < 2; ++r) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      check(team);
+    }
+    check(ParallelFor(threads));
+  }
+  const ParallelFor team(std::clamp(hardware_threads(), 2, 8));
+  for (int r = 0; r < back_to_back; ++r) check(team);
+}
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  for (int threads : {1, 2, 3, 8}) {
-    ParallelFor par(threads);
+  // 2,000 x 5 sizes: about 10,000 tiny regions back to back.
+  on_every_hand_off(2000, [](const ParallelFor& par) {
     for (long n : {0L, 1L, 7L, 64L, 1000L}) {
       std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
       par.for_each(n, [&](int, long i) {
         hits[static_cast<std::size_t>(i)].fetch_add(1);
       });
-      for (long i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+      for (long i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i].load(), 1)
+            << i << " of " << n << " on " << par.num_threads() << " threads";
     }
-  }
+  });
 }
 
 TEST(ParallelFor, RespectsChunkGranularity) {
@@ -190,16 +215,18 @@ TEST(ParallelFor, RespectsChunkGranularity) {
 }
 
 TEST(ParallelFor, PropagatesTheFirstChunkException) {
-  ParallelFor par(4);
-  try {
-    par.for_each(100, [](int, long i) {
-      if (i >= 50) throw std::runtime_error("chunk " + std::to_string(i));
-    });
-    FAIL() << "expected a throw";
-  } catch (const std::runtime_error& e) {
-    // Chunk order, not completion order: the lowest throwing chunk wins.
-    EXPECT_EQ(std::string(e.what()), "chunk 50");
-  }
+  on_every_hand_off(2000, [](const ParallelFor& par) {
+    try {
+      par.for_each(100, [](int, long i) {
+        if (i >= 50) throw std::runtime_error("chunk " + std::to_string(i));
+      });
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      // Chunk order, not completion order: the lowest throwing chunk wins.
+      ASSERT_EQ(std::string(e.what()), "chunk 50")
+          << "on " << par.num_threads() << " threads";
+    }
+  });
 }
 
 TEST(ParallelFor, OrderedPartialsAreThreadCountInvariant) {
