@@ -4,9 +4,8 @@
 // steppers fan their cell loops out over a fixed team of threads: a
 // persistent std::thread pool per team, the only backend, so the
 // ThreadSanitizer CI job checks the code every build ships. A hand-off
-// between the caller and the workers polls for up to a millisecond before
-// it blocks, so back-to-back regions (one per shard sweep) cost no sleep
-// and wake-up.
+// between the caller and the workers polls briefly before it blocks, so
+// back-to-back regions (one per shard sweep) cost no sleep and wake-up.
 //
 // Determinism contract: work is split into contiguous chunks whose
 // boundaries depend only on (n, num_threads, granularity) — never on
