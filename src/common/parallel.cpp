@@ -33,12 +33,11 @@ namespace detail {
 /// its condition variable. A sharded step forks the team once per shard
 /// sweep, hundreds of times per step; without the poll every region paid a
 /// sleep and a wake-up, and a late wake-up made the others oversleep in
-/// turn. The poll yields the core between reads, so on a busy host the
-/// waiting threads cede it to runnable ones. A team larger than the host
-/// does not poll, since its waiting threads would crowd out working ones.
+/// turn. The poll yields the core between reads, so on a busy or
+/// oversubscribed host the waiting threads cede it to runnable ones.
 class ThreadPool {
  public:
-  explicit ThreadPool(int workers) : polls_(workers < hardware_threads()) {
+  explicit ThreadPool(int workers) {
     workers_.reserve(workers);
     for (int tid = 0; tid < workers; ++tid)
       workers_.emplace_back([this, tid] { worker_loop(tid); });
@@ -86,11 +85,9 @@ class ThreadPool {
     start_cv_.notify_all();
   }
 
-  /// Polls `ready` for up to kPoll (once when the team does not poll);
-  /// true once it holds.
+  /// Polls `ready` for up to kPoll; true once it holds.
   template <class Ready>
-  bool poll_until(const Ready& ready) const {
-    if (!polls_) return ready();
+  static bool poll_until(const Ready& ready) {
     const auto deadline = std::chrono::steady_clock::now() + kPoll;
     while (!ready()) {
       if (std::chrono::steady_clock::now() >= deadline) return false;
@@ -121,7 +118,6 @@ class ThreadPool {
     }
   }
 
-  const bool polls_;
   std::mutex mutex_;
   std::condition_variable start_cv_, done_cv_;
   std::atomic<std::uint64_t> epoch_{0};
