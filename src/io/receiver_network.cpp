@@ -123,7 +123,7 @@ void ReceiverNetwork::sample_now(const SolverBase& solver) {
     }
   }
   times_.push_back(solver.time());
-  if (keep_traces_) data_.insert(data_.end(), row_.begin(), row_.end());
+  data_.insert(data_.end(), row_.begin(), row_.end());
   for (auto& sink : sinks_)
     sink->append(times_.back(), row_.data(), row_.size());
 }
@@ -142,7 +142,6 @@ void ReceiverNetwork::on_finish(const SolverBase& /*solver*/) {
 
 double ReceiverNetwork::value(std::size_t sample, std::size_t receiver,
                               std::size_t q) const {
-  EXASTP_CHECK_MSG(keep_traces_, "trace retention is off for this network");
   EXASTP_CHECK(sample < times_.size() && receiver < positions_.size() &&
                q < quantities_.size());
   return data_[sample * row_size() + receiver * quantities_.size() + q];

@@ -64,12 +64,6 @@ class ReceiverNetwork final : public Observer {
   /// Takes ownership of a streaming sink (CSV, binary, ...).
   void add_sink(std::unique_ptr<ReceiverSink> sink);
 
-  /// Whether sampled rows are also kept in memory for value()/trace()
-  /// (default true). Turn off for unbounded runs that only stream to
-  /// sinks: memory then stays constant per step (times_ still grows by
-  /// one double per sample for num_samples bookkeeping).
-  void set_keep_traces(bool keep) { keep_traces_ = keep; }
-
   /// Locates each receiver's containing cell and precomputes its n^3
   /// tensor-product basis weights (thread-parallel over receivers, on the
   /// solver's team). Called automatically from on_start; call it directly
@@ -96,8 +90,7 @@ class ReceiverNetwork final : public Observer {
   const std::vector<double>& times() const { return times_; }
 
   /// Sampled value: row `sample`, receiver `receiver`, quantity slot `q`
-  /// (an index into quantities(), not a quantity id). Throws when trace
-  /// retention is off.
+  /// (an index into quantities(), not a quantity id).
   double value(std::size_t sample, std::size_t receiver, std::size_t q) const;
   /// Full time series of one receiver/quantity-slot pair.
   std::vector<double> trace(std::size_t receiver, std::size_t q) const;
@@ -123,9 +116,8 @@ class ReceiverNetwork final : public Observer {
   const BasisTables* bound_basis_ = nullptr;
   GridSpec bound_grid_;
 
-  bool keep_traces_ = true;
   std::vector<double> times_;
-  std::vector<double> data_;  ///< num_samples x row_size when kept, row-major
+  std::vector<double> data_;  ///< num_samples x row_size, row-major
   std::vector<double> row_;   ///< scratch row reused between samples
 };
 

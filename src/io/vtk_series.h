@@ -31,8 +31,6 @@ class VtkSeriesWriter final : public Observer {
   void on_step(const SolverBase& solver, int step) override;
   void on_finish(const SolverBase& solver) override;
 
-  /// Snapshots emitted so far (a snapshot is all shards of one timestep).
-  int num_snapshots() const { return snapshots_; }
   /// Path of the collection index (<base>.pvd).
   std::string index_path() const { return base_ + ".pvd"; }
 

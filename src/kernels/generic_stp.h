@@ -3,62 +3,61 @@
 // p[o+1] = sum_d (D_d F_d(p[o]) + B_d(p[o]) D_d p[o]) plus the point
 // source's o-th time derivative.
 //
-// Faithful to ExaHyPE's generic kernels, this variant is dimensioned at
-// runtime (order and quantity count are plain ints), calls the PDE terms
-// through the virtual PdeRuntime interface at every quadrature node, and
-// stores the complete space-time predictor: p[o], flux[o][d], dF[o][d] and
-// gradQ[o][d] for every Taylor order o — the O(N^{d+1} m d) footprint whose
-// L2 overflow Sec. IV-A analyses. Contractions are naive per-node dot
-// products along the derivative direction (strided, not vectorizable);
-// only the trailing Taylor accumulation sweeps run over contiguous memory
-// where the compiler's baseline auto-vectorizer can pack them.
+// The recursion, its complete space-time storage (p[o], flux[o][d],
+// dF[o][d] and gradQ[o][d] for every Taylor order o — the O(N^{d+1} m d)
+// footprint whose L2 overflow Sec. IV-A analyses) and the output tail are
+// SpacetimeStp's (spacetime_stp.h), shared with LoG. This file holds what
+// is the generic kernel's own, faithful to ExaHyPE's generic kernels:
+//  * the PDE terms are called through the virtual PdeRuntime interface at
+//    every quadrature node, on a runtime quantity count;
+//  * contractions are naive per-node dot products along the derivative
+//    direction (strided, not vectorizable);
+//  * the kernel runs at Isa::kScalar on the unpadded layout (m_pad == m)
+//    whatever ISA is asked for, so only the driver's contiguous Taylor
+//    sweeps run packed, at the 128 bits the baseline auto-vectorizer emits.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
-#include "exastp/basis/basis_tables.h"
-#include "exastp/kernels/stp_common.h"
+#include "exastp/kernels/spacetime_stp.h"
 #include "exastp/pde/pde_base.h"
 
 namespace exastp {
 
-class GenericStp {
+/// The generic kernel's user functions: the runtime PDE it owns, one
+/// virtual call per node.
+class RuntimeUserFns {
  public:
-  /// The kernel keeps a reference to `pde`; the caller owns it.
-  GenericStp(const PdeRuntime& pde, int order,
-             NodeFamily family = NodeFamily::kGaussLegendre);
+  explicit RuntimeUserFns(std::unique_ptr<const PdeRuntime> pde)
+      : pde_(std::move(pde)), info_(pde_->info()) {}
 
-  /// Engine-facing layout: unpadded AoS (m_pad == m).
-  const AosLayout& layout() const { return aos_; }
-  /// Bytes of kernel-internal scratch (footprint metric of Sec. IV-A).
-  std::size_t workspace_bytes() const;
-
-  void compute(const double* q, double dt,
-               const std::array<double, 3>& inv_dx, const SourceTerm* source,
-               const StpOutputs& out);
+  void flux(const double* q, int d, double* f) const { pde_->flux(q, d, f); }
+  void ncp(const double* q, const double* grad, int d, double* out) const {
+    pde_->ncp(q, grad, d, out);
+  }
+  std::uint64_t flux_flops() const { return pde_->flux_flops(); }
+  std::uint64_t ncp_flops() const { return pde_->ncp_flops(); }
+  int vars() const { return info_.vars; }
+  int quants() const { return info_.quants; }
 
  private:
-  // Index helpers into the space-time scratch arrays.
-  std::size_t p_index(int o) const { return static_cast<std::size_t>(o) * cell_; }
-  std::size_t od_index(int o, int d) const {
-    return (static_cast<std::size_t>(o) * 3 + d) * cell_;
-  }
-
-  const PdeRuntime& pde_;
-  const BasisTables& basis_;
-  int n_;      // nodes per dimension (paper's order N)
-  int m_;      // quantities per node
-  std::size_t cell_;  // n^3 * m
-  AosLayout aos_;
-
-  AlignedVector p_;      // (n+1) * cell_   : Taylor derivatives of q
-  AlignedVector flux_;   // n * 3 * cell_   : flux per order and dimension
-  AlignedVector df_;     // n * 3 * cell_   : derived flux + ncp
-  AlignedVector gradq_;  // n * 3 * cell_   : spatial gradients
+  std::unique_ptr<const PdeRuntime> pde_;
+  PdeInfo info_;
 };
 
-/// Wraps a GenericStp into the type-erased StpKernel handle.
-StpKernel make_generic_stp(std::shared_ptr<const PdeRuntime> pde, int order,
-                           NodeFamily family = NodeFamily::kGaussLegendre);
+/// The generic kernel's derivative: for every output node, a dot product
+/// over the n nodes of its line along d, strided through the cell.
+struct NaiveDerivative {
+  static void apply(Isa isa, const AosLayout& aos, const double* diff,
+                    double inv_h, int d, const double* flux, const double* p,
+                    double* df, double* gradq);
+};
+
+using GenericStp = SpacetimeStp<RuntimeUserFns, NaiveDerivative>;
+
+// Compiled once, in generic_stp.cpp.
+extern template class SpacetimeStp<RuntimeUserFns, NaiveDerivative>;
 
 }  // namespace exastp

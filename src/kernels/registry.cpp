@@ -24,6 +24,17 @@ Precision parse_precision(const std::string& name) {
               " (expected fp64 or fp32)");
 }
 
+std::string variant_name(StpVariant v) {
+  switch (v) {
+    case StpVariant::kGeneric: return "generic";
+    case StpVariant::kLog: return "log";
+    case StpVariant::kSplitCk: return "splitck";
+    case StpVariant::kAosoaSplitCk: return "aosoa_splitck";
+    case StpVariant::kSoaUfSplitCk: return "soa_uf_splitck";
+  }
+  return "unknown";
+}
+
 StpVariant parse_variant(const std::string& name) {
   if (name == "generic") return StpVariant::kGeneric;
   if (name == "log") return StpVariant::kLog;

@@ -83,13 +83,14 @@ StpKernel make_stp_kernel_impl(Pde pde, StpVariant variant, int order,
   if (precision == Precision::kF32)
     return make_f32_kernel(std::move(pde), variant, order, isa, family);
   switch (variant) {
-    case StpVariant::kGeneric: {
-      // The generic kernel is runtime-dimensioned and calls the PDE through
-      // the virtual interface, like ExaHyPE's default kernels. It always
-      // uses the unpadded scalar layout regardless of `isa`.
-      auto adapter = std::make_shared<PdeAdapter<Pde>>(std::move(pde));
-      return make_generic_stp(adapter, order, family);
-    }
+    case StpVariant::kGeneric:
+      // The generic kernel calls the PDE through the virtual interface,
+      // like ExaHyPE's default kernels, and runs scalar on the unpadded
+      // layout whatever `isa` asks for.
+      return wrap_stp<GenericStp>(
+          variant, Precision::kF64,
+          std::make_unique<const PdeAdapter<Pde>>(std::move(pde)), order,
+          Isa::kScalar, family);
     case StpVariant::kLog:
       return wrap_stp<LogStp<Pde>>(variant, Precision::kF64, std::move(pde),
                                    order, isa, family);

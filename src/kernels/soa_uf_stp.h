@@ -14,13 +14,16 @@
 // -> SoA, calls the vectorized line functions once over all n^3 nodes, and
 // transposes back. Numerically identical to all other variants (covered by
 // the equivalence tests); performance-wise it pays 4 full-cell transposes
-// per Taylor order and dimension.
+// per Taylor order and dimension. It skips the zero blocks SplitCK skips:
+// the flux derivative GEMM is masked past pde_flux_rows_end, and PDEs with
+// kNcpIsZero skip the NCP stage and get no SoA gradQ cell.
 #pragma once
 
 #include "exastp/basis/basis_tables.h"
 #include "exastp/common/check.h"
 #include "exastp/kernels/derivative_ops.h"
 #include "exastp/kernels/splitck_driver.h"
+#include "exastp/pde/pde_base.h"
 #include "exastp/pde/pde_lines.h"
 #include "exastp/tensor/transpose.h"
 
@@ -43,7 +46,7 @@ class SoaUfStp {
     sweep_.assign(aos_.size(), 0.0);
     avg_.assign(aos_.size(), 0.0);
     soa_in_.assign(soa_.size(), 0.0);
-    soa_aux_.assign(soa_.size(), 0.0);
+    if constexpr (!pde_ncp_is_zero<Pde>()) soa_aux_.assign(soa_.size(), 0.0);
     soa_out_.assign(soa_.size(), 0.0);
   }
 
@@ -73,24 +76,29 @@ class SoaUfStp {
   void volume(int d, double inv_h, const double* src, double* dst) {
     const double* diff = basis_.diff.data();
     const int np = soa_.n_pad;
+    const int cover = pde_flux_rows_end<Pde>(d);
 
-    // flux = F_d(src): AoS -> SoA, one vectorized sweep over all n^3
-    // nodes, SoA -> AoS.
+    // src in SoA, which both user functions read.
     aos_to_soa(src, aos_, soa_in_.data(), soa_);
-    flux_line(isa_, pde_, soa_in_.data(), d, soa_out_.data(), np, np,
-              /*lines=*/1, 0);
-    soa_to_aos(soa_out_.data(), soa_, sweep_.data(), aos_);
-    aos_derivative(isa_, aos_, diff, inv_h, d, sweep_.data(), dst,
-                   /*accumulate=*/true);
-
-    // gradQ = inv_h * D_d src; NCP through the same transpose dance.
-    aos_derivative(isa_, aos_, diff, inv_h, d, src, sweep_.data(),
-                   /*accumulate=*/false);
-    aos_to_soa(sweep_.data(), aos_, soa_aux_.data(), soa_);
-    ncp_line(isa_, pde_, soa_in_.data(), soa_aux_.data(), d, soa_out_.data(),
-             np, np, /*lines=*/1, 0);
-    soa_to_aos(soa_out_.data(), soa_, sweep_.data(), aos_);
-    vec_add(isa_, static_cast<long>(aos_.size()), sweep_.data(), dst);
+    if (cover > 0) {
+      // flux = F_d(src): one vectorized sweep over all n^3 nodes, SoA ->
+      // AoS; dst += inv_h * D_d flux, masked past the PDE's flux rows.
+      flux_line(isa_, pde_, soa_in_.data(), d, soa_out_.data(), np, np,
+                /*lines=*/1, 0);
+      soa_to_aos(soa_out_.data(), soa_, sweep_.data(), aos_);
+      aos_derivative(isa_, aos_, diff, inv_h, d, sweep_.data(), dst,
+                     /*accumulate=*/true, cover);
+    }
+    if constexpr (!pde_ncp_is_zero<Pde>()) {
+      // gradQ = inv_h * D_d src; NCP through the same transpose dance.
+      aos_derivative(isa_, aos_, diff, inv_h, d, src, sweep_.data(),
+                     /*accumulate=*/false);
+      aos_to_soa(sweep_.data(), aos_, soa_aux_.data(), soa_);
+      ncp_line(isa_, pde_, soa_in_.data(), soa_aux_.data(), d,
+               soa_out_.data(), np, np, /*lines=*/1, 0);
+      soa_to_aos(soa_out_.data(), soa_, sweep_.data(), aos_);
+      vec_add(isa_, static_cast<long>(aos_.size()), sweep_.data(), dst);
+    }
   }
 
   Pde pde_;
@@ -102,6 +110,7 @@ class SoaUfStp {
 
   AlignedVector sweep_;  // flux, then gradQ and the NCP term
   AlignedVector avg_;    // qavg (InPlaceBoundary)
+  // src, gradQ (PDEs with an NCP only) and a user function's output, SoA.
   AlignedVector soa_in_, soa_aux_, soa_out_;
 };
 

@@ -65,7 +65,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 
 #include "exastp/common/aligned.h"
 #include "exastp/common/simd.h"
@@ -109,12 +108,6 @@ std::string precision_name(Precision p);
 /// Parses "fp64" (alias "double") / "fp32" (alias "float" / "single");
 /// throws on unknown names.
 Precision parse_precision(const std::string& name);
-
-/// The precision of a kernel whose internal tensors store Real.
-template <class Real>
-constexpr Precision precision_of() {
-  return std::is_same_v<Real, float> ? Precision::kF32 : Precision::kF64;
-}
 
 /// Copies the parameter rows (s in [vars, m)) of the original state into a
 /// derivative tensor. The time derivatives of the constant material/geometry

@@ -5,7 +5,7 @@
 // its operands to the calling thread's recorder, once per call, at its
 // dispatcher: the mini-GEMM batch, the vecops, the PDE line functions, the
 // layout transposes, the kernels' pointwise sweeps and their shared
-// helpers (stp_common.h), the generic kernel's loops, the face projection
+// helpers (stp_common.h), the generic kernel's derivative, the face projection
 // and the surface update. Only trace_stp and tests install a recorder.
 // Without one, a hook costs one thread-local load and one not-taken branch
 // per call: since the predictor issues one call per sweep, that is a few

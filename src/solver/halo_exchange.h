@@ -75,7 +75,6 @@ class LocalLinkSet {
   void end_step();
 
   std::size_t payload_bytes() const { return payload_bytes_; }
-  int num_links() const { return static_cast<int>(links_.size()); }
 
  private:
   struct Link {

@@ -58,32 +58,6 @@ double l2_error(const Solver& solver, int quantity,
   return std::sqrt(l2_error_squared(solver, quantity, exact));
 }
 
-/// Max norm of the nodal error for one quantity.
-template <class Solver>
-double linf_error(const Solver& solver, int quantity,
-                  const ExactSolution& exact) {
-  const auto& layout = solver.layout();
-  const int n = layout.n;
-  const std::vector<double> partials = ordered_partials(
-      solver.parallel(), solver.grid().num_cells(), [&](long c) {
-        const double* qc = solver.cell_dofs(static_cast<int>(c));
-        double cell_worst = 0.0;
-        for (int k3 = 0; k3 < n; ++k3)
-          for (int k2 = 0; k2 < n; ++k2)
-            for (int k1 = 0; k1 < n; ++k1) {
-              const double e = std::abs(
-                  qc[layout.idx(k3, k2, k1, quantity)] -
-                  exact(solver.node_position(static_cast<int>(c), k1, k2, k3),
-                        solver.time()));
-              cell_worst = std::max(cell_worst, e);
-            }
-        return cell_worst;
-      });
-  double worst = 0.0;
-  for (double p : partials) worst = std::max(worst, p);
-  return worst;
-}
-
 /// Integral of one quantity over the domain (conservation checks).
 template <class Solver>
 double integral(const Solver& solver, int quantity) {

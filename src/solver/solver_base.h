@@ -201,7 +201,6 @@ class SolverBase {
   /// attachment order; attaching any number of them never changes the
   /// field state — they only see const SolverBase&.
   void add_observer(Observer* observer);
-  void clear_observers() { observers_.clear(); }
   /// Cumulative steps taken by run_until (the step index observers see).
   int steps_taken() const { return steps_taken_; }
 

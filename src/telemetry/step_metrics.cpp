@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <sstream>
 
 #include "exastp/common/check.h"
 #include "exastp/engine/kernel_cache.h"
@@ -19,12 +18,6 @@ std::int64_t wall_ns_now() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-constexpr char kCsvHeader[] =
-    "step,t,dt,wall_s,predict_s,correct_s,rk_stage_s,exchange_post_s,"
-    "exchange_wait_s,overlap_eff,shard_min_s,shard_mean_s,shard_max_s,"
-    "imbalance,cache_hits,flops,mflops_s,lts_clusters,lts_substeps,"
-    "lts_imbalance";
 
 /// Metric values print compactly but round-trip well enough for plots;
 /// "nan" keeps the columns numerically parseable (the receiver-CSV idiom).
@@ -71,18 +64,43 @@ StepMetricsObserver::Snapshot StepMetricsObserver::snapshot(
 }
 
 void StepMetricsObserver::on_start(const SolverBase& solver) {
+  last_ = snapshot(solver);
+  last_step_ = solver.steps_taken();
   if (!out_.is_open()) {
     out_.open(path_, std::ios::trunc);
     EXASTP_CHECK_MSG(out_.good(), "cannot open metrics \"" + path_ + "\"");
-    if (!jsonl_) out_ << kCsvHeader << "\n" << std::flush;
+    if (!jsonl_) {
+      // The column names of an (empty) interval's row.
+      const char* sep = "";
+      for (const auto& [name, value] : row(solver, last_step_, last_)) {
+        out_ << sep << name;
+        sep = ",";
+      }
+      out_ << "\n" << std::flush;
+    }
   }
-  last_ = snapshot(solver);
-  last_step_ = solver.steps_taken();
 }
 
 void StepMetricsObserver::on_step(const SolverBase& solver, int step) {
   if (step % interval_ != 0) return;
   const Snapshot now = snapshot(solver);
+  const char* sep = jsonl_ ? "{" : "";
+  for (const auto& [name, value] : row(solver, step, now)) {
+    out_ << sep;
+    sep = ",";
+    if (jsonl_)  // JSON has no NaN literal: metric()'s "nan" becomes null.
+      out_ << '"' << name << "\":" << (value == "nan" ? "null" : value);
+    else
+      out_ << value;
+  }
+  out_ << (jsonl_ ? "}\n" : "\n") << std::flush;
+  last_ = now;
+  last_step_ = step;
+}
+
+StepMetricsObserver::Row StepMetricsObserver::row(const SolverBase& solver,
+                                                  int step,
+                                                  const Snapshot& now) const {
   const int steps = std::max(step - last_step_, 1);
   const double wall = s(now.wall_ns - last_.wall_ns);
   const double dt = (now.t - last_.t) / steps;
@@ -136,47 +154,26 @@ void StepMetricsObserver::on_step(const SolverBase& solver, int step) {
                        static_cast<double>(cluster_stats.size()));
   }
 
-  if (jsonl_) {
-    std::ostringstream os;
-    os << "{\"step\":" << step << ",\"t\":" << metric(now.t)
-       << ",\"dt\":" << metric(dt) << ",\"wall_s\":" << metric(wall)
-       << ",\"predict_s\":" << metric(s(now.predict_ns - last_.predict_ns))
-       << ",\"correct_s\":" << metric(s(now.correct_ns - last_.correct_ns))
-       << ",\"rk_stage_s\":" << metric(s(now.rk_stage_ns - last_.rk_stage_ns))
-       << ",\"exchange_post_s\":" << metric(s(now.post_ns - last_.post_ns))
-       << ",\"exchange_wait_s\":" << metric(waited)
-       << ",\"overlap_eff\":" << metric(overlap_eff)
-       << ",\"shard_min_s\":" << metric(shard_min)
-       << ",\"shard_mean_s\":" << metric(shard_mean)
-       << ",\"shard_max_s\":" << metric(shard_max)
-       << ",\"imbalance\":" << metric(imbalance)
-       << ",\"cache_hits\":" << cache_hits << ",\"flops\":" << metric(flops)
-       << ",\"mflops_s\":" << metric(mflops)
-       << ",\"lts_clusters\":" << metric(lts_clusters)
-       << ",\"lts_substeps\":" << metric(lts_substeps)
-       << ",\"lts_imbalance\":" << metric(lts_imbalance) << "}";
-    // JSON has no NaN literal; the metric() "nan" tokens become null.
-    std::string line = os.str();
-    std::size_t pos = 0;
-    while ((pos = line.find(":nan", pos)) != std::string::npos)
-      line.replace(pos, 4, ":null");
-    out_ << line << "\n" << std::flush;
-  } else {
-    out_ << step << "," << metric(now.t) << "," << metric(dt) << ","
-         << metric(wall) << ","
-         << metric(s(now.predict_ns - last_.predict_ns)) << ","
-         << metric(s(now.correct_ns - last_.correct_ns)) << ","
-         << metric(s(now.rk_stage_ns - last_.rk_stage_ns)) << ","
-         << metric(s(now.post_ns - last_.post_ns)) << "," << metric(waited)
-         << "," << metric(overlap_eff) << "," << metric(shard_min) << ","
-         << metric(shard_mean) << "," << metric(shard_max) << ","
-         << metric(imbalance) << "," << cache_hits << "," << metric(flops)
-         << "," << metric(mflops) << "," << metric(lts_clusters) << ","
-         << metric(lts_substeps) << "," << metric(lts_imbalance) << "\n"
-         << std::flush;
-  }
-  last_ = now;
-  last_step_ = step;
+  return {{"step", std::to_string(step)},
+          {"t", metric(now.t)},
+          {"dt", metric(dt)},
+          {"wall_s", metric(wall)},
+          {"predict_s", metric(s(now.predict_ns - last_.predict_ns))},
+          {"correct_s", metric(s(now.correct_ns - last_.correct_ns))},
+          {"rk_stage_s", metric(s(now.rk_stage_ns - last_.rk_stage_ns))},
+          {"exchange_post_s", metric(s(now.post_ns - last_.post_ns))},
+          {"exchange_wait_s", metric(waited)},
+          {"overlap_eff", metric(overlap_eff)},
+          {"shard_min_s", metric(shard_min)},
+          {"shard_mean_s", metric(shard_mean)},
+          {"shard_max_s", metric(shard_max)},
+          {"imbalance", metric(imbalance)},
+          {"cache_hits", std::to_string(cache_hits)},
+          {"flops", metric(flops)},
+          {"mflops_s", metric(mflops)},
+          {"lts_clusters", metric(lts_clusters)},
+          {"lts_substeps", metric(lts_substeps)},
+          {"lts_imbalance", metric(lts_imbalance)}};
 }
 
 void StepMetricsObserver::on_finish(const SolverBase& /*solver*/) {

@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exastp/io/observer.h"
 #include "exastp/telemetry/telemetry.h"
@@ -57,6 +59,11 @@ class StepMetricsObserver final : public Observer {
     std::uint64_t flops = 0;
   };
   Snapshot snapshot(const SolverBase& solver) const;
+  /// The interval (last_, now]'s row: one ordered (column, formatted
+  /// value) list, from which the CSV header, a CSV row and a JSONL object
+  /// are all written.
+  using Row = std::vector<std::pair<const char*, std::string>>;
+  Row row(const SolverBase& solver, int step, const Snapshot& now) const;
 
   const TelemetryRegistry* registry_;
   std::string path_;

@@ -534,8 +534,8 @@ TEST(Footprint, LogOverflowsOneMiBL2AroundOrder6) {
 }
 
 TEST(Footprint, GenericReportsItsSpaceTimeArrays) {
-  PdeAdapter<AcousticPde> pde;
-  GenericStp stp(pde, 4);
+  const StpKernel stp =
+      make_stp_kernel(AcousticPde{}, StpVariant::kGeneric, 4, Isa::kScalar);
   // (n+1 + 3*3n) cell tensors of n^3 * m doubles.
   const std::size_t cell = 4ull * 4 * 4 * AcousticPde::kQuants;
   EXPECT_EQ(stp.workspace_bytes(), (5 + 36) * cell * sizeof(double));

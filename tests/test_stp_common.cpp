@@ -1,13 +1,16 @@
 // Tests for the shared STP infrastructure: parameter-row refresh helpers,
 // the type-erased StpKernel handle, Taylor coefficient variants, and the
-// rejected variant's footprint.
+// rejected variant's footprint and FLOP ledger.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "exastp/common/taylor.h"
+#include "exastp/kernels/face.h"
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/acoustic.h"
+#include "exastp/pde/elastic.h"
+#include "exastp/perf/flop_count.h"
 
 namespace exastp {
 namespace {
@@ -73,6 +76,7 @@ TEST(StpKernelHandle, GenericUsesUnpaddedLayoutRegardlessOfIsa) {
   AcousticPde pde;
   StpKernel k = make_stp_kernel(pde, StpVariant::kGeneric, 4, Isa::kAvx512);
   EXPECT_EQ(k.layout().m_pad, AcousticPde::kQuants);
+  EXPECT_EQ(k.isa(), Isa::kScalar);
 }
 
 TEST(VariantNames, RoundTripThroughParser) {
@@ -92,13 +96,56 @@ TEST(TaylorVariants, AverageTimesDtEqualsIntegralCoefficients) {
 }
 
 TEST(RejectedVariant, FootprintSitsBetweenSplitCkAndLog) {
-  // It stores the SplitCK tensors plus three full-cell SoA buffers.
+  // It stores the SplitCK tensors plus full-cell SoA buffers: src and a
+  // user function's output, and gradQ for PDEs with an NCP.
   AcousticPde pde;
   auto sp = make_stp_kernel(pde, StpVariant::kSplitCk, 6, Isa::kAvx512);
   auto rej = make_stp_kernel(pde, StpVariant::kSoaUfSplitCk, 6, Isa::kAvx512);
   auto log = make_stp_kernel(pde, StpVariant::kLog, 6, Isa::kAvx512);
   EXPECT_GT(rej.workspace_bytes(), sp.workspace_bytes());
   EXPECT_LT(rej.workspace_bytes(), log.workspace_bytes());
+}
+
+// FLOPs per width class of one elastic order-8 call on the solver's request
+// (traces and qnew): flux derivatives masked past the 9 flux rows, and no
+// NCP stage, since elastic declares kNcpIsZero.
+FlopCounter soa_uf_request_flops(Isa isa) {
+  constexpr int kOrder = 8;
+  const StpKernel k =
+      make_stp_kernel(ElasticPde{}, StpVariant::kSoaUfSplitCk, kOrder, isa);
+  const AosLayout& aos = k.layout();
+  AlignedVector q(aos.size(), 0.0), qnew(aos.size()),
+      traces(6 * FaceLayout(aos).size());
+  for (int k3 = 0; k3 < kOrder; ++k3)
+    for (int k2 = 0; k2 < kOrder; ++k2)
+      for (int k1 = 0; k1 < kOrder; ++k1) {
+        double* node = q.data() + aos.idx(k3, k2, k1, 0);
+        for (int s = 0; s < ElasticPde::kVars; ++s)
+          node[s] = 0.01 * (k1 + 2 * k2 + 3 * k3 + s);
+        node[ElasticPde::kRho] = 2.7;
+        node[ElasticPde::kCp] = 6.0;
+        node[ElasticPde::kCs] = 3.4;
+      }
+  StpOutputs out;
+  out.qnew = qnew.data();
+  out.traces = traces.data();
+  FlopSection section;
+  k.run(q.data(), 1e-3, {4.0, 4.0, 4.0}, nullptr, out);
+  return section.delta();
+}
+
+TEST(RejectedVariant, SkipsTheZeroBlocksSplitCkSkips) {
+  // Unmasked, with the NCP stage, the scalar call counted 5,265,408 and the
+  // AVX-512 one 49,152 + 6,905,856; masked it matches SplitCK's 3,612,672.
+  const FlopCounter scalar = soa_uf_request_flops(Isa::kScalar);
+  EXPECT_EQ(scalar.flops[static_cast<int>(WidthClass::kScalar)], 0u);
+  EXPECT_EQ(scalar.flops[static_cast<int>(WidthClass::k128)], 2168832u);
+  EXPECT_EQ(scalar.total(), 2168832u);
+  if (!host_supports(Isa::kAvx512)) GTEST_SKIP();
+  const FlopCounter wide = soa_uf_request_flops(Isa::kAvx512);
+  EXPECT_EQ(wide.flops[static_cast<int>(WidthClass::k128)], 49152u);
+  EXPECT_EQ(wide.flops[static_cast<int>(WidthClass::k512)], 3563520u);
+  EXPECT_EQ(wide.total(), 3612672u);
 }
 
 }  // namespace
