@@ -1,5 +1,5 @@
-// Config-driven runner: any registered PDE x scenario x kernel variant x
-// ISA x order from one binary, no recompilation.
+// Config-driven runner: any PDE x scenario x kernel variant x ISA x order
+// from one binary, no recompilation.
 //
 //   build/examples/exastp_run pde=acoustic scenario=planewave
 //       variant=aosoa_splitck order=5 cells=3x3x3 t_end=0.25   (one line)
@@ -20,7 +20,7 @@
 // itself ran.
 //
 // Run without arguments (or with "help") for the key reference and the
-// registered PDE/scenario/observer/gallery names.
+// PDE, scenario and gallery names.
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -37,20 +37,16 @@ using namespace exastp;
 
 namespace {
 
+void print_names(const char* what, const std::vector<std::string>& names) {
+  std::printf("\n%s:", what);
+  for (const std::string& name : names) std::printf(" %s", name.c_str());
+}
+
 void print_usage() {
   std::printf("%s", simulation_usage().c_str());
-  std::printf("\nregistered PDEs:");
-  for (const std::string& name : PdeRegistry::instance().names())
-    std::printf(" %s", name.c_str());
-  std::printf("\nregistered scenarios:");
-  for (const std::string& name : ScenarioRegistry::instance().names())
-    std::printf(" %s", name.c_str());
-  std::printf("\nregistered observers:");
-  for (const std::string& name : ObserverRegistry::instance().names())
-    std::printf(" %s", name.c_str());
-  std::printf("\nregistered galleries:");
-  for (const std::string& name : GalleryRegistry::instance().names())
-    std::printf(" %s", name.c_str());
+  print_names("PDEs", pde_names());
+  print_names("scenarios", scenario_names());
+  print_names("galleries", gallery_kinds());
   std::printf("\n");
 }
 

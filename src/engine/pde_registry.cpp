@@ -1,64 +1,52 @@
 #include "exastp/engine/pde_registry.h"
 
-#include <utility>
-
-#include "exastp/common/check.h"
-#include "exastp/pde/acoustic.h"
-#include "exastp/pde/advection.h"
-#include "exastp/pde/curvilinear_elastic.h"
-#include "exastp/pde/elastic.h"
-#include "exastp/pde/maxwell.h"
+#include "exastp/pde/pde_list.h"
 
 namespace exastp {
 namespace {
 
+/// Implements KernelFactory for one CRTP PDE struct.
 template <class Pde>
-std::shared_ptr<const KernelFactory> factory(
-    std::function<void(double*)> defaults, Pde pde = Pde{}) {
-  return std::make_shared<TypedKernelFactory<Pde>>(std::move(pde),
-                                                   std::move(defaults));
+class TypedKernelFactory final : public KernelFactory {
+ public:
+  TypedKernelFactory() : runtime_(std::make_shared<PdeAdapter<Pde>>(pde_)) {}
+
+  const std::string& name() const override { return name_; }
+  PdeInfo info() const override { return runtime_->info(); }
+  std::shared_ptr<const PdeRuntime> runtime() const override {
+    return runtime_;
+  }
+  StpKernel make_kernel(StpVariant variant, int order, Isa isa,
+                        NodeFamily family, Precision precision) const override {
+    return make_stp_kernel(pde_, variant, order, isa, family, precision);
+  }
+  void default_parameters(double* node) const override {
+    Pde::default_parameters(node);
+  }
+
+ private:
+  std::string name_ = Pde::kName;
+  Pde pde_;
+  std::shared_ptr<const PdeRuntime> runtime_;
+};
+
+#define EXASTP_PDE_FACTORY(UNUSED, PDE) \
+  std::make_shared<TypedKernelFactory<PDE>>(),
+
+const std::vector<std::shared_ptr<const KernelFactory>>& pde_table() {
+  static const std::vector<std::shared_ptr<const KernelFactory>> table = {
+      EXASTP_FOR_EACH_PDE(EXASTP_PDE_FACTORY, )};
+  return table;
 }
 
-void register_builtins(PdeRegistry& registry) {
-  registry.add(factory<AdvectionPde>({}));
-  registry.add(factory<AdvectionNcpPde>({}));
-  registry.add(factory<AcousticPde>([](double* node) {
-    node[AcousticPde::kRho] = 1.0;
-    node[AcousticPde::kC] = 1.0;
-  }));
-  registry.add(factory<ElasticPde>([](double* node) {
-    node[ElasticPde::kRho] = 1.0;
-    node[ElasticPde::kCp] = 2.0;
-    node[ElasticPde::kCs] = 1.0;
-  }));
-  registry.add(factory<MaxwellPde>([](double* node) {
-    node[MaxwellPde::kEps] = 1.0;
-    node[MaxwellPde::kMu] = 1.0;
-  }));
-  // The paper's benchmark medium (LOH1 halfspace) on an identity metric.
-  registry.add(factory<CurvilinearElasticPde>([](double* node) {
-    node[CurvilinearElasticPde::kRho] = 2.7;
-    node[CurvilinearElasticPde::kCp] = 6.0;
-    node[CurvilinearElasticPde::kCs] = 3.464;
-    for (int r = 0; r < 3; ++r)
-      for (int c = 0; c < 3; ++c)
-        node[CurvilinearElasticPde::kMetric + 3 * r + c] = r == c ? 1.0 : 0.0;
-  }));
-}
+#undef EXASTP_PDE_FACTORY
 
 }  // namespace
 
-PdeRegistry& PdeRegistry::instance() {
-  static PdeRegistry& registry = *[] {
-    auto* r = new PdeRegistry;
-    register_builtins(*r);
-    return r;
-  }();
-  return registry;
+std::shared_ptr<const KernelFactory> find_pde(const std::string& name) {
+  return find_named(pde_table(), name, "PDE");
 }
 
-std::shared_ptr<const KernelFactory> find_pde(const std::string& name) {
-  return PdeRegistry::instance().find(name);
-}
+std::vector<std::string> pde_names() { return names_of(pde_table()); }
 
 }  // namespace exastp

@@ -1,21 +1,21 @@
-// String-keyed PDE registry: the runtime face of the kernel generator.
+// The PDE table: the runtime face of the kernel generator.
 //
 // make_stp_kernel (kernels/registry.h) is a template switch — it needs the
 // concrete PDE type at compile time, exactly like the paper's generated
 // kernels hard-code the user functions. KernelFactory type-erases that
 // switch behind one virtual call, so a *runtime string* ("acoustic",
 // "curvilinear_elastic", ...) selects the PDE while every kernel variant
-// underneath stays fully templated and optimized. This mirrors the
-// named-plugin factories of openbr-style frameworks: adding a PDE is one
-// TypedKernelFactory registration, no engine change.
+// underneath stays fully templated and optimized. The table holds one
+// factory per PDE of EXASTP_FOR_EACH_PDE (pde/pde_list.h), the list the
+// line functions and face solvers are instantiated from.
 #pragma once
 
-#include <functional>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "exastp/engine/named_registry.h"
+#include "exastp/common/check.h"
 #include "exastp/kernels/registry.h"
 #include "exastp/pde/pde_base.h"
 
@@ -28,7 +28,7 @@ class KernelFactory {
  public:
   virtual ~KernelFactory() = default;
 
-  /// Registry key, identical to the PDE's kName.
+  /// Table key, identical to the PDE's kName.
   virtual const std::string& name() const = 0;
   virtual PdeInfo info() const = 0;
   /// The type-erased pointwise view; one shared instance per factory.
@@ -42,54 +42,39 @@ class KernelFactory {
       NodeFamily family = NodeFamily::kGaussLegendre,
       Precision precision = Precision::kF64) const = 0;
   /// Fills the material/geometry parameter entries (s in [vars, quants)) of
-  /// one node with the PDE's canonical background medium, so generic
-  /// scenarios can initialize any registered PDE.
+  /// one node with the PDE's background medium (Pde::default_parameters),
+  /// so generic scenarios can initialize any PDE.
   virtual void default_parameters(double* node) const = 0;
 };
 
-/// Implements KernelFactory for one CRTP PDE struct.
-template <class Pde>
-class TypedKernelFactory final : public KernelFactory {
- public:
-  /// `defaults` fills a node's parameter entries; pass {} for PDEs without
-  /// parameters.
-  TypedKernelFactory(Pde pde, std::function<void(double*)> defaults)
-      : name_(Pde::kName),
-        pde_(std::move(pde)),
-        runtime_(std::make_shared<PdeAdapter<Pde>>(pde_)),
-        defaults_(std::move(defaults)) {}
+/// The name() of every entry of `table`, sorted.
+template <class T>
+std::vector<std::string> names_of(
+    const std::vector<std::shared_ptr<const T>>& table) {
+  std::vector<std::string> names;
+  for (const auto& entry : table) names.push_back(entry->name());
+  std::sort(names.begin(), names.end());
+  return names;
+}
 
-  const std::string& name() const override { return name_; }
-  PdeInfo info() const override { return runtime_->info(); }
-  std::shared_ptr<const PdeRuntime> runtime() const override {
-    return runtime_;
-  }
-  StpKernel make_kernel(StpVariant variant, int order, Isa isa,
-                        NodeFamily family, Precision precision) const override {
-    return make_stp_kernel(pde_, variant, order, isa, family, precision);
-  }
-  void default_parameters(double* node) const override {
-    if (defaults_) defaults_(node);
-  }
+/// The entry of `table` named `name`; throws `unknown <kind> "<name>"
+/// (known: ...)` on a miss. The one lookup of the PDE and scenario tables.
+template <class T>
+std::shared_ptr<const T> find_named(
+    const std::vector<std::shared_ptr<const T>>& table,
+    const std::string& name, const std::string& kind) {
+  for (const auto& entry : table)
+    if (entry->name() == name) return entry;
+  std::string known;
+  for (const std::string& key : names_of(table))
+    known += (known.empty() ? "" : ", ") + key;
+  EXASTP_FAIL("unknown " + kind + " \"" + name + "\" (known: " + known + ")");
+}
 
- private:
-  std::string name_;
-  Pde pde_;
-  std::shared_ptr<const PdeRuntime> runtime_;
-  std::function<void(double*)> defaults_;
-};
-
-/// Name -> KernelFactory map. The process-wide instance() comes populated
-/// with the built-in PDEs; add() extends it at runtime (e.g. from a plugin's
-/// static initializer or a test).
-class PdeRegistry final : public NamedRegistry<KernelFactory> {
- public:
-  PdeRegistry() : NamedRegistry("PDE") {}
-  /// The process-wide registry, populated with the built-in PDEs.
-  static PdeRegistry& instance();
-};
-
-/// Shorthand for PdeRegistry::instance().find(name).
+/// The factory of the PDE named `name`; throws with the known names.
 std::shared_ptr<const KernelFactory> find_pde(const std::string& name);
+
+/// Every PDE name, sorted.
+std::vector<std::string> pde_names();
 
 }  // namespace exastp

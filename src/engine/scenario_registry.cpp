@@ -69,8 +69,8 @@ class PlaneWaveScenario final : public Scenario {
   }
 };
 
-/// PDE-agnostic Gaussian pulse on quantity 0 over the factory's canonical
-/// background medium; the smoke-test workload for any registered PDE.
+/// PDE-agnostic Gaussian pulse on quantity 0 over the factory's background
+/// medium; the smoke-test workload for any PDE.
 class GaussianScenario final : public Scenario {
  public:
   /// Pulse placement shared by the initial condition and exact solution.
@@ -231,8 +231,7 @@ class MaxwellCavityScenario final : public Scenario {
     return [](const std::array<double, 3>& x, double* q) {
       for (int s = 0; s < MaxwellPde::kVars; ++s) q[s] = 0.0;
       q[MaxwellPde::kEy] = std::sin(kPi * x[0]) * std::sin(kPi * x[2]);
-      q[MaxwellPde::kEps] = 1.0;
-      q[MaxwellPde::kMu] = 1.0;
+      MaxwellPde::default_parameters(q);
     };
   }
 
@@ -250,22 +249,24 @@ class MaxwellCavityScenario final : public Scenario {
   }
 };
 
-}  // namespace
-
-ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry& registry = *[] {
-    auto* r = new ScenarioRegistry;
-    r->add(std::make_shared<GaussianScenario>());
-    r->add(std::make_shared<PlaneWaveScenario>());
-    r->add(std::make_shared<Loh1Scenario>());
-    r->add(std::make_shared<MaxwellCavityScenario>());
-    return r;
-  }();
-  return registry;
+const std::vector<std::shared_ptr<const Scenario>>& scenario_table() {
+  static const std::vector<std::shared_ptr<const Scenario>> table = {
+      std::make_shared<GaussianScenario>(),
+      std::make_shared<PlaneWaveScenario>(),
+      std::make_shared<Loh1Scenario>(),
+      std::make_shared<MaxwellCavityScenario>(),
+  };
+  return table;
 }
 
+}  // namespace
+
 std::shared_ptr<const Scenario> find_scenario(const std::string& name) {
-  return ScenarioRegistry::instance().find(name);
+  return find_named(scenario_table(), name, "scenario");
+}
+
+std::vector<std::string> scenario_names() {
+  return names_of(scenario_table());
 }
 
 }  // namespace exastp

@@ -1,18 +1,18 @@
-// String-keyed scenario registry: named initial conditions, boundary
-// setups, point sources and (where known) exact solutions.
+// The scenario table: named initial conditions, boundary setups, point
+// sources and (where known) exact solutions.
 //
 // A Scenario is everything that turns a bare PDE into a runnable workload.
 // Scenarios are looked up by name at runtime ("planewave", "loh1",
-// "maxwell_cavity", "gaussian"), mirror the PDE registry's plugin idiom and
-// fill the SimulationConfig defaults a workload needs, so the config-driven
-// runner covers new experiments without recompilation.
+// "maxwell_cavity", "gaussian") and fill the SimulationConfig defaults a
+// workload needs, so the config-driven runner covers new experiments
+// without recompilation. The table is closed: a new scenario is a
+// Scenario subclass in scenario_registry.cpp and one entry in its table.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "exastp/engine/named_registry.h"
 #include "exastp/engine/pde_registry.h"
 #include "exastp/engine/simulation_config.h"
 #include "exastp/solver/solver_base.h"
@@ -23,7 +23,7 @@ class Scenario {
  public:
   virtual ~Scenario() = default;
 
-  /// Registry key.
+  /// Table key.
   virtual const std::string& name() const = 0;
   /// PDE used when the config does not name one.
   virtual std::string default_pde() const = 0;
@@ -66,15 +66,10 @@ class Scenario {
   }
 };
 
-/// Name -> Scenario map; same conventions as PdeRegistry.
-class ScenarioRegistry final : public NamedRegistry<Scenario> {
- public:
-  ScenarioRegistry() : NamedRegistry("scenario") {}
-  /// The process-wide registry, populated with the built-in scenarios.
-  static ScenarioRegistry& instance();
-};
-
-/// Shorthand for ScenarioRegistry::instance().find(name).
+/// The scenario named `name`; throws with the known names.
 std::shared_ptr<const Scenario> find_scenario(const std::string& name);
+
+/// Every scenario name, sorted.
+std::vector<std::string> scenario_names();
 
 }  // namespace exastp

@@ -48,10 +48,10 @@ Simulation Simulation::from_config(SimulationConfig config) {
 
   std::shared_ptr<const Scenario> scenario = find_scenario(config.scenario);
   if (config.pde.empty()) config.pde = scenario->default_pde();
+  std::shared_ptr<const KernelFactory> pde = find_pde(config.pde);
   EXASTP_CHECK_MSG(scenario->compatible_with(config.pde),
                    "scenario \"" + scenario->name() +
                        "\" is not defined for pde \"" + config.pde + "\"");
-  std::shared_ptr<const KernelFactory> pde = find_pde(config.pde);
 
   // Reject scenario.* keys the scenario does not declare, so parameter
   // typos fail loudly instead of silently running the defaults.
@@ -228,11 +228,11 @@ Simulation Simulation::from_config(SimulationConfig config) {
   telemetry->add_counter("setup_kernel_cache_misses",
                          static_cast<double>(cache_after.misses -
                                              cache_before.misses));
-  // Attach the config-declared streaming observers (receivers, VTK series,
-  // any registered plugin) in registry name order. Distributed runs build
-  // them from a rank-local view of the config: each rank's network holds
-  // the receivers its shard owns and streams them to a per-rank part file
-  // that rank 0 merges after the run (io/receiver_sinks.h).
+  // Attach the config-declared streaming observers (receivers, then the VTK
+  // series; engine/observers.h). Distributed runs build them from a
+  // rank-local view of the config: each rank's network holds the receivers
+  // its shard owns and streams them to a per-rank part file that rank 0
+  // merges after the run (io/receiver_sinks.h).
   SimulationConfig observer_config = simulation.config_;
   if (distributed && !observer_config.receivers.empty()) {
     const Grid global(observer_config.grid);
@@ -358,12 +358,7 @@ int Simulation::run() {
   }
   if (!config_.output.csv.empty()) write_csv(*solver_, config_.output.csv);
   if (!config_.output.vtk.empty()) {
-    // Same quantity selection as the streaming VTK series: explicit
-    // output.quantities, or the evolved quantities capped to keep the
-    // file small.
-    std::vector<int> quantities = output_quantities(config_, *pde_);
-    if (config_.output.quantities.empty() && quantities.size() > 4)
-      quantities.resize(4);
+    const std::vector<int> quantities = vtk_quantities(config_, *pde_);
     write_vtk_cell_averages(*solver_, quantities,
                             default_quantity_names(quantities),
                             config_.output.vtk);

@@ -1,7 +1,7 @@
 // The Simulation façade: one entry point from a declarative config to a
 // running solver.
 //
-// from_config() resolves the scenario and PDE from the string registries,
+// from_config() resolves the scenario and PDE from their name tables,
 // type-erases the kernel selection ((pde, variant, order, isa) -> StpKernel)
 // through KernelFactory, builds the requested stepper behind SolverBase,
 // applies the scenario's initial condition and point sources, and hands back
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "exastp/engine/observer_registry.h"
+#include "exastp/engine/observers.h"
 #include "exastp/engine/pde_registry.h"
 #include "exastp/engine/scenario_registry.h"
 #include "exastp/engine/simulation_config.h"

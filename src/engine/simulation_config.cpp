@@ -232,12 +232,15 @@ const std::vector<ConfigKey>& config_schema() {
       {"scenario", "NAME", "initial condition + defaults (default gaussian)",
        kResult,
        [](Config& c, Value v) {
-         ScenarioRegistry::instance().find(v);  // throws on unknown names
+         find_scenario(v);  // throws with the known names
          c.scenario = v;
        },
        [](const Config& c) { return c.scenario; }},
-      {"pde", "NAME", "PDE registry key (default: the scenario's PDE)",
-       kResult, [](Config& c, Value v) { c.pde = v; },
+      {"pde", "NAME", "PDE name (default: the scenario's PDE)", kResult,
+       [](Config& c, Value v) {
+         if (!v.empty()) find_pde(v);  // throws with the known names
+         c.pde = v;
+       },
        [](const Config& c) { return c.pde; }},
       {"stepper", "KIND", "ader | rk4 (default ader)", kResult,
        [](Config& c, Value v) { c.stepper = one_of(v, "ader|rk4"); },
@@ -246,7 +249,9 @@ const std::vector<ConfigKey>& config_schema() {
        kResult, [](Config& c, Value v) { c.variant = parse_variant(v); },
        [](const Config& c) { return variant_name(c.variant); }},
       {"isa", "NAME", "auto | scalar | avx2 | avx512 (default auto)", kResult,
-       [](Config& c, Value v) { c.isa = v; },
+       [](Config& c, Value v) {
+         c.isa = one_of(v, "auto|scalar|avx2|avx512");
+       },
        [](const Config& c) { return c.isa; }},
       {"order", "N", "nodes per dimension (default 4)", kResult,
        [](Config& c, Value v) { c.order = parse_int(v); },
@@ -438,7 +443,7 @@ std::array<int, 3> resolve_shard_grid(const SimulationConfig& config) {
 }
 
 void apply_scenario_defaults(SimulationConfig& config) {
-  ScenarioRegistry::instance().find(config.scenario)->configure(config);
+  find_scenario(config.scenario)->configure(config);
 }
 
 SimulationConfig parse_simulation_args(const std::vector<std::string>& args) {

@@ -22,7 +22,8 @@ struct OutputConfig {
   std::string vtk;  ///< cell-average VTK path after the run; empty = none
 
   // Streaming outputs, produced incrementally from the time loop by the
-  // observer subsystem (src/io/, attached via ObserverRegistry).
+  // observer subsystem (src/io/, built by make_observers in
+  // engine/observers.h).
   /// Base path of an interval-spaced VTK snapshot series plus its
   /// .pvd-style index (<base>_NNNN.vtk, <base>.pvd); empty = none.
   std::string series;
@@ -55,7 +56,7 @@ struct TelemetryConfig {
 
 struct SimulationConfig {
   std::string scenario = "gaussian";
-  /// PDE registry key; empty picks the scenario's default PDE.
+  /// PDE name (pde_names()); empty picks the scenario's default PDE.
   std::string pde;
   /// Time stepper: "ader" (paper scheme) or "rk4" (baseline).
   std::string stepper = "ader";

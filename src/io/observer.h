@@ -17,8 +17,8 @@
 // Direct step() calls bypass the hooks — run_until owns the loop.
 // Concrete observers live next to this header: ReceiverNetwork
 // (receiver_network.h) and VtkSeriesWriter (vtk_series.h); the engine
-// builds them from declarative config keys via ObserverRegistry
-// (engine/observer_registry.h).
+// builds them from declarative config keys (make_observers,
+// engine/observers.h).
 #pragma once
 
 namespace exastp {

@@ -92,7 +92,7 @@ void ReceiverNetwork::bind(const SolverBase& solver) {
   bound_grid_ = solver.grid().spec();
   row_.assign(row_size(), 0.0);
   if (first_bind)
-    for (auto& sink : sinks_) sink->open(*this);
+    for (auto& sink : sinks_) sink->open(positions_, quantities_);
 }
 
 void ReceiverNetwork::sample_now(const SolverBase& solver) {

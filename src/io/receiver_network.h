@@ -28,8 +28,6 @@
 
 namespace exastp {
 
-class ReceiverNetwork;
-
 /// "q<index>" labels for a list of quantity indices — the default naming
 /// shared by receiver CSV headers, VTK series fields and the post-hoc VTK
 /// dump.
@@ -37,13 +35,15 @@ std::vector<std::string> default_quantity_names(
     const std::vector<int>& quantities);
 
 /// Incremental consumer of sampled receiver rows. open() is called once at
-/// bind time (headers), append() once per sample with the row laid out as
+/// bind time with the probe positions and the sampled quantity indices
+/// (headers), append() once per sample with the row laid out as
 /// [receiver-major][quantity-minor], finish() when the run ends (flush;
 /// idempotent, may be called more than once).
 class ReceiverSink {
  public:
   virtual ~ReceiverSink() = default;
-  virtual void open(const ReceiverNetwork& network) = 0;
+  virtual void open(const std::vector<std::array<double, 3>>& positions,
+                    const std::vector<int>& quantities) = 0;
   virtual void append(double time, const double* row, std::size_t n) = 0;
   virtual void finish() = 0;
 };

@@ -25,24 +25,18 @@ bool read_raw(std::ifstream& in, T* value) {
 
 }  // namespace
 
-CsvReceiverSink::CsvReceiverSink(std::string path,
-                                 std::vector<std::string> names)
-    : path_(std::move(path)), names_(std::move(names)) {}
-
-void CsvReceiverSink::open(const ReceiverNetwork& network) {
-  const std::vector<int>& quantities = network.quantities();
-  if (names_.empty()) names_ = default_quantity_names(quantities);
-  EXASTP_CHECK_MSG(names_.size() == quantities.size(),
-                   "receiver CSV needs one name per sampled quantity");
+void CsvReceiverSink::open(const std::vector<std::array<double, 3>>& positions,
+                           const std::vector<int>& quantities) {
   out_.open(path_);
   EXASTP_CHECK_MSG(out_.good(), "cannot open " + path_);
   // Full round-trippable precision: the CSV is primary seismogram output,
   // and 6 significant digits cannot distinguish successive times of a
   // long fine-stepped run.
   out_.precision(std::numeric_limits<double>::max_digits10);
+  const std::vector<std::string> names = default_quantity_names(quantities);
   out_ << "t";
-  for (std::size_t r = 0; r < network.num_receivers(); ++r)
-    for (const std::string& name : names_) out_ << ",r" << r << "_" << name;
+  for (std::size_t r = 0; r < positions.size(); ++r)
+    for (const std::string& name : names) out_ << ",r" << r << "_" << name;
   out_ << "\n" << std::flush;
 }
 
@@ -58,15 +52,16 @@ void CsvReceiverSink::finish() {
   EXASTP_CHECK_MSG(out_.good(), "write failed: " + path_);
 }
 
-void BinaryReceiverSink::open(const ReceiverNetwork& network) {
+void BinaryReceiverSink::open(
+    const std::vector<std::array<double, 3>>& positions,
+    const std::vector<int>& quantities) {
   out_.open(path_, std::ios::binary);
   EXASTP_CHECK_MSG(out_.good(), "cannot open " + path_);
   out_.write(kMagic, sizeof(kMagic));
-  write_raw(out_, static_cast<std::uint32_t>(network.num_receivers()));
-  write_raw(out_, static_cast<std::uint32_t>(network.quantities().size()));
-  for (int s : network.quantities())
-    write_raw(out_, static_cast<std::int32_t>(s));
-  for (const auto& position : network.positions())
+  write_raw(out_, static_cast<std::uint32_t>(positions.size()));
+  write_raw(out_, static_cast<std::uint32_t>(quantities.size()));
+  for (int s : quantities) write_raw(out_, static_cast<std::int32_t>(s));
+  for (const auto& position : positions)
     for (double x : position) write_raw(out_, x);
   out_.flush();
 }
@@ -131,47 +126,13 @@ ReceiverRecords read_receiver_records(const std::string& path) {
   return records;
 }
 
-void write_receiver_records(const ReceiverRecords& records,
-                            const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  EXASTP_CHECK_MSG(out.good(), "cannot open " + path);
-  out.write(kMagic, sizeof(kMagic));
-  write_raw(out, static_cast<std::uint32_t>(records.positions.size()));
-  write_raw(out, static_cast<std::uint32_t>(records.quantities.size()));
-  for (int s : records.quantities)
-    write_raw(out, static_cast<std::int32_t>(s));
-  for (const auto& position : records.positions)
-    for (double x : position) write_raw(out, x);
+void stream_records(const ReceiverRecords& records, ReceiverSink& sink) {
+  sink.open(records.positions, records.quantities);
   const std::size_t row_size = records.row_size();
-  for (std::size_t i = 0; i < records.times.size(); ++i) {
-    write_raw(out, records.times[i]);
-    out.write(reinterpret_cast<const char*>(records.data.data() + i * row_size),
-              static_cast<std::streamsize>(row_size * sizeof(double)));
-  }
-  out.flush();
-  EXASTP_CHECK_MSG(out.good(), "write failed: " + path);
-}
-
-void write_receiver_csv(const ReceiverRecords& records,
-                        const std::string& path) {
-  std::ofstream out(path);
-  EXASTP_CHECK_MSG(out.good(), "cannot open " + path);
-  out.precision(std::numeric_limits<double>::max_digits10);
-  const std::vector<std::string> names =
-      default_quantity_names(records.quantities);
-  out << "t";
-  for (std::size_t r = 0; r < records.positions.size(); ++r)
-    for (const std::string& name : names) out << ",r" << r << "_" << name;
-  out << "\n";
-  const std::size_t row_size = records.row_size();
-  for (std::size_t i = 0; i < records.times.size(); ++i) {
-    out << records.times[i];
-    for (std::size_t j = 0; j < row_size; ++j)
-      out << "," << records.data[i * row_size + j];
-    out << "\n";
-  }
-  out.flush();
-  EXASTP_CHECK_MSG(out.good(), "write failed: " + path);
+  for (std::size_t i = 0; i < records.times.size(); ++i)
+    sink.append(records.times[i], records.data.data() + i * row_size,
+                row_size);
+  sink.finish();
 }
 
 ReceiverRecords merge_receiver_records(
@@ -221,8 +182,14 @@ ReceiverRecords merge_receiver_records(
     }
   }
 
-  if (!bin_path.empty()) write_receiver_records(merged, bin_path);
-  if (!csv_path.empty()) write_receiver_csv(merged, csv_path);
+  if (!bin_path.empty()) {
+    BinaryReceiverSink sink(bin_path);
+    stream_records(merged, sink);
+  }
+  if (!csv_path.empty()) {
+    CsvReceiverSink sink(csv_path);
+    stream_records(merged, sink);
+  }
   return merged;
 }
 

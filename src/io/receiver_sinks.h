@@ -15,7 +15,9 @@
 //   records, until EOF:
 //     double                          time
 //     double x num_receivers x num_quantities   row, receiver-major
-// read_receiver_records() re-reads the stream (round-trip tested).
+// read_receiver_records() re-reads the stream (round-trip tested). The two
+// sinks are the only writers of their formats: a re-read or merged stream
+// is written back through them (stream_records).
 #pragma once
 
 #include <array>
@@ -28,21 +30,19 @@
 
 namespace exastp {
 
-/// Appends "t,r0_q0,r0_q1,...,rN_qM" rows to a CSV file, header first.
+/// Appends "t,r0_q0,r0_q1,...,rN_qM" rows to a CSV file, header first;
+/// quantity s is labelled "q<s>". Throws when open() cannot open the file.
 class CsvReceiverSink final : public ReceiverSink {
  public:
-  /// `names` labels the sampled quantities in the header; empty falls back
-  /// to "q<index>". Throws on open/size-mismatch errors at open() time.
-  explicit CsvReceiverSink(std::string path,
-                           std::vector<std::string> names = {});
+  explicit CsvReceiverSink(std::string path) : path_(std::move(path)) {}
 
-  void open(const ReceiverNetwork& network) override;
+  void open(const std::vector<std::array<double, 3>>& positions,
+            const std::vector<int>& quantities) override;
   void append(double time, const double* row, std::size_t n) override;
   void finish() override;
 
  private:
   std::string path_;
-  std::vector<std::string> names_;
   std::ofstream out_;
 };
 
@@ -51,7 +51,8 @@ class BinaryReceiverSink final : public ReceiverSink {
  public:
   explicit BinaryReceiverSink(std::string path) : path_(std::move(path)) {}
 
-  void open(const ReceiverNetwork& network) override;
+  void open(const std::vector<std::array<double, 3>>& positions,
+            const std::vector<int>& quantities) override;
   void append(double time, const double* row, std::size_t n) override;
   void finish() override;
 
@@ -84,13 +85,8 @@ struct ReceiverRecords {
 /// allocated only for the whole records the file holds.
 ReceiverRecords read_receiver_records(const std::string& path);
 
-/// Writes records in the BinaryReceiverSink stream format.
-void write_receiver_records(const ReceiverRecords& records,
-                            const std::string& path);
-/// Writes records in the CsvReceiverSink format (same header and row
-/// layout a local run streams).
-void write_receiver_csv(const ReceiverRecords& records,
-                        const std::string& path);
+/// Streams `records` through `sink`: open, one append per row, finish.
+void stream_records(const ReceiverRecords& records, ReceiverSink& sink);
 
 /// Rank-0 merge of a distributed run's per-rank receiver streams into the
 /// artifacts of a local run (see README "Distributed execution (MPI)").
@@ -100,11 +96,11 @@ void write_receiver_csv(const ReceiverRecords& records,
 /// rows to the full network's `positions` order (positions are copied
 /// verbatim from the config, so rows match their global slot by exact
 /// position equality), writes the merged binary stream to `bin_path`
-/// and/or a CSV to `csv_path` (empty = skip), and returns the merged
-/// records. The parts stay on disk — a raised-t_end rerun keeps appending
-/// to them, and a re-merge then covers the longer streams. Sample times
-/// must agree across parts (the lockstep time loop guarantees it);
-/// mismatches throw.
+/// and/or a CSV to `csv_path` (empty = skip) through the sinks, so they
+/// hold the bytes a local run streams, and returns the merged records. The
+/// parts stay on disk — a raised-t_end rerun keeps appending to them, and
+/// a re-merge then covers the longer streams. Sample times must agree
+/// across parts (the lockstep time loop guarantees it); mismatches throw.
 ReceiverRecords merge_receiver_records(
     const std::string& part_base, int ranks,
     const std::vector<std::array<double, 3>>& positions,

@@ -29,6 +29,7 @@
 #include "exastp/common/taylor.h"
 #include "exastp/kernels/face.h"
 #include "exastp/pde/pde_base.h"
+#include "exastp/pde/pde_list.h"
 #include "exastp/perf/flop_count.h"
 #include "exastp/tensor/transpose_blocks.h"
 
@@ -333,7 +334,7 @@ bool surface_update_body(Isa isa, const Pde& pde, const FaceUpdate& u) {
 
 /// One ISA TU's face entry points (declared in face.h) on its register
 /// block BLOCK (tensor/transpose_blocks.h), the surface update
-/// instantiated for every PDE of EXASTP_FOR_EACH_LINE_PDE.
+/// instantiated for every PDE of EXASTP_FOR_EACH_PDE (pde/pde_list.h).
 #define EXASTP_DEFINE_FACE_OPS(SUFFIX, ISA, BLOCK)                           \
   void project_faces_##SUFFIX(const AosLayout& aos, const BasisTables& basis, \
                               const double* q, double* traces) {             \
@@ -357,4 +358,4 @@ bool surface_update_body(Isa isa, const Pde& pde, const FaceUpdate& u) {
   bool surface_update_##SUFFIX(const Pde& pde, const FaceUpdate& u) {        \
     return surface_update_body(ISA, pde, u);                                 \
   }                                                                          \
-  EXASTP_FOR_EACH_LINE_PDE(EXASTP_INSTANTIATE_FACE_OPS, SUFFIX)
+  EXASTP_FOR_EACH_PDE(EXASTP_INSTANTIATE_FACE_OPS, SUFFIX)

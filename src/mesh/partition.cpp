@@ -208,7 +208,6 @@ Partition::Partition(const GridSpec& global, const std::array<int, 3>& shards,
                                         lo,
                                         size,
                                         Grid(global, lo, size),
-                                        {},
                                         {}});
       }
 
@@ -252,7 +251,6 @@ Partition::Partition(const GridSpec& global, const std::array<int, 3>& shards,
         sub.halos.push_back(std::move(plan));
       }
     }
-    sub.cells = classify_cells(sub.grid);
   }
   assign_ranks(1);
 }

@@ -63,7 +63,6 @@ struct Subdomain {
   std::array<int, 3> size{};   ///< owned cells per dimension
   Grid grid;                   ///< the partitioned view (owned + halo slots)
   std::vector<HaloPlan> halos; ///< one per remote face, fixed (dir, side) order
-  CellClassification cells;    ///< interior vs halo-adjacent boundary cells
 };
 
 class Partition {

@@ -32,6 +32,12 @@ struct AcousticPde {
 
   static constexpr int kP = 0, kVx = 1, kRho = 4, kC = 5;
 
+  /// Background medium: unit density and sound speed.
+  static void default_parameters(double* node) {
+    node[kRho] = 1.0;
+    node[kC] = 1.0;
+  }
+
   /// Pointwise user functions are templated on the scalar type (fp32
   /// kernels call them on float rows directly); literals are cast to Real
   /// so fp32 arithmetic does not promote to double.

@@ -24,6 +24,9 @@ struct AdvectionPde {
 
   std::array<double, 3> velocity{1.0, 0.5, 0.25};
 
+  /// No parameters, so no background medium to write.
+  static void default_parameters(double* /*node*/) {}
+
   /// Pointwise user functions are templated on the scalar type (fp32
   /// kernels call them on float rows directly); the velocity coefficient is
   /// narrowed once outside the loop.
@@ -60,6 +63,8 @@ struct AdvectionNcpPde {
   static constexpr int flux_rows_end(int /*dir*/) { return 0; }
 
   std::array<double, 3> velocity{1.0, 0.5, 0.25};
+
+  static void default_parameters(double* /*node*/) {}
 
   template <class Real>
   void flux(const Real* /*q*/, int /*dir*/, Real* f) const {

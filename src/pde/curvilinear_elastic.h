@@ -44,6 +44,17 @@ struct CurvilinearElasticPde {
   static constexpr int kRho = 9, kCp = 10, kCs = 11;
   static constexpr int kMetric = 12;  // + 3*r + c
 
+  /// Background medium: the paper's benchmark medium (the LOH1 halfspace)
+  /// on an identity metric.
+  static void default_parameters(double* node) {
+    node[kRho] = 2.7;
+    node[kCp] = 6.0;
+    node[kCs] = 3.464;
+    for (int r = 0; r < 3; ++r)
+      for (int c = 0; c < 3; ++c)
+        node[kMetric + 3 * r + c] = r == c ? 1.0 : 0.0;
+  }
+
   /// Pointwise user functions are templated on the scalar type so the fp32
   /// kernels call them on float rows with zero conversion staging; literals
   /// are cast to Real to keep fp32 arithmetic from promoting to double.

@@ -32,6 +32,13 @@ struct ElasticPde {
   static constexpr int kSyz = 6, kSxz = 7, kSxy = 8;
   static constexpr int kRho = 9, kCp = 10, kCs = 11;
 
+  /// Background medium: unit density, cp = 2, cs = 1.
+  static void default_parameters(double* node) {
+    node[kRho] = 1.0;
+    node[kCp] = 2.0;
+    node[kCs] = 1.0;
+  }
+
   /// sigma column for direction d: the stresses acting on the d-face.
   /// stress_col[d] = {sigma_xd, sigma_yd, sigma_zd} as Voigt indices.
   static constexpr int kStressCol[3][3] = {

@@ -31,6 +31,12 @@ struct MaxwellPde {
   static constexpr int kHx = 3, kHy = 4, kHz = 5;
   static constexpr int kEps = 6, kMu = 7;
 
+  /// Background medium: unit permittivity and permeability.
+  static void default_parameters(double* node) {
+    node[kEps] = 1.0;
+    node[kMu] = 1.0;
+  }
+
   /// Levi-Civita symbol, 0-indexed.
   static constexpr double levi(int i, int j, int k) {
     if (i == j || j == k || i == k) return 0.0;

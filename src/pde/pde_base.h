@@ -28,6 +28,9 @@
 //    optimizes.
 //  * ncp(q, grad, dir, out) writes B_dir(q) * grad into all kQuants rows
 //    (set, not accumulate); grad is the spatial derivative of q in `dir`.
+//  * the static default_parameters(node) writes the PDE's background
+//    medium into the parameter entries [kVars, kQuants) of one node, so a
+//    PDE-agnostic scenario can initialize any PDE (empty when kParams = 0).
 //  * The evolution law implemented by the kernels is
 //        dq/dt = sum_d [ d/dx_d flux_d(q) + ncp_d(q, dq/dx_d) ] + source.
 //

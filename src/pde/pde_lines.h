@@ -40,7 +40,7 @@
 // (perf/access_recorder.h). fp32 lanes count at the double packing width,
 // as in gemm.h, so both precisions report one instruction mix. A PDE gains
 // line functions by adding its two bodies to pde_lines_impl.h and its name
-// to EXASTP_FOR_EACH_LINE_PDE.
+// to EXASTP_FOR_EACH_PDE (pde_list.h).
 #pragma once
 
 #include <cstdint>

@@ -42,13 +42,9 @@
 
 #include <type_traits>
 
-#include "exastp/pde/acoustic.h"
-#include "exastp/pde/advection.h"
-#include "exastp/pde/curvilinear_elastic.h"
-#include "exastp/pde/elastic.h"
-#include "exastp/pde/maxwell.h"
 #include "exastp/pde/pde_base.h"
 #include "exastp/pde/pde_lines.h"
+#include "exastp/pde/pde_list.h"
 
 namespace exastp::detail {
 namespace {
@@ -336,16 +332,6 @@ void for_each_chunk(int len, int lines, long line_stride, Chunk&& chunk) {
 }  // namespace
 }  // namespace exastp::detail
 
-/// Every PDE with line functions: X(ARG, Pde) for each. Each ISA TU
-/// instantiates its entry points for these, in fp64 and fp32.
-#define EXASTP_FOR_EACH_LINE_PDE(X, ARG)                                     \
-  X(ARG, AdvectionPde)                                                       \
-  X(ARG, AdvectionNcpPde)                                                    \
-  X(ARG, AcousticPde)                                                        \
-  X(ARG, ElasticPde)                                                         \
-  X(ARG, MaxwellPde)                                                         \
-  X(ARG, CurvilinearElasticPde)
-
 /// Explicit instantiations of one ISA's entry points for one PDE.
 #define EXASTP_INSTANTIATE_PDE_LINES(SUFFIX, PDE)                            \
   template void flux_line_##SUFFIX(const PDE&, const double*, int, double*,  \
@@ -358,9 +344,9 @@ void for_each_chunk(int len, int lines, long line_stride, Chunk&& chunk) {
                                   int, float*, int, int, int, long);
 
 /// One ISA TU's entry points (declared in pde_lines.h) over the bodies
-/// above, instantiated for every PDE of EXASTP_FOR_EACH_LINE_PDE: one
-/// switch on the direction, then the call's lines in chunks of W lanes,
-/// the TU's double vector width.
+/// above, instantiated in fp64 and fp32 for every PDE of
+/// EXASTP_FOR_EACH_PDE (pde_list.h): one switch on the direction, then the
+/// call's lines in chunks of W lanes, the TU's double vector width.
 #define EXASTP_DEFINE_PDE_LINES(SUFFIX, W)                                   \
   template <class Pde, class Real>                                           \
   void flux_line_##SUFFIX(const Pde& pde, const Real* q, int dir, Real* f,   \
@@ -382,4 +368,4 @@ void for_each_chunk(int len, int lines, long line_stride, Chunk&& chunk) {
       });                                                                    \
     });                                                                      \
   }                                                                          \
-  EXASTP_FOR_EACH_LINE_PDE(EXASTP_INSTANTIATE_PDE_LINES, SUFFIX)
+  EXASTP_FOR_EACH_PDE(EXASTP_INSTANTIATE_PDE_LINES, SUFFIX)

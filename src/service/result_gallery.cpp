@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -245,25 +246,20 @@ class DirGallery final : public ResultGallery {
   std::ofstream index_;
 };
 
-template <class Gallery, bool kNeedsPath>
-class TypedGalleryFactory final : public GalleryFactory {
- public:
-  explicit TypedGalleryFactory(std::string name) : name_(std::move(name)) {}
+/// The gallery kinds, in the order of kGalleryKinds.
+enum class GalleryKind { kCsv, kJsonl, kBin, kDir };
+constexpr const char* kGalleryKinds[] = {"csv", "jsonl", "bin", "dir"};
 
-  const std::string& name() const override { return name_; }
-  std::unique_ptr<ResultGallery> make(const std::string& path,
-                                      std::ostream* fallback) const override {
-    if constexpr (kNeedsPath) {
-      (void)fallback;
-      return std::make_unique<Gallery>(path);
-    } else {
-      return std::make_unique<Gallery>(path, fallback);
-    }
+/// The GalleryKind named `kind`; throws, naming the gallery= key, on others.
+GalleryKind gallery_kind(const std::string& kind) {
+  std::string known;
+  for (std::size_t k = 0; k < std::size(kGalleryKinds); ++k) {
+    if (kind == kGalleryKinds[k]) return static_cast<GalleryKind>(k);
+    if (k > 0) known += '|';
+    known += kGalleryKinds[k];
   }
-
- private:
-  std::string name_;
-};
+  EXASTP_FAIL("gallery=" + kind + ": expected " + known);
+}
 
 }  // namespace
 
@@ -276,17 +272,8 @@ std::string job_status_name(JobStatus status) {
   EXASTP_FAIL("unknown job status");
 }
 
-GalleryRegistry& GalleryRegistry::instance() {
-  static GalleryRegistry& registry = *[] {
-    auto* r = new GalleryRegistry;
-    r->add(std::make_shared<TypedGalleryFactory<CsvGallery, false>>("csv"));
-    r->add(
-        std::make_shared<TypedGalleryFactory<JsonlGallery, false>>("jsonl"));
-    r->add(std::make_shared<TypedGalleryFactory<BinGallery, true>>("bin"));
-    r->add(std::make_shared<TypedGalleryFactory<DirGallery, true>>("dir"));
-    return r;
-  }();
-  return registry;
+std::vector<std::string> gallery_kinds() {
+  return {std::begin(kGalleryKinds), std::end(kGalleryKinds)};
 }
 
 GallerySpec parse_gallery_spec(const std::string& value) {
@@ -294,16 +281,21 @@ GallerySpec parse_gallery_spec(const std::string& value) {
   const auto colon = value.find(':');
   spec.kind = value.substr(0, colon);
   if (colon != std::string::npos) spec.path = value.substr(colon + 1);
-  EXASTP_CHECK_MSG(!spec.kind.empty(),
-                   "expected gallery=KIND[:PATH], got gallery=" + value);
-  GalleryRegistry::instance().find(spec.kind);  // throws with known names
+  gallery_kind(spec.kind);  // throws, naming the key
   return spec;
 }
 
 std::unique_ptr<ResultGallery> make_gallery(const GallerySpec& spec,
                                             std::ostream* fallback) {
-  return GalleryRegistry::instance().find(spec.kind)->make(spec.path,
-                                                           fallback);
+  switch (gallery_kind(spec.kind)) {
+    case GalleryKind::kCsv:
+      return std::make_unique<CsvGallery>(spec.path, fallback);
+    case GalleryKind::kJsonl:
+      return std::make_unique<JsonlGallery>(spec.path, fallback);
+    case GalleryKind::kBin: return std::make_unique<BinGallery>(spec.path);
+    case GalleryKind::kDir: return std::make_unique<DirGallery>(spec.path);
+  }
+  EXASTP_FAIL("unknown gallery kind");
 }
 
 std::vector<JobResult> read_gallery_records(const std::string& path) {

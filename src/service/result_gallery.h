@@ -1,5 +1,5 @@
-// Pluggable result sinks for the ensemble service — the openbr "Gallery"
-// idiom: one abstract interface, many string-keyed adaptors.
+// Result sinks for the ensemble service — the openbr "Gallery" idiom: one
+// abstract interface, one adaptor per output format.
 //
 // Every completed pool job produces one JobResult row (id, status, steps,
 // final time, L2 error, wall seconds, captured error text). Galleries
@@ -12,8 +12,8 @@
 //   bin    compact binary record stream (read_gallery_records round-trips)
 //   dir    a directory tree: <path>/job_<NNNN>.json per job + an index.csv
 //
-// New formats register in the GalleryRegistry exactly like observers in
-// the ObserverRegistry — no engine or pool changes.
+// A new format is one ResultGallery subclass in result_gallery.cpp, one
+// kind name and one case of make_gallery's switch; the pool is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "exastp/engine/named_registry.h"
 
 namespace exastp {
 
@@ -67,37 +65,22 @@ class ResultGallery {
   virtual void finish() = 0;
 };
 
-/// Builds one gallery kind. `path` may be empty for stream-capable kinds
-/// (csv, jsonl), which then write to `fallback` (never null when the pool
-/// calls it — the CLI passes stdout); kinds that need a real path (bin,
-/// dir) throw on an empty one.
-class GalleryFactory {
- public:
-  virtual ~GalleryFactory() = default;
-
-  virtual const std::string& name() const = 0;
-  virtual std::unique_ptr<ResultGallery> make(const std::string& path,
-                                              std::ostream* fallback)
-      const = 0;
-};
-
-/// Name -> GalleryFactory map; same conventions as the other registries.
-class GalleryRegistry final : public NamedRegistry<GalleryFactory> {
- public:
-  GalleryRegistry() : NamedRegistry("gallery") {}
-  /// The process-wide registry, populated with csv, jsonl, bin and dir.
-  static GalleryRegistry& instance();
-};
+/// The gallery kinds: csv, jsonl, bin, dir.
+std::vector<std::string> gallery_kinds();
 
 /// Parses a gallery= value: "kind" or "kind:path" (the first ':' splits, so
-/// paths may contain further colons). Throws on an unknown kind.
+/// paths may contain further colons). Throws, naming the key, on a kind
+/// outside gallery_kinds().
 struct GallerySpec {
   std::string kind = "csv";
   std::string path;  ///< empty = the fallback stream, for kinds that can
 };
 GallerySpec parse_gallery_spec(const std::string& value);
 
-/// Looks up spec.kind in the registry and builds the gallery.
+/// Builds the gallery of spec.kind. `spec.path` may be empty for the
+/// stream-capable kinds (csv, jsonl), which then write to `fallback` (never
+/// null when the pool calls it — the CLI passes stdout); the kinds that
+/// need a real path (bin, dir) throw on an empty one.
 std::unique_ptr<ResultGallery> make_gallery(const GallerySpec& spec,
                                             std::ostream* fallback);
 

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "exastp/common/check.h"
-#include "exastp/engine/kernel_cache.h"
 #include "exastp/solver/solver_base.h"
 
 namespace exastp {
@@ -132,7 +131,6 @@ StepMetricsObserver::Row StepMetricsObserver::row(const SolverBase& solver,
 
   const double flops = static_cast<double>(now.flops - last_.flops);
   const double mflops = wall > 0.0 ? flops / wall * 1e-6 : nan;
-  const long cache_hits = kernel_cache_stats().hits;
 
   // Clustered LTS: cluster count, cumulative cell-substeps, and the
   // skew of measured per-cluster sweep time (max / mean over clusters;
@@ -168,7 +166,6 @@ StepMetricsObserver::Row StepMetricsObserver::row(const SolverBase& solver,
           {"shard_mean_s", metric(shard_mean)},
           {"shard_max_s", metric(shard_max)},
           {"imbalance", metric(imbalance)},
-          {"cache_hits", std::to_string(cache_hits)},
           {"flops", metric(flops)},
           {"mflops_s", metric(mflops)},
           {"lts_clusters", metric(lts_clusters)},

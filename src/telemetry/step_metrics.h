@@ -12,10 +12,10 @@
 // rk_stage/exchange_post seconds, and the scheduler's unhidden sched_wait
 // under the exchange_wait_s column), overlap_eff (hidden-communication
 // fraction: compute-during-exchange / (that + sched_wait)), the per-shard
-// step-time min/mean/max and imbalance ratio (max/mean), kernel-cache
-// hits (process cumulative), flops/mflops_s from the run-scoped
-// FlopCounter, and the LTS cluster count, substeps and imbalance. Values
-// that do not apply (no exchange, one shard, LTS off) print as nan.
+// step-time min/mean/max and imbalance ratio (max/mean), flops/mflops_s
+// from the run-scoped FlopCounter, and the LTS cluster count, substeps and
+// imbalance. Values that do not apply (no exchange, one shard, LTS off)
+// print as nan.
 //
 // ProgressObserver is the `progress=stderr` heartbeat: a one-line step/t/
 // rate report, wall-clock throttled to ~1 Hz, rank 0 only. Both observers

@@ -8,6 +8,8 @@
 //   * the neutral set is {threads, schedule, balance, progress}, and each
 //     neutral key leaves the final state bitwise unchanged on a run where
 //     it acts (balance= on a multi-cluster sharded LTS run);
+//   * pde= and isa= are checked by their parsers, so a typo fails when the
+//     config is parsed and the error names the key;
 //   * a seeded config fuzz over mutations of the perfbench, CI and
 //     examples/batches configs: every vector parses and canonicalizes, or
 //     throws std::invalid_argument naming one of its keys;
@@ -310,6 +312,39 @@ bool names_a_key(const std::string& what,
       return true;
   }
   return false;
+}
+
+/// The message parse_simulation_args(args) throws, or "" when it parses.
+std::string parse_error(const std::vector<std::string>& args) {
+  try {
+    parse_simulation_args(args);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ConfigNames, PdeAndIsaTyposFailAtParseNamingTheirKey) {
+  // A batch line with either typo fails when it is parsed, not when its
+  // job runs: the message leads with the pair and then says what is
+  // wrong, and with planewave the pde= typo is an unknown PDE, not a
+  // scenario mismatch.
+  const auto expect_error = [](const std::vector<std::string>& args,
+                               const std::string& pair,
+                               const std::string& says) {
+    const std::string what = parse_error(args);
+    EXPECT_EQ(what.rfind(pair + ": ", 0), 0u) << what;
+    EXPECT_NE(what.find(says), std::string::npos) << what;
+  };
+  const std::string unknown_pde =
+      "unknown PDE \"no_such_pde\" (known: acoustic, advection, ";
+  expect_error({"pde=no_such_pde"}, "pde=no_such_pde", unknown_pde);
+  expect_error({"scenario=planewave", "pde=no_such_pde"}, "pde=no_such_pde",
+               unknown_pde);
+  expect_error({"isa=avx513"}, "isa=avx513",
+               "expected auto|scalar|avx2|avx512");
+  // An empty pde= still picks the scenario's PDE.
+  EXPECT_EQ(parse_simulation_args({"scenario=loh1", "pde="}).pde, "");
 }
 
 TEST(ConfigFuzz, EveryVectorParsesOrNamesAKey) {

@@ -2,7 +2,8 @@
 // SolverBase time loop, batched receiver accuracy against the analytic
 // planewave, incremental writer round-trips (appending CSV, binary record
 // stream, VTK series + .pvd index), the record-stream reader's bounds (a
-// header-only stream, a seeded mutational fuzz), and the two acceptance
+// header-only stream, a seeded mutational fuzz), the rank-0 merge of
+// per-rank receiver streams (without MPI), and the two acceptance
 // guards — field state bitwise-identical with/without observers at any
 // thread count, and < 5% wall-clock overhead with 64 receivers on the
 // threaded planewave workload.
@@ -238,7 +239,10 @@ TEST(ReceiverNetwork, RecordReaderAllocatesOnlyTheRowsTheFileHolds) {
   ReceiverRecords wide;
   wide.positions.assign(2000, {0.5, 0.5, 0.5});
   wide.quantities.assign(20000, 0);
-  write_receiver_records(wide, path);
+  {
+    BinaryReceiverSink sink(path);
+    stream_records(wide, sink);
+  }
   const long growth = stream_fuzz::peak_rss_growth_mib([&] {
     const ReceiverRecords records = read_receiver_records(path);
     return records.positions.size() == 2000 && records.times.empty();
@@ -262,7 +266,10 @@ TEST(ReceiverNetwork, RecordReaderFuzzStaysWithinTheFileOrNamesIt) {
     for (std::size_t j = 0; j < records.row_size(); ++j)
       records.data.push_back(std::sin(1.0 + i + 0.1 * j));
   }
-  write_receiver_records(records, path);
+  {
+    BinaryReceiverSink sink(path);
+    stream_records(records, sink);
+  }
   const std::string stream = stream_fuzz::file_bytes(path);
   stream_fuzz::fuzz_stream(
       stream, path, [](const std::string& file, const std::string& bytes) {
@@ -271,6 +278,47 @@ TEST(ReceiverNetwork, RecordReaderFuzzStaysWithinTheFileOrNamesIt) {
         EXPECT_LE(read.times.size() * (1 + read.row_size()) * sizeof(double),
                   bytes.size());
       });
+}
+
+TEST(ReceiverMerge, ThreeRankPartsMergeToTheOneNetworkStreams) {
+  // Rank 0 owns receivers 0 and 2, rank 1 owns receiver 1, and rank 2 owns
+  // none, so it writes no part; the merge must put receiver 1 back between
+  // rank 0's two. Every network samples the same run, so the merged files
+  // must hold the bytes that one network of all three receivers streams.
+  const std::string base = "/tmp/exastp_io_merge";
+  const std::string part0 = base + ".r0.part", part1 = base + ".r1.part";
+  std::remove((base + ".r2.part").c_str());
+  const std::vector<std::array<double, 3>> all = {
+      {0.5, 0.5, 0.5}, {0.25, 0.5, 0.75}, {0.125, 0.25, 0.5}};
+  ReceiverNetwork whole({0, 3}), rank0({0, 3}), rank1({0, 3});
+  whole.add_receivers(all);
+  rank0.add_receivers({all[0], all[2]});
+  rank1.add_receivers({all[1]});
+  whole.add_sink(std::make_unique<BinaryReceiverSink>(base + "_whole.bin"));
+  whole.add_sink(std::make_unique<CsvReceiverSink>(base + "_whole.csv"));
+  rank0.add_sink(std::make_unique<BinaryReceiverSink>(part0));
+  rank1.add_sink(std::make_unique<BinaryReceiverSink>(part1));
+  Simulation sim = planewave_sim();
+  for (ReceiverNetwork* network : {&whole, &rank0, &rank1})
+    sim.solver().add_observer(network);
+  ASSERT_GT(sim.solver().run_until(0.05), 0);
+
+  const ReceiverRecords merged = merge_receiver_records(
+      base, 3, all, base + ".bin", base + ".csv");
+  ASSERT_EQ(merged.times.size(), whole.num_samples());
+  for (std::size_t i = 0; i < merged.times.size(); ++i)
+    for (std::size_t r = 0; r < all.size(); ++r)
+      for (std::size_t q = 0; q < 2; ++q)
+        EXPECT_EQ(merged.value(i, r, q), whole.value(i, r, q));
+  for (const char* ext : {".bin", ".csv"}) {
+    const std::string bytes = stream_fuzz::file_bytes(base + ext);
+    EXPECT_FALSE(bytes.empty()) << ext;
+    EXPECT_EQ(bytes, stream_fuzz::file_bytes(base + "_whole" + ext)) << ext;
+    std::remove((base + ext).c_str());
+    std::remove((base + "_whole" + ext).c_str());
+  }
+  std::remove(part0.c_str());
+  std::remove(part1.c_str());
 }
 
 TEST(VtkSeries, EmitsIntervalSpacedSnapshotsWithAnIndex) {

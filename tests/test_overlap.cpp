@@ -28,17 +28,18 @@ TEST(CellClassification, HaloAdjacentPlanesAreBoundary) {
   Partition partition(spec, {2, 1, 1});
   for (int s = 0; s < 2; ++s) {
     const Subdomain& sub = partition.subdomain(s);
+    const CellClassification cells = classify_cells(sub.grid);
     // Both x faces of each 4x4x4 shard are remote (the second via the
     // periodic wrap); y/z wrap inside the full-span view.
-    EXPECT_EQ(sub.cells.boundary.size(), 2u * 4 * 4);
-    EXPECT_EQ(sub.cells.interior.size(), 2u * 4 * 4);
-    EXPECT_EQ(sub.cells.interior.size() + sub.cells.boundary.size(),
+    EXPECT_EQ(cells.boundary.size(), 2u * 4 * 4);
+    EXPECT_EQ(cells.interior.size(), 2u * 4 * 4);
+    EXPECT_EQ(cells.interior.size() + cells.boundary.size(),
               static_cast<std::size_t>(sub.grid.num_cells()));
-    for (int c : sub.cells.boundary) {
+    for (int c : cells.boundary) {
       const auto coords = sub.grid.coords(c);
       EXPECT_TRUE(coords[0] == 0 || coords[0] == sub.size[0] - 1) << c;
     }
-    for (int c : sub.cells.interior) {
+    for (int c : cells.interior) {
       const auto coords = sub.grid.coords(c);
       EXPECT_TRUE(coords[0] > 0 && coords[0] < sub.size[0] - 1) << c;
     }
@@ -53,11 +54,12 @@ TEST(CellClassification, OutflowEdgesNeedNoHaloAndStayInterior) {
   Partition partition(spec, {2, 1, 1});
   for (int s = 0; s < 2; ++s) {
     const Subdomain& sub = partition.subdomain(s);
+    const CellClassification cells = classify_cells(sub.grid);
     // Only the inter-shard interface plane reads exchanged data; the true
     // domain edge builds ghost states, so its cells stay interior.
-    EXPECT_EQ(sub.cells.boundary.size(), 3u * 3);
+    EXPECT_EQ(cells.boundary.size(), 3u * 3);
     const int plane = s == 0 ? sub.size[0] - 1 : 0;
-    for (int c : sub.cells.boundary)
+    for (int c : cells.boundary)
       EXPECT_EQ(sub.grid.coords(c)[0], plane);
   }
 }

@@ -91,13 +91,18 @@ TEST(Gallery, SpecParsesKindAndOptionalPath) {
     parse_gallery_spec("sqlite:/tmp/x");
     FAIL() << "expected a throw";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("jsonl"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find(
+                  "gallery=sqlite: expected csv|jsonl|bin|dir"),
+              std::string::npos)
+        << e.what();
   }
 }
 
-TEST(Gallery, RegistryListsTheBuiltins) {
-  EXPECT_EQ(GalleryRegistry::instance().names(),
-            (std::vector<std::string>{"bin", "csv", "dir", "jsonl"}));
+TEST(Gallery, KindsAreTheFourFormats) {
+  EXPECT_EQ(gallery_kinds(),
+            (std::vector<std::string>{"csv", "jsonl", "bin", "dir"}));
+  for (const std::string& kind : gallery_kinds())
+    EXPECT_EQ(parse_gallery_spec(kind + ":x").kind, kind);
 }
 
 JobResult sample_result() {

@@ -412,7 +412,7 @@ TEST(Telemetry, MetricsStreamHasHeaderCadenceAndOverlapColumns) {
   EXPECT_EQ(lines[0],
             "step,t,dt,wall_s,predict_s,correct_s,rk_stage_s,"
             "exchange_post_s,exchange_wait_s,overlap_eff,shard_min_s,"
-            "shard_mean_s,shard_max_s,imbalance,cache_hits,flops,mflops_s,"
+            "shard_mean_s,shard_max_s,imbalance,flops,mflops_s,"
             "lts_clusters,lts_substeps,lts_imbalance");
   EXPECT_EQ(static_cast<int>(lines.size()) - 1, steps / 2);
 
@@ -424,14 +424,14 @@ TEST(Telemetry, MetricsStreamHasHeaderCadenceAndOverlapColumns) {
     std::stringstream ss(lines[i]);
     std::string field;
     while (std::getline(ss, field, ',')) fields.push_back(field);
-    ASSERT_EQ(fields.size(), 20u) << lines[i];
+    ASSERT_EQ(fields.size(), 19u) << lines[i];
     const double overlap_eff = std::stod(fields[9]);
     EXPECT_GE(overlap_eff, 0.0);
     EXPECT_LE(overlap_eff, 1.0);
     const double imbalance = std::stod(fields[13]);
     EXPECT_GE(imbalance, 1.0);
-    EXPECT_GT(std::stod(fields[15]), 0.0) << "flops column";
-    EXPECT_EQ(fields[17], "nan") << "lts_clusters off a global-stepping run";
+    EXPECT_GT(std::stod(fields[14]), 0.0) << "flops column";
+    EXPECT_EQ(fields[16], "nan") << "lts_clusters off a global-stepping run";
   }
   std::remove(path.c_str());
 }
